@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from fractions import Fraction
@@ -104,9 +105,13 @@ def _emit_sequence(obj, args, generator: str, params: dict,
 
 
 def _load_sequence(path: str, precision_bits: int):
-    if path.endswith(".csv"):
-        return seqfile.read_csv(path, precision_bits=precision_bits)
-    return seqfile.load_json(path)
+    """Read a sequence file once, as JSON when it opens with '{' and as CSV
+    otherwise; the name is not consulted, so pipes such as /dev/stdin work."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return seqfile.sequence_from_doc(seqfile.parse_doc(text))
+    return seqfile.read_csv(io.StringIO(text), precision_bits=precision_bits)
 
 
 def _precision(args) -> dist.Precision:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -34,8 +33,9 @@ def boltzmann(n: int, k: int) -> int:
 
     For n >= 1 this is the alternating sum
     sum_{j=0}^{k-1} (-1)^j C(k, j) (k - j)^n; the n = 0 edge follows the
-    surjection count itself (1 for k = 0, else 0), which keeps all three
-    characterizations below in agreement everywhere.
+    surjection count itself (1 for k = 0, else 0), which keeps it equal to
+    k! S(n, k) and to the k-th forward difference of x^n at x = 0 everywhere
+    (the tests hold those two as references).
     """
     if n < 0 or k < 0:
         raise ValueError("boltzmann needs n >= 0 and k >= 0")
@@ -47,24 +47,6 @@ def boltzmann(n: int, k: int) -> int:
     for j in range(k):
         term = math.comb(k, j) * (k - j) ** n
         total += -term if j % 2 else term
-    return total
-
-
-def boltzmann_from_stirling(n: int, k: int) -> int:
-    """Same count, via k! times the Stirling subset number."""
-    if n < 0 or k < 0:
-        raise ValueError("needs n >= 0 and k >= 0")
-    return math.factorial(k) * stirling_subset(n, k)
-
-
-def boltzmann_by_finite_difference(n: int, k: int) -> int:
-    """Same count, as the k-th forward difference of x^n at x = 0."""
-    if n < 0 or k < 0:
-        raise ValueError("needs n >= 0 and k >= 0")
-    total = 0
-    for j in range(k + 1):
-        term = math.comb(k, j) * j ** n
-        total += term if (k - j) % 2 == 0 else -term
     return total
 
 
@@ -81,39 +63,6 @@ def binom_general(t: Fraction | int, j: int) -> Fraction:
     for i in range(j):
         num *= t - i
     return num / math.factorial(j)
-
-
-def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:
-    """Yield the compositions of n into exactly j positive parts.
-
-    Lexicographic order, so (1, 2) comes before (2, 1). Empty stream when
-    j > n. There are C(n-1, j-1) of them.
-    """
-    if n < 1 or j < 1:
-        raise ValueError("compositions needs n >= 1 and j >= 1")
-
-    def rec(rest: int, parts: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield prefix + (rest,)
-            return
-        for first in range(1, rest - parts + 2):
-            yield from rec(rest - first, parts - 1, prefix + (first,))
-
-    if j > n:
-        return
-    yield from rec(n, j, ())
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / (n_1! ... n_j!); parts must sum to n."""
-    if any(p < 0 for p in parts):
-        raise ValueError("multinomial parts must be non-negative")
-    if sum(parts) != n:
-        raise ValueError("multinomial parts must sum to n")
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def boltzmann_ratio_bound_report(n_max: int) -> list[dict]:

@@ -8,9 +8,17 @@ Three composition laws act on finite moment prefixes (mu_0 = 1, mu_1, ..., mu_N)
   after the Maxwell-Boltzmann occupancy statistics the coefficients count),
 * Boolean convolution, under which Boolean cumulants add.
 
+The t-composition is defined by its occupancy sum (see mb_compose_t), but it
+is the law at time t of the Levy process whose time-1 moments are mu, so its
+moments are moments_from_cumulants(t * kappa). Every composition here is
+computed that way, by the O(N^2) moment/cumulant recursion (P. J. Smith,
+Amer. Statist. 49, 1995); the occupancy sum itself lives in the tests as the
+brute-force reference.
+
 Everything exact runs on Fraction; approximate sequences carry mpmath floats
-with a declared working precision. Operations that produce symbolic output in
-t refuse approximate inputs.
+with a declared working precision, and every operation on them runs at that
+precision. Operations that produce symbolic output in t refuse approximate
+inputs.
 
 A note on positivity: a genuine moment sequence has mu_n > 0 for all n, and
 the analysis routines that need positivity check it via require_positive().
@@ -21,16 +29,16 @@ interrogate, so they must be representable.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import wraps
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 
-from .combinatorics import binom_general, compositions, multinomial
 from .exceptions import BackendError
 
 Rational = Union[Fraction, int]
@@ -44,6 +52,27 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("exact backend requires int, Fraction, or rational string, got %r" % (x,))
+
+
+def _as_mpf(x) -> mpf:
+    """x as an mpf at the working precision; mpf() itself refuses Fractions."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
+
+
+def _working_precision(seq):
+    """Context in which arithmetic on seq's entries keeps its precision_bits."""
+    return nullcontext() if seq.exact else mpmath.workprec(seq.precision_bits)
+
+
+def _at_own_precision(fn):
+    """Run fn at the precision_bits of its first argument, a sequence."""
+    @wraps(fn)
+    def at_precision(seq, *args, **kwargs):
+        with _working_precision(seq):
+            return fn(seq, *args, **kwargs)
+    return at_precision
 
 
 @dataclass(frozen=True)
@@ -133,7 +162,7 @@ class CumulantSequence:
         return self.values[i - 1]
 
     def scaled(self, t) -> "CumulantSequence":
-        t = _as_fraction(t) if self.exact else mpf(t)
+        t = _as_fraction(t) if self.exact else _as_mpf(t)
         return CumulantSequence(tuple(t * v for v in self.values), self.exact, self.precision_bits)
 
 
@@ -158,7 +187,7 @@ class BooleanCumulantSequence:
         return self.values[i - 1]
 
     def scaled(self, t) -> "BooleanCumulantSequence":
-        t = _as_fraction(t) if self.exact else mpf(t)
+        t = _as_fraction(t) if self.exact else _as_mpf(t)
         return BooleanCumulantSequence(tuple(t * v for v in self.values), self.exact, self.precision_bits)
 
 
@@ -236,15 +265,6 @@ class TPolynomial:
         return "TPolynomial(%r)" % (self.coeffs,)
 
 
-@lru_cache(maxsize=None)
-def _binom_poly(j: int) -> TPolynomial:
-    """C(t, j) = t(t-1)...(t-j+1)/j! expanded as a polynomial in t."""
-    poly = TPolynomial([1])
-    for i in range(j):
-        poly = poly * TPolynomial([-i, 1])
-    return poly * Fraction(1, factorial(j))
-
-
 def _same_backend(a: MomentSequence, b: MomentSequence, what: str) -> None:
     if a.exact != b.exact:
         raise BackendError("%s refuses to mix exact and approximate sequences" % what)
@@ -254,6 +274,16 @@ def _result_like(a: MomentSequence, values) -> MomentSequence:
     return MomentSequence(tuple(values), exact=a.exact, precision_bits=a.precision_bits)
 
 
+def _prefix(m: MomentSequence, upto: Optional[int]) -> MomentSequence:
+    """(mu_0, ..., mu_upto); the whole of m when upto is None."""
+    if upto is None:
+        return m
+    if upto > m.degree:
+        raise ValueError("upto exceeds input length")
+    return _result_like(m, m.values[:upto + 1])
+
+
+@_at_own_precision
 def classical_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int] = None) -> MomentSequence:
     """Moments of X + Y for independent X, Y: sum_j C(n,j) a_j b_{n-j}."""
     _same_backend(a, b, "classical_convolve")
@@ -268,53 +298,53 @@ def classical_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int]
     return _result_like(a, out)
 
 
-def _composition_sum(m: MomentSequence, n: int, j: int):
-    """S_j(n) = sum over compositions (n_1..n_j) of n of multinomial * prod mu_{n_i}."""
-    acc = None
-    for parts in compositions(n, j):
-        term = multinomial(n, parts)
-        prod = m[parts[0]]
-        for p in parts[1:]:
-            prod = prod * m[p]
-        term = term * prod
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Fraction(0) if m.exact else mpf(0)
-    return acc
+def _composition_sum(m, n: int, j: int):
+    """S_j(n) = sum over compositions (n_1..n_j) of n of multinomial * prod mu_{n_i}.
+
+    m is a MomentSequence or a plain list with m[0] = 1. Splitting off the
+    first part n_1 = k gives S_j(r) = sum_{k>=1} C(r,k) mu_k S_{j-1}(r-k)
+    with S_0(r) = [r = 0], evaluated in O(j n^2). S_i(r) vanishes for
+    r < i, and S_j(n) needs S_i(r) only for r <= n - (j - i), so only that
+    band is computed.
+    """
+    zero = m[0] * 0
+    s = [m[0]] + [zero] * n
+    for i in range(1, j + 1):
+        nxt = [zero] * (n + 1)
+        for r in range(i, n - j + i + 1):
+            nxt[r] = sum(comb(r, k) * m[k] * s[r - k] for k in range(1, r - i + 2))
+        s = nxt
+    return s[n]
 
 
 def mb_compose_integer(m: MomentSequence, k: int, upto: Optional[int] = None) -> MomentSequence:
-    """k-th composition power via the occupancy sum sum_j C(k,j) S_j(n).
+    """k-th composition power: the occupancy sum sum_j C(k,j) S_j(n) at t = k.
 
-    Agrees with the k-fold classical self-convolution; the combinatorial sum
-    is the definition, the convolution identity is verified in the tests.
-    k = 0 gives the convolution identity (1, 0, 0, ...).
+    Agrees with the k-fold classical self-convolution, which the tests
+    verify. Computed as levy_moments_at_t at t = k, so decimal input is
+    served at its own precision. k = 0 gives the convolution identity
+    (1, 0, 0, ...).
     """
     if k < 0:
         raise ValueError("mb_compose_integer needs k >= 0")
-    if upto is None:
-        upto = m.degree
-    if upto > m.degree:
-        raise ValueError("upto exceeds input length")
-    out = [m[0] * 0 + 1]
-    for n in range(1, upto + 1):
-        acc = None
-        for j in range(1, min(k, n) + 1):
-            c = comb(k, j)
-            term = c * _composition_sum(m, n, j)
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else m[0] * 0)
-    return _result_like(m, out)
+    return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), k)
 
 
 def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     """The n-th composed moment as an exact polynomial in t, for n = 0..upto.
 
-    Entry n is sum_{j=1}^{n} C(t, j) S_j(n) with C(t, j) expanded in powers
-    of t, so the degree is at most n. Evaluating at a positive integer k
-    reproduces mb_compose_integer(m, k); fractional t gives the candidate
-    moment sequence of the t-th convolution power, which need not be a
-    moment sequence at all.
+    By definition entry n is the occupancy sum sum_{j=1}^{n} C(t, j) S_j(n)
+    (S_j as in _composition_sum) with C(t, j) expanded in powers of t, so
+    the degree is at most n. Evaluating at a positive integer k reproduces
+    mb_compose_integer(m, k); fractional t gives the candidate moment
+    sequence of the t-th convolution power, which need not be a moment
+    sequence at all.
+
+    The sum is a polynomial identity away from the moments at time t of the
+    Levy process whose time-1 cumulants kappa are those of m, so it is
+    computed as moments_from_cumulants(t * kappa): the cumulant recursion
+    run on the polynomials t * kappa_i, O(N^2) polynomial products in place
+    of 2^(n-1) compositions per entry.
 
     At t = 1/2 the first entries are (1/2)mu_2 - (1/4)mu_1^2 and
     (1/2)mu_3 - (3/4)mu_2 mu_1 + (3/8)mu_1^3. At t = 1/3 the third entry
@@ -323,27 +353,17 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     are easy to re-derive by hand.
     """
     m.require_exact("mb_compose_t")
-    if upto is None:
-        upto = m.degree
-    if upto > m.degree:
-        raise ValueError("upto exceeds input length")
-    polys = [TPolynomial([1])]
-    for n in range(1, upto + 1):
-        acc = TPolynomial([0])
-        for j in range(1, n + 1):
-            s = _composition_sum(m, n, j)
-            if s != 0:
-                acc = acc + _binom_poly(j) * s
-        polys.append(acc)
-    return polys
+    kappas = cumulants_from_moments(_prefix(m, upto)).values
+    return _moments_from_kappas([TPolynomial([0, k]) for k in kappas], TPolynomial([1]))
 
 
 def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSequence:
     """Evaluate the t-composition at a single rational t."""
-    polys = mb_compose_t(m, upto)
-    return MomentSequence(tuple(p(t) for p in polys), exact=True)
+    m.require_exact("mb_compose_at")
+    return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), t)
 
 
+@_at_own_precision
 def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """Invert m_n = sum_{k=0}^{n-1} C(n-1,k) kappa_{k+1} m_{n-1-k}."""
     kappas = []
@@ -355,30 +375,42 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     return CumulantSequence(tuple(kappas), m.exact, m.precision_bits)
 
 
-def moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
-    """Forward direction of the same recursion; exact inverse of the above."""
-    one = Fraction(1) if k.exact else mpf(1)
+def _moments_from_kappas(kappas: Sequence, one) -> list:
+    """mu_0 = one, mu_n = sum_{j<n} C(n-1,j) kappa_{j+1} mu_{n-1-j}.
+
+    Runs on any ring the entries share: Fractions, mpfs or TPolynomials.
+    """
     out = [one]
-    for n in range(1, len(k) + 1):
+    for n in range(1, len(kappas) + 1):
         acc = None
         for j in range(n):
-            term = comb(n - 1, j) * k[j + 1] * out[n - 1 - j]
+            term = comb(n - 1, j) * kappas[j] * out[n - 1 - j]
             acc = term if acc is None else acc + term
         out.append(acc)
+    return out
+
+
+@_at_own_precision
+def moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
+    """Forward direction of the same recursion; exact inverse of the above."""
+    out = _moments_from_kappas(k.values, Fraction(1) if k.exact else mpf(1))
     return MomentSequence(tuple(out), k.exact, k.precision_bits)
 
 
+@_at_own_precision
 def levy_moments_at_t(k: CumulantSequence, t) -> MomentSequence:
     """Moments at time t of the process whose cumulants at time 1 are k.
 
     Cumulants are additive over independent increments, so this is just
-    moments_from_cumulants(t * k). For the k derived from a moment prefix m,
-    the result coincides with mb_compose_t(m) evaluated at t, entry by
-    entry; that identity is a polynomial one and holds for every rational t.
+    moments_from_cumulants(t * k). For the k derived from a moment prefix m
+    it is the t-composition of m (the occupancy sum of mb_compose_t) at t,
+    entry by entry, for every rational t; mb_compose_at and
+    mb_compose_integer are computed this way.
     """
     return moments_from_cumulants(k.scaled(t))
 
 
+@_at_own_precision
 def boolean_cumulants_from_moments(m: MomentSequence) -> BooleanCumulantSequence:
     """Invert m_n = sum_{k=1}^{n} b_k m_{n-k} (m_0 = 1).
 
@@ -393,6 +425,7 @@ def boolean_cumulants_from_moments(m: MomentSequence) -> BooleanCumulantSequence
     return BooleanCumulantSequence(tuple(bs), m.exact, m.precision_bits)
 
 
+@_at_own_precision
 def moments_from_boolean_cumulants(b: BooleanCumulantSequence) -> MomentSequence:
     one = Fraction(1) if b.exact else mpf(1)
     out = [one]
@@ -405,6 +438,7 @@ def moments_from_boolean_cumulants(b: BooleanCumulantSequence) -> MomentSequence
     return MomentSequence(tuple(out), b.exact, b.precision_bits)
 
 
+@_at_own_precision
 def boolean_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int] = None) -> MomentSequence:
     """Boolean convolution: add Boolean cumulants, rebuild moments.
 
@@ -424,6 +458,7 @@ def boolean_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int] =
         BooleanCumulantSequence(summed, a.exact, a.precision_bits))
 
 
+@_at_own_precision
 def boolean_power_t(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSequence:
     """Boolean t-th convolution power: scale Boolean cumulants by t >= 0.
 
@@ -431,13 +466,8 @@ def boolean_power_t(m: MomentSequence, t, upto: Optional[int] = None) -> MomentS
     integer t reproduces iterated boolean_convolve, and
     (power_t m)_2 = t m_2 + t(t-1) m_1^2.
     """
-    tq = _as_fraction(t) if m.exact else mpf(t)
+    tq = _as_fraction(t) if m.exact else _as_mpf(t)
     if tq < 0:
         raise ValueError("boolean_power_t needs t >= 0")
-    if upto is None:
-        upto = m.degree
-    if upto > m.degree:
-        raise ValueError("upto exceeds input length")
-    bs = BooleanCumulantSequence(
-        boolean_cumulants_from_moments(m).values[:upto], m.exact, m.precision_bits)
+    bs = boolean_cumulants_from_moments(_prefix(m, upto))
     return moments_from_boolean_cumulants(bs.scaled(tq))

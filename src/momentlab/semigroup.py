@@ -17,11 +17,11 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
+from .combinatorics import binom_general
 from .moment_algebra import (
     MomentSequence,
     TPolynomial,
     _composition_sum,
-    binom_general,
     mb_compose_t,
 )
 from .stieltjes import PositivityVerdict, stieltjes_verdict

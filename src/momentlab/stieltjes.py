@@ -13,13 +13,14 @@ and never claim more than finite-depth evidence.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import MomentSequence
+from .moment_algebra import MomentSequence, _as_mpf, _working_precision
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 
@@ -441,8 +442,9 @@ def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
     """Ratio diagnostics; requires all entries positive.
 
     Works on both backends; exact sequences get exact Fractions, approximate
-    ones mpmath values with `tolerance` (default 2^-40) around the theta <= 1
-    comparisons.
+    ones mpmath values computed at the sequence's precision_bits, with
+    `tolerance` (a Fraction, mpf, string or float; default 2^-40) around the
+    theta <= 1 comparisons.
     """
     if isinstance(m, MomentSequence):
         m.require_positive()
@@ -455,17 +457,20 @@ def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
         exact = True
     if len(vals) < 3:
         raise ValueError("need at least three entries for a theta value")
-    theta = tuple(vals[n] ** 2 / (vals[n - 1] * vals[n + 1]) for n in range(1, len(vals) - 1))
+    with nullcontext() if exact else _working_precision(m):
+        theta = tuple(vals[n] ** 2 / (vals[n - 1] * vals[n + 1])
+                      for n in range(1, len(vals) - 1))
+        if exact:
+            lo = hi = 1
+        else:
+            tol = _as_mpf(tolerance if tolerance is not None else DEFAULT_TOLERANCE)
+            lo, hi = 1 - tol, 1 + tol
     sup = max(theta)
     tail_start = len(theta) // 2
     tail = max(theta[tail_start:])
-    if exact:
-        tol = Fraction(0)
-    else:
-        tol = Fraction(tolerance) if tolerance is not None else DEFAULT_TOLERANCE
-    if all(th < 1 - tol for th in theta):
+    if all(th < lo for th in theta):
         verdict = "strictly-log-convex"
-    elif all(th <= 1 + tol for th in theta):
+    elif all(th <= hi for th in theta):
         verdict = "log-convex"
     else:
         verdict = "not-log-convex"

@@ -1,0 +1,110 @@
+"""Brute-force references for the composition algebra.
+
+The t-composition is defined by its occupancy sum over compositions of n,
+and the surjection counts have three classical characterizations. The
+library computes each one way only; these are the other derivations, kept
+here so the tests can compare against them. Everything is exact and
+exponential in n: meant for n <= 10 or so.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from momentlab.combinatorics import stirling_subset
+
+
+def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:
+    """Yield the compositions of n into exactly j positive parts.
+
+    Lexicographic order, so (1, 2) comes before (2, 1). Empty stream when
+    j > n. There are C(n-1, j-1) of them.
+    """
+    if n < 1 or j < 1:
+        raise ValueError("compositions needs n >= 1 and j >= 1")
+
+    def rec(rest: int, parts: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if parts == 1:
+            yield prefix + (rest,)
+            return
+        for first in range(1, rest - parts + 2):
+            yield from rec(rest - first, parts - 1, prefix + (first,))
+
+    if j > n:
+        return
+    yield from rec(n, j, ())
+
+
+def multinomial(n: int, parts: Sequence[int]) -> int:
+    """Multinomial coefficient n! / (n_1! ... n_j!); parts must sum to n."""
+    if any(p < 0 for p in parts):
+        raise ValueError("multinomial parts must be non-negative")
+    if sum(parts) != n:
+        raise ValueError("multinomial parts must sum to n")
+    out = math.factorial(n)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+def boltzmann_from_stirling(n: int, k: int) -> int:
+    """Surjections from an n-set onto a k-set, as k! S(n, k)."""
+    if n < 0 or k < 0:
+        raise ValueError("needs n >= 0 and k >= 0")
+    return math.factorial(k) * stirling_subset(n, k)
+
+
+def boltzmann_by_finite_difference(n: int, k: int) -> int:
+    """The same count, as the k-th forward difference of x^n at x = 0."""
+    if n < 0 or k < 0:
+        raise ValueError("needs n >= 0 and k >= 0")
+    total = 0
+    for j in range(k + 1):
+        term = math.comb(k, j) * j ** n
+        total += term if (k - j) % 2 == 0 else -term
+    return total
+
+
+def composition_sum(mu: Sequence[Fraction], n: int, j: int) -> Fraction:
+    """S_j(n): the sum over compositions (n_1..n_j) of n of
+    multinomial(n; n_1..n_j) * mu_{n_1} ... mu_{n_j}."""
+    total = Fraction(0)
+    for parts in compositions(n, j):
+        term = Fraction(multinomial(n, parts))
+        for p in parts:
+            term *= mu[p]
+        total += term
+    return total
+
+
+def binom_poly(j: int) -> list:
+    """Coefficients of C(t, j) = t(t-1)...(t-j+1)/j! in powers of t."""
+    coeffs = [Fraction(1)]
+    for i in range(j):
+        # multiply by (t - i)
+        coeffs = [Fraction(0)] + coeffs
+        for d in range(len(coeffs) - 1):
+            coeffs[d] -= i * coeffs[d + 1]
+    return [c / math.factorial(j) for c in coeffs]
+
+
+def composed_polynomial(mu: Sequence[Fraction], n: int) -> tuple:
+    """Coefficients of mu^(t)_n = sum_{j=1}^{n} C(t, j) S_j(n), trailing
+    zeros dropped (mu^(t)_0 = 1)."""
+    if n == 0:
+        return (Fraction(1),)
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range(1, n + 1):
+        s = composition_sum(mu, n, j)
+        for d, c in enumerate(binom_poly(j)):
+            coeffs[d] += c * s
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def composed_moment(mu: Sequence[Fraction], t, n: int) -> Fraction:
+    """mu^(t)_n at a rational t."""
+    t = Fraction(t)
+    return sum(c * t ** d for d, c in enumerate(composed_polynomial(mu, n)))

@@ -1,0 +1,73 @@
+"""The command line front end, run through main(argv) in process."""
+import json
+from fractions import Fraction
+
+import mpmath
+from mpmath import mpf
+
+from momentlab import seqfile
+from momentlab.cli import main
+from momentlab.moment_algebra import classical_convolve
+
+import brute_force
+
+F = Fraction
+
+
+def lattice_file(tmp_path, q=2, upto=6):
+    path = tmp_path / "lattice.json"
+    assert main(["moments", "lattice", "--q", str(q), "--upto", str(upto),
+                 "-o", str(path)]) == 0
+    return path
+
+
+def lognormal_file(tmp_path):
+    path = tmp_path / "lognormal.json"
+    assert main(["moments", "lognormal", "--upto", "6", "-o", str(path)]) == 0
+    return path
+
+
+class TestCompose:
+    def test_mb_symbolic_matches_occupancy_sum(self, tmp_path, capsys):
+        path = lattice_file(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", str(path), "--op", "mb", "--symbolic"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        vals = [F(2) ** (n * n) for n in range(7)]
+        assert rep["upto"] == 6
+        assert rep["coefficients"] == [[str(c) for c in brute_force.composed_polynomial(vals, n)]
+                                       for n in range(7)]
+
+    def test_mb_k_two_is_classical_self_convolution(self, tmp_path):
+        path = lattice_file(tmp_path)
+        out = tmp_path / "mbk.json"
+        assert main(["compose", str(path), "--op", "mb", "--k", "2", "-o", str(out)]) == 0
+        m = seqfile.load_json(str(path))
+        assert seqfile.load_json(str(out)).values == classical_convolve(m, m).values
+
+
+class TestAnalyze:
+    def test_suffixless_csv(self, tmp_path, capsys):
+        path = tmp_path / "moments"
+        path.write_text("index,value\n" + "".join(f"{k},{2 ** (k * k)}\n" for k in range(7)),
+                        encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["input"] == {"backend": "exact", "length": 7}
+        assert rep["stieltjes"]["kind"] == "strictly-positive"
+
+    def test_decimal_logconvex(self, tmp_path, capsys):
+        path = lognormal_file(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--logconvex", "--tolerance", "1e-20"]) == 0
+        rep = json.loads(capsys.readouterr().out)["logconvex"]
+        assert rep["verdict"] == "strictly-log-convex"
+        with mpmath.workprec(128):
+            assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-29") for th in rep["theta"])
+
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
+        for text in ('{"schema_version": ', "index,value\n0,1\n1,x/y\n", "1,2,3\n"):
+            path = tmp_path / "bad.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["analyze", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,5 @@
-"""Surjection counts, compositions, and the generalized binomial."""
+"""Surjection counts, the generalized binomial, and the brute-force
+composition references the other tests rely on."""
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,12 +9,15 @@ from hypothesis import given, strategies as st
 from momentlab.combinatorics import (
     binom_general,
     boltzmann,
+    boltzmann_ratio_bound_report,
+    stirling_subset,
+)
+
+from brute_force import (
     boltzmann_by_finite_difference,
     boltzmann_from_stirling,
-    boltzmann_ratio_bound_report,
     compositions,
     multinomial,
-    stirling_subset,
 )
 
 

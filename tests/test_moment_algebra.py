@@ -12,6 +12,7 @@ from momentlab.moment_algebra import (
     CumulantSequence,
     MomentSequence,
     TPolynomial,
+    _composition_sum,
     boolean_convolve,
     boolean_cumulants_from_moments,
     boolean_power_t,
@@ -25,6 +26,7 @@ from momentlab.moment_algebra import (
     moments_from_cumulants,
 )
 
+import brute_force
 from conftest import random_moment_prefix
 
 F = Fraction
@@ -144,6 +146,24 @@ class TestMaxwellBoltzmannComposition:
         with pytest.raises(BackendError):
             mb_compose_t(m, 2)
 
+    def test_matches_occupancy_sum(self, rng):
+        """Every entry point against the defining sum over compositions,
+        sum_j C(t,j) sum_compositions multinomial * prod mu, for n <= 9."""
+        for _ in range(3):
+            vals = random_moment_prefix(rng, 9)
+            m = MomentSequence.from_exact(vals)
+            polys = mb_compose_t(m)
+            t = F(rng.randint(-30, 30), rng.randint(1, 30))
+            at_t = mb_compose_at(m, t)
+            for n in range(10):
+                assert polys[n].coeffs == brute_force.composed_polynomial(vals, n)
+                assert at_t[n] == brute_force.composed_moment(vals, t, n)
+                for j in range(1, n + 1):
+                    assert _composition_sum(m, n, j) == brute_force.composition_sum(vals, n, j)
+            for k in range(4):
+                assert mb_compose_integer(m, k).values == tuple(
+                    brute_force.composed_moment(vals, k, n) for n in range(10))
+
 
 class TestCumulants:
     def test_poisson_cumulants_give_touchard_moments(self):
@@ -166,12 +186,14 @@ class TestCumulants:
 
     def test_levy_matches_composition(self, rng):
         """Scaling cumulants by t agrees with the t-composition of the
-        moments, entry by entry, for rational t."""
+        moments, the occupancy sum over compositions, entry by entry, for
+        rational t."""
         for _ in range(10):
-            m = MomentSequence.from_exact(random_moment_prefix(rng, 6))
+            vals = random_moment_prefix(rng, 6)
             t = F(rng.randint(1, 30), rng.randint(1, 30))
-            k = cumulants_from_moments(m)
-            assert levy_moments_at_t(k, t).values == mb_compose_at(m, t, 6).values
+            k = cumulants_from_moments(MomentSequence.from_exact(vals))
+            assert levy_moments_at_t(k, t).values == tuple(
+                brute_force.composed_moment(vals, t, n) for n in range(7))
 
 
 class TestBoolean:
@@ -226,3 +248,34 @@ class TestBoolean:
         m = MomentSequence.from_exact(random_moment_prefix(rng, 3))
         with pytest.raises(ValueError):
             boolean_power_t(m, F(-1, 2), 3)
+
+
+class TestDecimalPrecision:
+    """Operations on a decimal sequence run at its precision_bits, not at
+    mpmath's global 53 bits."""
+
+    BITS = 256
+    EXACT = (F(1), F(1, 3), F(2, 3), F(10, 7))
+
+    def decimal(self):
+        with mpmath.workprec(self.BITS):
+            return MomentSequence.from_approx(
+                [mpf(v.numerator) / v.denominator for v in self.EXACT], self.BITS)
+
+    def assert_close(self, got, exact):
+        assert not got.exact and got.precision_bits == self.BITS
+        assert len(got) == len(exact)
+        with mpmath.workprec(400):
+            for g, e in zip(got.values, exact.values):
+                e = mpf(e.numerator) / e.denominator
+                assert abs(g - e) <= mpf(2) ** -240 * abs(e)
+
+    def test_compositions_agree_with_exact(self):
+        m, exact = self.decimal(), MomentSequence.from_exact(self.EXACT)
+        self.assert_close(mb_compose_integer(m, 2), mb_compose_integer(exact, 2))
+        self.assert_close(classical_convolve(m, m), classical_convolve(exact, exact))
+        self.assert_close(boolean_convolve(m, m), boolean_convolve(exact, exact))
+        self.assert_close(boolean_power_t(m, F(1, 3)), boolean_power_t(exact, F(1, 3)))
+        self.assert_close(moments_from_cumulants(cumulants_from_moments(m)), exact)
+        self.assert_close(
+            moments_from_boolean_cumulants(boolean_cumulants_from_moments(m)), exact)

@@ -2,10 +2,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
 
-from momentlab.distributions import poisson_moments
+from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
+                                     poisson_moments)
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import MomentSequence
 from momentlab.stieltjes import (
@@ -209,6 +211,17 @@ class TestLogConvexity:
     def test_positive_entries_required(self):
         with pytest.raises(ValueError):
             log_convexity_report(MomentSequence.from_exact([1, 0, 1]))
+
+    def test_decimal_theta_at_sequence_precision(self):
+        """Lognormal(0, 1) has theta_n = e^-1 for every n; on a 128-bit
+        prefix the ratios carry the prefix's precision, and the tolerance
+        may be given as a Fraction, an mpf or a string."""
+        m = lognormal_moments(LognormalSpec(0, 1), 5, Precision(128))
+        for tol in (F(1, 10 ** 20), mpf("1e-20"), "1e-20", None):
+            rep = log_convexity_report(m, tol)
+            assert rep.verdict == "strictly-log-convex"
+            with mpmath.workprec(200):
+                assert all(abs(th - mpmath.exp(-1)) < mpf("1e-30") for th in rep.theta)
 
 
 class TestSplitBound:
