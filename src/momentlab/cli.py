@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import mpmath
 from mpmath import mpf
@@ -29,11 +29,12 @@ from .exceptions import (BackendError, PrecisionError, QuadratureError,
 from .moment_algebra import (MomentSequence, boolean_power_t, classical_convolve,
                              mb_compose_at, mb_compose_integer, mb_compose_t)
 from .semigroup import (DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan)
-from .simulator import (AtomJumps, JumpSpec, LognormalJumps, PoissonJumps,
-                        epsilon_truncation_drift, spectrum_gap_test)
 from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
                         log_convexity_report, mu1_threshold_sequence,
                         stieltjes_verdict)
+
+if TYPE_CHECKING:
+    from .simulator import JumpSpec
 
 SCHEMA_VERSION = seqfile.SCHEMA_VERSION
 
@@ -290,9 +291,13 @@ def cmd_compose(args) -> int:
 
 # ---------------------------------------------------------------------------
 # simulate
+#
+# The simulator and numpy are imported here, on first use, so that no other
+# subcommand pays for loading them.
 
 
 def _jump_spec(args) -> JumpSpec:
+    from . import simulator
     chosen = [x for x in (args.atoms, args.poisson_jumps, args.lognormal_jumps)
               if x is not None]
     if len(chosen) != 1:
@@ -303,24 +308,25 @@ def _jump_spec(args) -> JumpSpec:
         for part in args.atoms.split(","):
             size, _, weight = part.partition(":")
             pairs.append((float(size), float(weight or "1")))
-        law = AtomJumps(tuple(pairs))
+        law = simulator.AtomJumps(tuple(pairs))
     elif args.poisson_jumps is not None:
-        law = PoissonJumps(args.poisson_jumps)
+        law = simulator.PoissonJumps(args.poisson_jumps)
     else:
         alpha, _, sigma2 = args.lognormal_jumps.partition(":")
-        law = LognormalJumps(float(alpha), float(sigma2 or "1"))
-    return JumpSpec(args.rate, law, args.epsilon)
+        law = simulator.LognormalJumps(float(alpha), float(sigma2 or "1"))
+    return simulator.JumpSpec(args.rate, law, args.epsilon)
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
     spec = _jump_spec(args)
     if args.mode == "spectrum":
         gap = tuple(args.censor_gap) if args.censor_gap else None
-        res = spectrum_gap_test(spec, args.a, args.b, args.n, args.trials,
-                                args.seed, args.level, args.t, gap)
+        res = simulator.spectrum_gap_test(spec, args.a, args.b, args.n, args.trials,
+                                          args.seed, args.level, args.t, gap)
     else:
-        res = epsilon_truncation_drift(spec, args.eps_grid, args.trials,
-                                       args.seed, args.eta, args.t, args.level)
+        res = simulator.epsilon_truncation_drift(spec, args.eps_grid, args.trials,
+                                                 args.seed, args.eta, args.t, args.level)
     report = {"schema_version": SCHEMA_VERSION,
               "kind": f"simulate-{args.mode}", "report": _jsonable(res)}
     print(json.dumps(report, indent=2, sort_keys=True))

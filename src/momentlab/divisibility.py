@@ -82,25 +82,36 @@ def _katti_exact(masses, kmax: int) -> KattiReport:
 
 
 def _katti_interval(pmf: DiscretePMF, kmax: int) -> KattiReport:
+    bits = pmf.precision_bits or 128
     saved = iv.prec
     try:
-        iv.prec = (pmf.precision_bits or 128) + 20
-        # widen each point value by the stated error in interval arithmetic,
-        # so the endpoints round outward and containment is preserved
-        err = iv.mpf([-mpf(pmf.entry_error), mpf(pmf.entry_error)])
-        p = [iv.mpf(v) + err for v in pmf.masses]
-        if not p[0] > 0:
-            raise PrecisionError("p_0 - error does not exceed 0; cannot run the recursion")
-        r = []
-        for j in range(kmax + 1):
-            acc = (j + 1) * p[j + 1]
-            for k in range(j):
-                acc -= p[j - k] * r[k]
-            r.append(acc / p[0])
-        mids = tuple(mpf(x.mid) for x in r)
-        radii = tuple(mpf(x.delta) / 2 for x in r)
+        iv.prec = bits + 20
+        # plain mpf steps (the negation below, reading the ends) round at
+        # mp.prec, so it is raised to iv.prec as well
+        with mpmath.workprec(iv.prec):
+            # widen each point value by the stated error, rounded up, in
+            # interval arithmetic, so the endpoints round outward and
+            # containment is preserved
+            e = mpf(pmf.entry_error, rounding="u")
+            err = iv.mpf([-e, e])
+            p = [iv.mpf(v) + err for v in pmf.masses]
+            if not p[0] > 0:
+                raise PrecisionError("p_0 - error does not exceed 0; cannot run the recursion")
+            r = []
+            for j in range(kmax + 1):
+                acc = (j + 1) * p[j + 1]
+                for k in range(j):
+                    acc -= p[j - k] * r[k]
+                r.append(acc / p[0])
+            ends = [(mpf(x.a), mpf(x.b)) for x in r]
     finally:
         iv.prec = saved
+    # midpoints at the pmf's own precision; each radius is rounded up, so it
+    # still reaches both ends of its interval from the rounded midpoint
+    with mpmath.workprec(bits):
+        mids = tuple((lo + hi) / 2 for lo, hi in ends)
+        radii = tuple(max(mpmath.fsub(hi, mid, rounding="u"), mpmath.fsub(mid, lo, rounding="u"))
+                      for (lo, hi), mid in zip(ends, mids))
     return KattiReport(mids, radii, max(radii), kmax, exact=False)
 
 

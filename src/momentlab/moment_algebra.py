@@ -98,7 +98,7 @@ class MomentSequence:
             if self.precision_bits is None or self.precision_bits < 64:
                 raise ValueError("approximate sequences need precision_bits >= 64")
             with mpmath.workprec(self.precision_bits):
-                vals = tuple(mpf(v) if not isinstance(v, mpf) else v for v in self.values)
+                vals = tuple(v if isinstance(v, mpf) else _as_mpf(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if vals[0] != 1:
             raise ValueError("mu_0 must equal 1, got %s" % (vals[0],))

@@ -203,7 +203,7 @@ def write_csv(obj: Union[MomentSequence, DiscretePMF], path_or_buf) -> None:
 
 def read_csv(path_or_buf, kind: str = "moments", backend: Optional[str] = None,
              precision_bits: int = 128) -> Union[MomentSequence, DiscretePMF]:
-    """Read the CSV form back.
+    """Read the CSV form back; the rows must be indexed 0, 1, 2, ... in order.
 
     With backend=None the backend is inferred: values all parseable as
     rationals mean exact, anything with a decimal point or exponent means
@@ -222,9 +222,12 @@ def read_csv(path_or_buf, kind: str = "moments", backend: Optional[str] = None,
     if not body:
         raise SequenceFileError("CSV has no data rows")
     strings = []
-    for r in body:
+    for i, r in enumerate(body):
         if len(r) != 2:
             raise SequenceFileError(f"malformed CSV row {r!r}")
+        if r[0].strip() != str(i):
+            raise SequenceFileError(f"CSV row {i} has index {r[0].strip()!r}; "
+                                    f"indices must run 0, 1, 2, ... in order")
         strings.append(r[1].strip())
     if backend is None:
         plain = all(set(s) <= set("0123456789/-") for s in strings)

@@ -15,6 +15,14 @@ and a replication lower bound derived under the compound hypothesis (with
 the spec's effective rate) exceeds what a zero count allows at the stated
 confidence level. Gap censoring, applied to the empirical samples, is the
 standard way to manufacture such a contradiction.
+
+The replication bound starts from the Clopper-Pearson lower confidence bound
+on a binomial probability (Clopper & Pearson, Biometrika 26, 1934): the
+(1 - level)-quantile of Beta(c, n - c + 1) for c hits in n trials. It is
+solved for in mpmath at a fixed 128-bit working precision: the regularized
+incomplete beta I_x(a, b) comes from its continued fraction (DLMF 8.17.22)
+times a prefactor taken through loggamma, and the root of I_x = alpha from
+Newton steps kept inside a shrinking bisection bracket.
 """
 from __future__ import annotations
 
@@ -22,8 +30,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+import mpmath
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from mpmath import mpf
+
+from .exceptions import PrecisionError
 
 
 @dataclass(frozen=True)
@@ -146,7 +157,10 @@ class JumpSpec:
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream)."""
+    """Counter-based generator keyed by (seed, stream), two 64-bit words."""
+    for name, word in (("seed", seed), ("stream", stream)):
+        if not 0 <= word < 2 ** 64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {word}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -188,6 +202,83 @@ def gap_censor_samples(samples: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def _poisson_pmf_value(lam: float, m: int) -> float:
     return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
+
+
+_CP_PREC = 128  # working bits of the Clopper-Pearson solve
+
+
+def _betainc(x: mpf, a: int, b: int, log_beta: mpf) -> mpf:
+    """Regularized incomplete beta I_x(a, b), log_beta = log B(a, b).
+
+    Below (a + 1) / (a + b + 2) the continued fraction of DLMF 8.17.22
+    converges fast and is summed by the modified Lentz method; above it,
+    I_x(a, b) = 1 - I_(1-x)(b, a). For an integer b the fraction is finite.
+    (mpmath.betainc raises NoConvergence at a = 7817, b = 92184.)
+    """
+    if x > mpf(a + 1) / (a + b + 2):
+        return 1 - _betainc(1 - x, b, a, log_beta)
+    eps = mpf(2) ** (8 - mpmath.mp.prec)
+    tiny = mpf(2) ** (-2 * mpmath.mp.prec)
+    # modified Lentz on 1/(1 + d_1/(1 + d_2/(1 + ...))), from its first term
+    f = d = mpf(1)
+    c = 1 / tiny
+    j = 1
+    while True:
+        m, odd = divmod(j, 2)
+        num = (-(a + m) * (a + b + m) if odd else m * (b - m)) * x / ((a + j - 1) * (a + j))
+        d = 1 + num * d
+        d = 1 / (d if d != 0 else tiny)
+        c = 1 + num / c
+        c = c if c != 0 else tiny
+        delta = c * d
+        f *= delta
+        if abs(delta - 1) <= eps:
+            break
+        j += 1
+    return mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - log_beta) * f
+
+
+def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
+    """Clopper-Pearson lower confidence bound at `level` on a binomial
+    probability with `count` hits in `trials`: the q with
+    I_q(count, trials - count + 1) = 1 - level."""
+    if not 1 <= count <= trials:
+        raise ValueError("need 1 <= count <= trials")
+    alpha = 1 - level
+    if not 0 < alpha < 1:
+        raise ValueError("level must lie in (0, 1)")
+    a, b = count, trials - count + 1
+    with mpmath.workprec(_CP_PREC):
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        target = mpf(alpha)
+        # x^a / (a B(a, b)) >= I_x(a, b), so its root undershoots the
+        # quantile; the normal approximation is closer when it lies above it
+        x_pow = mpmath.exp((mpmath.log(target) + mpmath.log(a) + log_beta) / a)
+        mean = mpf(a) / (a + b)
+        sd = mpmath.sqrt(mean * (1 - mean) / (a + b + 1))
+        x_norm = mean - mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * target) * sd
+        x = x_norm if x_pow < x_norm < 1 else x_pow
+        lo, hi = mpf(0), mpf(1)
+        tol = mpf(2) ** -80
+        for _ in range(400):
+            g = _betainc(x, a, b, log_beta) - target
+            if g == 0:
+                break
+            if g < 0:
+                lo = x
+            else:
+                hi = x
+            slope = mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - log_beta)
+            new = x - g / slope
+            if not lo < new < hi:
+                new = (lo + hi) / 2
+            done = abs(new - x) <= tol * x
+            x = new
+            if done:
+                break
+        else:
+            raise PrecisionError("Clopper-Pearson quantile did not converge")
+        return float(x)
 
 
 @dataclass(frozen=True)
@@ -237,6 +328,10 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
         raise ValueError("need 0 < a < b")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
     rng = make_rng(seed)
     x, kept = _sample_with_counts(spec, t, rng, trials)
     if censor_gap is not None:
@@ -266,8 +361,7 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
             best = int(np.argmax(cs))
             modal_m = int(ms[best])
             c_m = int(cs[best])
-            alpha = 1 - level
-            q_lcb = float(_beta_dist.ppf(alpha, c_m, trials - c_m + 1))
+            q_lcb = _clopper_pearson_lower(c_m, trials, level)
             pi_m = _poisson_pmf_value(lam_eff, modal_m)
             pi_nm = _poisson_pmf_value(lam_eff, n * modal_m)
             if pi_m > 0:
@@ -335,6 +429,8 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
         raise ValueError("eta must be positive")
     if any(e < 0 for e in eps_grid):
         raise ValueError("epsilon values must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = make_rng(seed)
     n = rng.poisson(spec.rate * t, trials)
     total = int(n.sum())

@@ -1,12 +1,20 @@
-"""The command line front end, run through main(argv) in process."""
+"""The command line front end, run through main(argv) in process, and its
+start-up in a fresh interpreter."""
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
+import pytest
 from mpmath import mpf
 
+import momentlab
 from momentlab import seqfile
 from momentlab.cli import main
+from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
 
 import brute_force
@@ -71,3 +79,45 @@ class TestAnalyze:
             path.write_text(text, encoding="utf-8")
             assert main(["analyze", str(path)]) == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_csv_indices_must_run_in_order(self, tmp_path, capsys):
+        for indices in ((0, 2), (1, 2), (1, 0), ("0", "x")):
+            text = "index,value\n" + "".join(f"{i},1\n" for i in indices)
+            with pytest.raises(SequenceFileError):
+                seqfile.read_csv(io.StringIO(text))
+            path = tmp_path / "gap.csv"
+            path.write_text(text, encoding="utf-8")
+            assert main(["analyze", str(path)]) == 2
+            assert "index" in capsys.readouterr().err
+
+
+def fresh_python(*args):
+    """Run a new interpreter that finds this checkout's momentlab first."""
+    src = os.path.dirname(os.path.dirname(momentlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def heavy(names):
+    return sorted(n for n in names if n.split(".")[0] in ("numpy", "scipy"))
+
+
+class TestStartup:
+    """Only `simulate` needs numpy; no subcommand loads scipy."""
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        out = fresh_python("-c", "import sys, momentlab.cli; print('\\n'.join(sys.modules))")
+        assert "momentlab.cli" in out.stdout.split()
+        assert heavy(out.stdout.split()) == []
+
+    def test_moments_run_loads_neither(self):
+        out = fresh_python("-X", "importtime", "-m", "momentlab.cli",
+                           "moments", "lattice", "--q", "2", "--upto", "4")
+        assert json.loads(out.stdout)["values"] == [str(2 ** (n * n)) for n in range(5)]
+        # each importtime line ends in "| <module>"
+        loaded = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "momentlab.distributions" in loaded
+        assert heavy(loaded) == []

@@ -54,6 +54,12 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence.from_approx([mpf(1), mpf(2)], 32)
 
+    def test_approx_accepts_fractions(self):
+        m = MomentSequence.from_approx([1, F(1, 3), "0.25"], 128)
+        with mpmath.workprec(256):
+            assert abs(m.values[1] - mpf(1) / 3) < mpf(2) ** -129
+        assert m.values[2] == mpf("0.25")
+
     def test_require_exact(self):
         m = MomentSequence.from_approx([mpf(1), mpf(2)], 128)
         with pytest.raises(BackendError):

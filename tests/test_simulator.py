@@ -1,0 +1,132 @@
+"""The seeded compound-Poisson simulator and its Clopper-Pearson quantile."""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from mpmath import mpf
+
+from momentlab.cli import main
+from momentlab.simulator import (JumpSpec, LognormalJumps, PoissonJumps,
+                                 _clopper_pearson_lower, epsilon_truncation_drift,
+                                 make_rng, sample_compound_poisson, spectrum_gap_test)
+
+ALPHAS = (1e-6, 1e-3, 0.01, 0.05, 0.5)
+
+
+def grid(sizes):
+    """(count, trials) pairs with count = 1, 2, 17, trials // 3, trials - 1
+    and trials, where those lie in 1..trials."""
+    for n in sizes:
+        for c in sorted({1, 2, 17, n // 3, n - 1, n} & set(range(1, n + 1))):
+            yield c, n
+
+
+def cases(pairs):
+    """(count, trials, level, alpha) with alpha the tail the quantile solves
+    for: 1 - level as a float, as the simulator computes it."""
+    for c, n in pairs:
+        for a in ALPHAS:
+            level = 1 - a
+            yield c, n, level, 1 - level
+
+
+class TestClopperPearson:
+    def test_matches_scipy(self):
+        beta = pytest.importorskip("scipy.stats").beta
+        pairs = [*grid((1, 7, 1000, 10 ** 5, 10 ** 6)), (7817, 10 ** 5), (3000, 10 ** 5)]
+        for c, n, level, alpha in cases(pairs):
+            q = _clopper_pearson_lower(c, n, level)
+            ref = beta.ppf(alpha, c, n - c + 1)
+            assert abs(q - ref) <= 1e-12 * ref, (c, n, alpha, q, ref)
+
+    def test_closed_forms_at_the_ends(self):
+        # I_x(1, n) = 1 - (1 - x)^n and I_x(n, 1) = x^n
+        sizes = (1, 2, 7, 1000, 10 ** 6)
+        for c, n, level, alpha in cases([(1, n) for n in sizes] + [(n, n) for n in sizes]):
+            with mpmath.workprec(200):
+                alpha = mpf(alpha)
+                exact = -mpmath.expm1(mpmath.log1p(-alpha) / n) if c == 1 else alpha ** (mpf(1) / n)
+            assert abs(_clopper_pearson_lower(c, n, level) - exact) <= 1e-15 * exact, (c, n, alpha)
+
+    def test_residual_against_betainc(self):
+        for c, n, level, alpha in cases(grid((1, 2, 7, 50, 1000))):
+            q = _clopper_pearson_lower(c, n, level)
+            with mpmath.workprec(200):
+                def cdf(x):
+                    return mpmath.betainc(c, n - c + 1, 0, x, regularized=True)
+                assert abs(cdf(q) - mpf(alpha)) < 1e-14, (c, n, alpha)
+                # and q is within one float of the root
+                assert cdf(math.nextafter(q, 0)) <= mpf(alpha) <= cdf(math.nextafter(q, 1))
+
+    def test_rejects_bad_input(self):
+        for c, n, level in ((0, 10, 0.99), (11, 10, 0.99), (1, 10, 1.0), (1, 10, 0.0)):
+            with pytest.raises(ValueError):
+                _clopper_pearson_lower(c, n, level)
+
+
+SPEC = JumpSpec(1.0, LognormalJumps(0.0, 1.0))
+
+
+class TestDeterminism:
+    def test_samples_depend_on_seed_and_stream_only(self):
+        a = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000, stream=3)
+        b = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000, stream=3)
+        assert a.tobytes() == b.tobytes()
+        for seed, stream in ((5, 4), (6, 3)):
+            other = sample_compound_poisson(SPEC, 1.0, seed=seed, count=2000, stream=stream)
+            assert other.tobytes() != a.tobytes()
+
+    def test_reports_repeat(self):
+        args = (SPEC, 0.5, 1.0, 2, 20_000, 11)
+        assert spectrum_gap_test(*args, censor_gap=(0.9, 1.2)) == \
+            spectrum_gap_test(*args, censor_gap=(0.9, 1.2))
+        spec = JumpSpec(3.0, PoissonJumps(0.5))
+        assert epsilon_truncation_drift(spec, [0.5, 1.5], 5000, 2) == \
+            epsilon_truncation_drift(spec, [0.5, 1.5], 5000, 2)
+
+    def test_gap_censoring_violation(self):
+        # censored to mass near 1 and none near 2, the law is not compound Poisson
+        res = spectrum_gap_test(JumpSpec(0.5, LognormalJumps(0.0, 0.01)), 0.9, 1.1, 2,
+                                20_000, 1, censor_gap=(1.5, 3.0))
+        assert res.verdict == "violation" and res.count_nanb == 0
+        assert res.replication_lower_bound > res.upper_bound_nanb
+
+
+class TestEpsilonDrift:
+    def test_pathwise_monotone(self):
+        spec = JumpSpec(5.0, LognormalJumps(-2.0, 1.0))
+        grid_ = [0.3, 0.01, 0.1, 0.05, 0.2, 0.0]
+        table = epsilon_truncation_drift(spec, grid_, 20_000, 7, eta=0.05)
+        counts = [r.count for r in sorted(table.rows, key=lambda r: r.epsilon)]
+        assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 0
+        assert table.monotone_nonincreasing
+        # one coupled sample: a row does not depend on the rest of the grid
+        alone = epsilon_truncation_drift(spec, [0.1], 20_000, 7, eta=0.05)
+        assert alone.rows[0] == table.rows[2]
+
+
+class TestInputErrors:
+    def test_make_rng_word_range(self):
+        for seed, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+            with pytest.raises(ValueError):
+                make_rng(seed, stream)
+        assert isinstance(make_rng(2 ** 64 - 1, 2 ** 64 - 1), np.random.Generator)
+
+    def test_trials_and_level(self):
+        with pytest.raises(ValueError):
+            spectrum_gap_test(SPEC, 0.5, 1.0, 2, 0, 1)
+        with pytest.raises(ValueError):
+            spectrum_gap_test(SPEC, 0.5, 1.0, 2, 100, 1, level=1.0)
+        with pytest.raises(ValueError):
+            epsilon_truncation_drift(SPEC, [0.1], 0, 1)
+
+    def test_cli_exits_2(self, capsys):
+        common = ["--lognormal-jumps", "0:1"]
+        modes = (["spectrum", "--a", "0.5", "--b", "1", "--n", "2"],
+                 ["epsilon", "--eps-grid", "0.1"])
+        for mode in modes:
+            for seed, trials in (("-1", "100"), (str(2 ** 64), "100"), ("1", "0")):
+                argv = ["simulate", *mode, *common, "--seed", seed, "--trials", trials]
+                assert main(argv) == 2, argv
+                assert capsys.readouterr().err.startswith("error: ")
