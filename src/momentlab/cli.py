@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
-import json
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -76,11 +75,10 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(doc: dict, args) -> None:
-    text = seqfile.doc_to_json(doc)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(text: str, path: Optional[str] = None) -> None:
+    """The one output path: text to the file at path, else to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -88,21 +86,15 @@ def _emit(doc: dict, args) -> None:
 
 def _emit_sequence(obj, args, generator: str, params: dict,
                    tolerance: Optional[str] = None) -> None:
-    if getattr(args, "csv", False):
+    if args.csv:
         text = seqfile.csv_text(obj)
-        out = getattr(args, "output", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    if isinstance(obj, MomentSequence):
-        doc = seqfile.moments_to_doc(obj, generator=generator, params=params,
-                                     tolerance=tolerance)
+    elif isinstance(obj, MomentSequence):
+        text = seqfile.doc_to_json(seqfile.moments_to_doc(
+            obj, generator=generator, params=params, tolerance=tolerance))
     else:
-        doc = seqfile.pmf_to_doc(obj, generator=generator, params=params)
-    _emit(doc, args)
+        text = seqfile.doc_to_json(seqfile.pmf_to_doc(obj, generator=generator,
+                                                      params=params))
+    _write(text, args.output)
 
 
 def _load_sequence(path: str, precision_bits: int):
@@ -205,7 +197,7 @@ def cmd_analyze(args) -> int:
             mu1_threshold_sequence(m, args.mu1_threshold, tol))
     if args.logconvex:
         report["logconvex"] = _jsonable(log_convexity_report(m, tol))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write(seqfile.doc_to_json(report))
     return 0
 
 
@@ -227,7 +219,7 @@ def cmd_katti(args) -> int:
               "r": _jsonable(list(rep.r))}
     if args.logconvex:
         report["logconvex"] = _jsonable(logconvex_pmf_check(pmf))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write(seqfile.doc_to_json(report))
     if args.table:
         print("  k  r_k", file=sys.stderr)
         for k, value in enumerate(rep.r):
@@ -261,7 +253,9 @@ def cmd_compose(args) -> int:
         return 0
 
     if args.op == "boolean":
-        t = args.t if args.t is not None else (Fraction(args.k) if args.k else None)
+        t = args.t
+        if t is None and args.k is not None:
+            t = Fraction(args.k)
         if t is None:
             raise SequenceFileError("--op boolean needs --t or --k")
         params["t"] = str(t)
@@ -275,7 +269,7 @@ def cmd_compose(args) -> int:
         report = {"schema_version": SCHEMA_VERSION, "kind": "t-polynomials",
                   "upto": upto,
                   "coefficients": [[str(c) for c in p.coeffs] for p in polys]}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write(seqfile.doc_to_json(report))
         return 0
     if args.k is not None:
         out = mb_compose_integer(m, args.k, upto)
@@ -329,7 +323,7 @@ def cmd_simulate(args) -> int:
                                                  args.seed, args.eta, args.t, args.level)
     report = {"schema_version": SCHEMA_VERSION,
               "kind": f"simulate-{args.mode}", "report": _jsonable(res)}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write(seqfile.doc_to_json(report))
     return 0
 
 
@@ -362,7 +356,7 @@ def cmd_scan(args) -> int:
               "monotone_in_theta": res.monotone_in_theta,
               "ratio_bounds": _jsonable(res.ratio_bounds),
               "delta": _jsonable(res.delta)}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write(seqfile.doc_to_json(report))
     return 0
 
 

@@ -8,10 +8,10 @@ intensity that feeds the divisibility tests.
 High-precision values are mpmath floats computed under an explicit
 Precision(bits, abs_tol). Quadratures run over finite windows chosen so the
 analytic tail bound is far below abs_tol; the reported entry error adds the
-quadrature error estimate and the tail bound. A right-truncated variant has
-no moment operation here on purpose: nothing downstream needs it, since its
-law has bounded support and the interesting censoring effects are the
-left-truncation and gap cases below.
+quadrature error estimate and the tail bound. The censoring schemes are
+left truncation and a gap, both sending the removed mass to the origin;
+right truncation is left out on purpose, since its law has bounded support
+and nothing downstream needs it.
 """
 from __future__ import annotations
 
@@ -62,20 +62,17 @@ class LognormalSpec:
 
 @dataclass(frozen=True)
 class CensorSpec:
-    """A mass-removal scheme on the positive half line.
+    """A mass-removal scheme on the positive half line; the removed mass
+    always goes to the origin.
 
-    kind "left-truncate": remove mass below b = e^{log_b}, send it to the
-    origin. kind "gap": remove mass on (a, b), 0 < a < b, send it to the
-    origin. kind "right-truncate": remove mass above c and redistribute it
-    below; kept for completeness of the vocabulary, no moment operation
-    consumes it. The disposition is fixed per kind.
+    kind "left-truncate": remove mass below b = e^{log_b}. kind "gap":
+    remove mass on (a, b), 0 < a < b.
     """
 
     kind: str
     log_b: Optional[float] = None
     a: Optional[float] = None
     b: Optional[float] = None
-    c: Optional[float] = None
 
     def __post_init__(self):
         if self.kind == "left-truncate":
@@ -84,9 +81,6 @@ class CensorSpec:
         elif self.kind == "gap":
             if self.a is None or self.b is None or not 0 < self.a < self.b:
                 raise ValueError("gap needs 0 < a < b")
-        elif self.kind == "right-truncate":
-            if self.c is None or self.c <= 0:
-                raise ValueError("right-truncate needs c > 0")
         else:
             raise ValueError("unknown censor kind %r" % self.kind)
 
@@ -97,14 +91,6 @@ class CensorSpec:
     @classmethod
     def gap(cls, a, b) -> "CensorSpec":
         return cls(kind="gap", a=a, b=b)
-
-    @classmethod
-    def right_truncate(cls, c) -> "CensorSpec":
-        return cls(kind="right-truncate", c=c)
-
-    @property
-    def mass_disposition(self) -> str:
-        return "redistribute" if self.kind == "right-truncate" else "to-origin"
 
 
 @dataclass(frozen=True)
@@ -342,8 +328,12 @@ def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6, p: Precision = Prec
     The n-th moment of the lattice law equals e^{n^2 sigma2/2} exactly (in
     the infinite-sum limit), independent of the lattice parameter; the alpha
     shift rescales the k-th moment by e^{k alpha}.
+
+    The k-th summand w_n x_n^k peaks near n = k, so the cut that makes the
+    weights' own tail negligible is widened by upto.
     """
-    points, weights, _ = leipnik_weights(sigma2, p, lattice_a)
+    n_cut = leipnik_weights(sigma2, p, lattice_a)[2] + upto
+    points, weights, _ = leipnik_weights(sigma2, p, lattice_a, n_cut)
     with mpmath.workprec(p.bits + 20):
         shift = mpmath.exp(mpf(alpha))
         vals = [mpf(1)]

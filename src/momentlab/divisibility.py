@@ -30,6 +30,12 @@ from mpmath import iv, mpf
 
 from .distributions import DiscretePMF
 from .exceptions import PrecisionError
+from .stieltjes import _mpf_to_fraction
+
+
+def _exact(x) -> Fraction:
+    """The exact rational value of a mass or error bound."""
+    return _mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ class LogConvexVerdict:
 def logconvex_pmf_check(pmf: DiscretePMF, upto: Optional[int] = None) -> LogConvexVerdict:
     """Check p_k^2 <= p_{k-1} p_{k+1} on the examined range.
 
-    All comparisons are certified against the pmf's entry error; a pass is
+    All comparisons are certified against the pmf's entry error: each mass
+    is widened by it and compared in exact rational arithmetic. A pass is
     an infinite-divisibility certificate (scale invariant, so unnormalized
     exact weights work too).
     """
@@ -156,18 +163,8 @@ def logconvex_pmf_check(pmf: DiscretePMF, upto: Optional[int] = None) -> LogConv
         upto = pmf.kmax
     if upto > pmf.kmax:
         raise ValueError("upto exceeds pmf length")
-    if pmf.exact:
-        p = pmf.masses[:upto + 1]
-        for k, v in enumerate(p):
-            if v <= 0:
-                return LogConvexVerdict("inapplicable", k)
-        for k in range(1, upto):
-            if p[k] ** 2 > p[k - 1] * p[k + 1]:
-                return LogConvexVerdict("not-log-convex", k)
-        return LogConvexVerdict("log-convex")
-
-    err = mpf(pmf.entry_error)
-    p = [mpf(v) for v in pmf.masses[:upto + 1]]
+    err = Fraction(0) if pmf.exact else _exact(pmf.entry_error)
+    p = [_exact(v) for v in pmf.masses[:upto + 1]]
     for k, v in enumerate(p):
         if not v - err > 0:
             return LogConvexVerdict("inapplicable", k)

@@ -142,7 +142,11 @@ class MomentSequence:
 
 @dataclass(frozen=True)
 class CumulantSequence:
-    """Cumulants (kappa_1, ..., kappa_N) paired with a backend tag."""
+    """Cumulants (kappa_1, ..., kappa_N) paired with a backend tag.
+
+    The same container holds Boolean cumulants (b_1, ..., b_N), which add
+    under Boolean convolution; BooleanCumulantSequence names it for them.
+    """
 
     values: tuple
     exact: bool = True
@@ -166,29 +170,7 @@ class CumulantSequence:
         return CumulantSequence(tuple(t * v for v in self.values), self.exact, self.precision_bits)
 
 
-@dataclass(frozen=True)
-class BooleanCumulantSequence:
-    """Boolean cumulants (b_1, ..., b_N); they add under Boolean convolution."""
-
-    values: tuple
-    exact: bool = True
-    precision_bits: Optional[int] = None
-
-    def __post_init__(self):
-        if self.exact:
-            object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        if i < 1:
-            raise IndexError("Boolean cumulant indices start at 1")
-        return self.values[i - 1]
-
-    def scaled(self, t) -> "BooleanCumulantSequence":
-        t = _as_fraction(t) if self.exact else _as_mpf(t)
-        return BooleanCumulantSequence(tuple(t * v for v in self.values), self.exact, self.precision_bits)
+BooleanCumulantSequence = CumulantSequence
 
 
 class TPolynomial:
@@ -363,16 +345,23 @@ def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSeq
     return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), t)
 
 
+def _kappas_from_moments(ms: Sequence) -> list:
+    """kappa_1..kappa_N from ms = (1, m_1, ..., m_N); the inverse of
+    _moments_from_kappas, and like it runs on Fractions, mpfs or TPolynomials.
+    """
+    kappas = []
+    for n in range(1, len(ms)):
+        acc = ms[n]
+        for k in range(n - 1):
+            acc = acc - comb(n - 1, k) * kappas[k] * ms[n - 1 - k]
+        kappas.append(acc)
+    return kappas
+
+
 @_at_own_precision
 def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """Invert m_n = sum_{k=0}^{n-1} C(n-1,k) kappa_{k+1} m_{n-1-k}."""
-    kappas = []
-    for n in range(1, m.degree + 1):
-        acc = m[n]
-        for k in range(n - 1):
-            acc = acc - comb(n - 1, k) * kappas[k] * m[n - 1 - k]
-        kappas.append(acc)
-    return CumulantSequence(tuple(kappas), m.exact, m.precision_bits)
+    return CumulantSequence(tuple(_kappas_from_moments(m.values)), m.exact, m.precision_bits)
 
 
 def _moments_from_kappas(kappas: Sequence, one) -> list:

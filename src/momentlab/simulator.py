@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional, Sequence, Union
 
 import mpmath
@@ -404,7 +405,9 @@ class DriftTable:
 
     All rows come from one coupled sample of the full jump field, so the
     estimates are pathwise monotone in epsilon by construction, not just
-    within noise.
+    within noise: monotone_nondecreasing records that p_hat never falls as
+    epsilon grows. Each row's band is p_hat -/+ z se, z the two-sided
+    normal quantile at `level`, clipped to [0, 1].
     """
 
     eta: float
@@ -412,7 +415,7 @@ class DriftTable:
     trials: int
     seed: int
     rows: tuple
-    monotone_nonincreasing: bool
+    monotone_nondecreasing: bool
     level: float
     spec: dict
 
@@ -431,13 +434,15 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
         raise ValueError("epsilon values must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
     rng = make_rng(seed)
     n = rng.poisson(spec.rate * t, trials)
     total = int(n.sum())
     jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
     owner = np.repeat(np.arange(trials), n)
 
-    z = 2.575829303549  # two-sided 99% normal quantile for the bands
+    z = NormalDist().inv_cdf((1 + level) / 2)
     rows = []
     for eps in eps_grid:
         small = jumps <= eps
@@ -450,5 +455,5 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
     by_eps = sorted(rows, key=lambda r: r.epsilon)
     monotone = all(x.p_hat <= y.p_hat for x, y in zip(by_eps, by_eps[1:]))
     return DriftTable(eta=eta, t=t, trials=trials, seed=seed, rows=tuple(rows),
-                      monotone_nonincreasing=monotone, level=level,
+                      monotone_nondecreasing=monotone, level=level,
                       spec=spec.describe())

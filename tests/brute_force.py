@@ -1,16 +1,18 @@
 """Brute-force references for the composition algebra.
 
 The t-composition is defined by its occupancy sum over compositions of n,
-and the surjection counts have three classical characterizations. The
-library computes each one way only; these are the other derivations, kept
-here so the tests can compare against them. Everything is exact and
+the surjection counts have three classical characterizations, and the
+semigroup law of the composition family is an identity between bivariate
+polynomials. The library computes each one way only; these are the other
+derivations, kept here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from momentlab.combinatorics import stirling_subset
 
@@ -108,3 +110,23 @@ def composed_moment(mu: Sequence[Fraction], t, n: int) -> Fraction:
     """mu^(t)_n at a rational t."""
     t = Fraction(t)
     return sum(c * t ** d for d, c in enumerate(composed_polynomial(mu, n)))
+
+
+def semigroup_first_failure(polys: Sequence[Sequence[Fraction]]) -> Optional[int]:
+    """First n at which sum_j C(n,j) P_j(s) P_{n-j}(t) = P_n(s+t) fails, or
+    None. polys[n] lists the coefficients of P_n; both sides are expanded as
+    bivariate polynomials {(i, j): coefficient of s^i t^j} and compared
+    coefficient by coefficient."""
+    for n in range(len(polys)):
+        lhs = defaultdict(Fraction)
+        for j in range(n + 1):
+            for a, c in enumerate(polys[j]):
+                for b, d in enumerate(polys[n - j]):
+                    lhs[(a, b)] += math.comb(n, j) * c * d
+        rhs = defaultdict(Fraction)
+        for d, c in enumerate(polys[n]):
+            for i in range(d + 1):
+                rhs[(i, d - i)] += math.comb(d, i) * c
+        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            return n
+    return None

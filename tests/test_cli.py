@@ -54,6 +54,13 @@ class TestCompose:
         assert seqfile.load_json(str(out)).values == classical_convolve(m, m).values
 
 
+    def test_boolean_k_zero_is_the_identity(self, tmp_path, capsys):
+        path = lattice_file(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", str(path), "--op", "boolean", "--k", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == ["1"] + ["0"] * 6
+
+
 class TestAnalyze:
     def test_suffixless_csv(self, tmp_path, capsys):
         path = tmp_path / "moments"

@@ -206,6 +206,14 @@ class TestLeipnik:
         m = leipnik_discrete_moments(2.0, 0.0, 3, P128)
         assert m[0] == 1
 
+    def test_high_orders_keep_their_digits(self):
+        # the k-th summand peaks near n = k, so the cut must grow with upto
+        m = leipnik_discrete_moments(1.05, 0.07, 10, P128)
+        with mpmath.workprec(256):
+            for k in range(1, 11):
+                closed = mpmath.exp(k * mpf(0.07) + k * k * mpf(1.05) / 2)
+                assert abs(m[k] / closed - 1) < mpf("1e-30"), k
+
 
 class TestMixedPoissonPmf:
     def test_frozen_leading_mass(self):

@@ -1,10 +1,11 @@
-"""Katti rates of decimal pmfs, certified at the pmf's own precision."""
+"""Katti rates and the log-convexity certificate of decimal pmfs,
+certified at the pmf's own precision."""
 import mpmath
 import pytest
 from mpmath import iv, mpf
 
-from momentlab.distributions import LognormalSpec, Precision, mixed_poisson_pmf
-from momentlab.divisibility import katti_r
+from momentlab.distributions import DiscretePMF, LognormalSpec, Precision, mixed_poisson_pmf
+from momentlab.divisibility import katti_r, logconvex_pmf_check
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +68,20 @@ class TestKattiInterval:
                 mid, rad = rep.r[k], rep.radii[k]
                 assert mid - rad <= lo and hi <= mid + rad, k
                 assert rad <= (hi - lo) / 2 + abs(mid) * mpf(2) ** (1 - pmf.precision_bits), k
+
+
+class TestLogConvexCertificate:
+    def test_small_violation_is_not_certified(self):
+        # p_1^2 - p_0 p_2 = +6.7e-26 against an entry error of 1e-40
+        with mpmath.workprec(128):
+            masses = [mpf(1) / 3 ** k for k in range(6)]
+            masses[1] += mpf("1e-25")
+            pmf = DiscretePMF(tuple(masses), exact=False, precision_bits=128,
+                              entry_error=mpf("1e-40"))
+        verdict = logconvex_pmf_check(pmf)
+        assert (verdict.kind, verdict.witness) == ("not-log-convex", 1)
+        assert not verdict.certifies_id
+
+    def test_mixed_poisson_verdict(self, pmf):
+        verdict = logconvex_pmf_check(pmf)
+        assert (verdict.kind, verdict.witness) == ("not-log-convex", 2)

@@ -6,12 +6,15 @@ import pytest
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     MomentSequence,
+    TPolynomial,
     classical_convolve,
     mb_compose_at,
+    mb_compose_t,
 )
 from momentlab.semigroup import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
+    _semigroup_first_failure,
     alternation_check,
     envelope_bounds_check,
     lattice_family,
@@ -19,6 +22,7 @@ from momentlab.semigroup import (
     theta_threshold_scan,
 )
 
+import brute_force
 from conftest import random_moment_prefix
 
 F = Fraction
@@ -67,6 +71,30 @@ class TestSemigroupIdentity:
         m = MomentSequence.from_exact(random_moment_prefix(rng, 3))
         with pytest.raises(ValueError):
             mb_semigroup_identity(m, 4)
+
+
+class TestSemigroupFirstFailure:
+    """The cumulant test against the bivariate expansion of brute_force, on
+    composition families with one entry bumped to P_n + c t^d."""
+
+    def test_matches_bivariate_oracle(self, rng):
+        for _ in range(3):
+            polys = mb_compose_t(MomentSequence.from_exact(random_moment_prefix(rng, 7)))
+            assert _semigroup_first_failure(polys) is None
+            assert brute_force.semigroup_first_failure([p.coeffs for p in polys]) is None
+            for n in range(8):
+                for d in range(n + 2):
+                    c = F(rng.randint(1, 9), rng.randint(1, 9))
+                    bumped = list(polys)
+                    bumped[n] = polys[n] + TPolynomial([0] * d + [c])
+                    got = _semigroup_first_failure(bumped)
+                    assert got == brute_force.semigroup_first_failure(
+                        [p.coeffs for p in bumped]), (n, d)
+                    if d == 1 and n >= 1:
+                        # kappa_n moves by c*t and stays linear; a later one breaks
+                        assert got is None or got > n, (n, d)
+                    else:
+                        assert got == n, (n, d)
 
 
 class TestAlternation:

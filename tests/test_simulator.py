@@ -100,10 +100,18 @@ class TestEpsilonDrift:
         table = epsilon_truncation_drift(spec, grid_, 20_000, 7, eta=0.05)
         counts = [r.count for r in sorted(table.rows, key=lambda r: r.epsilon)]
         assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 0
-        assert table.monotone_nonincreasing
+        assert table.monotone_nondecreasing
         # one coupled sample: a row does not depend on the rest of the grid
         alone = epsilon_truncation_drift(spec, [0.1], 20_000, 7, eta=0.05)
         assert alone.rows[0] == table.rows[2]
+
+    def test_bands_follow_level(self):
+        spec = JumpSpec(5.0, LognormalJumps(-2.0, 1.0))
+        for level, z in ((0.9, 1.6449), (0.99, 2.5758)):
+            table = epsilon_truncation_drift(spec, [0.2], 2000, 7, eta=0.05, level=level)
+            row, = table.rows
+            assert 0 < row.ci_low and row.ci_high < 1
+            assert (row.ci_high - row.ci_low) / 2 / row.se == pytest.approx(z, abs=5e-5)
 
 
 class TestInputErrors:
@@ -120,6 +128,8 @@ class TestInputErrors:
             spectrum_gap_test(SPEC, 0.5, 1.0, 2, 100, 1, level=1.0)
         with pytest.raises(ValueError):
             epsilon_truncation_drift(SPEC, [0.1], 0, 1)
+        with pytest.raises(ValueError):
+            epsilon_truncation_drift(SPEC, [0.1], 100, 1, level=1.0)
 
     def test_cli_exits_2(self, capsys):
         common = ["--lognormal-jumps", "0:1"]
