@@ -133,7 +133,8 @@ def cmd_moments(args) -> int:
         spec = dist.LognormalSpec(args.alpha, args.sigma2)
         res = dist.truncated_lognormal_moments(
             spec, dist.CensorSpec.left_truncate(args.logb), upto, p)
-        m = res.conditional_form if args.conditional else res.moments
+        m = (MomentSequence.from_approx(res.conditional_form, p.bits)
+             if args.conditional else res.moments)
         _emit_sequence(m, args, "truncated",
                        {"alpha": args.alpha, "sigma2": args.sigma2,
                         "logb": args.logb, "conditional": bool(args.conditional)},
@@ -265,11 +266,13 @@ def cmd_compose(args) -> int:
 
     # Maxwell-Boltzmann composition
     if args.symbolic:
+        if args.csv:
+            raise SequenceFileError("--symbolic writes a JSON report; --csv does not apply")
         polys = mb_compose_t(m, upto)
         report = {"schema_version": SCHEMA_VERSION, "kind": "t-polynomials",
                   "upto": upto,
                   "coefficients": [[str(c) for c in p.coeffs] for p in polys]}
-        _write(seqfile.doc_to_json(report))
+        _write(seqfile.doc_to_json(report), args.output)
         return 0
     if args.k is not None:
         out = mb_compose_integer(m, args.k, upto)

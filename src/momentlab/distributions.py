@@ -255,7 +255,8 @@ def truncated_lognormal_moments(spec: LognormalSpec, censor: CensorSpec, upto: i
             closed.append(cf)
             max_diff = max(max_diff, abs(val - cf))
         surviving = _phi_bar((logb - a) / s)
-        conditional = tuple(c / surviving for c in closed)
+        # the conditional law has total mass 1; closed[0] counts the atom at 0
+        conditional = (mpf(1),) + tuple(c / surviving for c in closed[1:])
     return TruncatedMomentsResult(
         moments=MomentSequence.from_approx(vals, p.bits),
         closed_form=tuple(closed),

@@ -10,15 +10,21 @@ Three composition laws act on finite moment prefixes (mu_0 = 1, mu_1, ..., mu_N)
 
 The t-composition is defined by its occupancy sum (see mb_compose_t), but it
 is the law at time t of the Levy process whose time-1 moments are mu, so its
-moments are moments_from_cumulants(t * kappa). Every composition here is
-computed that way, by the O(N^2) moment/cumulant recursion (P. J. Smith,
-Amer. Statist. 49, 1995); the occupancy sum itself lives in the tests as the
-brute-force reference.
+moments are moments_from_cumulants(t * kappa), built by the O(N^2)
+moment/cumulant recursion (P. J. Smith, Amer. Statist. 49, 1995). The
+coefficient of t^j in the n-th composed moment is the partial Bell
+polynomial B_{n,j}(kappa). The occupancy sum itself lives in the tests as
+the brute-force reference.
 
-Everything exact runs on Fraction; approximate sequences carry mpmath floats
-with a declared working precision, and every operation on them runs at that
-precision. Operations that produce symbolic output in t refuse approximate
-inputs.
+Exact values are Fractions at the interface. The symbolic t-power and the
+composition sums run on Python integers: every quantity they compute is
+isobaric of weight n in the moments, so one scale c with every c^n mu_n an
+integer (_isobaric_scale) keeps the cumulants, the partial Bell rows
+(_bell_rows) and the t-power coefficients integral, and c^n divides out
+once at the end. A value at a single t runs the recursion on Fractions.
+Approximate sequences carry mpmath floats with a declared working
+precision, and every operation on them runs at that precision. Operations
+that produce symbolic output in t refuse approximate inputs.
 
 A note on positivity: a genuine moment sequence has mu_n > 0 for all n, and
 the analysis routines that need positivity check it via require_positive().
@@ -33,7 +39,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import comb
+from math import comb, factorial, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
@@ -211,38 +217,6 @@ class TPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "TPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = TPolynomial([other])
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return TPolynomial([
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        ])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TPolynomial":
-        return TPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "TPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = TPolynomial([other])
-        return self + (-other)
-
-    def __mul__(self, other) -> "TPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return TPolynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPolynomial(out)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return "TPolynomial(%r)" % (self.coeffs,)
 
@@ -280,23 +254,90 @@ def classical_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int]
     return _result_like(a, out)
 
 
-def _composition_sum(m, n: int, j: int):
-    """S_j(n) = sum over compositions (n_1..n_j) of n of multinomial * prod mu_{n_i}.
+def _iroot(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for integers x >= 1, n >= 1, by Newton steps from above."""
+    y = 1 << -(-x.bit_length() // n)
+    while True:
+        z = ((n - 1) * y + x // y ** (n - 1)) // n
+        if z >= y:
+            return y
+        y = z
 
-    m is a MomentSequence or a plain list with m[0] = 1. Splitting off the
-    first part n_1 = k gives S_j(r) = sum_{k>=1} C(r,k) mu_k S_{j-1}(r-k)
-    with S_0(r) = [r = 0], evaluated in O(j n^2). S_i(r) vanishes for
-    r < i, and S_j(n) needs S_i(r) only for r <= n - (j - i), so only that
-    band is computed.
+
+def _isobaric_scale(vals: Sequence) -> int:
+    """A positive integer c such that c^n * vals[n] is an integer for n >= 1.
+
+    Built without factoring: for each n, the part of the denominator d_n
+    that c^n does not yet clear, need = d_n / gcd(d_n, c^n), multiplies c
+    by its integer n-th root when it is a perfect n-th power and by itself
+    otherwise. c need not be the least such integer; a larger one costs
+    speed, never exactness. A quantity isobaric of weight n in the vals
+    (a cumulant, a partial Bell polynomial, a t-power coefficient, or a
+    Hankel entry of index n) is then c^(-n) times an integer polynomial in
+    the integers c^k * vals[k].
     """
-    zero = m[0] * 0
-    s = [m[0]] + [zero] * n
-    for i in range(1, j + 1):
-        nxt = [zero] * (n + 1)
-        for r in range(i, n - j + i + 1):
-            nxt[r] = sum(comb(r, k) * m[k] * s[r - k] for k in range(1, r - i + 2))
-        s = nxt
-    return s[n]
+    c = 1
+    for n in range(1, len(vals)):
+        d = Fraction(vals[n]).denominator
+        need = d // gcd(d, c ** n)
+        if need > 1:
+            root = _iroot(need, n)
+            c *= root if root ** n == need else need
+    return c
+
+
+def _scaled_ints(vals: Sequence, c: int) -> list:
+    """c^n * vals[n] as integers; c from _isobaric_scale(vals)."""
+    out = []
+    for n, v in enumerate(vals):
+        v = Fraction(v)
+        out.append(v.numerator * (c ** n // v.denominator))
+    return out
+
+
+def _bell_rows(xs: Sequence) -> list:
+    """Partial Bell polynomials B[n][j] = B_{n,j}(x_1, ..., x_{n-j+1}) for
+    0 <= j <= n <= N, from xs = (x_1, ..., x_N), by the recursion
+    B[n][j] = sum_i C(n-1, i-1) x_i B[n-i][j-1] in O(N^3) ring operations.
+
+    On integers it stays on integers. sum_j t^j B[n][j] on the cumulants is
+    the n-th moment of the t-th power, and j! B[n][j] on the moments is the
+    composition sum S_j(n).
+    """
+    rows = [[1]]
+    for n in range(1, len(xs) + 1):
+        row = [0] * (n + 1)
+        for i in range(1, n + 1):
+            w = comb(n - 1, i - 1) * xs[i - 1]
+            if w:
+                prev = rows[n - i]
+                for j in range(1, n - i + 2):
+                    row[j] += w * prev[j - 1]
+        rows.append(row)
+    return rows
+
+
+def _t_power_rows(vals: Sequence) -> tuple:
+    """(c, rows) with sum_j rows[n][j] t^j / c^n the n-th moment of the
+    t-th composition power of vals = (1, mu_1, ..., mu_N), for n = 0..N:
+    the partial Bell rows of the integer cumulants of the scaled moments."""
+    c = _isobaric_scale(vals)
+    return c, _bell_rows(_kappas_from_moments(_scaled_ints(vals, c)))
+
+
+def _composition_sum(m, n: int) -> tuple:
+    """(S_1(n), ..., S_n(n)), where S_j(n) is the sum over compositions
+    (n_1..n_j) of n of multinomial * prod mu_{n_i}.
+
+    m is a MomentSequence or a plain list with m[0] = 1. Each composition
+    orders the blocks of a set partition, so S_j(n) = j! B_{n,j}(mu), one
+    row of the partial Bell table on the scaled integer moments.
+    """
+    vals = [m[k] for k in range(n + 1)]
+    c = _isobaric_scale(vals)
+    row = _bell_rows(_scaled_ints(vals, c)[1:])[n]
+    scale = c ** n
+    return tuple(Fraction(factorial(j) * row[j], scale) for j in range(1, n + 1))
 
 
 def mb_compose_integer(m: MomentSequence, k: int, upto: Optional[int] = None) -> MomentSequence:
@@ -323,10 +364,11 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     sequence at all.
 
     The sum is a polynomial identity away from the moments at time t of the
-    Levy process whose time-1 cumulants kappa are those of m, so it is
-    computed as moments_from_cumulants(t * kappa): the cumulant recursion
-    run on the polynomials t * kappa_i, O(N^2) polynomial products in place
-    of 2^(n-1) compositions per entry.
+    Levy process whose time-1 cumulants kappa are those of m, so the
+    coefficient of t^j in entry n is the partial Bell polynomial
+    B_{n,j}(kappa). It is computed on the integer cumulants of the
+    isobarically scaled moments, O(N^3) integer operations in place of
+    2^(n-1) compositions per entry.
 
     At t = 1/2 the first entries are (1/2)mu_2 - (1/4)mu_1^2 and
     (1/2)mu_3 - (3/4)mu_2 mu_1 + (3/8)mu_1^3. At t = 1/3 the third entry
@@ -335,8 +377,8 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     are easy to re-derive by hand.
     """
     m.require_exact("mb_compose_t")
-    kappas = cumulants_from_moments(_prefix(m, upto)).values
-    return _moments_from_kappas([TPolynomial([0, k]) for k in kappas], TPolynomial([1]))
+    c, rows = _t_power_rows(_prefix(m, upto).values)
+    return [TPolynomial([Fraction(b, c ** n) for b in row]) for n, row in enumerate(rows)]
 
 
 def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSequence:
@@ -347,7 +389,9 @@ def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSeq
 
 def _kappas_from_moments(ms: Sequence) -> list:
     """kappa_1..kappa_N from ms = (1, m_1, ..., m_N); the inverse of
-    _moments_from_kappas, and like it runs on Fractions, mpfs or TPolynomials.
+    _moments_from_kappas. Runs on Fractions, mpfs or integers: on the
+    integers c^n m_n it gives the integers c^n kappa_n, since each
+    kappa_n is an integer polynomial in the m_k of weight n.
     """
     kappas = []
     for n in range(1, len(ms)):
@@ -367,7 +411,7 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 def _moments_from_kappas(kappas: Sequence, one) -> list:
     """mu_0 = one, mu_n = sum_{j<n} C(n-1,j) kappa_{j+1} mu_{n-1-j}.
 
-    Runs on any ring the entries share: Fractions, mpfs or TPolynomials.
+    Runs on the Fractions or mpfs of a CumulantSequence.
     """
     out = [one]
     for n in range(1, len(kappas) + 1):

@@ -4,7 +4,8 @@ The composed moments mu^(t)_n are polynomials in t, and the semigroup law
 "compose at s, then convolve with the composition at t, and you get the
 composition at s+t" holds exactly when every cumulant of that polynomial
 family is c*t: the logarithm of the exponential generating function must be
-additive in t. This module checks the law that way, in exact arithmetic,
+additive in t. This module checks the law that way, in exact arithmetic
+on the integer rows of the t-power (moment_algebra._t_power_rows),
 examines the alternating-term structure of a single composed moment, checks
 the two-sided envelope t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n for log-convex
 input, and runs the empirical theta-threshold scan on the canonical lattice
@@ -15,16 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .combinatorics import binom_general
-from .moment_algebra import (
-    MomentSequence,
-    _composition_sum,
-    _kappas_from_moments,
-    mb_compose_t,
-)
+from .moment_algebra import MomentSequence, _composition_sum, _t_power_rows
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
@@ -41,20 +36,46 @@ class SemigroupIdentityReport:
         return self.holds
 
 
-def _semigroup_first_failure(polys: Sequence) -> Optional[int]:
+def _semigroup_first_failure(rows: Sequence) -> Optional[int]:
     """First n at which sum_j C(n,j) P_j(s) P_{n-j}(t) = P_n(s+t) fails.
 
-    polys are TPolynomials P_0..P_N. With P_0 = 1 the law holds through n
-    exactly when the cumulants kappa_1(t)..kappa_n(t) of the family are all
-    c*t, since a polynomial with p(s+t) = p(s) + p(t) is c*t. P_0 != 1 is a
-    failure at n = 0. None when the law holds through N.
+    rows[n] lists the coefficients of P_n in powers of t, for P_0..P_N.
+    With P_0 = 1 the law holds through n exactly when the cumulants
+    kappa_1(t)..kappa_n(t) of the family are all c*t, since a polynomial
+    with p(s+t) = p(s) + p(t) is c*t. The cumulant recursion
+    kappa_n = P_n - sum_k C(n-1,k) kappa_{k+1} P_{n-1-k} stops at the first
+    failure, so it only ever multiplies by the linear kappas before it.
+    P_0 != 1 is a failure at n = 0. None when the law holds through N.
+    Scaling each P_n by c^n scales kappa_n by c^n, so the integer rows of
+    _t_power_rows give the same answer as the rational polynomials.
     """
-    if polys[0] != 1:
+    if any(rows[0][1:]) or rows[0][0] != 1:
         return 0
-    for n, kappa in enumerate(_kappas_from_moments(polys), start=1):
-        if kappa.coeffs[0] or kappa.degree > 1:
+    width = max(len(r) for r in rows) + 1
+    slopes = []  # kappa_k = slopes[k-1] * t
+    for n in range(1, len(rows)):
+        kappa = list(rows[n]) + [0] * (width - len(rows[n]))
+        for k in range(n - 1):
+            w = comb(n - 1, k) * slopes[k]
+            for i, p in enumerate(rows[n - 1 - k]):
+                kappa[i + 1] -= w * p
+        if kappa[0] or any(kappa[2:]):
             return n
+        slopes.append(kappa[1])
     return None
+
+
+def _composed_at(c: int, rows: Sequence, t: Fraction) -> list:
+    """The composed moments sum_j rows[n][j] t^j / c^n at t = u/v, from the
+    integer rows of _t_power_rows: entry n is the integer
+    sum_j rows[n][j] u^j v^(n-j) over (c v)^n, one Fraction each."""
+    u, v = t.numerator, t.denominator
+    up, vp = [1], [1]
+    for _ in range(1, len(rows)):
+        up.append(up[-1] * u)
+        vp.append(vp[-1] * v)
+    return [Fraction(sum(b * up[j] * vp[n - j] for j, b in enumerate(r)), (c * v) ** n)
+            for n, r in enumerate(rows)]
 
 
 def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityReport:
@@ -62,12 +83,13 @@ def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityRep
     polynomials in (s, t), for every n <= depth.
 
     Checked through the cumulants of the composed polynomials, which must
-    all be linear in t with no constant term.
+    all be linear in t with no constant term, on the integer rows of the
+    t-power.
     """
     m.require_exact("mb_semigroup_identity")
     if depth > m.degree:
         raise ValueError(f"depth {depth} exceeds sequence degree {m.degree}")
-    n = _semigroup_first_failure(mb_compose_t(m, depth))
+    n = _semigroup_first_failure(_t_power_rows(m.values[:depth + 1])[1])
     return SemigroupIdentityReport(depth, n is None, n)
 
 
@@ -114,8 +136,12 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     if not 1 <= n <= m.degree:
         raise ValueError("need 1 <= n <= degree")
     vals = [Fraction(v) for v in m.values]
-    terms = tuple(binom_general(t, j) * _composition_sum(vals, n, j)
-                  for j in range(1, n + 1))
+    terms = []
+    binom = Fraction(1)  # C(t, j), built up one factor (t - j + 1) / j at a time
+    for j, s in enumerate(_composition_sum(vals, n), start=1):
+        binom = binom * (t - j + 1) / j
+        terms.append(binom * s)
+    terms = tuple(terms)
 
     leading = t * vals[n]
     signs_ok = all((-1) ** j * terms[j] > 0 if terms[j] else False
@@ -123,8 +149,10 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     moduli = [abs(x) for x in terms]
     moduli_ok = all(a >= b for a, b in zip(moduli, moduli[1:]))
     tails_ok = True
-    for j in range(1, len(terms)):
-        if abs(sum(terms[j:])) > moduli[j - 1]:
+    tail = Fraction(0)
+    for j in range(len(terms) - 1, 0, -1):
+        tail += terms[j]
+        if abs(tail) > moduli[j - 1]:
             tails_ok = False
             break
 
@@ -186,10 +214,10 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
             return EnvelopeReport("precondition-failed", theta, t, depth,
                                   witness=("log-convexity ratio exceeds theta",
                                            k, ratio))
-    polys = mb_compose_t(m, depth)
+    values = _composed_at(*_t_power_rows(vals[:depth + 1]), t)
     rows = []
     for n in range(1, depth + 1):
-        value = polys[n](t)
+        value = values[n]
         upper = t * vals[n]
         lower = (1 - theta) * upper
         rows.append((n, lower, value, upper))
@@ -292,11 +320,10 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        m = lattice_family(q, 2 * depth + 1)
-        polys = mb_compose_t(m, 2 * depth + 1)
+        power = _t_power_rows(lattice_family(q, 2 * depth + 1).values)
         row = []
         for t in ts:
-            composed = MomentSequence.from_exact([p(t) for p in polys])
+            composed = MomentSequence.from_exact(_composed_at(*power, t))
             row.append(ScanCell(theta, t, stieltjes_verdict(composed, depth)))
         matrix.append(tuple(row))
 

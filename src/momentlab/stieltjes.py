@@ -8,6 +8,15 @@ case its dyadic float entries are converted to exact rationals and any
 determinant smaller than tolerance * (Hadamard bound) in absolute value is
 classified as numerically zero.
 
+stieltjes_verdict takes every leading minor of a shift from one
+fraction-free Bareiss pass on integers: with a * c^n * mu_n integral (c
+from moment_algebra._isobaric_scale, or c = 1 and a common denominator),
+the integer Hankel matrix of shift s is a * c^s times the rational one with
+row i and column j scaled by c^i and c^j, so each minor keeps its sign and
+divides back exactly. A pass stops at a zero pivot; the sizes after it get
+one pivoting Bareiss determinant each. The other reports still take one
+determinant per size.
+
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
 """
@@ -16,11 +25,12 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import MomentSequence, _as_mpf, _working_precision
+from .moment_algebra import (MomentSequence, _as_mpf, _isobaric_scale, _scaled_ints,
+                             _working_precision)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 
@@ -117,6 +127,31 @@ def _det_bareiss(rows: list) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], denom_product)
 
 
+def _leading_minors(rows: list):
+    """Yield the leading principal minors of a symmetric integer matrix,
+    sizes 1, 2, ..., from one fraction-free Bareiss pass without pivoting.
+
+    After step k the (k, k) entry is the (k+1) x (k+1) leading minor, and
+    every division by the previous pivot is exact. The pass cannot go on
+    past a zero pivot, so it stops after yielding one. Symmetry survives
+    each step, so only the upper triangle is updated.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        rk = m[k]
+        for i in range(k + 1, n):
+            ri, rki = m[i], rk[i]
+            for j in range(i, n):
+                ri[j] = (pivot * ri[j] - rki * rk[j]) // prev
+        prev = pivot
+
+
 def hankel_det(m, q: HankelQuery) -> Fraction:
     """Exact Hankel determinant at the addressed window.
 
@@ -209,6 +244,10 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     The sequence must supply every index the depth claims to have checked
     (2*upto + 2 entries); a shorter prefix is an error, never a silently
     weaker certificate.
+
+    The minors come from _leading_minors, one pass per shift, run only as
+    far as the verdict needs them; a later negative minor still wins over
+    an earlier zero one.
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
@@ -217,17 +256,31 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     if len(vals) <= top:
         raise ValueError("depth %d needs %d entries, got %d"
                          % (upto, top + 1, len(vals)))
-    for idx in range(top + 1):
-        s = judge.sign(Fraction(vals[idx]), [[vals[idx]]])
-        if s < 0:
-            return PositivityVerdict("not-stieltjes", upto,
-                                     HankelQuery(idx, 0), Fraction(vals[idx]))
+    vals = [Fraction(v) for v in vals[:top + 1]]
+    for idx, v in enumerate(vals):
+        if judge.sign(v, [[v]]) < 0:
+            return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), v)
+    # a * c^n * vals[n] are integers, so the shift-s leading minor of size k
+    # is a^(k+1) c^((k+1)(s+k)) times the rational one: same sign. The
+    # isobaric c suits denominators that grow like c^n (composed sequences);
+    # one common a with c = 1 suits a flat denominator (dyadic decimals).
+    # Either is exact; the one with the shorter integers is faster.
+    scales = ((vals[0].denominator, _isobaric_scale(vals)),
+              (lcm(*(v.denominator for v in vals)), 1))
+    a, c, ints = min(((a, c, _scaled_ints([a * v for v in vals], c)) for a, c in scales),
+                     key=lambda aci: sum(x.bit_length() for x in aci[2]))
+    passes = [_leading_minors(hankel_matrix(ints, HankelQuery(shift, upto)))
+              for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):
         for shift in (0, 1):
             q = HankelQuery(shift, size)
             rows = hankel_matrix(vals, q)
-            det = _det_bareiss(rows)
+            minor = next(passes[shift], None)
+            if minor is None:
+                det = _det_bareiss(rows)
+            else:
+                det = Fraction(minor, a ** (size + 1) * c ** ((size + 1) * (shift + size)))
             s = judge.sign(det, rows)
             if s < 0:
                 return PositivityVerdict("not-stieltjes", upto, q, det)

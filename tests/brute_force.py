@@ -3,8 +3,9 @@
 The t-composition is defined by its occupancy sum over compositions of n,
 the surjection counts have three classical characterizations, and the
 semigroup law of the composition family is an identity between bivariate
-polynomials. The library computes each one way only; these are the other
-derivations, kept here so the tests can compare against them. Everything is exact and
+polynomials, and a Stieltjes verdict is a run of Hankel determinants. The
+library computes each one way only; these are the other derivations, kept
+here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so.
 """
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from momentlab.combinatorics import stirling_subset
+from momentlab.stieltjes import (HankelQuery, PositivityVerdict, _det_bareiss,
+                                 _judge_for, hankel_matrix)
 
 
 def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:
@@ -130,3 +133,28 @@ def semigroup_first_failure(polys: Sequence[Sequence[Fraction]]) -> Optional[int
         if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
             return n
     return None
+
+
+def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdict:
+    """The Stieltjes verdict with one pivoting Bareiss determinant per size
+    and shift, in the library's order: entries first, then sizes 0..upto,
+    shift 0 before shift 1; the first negative wins, else the first zero."""
+    vals, judge = _judge_for(m, tolerance)
+    vals = [Fraction(v) for v in vals]
+    for idx in range(2 * upto + 2):
+        if judge.sign(vals[idx], [[vals[idx]]]) < 0:
+            return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), vals[idx])
+    first_zero = None
+    for size in range(upto + 1):
+        for shift in (0, 1):
+            q = HankelQuery(shift, size)
+            rows = hankel_matrix(vals, q)
+            det = _det_bareiss(rows)
+            s = judge.sign(det, rows)
+            if s < 0:
+                return PositivityVerdict("not-stieltjes", upto, q, det)
+            if s == 0 and first_zero is None:
+                first_zero = (q, det)
+    if first_zero is not None:
+        return PositivityVerdict("semi-definite", upto, *first_zero)
+    return PositivityVerdict("strictly-positive", upto)

@@ -12,6 +12,7 @@ import pytest
 from mpmath import mpf
 
 import momentlab
+from momentlab import distributions as dist
 from momentlab import seqfile
 from momentlab.cli import main
 from momentlab.exceptions import SequenceFileError
@@ -35,6 +36,22 @@ def lognormal_file(tmp_path):
     return path
 
 
+class TestMoments:
+    def test_truncated_conditional_file(self, tmp_path):
+        path = tmp_path / "cond.json"
+        assert main(["moments", "truncated", "--logb", "-0.5", "--upto", "4",
+                     "--conditional", "-o", str(path)]) == 0
+        m = seqfile.load_json(str(path))
+        assert not m.exact and m.precision_bits == 128 and len(m) == 5
+        res = dist.truncated_lognormal_moments(
+            dist.LognormalSpec(0, 1), dist.CensorSpec.left_truncate(-0.5), 4,
+            dist.Precision(128))
+        with mpmath.workprec(128):
+            assert m[0] == 1
+            for n in range(1, 5):
+                assert abs(m[n] * res.surviving_mass / res.closed_form[n] - 1) < mpf("1e-35")
+
+
 class TestCompose:
     def test_mb_symbolic_matches_occupancy_sum(self, tmp_path, capsys):
         path = lattice_file(tmp_path)
@@ -45,6 +62,24 @@ class TestCompose:
         assert rep["upto"] == 6
         assert rep["coefficients"] == [[str(c) for c in brute_force.composed_polynomial(vals, n)]
                                        for n in range(7)]
+
+    def test_mb_symbolic_writes_to_output(self, tmp_path, capsys):
+        path = lattice_file(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", str(path), "--op", "mb", "--symbolic"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "sym.json"
+        assert main(["compose", str(path), "--op", "mb", "--symbolic", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+
+    def test_mb_symbolic_refuses_csv(self, tmp_path, capsys):
+        path = lattice_file(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", str(path), "--op", "mb", "--symbolic", "--csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--csv" in captured.err
 
     def test_mb_k_two_is_classical_self_convolution(self, tmp_path):
         path = lattice_file(tmp_path)

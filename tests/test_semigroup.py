@@ -6,7 +6,6 @@ import pytest
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     MomentSequence,
-    TPolynomial,
     classical_convolve,
     mb_compose_at,
     mb_compose_t,
@@ -79,17 +78,18 @@ class TestSemigroupFirstFailure:
 
     def test_matches_bivariate_oracle(self, rng):
         for _ in range(3):
-            polys = mb_compose_t(MomentSequence.from_exact(random_moment_prefix(rng, 7)))
-            assert _semigroup_first_failure(polys) is None
-            assert brute_force.semigroup_first_failure([p.coeffs for p in polys]) is None
+            rows = [list(p.coeffs) for p in
+                    mb_compose_t(MomentSequence.from_exact(random_moment_prefix(rng, 7)))]
+            assert _semigroup_first_failure(rows) is None
+            assert brute_force.semigroup_first_failure(rows) is None
             for n in range(8):
                 for d in range(n + 2):
                     c = F(rng.randint(1, 9), rng.randint(1, 9))
-                    bumped = list(polys)
-                    bumped[n] = polys[n] + TPolynomial([0] * d + [c])
+                    bump = rows[n] + [F(0)] * (d + 1 - len(rows[n]))
+                    bump[d] += c
+                    bumped = rows[:n] + [bump] + rows[n + 1:]
                     got = _semigroup_first_failure(bumped)
-                    assert got == brute_force.semigroup_first_failure(
-                        [p.coeffs for p in bumped]), (n, d)
+                    assert got == brute_force.semigroup_first_failure(bumped), (n, d)
                     if d == 1 and n >= 1:
                         # kappa_n moves by c*t and stays linear; a later one breaks
                         assert got is None or got > n, (n, d)
@@ -171,6 +171,18 @@ class TestThetaThresholdScan:
         b = theta_threshold_scan(theta_grid=[F(1, 16), F(1, 4)],
                                  t_grid=[F(1, 2)], depth=3)
         assert a == b
+
+    def test_cells_match_enumerated_composition(self):
+        # t with large denominators, evaluated on the integer rows; each cell
+        # against the occupancy sum and a determinant per size and shift
+        qs, ts = [F(7, 3), F(2)], [F(1, 10 ** 9 + 7), F(10 ** 6, 10 ** 6 + 3)]
+        res = theta_threshold_scan([1 / q ** 2 for q in qs], ts, 3)
+        assert res.theta_grid == (F(9, 49), F(1, 4))
+        for q, row in zip(qs, res.pass_matrix):
+            vals = lattice_family(q, 7).values
+            for t, cell in zip(ts, row):
+                composed = [brute_force.composed_moment(vals, t, n) for n in range(8)]
+                assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 3)
 
     def test_irrational_sqrt_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
@@ -22,6 +23,8 @@ from momentlab.stieltjes import (
     split_bound_check,
     stieltjes_verdict,
 )
+
+import brute_force
 
 F = Fraction
 
@@ -128,6 +131,14 @@ class TestStieltjesVerdict:
         v = stieltjes_verdict(m, 2, F(1, 10 ** 20))
         assert v.kind == "semi-definite"
 
+    def test_zero_minor_then_negative_minor(self):
+        # shift 0: size 1 is [[1,1],[1,1]] = 0 and size 2 is -(mu_3 - 1)^2;
+        # shift 1 stays positive, so the later negative minor must win
+        m = MomentSequence.from_exact([1, 1, 1, 2, 7, 30, 200, 900])
+        v = stieltjes_verdict(m, 3)
+        assert (v.kind, v.witness, v.witness_value) == ("not-stieltjes", HankelQuery(0, 2), -1)
+        assert v == brute_force.stieltjes_verdict_per_size(m, 3)
+
     def test_short_prefix_rejected(self):
         # a depth-d verdict must have seen index 2d+1; no silent weakening
         with pytest.raises(ValueError):
@@ -136,6 +147,62 @@ class TestStieltjesVerdict:
             indeterminacy_ratios(lattice(2, 8), 4)
         with pytest.raises(ValueError):
             mu1_threshold_sequence(lattice(2, 8), 4)
+
+
+def mixture_moments(atoms, weights, length):
+    total = sum(weights)
+    return [sum(w * a ** n for a, w in zip(atoms, weights)) / total for n in range(length)]
+
+
+small_fractions = st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 5, 6, 8, 12, 49]))
+
+
+class TestOnePassVerdict:
+    """The one-pass leading minors against a pivoting Bareiss determinant
+    per size and shift (brute_force.stieltjes_verdict_per_size): same kind,
+    witness and witness_value on strictly-positive, semi-definite and
+    not-stieltjes inputs, exact and through the tolerance path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(atoms=st.lists(small_fractions, min_size=1, max_size=6),
+           weights=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+           bump=st.tuples(st.integers(0, 9), st.integers(-3, 3), st.integers(1, 7)),
+           upto=st.integers(0, 4))
+    def test_matches_per_size_determinants(self, atoms, weights, bump, upto):
+        vals = mixture_moments(atoms, weights[:len(atoms)], 2 * upto + 2)
+        index, num, den = bump
+        if 0 < index < len(vals):
+            vals[index] += F(num, den)
+        m = MomentSequence.from_exact(vals)
+        assert stieltjes_verdict(m, upto) == brute_force.stieltjes_verdict_per_size(m, upto)
+        approx = MomentSequence.from_approx(vals, 128)
+        for tol in (F(1, 2 ** 100), F(1, 1000)):
+            assert (stieltjes_verdict(approx, upto, tol)
+                    == brute_force.stieltjes_verdict_per_size(approx, upto, tol))
+
+    def test_each_kind_is_reached(self):
+        cases = {
+            "strictly-positive": mixture_moments([F(1, 3), F(2), F(7, 2), F(5)], [1, 2, 3, 4], 8),
+            "semi-definite": mixture_moments([F(1, 3), F(2)], [1, 2], 8),
+            "not-stieltjes": [F(1), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13),
+                              F(1, 17)],
+        }
+        for kind, vals in cases.items():
+            v = stieltjes_verdict(vals, 3)
+            assert v.kind == kind
+            assert v == brute_force.stieltjes_verdict_per_size(vals, 3)
+
+    def test_plain_list_with_fractional_first_entry(self):
+        # a positive multiple of a moment sequence, mu_0 = 2/3 included
+        vals = [F(2, 3) * v for v in
+                mixture_moments([F(1, 2), F(1), F(3), F(9, 2)], [1, 1, 2, 3], 8)]
+        v = stieltjes_verdict(vals, 3)
+        assert v.kind == "strictly-positive"
+        assert v == brute_force.stieltjes_verdict_per_size(vals, 3)
+        vals[5] -= 1
+        v = stieltjes_verdict(vals, 3)
+        assert v.kind == "not-stieltjes" and v.witness.size > 0
+        assert v == brute_force.stieltjes_verdict_per_size(vals, 3)
 
 
 class TestFekete:
