@@ -53,8 +53,9 @@ def _float_list(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _jsonable(obj):
-    """Recursively convert report objects to JSON-ready structures."""
+def _jsonable(obj, bits: Optional[int] = None):
+    """Recursively convert report objects to JSON-ready structures; an mpf
+    gets the digits of `bits` (default mpmath's), as sequence files do."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -62,16 +63,16 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, mpf):
-        return mpmath.nstr(obj, 30)
+        return seqfile._decimal_str(obj, bits or mpmath.mp.prec)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
+        return {f.name: _jsonable(getattr(obj, f.name), bits)
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+        return [_jsonable(x, bits) for x in obj]
     if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
+        return _jsonable(obj.item(), bits)
     return str(obj)
 
 
@@ -169,6 +170,7 @@ def cmd_analyze(args) -> int:
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
     tol = Fraction(args.tolerance) if args.tolerance else None
+    bits = m.precision_bits
     if not m.exact and tol is None:
         raise BackendError("decimal input needs --tolerance for Hankel verdicts")
 
@@ -184,20 +186,20 @@ def cmd_analyze(args) -> int:
         # deepest verdict the file length supports
         depth = max((len(m) - 2) // 2, 0)
     if depth is not None:
-        report["stieltjes"] = _jsonable(stieltjes_verdict(m, depth, tol))
+        report["stieltjes"] = _jsonable(stieltjes_verdict(m, depth, tol), bits)
     if args.fekete is not None:
         q = HankelQuery(args.fekete_shift, args.fekete)
-        report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol))
+        report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol), bits)
     if args.indeterminacy is not None:
         report["indeterminacy"] = _jsonable(
-            indeterminacy_ratios(m, args.indeterminacy, tol))
+            indeterminacy_ratios(m, args.indeterminacy, tol), bits)
         report["mu1_threshold"] = _jsonable(
-            mu1_threshold_sequence(m, args.indeterminacy, tol))
+            mu1_threshold_sequence(m, args.indeterminacy, tol), bits)
     elif args.mu1_threshold is not None:
         report["mu1_threshold"] = _jsonable(
-            mu1_threshold_sequence(m, args.mu1_threshold, tol))
+            mu1_threshold_sequence(m, args.mu1_threshold, tol), bits)
     if args.logconvex:
-        report["logconvex"] = _jsonable(log_convexity_report(m, tol))
+        report["logconvex"] = _jsonable(log_convexity_report(m, tol), bits)
     _write(seqfile.doc_to_json(report))
     return 0
 
@@ -211,13 +213,14 @@ def cmd_katti(args) -> int:
     if not isinstance(pmf, dist.DiscretePMF):
         raise SequenceFileError("katti expects a file of kind 'pmf'")
     rep = katti_r(pmf, args.kmax)
+    bits = pmf.precision_bits
     report = {"schema_version": SCHEMA_VERSION, "kind": "katti",
               "verdict": rep.verdict,
               "first_negative": rep.first_negative,
               "certified_negative": list(rep.certified_negative),
-              "error_bound": _jsonable(rep.error_bound),
+              "error_bound": _jsonable(rep.error_bound, bits),
               "kmax": rep.kmax, "backend": "exact" if rep.exact else "decimal",
-              "r": _jsonable(list(rep.r))}
+              "r": _jsonable(list(rep.r), bits)}
     if args.logconvex:
         report["logconvex"] = _jsonable(logconvex_pmf_check(pmf))
     _write(seqfile.doc_to_json(report))
@@ -383,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=128,
                         help="working precision in bits")
         sp.add_argument("--abs-tol", default="1e-20",
-                        help="absolute tolerance for certified quadrature")
+                        help="absolute error bound; truncated, gap and mixed-poisson "
+                             "exit 3 when they cannot certify it")
         sp.add_argument("--csv", action="store_true", help="emit CSV, not JSON")
         sp.add_argument("-o", "--output", help="write to file instead of stdout")
         sp.set_defaults(func=cmd_moments)

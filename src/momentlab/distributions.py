@@ -6,16 +6,17 @@ Poisson moments, and the mixed-Poisson pmf with truncated-lognormal
 intensity that feeds the divisibility tests.
 
 High-precision values are mpmath floats computed under an explicit
-Precision(bits, abs_tol). Quadratures run over finite windows chosen so the
-analytic tail bound is far below abs_tol; the reported entry error adds the
-quadrature error estimate and the tail bound. The censoring schemes are
-left truncation and a gap, both sending the removed mass to the origin;
-right truncation is left out on purpose, since its law has bounded support
-and nothing downstream needs it.
+Precision(bits, abs_tol). The lognormal, truncated and gap moments are
+closed forms and carry only rounding error, which the censored ones check
+against abs_tol. Only the mixed-Poisson pmf is a quadrature; its entry
+error adds the quadrature error estimate, the tail bound and rounding.
+The censoring schemes are left truncation and a gap, both sending the
+removed mass to the origin; right truncation is left out on purpose, since
+its law has bounded support and nothing downstream needs it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -56,8 +57,8 @@ class LognormalSpec:
     sigma2: Union[str, float, int] = 1
 
     def __post_init__(self):
-        if mpf(self.sigma2) <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not (mpmath.isfinite(mpf(self.alpha)) and 0 < mpf(self.sigma2) < mpmath.inf):
+            raise ValueError("alpha must be finite, and sigma2 positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class CensorSpec:
 
     def __post_init__(self):
         if self.kind == "left-truncate":
-            if self.log_b is None:
-                raise ValueError("left-truncate needs log_b")
+            if self.log_b is None or not mpmath.isfinite(self.log_b):
+                raise ValueError("left-truncate needs a finite log_b")
         elif self.kind == "gap":
             if self.a is None or self.b is None or not 0 < self.a < self.b:
                 raise ValueError("gap needs 0 < a < b")
@@ -143,22 +144,17 @@ def psi(x, p: Precision = Precision()) -> mpf:
         return mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(mpf(x) / mpmath.sqrt(2))
 
 
-def _certified_quad(f, points, p: Precision, tail_bound=0, tol=None):
-    """tanh-sinh quadrature over the split finite window, with the error
-    estimate plus analytic tail bound checked against abs_tol (or an
-    explicit override when the caller rescales the result afterwards)."""
-    if tol is None:
-        tol = p.tol
-    last_err = None
-    for extra, maxdegree in ((20, 6), (60, 9)):
-        with mpmath.workprec(p.bits + extra):
-            val, err = mpmath.quad(f, points, error=True, maxdegree=maxdegree)
-        total_err = err + tail_bound
-        if total_err <= tol:
-            return val, total_err
-        last_err = total_err
-    raise QuadratureError(
-        "quadrature error %s exceeds abs_tol %s" % (mpmath.nstr(last_err, 5), mpmath.nstr(tol, 5)))
+def _check_errors(errs, tol, what: str) -> None:
+    """QuadratureError at the first error bound above abs_tol, or NaN."""
+    for k, err in enumerate(errs):
+        if not err <= tol:
+            raise QuadratureError("%s of entry %d is %s, above abs_tol %s"
+                                  % (what, k, mpmath.nstr(err, 5), mpmath.nstr(tol, 5)))
+
+
+def _check_rounding(vals, p: Precision) -> None:
+    """Check each entry's rounding bound |v| 2^-bits against abs_tol."""
+    _check_errors([mpmath.ldexp(abs(v), -p.bits) for v in vals], p.tol, "rounding bound")
 
 
 def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()) -> MomentSequence:
@@ -196,23 +192,21 @@ def poisson_moments(lam, upto: int) -> MomentSequence:
 
 @dataclass(frozen=True)
 class TruncatedMomentsResult:
-    """Left-truncated lognormal moments, three ways.
+    """Left-truncated lognormal moments, two normalizations.
 
-    moments: the authoritative quadrature values (mass below the cut goes to
-    the origin, so only mu_0 keeps the removed mass and stays 1 only in the
-    sense that the atom at 0 completes it; entry n >= 1 is the integral over
-    the surviving upper part). closed_form: m_n Psi(z_n)/sqrt(2 pi) with
-    z_n = (log b - alpha - n sigma^2)/sigma, which equals the same integral.
-    conditional_form: closed_form normalized by the surviving mass, i.e. the
-    moments of the conditional law given survival; listed because the two
-    normalizations are easy to conflate and they differ unless the surviving
-    mass is 1. max_abs_diff certifies quadrature against closed form.
+    moments: m_n Phi_bar(z_n) with z_n = (log b - alpha - n sigma^2)/sigma,
+    the integral of x^n over the surviving part x > b. The mass below the
+    cut goes to the origin, so mu_0 = 1 counts the atom at 0. Each entry
+    carries only rounding error, below |mu_n| 2^-bits, which is checked
+    against abs_tol. conditional_form: the moments of the conditional law
+    given survival, moments[n] / surviving_mass for n >= 1 and 1 at n = 0;
+    listed because the two normalizations are easy to conflate, and they
+    differ unless the surviving mass is 1. Its entries carry the same
+    relative rounding error, not an absolute bound.
     """
 
     moments: MomentSequence
-    closed_form: tuple
     conditional_form: tuple
-    max_abs_diff: mpf
     surviving_mass: mpf
     log_b: object
     spec: LognormalSpec
@@ -222,9 +216,9 @@ def truncated_lognormal_moments(spec: LognormalSpec, censor: CensorSpec, upto: i
                                 p: Precision = Precision()) -> TruncatedMomentsResult:
     """Moments after removing the mass below e^{log_b} to the origin.
 
-    m~_n = int_{log b}^inf e^{n u} phi_{alpha, sigma}(u) du for n >= 1, by
-    tanh-sinh quadrature over a window cut where the Gaussian tail bound
-    drops far below abs_tol; cross-checked against the Psi closed form.
+    m~_n = int_{log b}^inf e^{n u} phi_{alpha, sigma}(u) du = m_n Phi_bar(z_n)
+    for n >= 1, in closed form at p.bits + 20; QuadratureError when the
+    rounding bound exceeds abs_tol.
     """
     if censor.kind != "left-truncate":
         raise ValueError("this operation takes a left-truncate censor")
@@ -233,35 +227,14 @@ def truncated_lognormal_moments(spec: LognormalSpec, censor: CensorSpec, upto: i
         s2 = mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
         logb = mpf(censor.log_b)
-        tol = p.tol
-        norm = 1 / (s * mpmath.sqrt(2 * mpmath.pi))
-
-        vals = [mpf(1)]
-        closed = [mpf(1)]
-        max_diff = mpf(0)
-        for n in range(1, upto + 1):
-            mode = a + n * s2
-            m_n = mpmath.exp(n * a + n * n * s2 / 2)
-            # window high edge: m_n * phi_bar(K) < tol / 10
-            k_cut = mpmath.sqrt(2 * mpmath.log(m_n / tol + 10) + 60)
-            hi = mode + s * k_cut
-            tail = m_n * _phi_bar(k_cut)
-            f = lambda u: mpmath.exp(n * u) * mpmath.exp(-(u - a) ** 2 / (2 * s2)) * norm
-            pts = [logb] + ([mode] if mode > logb else []) + [hi]
-            val, err = _certified_quad(f, pts, p, tail)
-            vals.append(val)
-            z_n = (logb - a - n * s2) / s
-            cf = m_n * psi(z_n, p) / mpmath.sqrt(2 * mpmath.pi)
-            closed.append(cf)
-            max_diff = max(max_diff, abs(val - cf))
+        vals = [mpf(1)] + [mpmath.exp(n * a + n * n * s2 / 2) * _phi_bar((logb - a - n * s2) / s)
+                           for n in range(1, upto + 1)]
+        _check_rounding(vals, p)
         surviving = _phi_bar((logb - a) / s)
-        # the conditional law has total mass 1; closed[0] counts the atom at 0
-        conditional = (mpf(1),) + tuple(c / surviving for c in closed[1:])
+        conditional = (mpf(1),) + tuple(v / surviving for v in vals[1:])
     return TruncatedMomentsResult(
         moments=MomentSequence.from_approx(vals, p.bits),
-        closed_form=tuple(closed),
         conditional_form=conditional,
-        max_abs_diff=max_diff,
         surviving_mass=surviving,
         log_b=censor.log_b,
         spec=spec,
@@ -272,8 +245,10 @@ def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto
                                    p: Precision = Precision()) -> MomentSequence:
     """Moments after removing the lognormal mass on (a, b) to the origin.
 
-    m~_n = m_n - int_{ln a}^{ln b} e^{n u} phi(u) du; mu_0 is unchanged
-    because the removed mass reappears as an atom at the origin.
+    m~_n = m_n [Phi_bar(z_b) + Phi(z_a)], z_c = (ln c - alpha - n sigma^2) / sigma:
+    two positive tails, so nothing cancels; mu_0 stays 1 (the atom at 0).
+    Closed form at p.bits + 20; QuadratureError when the rounding bound
+    |mu_n| 2^-bits exceeds abs_tol.
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
@@ -282,15 +257,12 @@ def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto
         s2 = mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
         la, lb = mpmath.log(mpf(a)), mpmath.log(mpf(b))
-        norm = 1 / (s * mpmath.sqrt(2 * mpmath.pi))
         vals = [mpf(1)]
         for n in range(1, upto + 1):
-            m_n = mpmath.exp(n * al + n * n * s2 / 2)
-            f = lambda u: mpmath.exp(n * u) * mpmath.exp(-(u - al) ** 2 / (2 * s2)) * norm
             mode = al + n * s2
-            pts = [la] + ([mode] if la < mode < lb else []) + [lb]
-            removed, _ = _certified_quad(f, pts, p)
-            vals.append(m_n - removed)
+            vals.append(mpmath.exp(n * al + n * n * s2 / 2)
+                        * (_phi_bar((lb - mode) / s) + _phi_bar((mode - la) / s)))
+        _check_rounding(vals, p)
     return MomentSequence.from_approx(vals, p.bits)
 
 
@@ -351,43 +323,84 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
     """pmf of a Poisson count whose intensity is N times a left-truncated
     lognormal variable, the part below the cut collapsing to intensity 0.
 
-    p_k = (N^k / k!) int_{log b}^inf e^{k x} e^{-N e^x} phi_{alpha,sigma}(x) dx
-    for k >= 1, and p_0 additionally receives the truncated Gaussian mass
-    Phi((log b - alpha)/sigma). Masses are certified to the Precision's
-    abs_tol each; tail_mass estimates the count mass beyond kmax.
+    p_k = (N^k / k!) int_{log b}^inf e^{k x} g(x) dx with g(x) = e^{-N e^x}
+    phi_{alpha,sigma}(x), and p_0 additionally receives the truncated
+    Gaussian mass Phi((log b - alpha)/sigma). tail_mass estimates the count
+    mass beyond kmax. One tanh-sinh pass on mpmath's shared nodes gives
+    every mass: the window is split at log b, each peak ln(k/N) above it
+    and top = last peak + 30, past which the tail is bounded by the
+    log-slope k - N e^top; two exps per node and a running product give
+    every e^{k x} g(x). From degree 3, an interval stops refining once
+    mpmath's error estimate for every k is within abs_tol / (2 intervals
+    N^k/k!). Each mass's error, N^k/k! (interval errors + tail) + p_k
+    2^-bits, must be within abs_tol, the stated entry error, else
+    QuadratureError, raised at once if abs_tol < 2^-bits.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    with mpmath.workprec(p.bits + 20):
+    _check_rounding([1], p)
+    rule = mpmath.mp._tanh_sinh
+    prec = p.bits + 20
+    with mpmath.workprec(prec):
         a = mpf(spec.alpha)
         s2 = mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
         logb = mpf(log_b)
+        if not mpmath.isfinite(logb):
+            raise ValueError("log_b must be finite")
         nn = mpf(N)
-        norm = 1 / (s * mpmath.sqrt(2 * mpmath.pi))
-        masses = []
-        for k in range(kmax + 1):
-            # exponent k x - N e^x peaks near x* = ln(k/N); beyond hi the
-            # slope is at least N e^hi - k and the integrand collapses
-            xstar = mpmath.log(mpf(max(k, 1)) / nn)
-            hi = xstar + 30
-            f = lambda x: mpmath.exp(k * x - nn * mpmath.exp(x)) \
-                * mpmath.exp(-(x - a) ** 2 / (2 * s2)) * norm
-            slope = nn * mpmath.exp(hi) - k
-            tail = f(hi) / slope
-            pts = [logb] + ([xstar] if xstar > logb else []) + [hi]
-            fac = mpf(1)
-            for i in range(1, k + 1):
-                fac *= nn / i
-            val, err = _certified_quad(f, pts, p, tail, tol=p.tol / fac)
-            masses.append(fac * val)
+        tol = p.tol
+        fac = [1 / (s * mpmath.sqrt(2 * mpmath.pi))]  # phi's normalizer times N^k/k!
+        for k in range(1, kmax + 1):
+            fac.append(fac[-1] * nn / k)
+        peaks = [mpmath.log(k / nn) for k in range(1, max(kmax, 1) + 1)]
+        top = max(peaks[-1], logb) + 30
+        points = [logb] + [x for x in peaks if x > logb] + [top]
+
+        def add_column(acc, x, w):
+            """acc[k] += w e^{k x} g(x), for g without phi's normalizer."""
+            ex = mpmath.exp(x)
+            v = w * mpmath.exp(-nn * ex - (x - a) ** 2 / (2 * s2))
+            for k in range(kmax + 1):
+                acc[k] += v
+                v *= ex
+
+        tails = [mpf(0)] * (kmax + 1)
+        add_column(tails, top, 1)
+        tails = [v / (nn * mpmath.exp(top) - k) for k, v in enumerate(tails)]
+        spans = list(zip(points, points[1:]))
+        shares = [tol / (2 * f * len(spans)) for f in fac]
+        levels = [[] for _ in spans]  # per interval, the level sums of every k
+        errors = [None] * len(spans)  # per interval, the error estimate of every k
+        live = range(len(spans))
+        for degree in range(1, rule.guess_degree(prec) + 1):
+            h = mpf(2) ** -degree
+            for i in live:
+                acc = [mpf(0)] * (kmax + 1)
+                for x, w in rule.get_nodes(*spans[i], degree, prec):
+                    add_column(acc, x, w)
+                level = levels[i]
+                # as TanhSinh.sum_next: half of the nodes are the last degree's
+                level.append([(level[-1][k] / 2 if level else 0) + h * acc[k]
+                              for k in range(kmax + 1)])
+                if degree >= 3:
+                    errors[i] = [rule.estimate_error([row[k] for row in level[-3:]],
+                                                     prec, mpmath.eps) for k in range(kmax + 1)]
+            if degree >= 3:
+                live = [i for i in live if not all(e <= c for e, c in zip(errors[i], shares))]
+                if not live:
+                    break
+        masses = [f * sum(level[-1][k] for level in levels) for k, f in enumerate(fac)]
         masses[0] += 1 - _phi_bar((logb - a) / s)
+        _check_errors([f * (sum(err[k] for err in errors) + t) + mpmath.ldexp(abs(m), -p.bits)
+                       for k, (f, t, m) in enumerate(zip(fac, tails, masses))],
+                      tol, "quadrature error")
         tail_mass = 1 - sum(masses)
     return DiscretePMF(
         masses=tuple(masses),
         exact=False,
         precision_bits=p.bits,
-        entry_error=p.tol,
+        entry_error=tol,
         tail_mass=tail_mass,
     )
 

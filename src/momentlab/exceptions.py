@@ -15,7 +15,8 @@ class BackendError(MomentlabError):
 
 
 class QuadratureError(MomentlabError):
-    """A quadrature result could not be certified to the requested tolerance."""
+    """A certified generator could not meet the requested tolerance: the
+    quadrature error, tail bound or rounding bound of an entry exceeds it."""
 
 
 class SequenceFileError(MomentlabError):

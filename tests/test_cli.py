@@ -49,7 +49,21 @@ class TestMoments:
         with mpmath.workprec(128):
             assert m[0] == 1
             for n in range(1, 5):
-                assert abs(m[n] * res.surviving_mass / res.closed_form[n] - 1) < mpf("1e-35")
+                assert abs(m[n] * res.surviving_mass / res.moments[n] - 1) < mpf("1e-35")
+
+
+    def test_nan_logb_exits_2(self, capsys):
+        for source in (["truncated"], ["mixed-poisson", "--N", "5", "--kmax", "4"]):
+            assert main(["moments", *source, "--logb", "nan"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_unreachable_abs_tol_exits_3(self, capsys):
+        for source in (["truncated", "--logb", "-1"], ["gap", "--a", "0.5", "--b", "2"],
+                       ["mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "12"]):
+            assert main(["moments", *source, "--abs-tol", "1e-300"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("numerical failure: ")
 
 
 class TestCompose:
@@ -114,6 +128,21 @@ class TestAnalyze:
         assert rep["verdict"] == "strictly-log-convex"
         with mpmath.workprec(128):
             assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-29") for th in rep["theta"])
+
+    def test_decimal_report_keeps_the_file_digits(self, tmp_path, capsys):
+        path = tmp_path / "lognormal256.json"
+        assert main(["moments", "lognormal", "--upto", "6", "--precision", "256",
+                     "-o", str(path)]) == 0
+        def significant(text):
+            return len(text.replace(".", "").lstrip("0"))
+
+        values = json.loads(path.read_text(encoding="utf-8"))["values"]
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--logconvex", "--tolerance", "1e-60"]) == 0
+        theta = json.loads(capsys.readouterr().out)["logconvex"]["theta"]
+        assert [significant(th) for th in theta] == [significant(values[1])] * 5 == [80] * 5
+        with mpmath.workprec(256):
+            assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-70") for th in theta)
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         for text in ('{"schema_version": ', "index,value\n0,1\n1,x/y\n", "1,2,3\n"):

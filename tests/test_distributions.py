@@ -35,7 +35,7 @@ ORACLE_DPS = 45
 ORACLE_TOL = mpf("1e-30")
 
 
-def naive_lognormal_integral(alpha, s2, n, lo=None, hi=None, dps=ORACLE_DPS):
+def naive_lognormal_integral(alpha, s2, n, lo=None, hi=None, dps=ORACLE_DPS, tol=ORACLE_TOL):
     """Plain tanh-sinh of e^{n x} phi_{alpha, sigma}(x) over a finite window.
 
     The window is [alpha - 60 sigma, mode + 60 sigma] with mode =
@@ -49,8 +49,8 @@ def naive_lognormal_integral(alpha, s2, n, lo=None, hi=None, dps=ORACLE_DPS):
 
     There is no tail certification; this is an independent oracle for the
     certified routines. It asserts that mpmath's own error estimate plus
-    the rounding floor at ``dps`` is below ORACLE_TOL, so an oracle that
-    has not converged fails here rather than in the comparison.
+    the rounding floor at ``dps`` is below ``tol``, so an oracle that has
+    not converged fails here rather than in the comparison.
     """
     with mpmath.workdps(dps):
         s = mpmath.sqrt(s2)
@@ -66,10 +66,38 @@ def naive_lognormal_integral(alpha, s2, n, lo=None, hi=None, dps=ORACLE_DPS):
 
         val, err = mpmath.quad(f, pts, error=True)
         floor = abs(val) * mpmath.eps
-        assert err + floor < ORACLE_TOL, (
+        assert err + floor < tol, (
             f"naive oracle not converged at n={n}: error estimate {err}, "
             f"rounding floor {floor}")
         return val
+
+
+def naive_mixed_poisson_mass(alpha, s2, log_b, N, k, dps, tol):
+    """p_k by plain tanh-sinh, one integral per k, as an oracle for the
+    one-pass pmf.
+
+    The window runs from log b in unit steps to 6 past ln((k+1)/N), where
+    N e^x exceeds 400 (k+1), so the integrand e^{k x - N e^x} phi(x) and
+    its tail are below e^-400 of their peak. It shares no split point or
+    precision with the program, and asserts that mpmath's error estimate,
+    scaled by N^k/k!, is below ``tol``.
+    """
+    with mpmath.workdps(dps):
+        s = mpmath.sqrt(s2)
+        lo = mpf(log_b)
+        hi = max(lo, mpmath.log(mpf(k + 1) / N)) + 6
+        pts = mpmath.linspace(lo, hi, int(hi - lo) + 2)
+
+        def f(x):
+            return mpmath.exp(k * x - N * mpmath.exp(x) - (x - alpha) ** 2 / (2 * s2))
+
+        val, err = mpmath.quad(f, pts, error=True)
+        scale = mpf(N) ** k / mpmath.factorial(k) / (s * mpmath.sqrt(2 * mpmath.pi))
+        assert scale * err < tol, f"naive pmf oracle not converged at k={k}: {scale * err}"
+        mass = scale * val
+        if k == 0:
+            mass += mpmath.ncdf((lo - alpha) / s)
+        return mass
 
 
 class TestLognormalMoments:
@@ -118,10 +146,11 @@ class TestLatticeAndPoisson:
 
 class TestTruncatedLognormal:
     def test_quadrature_matches_closed_form(self):
-        spec = LognormalSpec(0, 1)
-        res = truncated_lognormal_moments(spec, CensorSpec.left_truncate(-1.4),
-                                          6, P128)
-        assert res.max_abs_diff < P128.tol
+        res = truncated_lognormal_moments(LognormalSpec(0, 1),
+                                          CensorSpec.left_truncate(-1.4), 6, P128)
+        for n in range(1, 7):
+            oracle = naive_lognormal_integral(0, 1, n, lo=-1.4)
+            assert abs(res.moments[n] - oracle) <= P128.tol, n
 
     def test_against_naive_quadrature(self):
         res = truncated_lognormal_moments(LognormalSpec(0, 1),
@@ -136,7 +165,7 @@ class TestTruncatedLognormal:
         with mpmath.workprec(128):
             for n in range(1, 5):
                 assert abs(res.conditional_form[n] * res.surviving_mass
-                           - res.closed_form[n]) < mpf("1e-30")
+                           - res.moments[n]) < mpf("1e-30")
 
     def test_censoring_only_removes_mass(self):
         plain = lognormal_moments(LognormalSpec(0, 1), 5, P128)
@@ -263,6 +292,94 @@ class TestSimplePmfs:
             assert abs(pmf[0] - expect) < mpf("1e-30")
             assert abs(pmf[1] - expect) < mpf("1e-30")
         assert pmf.entry_error > 0
+
+
+P192 = Precision(192, "1e-40")
+
+
+class TestCertifiedAgainstOracle:
+    """Every entry of the certified generators within its stated error of
+    an independent high-precision oracle; the first parameter set of each
+    generator is the benchmark's cli-session one."""
+
+    @pytest.mark.parametrize("alpha, s2, log_b, upto, p, dps", [
+        (0, 1, -1, 6, P128, ORACLE_DPS),
+        (0.5, 2, 0.3, 4, P192, 60),
+    ])
+    def test_truncated(self, alpha, s2, log_b, upto, p, dps):
+        res = truncated_lognormal_moments(LognormalSpec(alpha, s2),
+                                          CensorSpec.left_truncate(log_b), upto, p)
+        assert res.moments[0] == 1
+        for n in range(1, upto + 1):
+            oracle = naive_lognormal_integral(alpha, s2, n, lo=log_b, dps=dps,
+                                              tol=p.tol / 1000)
+            assert abs(res.moments[n] - oracle) <= p.tol, n
+
+    @pytest.mark.parametrize("alpha, s2, a, b, upto, p, dps", [
+        (0, 1, 0.5, 2, 6, P128, ORACLE_DPS),
+        (0.2, 0.25, 1, 3, 6, P192, 60),
+    ])
+    def test_gap(self, alpha, s2, a, b, upto, p, dps):
+        gapped = gap_censored_lognormal_moments(LognormalSpec(alpha, s2), a, b, upto, p)
+        assert gapped[0] == 1
+        with mpmath.workdps(dps):
+            la, lb = mpmath.log(mpf(a)), mpmath.log(mpf(b))
+            for n in range(1, upto + 1):
+                whole = naive_lognormal_integral(alpha, s2, n, dps=dps, tol=p.tol / 1000)
+                inside = naive_lognormal_integral(alpha, s2, n, lo=la, hi=lb, dps=dps,
+                                                  tol=p.tol / 1000)
+                assert abs(gapped[n] - (whole - inside)) <= p.tol, n
+
+    @pytest.mark.parametrize("alpha, s2, log_b, N, kmax, p", [
+        (0, 1, -1, 5, 12, P128),
+        (0.3, 0.5, -0.5, 3, 10, Precision(192, "1e-45")),
+    ])
+    def test_mixed_poisson(self, alpha, s2, log_b, N, kmax, p):
+        pmf = mixed_poisson_pmf(LognormalSpec(alpha, s2), log_b, N, kmax, p)
+        assert pmf.entry_error == p.tol
+        digits = -int(mpmath.log10(p.tol)) + 12
+        for k in range(kmax + 1):
+            oracle = naive_mixed_poisson_mass(alpha, s2, log_b, N, k, digits, p.tol / 1000)
+            assert abs(pmf[k] - oracle) <= pmf.entry_error, k
+
+
+class TestFailureContracts:
+    """An abs_tol the precision cannot deliver, or a NaN input, ends in an
+    exception, never in a file of NaNs or of uncertified numbers."""
+
+    def test_abs_tol_below_rounding(self):
+        p = Precision(128, "1e-300")
+        spec = LognormalSpec(0, 1)
+        with pytest.raises(QuadratureError, match="rounding bound"):
+            truncated_lognormal_moments(spec, CensorSpec.left_truncate(-1), 6, p)
+        with pytest.raises(QuadratureError, match="rounding bound"):
+            gap_censored_lognormal_moments(spec, 0.5, 2, 6, p)
+        with pytest.raises(QuadratureError, match="rounding bound"):
+            mixed_poisson_pmf(spec, -1, 5, 12, p)
+
+    def test_high_moments_need_more_bits(self):
+        # mu_10 is about 5e21, so 128 bits leave it a rounding error of 1.5e-17
+        spec, cut = LognormalSpec(0, 1), CensorSpec.left_truncate(-1)
+        with pytest.raises(QuadratureError, match="entry 10"):
+            truncated_lognormal_moments(spec, cut, 10, P128)
+        with pytest.raises(QuadratureError, match="entry 10"):
+            gap_censored_lognormal_moments(spec, 0.5, 2, 10, P128)
+        res = truncated_lognormal_moments(spec, cut, 10, Precision(192))
+        oracle = naive_lognormal_integral(0, 1, 10, lo=-1, dps=60, tol=mpf("1e-25"))
+        assert abs(res.moments[10] - oracle) <= P128.tol
+
+    def test_nan_inputs_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            CensorSpec.left_truncate(nan)
+        with pytest.raises(ValueError):
+            LognormalSpec(nan, 1)
+        with pytest.raises(ValueError):
+            LognormalSpec(0, nan)
+        with pytest.raises(ValueError):
+            mixed_poisson_pmf(LognormalSpec(0, 1), nan, 5, 4, P128)
+        with pytest.raises(ValueError):
+            gap_censored_lognormal_moments(LognormalSpec(0, 1), nan, 2, 4, P128)
 
 
 class TestPrecisionKnobs:

@@ -1,11 +1,19 @@
 """Katti rates and the log-convexity certificate of decimal pmfs,
-certified at the pmf's own precision."""
+certified at the pmf's own precision, and exact round trips through the
+Katti recursion."""
+from fractions import Fraction
+
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import iv, mpf
 
-from momentlab.distributions import DiscretePMF, LognormalSpec, Precision, mixed_poisson_pmf
-from momentlab.divisibility import katti_r, logconvex_pmf_check
+from momentlab.distributions import (DiscretePMF, LognormalSpec, Precision, geometric_pmf,
+                                     mixed_poisson_pmf, poisson_pmf, poisson_weights)
+from momentlab.divisibility import katti_r, logconvex_pmf_check, pmf_from_rates
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+positive = st.fractions(min_value=Fraction(1, 30), max_value=5, max_denominator=30)
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +93,36 @@ class TestLogConvexCertificate:
     def test_mixed_poisson_verdict(self, pmf):
         verdict = logconvex_pmf_check(pmf)
         assert (verdict.kind, verdict.witness) == ("not-log-convex", 2)
+
+
+class TestRoundTrips:
+    @settings(max_examples=40, deadline=None)
+    @given(rates=st.lists(fractions, min_size=1, max_size=8))
+    def test_rates_come_back_exactly(self, rates):
+        rep = katti_r(pmf_from_rates(rates, len(rates)))
+        assert rep.exact and rep.r == tuple(rates)
+        assert rep.certified_negative == tuple(k for k, r in enumerate(rates) if r < 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=positive, kmax=st.integers(1, 12))
+    def test_poisson_weights_have_one_rate(self, lam, kmax):
+        rep = katti_r(poisson_weights(lam, kmax + 1))
+        assert rep.r == (lam,) + (0,) * kmax
+        assert rep.verdict == "no-certified-negative"
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
+                            max_denominator=50), kmax=st.integers(2, 12))
+    def test_geometric_rates_are_powers(self, rho, kmax):
+        pmf = geometric_pmf(rho, kmax + 1)
+        assert katti_r(pmf).r == tuple(rho ** (k + 1) for k in range(kmax + 1))
+        assert logconvex_pmf_check(pmf).certifies_id
+
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.floats(min_value=0.05, max_value=20), kmax=st.integers(2, 24),
+           bits=st.sampled_from((64, 128, 256)))
+    def test_decimal_poisson_never_certified_negative(self, lam, kmax, bits):
+        rep = katti_r(poisson_pmf(lam, kmax, Precision(bits)))
+        assert rep.certified_negative == ()
+        with mpmath.workprec(bits):
+            assert abs(rep.r[0] - mpf(lam)) <= rep.radii[0]
