@@ -134,8 +134,7 @@ def cmd_moments(args) -> int:
         spec = dist.LognormalSpec(args.alpha, args.sigma2)
         res = dist.truncated_lognormal_moments(
             spec, dist.CensorSpec.left_truncate(args.logb), upto, p)
-        m = (MomentSequence.from_approx(res.conditional_form, p.bits)
-             if args.conditional else res.moments)
+        m = res.conditional_moments(p) if args.conditional else res.moments
         _emit_sequence(m, args, "truncated",
                        {"alpha": args.alpha, "sigma2": args.sigma2,
                         "logb": args.logb, "conditional": bool(args.conditional)},
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--precision", type=int, default=128,
                         help="working precision in bits")
         sp.add_argument("--abs-tol", default="1e-20",
-                        help="absolute error bound; truncated, gap and mixed-poisson "
+                        help="absolute error bound; lognormal, truncated, gap and mixed-poisson "
                              "exit 3 when they cannot certify it")
         sp.add_argument("--csv", action="store_true", help="emit CSV, not JSON")
         sp.add_argument("-o", "--output", help="write to file instead of stdout")

@@ -7,7 +7,7 @@ intensity that feeds the divisibility tests.
 
 High-precision values are mpmath floats computed under an explicit
 Precision(bits, abs_tol). The lognormal, truncated and gap moments are
-closed forms and carry only rounding error, which the censored ones check
+closed forms at bits + 20 and carry only rounding error, which each checks
 against abs_tol. Only the mixed-Poisson pmf is a quadrature; its entry
 error adds the quadrature error estimate, the tail bound and rounding.
 The censoring schemes are left truncation and a gap, both sending the
@@ -158,11 +158,16 @@ def _check_rounding(vals, p: Precision) -> None:
 
 
 def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()) -> MomentSequence:
-    """mu_n = exp(n alpha + n^2 sigma2 / 2), on the approximate backend."""
-    with mpmath.workprec(p.bits):
+    """mu_n = exp(n alpha + n^2 sigma2 / 2), on the approximate backend.
+
+    Computed at p.bits + 20; QuadratureError when the rounding bound
+    |mu_n| 2^-bits exceeds abs_tol.
+    """
+    with mpmath.workprec(p.bits + 20):
         a = mpf(spec.alpha)
         s2 = mpf(spec.sigma2)
         vals = [mpmath.exp(n * a + n * n * s2 / 2) for n in range(upto + 1)]
+        _check_rounding(vals, p)
     return MomentSequence.from_approx(vals, p.bits)
 
 
@@ -201,8 +206,9 @@ class TruncatedMomentsResult:
     against abs_tol. conditional_form: the moments of the conditional law
     given survival, moments[n] / surviving_mass for n >= 1 and 1 at n = 0;
     listed because the two normalizations are easy to conflate, and they
-    differ unless the surviving mass is 1. Its entries carry the same
-    relative rounding error, not an absolute bound.
+    differ unless the surviving mass is 1. Its entries are two closed forms
+    and one division at bits + 20, so they carry the same relative rounding
+    bound |c_n| 2^-bits, which conditional_moments checks.
     """
 
     moments: MomentSequence
@@ -210,6 +216,13 @@ class TruncatedMomentsResult:
     surviving_mass: mpf
     log_b: object
     spec: LognormalSpec
+
+    def conditional_moments(self, p: Precision) -> MomentSequence:
+        """conditional_form as a moment sequence at p.bits; QuadratureError
+        when an entry's rounding bound |c_n| 2^-bits exceeds p.abs_tol, as
+        it does for a deep cut, where the surviving mass is tiny."""
+        _check_rounding(self.conditional_form, p)
+        return MomentSequence.from_approx(self.conditional_form, p.bits)
 
 
 def truncated_lognormal_moments(spec: LognormalSpec, censor: CensorSpec, upto: int,

@@ -265,7 +265,8 @@ def _iroot(x: int, n: int) -> int:
 
 
 def _isobaric_scale(vals: Sequence) -> int:
-    """A positive integer c such that c^n * vals[n] is an integer for n >= 1.
+    """A positive integer c such that c^n * vals[n] is an integer for n >= 1,
+    read from the denominators of the ints or Fractions vals.
 
     Built without factoring: for each n, the part of the denominator d_n
     that c^n does not yet clear, need = d_n / gcd(d_n, c^n), multiplies c
@@ -278,7 +279,7 @@ def _isobaric_scale(vals: Sequence) -> int:
     """
     c = 1
     for n in range(1, len(vals)):
-        d = Fraction(vals[n]).denominator
+        d = vals[n].denominator
         need = d // gcd(d, c ** n)
         if need > 1:
             root = _iroot(need, n)

@@ -297,9 +297,9 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     """Scan lattice families over a theta grid for Stieltjes survival.
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
-    composed at every t of the grid and the composed prefix is run through
-    stieltjes_verdict to `depth`, all in exact arithmetic. The result is
-    reproducible bit for bit.
+    composed at every t of the grid and the composed prefix, a plain list
+    of reduced Fractions, is run through stieltjes_verdict to `depth`, all
+    in exact arithmetic. The result is reproducible bit for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -323,8 +323,7 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         power = _t_power_rows(lattice_family(q, 2 * depth + 1).values)
         row = []
         for t in ts:
-            composed = MomentSequence.from_exact(_composed_at(*power, t))
-            row.append(ScanCell(theta, t, stieltjes_verdict(composed, depth)))
+            row.append(ScanCell(theta, t, stieltjes_verdict(_composed_at(*power, t), depth)))
         matrix.append(tuple(row))
 
     best = None

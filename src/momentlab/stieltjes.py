@@ -8,14 +8,19 @@ case its dyadic float entries are converted to exact rationals and any
 determinant smaller than tolerance * (Hadamard bound) in absolute value is
 classified as numerically zero.
 
-stieltjes_verdict takes every leading minor of a shift from one
-fraction-free Bareiss pass on integers: with a * c^n * mu_n integral (c
-from moment_algebra._isobaric_scale, or c = 1 and a common denominator),
-the integer Hankel matrix of shift s is a * c^s times the rational one with
-row i and column j scaled by c^i and c^j, so each minor keeps its sign and
-divides back exactly. A pass stops at a zero pivot; the sizes after it get
-one pivoting Bareiss determinant each. The other reports still take one
-determinant per size.
+Every exact report takes its minors from one kernel, _hankel_minors. With
+a * c^n * mu_n integral (c from moment_algebra._isobaric_scale, or c = 1 and
+a common denominator, whichever gives the shorter integers), the integer
+Hankel matrix of shift s is a * c^s times the rational one with row i and
+column j scaled by c^i and c^j, so each minor keeps its sign and divides
+back exactly. One fraction-free Bareiss pass per shift gives every leading
+minor; a pass stops at a zero pivot, and the sizes after it get one
+pivoting Bareiss determinant each. A sign is read off the integer minor,
+and a minor becomes a Fraction only where a report carries its value.
+stieltjes_verdict runs shifts 0 and 1, indeterminacy_ratios and
+mu1_threshold_sequence shifts 0-3, and fekete_total_positivity one shift
+per anti-diagonal of its matrix, since each consecutive block is itself a
+Hankel matrix.
 
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
@@ -29,8 +34,7 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import (MomentSequence, _as_mpf, _isobaric_scale, _scaled_ints,
-                             _working_precision)
+from .moment_algebra import MomentSequence, _as_mpf, _isobaric_scale, _working_precision
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 
@@ -65,23 +69,23 @@ def _mpf_to_fraction(x) -> Fraction:
     return val / (1 << (-exp))
 
 
-def _sequence_values(m, tolerance=None) -> list:
-    """Entries of m as exact Fractions; approximate input needs a tolerance."""
+def _sequence_values(m) -> list:
+    """Entries of an exact MomentSequence or a plain sequence as Fractions,
+    each converted once; callers turn approximate sequences away first."""
     if isinstance(m, MomentSequence):
-        if m.exact:
-            return list(m.values)
-        if tolerance is None:
-            raise BackendError(
-                "exact Hankel analysis of an approximate sequence needs an explicit tolerance")
-        return [_mpf_to_fraction(v) for v in m.values]
-    return [Fraction(v) for v in m]
+        return list(m.values)
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in m]
 
 
-def hankel_matrix(values: Sequence, q: HankelQuery) -> list:
+def _require_window(values: Sequence, q: HankelQuery) -> None:
     if q.max_index >= len(values):
         raise ValueError(
             "query (shift=%d, size=%d) needs index %d but sequence ends at %d"
             % (q.shift, q.size, q.max_index, len(values) - 1))
+
+
+def hankel_matrix(values: Sequence, q: HankelQuery) -> list:
+    _require_window(values, q)
     n = q.size + 1
     return [[values[q.shift + i + j] for j in range(n)] for i in range(n)]
 
@@ -127,16 +131,16 @@ def _det_bareiss(rows: list) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], denom_product)
 
 
-def _leading_minors(rows: list):
+def _leading_minors(m: list):
     """Yield the leading principal minors of a symmetric integer matrix,
-    sizes 1, 2, ..., from one fraction-free Bareiss pass without pivoting.
+    sizes 1, 2, ..., from one fraction-free Bareiss pass without pivoting
+    that overwrites m.
 
     After step k the (k, k) entry is the (k+1) x (k+1) leading minor, and
     every division by the previous pivot is exact. The pass cannot go on
     past a zero pivot, so it stops after yielding one. Symmetry survives
     each step, so only the upper triangle is updated.
     """
-    m = [list(r) for r in rows]
     n = len(m)
     prev = 1
     for k in range(n):
@@ -152,6 +156,49 @@ def _leading_minors(rows: list):
         prev = pivot
 
 
+def _integer_scale(vals: list) -> tuple:
+    """(a, c, ints) with ints[n] = a * c^n * vals[n] an integer for every n.
+
+    Two scalings are exact: a = the denominator of vals[0] with the
+    isobaric c, which suits denominators that grow like c^n (composed
+    sequences), and a common denominator a with c = 1, which suits a flat
+    one (dyadic decimals). The one with the shorter integers is faster;
+    it is picked from the numerators and denominators alone.
+    """
+    dens = [v.denominator for v in vals]
+    c = _isobaric_scale(vals)
+    a = dens[0]
+    factors, power = [], a
+    for d in dens:
+        factors.append(power // d)
+        power *= c
+    common = lcm(*dens)
+    flat = [common // d for d in dens]
+    if sum(f.bit_length() for f in flat) < sum(f.bit_length() for f in factors):
+        a, c, factors = common, 1, flat
+    return a, c, [v.numerator * f for v, f in zip(vals, factors)]
+
+
+def _hankel_minors(vals: list, scaled: tuple, shift: int, size: int):
+    """Yield (num, den), den > 0, with num / den the shift-`shift` Hankel
+    minor of each size 0..size; num carries its sign.
+
+    scaled = _integer_scale(vals). One _leading_minors pass on its integers
+    gives the minors while the pivots are nonzero: the size-k minor of the
+    integer matrix is a^(k+1) c^((k+1)(shift+k)) times the rational one.
+    The sizes after a zero pivot get one pivoting _det_bareiss each.
+    """
+    a, c, ints = scaled
+    den, done = 1, 0
+    for minor in _leading_minors(hankel_matrix(ints, HankelQuery(shift, size))):
+        den *= a * c ** (shift + 2 * done)
+        yield minor, den
+        done += 1
+    for k in range(done, size + 1):
+        det = _det_bareiss(hankel_matrix(vals, HankelQuery(shift, k)))
+        yield det.numerator, det.denominator
+
+
 def hankel_det(m, q: HankelQuery) -> Fraction:
     """Exact Hankel determinant at the addressed window.
 
@@ -160,7 +207,10 @@ def hankel_det(m, q: HankelQuery) -> Fraction:
     if isinstance(m, MomentSequence):
         m.require_exact("hankel_det")
     vals = _sequence_values(m)
-    return _det_bareiss(hankel_matrix(vals, q))
+    _require_window(vals, q)
+    vals = vals[:q.max_index + 1]
+    *_, (num, den) = _hankel_minors(vals, _integer_scale(vals), q.shift, q.size)
+    return Fraction(num, den)
 
 
 def _hadamard_bound(rows) -> Fraction:
@@ -198,6 +248,14 @@ class _SignJudge:
         if det < 0:
             return -1
         return 0
+
+    def minor_sign(self, vals, shift: int, size: int, num: int, den: int) -> int:
+        """sign() of the Hankel minor num / den (den > 0) at (shift, size).
+        Exact input takes the sign of num; only a tolerance needs the
+        Fraction, and the rows for the Hadamard bound."""
+        if self.tolerance is None:
+            return (num > 0) - (num < 0)
+        return self.sign(Fraction(num, den), hankel_matrix(vals, HankelQuery(shift, size)))
 
 
 def _judge_for(m, tolerance) -> tuple:
@@ -245,9 +303,9 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     (2*upto + 2 entries); a shorter prefix is an error, never a silently
     weaker certificate.
 
-    The minors come from _leading_minors, one pass per shift, run only as
+    The minors come from _hankel_minors, one pass per shift, run only as
     far as the verdict needs them; a later negative minor still wins over
-    an earlier zero one.
+    an earlier zero one. Only the witness becomes a Fraction.
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
@@ -256,38 +314,24 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     if len(vals) <= top:
         raise ValueError("depth %d needs %d entries, got %d"
                          % (upto, top + 1, len(vals)))
-    vals = [Fraction(v) for v in vals[:top + 1]]
+    vals = vals[:top + 1]
     for idx, v in enumerate(vals):
-        if judge.sign(v, [[v]]) < 0:
+        if judge.minor_sign(vals, idx, 0, v.numerator, v.denominator) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), v)
-    # a * c^n * vals[n] are integers, so the shift-s leading minor of size k
-    # is a^(k+1) c^((k+1)(s+k)) times the rational one: same sign. The
-    # isobaric c suits denominators that grow like c^n (composed sequences);
-    # one common a with c = 1 suits a flat denominator (dyadic decimals).
-    # Either is exact; the one with the shorter integers is faster.
-    scales = ((vals[0].denominator, _isobaric_scale(vals)),
-              (lcm(*(v.denominator for v in vals)), 1))
-    a, c, ints = min(((a, c, _scaled_ints([a * v for v in vals], c)) for a, c in scales),
-                     key=lambda aci: sum(x.bit_length() for x in aci[2]))
-    passes = [_leading_minors(hankel_matrix(ints, HankelQuery(shift, upto)))
-              for shift in (0, 1)]
+    scaled = _integer_scale(vals)
+    passes = [_hankel_minors(vals, scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):
-        for shift in (0, 1):
-            q = HankelQuery(shift, size)
-            rows = hankel_matrix(vals, q)
-            minor = next(passes[shift], None)
-            if minor is None:
-                det = _det_bareiss(rows)
-            else:
-                det = Fraction(minor, a ** (size + 1) * c ** ((size + 1) * (shift + size)))
-            s = judge.sign(det, rows)
+        for shift, minors in enumerate(passes):
+            num, den = next(minors)
+            s = judge.minor_sign(vals, shift, size, num, den)
             if s < 0:
-                return PositivityVerdict("not-stieltjes", upto, q, det)
+                return PositivityVerdict("not-stieltjes", upto, HankelQuery(shift, size),
+                                         Fraction(num, den))
             if s == 0 and first_zero is None:
-                first_zero = (q, det)
+                first_zero = (HankelQuery(shift, size), Fraction(num, den))
     if first_zero is not None:
-        return PositivityVerdict("semi-definite", upto, first_zero[0], first_zero[1])
+        return PositivityVerdict("semi-definite", upto, *first_zero)
     return PositivityVerdict("strictly-positive", upto)
 
 
@@ -319,27 +363,42 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
     them. Any negative consecutive minor refutes TP outright; a zero one
     yields the semi-definite verdict (strictness fails, and Fekete's
     reduction no longer certifies the remaining minors).
+
+    The block of order k at rows r0.. and columns c0.. of the shift-s
+    matrix has entries a_{s+r0+c0+i+j}: it is the Hankel matrix
+    HankelQuery(s + r0 + c0, k - 1). So one leading-minor pass per shift
+    s .. s + 2*size gives every block, and the blocks on one anti-diagonal
+    r0 + c0 share their value. The minors are still enumerated and counted
+    order by order, rows before columns, and the first negative one (else
+    the first zero one) is the witness.
     """
     vals, judge = _judge_for(m, tolerance)
-    matrix = hankel_matrix(vals, q)
+    _require_window(vals, q)
+    vals = vals[:q.max_index + 1]
+    scaled = _integer_scale(vals)
     n = q.size + 1
+    # a block on anti-diagonal d has order at most n - ceil(d/2)
+    passes = [_hankel_minors(vals, scaled, q.shift + d, n - 1 - (d + 1) // 2)
+              for d in range(2 * n - 1)]
     checked = 0
     first_zero = None
     for order in range(1, n + 1):
+        current = []  # the order-k minor of each anti-diagonal reached so far
         for r0 in range(n - order + 1):
             for c0 in range(n - order + 1):
-                sub = [row[c0:c0 + order] for row in matrix[r0:r0 + order]]
-                det = _det_bareiss(sub)
+                d = r0 + c0
+                if d == len(current):
+                    current.append(next(passes[d]))
+                num, den = current[d]
                 checked += 1
-                s = judge.sign(det, sub)
+                s = judge.minor_sign(vals, q.shift + d, order - 1, num, den)
                 if s < 0:
                     return TotalPositivityVerdict("not-tp", q, checked,
-                                                  (r0, c0, order), det)
+                                                  (r0, c0, order), Fraction(num, den))
                 if s == 0 and first_zero is None:
-                    first_zero = ((r0, c0, order), det)
+                    first_zero = ((r0, c0, order), Fraction(num, den))
     if first_zero is not None:
-        return TotalPositivityVerdict("semi-definite", q, checked,
-                                      first_zero[0], first_zero[1])
+        return TotalPositivityVerdict("semi-definite", q, checked, *first_zero)
     return TotalPositivityVerdict("strictly-tp", q, checked)
 
 
@@ -365,22 +424,21 @@ class IndeterminacyRatios:
     shift1_bounded_away: Optional[bool]
 
 
-def _ratio_family(vals, judge, base_shift: int, upto: int):
+def _ratio_family(vals, judge, base_shift: int, upto: int) -> tuple:
+    """det(base_shift, size n) / det(base_shift + 2, size n - 1) for
+    n = 1..upto, None where the denominator is judged zero, from one pass
+    per shift; and whether a None occurred."""
+    if upto < 1:
+        return [], False
+    scaled = _integer_scale(vals[:2 * upto + 2])
+    nums = _hankel_minors(vals, scaled, base_shift, upto)
+    next(nums)  # size 0 is no numerator
+    dens = _hankel_minors(vals, scaled, base_shift + 2, upto - 1)
     out = []
-    degenerate = False
-    for n in range(1, upto + 1):
-        num_q = HankelQuery(base_shift, n)
-        den_q = HankelQuery(base_shift + 2, n - 1)
-        num_rows = hankel_matrix(vals, num_q)
-        den_rows = hankel_matrix(vals, den_q)
-        num = _det_bareiss(num_rows)
-        den = _det_bareiss(den_rows)
-        if judge.sign(den, den_rows) == 0:
-            out.append(None)
-            degenerate = True
-        else:
-            out.append(num / den)
-    return out, degenerate
+    for n, ((p, q), (r, t)) in enumerate(zip(nums, dens), start=1):
+        zero = judge.minor_sign(vals, base_shift + 2, n - 1, r, t) == 0
+        out.append(None if zero else Fraction(p * t, q * r))
+    return out, None in out
 
 
 def _bounded_away(ratios, collapse_factor: Fraction) -> Optional[bool]:
@@ -443,34 +501,23 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     """The singular first-moment value at each depth d = 1..upto.
 
     det(shift-1, size d) = C * mu_1 + D with mu_1 only in entry (0,0); C is
-    the shift-3 size d-1 minor, so the root is -D/C whenever C is nonzero.
-    Needs 2*upto + 2 entries.
+    the shift-3 size d-1 minor, so the root is -D/C whenever C is nonzero:
+    mu_1 minus the shift-1 ratio of indeterminacy_ratios. Needs 2*upto + 2
+    entries.
     """
     vals, judge = _judge_for(m, tolerance)
     if len(vals) < 2 * upto + 2:
         raise ValueError("upto %d needs %d entries, got %d"
                          % (upto, 2 * upto + 2, len(vals)))
-    out = []
-    for d in range(1, upto + 1):
-        q = HankelQuery(1, d)
-        rows = hankel_matrix(vals, q)
-        cof_q = HankelQuery(3, d - 1)
-        cof_rows = hankel_matrix(vals, cof_q)
-        cof = _det_bareiss(cof_rows)
-        if judge.sign(cof, cof_rows) == 0:
-            out.append(None)
-            continue
-        det_full = _det_bareiss(rows)
-        # det = cof * mu_1 + D  =>  D = det - cof * mu_1; root = -D / cof
-        d_part = det_full - cof * Fraction(vals[1])
-        out.append(-d_part / cof)
+    mu1 = vals[1]
+    out = [None if r is None else mu1 - r for r in _ratio_family(vals, judge, 1, upto)[0]]
     defined = [v for v in out if v is not None]
     non_dec = None
     below = None
     if defined and len(defined) == len(out):
         non_dec = all(x <= y for x, y in zip(defined, defined[1:]))
-        below = all(v < Fraction(vals[1]) for v in defined)
-    return Mu1ThresholdReport(tuple(out), Fraction(vals[1]), non_dec, below)
+        below = all(v < mu1 for v in defined)
+    return Mu1ThresholdReport(tuple(out), mu1, non_dec, below)
 
 
 @dataclass(frozen=True)

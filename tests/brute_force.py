@@ -3,9 +3,11 @@
 The t-composition is defined by its occupancy sum over compositions of n,
 the surjection counts have three classical characterizations, and the
 semigroup law of the composition family is an identity between bivariate
-polynomials, and a Stieltjes verdict is a run of Hankel determinants. The
-library computes each one way only; these are the other derivations, kept
-here so the tests can compare against them. Everything is exact and
+polynomials, and the Hankel reports (Stieltjes verdict, determinant ratios,
+mu_1 thresholds, Fekete minors) are runs of Hankel determinants, here one
+pivoting Bareiss determinant per size or block. The library computes each
+one way only; these are the other derivations, kept here so the tests can
+compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so.
 """
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from momentlab.combinatorics import stirling_subset
-from momentlab.stieltjes import (HankelQuery, PositivityVerdict, _det_bareiss,
-                                 _judge_for, hankel_matrix)
+from momentlab.stieltjes import (HankelQuery, IndeterminacyRatios, Mu1ThresholdReport,
+                                 PositivityVerdict, TotalPositivityVerdict, _bounded_away,
+                                 _det_bareiss, _judge_for, hankel_matrix)
 
 
 def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:
@@ -158,3 +161,78 @@ def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdic
     if first_zero is not None:
         return PositivityVerdict("semi-definite", upto, *first_zero)
     return PositivityVerdict("strictly-positive", upto)
+
+
+def _det_and_sign(vals, judge, q: HankelQuery) -> tuple:
+    rows = hankel_matrix(vals, q)
+    det = _det_bareiss(rows)
+    return det, judge.sign(det, rows)
+
+
+def indeterminacy_ratios_per_size(m, upto: int, tolerance=None,
+                                  collapse_factor=Fraction(1, 10)) -> IndeterminacyRatios:
+    """det(s, n) / det(s + 2, n - 1) for s = 0, 1 and n = 1..upto, two
+    determinants per ratio; None where the denominator is judged zero."""
+    vals, judge = _judge_for(m, tolerance)
+    if len(vals) < 2 * upto + 2:
+        raise ValueError("short prefix")
+    families, degenerate = [], False
+    for shift in (0, 1):
+        out = []
+        for n in range(1, upto + 1):
+            num = _det_bareiss(hankel_matrix(vals, HankelQuery(shift, n)))
+            den, sign = _det_and_sign(vals, judge, HankelQuery(shift + 2, n - 1))
+            out.append(None if sign == 0 else num / den)
+            degenerate = degenerate or sign == 0
+        families.append(out)
+    s0, s1 = families
+    return IndeterminacyRatios(tuple(s0), tuple(s1), upto, degenerate, collapse_factor,
+                               _bounded_away(s0, collapse_factor),
+                               _bounded_away(s1, collapse_factor))
+
+
+def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
+    """The mu_1 value that makes det(1, d) vanish, -D / C with det(1, d) =
+    C mu_1 + D and C = det(3, d - 1), for d = 1..upto."""
+    vals, judge = _judge_for(m, tolerance)
+    if len(vals) < 2 * upto + 2:
+        raise ValueError("short prefix")
+    mu1 = Fraction(vals[1])
+    out = []
+    for d in range(1, upto + 1):
+        cof, sign = _det_and_sign(vals, judge, HankelQuery(3, d - 1))
+        if sign == 0:
+            out.append(None)
+            continue
+        full = _det_bareiss(hankel_matrix(vals, HankelQuery(1, d)))
+        out.append(-(full - cof * mu1) / cof)
+    defined = [v for v in out if v is not None]
+    complete = bool(defined) and len(defined) == len(out)
+    return Mu1ThresholdReport(
+        tuple(out), mu1,
+        all(x <= y for x, y in zip(defined, defined[1:])) if complete else None,
+        all(v < mu1 for v in defined) if complete else None)
+
+
+def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdict:
+    """Every consecutive block of the Hankel matrix at q cut out of it and
+    given its own determinant, order by order, rows before columns."""
+    vals, judge = _judge_for(m, tolerance)
+    matrix = hankel_matrix(vals, q)
+    n = q.size + 1
+    checked = 0
+    first_zero = None
+    for order in range(1, n + 1):
+        for r0 in range(n - order + 1):
+            for c0 in range(n - order + 1):
+                sub = [row[c0:c0 + order] for row in matrix[r0:r0 + order]]
+                det = _det_bareiss(sub)
+                checked += 1
+                sign = judge.sign(det, sub)
+                if sign < 0:
+                    return TotalPositivityVerdict("not-tp", q, checked, (r0, c0, order), det)
+                if sign == 0 and first_zero is None:
+                    first_zero = ((r0, c0, order), det)
+    if first_zero is not None:
+        return TotalPositivityVerdict("semi-definite", q, checked, *first_zero)
+    return TotalPositivityVerdict("strictly-tp", q, checked)

@@ -60,10 +60,21 @@ class TestMoments:
 
     def test_unreachable_abs_tol_exits_3(self, capsys):
         for source in (["truncated", "--logb", "-1"], ["gap", "--a", "0.5", "--b", "2"],
-                       ["mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "12"]):
+                       ["mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "12"],
+                       ["lognormal"], ["truncated", "--logb", "-1", "--conditional"]):
             assert main(["moments", *source, "--abs-tol", "1e-300"]) == 3
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("numerical failure: ")
+
+    def test_rounding_bound_above_the_recorded_tolerance_exits_3(self, capsys):
+        # mu_12 = e^72 and the conditional mu_6 behind a cut at log b = 8
+        # round by more than the default 1e-20 at 128 bits
+        for source in (["lognormal", "--upto", "12"],
+                       ["truncated", "--logb", "8", "--upto", "6", "--conditional"]):
+            assert main(["moments", *source]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "rounding bound" in captured.err
+        assert main(["moments", "truncated", "--logb", "8", "--upto", "6"]) == 0
 
 
 class TestCompose:

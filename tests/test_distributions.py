@@ -368,6 +368,33 @@ class TestFailureContracts:
         oracle = naive_lognormal_integral(0, 1, 10, lo=-1, dps=60, tol=mpf("1e-25"))
         assert abs(res.moments[10] - oracle) <= P128.tol
 
+    def test_lognormal_moments_certified(self):
+        # mu_10 = e^50 is about 5e21: 128 bits leave it a rounding error of
+        # 1.5e-17 (mu_12 one of 5.5e-8), so a 1e-20 target is refused
+        # rather than written
+        spec = LognormalSpec(0, 1)
+        with pytest.raises(QuadratureError, match="entry 10"):
+            lognormal_moments(spec, 12, P128)
+        m = lognormal_moments(spec, 12, Precision(256))
+        with mpmath.workprec(600):
+            for n in range(13):
+                assert abs(m[n] - mpmath.exp(mpf(n * n) / 2)) <= P128.tol
+
+    def test_conditional_moments_certified(self):
+        # a cut at log b = 8 leaves surviving mass Phi_bar(8) ~ 6e-16, so the
+        # conditional mu_6 ~ 2.4e21 carries a rounding bound of 7e-18
+        spec, cut = LognormalSpec(0, 1), CensorSpec.left_truncate(8)
+        res = truncated_lognormal_moments(spec, cut, 6, P128)
+        with pytest.raises(QuadratureError, match="entry 6"):
+            res.conditional_moments(P128)
+        p = Precision(256, "1e-20")
+        m = truncated_lognormal_moments(spec, cut, 6, p).conditional_moments(p)
+        assert m.precision_bits == 256 and m[0] == 1
+        with mpmath.workprec(600):
+            for n in range(1, 7):
+                exact = (mpmath.exp(mpf(n * n) / 2) * mpmath.ncdf(n - 8) / mpmath.ncdf(-8))
+                assert abs(m[n] - exact) <= p.tol
+
     def test_nan_inputs_rejected(self):
         nan = float("nan")
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Hankel determinants, Stieltjes verdicts, and the ratio diagnostics."""
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -10,10 +11,12 @@ from mpmath import mpf
 from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
                                      poisson_moments)
 from momentlab.exceptions import BackendError
-from momentlab.moment_algebra import MomentSequence
+from momentlab.moment_algebra import MomentSequence, mb_compose_at
+from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
+    _integer_scale,
     fekete_total_positivity,
     hankel_det,
     hankel_matrix,
@@ -138,6 +141,11 @@ class TestStieltjesVerdict:
         v = stieltjes_verdict(m, 3)
         assert (v.kind, v.witness, v.witness_value) == ("not-stieltjes", HankelQuery(0, 2), -1)
         assert v == brute_force.stieltjes_verdict_per_size(m, 3)
+        # every report reaches the per-size fallback after that zero pivot
+        for q in (HankelQuery(0, 3), HankelQuery(1, 2)):
+            assert_reports_match(m, 3, q)
+        v = fekete_total_positivity(m, HankelQuery(0, 3))
+        assert (v.kind, v.witness, v.witness_value) == ("not-tp", (0, 0, 3), -1)
 
     def test_short_prefix_rejected(self):
         # a depth-d verdict must have seen index 2d+1; no silent weakening
@@ -157,28 +165,60 @@ def mixture_moments(atoms, weights, length):
 small_fractions = st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 5, 6, 8, 12, 49]))
 
 
-class TestOnePassVerdict:
-    """The one-pass leading minors against a pivoting Bareiss determinant
-    per size and shift (brute_force.stieltjes_verdict_per_size): same kind,
-    witness and witness_value on strictly-positive, semi-definite and
-    not-stieltjes inputs, exact and through the tolerance path."""
+signed_entries = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(-60, 400), st.sampled_from([1, 2, 3, 7, 12])))
 
-    @settings(max_examples=80, deadline=None)
-    @given(atoms=st.lists(small_fractions, min_size=1, max_size=6),
-           weights=st.lists(st.integers(1, 9), min_size=6, max_size=6),
-           bump=st.tuples(st.integers(0, 9), st.integers(-3, 3), st.integers(1, 7)),
-           upto=st.integers(0, 4))
-    def test_matches_per_size_determinants(self, atoms, weights, bump, upto):
-        vals = mixture_moments(atoms, weights[:len(atoms)], 2 * upto + 2)
-        index, num, den = bump
-        if 0 < index < len(vals):
-            vals[index] += F(num, den)
-        m = MomentSequence.from_exact(vals)
-        assert stieltjes_verdict(m, upto) == brute_force.stieltjes_verdict_per_size(m, upto)
+
+@st.composite
+def hankel_inputs(draw):
+    """(values, upto, query): an atom mixture (a finite atomic law, so
+    zero pivots from the number of atoms on) or 1 followed by signed
+    entries with zeros, with one entry bumped, long enough for depth upto
+    and for the Fekete query."""
+    upto = draw(st.integers(0, 4))
+    q = HankelQuery(draw(st.integers(0, 2)), draw(st.integers(0, 3)))
+    length = max(2 * upto + 2, q.max_index + 1)
+    if draw(st.booleans()):
+        atoms = draw(st.lists(small_fractions, min_size=1, max_size=6))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+        vals = mixture_moments(atoms, weights, length)
+    else:
+        vals = [F(1)] + draw(st.lists(signed_entries, min_size=length - 1, max_size=length - 1))
+    index = draw(st.integers(1, length - 1))
+    vals[index] += draw(st.builds(F, st.integers(-3, 3), st.integers(1, 7)))
+    return vals, upto, q
+
+
+def assert_reports_match(m, upto, q, tol=None):
+    """Each exact Hankel report equals its per-size oracle in brute_force;
+    the Fekete verdict on (kind, minors_checked, witness, witness_value)."""
+    assert stieltjes_verdict(m, upto, tol) == brute_force.stieltjes_verdict_per_size(
+        m, upto, tol)
+    assert indeterminacy_ratios(m, upto, tol) == brute_force.indeterminacy_ratios_per_size(
+        m, upto, tol)
+    assert mu1_threshold_sequence(m, upto, tol) == brute_force.mu1_threshold_per_size(
+        m, upto, tol)
+    got = fekete_total_positivity(m, q, tol)
+    want = brute_force.fekete_per_block(m, q, tol)
+    assert ((got.kind, got.minors_checked, got.witness, got.witness_value)
+            == (want.kind, want.minors_checked, want.witness, want.witness_value))
+
+
+class TestOnePassVerdict:
+    """Every exact Hankel report, taken from one leading-minor pass per
+    shift, against a pivoting Bareiss determinant per size, shift or block
+    (brute_force): same kind, witness and values on strictly-positive,
+    semi-definite and refuted inputs, exact and through the tolerance
+    path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hankel_inputs())
+    def test_matches_per_size_determinants(self, case):
+        vals, upto, q = case
+        assert_reports_match(vals, upto, q)
         approx = MomentSequence.from_approx(vals, 128)
         for tol in (F(1, 2 ** 100), F(1, 1000)):
-            assert (stieltjes_verdict(approx, upto, tol)
-                    == brute_force.stieltjes_verdict_per_size(approx, upto, tol))
+            assert_reports_match(approx, upto, q, tol)
 
     def test_each_kind_is_reached(self):
         cases = {
@@ -203,6 +243,38 @@ class TestOnePassVerdict:
         v = stieltjes_verdict(vals, 3)
         assert v.kind == "not-stieltjes" and v.witness.size > 0
         assert v == brute_force.stieltjes_verdict_per_size(vals, 3)
+
+    def test_negative_entries_and_atomic_laws(self):
+        cases = [
+            [F(1), F(-2), F(5), F(-3), F(9), F(-1), F(4), F(2)],
+            mixture_moments([F(0), F(1), F(3)], [1, 1, 1], 8),
+            mixture_moments([F(2)], [1], 8),
+            [F(1)] * 8,
+            # only the last entry of the depth-3 window is negative
+            [F(1), F(2), F(8), F(64), F(1024), F(2 ** 15), F(2 ** 21), F(-5)],
+        ]
+        for vals in cases:
+            for q in (HankelQuery(0, 3), HankelQuery(1, 3), HankelQuery(2, 2)):
+                assert_reports_match(vals, 3, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vals=st.lists(st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+                         min_size=1, max_size=12))
+    def test_integer_scale_is_exact(self, vals):
+        a, c, ints = _integer_scale(vals)
+        assert a >= 1 and c >= 1
+        assert ints == [a * c ** n * v for n, v in enumerate(vals)]
+
+    def test_scan_cells_at_depth_8(self):
+        # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
+        # cell recomposed through the rational cumulants of mb_compose_at
+        res = theta_threshold_scan((F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8)
+        for theta, row in zip(res.theta_grid, res.pass_matrix):
+            q = F(isqrt(theta.denominator), isqrt(theta.numerator))
+            lattice_q = MomentSequence.from_exact([q ** (n * n) for n in range(18)])
+            for cell in row:
+                composed = list(mb_compose_at(lattice_q, cell.t).values)
+                assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 8)
 
 
 class TestFekete:

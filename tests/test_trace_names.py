@@ -1,9 +1,13 @@
 """The benchmark's tracer wraps momentlab functions by name: every name in
 perfbench/spans.py must still resolve on its module, or `perfbench --trace 1`
-breaks on a rename. The tables are read from the file, not imported."""
+breaks on a rename, and a layer must still call another through the name
+the tracer wraps. The tables are read from the file, not imported."""
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
+
+from momentlab import semigroup
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,3 +33,22 @@ def test_imported_only_names_resolve():
     for modname, name in table("IMPORTED_ONLY"):
         mod = importlib.import_module("momentlab." + modname)
         assert callable(getattr(mod, name, None)), f"momentlab.{modname}.{name}"
+
+
+def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
+    """The tracer charges the scan's verdicts to stieltjes.verdict_s by
+    wrapping semigroup's binding of stieltjes_verdict, so the scan must call
+    it through that name, once per (theta, t) cell."""
+    calls = []
+    verdict = semigroup.stieltjes_verdict
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "stieltjes_verdict", counting)
+    res = semigroup.theta_threshold_scan((Fraction(1, 4), Fraction(1, 9)),
+                                         (Fraction(1, 3), Fraction(2, 3)), 3)
+    assert len(calls) == 4
+    assert [cell.verdict for row in res.pass_matrix for cell in row] == [
+        verdict(*args) for args in calls]
