@@ -30,7 +30,7 @@ from .moment_algebra import (MomentSequence, boolean_power_t, classical_convolve
 from .semigroup import (DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan)
 from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
                         log_convexity_report, mu1_threshold_sequence,
-                        stieltjes_verdict)
+                        mu1_thresholds, stieltjes_verdict)
 
 if TYPE_CHECKING:
     from .simulator import JumpSpec
@@ -125,36 +125,29 @@ def cmd_moments(args) -> int:
 
     p = _precision(args)
     tol = args.abs_tol
+    params = {"alpha": args.alpha, "sigma2": args.sigma2}
+    if args.source == "leipnik":
+        m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, upto, p)
+        _emit_sequence(m, args, "leipnik", params, tol)
+        return 0
+
+    spec = dist.LognormalSpec(args.alpha, args.sigma2)
     if args.source == "lognormal":
-        spec = dist.LognormalSpec(args.alpha, args.sigma2)
         m = dist.lognormal_moments(spec, upto, p)
-        _emit_sequence(m, args, "lognormal",
-                       {"alpha": args.alpha, "sigma2": args.sigma2}, tol)
+        _emit_sequence(m, args, "lognormal", params, tol)
     elif args.source == "truncated":
-        spec = dist.LognormalSpec(args.alpha, args.sigma2)
-        res = dist.truncated_lognormal_moments(
-            spec, dist.CensorSpec.left_truncate(args.logb), upto, p)
+        res = dist.truncated_lognormal_moments(spec, args.logb, upto, p)
         m = res.conditional_moments(p) if args.conditional else res.moments
         _emit_sequence(m, args, "truncated",
-                       {"alpha": args.alpha, "sigma2": args.sigma2,
-                        "logb": args.logb, "conditional": bool(args.conditional)},
+                       {**params, "logb": args.logb, "conditional": bool(args.conditional)},
                        tol)
     elif args.source == "gap":
-        spec = dist.LognormalSpec(args.alpha, args.sigma2)
         m = dist.gap_censored_lognormal_moments(spec, args.a, args.b, upto, p)
-        _emit_sequence(m, args, "gap",
-                       {"alpha": args.alpha, "sigma2": args.sigma2,
-                        "a": args.a, "b": args.b}, tol)
-    elif args.source == "leipnik":
-        m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, upto, p)
-        _emit_sequence(m, args, "leipnik",
-                       {"alpha": args.alpha, "sigma2": args.sigma2}, tol)
+        _emit_sequence(m, args, "gap", {**params, "a": args.a, "b": args.b}, tol)
     elif args.source == "mixed-poisson":
-        spec = dist.LognormalSpec(args.alpha, args.sigma2)
         pmf = dist.mixed_poisson_pmf(spec, args.logb, args.N, args.kmax, p)
         _emit_sequence(pmf, args, "mixed-poisson",
-                       {"alpha": args.alpha, "sigma2": args.sigma2,
-                        "logb": args.logb, "N": args.N, "kmax": args.kmax})
+                       {**params, "logb": args.logb, "N": args.N, "kmax": args.kmax})
     else:
         raise SequenceFileError(f"unknown source {args.source!r}")
     return 0
@@ -190,10 +183,9 @@ def cmd_analyze(args) -> int:
         q = HankelQuery(args.fekete_shift, args.fekete)
         report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol), bits)
     if args.indeterminacy is not None:
-        report["indeterminacy"] = _jsonable(
-            indeterminacy_ratios(m, args.indeterminacy, tol), bits)
-        report["mu1_threshold"] = _jsonable(
-            mu1_threshold_sequence(m, args.indeterminacy, tol), bits)
+        ratios = indeterminacy_ratios(m, args.indeterminacy, tol)
+        report["indeterminacy"] = _jsonable(ratios, bits)
+        report["mu1_threshold"] = _jsonable(mu1_thresholds(m[1], ratios.shift1), bits)
     elif args.mu1_threshold is not None:
         report["mu1_threshold"] = _jsonable(
             mu1_threshold_sequence(m, args.mu1_threshold, tol), bits)

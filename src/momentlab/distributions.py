@@ -6,13 +6,17 @@ Poisson moments, and the mixed-Poisson pmf with truncated-lognormal
 intensity that feeds the divisibility tests.
 
 High-precision values are mpmath floats computed under an explicit
-Precision(bits, abs_tol). The lognormal, truncated and gap moments are
-closed forms at bits + 20 and carry only rounding error, which each checks
-against abs_tol. Only the mixed-Poisson pmf is a quadrature; its entry
-error adds the quadrature error estimate, the tail bound and rounding.
-The censoring schemes are left truncation and a gap, both sending the
-removed mass to the origin; right truncation is left out on purpose, since
-its law has bounded support and nothing downstream needs it.
+Precision(bits, abs_tol). Every censored lognormal is one closed form,
+_censored_moments: the lognormal with its mass on a window (e^log_a,
+e^log_b) sent to the origin, mu_n = m_n [Phi(z_a) + Phi_bar(z_b)]. The
+plain lognormal is the empty window (-inf, -inf), left truncation at b the
+window (-inf, ln b) and the gap (a, b) the window (ln a, ln b); the
+mixed-Poisson atom at 0 is the mass that left truncation sends there. The
+closed form runs at bits + 20 and carries only rounding error, which it
+checks against abs_tol. Only the rest of the mixed-Poisson pmf is a
+quadrature; its entry error adds the quadrature error estimate, the tail
+bound and rounding. Right truncation is left out on purpose, since its law
+has bounded support and nothing downstream needs it.
 """
 from __future__ import annotations
 
@@ -62,39 +66,6 @@ class LognormalSpec:
 
 
 @dataclass(frozen=True)
-class CensorSpec:
-    """A mass-removal scheme on the positive half line; the removed mass
-    always goes to the origin.
-
-    kind "left-truncate": remove mass below b = e^{log_b}. kind "gap":
-    remove mass on (a, b), 0 < a < b.
-    """
-
-    kind: str
-    log_b: Optional[float] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "left-truncate":
-            if self.log_b is None or not mpmath.isfinite(self.log_b):
-                raise ValueError("left-truncate needs a finite log_b")
-        elif self.kind == "gap":
-            if self.a is None or self.b is None or not 0 < self.a < self.b:
-                raise ValueError("gap needs 0 < a < b")
-        else:
-            raise ValueError("unknown censor kind %r" % self.kind)
-
-    @classmethod
-    def left_truncate(cls, log_b) -> "CensorSpec":
-        return cls(kind="left-truncate", log_b=log_b)
-
-    @classmethod
-    def gap(cls, a, b) -> "CensorSpec":
-        return cls(kind="gap", a=a, b=b)
-
-
-@dataclass(frozen=True)
 class DiscretePMF:
     """Masses (p_0, p_1, ...) on the non-negative integers.
 
@@ -138,12 +109,6 @@ def _phi_bar(x) -> mpf:
     return mpmath.erfc(x / mpmath.sqrt(2)) / 2
 
 
-def psi(x, p: Precision = Precision()) -> mpf:
-    """Gaussian tail integral int_x^inf e^{-u^2/2} du = sqrt(pi/2) erfc(x/sqrt 2)."""
-    with mpmath.workprec(p.bits):
-        return mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(mpf(x) / mpmath.sqrt(2))
-
-
 def _check_errors(errs, tol, what: str) -> None:
     """QuadratureError at the first error bound above abs_tol, or NaN."""
     for k, err in enumerate(errs):
@@ -157,18 +122,41 @@ def _check_rounding(vals, p: Precision) -> None:
     _check_errors([mpmath.ldexp(abs(v), -p.bits) for v in vals], p.tol, "rounding bound")
 
 
-def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()) -> MomentSequence:
-    """mu_n = exp(n alpha + n^2 sigma2 / 2), on the approximate backend.
+def _censored_moments(spec: LognormalSpec, log_a, log_b, upto: int, p: Precision) -> tuple:
+    """The one closed form behind the lognormal generators: lognormal(spec)
+    with its mass on (e^log_a, e^log_b) sent to the origin.
 
-    Computed at p.bits + 20; QuadratureError when the rounding bound
-    |mu_n| 2^-bits exceeds abs_tol.
+    mu_n = m_n [Phi(z_a) + Phi_bar(z_b)] for n >= 1 and mu_0 = 1 (the atom
+    at 0 included), with m_n = e^{n alpha + n^2 sigma2 / 2} and
+    z_c = (log c - mode) / sigma, mode = alpha + n sigma2. Phi(z_a) is taken
+    as Phi_bar(-z_a), so the bracket is two positive tails and nothing
+    cancels. mpmath gives Phi_bar(-inf) = 1 and Phi_bar(+inf) = 0 exactly,
+    so the empty window (-inf, -inf) is the plain lognormal and (-inf, log b)
+    left truncation, entry for entry. Returns the moments and the bracket
+    at n = 0, the mass kept off the origin. Computed at p.bits + 20;
+    QuadratureError when a rounding bound |mu_n| 2^-bits exceeds abs_tol.
     """
     with mpmath.workprec(p.bits + 20):
-        a = mpf(spec.alpha)
+        al = mpf(spec.alpha)
         s2 = mpf(spec.sigma2)
-        vals = [mpmath.exp(n * a + n * n * s2 / 2) for n in range(upto + 1)]
+        s = mpmath.sqrt(s2)
+        la, lb = mpf(log_a), mpf(log_b)
+
+        def kept(n):
+            mode = al + n * s2
+            return _phi_bar((lb - mode) / s) + _phi_bar((mode - la) / s)
+
+        vals = [mpf(1)] + [mpmath.exp(n * al + n * n * s2 / 2) * kept(n)
+                           for n in range(1, upto + 1)]
         _check_rounding(vals, p)
-    return MomentSequence.from_approx(vals, p.bits)
+        return MomentSequence.from_approx(vals, p.bits), kept(0)
+
+
+def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()) -> MomentSequence:
+    """mu_n = exp(n alpha + n^2 sigma2 / 2), on the approximate backend: the
+    empty window of _censored_moments, whose rounding bound is checked
+    against abs_tol."""
+    return _censored_moments(spec, -mpmath.inf, -mpmath.inf, upto, p)[0]
 
 
 def lattice_lognormal_moments(q: int, r=1, upto: int = 6) -> MomentSequence:
@@ -214,8 +202,6 @@ class TruncatedMomentsResult:
     moments: MomentSequence
     conditional_form: tuple
     surviving_mass: mpf
-    log_b: object
-    spec: LognormalSpec
 
     def conditional_moments(self, p: Precision) -> MomentSequence:
         """conditional_form as a moment sequence at p.bits; QuadratureError
@@ -225,58 +211,31 @@ class TruncatedMomentsResult:
         return MomentSequence.from_approx(self.conditional_form, p.bits)
 
 
-def truncated_lognormal_moments(spec: LognormalSpec, censor: CensorSpec, upto: int,
+def truncated_lognormal_moments(spec: LognormalSpec, log_b, upto: int,
                                 p: Precision = Precision()) -> TruncatedMomentsResult:
-    """Moments after removing the mass below e^{log_b} to the origin.
-
-    m~_n = int_{log b}^inf e^{n u} phi_{alpha, sigma}(u) du = m_n Phi_bar(z_n)
-    for n >= 1, in closed form at p.bits + 20; QuadratureError when the
-    rounding bound exceeds abs_tol.
+    """Moments after removing the mass below e^{log_b} to the origin: the
+    window (-inf, log_b) of _censored_moments, whose bracket at n = 0 is the
+    surviving mass Phi_bar((log b - alpha) / sigma). ValueError for a
+    non-finite log_b.
     """
-    if censor.kind != "left-truncate":
-        raise ValueError("this operation takes a left-truncate censor")
+    if not mpmath.isfinite(log_b):
+        raise ValueError("log_b must be finite")
+    m, surviving = _censored_moments(spec, -mpmath.inf, log_b, upto, p)
     with mpmath.workprec(p.bits + 20):
-        a = mpf(spec.alpha)
-        s2 = mpf(spec.sigma2)
-        s = mpmath.sqrt(s2)
-        logb = mpf(censor.log_b)
-        vals = [mpf(1)] + [mpmath.exp(n * a + n * n * s2 / 2) * _phi_bar((logb - a - n * s2) / s)
-                           for n in range(1, upto + 1)]
-        _check_rounding(vals, p)
-        surviving = _phi_bar((logb - a) / s)
-        conditional = (mpf(1),) + tuple(v / surviving for v in vals[1:])
-    return TruncatedMomentsResult(
-        moments=MomentSequence.from_approx(vals, p.bits),
-        conditional_form=conditional,
-        surviving_mass=surviving,
-        log_b=censor.log_b,
-        spec=spec,
-    )
+        conditional = (mpf(1),) + tuple(v / surviving for v in m.values[1:])
+    return TruncatedMomentsResult(m, conditional, surviving)
 
 
 def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto: int,
                                    p: Precision = Precision()) -> MomentSequence:
-    """Moments after removing the lognormal mass on (a, b) to the origin.
-
-    m~_n = m_n [Phi_bar(z_b) + Phi(z_a)], z_c = (ln c - alpha - n sigma^2) / sigma:
-    two positive tails, so nothing cancels; mu_0 stays 1 (the atom at 0).
-    Closed form at p.bits + 20; QuadratureError when the rounding bound
-    |mu_n| 2^-bits exceeds abs_tol.
+    """Moments after removing the lognormal mass on (a, b) to the origin:
+    the window (ln a, ln b) of _censored_moments, logs taken at p.bits + 20.
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
     with mpmath.workprec(p.bits + 20):
-        al = mpf(spec.alpha)
-        s2 = mpf(spec.sigma2)
-        s = mpmath.sqrt(s2)
         la, lb = mpmath.log(mpf(a)), mpmath.log(mpf(b))
-        vals = [mpf(1)]
-        for n in range(1, upto + 1):
-            mode = al + n * s2
-            vals.append(mpmath.exp(n * al + n * n * s2 / 2)
-                        * (_phi_bar((lb - mode) / s) + _phi_bar((mode - la) / s)))
-        _check_rounding(vals, p)
-    return MomentSequence.from_approx(vals, p.bits)
+    return _censored_moments(spec, la, lb, upto, p)[0]
 
 
 def leipnik_weights(sigma2, p: Precision = Precision(), lattice_a=1, n_cut: Optional[int] = None):
@@ -338,8 +297,9 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
 
     p_k = (N^k / k!) int_{log b}^inf e^{k x} g(x) dx with g(x) = e^{-N e^x}
     phi_{alpha,sigma}(x), and p_0 additionally receives the truncated
-    Gaussian mass Phi((log b - alpha)/sigma). tail_mass estimates the count
-    mass beyond kmax. One tanh-sinh pass on mpmath's shared nodes gives
+    Gaussian mass Phi((log b - alpha)/sigma): one minus the bracket that
+    _censored_moments keeps at n = 0 for the window (-inf, log b).
+    tail_mass estimates the count mass beyond kmax. One tanh-sinh pass on mpmath's shared nodes gives
     every mass: the window is split at log b, each peak ln(k/N) above it
     and top = last peak + 30, past which the tail is bounded by the
     log-slope k - N e^top; two exps per node and a running product give
@@ -351,7 +311,8 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    _check_rounding([1], p)
+    # the window's rounding check of mu_0 = 1 refuses an abs_tol < 2^-bits
+    kept = _censored_moments(spec, -mpmath.inf, log_b, 0, p)[1]
     rule = mpmath.mp._tanh_sinh
     prec = p.bits + 20
     with mpmath.workprec(prec):
@@ -404,7 +365,7 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
                 if not live:
                     break
         masses = [f * sum(level[-1][k] for level in levels) for k, f in enumerate(fac)]
-        masses[0] += 1 - _phi_bar((logb - a) / s)
+        masses[0] += 1 - kept
         _check_errors([f * (sum(err[k] for err in errors) + t) + mpmath.ldexp(abs(m), -p.bits)
                        for k, (f, t, m) in enumerate(zip(fac, tails, masses))],
                       tol, "quadrature error")

@@ -30,12 +30,7 @@ from mpmath import iv, mpf
 
 from .distributions import DiscretePMF
 from .exceptions import PrecisionError
-from .stieltjes import _mpf_to_fraction
-
-
-def _exact(x) -> Fraction:
-    """The exact rational value of a mass or error bound."""
-    return _mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
+from .stieltjes import _exact
 
 
 @dataclass(frozen=True)
@@ -73,18 +68,16 @@ class KattiReport:
         return "no-certified-negative"
 
 
-def _katti_exact(masses, kmax: int) -> KattiReport:
-    p = [Fraction(v) for v in masses]
-    if p[0] <= 0:
-        raise ValueError("katti_r needs p_0 > 0")
+def _katti_rates(p, kmax: int) -> list:
+    """r_0..r_kmax from masses p by the recursion, in the arithmetic of p's
+    entries: Fractions or intervals."""
     r = []
     for j in range(kmax + 1):
         acc = (j + 1) * p[j + 1]
         for k in range(j):
             acc -= p[j - k] * r[k]
         r.append(acc / p[0])
-    zero = Fraction(0)
-    return KattiReport(tuple(r), tuple(zero for _ in r), zero, kmax, exact=True)
+    return r
 
 
 def _katti_interval(pmf: DiscretePMF, kmax: int) -> KattiReport:
@@ -103,13 +96,7 @@ def _katti_interval(pmf: DiscretePMF, kmax: int) -> KattiReport:
             p = [iv.mpf(v) + err for v in pmf.masses]
             if not p[0] > 0:
                 raise PrecisionError("p_0 - error does not exceed 0; cannot run the recursion")
-            r = []
-            for j in range(kmax + 1):
-                acc = (j + 1) * p[j + 1]
-                for k in range(j):
-                    acc -= p[j - k] * r[k]
-                r.append(acc / p[0])
-            ends = [(mpf(x.a), mpf(x.b)) for x in r]
+            ends = [(mpf(x.a), mpf(x.b)) for x in _katti_rates(p, kmax)]
     finally:
         iv.prec = saved
     # midpoints at the pmf's own precision; each radius is rounded up, so it
@@ -132,9 +119,13 @@ def katti_r(pmf: DiscretePMF, kmax: Optional[int] = None) -> KattiReport:
         raise ValueError("kmax out of range")
     if kmax + 1 > pmf.kmax:
         raise ValueError("need masses up to index kmax + 1 = %d" % (kmax + 1))
-    if pmf.exact:
-        return _katti_exact(pmf.masses, kmax)
-    return _katti_interval(pmf, kmax)
+    if not pmf.exact:
+        return _katti_interval(pmf, kmax)
+    p = [Fraction(v) for v in pmf.masses]
+    if p[0] <= 0:
+        raise ValueError("katti_r needs p_0 > 0")
+    r = tuple(_katti_rates(p, kmax))
+    return KattiReport(r, (Fraction(0),) * len(r), Fraction(0), kmax, exact=True)
 
 
 @dataclass(frozen=True)

@@ -61,12 +61,6 @@ class AtomJumps:
     def tail_prob(self, eps: float) -> float:
         return sum(w for x, w in self.atoms if x > eps)
 
-    def mean(self) -> float:
-        return sum(x * w for x, w in self.atoms)
-
-    def second_moment(self) -> float:
-        return sum(x * x * w for x, w in self.atoms)
-
     def describe(self) -> dict:
         return {"kind": "atoms", "atoms": [[x, w] for x, w in self.atoms]}
 
@@ -95,12 +89,6 @@ class PoissonJumps:
             term *= self.lam / (i + 1)
         return max(1.0 - cdf, 0.0)
 
-    def mean(self) -> float:
-        return self.lam
-
-    def second_moment(self) -> float:
-        return self.lam + self.lam ** 2
-
     def describe(self) -> dict:
         return {"kind": "poisson", "lam": self.lam}
 
@@ -124,12 +112,6 @@ class LognormalJumps:
             return 1.0
         z = (math.log(eps) - self.alpha) / math.sqrt(self.sigma2)
         return math.erfc(z / math.sqrt(2)) / 2
-
-    def mean(self) -> float:
-        return math.exp(self.alpha + self.sigma2 / 2)
-
-    def second_moment(self) -> float:
-        return math.exp(2 * self.alpha + 2 * self.sigma2)
 
     def describe(self) -> dict:
         return {"kind": "lognormal", "alpha": self.alpha, "sigma2": self.sigma2}
@@ -166,13 +148,20 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_with_counts(spec: JumpSpec, t: float, rng: np.random.Generator,
-                        count: int):
-    """Draw `count` values of X(t) plus the per-sample kept-jump counts."""
+def _jump_field(spec: JumpSpec, t: float, rng: np.random.Generator, count: int):
+    """Every jump of `count` independent paths on [0, t], before the epsilon
+    cut, and the path each belongs to: the Poisson counts first, then all
+    jump sizes in one draw."""
     n = rng.poisson(spec.rate * t, count)
     total = int(n.sum())
     jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
-    owner = np.repeat(np.arange(count), n)
+    return jumps, np.repeat(np.arange(count), n)
+
+
+def _sample_with_counts(spec: JumpSpec, t: float, rng: np.random.Generator,
+                        count: int):
+    """Draw `count` values of X(t) plus the per-sample kept-jump counts."""
+    jumps, owner = _jump_field(spec, t, rng, count)
     if spec.epsilon > 0 or isinstance(spec.jump_law, PoissonJumps):
         keep = jumps > spec.epsilon
         jumps = jumps[keep]
@@ -436,11 +425,7 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
         raise ValueError("trials must be >= 1")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    rng = make_rng(seed)
-    n = rng.poisson(spec.rate * t, trials)
-    total = int(n.sum())
-    jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
-    owner = np.repeat(np.arange(trials), n)
+    jumps, owner = _jump_field(spec, t, make_rng(seed), trials)
 
     z = NormalDist().inv_cdf((1 + level) / 2)
     rows = []

@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
+from mpmath import mpf
+
 from .exceptions import BackendError
 from .moment_algebra import MomentSequence, _as_mpf, _isobaric_scale, _working_precision
 
@@ -69,12 +71,23 @@ def _mpf_to_fraction(x) -> Fraction:
     return val / (1 << (-exp))
 
 
+def _exact(x) -> Fraction:
+    """The exact rational value of a number; an mpf is its dyadic value."""
+    return _mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
+
+
 def _sequence_values(m) -> list:
     """Entries of an exact MomentSequence or a plain sequence as Fractions,
-    each converted once; callers turn approximate sequences away first."""
+    each converted once; callers turn approximate MomentSequences away
+    first. A plain sequence with an mpf entry is approximate too, and is
+    refused with BackendError."""
     if isinstance(m, MomentSequence):
         return list(m.values)
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in m]
+    vals = list(m)
+    if any(isinstance(v, mpf) for v in vals):
+        raise BackendError("mpf entries are approximate: give them as "
+                           "MomentSequence.from_approx with an explicit tolerance")
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
 
 
 def _require_window(values: Sequence, q: HankelQuery) -> None:
@@ -497,20 +510,12 @@ class Mu1ThresholdReport:
     all_below_mu1: Optional[bool]
 
 
-def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
-    """The singular first-moment value at each depth d = 1..upto.
-
-    det(shift-1, size d) = C * mu_1 + D with mu_1 only in entry (0,0); C is
-    the shift-3 size d-1 minor, so the root is -D/C whenever C is nonzero:
-    mu_1 minus the shift-1 ratio of indeterminacy_ratios. Needs 2*upto + 2
-    entries.
-    """
-    vals, judge = _judge_for(m, tolerance)
-    if len(vals) < 2 * upto + 2:
-        raise ValueError("upto %d needs %d entries, got %d"
-                         % (upto, 2 * upto + 2, len(vals)))
-    mu1 = vals[1]
-    out = [None if r is None else mu1 - r for r in _ratio_family(vals, judge, 1, upto)[0]]
+def mu1_thresholds(mu1, shift1) -> Mu1ThresholdReport:
+    """The report for first moment mu1 (an mpf taken at its exact dyadic
+    value) from the shift-1 ratios r_d of indeterminacy_ratios: the
+    threshold at depth d is mu1 - r_d, None where r_d is None."""
+    mu1 = _exact(mu1)
+    out = [None if r is None else mu1 - r for r in shift1]
     defined = [v for v in out if v is not None]
     non_dec = None
     below = None
@@ -518,6 +523,21 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
         non_dec = all(x <= y for x, y in zip(defined, defined[1:]))
         below = all(v < mu1 for v in defined)
     return Mu1ThresholdReport(tuple(out), mu1, non_dec, below)
+
+
+def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
+    """The singular first-moment value at each depth d = 1..upto.
+
+    det(shift-1, size d) = C * mu_1 + D with mu_1 only in entry (0,0); C is
+    the shift-3 size d-1 minor, so the root is -D/C whenever C is nonzero:
+    mu_1 minus the shift-1 ratio of indeterminacy_ratios, which
+    mu1_thresholds takes. Needs 2*upto + 2 entries.
+    """
+    vals, judge = _judge_for(m, tolerance)
+    if len(vals) < 2 * upto + 2:
+        raise ValueError("upto %d needs %d entries, got %d"
+                         % (upto, 2 * upto + 2, len(vals)))
+    return mu1_thresholds(vals[1], _ratio_family(vals, judge, 1, upto)[0])
 
 
 @dataclass(frozen=True)

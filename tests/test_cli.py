@@ -13,7 +13,7 @@ from mpmath import mpf
 
 import momentlab
 from momentlab import distributions as dist
-from momentlab import seqfile
+from momentlab import seqfile, stieltjes
 from momentlab.cli import main
 from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
@@ -44,8 +44,7 @@ class TestMoments:
         m = seqfile.load_json(str(path))
         assert not m.exact and m.precision_bits == 128 and len(m) == 5
         res = dist.truncated_lognormal_moments(
-            dist.LognormalSpec(0, 1), dist.CensorSpec.left_truncate(-0.5), 4,
-            dist.Precision(128))
+            dist.LognormalSpec(0, 1), -0.5, 4, dist.Precision(128))
         with mpmath.workprec(128):
             assert m[0] == 1
             for n in range(1, 5):
@@ -154,6 +153,26 @@ class TestAnalyze:
         assert [significant(th) for th in theta] == [significant(values[1])] * 5 == [80] * 5
         with mpmath.workprec(256):
             assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-70") for th in theta)
+
+    def test_indeterminacy_runs_each_shift_once(self, tmp_path, capsys, monkeypatch):
+        # the mu1_threshold block reuses the shift-1 ratios of the
+        # indeterminacy block, so shifts 1 and 3 are not passed over again
+        path = lattice_file(tmp_path, upto=10)
+        capsys.readouterr()
+        shifts = []
+        minors = stieltjes._hankel_minors
+
+        def recording(vals, scaled, shift, size):
+            shifts.append(shift)
+            return minors(vals, scaled, shift, size)
+
+        monkeypatch.setattr(stieltjes, "_hankel_minors", recording)
+        assert main(["analyze", str(path), "--indeterminacy", "4"]) == 0
+        assert sorted(shifts) == [0, 1, 2, 3]
+        rep = json.loads(capsys.readouterr().out)
+        m = seqfile.load_json(str(path))
+        assert rep["mu1_threshold"]["values"] == [
+            str(v) for v in stieltjes.mu1_threshold_sequence(m, 4).values]
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         for text in ('{"schema_version": ', "index,value\n0,1\n1,x/y\n", "1,2,3\n"):

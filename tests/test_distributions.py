@@ -7,7 +7,6 @@ import pytest
 from mpmath import mpf
 
 from momentlab.distributions import (
-    CensorSpec,
     DiscretePMF,
     LognormalSpec,
     Precision,
@@ -21,7 +20,6 @@ from momentlab.distributions import (
     poisson_moments,
     poisson_pmf,
     poisson_weights,
-    psi,
     truncated_lognormal_moments,
 )
 from momentlab.exceptions import QuadratureError
@@ -113,16 +111,6 @@ class TestLognormalMoments:
             oracle = naive_lognormal_integral(0.5, 2.0, n)
             assert abs(m[n] - oracle) < mpf("1e-24")
 
-    def test_psi_at_zero(self):
-        with mpmath.workprec(128):
-            assert abs(psi(mpf(0), P128) - mpmath.sqrt(mpmath.pi / 2)) < mpf("1e-35")
-
-    def test_psi_matches_erfc(self):
-        with mpmath.workprec(128):
-            for x in (-3, -1, 0, 2, 11):
-                expect = mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(mpf(x) / mpmath.sqrt(2))
-                assert abs(psi(mpf(x), P128) - expect) < mpf("1e-35")
-
 
 class TestLatticeAndPoisson:
     def test_lattice_exact_values(self):
@@ -146,22 +134,19 @@ class TestLatticeAndPoisson:
 
 class TestTruncatedLognormal:
     def test_quadrature_matches_closed_form(self):
-        res = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                          CensorSpec.left_truncate(-1.4), 6, P128)
+        res = truncated_lognormal_moments(LognormalSpec(0, 1), -1.4, 6, P128)
         for n in range(1, 7):
             oracle = naive_lognormal_integral(0, 1, n, lo=-1.4)
             assert abs(res.moments[n] - oracle) <= P128.tol, n
 
     def test_against_naive_quadrature(self):
-        res = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                          CensorSpec.left_truncate(-1.0), 4, P128)
+        res = truncated_lognormal_moments(LognormalSpec(0, 1), -1.0, 4, P128)
         for n in range(1, 5):
             oracle = naive_lognormal_integral(0, 1, n, lo=-1.0)
             assert abs(res.moments[n] - oracle) < mpf("1e-24")
 
     def test_conditional_normalization(self):
-        res = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                          CensorSpec.left_truncate(-1.4), 4, P128)
+        res = truncated_lognormal_moments(LognormalSpec(0, 1), -1.4, 4, P128)
         with mpmath.workprec(128):
             for n in range(1, 5):
                 assert abs(res.conditional_form[n] * res.surviving_mass
@@ -169,14 +154,12 @@ class TestTruncatedLognormal:
 
     def test_censoring_only_removes_mass(self):
         plain = lognormal_moments(LognormalSpec(0, 1), 5, P128)
-        res = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                          CensorSpec.left_truncate(-0.5), 5, P128)
+        res = truncated_lognormal_moments(LognormalSpec(0, 1), -0.5, 5, P128)
         for n in range(1, 6):
             assert res.moments[n] < plain[n]
 
     def test_mu0_is_one(self):
-        res = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                          CensorSpec.left_truncate(-2.0), 3, P128)
+        res = truncated_lognormal_moments(LognormalSpec(0, 1), -2.0, 3, P128)
         assert res.moments[0] == 1
 
 
@@ -209,6 +192,25 @@ class TestGapCensoring:
                 inside = naive_lognormal_integral(0, 1, n, lo=0, hi=mpmath.log(2),
                                                   dps=dps)
                 assert abs(gapped[n] - (whole - inside)) < mpf("1e-24")
+
+
+    @pytest.mark.parametrize("alpha, s2, a, b, upto, p", [
+        (0, 1, 0.5, 2, 6, P128),
+        (0.2, 0.25, 1, 3, 6, Precision(192, "1e-40")),
+        (-0.7, 2.3, 0.01, 40, 4, Precision(256, "1e-50")),
+    ])
+    def test_gap_is_lognormal_minus_two_truncations(self, alpha, s2, a, b, upto, p):
+        # the gap keeps the whole law, less its part above a, plus its part above b
+        spec = LognormalSpec(alpha, s2)
+        gap = gap_censored_lognormal_moments(spec, a, b, upto, p)
+        plain = lognormal_moments(spec, upto, p)
+        with mpmath.workprec(2 * p.bits):
+            below_a = truncated_lognormal_moments(spec, mpmath.log(a), upto, p).moments
+            below_b = truncated_lognormal_moments(spec, mpmath.log(b), upto, p).moments
+            for n in range(upto + 1):
+                terms = (plain[n], below_a[n], below_b[n])
+                bound = sum(mpmath.ldexp(abs(v), -p.bits) for v in terms)
+                assert abs(gap[n] - (plain[n] - below_a[n] + below_b[n])) <= bound, n
 
 
 class TestLeipnik:
@@ -264,7 +266,8 @@ class TestMixedPoissonPmf:
     def test_zero_intensity_atom_included(self):
         # the collapsed intensity contributes its whole mass to p_0
         pmf = mixed_poisson_pmf(LognormalSpec(0, 1), -1.4, 10, 6, P128)
-        below = mpf(1) - psi(mpf(-1.4), P128) / mpmath.sqrt(2 * mpmath.pi)
+        with mpmath.workprec(128):
+            below = mpmath.ncdf(mpf(-1.4))
         assert pmf[0] > below > 0
 
 
@@ -307,8 +310,7 @@ class TestCertifiedAgainstOracle:
         (0.5, 2, 0.3, 4, P192, 60),
     ])
     def test_truncated(self, alpha, s2, log_b, upto, p, dps):
-        res = truncated_lognormal_moments(LognormalSpec(alpha, s2),
-                                          CensorSpec.left_truncate(log_b), upto, p)
+        res = truncated_lognormal_moments(LognormalSpec(alpha, s2), log_b, upto, p)
         assert res.moments[0] == 1
         for n in range(1, upto + 1):
             oracle = naive_lognormal_integral(alpha, s2, n, lo=log_b, dps=dps,
@@ -351,7 +353,7 @@ class TestFailureContracts:
         p = Precision(128, "1e-300")
         spec = LognormalSpec(0, 1)
         with pytest.raises(QuadratureError, match="rounding bound"):
-            truncated_lognormal_moments(spec, CensorSpec.left_truncate(-1), 6, p)
+            truncated_lognormal_moments(spec, -1, 6, p)
         with pytest.raises(QuadratureError, match="rounding bound"):
             gap_censored_lognormal_moments(spec, 0.5, 2, 6, p)
         with pytest.raises(QuadratureError, match="rounding bound"):
@@ -359,7 +361,7 @@ class TestFailureContracts:
 
     def test_high_moments_need_more_bits(self):
         # mu_10 is about 5e21, so 128 bits leave it a rounding error of 1.5e-17
-        spec, cut = LognormalSpec(0, 1), CensorSpec.left_truncate(-1)
+        spec, cut = LognormalSpec(0, 1), -1
         with pytest.raises(QuadratureError, match="entry 10"):
             truncated_lognormal_moments(spec, cut, 10, P128)
         with pytest.raises(QuadratureError, match="entry 10"):
@@ -383,7 +385,7 @@ class TestFailureContracts:
     def test_conditional_moments_certified(self):
         # a cut at log b = 8 leaves surviving mass Phi_bar(8) ~ 6e-16, so the
         # conditional mu_6 ~ 2.4e21 carries a rounding bound of 7e-18
-        spec, cut = LognormalSpec(0, 1), CensorSpec.left_truncate(8)
+        spec, cut = LognormalSpec(0, 1), 8
         res = truncated_lognormal_moments(spec, cut, 6, P128)
         with pytest.raises(QuadratureError, match="entry 6"):
             res.conditional_moments(P128)
@@ -398,7 +400,7 @@ class TestFailureContracts:
     def test_nan_inputs_rejected(self):
         nan = float("nan")
         with pytest.raises(ValueError):
-            CensorSpec.left_truncate(nan)
+            truncated_lognormal_moments(LognormalSpec(0, 1), nan, 4, P128)
         with pytest.raises(ValueError):
             LognormalSpec(nan, 1)
         with pytest.raises(ValueError):
@@ -409,6 +411,12 @@ class TestFailureContracts:
             gap_censored_lognormal_moments(LognormalSpec(0, 1), nan, 2, 4, P128)
 
 
+    @pytest.mark.parametrize("log_b", [float("nan"), float("inf"), float("-inf")])
+    def test_truncation_needs_a_finite_cut(self, log_b):
+        with pytest.raises(ValueError, match="finite"):
+            truncated_lognormal_moments(LognormalSpec(0, 1), log_b, 4, P128)
+
+
 class TestPrecisionKnobs:
     def test_precision_tol_property(self):
         p = Precision(256, "1e-55")
@@ -417,11 +425,8 @@ class TestPrecisionKnobs:
             assert p.tol < mpf("1e-54")
 
     def test_higher_precision_refines(self):
-        lo = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                         CensorSpec.left_truncate(-1.4), 3,
-                                         Precision(128))
-        hi = truncated_lognormal_moments(LognormalSpec(0, 1),
-                                         CensorSpec.left_truncate(-1.4), 3,
+        lo = truncated_lognormal_moments(LognormalSpec(0, 1), -1.4, 3, Precision(128))
+        hi = truncated_lognormal_moments(LognormalSpec(0, 1), -1.4, 3,
                                          Precision(192, "1e-40"))
         with mpmath.workprec(192):
             for n in range(1, 4):

@@ -23,6 +23,7 @@ from momentlab.stieltjes import (
     indeterminacy_ratios,
     log_convexity_report,
     mu1_threshold_sequence,
+    mu1_thresholds,
     split_bound_check,
     stieltjes_verdict,
 )
@@ -92,6 +93,8 @@ class TestHankelDeterminant:
         m = MomentSequence.from_approx([mpf(1), mpf(2), mpf(5)], 128)
         with pytest.raises(BackendError):
             hankel_det(m, HankelQuery(0, 1))
+        with pytest.raises(BackendError):
+            hankel_det([mpf(1), mpf(2), mpf(5)], HankelQuery(0, 1))
 
 
 class TestStieltjesVerdict:
@@ -128,6 +131,11 @@ class TestStieltjesVerdict:
         with pytest.raises(BackendError):
             stieltjes_verdict(m, 1)
         assert stieltjes_verdict(m, 1, DEFAULT_TOLERANCE).kind == "strictly-positive"
+
+    def test_plain_mpf_list_is_approximate(self):
+        # a bare list of mpfs has no precision to certify against either
+        with pytest.raises(BackendError):
+            stieltjes_verdict([mpf(1), mpf(2), mpf(5), mpf(15)], 1)
 
     def test_approx_zero_classified(self):
         m = MomentSequence.from_approx([mpf(1)] * 6, 128)
@@ -328,6 +336,11 @@ class TestIndeterminacyDiagnostics:
         rep = mu1_threshold_sequence(lattice(2, 10), 4)
         assert rep.all_below_mu1
         assert rep.values[-1] < F(2, 3) < 2
+
+    def test_mu1_thresholds_from_the_shift1_ratios(self):
+        for m in (poisson_moments(1, 12), lattice(2, 10)):
+            rep = mu1_thresholds(m[1], indeterminacy_ratios(m, 4).shift1)
+            assert rep == mu1_threshold_sequence(m, 4)
 
 
 class TestLogConvexity:

@@ -4,6 +4,7 @@ breaks on a rename, and a layer must still call another through the name
 the tracer wraps. The tables are read from the file, not imported."""
 import ast
 import importlib
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,21 @@ def test_imported_only_names_resolve():
     for modname, name in table("IMPORTED_ONLY"):
         mod = importlib.import_module("momentlab." + modname)
         assert callable(getattr(mod, name, None)), f"momentlab.{modname}.{name}"
+
+
+def test_keyword_arguments_the_tracer_reads_exist():
+    """layer_metrics reads some arguments of a traced call by name."""
+    layers = table("LAYER_FUNCTIONS")
+    wanted = {("stieltjes", name): {"m"} for name in layers["stieltjes"]}
+    wanted[("stieltjes", "stieltjes_verdict")].add("upto")
+    wanted[("stieltjes", "indeterminacy_ratios")].add("upto")
+    wanted[("simulator", "spectrum_gap_test")] = {"trials"}
+    wanted[("simulator", "epsilon_truncation_drift")] = {"trials"}
+    wanted[("simulator", "sample_compound_poisson")] = {"count"}
+    for (modname, name), params in wanted.items():
+        fn = getattr(importlib.import_module("momentlab." + modname), name)
+        missing = params - set(inspect.signature(fn).parameters)
+        assert not missing, f"momentlab.{modname}.{name} lacks {missing}"
 
 
 def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
