@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -45,12 +46,24 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _frac_list(text: str) -> list:
-    return [_frac(part) for part in text.split(",") if part.strip()]
+def _nonnegative(parse):
+    """The argparse type that reads a value with parse and refuses one below 0."""
+    def nonnegative(text: str):
+        value = parse(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+        return value
+    return nonnegative
 
 
-def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _list_of(parse):
+    """The argparse type that reads a non-empty comma-separated list with parse."""
+    def comma_list(text: str) -> list:
+        items = [parse(part) for part in text.split(",") if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
+    return comma_list
 
 
 def _jsonable(obj, bits: Optional[int] = None):
@@ -161,7 +174,7 @@ def cmd_analyze(args) -> int:
     m = _load_sequence(args.file, args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
-    tol = Fraction(args.tolerance) if args.tolerance else None
+    tol = args.tolerance
     bits = m.precision_bits
     if not m.exact and tol is None:
         raise BackendError("decimal input needs --tolerance for Hankel verdicts")
@@ -361,8 +374,19 @@ def cmd_scan(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any word starting with '-' and a digit
+    as a value, so negative values such as '--lognormal-jumps -0.5:1' and
+    '--t -1/2' parse; no option of this CLI starts with a digit.
+    add_subparsers builds every subparser with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentlab",
         description="Exact and certified-precision moment sequence toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_m.add_subparsers(dest="source", required=True)
 
     def add_common(sp, pmf=False):
-        sp.add_argument("--upto", type=int, default=6,
+        sp.add_argument("--upto", type=_nonnegative(int), default=6,
                         help="highest moment index" if not pmf else argparse.SUPPRESS)
         sp.add_argument("--precision", type=int, default=128,
                         help="working precision in bits")
@@ -433,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--indeterminacy", type=int, metavar="DEPTH")
     p_a.add_argument("--mu1-threshold", type=int, metavar="DEPTH")
     p_a.add_argument("--logconvex", action="store_true")
-    p_a.add_argument("--tolerance", help="rational zero cutoff for decimal input")
+    p_a.add_argument("--tolerance", type=_nonnegative(_frac),
+                     help="rational zero cutoff for decimal input")
     p_a.add_argument("--precision", type=int, default=128,
                      help="bits assumed for decimal CSV input")
     p_a.set_defaults(func=cmd_analyze)
@@ -456,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                      required=True)
     p_c.add_argument("--t", type=_frac, help="rational composition parameter")
     p_c.add_argument("--k", type=int, help="integer composition parameter")
-    p_c.add_argument("--upto", type=int)
+    p_c.add_argument("--upto", type=_nonnegative(int))
     p_c.add_argument("--symbolic", action="store_true",
                      help="emit t-polynomial coefficients (mb only)")
     p_c.add_argument("--precision", type=int, default=128)
@@ -490,15 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_common(sp)
 
     sp = sim.add_parser("epsilon", help="small-jump truncation drift")
-    sp.add_argument("--eps-grid", type=_float_list, required=True)
+    sp.add_argument("--eps-grid", type=_list_of(float), required=True)
     sp.add_argument("--eta", type=float, default=0.1)
     add_sim_common(sp)
 
     # scan
     p_t = sub.add_parser("scan", help="theta-threshold scan")
-    p_t.add_argument("--theta-grid", type=_frac_list,
+    p_t.add_argument("--theta-grid", type=_list_of(_frac),
                      default=list(DEFAULT_THETA_GRID))
-    p_t.add_argument("--t-grid", type=_frac_list, default=list(DEFAULT_T_GRID))
+    p_t.add_argument("--t-grid", type=_list_of(_frac), default=list(DEFAULT_T_GRID))
     p_t.add_argument("--depth", type=int, default=5)
     p_t.add_argument("--delta", type=_frac,
                      help="compare theta/(1-theta)^2 against this bound")

@@ -2,8 +2,9 @@
 
 Lognormal moments and their censored variants, the exact lattice stand-in
 family, the discrete lattice twin of the lognormal (Leipnik's construction),
-Poisson moments, and the mixed-Poisson pmf with truncated-lognormal
-intensity that feeds the divisibility tests.
+Poisson moments (the compound Poisson law whose cumulants are all lambda),
+and the mixed-Poisson pmf with truncated-lognormal intensity that feeds
+the divisibility tests.
 
 High-precision values are mpmath floats computed under an explicit
 Precision(bits, abs_tol). Every censored lognormal is one closed form,
@@ -27,9 +28,9 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mpf
 
-from .combinatorics import stirling_subset
 from .exceptions import QuadratureError
-from .moment_algebra import MomentSequence, _as_fraction
+from .moment_algebra import (CumulantSequence, MomentSequence, _as_fraction, _as_mpf,
+                             moments_from_cumulants)
 
 DEFAULT_BITS = 128
 DEFAULT_ABS_TOL = "1e-20"
@@ -57,11 +58,11 @@ class LognormalSpec:
     """Parameters of the lognormal law e^G, G normal with mean alpha and
     variance sigma2."""
 
-    alpha: Union[str, float, int] = 0
-    sigma2: Union[str, float, int] = 1
+    alpha: Union[str, float, int, Fraction] = 0
+    sigma2: Union[str, float, int, Fraction] = 1
 
     def __post_init__(self):
-        if not (mpmath.isfinite(mpf(self.alpha)) and 0 < mpf(self.sigma2) < mpmath.inf):
+        if not (mpmath.isfinite(_as_mpf(self.alpha)) and 0 < _as_mpf(self.sigma2) < mpmath.inf):
             raise ValueError("alpha must be finite, and sigma2 positive and finite")
 
 
@@ -137,8 +138,8 @@ def _censored_moments(spec: LognormalSpec, log_a, log_b, upto: int, p: Precision
     QuadratureError when a rounding bound |mu_n| 2^-bits exceeds abs_tol.
     """
     with mpmath.workprec(p.bits + 20):
-        al = mpf(spec.alpha)
-        s2 = mpf(spec.sigma2)
+        al = _as_mpf(spec.alpha)
+        s2 = _as_mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
         la, lb = mpf(log_a), mpf(log_b)
 
@@ -159,28 +160,26 @@ def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()
     return _censored_moments(spec, -mpmath.inf, -mpmath.inf, upto, p)[0]
 
 
-def lattice_lognormal_moments(q: int, r=1, upto: int = 6) -> MomentSequence:
-    """Exact rational stand-in family mu_n = r^n q^{n^2}.
+def lattice_lognormal_moments(q, r=1, upto: int = 6) -> MomentSequence:
+    """Exact rational stand-in family mu_n = r^n q^{n^2}, for rational q > 1
+    and r > 0.
 
     Matches the shape of lognormal moments with sigma^2 = 2 ln q and
     alpha = ln r, but with exact arithmetic: theta_n = q^{-2} for every n,
     and the Hankel matrices are strictly totally positive.
     """
-    if q < 2:
-        raise ValueError("q must be an integer >= 2")
-    r = _as_fraction(r)
+    q, r = _as_fraction(q), _as_fraction(r)
+    if q <= 1:
+        raise ValueError("q must exceed 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    return MomentSequence.from_exact([r ** n * Fraction(q) ** (n * n) for n in range(upto + 1)])
+    return MomentSequence.from_exact([r ** n * q ** (n * n) for n in range(upto + 1)])
 
 
 def poisson_moments(lam, upto: int) -> MomentSequence:
-    """Exact Poisson moments mu_n = sum_j S(n, j) lambda^j (Touchard form)."""
-    lam = _as_fraction(lam)
-    out = []
-    for n in range(upto + 1):
-        out.append(sum(stirling_subset(n, j) * lam ** j for j in range(n + 1)))
-    return MomentSequence.from_exact(out)
+    """Exact Poisson moments: every cumulant is lambda, so mu_n is the
+    Touchard polynomial sum_j S(n, j) lambda^j."""
+    return moments_from_cumulants(CumulantSequence((_as_fraction(lam),) * upto))
 
 
 @dataclass(frozen=True)
@@ -309,15 +308,15 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
     2^-bits, must be within abs_tol, the stated entry error, else
     QuadratureError, raised at once if abs_tol < 2^-bits.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if N < 1 or kmax < 0:
+        raise ValueError("need N >= 1 and kmax >= 0")
     # the window's rounding check of mu_0 = 1 refuses an abs_tol < 2^-bits
     kept = _censored_moments(spec, -mpmath.inf, log_b, 0, p)[1]
     rule = mpmath.mp._tanh_sinh
     prec = p.bits + 20
     with mpmath.workprec(prec):
-        a = mpf(spec.alpha)
-        s2 = mpf(spec.sigma2)
+        a = _as_mpf(spec.alpha)
+        s2 = _as_mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
         logb = mpf(log_b)
         if not mpmath.isfinite(logb):

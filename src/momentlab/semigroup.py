@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
+from .distributions import lattice_lognormal_moments
 from .moment_algebra import MomentSequence, _composition_sum, _t_power_rows
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
@@ -135,7 +136,7 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     t = Fraction(t)
     if not 1 <= n <= m.degree:
         raise ValueError("need 1 <= n <= degree")
-    vals = [Fraction(v) for v in m.values]
+    vals = m.values
     terms = []
     binom = Fraction(1)  # C(t, j), built up one factor (t - j + 1) / j at a time
     for j, s in enumerate(_composition_sum(vals, n), start=1):
@@ -202,7 +203,7 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
     t = Fraction(t)
     if not 1 <= depth <= m.degree:
         raise ValueError("need 1 <= depth <= degree")
-    vals = [Fraction(v) for v in m.values]
+    vals = m.values
     if any(v <= 0 for v in vals[:depth + 1]):
         raise ValueError("envelope_bounds_check needs positive entries")
     if not 0 < t < 1:
@@ -242,11 +243,8 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def lattice_family(q: Fraction, upto: int) -> MomentSequence:
-    """The canonical constant-ratio log-convex family mu_n = q^(n^2)."""
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    return MomentSequence.from_exact([q ** (n * n) for n in range(upto + 1)])
+    """The canonical constant-ratio log-convex family mu_n = q^(n^2), rational q > 1."""
+    return lattice_lognormal_moments(q, 1, upto)
 
 
 @dataclass(frozen=True)

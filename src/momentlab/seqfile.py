@@ -41,7 +41,13 @@ def _decimal_str(x, bits: int) -> str:
 
 def _parse_decimal(s: str, bits: int):
     with mpmath.workprec(bits):
-        return mpf(s)
+        try:
+            x = mpf(s)
+        except ValueError as exc:
+            raise SequenceFileError(f"bad decimal value {s!r}: {exc}") from None
+    if not mpmath.isfinite(x):
+        raise SequenceFileError(f"bad decimal value {s!r}: not finite")
+    return x
 
 
 def _parse_exact(s: str) -> Fraction:
@@ -130,6 +136,8 @@ def parse_doc(text: Union[str, bytes, dict]) -> dict:
         raise SequenceFileError("values must be a non-empty list")
     if not all(isinstance(v, str) for v in values):
         raise SequenceFileError("values must be strings")
+    if not all(isinstance(doc.get(k, ""), str) for k in ("entry_error", "tail_mass")):
+        raise SequenceFileError("entry_error and tail_mass must be strings")
     if doc["backend"] == "decimal":
         bits = doc.get("precision_bits")
         if not isinstance(bits, int) or bits < 64:

@@ -47,8 +47,8 @@ class AtomJumps:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("need at least one atom")
-        if any(x <= 0 or w <= 0 for x, w in self.atoms):
-            raise ValueError("atom sizes and weights must be positive")
+        if not all(0 < x < math.inf and 0 < w < math.inf for x, w in self.atoms):
+            raise ValueError("atom sizes and weights must be positive and finite")
         total = sum(w for _, w in self.atoms)
         object.__setattr__(self, "atoms",
                            tuple((float(x), float(w) / total) for x, w in self.atoms))
@@ -73,8 +73,8 @@ class PoissonJumps:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.poisson(self.lam, size).astype(float)
@@ -101,8 +101,8 @@ class LognormalJumps:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not (math.isfinite(self.alpha) and 0 < self.sigma2 < math.inf):
+            raise ValueError("alpha must be finite, and sigma2 positive and finite")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.lognormal(self.alpha, math.sqrt(self.sigma2), size)
@@ -129,10 +129,10 @@ class JumpSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be >= 0 and finite")
 
     def describe(self) -> dict:
         return {"rate": self.rate, "jump_law": self.jump_law.describe(),
@@ -417,10 +417,10 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
     X_eps discards jumps <= eps, so |X - X_eps| is the per-path sum of the
     small jumps; sharing one sample across the grid couples the estimates.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
-    if any(e < 0 for e in eps_grid):
-        raise ValueError("epsilon values must be >= 0")
+    if not all(0 <= e < math.inf for e in eps_grid):
+        raise ValueError("epsilon values must be >= 0 and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 < level < 1:

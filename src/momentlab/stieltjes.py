@@ -30,10 +30,10 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
-from mpmath import mpf
+from mpmath import isfinite, mpf
 
 from .exceptions import BackendError
 from .moment_algebra import MomentSequence, _as_mpf, _isobaric_scale, _working_precision
@@ -61,19 +61,15 @@ class HankelQuery:
         return self.shift + 2 * self.size
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and exp == 0:
-        return Fraction(0)
-    val = Fraction(-int(man) if sign else int(man))
-    if exp >= 0:
-        return val * (1 << exp)
-    return val / (1 << (-exp))
-
-
 def _exact(x) -> Fraction:
-    """The exact rational value of a number; an mpf is its dyadic value."""
-    return _mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
+    """The exact rational value of a number; an mpf is its dyadic value,
+    and ValueError when it is nan or infinite."""
+    if not isinstance(x, mpf):
+        return Fraction(x)
+    if not isfinite(x):
+        raise ValueError(f"{x} has no exact value")
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def _sequence_values(m) -> list:
@@ -114,12 +110,9 @@ def _det_bareiss(rows: list) -> Fraction:
     m = []
     for row in rows:
         row = [Fraction(v) for v in row]
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        denom_product *= lcm
-        m.append([int(v * lcm) for v in row])
+        common = lcm(*(v.denominator for v in row))
+        denom_product *= common
+        m.append([int(v * common) for v in row])
 
     sign = 1
     prev = 1
@@ -278,9 +271,21 @@ def _judge_for(m, tolerance) -> tuple:
             raise BackendError(
                 "approximate sequences need an explicit tolerance for Hankel verdicts")
         tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
-        return [_mpf_to_fraction(v) for v in m.values], _SignJudge(tol)
-    vals = _sequence_values(m)
-    return vals, _SignJudge(None)
+        return [_exact(v) for v in m.values], _SignJudge(tol)
+    return _sequence_values(m), _SignJudge(None)
+
+
+def _depth_window(m, upto: int, tolerance) -> tuple:
+    """_judge_for of the 2*upto + 2 entries mu_0..mu_{2 upto + 1} that a
+    report to depth upto reads; ValueError for upto < 0 or a shorter
+    prefix, never a silently weaker report."""
+    if upto < 0:
+        raise ValueError("upto must be >= 0")
+    vals, judge = _judge_for(m, tolerance)
+    if len(vals) < 2 * upto + 2:
+        raise ValueError("depth %d needs %d entries, got %d"
+                         % (upto, 2 * upto + 2, len(vals)))
+    return vals[:2 * upto + 2], judge
 
 
 @dataclass(frozen=True)
@@ -320,14 +325,7 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     far as the verdict needs them; a later negative minor still wins over
     an earlier zero one. Only the witness becomes a Fraction.
     """
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    vals, judge = _judge_for(m, tolerance)
-    top = 1 + 2 * upto
-    if len(vals) <= top:
-        raise ValueError("depth %d needs %d entries, got %d"
-                         % (upto, top + 1, len(vals)))
-    vals = vals[:top + 1]
+    vals, judge = _depth_window(m, upto, tolerance)
     for idx, v in enumerate(vals):
         if judge.minor_sign(vals, idx, 0, v.numerator, v.denominator) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), v)
@@ -443,7 +441,7 @@ def _ratio_family(vals, judge, base_shift: int, upto: int) -> tuple:
     per shift; and whether a None occurred."""
     if upto < 1:
         return [], False
-    scaled = _integer_scale(vals[:2 * upto + 2])
+    scaled = _integer_scale(vals)
     nums = _hankel_minors(vals, scaled, base_shift, upto)
     next(nums)  # size 0 is no numerator
     dens = _hankel_minors(vals, scaled, base_shift + 2, upto - 1)
@@ -475,10 +473,7 @@ def indeterminacy_ratios(m, upto: int, tolerance=None,
     limits) from the Poisson-type (ratios collapsing to 0) behaviour at
     accessible depths. Needs 2*upto + 2 entries.
     """
-    vals, judge = _judge_for(m, tolerance)
-    if len(vals) < 2 * upto + 2:
-        raise ValueError("upto %d needs %d entries, got %d"
-                         % (upto, 2 * upto + 2, len(vals)))
+    vals, judge = _depth_window(m, upto, tolerance)
     s0, d0 = _ratio_family(vals, judge, 0, upto)
     s1, d1 = _ratio_family(vals, judge, 1, upto)
     return IndeterminacyRatios(
@@ -533,10 +528,7 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     mu_1 minus the shift-1 ratio of indeterminacy_ratios, which
     mu1_thresholds takes. Needs 2*upto + 2 entries.
     """
-    vals, judge = _judge_for(m, tolerance)
-    if len(vals) < 2 * upto + 2:
-        raise ValueError("upto %d needs %d entries, got %d"
-                         % (upto, 2 * upto + 2, len(vals)))
+    vals, judge = _depth_window(m, upto, tolerance)
     return mu1_thresholds(vals[1], _ratio_family(vals, judge, 1, upto)[0])
 
 
@@ -561,20 +553,16 @@ class LogConvexityReport:
 def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
     """Ratio diagnostics; requires all entries positive.
 
-    Works on both backends; exact sequences get exact Fractions, approximate
-    ones mpmath values computed at the sequence's precision_bits, with
-    `tolerance` (a Fraction, mpf, string or float; default 2^-40) around the
-    theta <= 1 comparisons.
+    Works on both backends; exact sequences and plain lists (through
+    _sequence_values) get exact Fractions, approximate sequences mpmath
+    values computed at their precision_bits, with `tolerance` (a Fraction,
+    mpf, string or float; default 2^-40) around the theta <= 1 comparisons.
     """
-    if isinstance(m, MomentSequence):
-        m.require_positive()
-        vals = m.values
-        exact = m.exact
-    else:
-        vals = list(m)
-        if any(v <= 0 for v in vals):
-            raise ValueError("log_convexity_report needs positive entries")
-        exact = True
+    exact = not isinstance(m, MomentSequence) or m.exact
+    vals = _sequence_values(m) if exact else m.values
+    for n, v in enumerate(vals):
+        if v <= 0:
+            raise ValueError("entry mu_%d = %s is not positive" % (n, v))
     if len(vals) < 3:
         raise ValueError("need at least three entries for a theta value")
     with nullcontext() if exact else _working_precision(m):
@@ -627,14 +615,9 @@ def split_bound_check(m, theta) -> SplitBoundVerdict:
     """
     if isinstance(m, MomentSequence):
         m.require_exact("split_bound_check")
-        m.require_positive()
-        vals = list(m.values)
-    else:
-        vals = [Fraction(v) for v in m]
-        if any(v <= 0 for v in vals):
-            raise ValueError("split_bound_check needs positive entries")
+    vals = _sequence_values(m)
     theta = Fraction(theta)
-    rep = log_convexity_report(vals)
+    rep = log_convexity_report(vals)  # refuses non-positive entries
     if any(th > theta for th in rep.theta):
         return SplitBoundVerdict("precondition-failed", theta,
                                  witness=("theta_n exceeds theta",))

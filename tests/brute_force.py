@@ -1,26 +1,48 @@
 """Brute-force references for the composition algebra.
 
-The t-composition is defined by its occupancy sum over compositions of n,
-the surjection counts have three classical characterizations, and the
-semigroup law of the composition family is an identity between bivariate
-polynomials, and the Hankel reports (Stieltjes verdict, determinant ratios,
-mu_1 thresholds, Fekete minors) are runs of Hankel determinants, here one
-pivoting Bareiss determinant per size or block. The library computes each
-one way only; these are the other derivations, kept here so the tests can
-compare against them. Everything is exact and
-exponential in n: meant for n <= 10 or so.
+The t-composition is defined by its occupancy sum over compositions of n;
+the surjection counts behind it come from the Stirling subset numbers and
+from finite differences, and the Stirling numbers also give the Touchard
+form of the Poisson moments. The semigroup law of the composition family
+is an identity between bivariate polynomials, and the Hankel reports
+(Stieltjes verdict, determinant ratios, mu_1 thresholds, Fekete minors)
+are runs of Hankel determinants, here one pivoting Bareiss determinant per
+size or block. The library computes each one way only; these are the other
+derivations, kept here so the tests can compare against them. Everything
+is exact and exponential in n: meant for n <= 10 or so.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from momentlab.combinatorics import stirling_subset
 from momentlab.stieltjes import (HankelQuery, IndeterminacyRatios, Mu1ThresholdReport,
                                  PositivityVerdict, TotalPositivityVerdict, _bounded_away,
                                  _det_bareiss, _judge_for, hankel_matrix)
+
+
+@lru_cache(maxsize=None)
+def stirling_subset(n: int, k: int) -> int:
+    """Stirling subset number: partitions of an n-set into k nonempty blocks.
+
+    Triangle recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1), with
+    S(0, 0) = 1 and S(n, 0) = S(0, k) = 0 otherwise.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("stirling_subset needs n >= 0 and k >= 0")
+    if n == 0 and k == 0:
+        return 1
+    if n == 0 or k == 0 or k > n:
+        return 0
+    return k * stirling_subset(n - 1, k) + stirling_subset(n - 1, k - 1)
+
+
+def touchard(lam, n: int) -> Fraction:
+    """The n-th Poisson(lam) moment, sum_j S(n, j) lam^j."""
+    return sum(stirling_subset(n, j) * Fraction(lam) ** j for j in range(n + 1))
 
 
 def compositions(n: int, j: int) -> Iterator[tuple[int, ...]]:

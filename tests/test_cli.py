@@ -14,7 +14,7 @@ from mpmath import mpf
 import momentlab
 from momentlab import distributions as dist
 from momentlab import seqfile, stieltjes
-from momentlab.cli import main
+from momentlab.cli import build_parser, main
 from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
 
@@ -74,6 +74,14 @@ class TestMoments:
             captured = capsys.readouterr()
             assert captured.out == "" and "rounding bound" in captured.err
         assert main(["moments", "truncated", "--logb", "8", "--upto", "6"]) == 0
+
+
+    def test_lattice_takes_rational_q_above_one(self, capsys):
+        assert main(["moments", "lattice", "--q", "3/2", "--upto", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == [
+            "1", "3/2", "81/16", "19683/512"]
+        assert main(["moments", "lattice", "--q", "1"]) == 2
+        assert "q must exceed 1" in capsys.readouterr().err
 
 
 class TestCompose:
@@ -192,6 +200,220 @@ class TestAnalyze:
             assert "index" in capsys.readouterr().err
 
 
+class TestNegativeValues:
+    """Option values that start with '-' and a digit are values, not options.
+    argparse decides this with its private _negative_number_matcher, which
+    cli._Parser replaces; these tests pin that it still takes effect."""
+
+    def test_parse(self):
+        parser = build_parser()
+        args = parser.parse_args(["compose", "f.json", "--op", "boolean", "--t", "-1/2"])
+        assert args.t == F(-1, 2)
+        args = parser.parse_args(["simulate", "spectrum", "--lognormal-jumps", "-0.5:1",
+                                  "--a", "0.5", "--b", "2", "--n", "2", "--trials", "10",
+                                  "--seed", "1", "--rate", "2"])
+        assert args.lognormal_jumps == "-0.5:1"
+        args = parser.parse_args(["scan", "--t-grid", "-1/2,1/2"])
+        assert args.t_grid == [F(-1, 2), F(1, 2)]
+
+    def test_run(self, tmp_path, capsys):
+        assert main(["simulate", "spectrum", "--lognormal-jumps", "-0.5:1", "--a", "0.5",
+                     "--b", "2", "--n", "2", "--trials", "200", "--seed", "3"]) == 0
+        law = json.loads(capsys.readouterr().out)["report"]["spec"]["jump_law"]
+        assert law == {"kind": "lognormal", "alpha": -0.5, "sigma2": 1.0}
+        path = lattice_file(tmp_path)
+        capsys.readouterr()
+        assert main(["compose", str(path), "--op", "mb", "--t", "-1/2"]) == 0
+        m = seqfile.load_json(str(path))
+        assert json.loads(capsys.readouterr().out)["values"] == [
+            str(brute_force.composed_moment(m.values, F(-1, 2), n)) for n in range(7)]
+        assert main(["compose", str(path), "--op", "boolean", "--t", "-1/2"]) == 2
+        assert "t >= 0" in capsys.readouterr().err
+
+
+def _doc(**fields):
+    doc = {"schema_version": 1, "kind": "moments", "backend": "exact",
+           "values": ["1", "2", "16", "512"]}
+    doc.update(fields)
+    return json.dumps({k: v for k, v in doc.items() if v is not ...})
+
+
+def _pmf(**fields):
+    return _doc(**{"kind": "pmf", "backend": "decimal", "precision_bits": 128,
+                   "values": ["0.5", "0.25", "0.125"], "entry_error": "1e-30",
+                   "tail_mass": "0.125", **fields})
+
+
+BAD_FILES = {
+    "lattice.json": _doc(),
+    "decimal.json": _doc(backend="decimal", precision_bits=128,
+                         values=["1", "1.5", "3.5", "10"]),
+    "pmf.json": _pmf(),
+    "nan.csv": "index,value\n0,1\n1,nan\n2,3\n3,4\n",
+    "inf.csv": "index,value\n0,1\n1,-inf\n2,3\n3,4\n",
+    "nan.json": _doc(backend="decimal", precision_bits=128, values=["1", "nan", "3", "4"]),
+    "inf.json": _doc(backend="decimal", precision_bits=128, values=["1", "2", "+inf", "4"]),
+    "garbage.json": _doc(backend="decimal", precision_bits=128, values=["1", "x", "3", "4"]),
+    "schema.json": _doc(schema_version=2),
+    "no-schema.json": _doc(schema_version=...),
+    "kind.json": _doc(kind="histogram"),
+    "backend.json": _doc(backend="float"),
+    "values-object.json": _doc(values={"0": "1"}),
+    "values-numbers.json": _doc(values=[1, 2]),
+    "values-empty.json": _doc(values=[]),
+    "zero-den.json": _doc(values=["1", "1/0", "3", "4"]),
+    "mu0.json": _doc(values=["2", "1", "3", "4"]),
+    "no-bits.json": _doc(backend="decimal", values=["1", "2.5"]),
+    "bits-string.json": _doc(backend="decimal", precision_bits="128", values=["1", "2.5"]),
+    "top-list.json": "[1, 2]",
+    "empty.csv": "",
+    "pmf-error-nan.json": _pmf(entry_error="nan"),
+    "pmf-tail-inf.json": _pmf(tail_mass="-inf"),
+    "pmf-error-number.json": _pmf(entry_error=1e-30),
+    "pmf-error-null.json": _pmf(entry_error=None),
+    "pmf-exact-zero.json": _doc(kind="pmf", values=["0", "0", "1"]),
+    "pmf-exact-negative.json": _doc(kind="pmf", values=["-1", "1"]),
+}
+
+SIM = ["--a", "0.5", "--b", "2", "--n", "2", "--trials", "50", "--seed", "1"]
+
+MALFORMED = [
+    # non-finite entries: a certificate on nan once exited 0
+    ["analyze", "{d}/nan.csv", "--stieltjes-depth", "1", "--tolerance", "1e-10"],
+    ["analyze", "{d}/inf.csv", "--tolerance", "1e-10"],
+    ["analyze", "{d}/nan.json", "--tolerance", "1e-10"],
+    ["analyze", "{d}/inf.json", "--tolerance", "1e-10"],
+    ["katti", "{d}/pmf-error-nan.json"],
+    ["katti", "{d}/pmf-tail-inf.json"],
+    # bad fields and wrong kinds
+    *[["analyze", "{d}/" + name] for name in (
+        "garbage.json", "schema.json", "no-schema.json", "kind.json", "backend.json",
+        "values-object.json", "values-numbers.json", "values-empty.json", "zero-den.json",
+        "mu0.json", "no-bits.json", "bits-string.json", "top-list.json", "empty.csv",
+        "missing.json", "pmf.json", "decimal.json")],
+    ["analyze", "{d}"],
+    ["katti", "{d}/lattice.json"],
+    ["katti", "{d}/pmf-error-number.json"],
+    ["katti", "{d}/pmf-error-null.json"],
+    ["katti", "{d}/pmf-exact-zero.json"],
+    ["katti", "{d}/pmf-exact-negative.json"],
+    ["katti", "{d}/zero-den.json"],
+    ["compose", "{d}/pmf.json", "--op", "classical"],
+    ["compose", "{d}/schema.json", "--op", "classical"],
+    ["compose", "{d}/decimal.json", "--op", "mb", "--symbolic"],
+    # zero denominators
+    ["analyze", "{d}/lattice.json", "--tolerance", "1/0"],
+    ["compose", "{d}/lattice.json", "--op", "mb", "--t", "1/0"],
+    ["moments", "lattice", "--q", "1/0"],
+    ["scan", "--theta-grid", "1/0"],
+    ["scan", "--delta", "1/0"],
+    # negative sizes and depths
+    ["analyze", "{d}/lattice.json", "--indeterminacy", "-1"],
+    ["analyze", "{d}/lattice.json", "--mu1-threshold", "-2"],
+    ["analyze", "{d}/lattice.json", "--stieltjes-depth", "-1"],
+    ["analyze", "{d}/lattice.json", "--fekete", "-1"],
+    ["katti", "{d}/pmf.json", "--kmax", "-1"],
+    ["compose", "{d}/lattice.json", "--op", "classical", "--upto", "-1"],
+    ["compose", "{d}/lattice.json", "--op", "mb", "--k", "2", "--upto", "-3"],
+    ["moments", "lattice", "--q", "2", "--upto", "-1"],
+    ["moments", "lognormal", "--upto", "-1"],
+    ["moments", "gap", "--a", "0.5", "--b", "2", "--upto", "-1"],
+    ["moments", "leipnik", "--upto", "-1"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "-1"],
+    ["scan", "--depth", "-1"],
+    ["simulate", "spectrum", "--atoms", "1:1", "--a", "0.5", "--b", "2", "--n", "-1",
+     "--trials", "50", "--seed", "1"],
+    ["simulate", "spectrum", "--atoms", "1:1", "--a", "0.5", "--b", "2", "--n", "2",
+     "--trials", "-1", "--seed", "1"],
+    # windows and values out of range
+    ["analyze", "{d}/lattice.json", "--fekete", "9"],
+    ["analyze", "{d}/lattice.json", "--stieltjes-depth", "9"],
+    ["analyze", "{d}/lattice.json", "--tolerance", "-1"],
+    ["analyze", "{d}/lattice.json", "--tolerance", "abc"],
+    ["compose", "{d}/lattice.json", "--op", "classical", "--upto", "99"],
+    ["compose", "{d}/lattice.json", "--op", "boolean", "--t", "-1/2"],
+    ["compose", "{d}/lattice.json", "--op", "boolean"],
+    ["compose", "{d}/lattice.json", "--op", "mb"],
+    ["moments", "lattice", "--q", "1"],
+    ["moments", "lattice", "--q", "2", "--r", "0"],
+    ["moments", "lognormal", "--sigma2", "-1"],
+    ["moments", "lognormal", "--sigma2", "nan"],
+    ["moments", "lognormal", "--alpha", "inf"],
+    ["moments", "lognormal", "--precision", "10"],
+    ["moments", "lognormal", "--abs-tol", "abc"],
+    ["moments", "lognormal", "--abs-tol", "nan"],
+    ["moments", "truncated", "--logb", "inf"],
+    ["moments", "gap", "--a", "2", "--b", "1"],
+    ["moments", "leipnik", "--sigma2", "0"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "0"],
+    ["moments", "lattice", "--q", "2", "-o", "{d}/no-such-dir/out.json"],
+    ["scan", "--theta-grid", "2"],
+    ["scan", "--theta-grid", "1/3"],
+    ["scan", "--theta-grid", ""],
+    ["scan", "--t-grid", "0"],
+    ["scan", "--t-grid", "-1/2"],
+    ["scan", "--t-grid", ","],
+    ["simulate", "spectrum", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:1", "--poisson-jumps", "1", *SIM],
+    ["simulate", "spectrum", "--lognormal-jumps", "x:y", *SIM],
+    ["simulate", "spectrum", "--lognormal-jumps", "0:nan", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:-1", *SIM],
+    ["simulate", "spectrum", "--atoms", "nan:1", *SIM],
+    ["simulate", "spectrum", "--poisson-jumps", "-1", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:1", "--rate", "nan", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:1", "--epsilon", "nan", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:1", "--level", "2", *SIM],
+    ["simulate", "spectrum", "--atoms", "1:1", "--a", "2", "--b", "1", "--n", "2",
+     "--trials", "50", "--seed", "1"],
+    ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "", "--trials", "50", "--seed", "1"],
+    ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "nan", "--trials", "50",
+     "--seed", "1"],
+    ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--eta", "-1",
+     "--trials", "50", "--seed", "1"],
+]
+
+
+@pytest.fixture(scope="module")
+def bad_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("malformed")
+    for name, text in BAD_FILES.items():
+        (d / name).write_text(text, encoding="utf-8")
+    return d
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
+def test_malformed_input_exits_2_or_3(argv, bad_dir, capsys):
+    """Every malformed input ends in exit 2 (input error) or 3 (numerical
+    failure) with a message, never in a traceback or a report."""
+    try:
+        code = main([a.format(d=bad_dir) for a in argv])
+    except SystemExit as exc:  # argparse refusing an option value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert captured.out == ""
+    assert "error" in captured.err or "numerical failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
+class TestNonFiniteEntries:
+    """nan and inf are refused when a file is read, from CSV and JSON alike."""
+
+    def test_csv(self, bad_dir, capsys):
+        for name in ("nan.csv", "inf.csv"):
+            with pytest.raises(SequenceFileError, match="not finite"):
+                seqfile.read_csv(str(bad_dir / name))
+            assert main(["analyze", str(bad_dir / name), "--stieltjes-depth", "1",
+                         "--tolerance", "1e-10"]) == 2
+            assert "not finite" in capsys.readouterr().err
+
+    def test_json(self, bad_dir, capsys):
+        for name in ("nan.json", "inf.json", "pmf-error-nan.json", "pmf-tail-inf.json"):
+            with pytest.raises(SequenceFileError, match="not finite"):
+                seqfile.load_json(str(bad_dir / name))
+        assert seqfile.load_json(str(bad_dir / "pmf.json")).tail_mass == mpf("0.125")
+
+
 def fresh_python(*args):
     """Run a new interpreter that finds this checkout's momentlab first."""
     src = os.path.dirname(os.path.dirname(momentlab.__file__))
@@ -209,9 +431,11 @@ class TestStartup:
     """Only `simulate` needs numpy; no subcommand loads scipy."""
 
     def test_import_loads_neither_numpy_nor_scipy(self):
-        out = fresh_python("-c", "import sys, momentlab.cli; print('\\n'.join(sys.modules))")
-        assert "momentlab.cli" in out.stdout.split()
-        assert heavy(out.stdout.split()) == []
+        # semigroup alone is what the theta scan imports
+        for module in ("momentlab.cli", "momentlab.semigroup"):
+            out = fresh_python("-c", f"import sys, {module}; print('\\n'.join(sys.modules))")
+            assert module in out.stdout.split()
+            assert heavy(out.stdout.split()) == []
 
     def test_moments_run_loads_neither(self):
         out = fresh_python("-X", "importtime", "-m", "momentlab.cli",

@@ -1,24 +1,24 @@
-"""Surjection counts, the generalized binomial, and the brute-force
-composition references the other tests rely on."""
+"""The brute-force combinatorics the other tests rely on: Stirling
+numbers, surjection counts, compositions, multinomials and the generalized
+binomial C(t, j)."""
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from momentlab.combinatorics import (
-    binom_general,
-    boltzmann,
-    boltzmann_ratio_bound_report,
-    stirling_subset,
-)
-
 from brute_force import (
+    binom_poly,
     boltzmann_by_finite_difference,
     boltzmann_from_stirling,
     compositions,
     multinomial,
+    stirling_subset,
 )
+
+def binom_general(t, j):
+    """C(t, j) from the coefficients of binom_poly(j)."""
+    return sum(c * Fraction(t) ** d for d, c in enumerate(binom_poly(j)))
 
 
 class TestStirling:
@@ -38,59 +38,40 @@ class TestStirling:
 
 class TestBoltzmann:
     def test_three_characterizations_agree(self):
+        # the last ball goes to a cell already hit or to a fresh one:
+        # B(n, k) = k (B(n-1, k) + B(n-1, k-1)), B(0, k) = [k = 0]
+        table = [[int(k == 0) for k in range(13)]]
+        for n in range(1, 13):
+            table.append([k * (table[n - 1][k] + table[n - 1][k - 1]) if k else 0
+                          for k in range(13)])
         for n in range(13):
             for k in range(13):
-                a = boltzmann(n, k)
-                assert a == boltzmann_from_stirling(n, k)
-                assert a == boltzmann_by_finite_difference(n, k)
+                assert table[n][k] == boltzmann_from_stirling(n, k)
+                assert table[n][k] == boltzmann_by_finite_difference(n, k)
 
     def test_occupancy_identity(self):
         # distributing n balls over k cells, grouped by occupied subset
         for n in range(1, 13):
             for k in range(13):
-                assert sum(comb(k, j) * boltzmann(n, j)
+                assert sum(comb(k, j) * boltzmann_from_stirling(n, j)
                            for j in range(k + 1)) == k ** n
 
     def test_edge_conventions(self):
-        assert boltzmann(0, 0) == 1
-        assert boltzmann(0, 3) == 0
-        assert boltzmann(4, 0) == 0
-        assert boltzmann(2, 5) == 0
+        assert boltzmann_from_stirling(0, 0) == 1
+        assert boltzmann_from_stirling(0, 3) == 0
+        assert boltzmann_from_stirling(4, 0) == 0
+        assert boltzmann_from_stirling(2, 5) == 0
 
     def test_diagonal_and_first_column(self):
         for n in range(1, 9):
-            assert boltzmann(n, n) == factorial(n)
-            assert boltzmann(n, 1) == 1
+            assert boltzmann_from_stirling(n, n) == factorial(n)
+            assert boltzmann_from_stirling(n, 1) == 1
 
     @given(st.integers(min_value=1, max_value=15),
            st.integers(min_value=0, max_value=15))
     def test_occupancy_identity_random(self, n, k):
-        assert sum(comb(k, j) * boltzmann(n, j)
+        assert sum(comb(k, j) * boltzmann_from_stirling(n, j)
                    for j in range(k + 1)) == k ** n
-
-
-class TestRatioBoundReport:
-    """The bound B(n,k+1)/B(n,k) <= ((k+1)/k)^n / (k+1)^2 fails for small
-    (n, k); the report collects counterexamples instead of asserting it."""
-
-    def test_violations_found(self):
-        report = boltzmann_ratio_bound_report(6)
-        pairs = {(v["n"], v["k"]) for v in report}
-        assert (2, 1) in pairs
-        assert (3, 1) in pairs
-
-    def test_known_counterexample_values(self):
-        by_pair = {(v["n"], v["k"]): v for v in boltzmann_ratio_bound_report(3)}
-        v = by_pair[(3, 1)]
-        assert v["ratio"] == 6
-        assert v["bound"] == 2
-
-    def test_reported_violations_are_real(self):
-        for v in boltzmann_ratio_bound_report(8):
-            n, k = v["n"], v["k"]
-            lhs = Fraction(boltzmann(n, k + 1), boltzmann(n, k))
-            assert lhs == v["ratio"]
-            assert lhs > v["bound"]
 
 
 class TestCompositions:

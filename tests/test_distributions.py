@@ -24,6 +24,9 @@ from momentlab.distributions import (
 )
 from momentlab.exceptions import QuadratureError
 from momentlab.moment_algebra import CumulantSequence, moments_from_cumulants
+from momentlab.semigroup import lattice_family
+
+import brute_force
 
 F = Fraction
 P128 = Precision(128)
@@ -130,6 +133,29 @@ class TestLatticeAndPoisson:
         m = poisson_moments(lam, 6)
         via_kappa = moments_from_cumulants(CumulantSequence((lam,) * 6))
         assert m.values == via_kappa.values
+
+    @pytest.mark.parametrize("lam", [F(1), F(7, 3), F(1, 10), 5, "2/9"])
+    def test_poisson_matches_stirling_oracle(self, lam):
+        m = poisson_moments(lam, 10)
+        assert m.exact
+        assert m.values == tuple(brute_force.touchard(F(lam), n) for n in range(11))
+        assert poisson_moments(lam, 0).values == (1,)
+
+    @pytest.mark.parametrize("q", [F(3, 2), 2, F(10, 3)])
+    def test_lattice_family_is_the_lattice_generator(self, q):
+        m = lattice_lognormal_moments(q, 1, 7)
+        assert lattice_family(q, 7) == m
+        assert m.values == tuple(F(q) ** (n * n) for n in range(8))
+
+    def test_lattice_takes_rational_q_above_one(self):
+        assert lattice_lognormal_moments(F(5, 2), F(2, 3), 2).values == (
+            1, F(5, 3), F(625, 36))
+        for q, r in ((1, 1), (F(1, 2), 1), (0, 1), (2, 0), (2, F(-1, 3))):
+            with pytest.raises(ValueError):
+                lattice_lognormal_moments(q, r, 3)
+            if r == 1:
+                with pytest.raises(ValueError):
+                    lattice_family(q, 3)
 
 
 class TestTruncatedLognormal:
@@ -271,6 +297,11 @@ class TestMixedPoissonPmf:
         assert pmf[0] > below > 0
 
 
+    def test_kmax_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="kmax"):
+            mixed_poisson_pmf(LognormalSpec(0, 1), -1.4, 10, -1, P128)
+
+
 class TestSimplePmfs:
     def test_geometric_exact(self):
         pmf = geometric_pmf(F(1, 3), 5)
@@ -409,6 +440,17 @@ class TestFailureContracts:
             mixed_poisson_pmf(LognormalSpec(0, 1), nan, 5, 4, P128)
         with pytest.raises(ValueError):
             gap_censored_lognormal_moments(LognormalSpec(0, 1), nan, 2, 4, P128)
+
+    def test_rational_spec_parameters(self):
+        # alpha and sigma2 may be Fractions, read at the working precision
+        spec = LognormalSpec(F(-1, 2), F(1, 4))
+        assert lognormal_moments(spec, 4, P128) == lognormal_moments(
+            LognormalSpec(-0.5, 0.25), 4, P128)
+        pmf = mixed_poisson_pmf(spec, -1, 5, 4, P128)
+        assert pmf == mixed_poisson_pmf(LognormalSpec(-0.5, 0.25), -1, 5, 4, P128)
+        for alpha, s2 in ((0, F(0)), (0, F(-1, 4))):
+            with pytest.raises(ValueError):
+                LognormalSpec(alpha, s2)
 
 
     @pytest.mark.parametrize("log_b", [float("nan"), float("inf"), float("-inf")])

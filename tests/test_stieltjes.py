@@ -16,6 +16,7 @@ from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
+    _exact,
     _integer_scale,
     fekete_total_positivity,
     hankel_det,
@@ -163,6 +164,22 @@ class TestStieltjesVerdict:
             indeterminacy_ratios(lattice(2, 8), 4)
         with pytest.raises(ValueError):
             mu1_threshold_sequence(lattice(2, 8), 4)
+
+    def test_negative_depth_rejected(self):
+        # an empty report for a negative depth would read as a pass
+        for report in (stieltjes_verdict, indeterminacy_ratios, mu1_threshold_sequence):
+            with pytest.raises(ValueError, match="upto must be >= 0"):
+                report(lattice(2, 8), -1)
+
+    def test_non_finite_mpf_has_no_exact_value(self):
+        # nan and inf have mantissa 0 and must not read as the number 0
+        assert _exact(mpf("-0.375")) == F(-3, 8) and _exact(mpf(0)) == 0
+        for special in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="no exact value"):
+                _exact(mpf(special))
+            m = MomentSequence.from_approx(["1", special, "3", "4"], 128)
+            with pytest.raises(ValueError, match="no exact value"):
+                stieltjes_verdict(m, 1, F(1, 10 ** 10))
 
 
 def mixture_moments(atoms, weights, length):
@@ -363,6 +380,24 @@ class TestLogConvexity:
     def test_positive_entries_required(self):
         with pytest.raises(ValueError):
             log_convexity_report(MomentSequence.from_exact([1, 0, 1]))
+        with pytest.raises(ValueError):
+            log_convexity_report([1, 2, -3])
+
+    def test_plain_int_list_is_exact(self):
+        # theta_1 = a^2 / (a^2 - 1) > 1, within 1e-18 of 1: a float
+        # quotient rounds it to 1.0 and calls the list log-convex
+        a = 10 ** 9 + 1
+        rep = log_convexity_report([1, a, a * a - 1])
+        assert rep.theta == (F(a * a, a * a - 1),)
+        assert rep.verdict == "not-log-convex"
+        assert rep == log_convexity_report(MomentSequence.from_exact([1, a, a * a - 1]))
+
+    def test_plain_mpf_list_is_approximate(self):
+        for vals in ([mpf(1), mpf(2), mpf(16)], [1, 2, mpf(16)]):
+            with pytest.raises(BackendError):
+                log_convexity_report(vals)
+            with pytest.raises(BackendError):
+                split_bound_check(vals, 1)
 
     def test_decimal_theta_at_sequence_precision(self):
         """Lognormal(0, 1) has theta_n = e^-1 for every n; on a 128-bit
@@ -388,3 +423,11 @@ class TestSplitBound:
     def test_looser_theta_still_holds(self):
         v = split_bound_check(lattice(3, 6), F(1, 2))
         assert v.kind == "holds"
+
+    def test_plain_list_matches_sequence(self):
+        vals = [F(3, 2) ** (n * n) for n in range(6)]
+        for theta in (F(4, 9), F(1, 2), F(1, 3)):
+            assert split_bound_check(vals, theta) == split_bound_check(
+                MomentSequence.from_exact(vals), theta)
+        with pytest.raises(ValueError):
+            split_bound_check([1, 2, 0, 5], 1)
