@@ -7,6 +7,10 @@ scan (theta-threshold grid). Reports are JSON on standard output with a
 schema_version field; exact rationals are serialized as "num/den"
 strings, never decimals. Exit codes: 0 success, 2 input error, 3
 numerical failure.
+
+Each subcommand imports the layers it calls, and exact input never loads
+mpmath: this module imports only what every subcommand uses, and mpmath
+comes through moment_algebra's lazy binding.
 """
 from __future__ import annotations
 
@@ -18,20 +22,12 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-import mpmath
-from mpmath import mpf
-
 from . import distributions as dist
 from . import seqfile
-from .divisibility import katti_r, logconvex_pmf_check
 from .exceptions import (BackendError, PrecisionError, QuadratureError,
                          SequenceFileError)
-from .moment_algebra import (MomentSequence, boolean_power_t, classical_convolve,
-                             mb_compose_at, mb_compose_integer, mb_compose_t)
-from .semigroup import (DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan)
-from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
-                        log_convexity_report, mu1_threshold_sequence,
-                        mu1_thresholds, stieltjes_verdict)
+from .moment_algebra import (MomentSequence, _is_mpf, boolean_power_t, classical_convolve,
+                             mb_compose_at, mb_compose_integer, mb_compose_t, mpmath)
 
 if TYPE_CHECKING:
     from .simulator import JumpSpec
@@ -75,7 +71,7 @@ def _jsonable(obj, bits: Optional[int] = None):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, mpf):
+    if _is_mpf(obj):
         return seqfile._decimal_str(obj, bits or mpmath.mp.prec)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name), bits)
@@ -171,6 +167,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
+                            log_convexity_report, mu1_threshold_sequence,
+                            mu1_thresholds, stieltjes_verdict)
     m = _load_sequence(args.file, args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
@@ -213,6 +212,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_katti(args) -> int:
+    from .divisibility import katti_r, logconvex_pmf_check
     pmf = _load_sequence(args.file, args.precision)
     if not isinstance(pmf, dist.DiscretePMF):
         raise SequenceFileError("katti expects a file of kind 'pmf'")
@@ -296,8 +296,8 @@ def cmd_compose(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 #
-# The simulator and numpy are imported here, on first use, so that no other
-# subcommand pays for loading them.
+# As every subcommand does with the layers it calls, simulate imports the
+# simulator (and with it numpy) in its own body.
 
 
 def _jump_spec(args) -> JumpSpec:
@@ -342,8 +342,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    res = theta_threshold_scan(args.theta_grid, args.t_grid, args.depth,
-                               args.delta)
+    from .semigroup import DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan
+    res = theta_threshold_scan(args.theta_grid or DEFAULT_THETA_GRID,
+                               args.t_grid or DEFAULT_T_GRID, args.depth, args.delta)
     matrix = []
     for row in res.pass_matrix:
         cells = []
@@ -521,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # scan
     p_t = sub.add_parser("scan", help="theta-threshold scan")
-    p_t.add_argument("--theta-grid", type=_list_of(_frac),
-                     default=list(DEFAULT_THETA_GRID))
-    p_t.add_argument("--t-grid", type=_list_of(_frac), default=list(DEFAULT_T_GRID))
+    # None stands for semigroup's DEFAULT_THETA_GRID and DEFAULT_T_GRID
+    p_t.add_argument("--theta-grid", type=_list_of(_frac))
+    p_t.add_argument("--t-grid", type=_list_of(_frac))
     p_t.add_argument("--depth", type=int, default=5)
     p_t.add_argument("--delta", type=_frac,
                      help="compare theta/(1-theta)^2 against this bound")

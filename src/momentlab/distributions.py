@@ -25,12 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-from mpmath import mpf
-
 from .exceptions import QuadratureError
 from .moment_algebra import (CumulantSequence, MomentSequence, _as_fraction, _as_mpf,
-                             moments_from_cumulants)
+                             check_precision_bits, moments_from_cumulants, mpmath)
 
 DEFAULT_BITS = 128
 DEFAULT_ABS_TOL = "1e-20"
@@ -44,13 +41,12 @@ class Precision:
     abs_tol: Union[str, float] = DEFAULT_ABS_TOL
 
     def __post_init__(self):
-        if self.bits < 64:
-            raise ValueError("Precision.bits must be at least 64")
+        check_precision_bits(self.bits)
 
     @property
-    def tol(self) -> mpf:
+    def tol(self) -> mpmath.mpf:
         with mpmath.workprec(self.bits):
-            return mpf(self.abs_tol)
+            return mpmath.mpf(self.abs_tol)
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,8 @@ class DiscretePMF:
     masses: tuple
     exact: bool = True
     precision_bits: Optional[int] = None
-    entry_error: Union[Fraction, mpf, int] = 0
-    tail_mass: Union[Fraction, mpf, int, None] = None
+    entry_error: Union[Fraction, mpmath.mpf, int] = 0
+    tail_mass: Union[Fraction, mpmath.mpf, int, None] = None
 
     def __post_init__(self):
         if len(self.masses) == 0:
@@ -89,6 +85,8 @@ class DiscretePMF:
         if self.exact:
             object.__setattr__(self, "masses", tuple(_as_fraction(v) for v in self.masses))
             object.__setattr__(self, "entry_error", _as_fraction(self.entry_error))
+        else:
+            check_precision_bits(self.precision_bits)
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -105,7 +103,7 @@ class DiscretePMF:
         return len(self.masses) - 1
 
 
-def _phi_bar(x) -> mpf:
+def _phi_bar(x) -> mpmath.mpf:
     """Standard normal upper tail probability."""
     return mpmath.erfc(x / mpmath.sqrt(2)) / 2
 
@@ -141,14 +139,14 @@ def _censored_moments(spec: LognormalSpec, log_a, log_b, upto: int, p: Precision
         al = _as_mpf(spec.alpha)
         s2 = _as_mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
-        la, lb = mpf(log_a), mpf(log_b)
+        la, lb = mpmath.mpf(log_a), mpmath.mpf(log_b)
 
         def kept(n):
             mode = al + n * s2
             return _phi_bar((lb - mode) / s) + _phi_bar((mode - la) / s)
 
-        vals = [mpf(1)] + [mpmath.exp(n * al + n * n * s2 / 2) * kept(n)
-                           for n in range(1, upto + 1)]
+        vals = [mpmath.mpf(1)] + [mpmath.exp(n * al + n * n * s2 / 2) * kept(n)
+                                  for n in range(1, upto + 1)]
         _check_rounding(vals, p)
         return MomentSequence.from_approx(vals, p.bits), kept(0)
 
@@ -200,7 +198,7 @@ class TruncatedMomentsResult:
 
     moments: MomentSequence
     conditional_form: tuple
-    surviving_mass: mpf
+    surviving_mass: mpmath.mpf
 
     def conditional_moments(self, p: Precision) -> MomentSequence:
         """conditional_form as a moment sequence at p.bits; QuadratureError
@@ -221,7 +219,7 @@ def truncated_lognormal_moments(spec: LognormalSpec, log_b, upto: int,
         raise ValueError("log_b must be finite")
     m, surviving = _censored_moments(spec, -mpmath.inf, log_b, upto, p)
     with mpmath.workprec(p.bits + 20):
-        conditional = (mpf(1),) + tuple(v / surviving for v in m.values[1:])
+        conditional = (mpmath.mpf(1),) + tuple(v / surviving for v in m.values[1:])
     return TruncatedMomentsResult(m, conditional, surviving)
 
 
@@ -233,7 +231,7 @@ def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
     with mpmath.workprec(p.bits + 20):
-        la, lb = mpmath.log(mpf(a)), mpmath.log(mpf(b))
+        la, lb = mpmath.log(mpmath.mpf(a)), mpmath.log(mpmath.mpf(b))
     return _censored_moments(spec, la, lb, upto, p)[0]
 
 
@@ -246,10 +244,10 @@ def leipnik_weights(sigma2, p: Precision = Precision(), lattice_a=1, n_cut: Opti
     lattice parameter a, which is the twin's point.
     """
     with mpmath.workprec(p.bits + 20):
-        s2 = mpf(sigma2)
+        s2 = mpmath.mpf(sigma2)
         if s2 <= 0:
             raise ValueError("sigma2 must be positive")
-        av = mpf(lattice_a)
+        av = mpmath.mpf(lattice_a)
         if av <= 0:
             raise ValueError("lattice_a must be positive")
         if n_cut is None:
@@ -258,7 +256,7 @@ def leipnik_weights(sigma2, p: Precision = Precision(), lattice_a=1, n_cut: Opti
             target = -mpmath.log(p.tol) + 40 + abs(mpmath.log(av)) * 20
             n_cut = int(mpmath.ceil(mpmath.sqrt(2 * target / s2))) + 2
         ns = range(-n_cut, n_cut + 1)
-        raw = [av ** (-n) * mpmath.exp(-mpf(n) ** 2 * s2 / 2) for n in ns]
+        raw = [av ** (-n) * mpmath.exp(-mpmath.mpf(n) ** 2 * s2 / 2) for n in ns]
         z = sum(raw)
         points = [av * mpmath.exp(n * s2) for n in ns]
         weights = [w / z for w in raw]
@@ -279,10 +277,10 @@ def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6, p: Precision = Prec
     n_cut = leipnik_weights(sigma2, p, lattice_a)[2] + upto
     points, weights, _ = leipnik_weights(sigma2, p, lattice_a, n_cut)
     with mpmath.workprec(p.bits + 20):
-        shift = mpmath.exp(mpf(alpha))
-        vals = [mpf(1)]
+        shift = mpmath.exp(mpmath.mpf(alpha))
+        vals = [mpmath.mpf(1)]
         for k in range(1, upto + 1):
-            acc = mpf(0)
+            acc = mpmath.mpf(0)
             for x, w in zip(points, weights):
                 acc += w * x ** k
             vals.append(shift ** k * acc)
@@ -318,10 +316,10 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
         a = _as_mpf(spec.alpha)
         s2 = _as_mpf(spec.sigma2)
         s = mpmath.sqrt(s2)
-        logb = mpf(log_b)
+        logb = mpmath.mpf(log_b)
         if not mpmath.isfinite(logb):
             raise ValueError("log_b must be finite")
-        nn = mpf(N)
+        nn = mpmath.mpf(N)
         tol = p.tol
         fac = [1 / (s * mpmath.sqrt(2 * mpmath.pi))]  # phi's normalizer times N^k/k!
         for k in range(1, kmax + 1):
@@ -338,7 +336,7 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
                 acc[k] += v
                 v *= ex
 
-        tails = [mpf(0)] * (kmax + 1)
+        tails = [mpmath.mpf(0)] * (kmax + 1)
         add_column(tails, top, 1)
         tails = [v / (nn * mpmath.exp(top) - k) for k, v in enumerate(tails)]
         spans = list(zip(points, points[1:]))
@@ -347,9 +345,9 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
         errors = [None] * len(spans)  # per interval, the error estimate of every k
         live = range(len(spans))
         for degree in range(1, rule.guess_degree(prec) + 1):
-            h = mpf(2) ** -degree
+            h = mpmath.mpf(2) ** -degree
             for i in live:
-                acc = [mpf(0)] * (kmax + 1)
+                acc = [mpmath.mpf(0)] * (kmax + 1)
                 for x, w in rule.get_nodes(*spans[i], degree, prec):
                     add_column(acc, x, w)
                 level = levels[i]
@@ -409,7 +407,7 @@ def poisson_pmf(lam, kmax: int, p: Precision = Precision()) -> DiscretePMF:
     """Normalized Poisson pmf on the approximate backend, with a rounding
     error bound of a few ulp per entry."""
     with mpmath.workprec(p.bits + 20):
-        la = mpf(lam)
+        la = mpmath.mpf(lam)
         if la <= 0:
             raise ValueError("lambda must be positive")
         base = mpmath.exp(-la)
@@ -418,7 +416,7 @@ def poisson_pmf(lam, kmax: int, p: Precision = Precision()) -> DiscretePMF:
         for k in range(kmax + 1):
             masses.append(cur)
             cur = cur * la / (k + 1)
-        entry_error = max(masses) * mpf(2) ** (-(p.bits + 4)) * (kmax + 4)
+        entry_error = max(masses) * mpmath.mpf(2) ** (-(p.bits + 4)) * (kmax + 4)
         tail_mass = 1 - sum(masses)
     return DiscretePMF(masses=tuple(masses), exact=False, precision_bits=p.bits,
                        entry_error=entry_error, tail_mass=tail_mass)

@@ -23,8 +23,16 @@ integer (_isobaric_scale) keeps the cumulants, the partial Bell rows
 (_bell_rows) and the t-power coefficients integral, and c^n divides out
 once at the end. A value at a single t runs the recursion on Fractions.
 Approximate sequences carry mpmath floats with a declared working
-precision, and every operation on them runs at that precision. Operations
-that produce symbolic output in t refuse approximate inputs.
+precision from MIN_PRECISION_BITS to MAX_PRECISION_BITS
+(check_precision_bits), and every operation on them runs at that
+precision. Operations that produce symbolic output in t refuse approximate
+inputs.
+
+mpmath loads only once a decimal value exists: the name `mpmath` here is
+bound through importlib's LazyLoader, which runs mpmath on its first
+attribute read, and every layer that may see exact input takes this
+binding. _is_mpf reads mpmath's own `_mpf_` attribute, since
+isinstance(x, mpmath.mpf) would load mpmath to ask.
 
 A note on positivity: a genuine moment sequence has mu_n > 0 for all n, and
 the analysis routines that need positivity check it via require_positive().
@@ -35,6 +43,8 @@ interrogate, so they must be representable.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,12 +52,41 @@ from functools import wraps
 from math import comb, factorial, gcd
 from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
-from mpmath import mpf
-
 from .exceptions import BackendError
 
 Rational = Union[Fraction, int]
+
+MIN_PRECISION_BITS = 64
+MAX_PRECISION_BITS = 2 ** 16
+
+
+def _lazy_mpmath():
+    """The mpmath module, loaded on its first attribute read; an mpmath
+    that is already imported is reused as it is."""
+    if "mpmath" in sys.modules:
+        return sys.modules["mpmath"]
+    spec = importlib.util.find_spec("mpmath")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["mpmath"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mpmath = _lazy_mpmath()
+
+
+def _is_mpf(x) -> bool:
+    """Whether x is an mpmath real, without loading mpmath to ask."""
+    return hasattr(x, "_mpf_")
+
+
+def check_precision_bits(bits) -> int:
+    """bits, if it is an integer working precision in range; else ValueError."""
+    if not isinstance(bits, int) or not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be an integer from {MIN_PRECISION_BITS} "
+                         f"to {MAX_PRECISION_BITS}, got {bits!r}")
+    return bits
 
 
 def _as_fraction(x) -> Fraction:
@@ -60,11 +99,11 @@ def _as_fraction(x) -> Fraction:
     raise TypeError("exact backend requires int, Fraction, or rational string, got %r" % (x,))
 
 
-def _as_mpf(x) -> mpf:
+def _as_mpf(x) -> mpmath.mpf:
     """x as an mpf at the working precision; mpf() itself refuses Fractions."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
 
 
 def _working_precision(seq):
@@ -101,10 +140,8 @@ class MomentSequence:
             if self.precision_bits is not None:
                 raise ValueError("exact sequences carry no precision_bits")
         else:
-            if self.precision_bits is None or self.precision_bits < 64:
-                raise ValueError("approximate sequences need precision_bits >= 64")
-            with mpmath.workprec(self.precision_bits):
-                vals = tuple(v if isinstance(v, mpf) else _as_mpf(v) for v in self.values)
+            with mpmath.workprec(check_precision_bits(self.precision_bits)):
+                vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if vals[0] != 1:
             raise ValueError("mu_0 must equal 1, got %s" % (vals[0],))
@@ -427,7 +464,7 @@ def _moments_from_kappas(kappas: Sequence, one) -> list:
 @_at_own_precision
 def moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     """Forward direction of the same recursion; exact inverse of the above."""
-    out = _moments_from_kappas(k.values, Fraction(1) if k.exact else mpf(1))
+    out = _moments_from_kappas(k.values, Fraction(1) if k.exact else mpmath.mpf(1))
     return MomentSequence(tuple(out), k.exact, k.precision_bits)
 
 
@@ -461,7 +498,7 @@ def boolean_cumulants_from_moments(m: MomentSequence) -> BooleanCumulantSequence
 
 @_at_own_precision
 def moments_from_boolean_cumulants(b: BooleanCumulantSequence) -> MomentSequence:
-    one = Fraction(1) if b.exact else mpf(1)
+    one = Fraction(1) if b.exact else mpmath.mpf(1)
     out = [one]
     for n in range(1, len(b) + 1):
         acc = None

@@ -17,12 +17,9 @@ import json
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-from mpmath import mpf
-
 from .distributions import DiscretePMF
 from .exceptions import SequenceFileError
-from .moment_algebra import MomentSequence
+from .moment_algebra import MomentSequence, check_precision_bits, mpmath
 
 SCHEMA_VERSION = 1
 
@@ -36,13 +33,13 @@ def _digits_for(bits: int) -> int:
 
 def _decimal_str(x, bits: int) -> str:
     with mpmath.workprec(bits):
-        return mpmath.nstr(mpf(x), _digits_for(bits), strip_zeros=False)
+        return mpmath.nstr(mpmath.mpf(x), _digits_for(bits), strip_zeros=False)
 
 
 def _parse_decimal(s: str, bits: int):
     with mpmath.workprec(bits):
         try:
-            x = mpf(s)
+            x = mpmath.mpf(s)
         except ValueError as exc:
             raise SequenceFileError(f"bad decimal value {s!r}: {exc}") from None
     if not mpmath.isfinite(x):
@@ -139,10 +136,10 @@ def parse_doc(text: Union[str, bytes, dict]) -> dict:
     if not all(isinstance(doc.get(k, ""), str) for k in ("entry_error", "tail_mass")):
         raise SequenceFileError("entry_error and tail_mass must be strings")
     if doc["backend"] == "decimal":
-        bits = doc.get("precision_bits")
-        if not isinstance(bits, int) or bits < 64:
-            raise SequenceFileError("decimal backend requires integer "
-                                    "precision_bits >= 64")
+        try:
+            check_precision_bits(doc.get("precision_bits"))
+        except ValueError as exc:
+            raise SequenceFileError(f"decimal backend: {exc}") from None
     return doc
 
 

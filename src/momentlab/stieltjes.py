@@ -33,10 +33,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
-from mpmath import isfinite, mpf
-
 from .exceptions import BackendError
-from .moment_algebra import MomentSequence, _as_mpf, _isobaric_scale, _working_precision
+from .moment_algebra import (MomentSequence, _as_mpf, _is_mpf, _isobaric_scale,
+                             _working_precision, mpmath)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 
@@ -64,9 +63,9 @@ class HankelQuery:
 def _exact(x) -> Fraction:
     """The exact rational value of a number; an mpf is its dyadic value,
     and ValueError when it is nan or infinite."""
-    if not isinstance(x, mpf):
+    if not _is_mpf(x):
         return Fraction(x)
-    if not isfinite(x):
+    if not mpmath.isfinite(x):
         raise ValueError(f"{x} has no exact value")
     sign, man, exp, _ = x._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp
@@ -80,7 +79,7 @@ def _sequence_values(m) -> list:
     if isinstance(m, MomentSequence):
         return list(m.values)
     vals = list(m)
-    if any(isinstance(v, mpf) for v in vals):
+    if any(_is_mpf(v) for v in vals):
         raise BackendError("mpf entries are approximate: give them as "
                            "MomentSequence.from_approx with an explicit tolerance")
     return [v if isinstance(v, Fraction) else Fraction(v) for v in vals]

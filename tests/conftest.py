@@ -1,7 +1,10 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+
+import momentlab
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -36,3 +39,11 @@ def random_moment_prefix(rnd, degree: int):
         vals.append(vals[-1] * Fraction(rnd.randint(1, 40), rnd.randint(1, 8))
                     + Fraction(rnd.randint(0, 12)))
     return vals
+
+
+def fresh_env() -> dict:
+    """The environment of a new interpreter that finds this checkout's momentlab first."""
+    src = os.path.dirname(os.path.dirname(momentlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -2,7 +2,6 @@
 start-up in a fresh interpreter."""
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +10,6 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-import momentlab
 from momentlab import distributions as dist
 from momentlab import seqfile, stieltjes
 from momentlab.cli import build_parser, main
@@ -19,6 +17,7 @@ from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
 
 import brute_force
+from conftest import fresh_env
 
 F = Fraction
 
@@ -273,6 +272,11 @@ BAD_FILES = {
     "pmf-error-null.json": _pmf(entry_error=None),
     "pmf-exact-zero.json": _doc(kind="pmf", values=["0", "0", "1"]),
     "pmf-exact-negative.json": _doc(kind="pmf", values=["-1", "1"]),
+    "bits-low.json": _doc(backend="decimal", precision_bits=63, values=["1", "2.5"]),
+    "bits-huge.json": _doc(backend="decimal", precision_bits=10 ** 8,
+                           values=["1", "1.5", "3.5", "10"]),
+    "pmf-bits-huge.json": _pmf(precision_bits=2 ** 16 + 1),
+    "decimal.csv": "index,value\n0,1\n1,1.5\n2,3.5\n3,10\n",
 }
 
 SIM = ["--a", "0.5", "--b", "2", "--n", "2", "--trials", "50", "--seed", "1"]
@@ -347,6 +351,17 @@ MALFORMED = [
     ["moments", "leipnik", "--sigma2", "0"],
     ["moments", "mixed-poisson", "--logb", "-1", "--N", "0"],
     ["moments", "lattice", "--q", "2", "-o", "{d}/no-such-dir/out.json"],
+    # working precisions outside 64 .. 2^16 bits, from a file or an option:
+    # 10^8 bits once kept analyze busy past any timeout
+    ["analyze", "{d}/bits-huge.json", "--tolerance", "1e-10"],
+    ["analyze", "{d}/bits-low.json", "--tolerance", "1e-10"],
+    ["katti", "{d}/pmf-bits-huge.json"],
+    ["analyze", "{d}/decimal.csv", "--tolerance", "1e-10", "--precision", "100000000"],
+    ["analyze", "{d}/decimal.csv", "--tolerance", "1e-10", "--precision", "63"],
+    ["compose", "{d}/decimal.csv", "--op", "classical", "--precision", "65537"],
+    ["katti", "{d}/decimal.csv", "--precision", "100000000"],
+    ["moments", "lognormal", "--precision", "100000000"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--precision", "65537"],
     ["scan", "--theta-grid", "2"],
     ["scan", "--theta-grid", "1/3"],
     ["scan", "--theta-grid", ""],
@@ -414,21 +429,41 @@ class TestNonFiniteEntries:
         assert seqfile.load_json(str(bad_dir / "pmf.json")).tail_mass == mpf("0.125")
 
 
-def fresh_python(*args):
+def fresh_python(*args, cwd=None):
     """Run a new interpreter that finds this checkout's momentlab first."""
-    src = os.path.dirname(os.path.dirname(momentlab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
 
 
 def heavy(names):
     return sorted(n for n in names if n.split(".")[0] in ("numpy", "scipy"))
 
 
+LAYERS = ("momentlab.stieltjes", "momentlab.semigroup", "momentlab.divisibility")
+
+# Runs main on its arguments, writes the loaded module names as the last
+# line of stderr and exits with main's exit code.
+RUN_AND_LIST = ("import json, sys\nfrom momentlab.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+                "raise SystemExit(code)")
+
+
+def loaded_after(tmp_path, argv):
+    """The modules loaded by a successful run of argv in a fresh interpreter."""
+    out = fresh_python("-c", RUN_AND_LIST, *argv, cwd=tmp_path)
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+def mpmath_submodules(names):
+    """mpmath itself may sit in sys.modules unloaded; a submodule means it ran."""
+    return [n for n in names if n.startswith("mpmath.")]
+
+
 class TestStartup:
-    """Only `simulate` needs numpy; no subcommand loads scipy."""
+    """Each subcommand loads the layers it calls and no other: only
+    `simulate` needs numpy, no subcommand loads scipy, and exact input
+    never runs mpmath."""
 
     def test_import_loads_neither_numpy_nor_scipy(self):
         # semigroup alone is what the theta scan imports
@@ -446,3 +481,61 @@ class TestStartup:
                   if line.startswith("import time:")]
         assert "momentlab.distributions" in loaded
         assert heavy(loaded) == []
+
+    def test_import_loads_no_layer_and_no_mpmath(self):
+        out = fresh_python("-c", "import sys, momentlab.cli; print('\\n'.join(sys.modules))")
+        names = out.stdout.split()
+        assert [n for n in names if n in LAYERS] == []
+        assert mpmath_submodules(names) == []
+
+    def test_exact_input_never_runs_mpmath(self, tmp_path):
+        lattice_file(tmp_path)
+        for argv in (["moments", "lattice", "--q", "3", "--upto", "5"],
+                     ["compose", "lattice.json", "--op", "classical"],
+                     ["compose", "lattice.json", "--op", "boolean", "--t", "1/3"],
+                     ["compose", "lattice.json", "--op", "mb", "--t", "1/3"],
+                     ["compose", "lattice.json", "--op", "mb", "--symbolic"],
+                     ["analyze", "lattice.json", "--indeterminacy", "2", "--logconvex"],
+                     ["scan", "--depth", "3"]):
+            names = loaded_after(tmp_path, argv)
+            assert mpmath_submodules(names) == [], argv
+            if argv[0] in ("moments", "compose"):
+                assert [n for n in names if n in LAYERS] == [], argv
+
+    def test_decimal_and_simulate_load_no_other_layer(self, tmp_path):
+        lognormal_file(tmp_path)
+        for argv in (["moments", "lognormal", "--upto", "4"],
+                     ["compose", "lognormal.json", "--op", "boolean", "--k", "2"],
+                     ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1",
+                      "--trials", "50", "--seed", "1"]):
+            names = loaded_after(tmp_path, argv)
+            assert [n for n in names if n in LAYERS] == [], argv
+            assert mpmath_submodules(names) != [], argv
+
+    def test_mpmath_loads_on_first_decimal_value_in_one_process(self, tmp_path):
+        """An exact run, then two decimal ones, in one interpreter: mpmath
+        is loaded by the second, divisibility's `from mpmath import iv`
+        then reads it through the lazy binding, and every run prints what
+        it prints in a process of its own."""
+        lattice_file(tmp_path)
+        lognormal_file(tmp_path)
+        assert main(["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "6",
+                     "-o", str(tmp_path / "pmf.json")]) == 0
+        runs = [["compose", "lattice.json", "--op", "mb", "--t", "1/3"],
+                ["analyze", "lognormal.json", "--tolerance", "1e-20"],
+                ["katti", "pmf.json", "--logconvex"]]
+        script = ("import contextlib, io, json, sys\nfrom momentlab.cli import main\n"
+                  "out = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    buf = io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(buf):\n"
+                  "        code = main(argv)\n"
+                  "    out.append([code, buf.getvalue(), 'mpmath.libmp' in sys.modules])\n"
+                  "print(json.dumps(out))")
+        together = json.loads(fresh_python("-c", script, json.dumps(runs), cwd=tmp_path).stdout)
+        assert [loaded for _, _, loaded in together] == [False, True, True]
+        for argv, (code, stdout, _) in zip(runs, together):
+            alone = fresh_python("-m", "momentlab.cli", *argv, cwd=tmp_path)
+            assert code == 0
+            assert stdout == alone.stdout
+        assert json.loads(together[2][1])["backend"] == "decimal"

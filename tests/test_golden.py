@@ -1,0 +1,118 @@
+"""Golden output per subcommand: each case runs `python -m momentlab.cli` in a
+fresh interpreter and must reproduce, byte for byte, the stored standard
+output, the `-o` file and the exit code under tests/golden/.
+
+A case that reads a file gets it from another case's stored output, so every
+case runs on its own. To rewrite the goldens from the checkout on
+PYTHONPATH (only after a change that is meant to alter output), run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import fresh_env
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+SIM = ["--lognormal-jumps", "0:1", "--rate", "1.5", "--trials", "300", "--seed", "7"]
+
+# name -> (argv, {input file: stored output it is copied from})
+CASES = {
+    "moments-lognormal": (["moments", "lognormal", "--upto", "6", "-o", "lognormal.json"], {}),
+    "moments-lognormal-csv": (["moments", "lognormal", "--sigma2", "0.5", "--upto", "4",
+                               "--precision", "96", "--csv"], {}),
+    "moments-lattice": (["moments", "lattice", "--q", "2", "--r", "3/2", "--upto", "8",
+                         "-o", "lattice.json"], {}),
+    "moments-lattice-csv": (["moments", "lattice", "--q", "3", "--upto", "6", "--csv"], {}),
+    "moments-truncated": (["moments", "truncated", "--logb", "-1", "--upto", "6",
+                           "-o", "truncated.json"], {}),
+    "moments-truncated-conditional": (["moments", "truncated", "--logb", "0.5", "--upto", "5",
+                                       "--conditional"], {}),
+    "moments-gap": (["moments", "gap", "--a", "0.5", "--b", "2", "--upto", "6",
+                     "-o", "gap.json"], {}),
+    "moments-leipnik": (["moments", "leipnik", "--sigma2", "0.8", "--upto", "6"], {}),
+    "moments-mixed-poisson": (["moments", "mixed-poisson", "--logb", "-1", "--N", "5",
+                               "--kmax", "8", "-o", "pmf.json"], {}),
+    "analyze-exact": (["analyze", "lattice.json", "--stieltjes-depth", "3",
+                       "--indeterminacy", "3", "--fekete", "3", "--logconvex"],
+                      {"lattice.json": "moments-lattice.output"}),
+    "analyze-exact-default": (["analyze", "lattice.json", "--mu1-threshold", "3"],
+                              {"lattice.json": "moments-lattice.output"}),
+    "analyze-exact-csv": (["analyze", "lattice.csv"],
+                          {"lattice.csv": "moments-lattice-csv.stdout"}),
+    "analyze-decimal": (["analyze", "lognormal.json", "--stieltjes-depth", "2",
+                         "--mu1-threshold", "2", "--logconvex", "--tolerance", "1e-20"],
+                        {"lognormal.json": "moments-lognormal.output"}),
+    "analyze-decimal-fekete": (["analyze", "gap.json", "--fekete", "2",
+                                "--tolerance", "1e-20"],
+                               {"gap.json": "moments-gap.output"}),
+    "analyze-decimal-no-tolerance": (["analyze", "lognormal.json"],
+                                     {"lognormal.json": "moments-lognormal.output"}),
+    "katti-logconvex": (["katti", "pmf.json", "--logconvex"],
+                        {"pmf.json": "moments-mixed-poisson.output"}),
+    "compose-classical": (["compose", "lattice.json", "--op", "classical",
+                           "-o", "classical.json"],
+                          {"lattice.json": "moments-lattice.output"}),
+    "compose-classical-decimal": (["compose", "truncated.json", "--op", "classical"],
+                                  {"truncated.json": "moments-truncated.output"}),
+    "compose-boolean": (["compose", "lattice.json", "--op", "boolean", "--t", "1/3",
+                         "--csv"], {"lattice.json": "moments-lattice.output"}),
+    "compose-mb-t": (["compose", "lattice.json", "--op", "mb", "--t", "2/5", "--upto", "6",
+                      "-o", "mb.json"], {"lattice.json": "moments-lattice.output"}),
+    "compose-mb-k": (["compose", "lattice.json", "--op", "mb", "--k", "2"],
+                     {"lattice.json": "moments-lattice.output"}),
+    "compose-mb-symbolic": (["compose", "lattice.json", "--op", "mb", "--symbolic",
+                             "--upto", "5"], {"lattice.json": "moments-lattice.output"}),
+    "scan": (["scan"], {}),
+    "simulate-spectrum": (["simulate", "spectrum", "--a", "0.5", "--b", "2", "--n", "2",
+                           "--censor-gap", "0.9", "1.2", *SIM], {}),
+    "simulate-epsilon": (["simulate", "epsilon", "--eps-grid", "0.05,0.1,0.2", *SIM], {}),
+}
+
+
+def run_case(name, workdir):
+    """(exit code, stdout bytes, -o file bytes or None) of one case run in
+    workdir by a fresh interpreter that finds this momentlab first."""
+    argv, inputs = CASES[name]
+    for target, source in inputs.items():
+        (workdir / target).write_bytes((GOLDEN / source).read_bytes())
+    proc = subprocess.run([sys.executable, "-m", "momentlab.cli", *argv], cwd=workdir,
+                          env=fresh_env(), capture_output=True, timeout=120)
+    output = None
+    if "-o" in argv and proc.returncode == 0:
+        output = (workdir / argv[argv.index("-o") + 1]).read_bytes()
+    return proc.returncode, proc.stdout, output
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden(name, tmp_path):
+    code, stdout, output = run_case(name, tmp_path)
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    stored = GOLDEN / f"{name}.output"
+    assert output == (stored.read_bytes() if stored.exists() else None)
+
+
+def regenerate():
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, output = run_case(name, Path(tmp))
+        codes[name] = code
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+        if output is not None:
+            (GOLDEN / f"{name}.output").write_bytes(output)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -13,10 +13,12 @@ from momentlab.moment_algebra import (
     MomentSequence,
     TPolynomial,
     _composition_sum,
+    _is_mpf,
     _isobaric_scale,
     boolean_convolve,
     boolean_cumulants_from_moments,
     boolean_power_t,
+    check_precision_bits,
     classical_convolve,
     cumulants_from_moments,
     levy_moments_at_t,
@@ -54,6 +56,31 @@ class TestMomentSequence:
     def test_approx_needs_precision(self):
         with pytest.raises(ValueError):
             MomentSequence.from_approx([mpf(1), mpf(2)], 32)
+
+    def test_precision_bits_range(self):
+        from momentlab.distributions import DiscretePMF, Precision
+
+        def containers(bits):
+            yield lambda: MomentSequence.from_approx([1, 2], bits)
+            yield lambda: DiscretePMF((mpf("0.5"), mpf("0.25")), exact=False,
+                                      precision_bits=bits)
+            yield lambda: Precision(bits)
+
+        for bits in (64, 128, 2 ** 16):
+            assert check_precision_bits(bits) == bits
+            for build in containers(bits):
+                build()
+        for bits in (63, 2 ** 16 + 1, 10 ** 8, None, "128", 128.0):
+            with pytest.raises(ValueError, match="precision_bits"):
+                check_precision_bits(bits)
+            for build in containers(bits):
+                with pytest.raises(ValueError, match="precision_bits"):
+                    build()
+
+    def test_is_mpf(self):
+        assert _is_mpf(mpf(1)) and _is_mpf(mpmath.pi)
+        assert not any(_is_mpf(x) for x in (1, 1.0, F(1, 3), "1", mpmath.mpc(1),
+                                            mpmath.iv.mpf(1)))
 
     def test_approx_accepts_fractions(self):
         m = MomentSequence.from_approx([1, F(1, 3), "0.25"], 128)
