@@ -113,12 +113,8 @@ def _load_sequence(path: str, precision_bits: int):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return seqfile.sequence_from_doc(seqfile.parse_doc(text))
+        return seqfile.sequence_from_doc(text)
     return seqfile.read_csv(io.StringIO(text), precision_bits=precision_bits)
-
-
-def _precision(args) -> dist.Precision:
-    return dist.Precision(args.precision, args.abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +122,26 @@ def _precision(args) -> dist.Precision:
 
 
 def cmd_moments(args) -> int:
-    upto = args.upto
     if args.source == "lattice":
-        m = dist.lattice_lognormal_moments(args.q, args.r, upto)
+        m = dist.lattice_lognormal_moments(args.q, args.r, args.upto)
         _emit_sequence(m, args, "lattice", {"q": str(args.q), "r": str(args.r)})
         return 0
 
-    p = _precision(args)
-    tol = args.abs_tol
+    p = dist.Precision(args.precision, args.abs_tol)
     params = {"alpha": args.alpha, "sigma2": args.sigma2}
     if args.source == "leipnik":
-        m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, upto, p)
-        _emit_sequence(m, args, "leipnik", params, tol)
+        m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, args.upto, p)
+        _emit_sequence(m, args, "leipnik", params, args.abs_tol)
         return 0
 
     spec = dist.LognormalSpec(args.alpha, args.sigma2)
+    if args.source == "mixed-poisson":
+        pmf = dist.mixed_poisson_pmf(spec, args.logb, args.N, args.kmax, p)
+        _emit_sequence(pmf, args, "mixed-poisson",
+                       {**params, "logb": args.logb, "N": args.N, "kmax": args.kmax})
+        return 0
+
+    upto, tol = args.upto, args.abs_tol
     if args.source == "lognormal":
         m = dist.lognormal_moments(spec, upto, p)
         _emit_sequence(m, args, "lognormal", params, tol)
@@ -153,10 +154,6 @@ def cmd_moments(args) -> int:
     elif args.source == "gap":
         m = dist.gap_censored_lognormal_moments(spec, args.a, args.b, upto, p)
         _emit_sequence(m, args, "gap", {**params, "a": args.a, "b": args.b}, tol)
-    elif args.source == "mixed-poisson":
-        pmf = dist.mixed_poisson_pmf(spec, args.logb, args.N, args.kmax, p)
-        _emit_sequence(pmf, args, "mixed-poisson",
-                       {**params, "logb": args.logb, "N": args.N, "kmax": args.kmax})
     else:
         raise SequenceFileError(f"unknown source {args.source!r}")
     return 0
@@ -194,13 +191,20 @@ def cmd_analyze(args) -> int:
     if args.fekete is not None:
         q = HankelQuery(args.fekete_shift, args.fekete)
         report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol), bits)
+    ratios = None
     if args.indeterminacy is not None:
         ratios = indeterminacy_ratios(m, args.indeterminacy, tol)
         report["indeterminacy"] = _jsonable(ratios, bits)
-        report["mu1_threshold"] = _jsonable(mu1_thresholds(m[1], ratios.shift1), bits)
-    elif args.mu1_threshold is not None:
-        report["mu1_threshold"] = _jsonable(
-            mu1_threshold_sequence(m, args.mu1_threshold, tol), bits)
+    # --mu1-threshold defaults to the --indeterminacy depth; the shift-1
+    # ratios do not depend on the depth they were computed to, so any depth
+    # up to that one reads them from the indeterminacy report
+    mu1_depth = args.mu1_threshold if args.mu1_threshold is not None else args.indeterminacy
+    if mu1_depth is not None:
+        if ratios is not None and 0 <= mu1_depth <= ratios.upto:
+            mu1 = mu1_thresholds(m[1], ratios.shift1[:mu1_depth])
+        else:
+            mu1 = mu1_threshold_sequence(m, mu1_depth, tol)
+        report["mu1_threshold"] = _jsonable(mu1, bits)
     if args.logconvex:
         report["logconvex"] = _jsonable(log_convexity_report(m, tol), bits)
     _write(seqfile.doc_to_json(report))
@@ -213,7 +217,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_katti(args) -> int:
     from .divisibility import katti_r, logconvex_pmf_check
-    pmf = _load_sequence(args.file, args.precision)
+    # a CSV always loads as kind "moments", so its working precision is moot
+    pmf = _load_sequence(args.file, dist.DEFAULT_BITS)
     if not isinstance(pmf, dist.DiscretePMF):
         raise SequenceFileError("katti expects a file of kind 'pmf'")
     rep = katti_r(pmf, args.kmax)
@@ -396,14 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_m = sub.add_parser("moments", help="generate a sequence file")
     src = p_m.add_subparsers(dest="source", required=True)
 
-    def add_common(sp, pmf=False):
-        sp.add_argument("--upto", type=_nonnegative(int), default=6,
-                        help="highest moment index" if not pmf else argparse.SUPPRESS)
-        sp.add_argument("--precision", type=int, default=128,
-                        help="working precision in bits")
-        sp.add_argument("--abs-tol", default="1e-20",
-                        help="absolute error bound; lognormal, truncated, gap and mixed-poisson "
-                             "exit 3 when they cannot certify it")
+    def add_common(sp, upto=True, certified=True):
+        """The shared options, each only on the sources that read it: --upto
+        on those that give moments, --precision and --abs-tol on the
+        certified (mpmath) ones."""
+        if upto:
+            sp.add_argument("--upto", type=_nonnegative(int), default=6,
+                            help="highest moment index")
+        if certified:
+            sp.add_argument("--precision", type=int, default=128,
+                            help="working precision in bits")
+            sp.add_argument("--abs-tol", default="1e-20",
+                            help="absolute error bound; lognormal, truncated, gap and "
+                                 "mixed-poisson exit 3 when they cannot certify it")
         sp.add_argument("--csv", action="store_true", help="emit CSV, not JSON")
         sp.add_argument("-o", "--output", help="write to file instead of stdout")
         sp.set_defaults(func=cmd_moments)
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = src.add_parser("lattice", help="exact family r^n q^(n^2)")
     sp.add_argument("--q", type=_frac, required=True)
     sp.add_argument("--r", type=_frac, default=Fraction(1))
-    add_common(sp)
+    add_common(sp, certified=False)
 
     sp = src.add_parser("truncated", help="left-truncated lognormal moments")
     sp.add_argument("--alpha", type=float, default=0.0)
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--logb", type=float, required=True)
     sp.add_argument("--N", type=int, required=True, help="intensity scale")
     sp.add_argument("--kmax", type=int, default=16)
-    add_common(sp, pmf=True)
+    add_common(sp, upto=False)
 
     # analyze
     p_a = sub.add_parser("analyze", help="Hankel and ratio diagnostics")
@@ -472,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also run the log-convexity certificate")
     p_k.add_argument("--table", action="store_true",
                      help="aligned table on stderr next to the JSON")
-    p_k.add_argument("--precision", type=int, default=128)
     p_k.set_defaults(func=cmd_katti)
 
     # compose

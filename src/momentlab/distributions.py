@@ -95,10 +95,6 @@ class DiscretePMF:
         return self.masses[k]
 
     @property
-    def backend(self) -> str:
-        return "exact" if self.exact else "approx"
-
-    @property
     def kmax(self) -> int:
         return len(self.masses) - 1
 
@@ -235,47 +231,42 @@ def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto
     return _censored_moments(spec, la, lb, upto, p)[0]
 
 
-def leipnik_weights(sigma2, p: Precision = Precision(), lattice_a=1, n_cut: Optional[int] = None):
-    """Points and normalized weights of the discrete lattice twin.
+def leipnik_weights(sigma2, upto: int, p: Precision = Precision()):
+    """Points and normalized weights of the discrete lattice twin, cut to
+    serve the moments of orders up to upto.
 
-    The law puts weight proportional to a^{-n} e^{-n^2 sigma2/2} at the
-    point a e^{n sigma2}, n in Z. Returns (points, weights, n_cut) with the
-    weights normalized to unit total; the moments do not depend on the
-    lattice parameter a, which is the twin's point.
+    The law puts weight proportional to e^{-n^2 sigma2/2} at the point
+    e^{n sigma2}, n in Z. Leipnik's family has a lattice parameter a, with
+    weights a^{-n} e^{-n^2 sigma2/2} at the points a e^{n sigma2}, but its
+    moments do not depend on a, so a = 1 here. Returns (points, weights,
+    n_cut), n in -n_cut..n_cut, with the weights normalized to unit total.
     """
     with mpmath.workprec(p.bits + 20):
         s2 = mpmath.mpf(sigma2)
         if s2 <= 0:
             raise ValueError("sigma2 must be positive")
-        av = mpmath.mpf(lattice_a)
-        if av <= 0:
-            raise ValueError("lattice_a must be positive")
-        if n_cut is None:
-            # raw weight at |n| = M is about a^{-n} e^{-M^2 s2/2}; pick M so
-            # the whole tail (geometric-decay bounded) sits far below abs_tol
-            target = -mpmath.log(p.tol) + 40 + abs(mpmath.log(av)) * 20
-            n_cut = int(mpmath.ceil(mpmath.sqrt(2 * target / s2))) + 2
+        # raw weight at |n| = M is about e^{-M^2 s2/2}; pick M so the whole
+        # tail (geometric-decay bounded) sits far below abs_tol. The k-th
+        # moment's summand w_n x_n^k peaks near n = k, so M is widened by upto.
+        target = -mpmath.log(p.tol) + 40
+        n_cut = int(mpmath.ceil(mpmath.sqrt(2 * target / s2))) + 2 + upto
         ns = range(-n_cut, n_cut + 1)
-        raw = [av ** (-n) * mpmath.exp(-mpmath.mpf(n) ** 2 * s2 / 2) for n in ns]
+        raw = [mpmath.exp(-mpmath.mpf(n) ** 2 * s2 / 2) for n in ns]
         z = sum(raw)
-        points = [av * mpmath.exp(n * s2) for n in ns]
+        points = [mpmath.exp(n * s2) for n in ns]
         weights = [w / z for w in raw]
     return points, weights, n_cut
 
 
-def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6, p: Precision = Precision(),
-                             lattice_a=1) -> MomentSequence:
+def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6,
+                             p: Precision = Precision()) -> MomentSequence:
     """Moments of the discrete lattice twin, scaled to lognormal(alpha, sigma2).
 
     The n-th moment of the lattice law equals e^{n^2 sigma2/2} exactly (in
-    the infinite-sum limit), independent of the lattice parameter; the alpha
-    shift rescales the k-th moment by e^{k alpha}.
-
-    The k-th summand w_n x_n^k peaks near n = k, so the cut that makes the
-    weights' own tail negligible is widened by upto.
+    the infinite-sum limit); the alpha shift rescales the k-th moment by
+    e^{k alpha}.
     """
-    n_cut = leipnik_weights(sigma2, p, lattice_a)[2] + upto
-    points, weights, _ = leipnik_weights(sigma2, p, lattice_a, n_cut)
+    points, weights, _ = leipnik_weights(sigma2, upto, p)
     with mpmath.workprec(p.bits + 20):
         shift = mpmath.exp(mpmath.mpf(alpha))
         vals = [mpmath.mpf(1)]

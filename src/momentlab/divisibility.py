@@ -30,7 +30,7 @@ from mpmath import iv, mpf
 
 from .distributions import DiscretePMF
 from .exceptions import PrecisionError
-from .stieltjes import _exact
+from .moment_algebra import _exact
 
 
 @dataclass(frozen=True)
@@ -142,25 +142,21 @@ class LogConvexVerdict:
         return self.kind == "log-convex"
 
 
-def logconvex_pmf_check(pmf: DiscretePMF, upto: Optional[int] = None) -> LogConvexVerdict:
-    """Check p_k^2 <= p_{k-1} p_{k+1} on the examined range.
+def logconvex_pmf_check(pmf: DiscretePMF) -> LogConvexVerdict:
+    """Check p_k^2 <= p_{k-1} p_{k+1} on every mass of the pmf.
 
     All comparisons are certified against the pmf's entry error: each mass
     is widened by it and compared in exact rational arithmetic. A pass is
     an infinite-divisibility certificate (scale invariant, so unnormalized
     exact weights work too).
     """
-    if upto is None:
-        upto = pmf.kmax
-    if upto > pmf.kmax:
-        raise ValueError("upto exceeds pmf length")
     err = Fraction(0) if pmf.exact else _exact(pmf.entry_error)
-    p = [_exact(v) for v in pmf.masses[:upto + 1]]
+    p = [_exact(v) for v in pmf.masses]
     for k, v in enumerate(p):
         if not v - err > 0:
             return LogConvexVerdict("inapplicable", k)
     uncertified = None
-    for k in range(1, upto):
+    for k in range(1, pmf.kmax):
         holds = (p[k] + err) ** 2 <= (p[k - 1] - err) * (p[k + 1] - err)
         fails = (p[k] - err) ** 2 > (p[k - 1] + err) * (p[k + 1] + err)
         if fails:

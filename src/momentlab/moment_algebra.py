@@ -34,12 +34,12 @@ attribute read, and every layer that may see exact input takes this
 binding. _is_mpf reads mpmath's own `_mpf_` attribute, since
 isinstance(x, mpmath.mpf) would load mpmath to ask.
 
-A note on positivity: a genuine moment sequence has mu_n > 0 for all n, and
-the analysis routines that need positivity check it via require_positive().
-The constructor deliberately does not force it, because the t-composition of
-a legal moment sequence can leave the positive cone for fractional t. Those
-candidate outputs are exactly the objects the Hankel machinery is there to
-interrogate, so they must be representable.
+A note on positivity: a genuine moment sequence has mu_n > 0 for all n, but
+the constructor deliberately does not require it, because the t-composition
+of a legal moment sequence can leave the positive cone for fractional t.
+Those candidate outputs are exactly the objects the Hankel machinery is there
+to interrogate, so they must be representable; a report that needs positive
+entries, such as the log-convexity ratios, checks them itself.
 """
 from __future__ import annotations
 
@@ -106,6 +106,17 @@ def _as_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x)
 
 
+def _exact(x) -> Fraction:
+    """The exact rational value of a number; an mpf is its dyadic value,
+    and ValueError when it is nan or infinite."""
+    if not _is_mpf(x):
+        return Fraction(x)
+    if not mpmath.isfinite(x):
+        raise ValueError(f"{x} has no exact value")
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
 def _working_precision(seq):
     """Context in which arithmetic on seq's entries keeps its precision_bits."""
     return nullcontext() if seq.exact else mpmath.workprec(seq.precision_bits)
@@ -164,19 +175,6 @@ class MomentSequence:
     def degree(self) -> int:
         """Largest moment index N present."""
         return len(self.values) - 1
-
-    @property
-    def backend(self) -> str:
-        return "exact" if self.exact else "approx"
-
-    @property
-    def strictly_positive(self) -> bool:
-        return all(v > 0 for v in self.values)
-
-    def require_positive(self) -> None:
-        for n, v in enumerate(self.values):
-            if v <= 0:
-                raise ValueError("entry mu_%d = %s is not positive" % (n, v))
 
     def require_exact(self, what: str) -> None:
         if not self.exact:
@@ -324,13 +322,17 @@ def _isobaric_scale(vals: Sequence) -> int:
     return c
 
 
-def _scaled_ints(vals: Sequence, c: int) -> list:
-    """c^n * vals[n] as integers; c from _isobaric_scale(vals)."""
-    out = []
-    for n, v in enumerate(vals):
-        v = Fraction(v)
-        out.append(v.numerator * (c ** n // v.denominator))
-    return out
+def _isobaric_ints(vals: Sequence) -> tuple:
+    """(a, c, ints) with ints[n] = a * c^n * vals[n] an integer for every n,
+    where a is the denominator of vals[0] and c = _isobaric_scale(vals);
+    a = 1 for a moment prefix, whose vals[0] is 1."""
+    c = _isobaric_scale(vals)
+    a = power = vals[0].denominator
+    ints = []
+    for v in vals:
+        ints.append(v.numerator * (power // v.denominator))
+        power *= c
+    return a, c, ints
 
 
 def _bell_rows(xs: Sequence) -> list:
@@ -359,8 +361,8 @@ def _t_power_rows(vals: Sequence) -> tuple:
     """(c, rows) with sum_j rows[n][j] t^j / c^n the n-th moment of the
     t-th composition power of vals = (1, mu_1, ..., mu_N), for n = 0..N:
     the partial Bell rows of the integer cumulants of the scaled moments."""
-    c = _isobaric_scale(vals)
-    return c, _bell_rows(_kappas_from_moments(_scaled_ints(vals, c)))
+    _, c, ints = _isobaric_ints(vals)
+    return c, _bell_rows(_kappas_from_moments(ints))
 
 
 def _composition_sum(m, n: int) -> tuple:
@@ -372,8 +374,8 @@ def _composition_sum(m, n: int) -> tuple:
     row of the partial Bell table on the scaled integer moments.
     """
     vals = [m[k] for k in range(n + 1)]
-    c = _isobaric_scale(vals)
-    row = _bell_rows(_scaled_ints(vals, c)[1:])[n]
+    _, c, ints = _isobaric_ints(vals)
+    row = _bell_rows(ints[1:])[n]
     scale = c ** n
     return tuple(Fraction(factorial(j) * row[j], scale) for j in range(1, n + 1))
 

@@ -7,7 +7,7 @@ written as decimals. Decimal values always travel with precision_bits and
 enough digits that reading them back at that precision is lossless. A
 plain CSV form (header row, index/value columns) is supported for
 spreadsheets; it carries no metadata, so the backend is inferred from the
-value strings unless the caller overrides it.
+value strings.
 """
 from __future__ import annotations
 
@@ -143,9 +143,10 @@ def parse_doc(text: Union[str, bytes, dict]) -> dict:
     return doc
 
 
-def sequence_from_doc(doc: dict) -> Union[MomentSequence, DiscretePMF]:
-    """Materialize the document as a MomentSequence or DiscretePMF."""
-    doc = parse_doc(doc)
+def sequence_from_doc(text: Union[str, bytes, dict]) -> Union[MomentSequence, DiscretePMF]:
+    """Parse a document as parse_doc does, and materialize it as a
+    MomentSequence or DiscretePMF."""
+    doc = parse_doc(text)
     exact = doc["backend"] == "exact"
     bits = doc.get("precision_bits")
     if exact:
@@ -174,7 +175,7 @@ def sequence_from_doc(doc: dict) -> Union[MomentSequence, DiscretePMF]:
 
 def load_json(path: str) -> Union[MomentSequence, DiscretePMF]:
     with open(path, "r", encoding="utf-8") as fh:
-        return sequence_from_doc(parse_doc(fh.read()))
+        return sequence_from_doc(fh.read())
 
 
 def dump_json(obj: Union[MomentSequence, DiscretePMF], path: str, **meta) -> None:
@@ -206,13 +207,13 @@ def write_csv(obj: Union[MomentSequence, DiscretePMF], path_or_buf) -> None:
             fh.close()
 
 
-def read_csv(path_or_buf, kind: str = "moments", backend: Optional[str] = None,
+def read_csv(path_or_buf, kind: str = "moments",
              precision_bits: int = 128) -> Union[MomentSequence, DiscretePMF]:
     """Read the CSV form back; the rows must be indexed 0, 1, 2, ... in order.
 
-    With backend=None the backend is inferred: values all parseable as
-    rationals mean exact, anything with a decimal point or exponent means
-    decimal at `precision_bits`.
+    The backend is inferred: values all parseable as rationals mean exact,
+    anything with a decimal point or exponent means decimal at
+    `precision_bits`.
     """
     own = isinstance(path_or_buf, str)
     fh = open(path_or_buf, "r", newline="", encoding="utf-8") if own else path_or_buf
@@ -234,9 +235,8 @@ def read_csv(path_or_buf, kind: str = "moments", backend: Optional[str] = None,
             raise SequenceFileError(f"CSV row {i} has index {r[0].strip()!r}; "
                                     f"indices must run 0, 1, 2, ... in order")
         strings.append(r[1].strip())
-    if backend is None:
-        plain = all(set(s) <= set("0123456789/-") for s in strings)
-        backend = "exact" if plain else "decimal"
+    plain = all(set(s) <= set("0123456789/-") for s in strings)
+    backend = "exact" if plain else "decimal"
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "backend": backend,
            "values": strings}
     if backend == "decimal":

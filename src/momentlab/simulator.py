@@ -2,9 +2,9 @@
 
 X(t) = sum of N(t) jumps, N a Poisson process of the given rate, jumps drawn
 independently from the jump law; jumps of size <= epsilon are discarded at
-the source. Sampling is vectorized and fully deterministic given (seed,
-stream): the generator is counter-based (Philox) keyed by exactly those two
-words, so per-worker substreams never collide.
+the source. Sampling is vectorized and fully deterministic given the seed:
+the generator is counter-based (Philox), keyed by the two 64-bit words
+(seed, 0).
 
 The spectrum check targets the replication property of compound laws: mass
 in (a, b) forces mass in (na, nb), because n independent clusters of jumps
@@ -139,12 +139,11 @@ class JumpSpec:
                 "epsilon": self.epsilon}
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream), two 64-bit words."""
-    for name, word in (("seed", seed), ("stream", stream)):
-        if not 0 <= word < 2 ** 64:
-            raise ValueError(f"{name} must lie in [0, 2**64), got {word}")
-    key = np.array([seed, stream], dtype=np.uint64)
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator keyed by the two 64-bit words (seed, 0)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -171,12 +170,11 @@ def _sample_with_counts(spec: JumpSpec, t: float, rng: np.random.Generator,
     return x, kept
 
 
-def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int,
-                            stream: int = 0) -> np.ndarray:
-    """`count` independent draws of X(t); deterministic given (seed, stream)."""
+def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int) -> np.ndarray:
+    """`count` independent draws of X(t); deterministic given the seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = make_rng(seed, stream)
+    rng = make_rng(seed)
     x, _ = _sample_with_counts(spec, t, rng, count)
     return x
 

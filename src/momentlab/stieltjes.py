@@ -9,11 +9,11 @@ determinant smaller than tolerance * (Hadamard bound) in absolute value is
 classified as numerically zero.
 
 Every exact report takes its minors from one kernel, _hankel_minors. With
-a * c^n * mu_n integral (c from moment_algebra._isobaric_scale, or c = 1 and
-a common denominator, whichever gives the shorter integers), the integer
-Hankel matrix of shift s is a * c^s times the rational one with row i and
-column j scaled by c^i and c^j, so each minor keeps its sign and divides
-back exactly. One fraction-free Bareiss pass per shift gives every leading
+a * c^n * mu_n integral (a, c and the integers from moment_algebra's
+_isobaric_ints, or c = 1 and a common denominator a, whichever gives the
+shorter integers), the integer Hankel matrix of shift s is a * c^s times
+the rational one with row i and column j scaled by c^i and c^j, so each
+minor keeps its sign and divides back exactly. One fraction-free Bareiss pass per shift gives every leading
 minor; a pass stops at a zero pivot, and the sizes after it get one
 pivoting Bareiss determinant each. A sign is read off the integer minor,
 and a minor becomes a Fraction only where a report carries its value.
@@ -34,10 +34,13 @@ from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import (MomentSequence, _as_mpf, _is_mpf, _isobaric_scale,
-                             _working_precision, mpmath)
+from .moment_algebra import (MomentSequence, _as_mpf, _exact, _is_mpf, _isobaric_ints,
+                             _working_precision)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
+# the share of its peak that the last ratio of an indeterminacy family keeps
+# when the family counts as bounded away from zero
+COLLAPSE_FACTOR = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -58,17 +61,6 @@ class HankelQuery:
     @property
     def max_index(self) -> int:
         return self.shift + 2 * self.size
-
-
-def _exact(x) -> Fraction:
-    """The exact rational value of a number; an mpf is its dyadic value,
-    and ValueError when it is nan or infinite."""
-    if not _is_mpf(x):
-        return Fraction(x)
-    if not mpmath.isfinite(x):
-        raise ValueError(f"{x} has no exact value")
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def _sequence_values(m) -> list:
@@ -164,24 +156,17 @@ def _leading_minors(m: list):
 def _integer_scale(vals: list) -> tuple:
     """(a, c, ints) with ints[n] = a * c^n * vals[n] an integer for every n.
 
-    Two scalings are exact: a = the denominator of vals[0] with the
-    isobaric c, which suits denominators that grow like c^n (composed
-    sequences), and a common denominator a with c = 1, which suits a flat
-    one (dyadic decimals). The one with the shorter integers is faster;
-    it is picked from the numerators and denominators alone.
+    Two scalings are exact: _isobaric_ints, which suits denominators that
+    grow like c^n (composed sequences), and a common denominator a with
+    c = 1, which suits a flat one (dyadic decimals). The one with the
+    shorter integers in total is faster, and is returned.
     """
-    dens = [v.denominator for v in vals]
-    c = _isobaric_scale(vals)
-    a = dens[0]
-    factors, power = [], a
-    for d in dens:
-        factors.append(power // d)
-        power *= c
-    common = lcm(*dens)
-    flat = [common // d for d in dens]
-    if sum(f.bit_length() for f in flat) < sum(f.bit_length() for f in factors):
-        a, c, factors = common, 1, flat
-    return a, c, [v.numerator * f for v, f in zip(vals, factors)]
+    isobaric = _isobaric_ints(vals)
+    common = lcm(*(v.denominator for v in vals))
+    flat = [v.numerator * (common // v.denominator) for v in vals]
+    if sum(x.bit_length() for x in flat) < sum(x.bit_length() for x in isobaric[2]):
+        return common, 1, flat
+    return isobaric
 
 
 def _hankel_minors(vals: list, scaled: tuple, shift: int, size: int):
@@ -422,7 +407,8 @@ class IndeterminacyRatios:
     Indeterminate-type sequences keep both ratios bounded away from zero;
     ratios collapsing toward zero are consistent with determinacy. The
     `bounded_away` flags implement a finite-depth heuristic: the last ratio
-    retains at least `collapse_factor` of the sequence maximum.
+    retains at least `collapse_factor` (COLLAPSE_FACTOR) of the sequence
+    maximum.
     """
 
     shift0: tuple
@@ -451,23 +437,22 @@ def _ratio_family(vals, judge, base_shift: int, upto: int) -> tuple:
     return out, None in out
 
 
-def _bounded_away(ratios, collapse_factor: Fraction) -> Optional[bool]:
+def _bounded_away(ratios) -> Optional[bool]:
     defined = [r for r in ratios if r is not None]
     if len(defined) < 2 or len(defined) != len(ratios):
         return None
     peak = max(abs(r) for r in defined)
     if peak == 0:
         return False
-    return abs(defined[-1]) >= collapse_factor * peak
+    return abs(defined[-1]) >= COLLAPSE_FACTOR * peak
 
 
-def indeterminacy_ratios(m, upto: int, tolerance=None,
-                         collapse_factor: Fraction = Fraction(1, 10)) -> IndeterminacyRatios:
+def indeterminacy_ratios(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     """Compute the two determinant-ratio sequences used as an indeterminacy
     diagnostic, with a qualitative bounded-away-from-zero flag.
 
     The flag is heuristic and depth-limited by construction; it reports
-    whether the final ratio is still within collapse_factor of the largest
+    whether the final ratio is still within COLLAPSE_FACTOR of the largest
     one seen, which separates the lattice-type (ratios tending to positive
     limits) from the Poisson-type (ratios collapsing to 0) behaviour at
     accessible depths. Needs 2*upto + 2 entries.
@@ -480,9 +465,9 @@ def indeterminacy_ratios(m, upto: int, tolerance=None,
         shift1=tuple(s1),
         upto=upto,
         degenerate=d0 or d1,
-        collapse_factor=collapse_factor,
-        shift0_bounded_away=_bounded_away(s0, collapse_factor),
-        shift1_bounded_away=_bounded_away(s1, collapse_factor),
+        collapse_factor=COLLAPSE_FACTOR,
+        shift0_bounded_away=_bounded_away(s0),
+        shift1_bounded_away=_bounded_away(s1),
     )
 
 

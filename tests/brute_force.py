@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from momentlab.stieltjes import (HankelQuery, IndeterminacyRatios, Mu1ThresholdReport,
-                                 PositivityVerdict, TotalPositivityVerdict, _bounded_away,
-                                 _det_bareiss, _judge_for, hankel_matrix)
+from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
+                                 Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
+                                 _bounded_away, _det_bareiss, _judge_for, hankel_matrix)
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +191,7 @@ def _det_and_sign(vals, judge, q: HankelQuery) -> tuple:
     return det, judge.sign(det, rows)
 
 
-def indeterminacy_ratios_per_size(m, upto: int, tolerance=None,
-                                  collapse_factor=Fraction(1, 10)) -> IndeterminacyRatios:
+def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     """det(s, n) / det(s + 2, n - 1) for s = 0, 1 and n = 1..upto, two
     determinants per ratio; None where the denominator is judged zero."""
     vals, judge = _judge_for(m, tolerance)
@@ -208,9 +207,8 @@ def indeterminacy_ratios_per_size(m, upto: int, tolerance=None,
             degenerate = degenerate or sign == 0
         families.append(out)
     s0, s1 = families
-    return IndeterminacyRatios(tuple(s0), tuple(s1), upto, degenerate, collapse_factor,
-                               _bounded_away(s0, collapse_factor),
-                               _bounded_away(s1, collapse_factor))
+    return IndeterminacyRatios(tuple(s0), tuple(s1), upto, degenerate, COLLAPSE_FACTOR,
+                               _bounded_away(s0), _bounded_away(s1))
 
 
 def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:

@@ -1,7 +1,9 @@
 """The command line front end, run through main(argv) in process, and its
 start-up in a fresh interpreter."""
+import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -81,6 +83,37 @@ class TestMoments:
             "1", "3/2", "81/16", "19683/512"]
         assert main(["moments", "lattice", "--q", "1"]) == 2
         assert "q must exceed 1" in capsys.readouterr().err
+
+
+SOURCES = {"lognormal": [], "lattice": ["--q", "2"], "truncated": ["--logb", "-1"],
+           "gap": ["--a", "0.5", "--b", "2"], "leipnik": [],
+           "mixed-poisson": ["--logb", "-1", "--N", "5", "--kmax", "4"]}
+
+
+def options_read(argv) -> set:
+    """The option names a run of argv reads from its parsed arguments."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=Recording())
+    func = args.func
+    read.clear()
+    assert func(args) == 0
+    return {name for name in read if not name.startswith("_")} - {"command", "source"}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_moments_help_lists_exactly_the_options_read(source, capsys):
+    """An option a source accepts but never reads would change no output."""
+    with pytest.raises(SystemExit):
+        main(["moments", source, "--help"])
+    listed = {opt[2:].replace("-", "_")
+              for opt in re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)} - {"help"}
+    assert listed == options_read(["moments", source, *SOURCES[source]])
 
 
 class TestCompose:
@@ -180,6 +213,25 @@ class TestAnalyze:
         m = seqfile.load_json(str(path))
         assert rep["mu1_threshold"]["values"] == [
             str(v) for v in stieltjes.mu1_threshold_sequence(m, 4).values]
+
+    def test_mu1_threshold_depth_wins_over_indeterminacy(self, tmp_path, capsys):
+        """--mu1-threshold D reports D thresholds, with or without an
+        --indeterminacy depth N below or above D, exact and decimal alike."""
+        lattice_file(tmp_path, upto=11)
+        lognormal_file(tmp_path)
+        # N, and the deepest D the file's length allows
+        for name, n, deepest, extra in (("lattice.json", 3, 5, []),
+                                        ("lognormal.json", 1, 2, ["--tolerance", "1e-20"])):
+            path = str(tmp_path / name)
+            for d in range(deepest + 1):
+                assert main(["analyze", path, "--mu1-threshold", str(d), *extra]) == 0
+                alone = json.loads(capsys.readouterr().out)["mu1_threshold"]
+                assert len(alone["values"]) == d
+                assert main(["analyze", path, "--indeterminacy", str(n),
+                             "--mu1-threshold", str(d), *extra]) == 0
+                both = json.loads(capsys.readouterr().out)
+                assert both["mu1_threshold"] == alone, (name, d)
+                assert both["indeterminacy"]["upto"] == n
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         for text in ('{"schema_version": ', "index,value\n0,1\n1,x/y\n", "1,2,3\n"):
@@ -314,6 +366,7 @@ MALFORMED = [
     # negative sizes and depths
     ["analyze", "{d}/lattice.json", "--indeterminacy", "-1"],
     ["analyze", "{d}/lattice.json", "--mu1-threshold", "-2"],
+    ["analyze", "{d}/lattice.json", "--indeterminacy", "1", "--mu1-threshold", "-2"],
     ["analyze", "{d}/lattice.json", "--stieltjes-depth", "-1"],
     ["analyze", "{d}/lattice.json", "--fekete", "-1"],
     ["katti", "{d}/pmf.json", "--kmax", "-1"],
@@ -351,6 +404,11 @@ MALFORMED = [
     ["moments", "leipnik", "--sigma2", "0"],
     ["moments", "mixed-poisson", "--logb", "-1", "--N", "0"],
     ["moments", "lattice", "--q", "2", "-o", "{d}/no-such-dir/out.json"],
+    # options that no run reads are not accepted
+    ["moments", "lattice", "--q", "2", "--precision", "5"],
+    ["moments", "lattice", "--q", "2", "--abs-tol", "banana"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--upto", "99"],
+    ["katti", "{d}/pmf.json", "--precision", "128"],
     # working precisions outside 64 .. 2^16 bits, from a file or an option:
     # 10^8 bits once kept analyze busy past any timeout
     ["analyze", "{d}/bits-huge.json", "--tolerance", "1e-10"],
@@ -511,6 +569,12 @@ class TestStartup:
             names = loaded_after(tmp_path, argv)
             assert [n for n in names if n in LAYERS] == [], argv
             assert mpmath_submodules(names) != [], argv
+
+    def test_katti_loads_divisibility_and_no_other_layer(self, tmp_path):
+        assert main(["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "6",
+                     "-o", str(tmp_path / "pmf.json")]) == 0
+        names = loaded_after(tmp_path, ["katti", "pmf.json", "--logconvex"])
+        assert [n for n in names if n in LAYERS] == ["momentlab.divisibility"]
 
     def test_mpmath_loads_on_first_decimal_value_in_one_process(self, tmp_path):
         """An exact run, then two decimal ones, in one interpreter: mpmath

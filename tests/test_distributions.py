@@ -241,7 +241,7 @@ class TestGapCensoring:
 
 class TestLeipnik:
     def test_weights_sum_to_one(self):
-        points, weights, n_cut = leipnik_weights(1.0, P128)
+        points, weights, n_cut = leipnik_weights(1.0, 6, P128)
         assert len(points) == len(weights) == 2 * n_cut + 1
         with mpmath.workprec(128):
             assert abs(sum(weights) - 1) < mpf("1e-35")

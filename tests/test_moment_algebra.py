@@ -93,12 +93,6 @@ class TestMomentSequence:
         with pytest.raises(BackendError):
             m.require_exact("test")
 
-    def test_strictly_positive(self):
-        assert seq(1, 2, 3).strictly_positive
-        assert not seq(1, 0, 3).strictly_positive
-        with pytest.raises(ValueError):
-            seq(1, -1).require_positive()
-
 
 class TestTPolynomial:
     def test_eval_matches_expansion(self):

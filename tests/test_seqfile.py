@@ -89,3 +89,13 @@ class TestPmf:
 def test_exact_values_are_never_decimals():
     m = MomentSequence.from_exact([1, Fraction(1, 3), Fraction(-7, 2), 5])
     assert seqfile.moments_to_doc(m)["values"] == ["1", "1/3", "-7/2", "5"]
+
+
+def test_load_json_parses_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    seqfile.dump_json(MomentSequence.from_exact([1, 2, 5]), str(path))
+    calls = []
+    parse = seqfile.parse_doc
+    monkeypatch.setattr(seqfile, "parse_doc", lambda text: calls.append(text) or parse(text))
+    assert seqfile.load_json(str(path)).values == (1, 2, 5)
+    assert len(calls) == 1

@@ -69,13 +69,12 @@ SPEC = JumpSpec(1.0, LognormalJumps(0.0, 1.0))
 
 
 class TestDeterminism:
-    def test_samples_depend_on_seed_and_stream_only(self):
-        a = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000, stream=3)
-        b = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000, stream=3)
+    def test_samples_depend_on_seed_only(self):
+        a = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000)
+        b = sample_compound_poisson(SPEC, 1.0, seed=5, count=2000)
         assert a.tobytes() == b.tobytes()
-        for seed, stream in ((5, 4), (6, 3)):
-            other = sample_compound_poisson(SPEC, 1.0, seed=seed, count=2000, stream=stream)
-            assert other.tobytes() != a.tobytes()
+        other = sample_compound_poisson(SPEC, 1.0, seed=6, count=2000)
+        assert other.tobytes() != a.tobytes()
 
     def test_reports_repeat(self):
         args = (SPEC, 0.5, 1.0, 2, 20_000, 11)
@@ -116,10 +115,10 @@ class TestEpsilonDrift:
 
 class TestInputErrors:
     def test_make_rng_word_range(self):
-        for seed, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+        for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError):
-                make_rng(seed, stream)
-        assert isinstance(make_rng(2 ** 64 - 1, 2 ** 64 - 1), np.random.Generator)
+                make_rng(seed)
+        assert isinstance(make_rng(2 ** 64 - 1), np.random.Generator)
 
     def test_trials_and_level(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,11 @@ from mpmath import mpf
 from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
                                      poisson_moments)
 from momentlab.exceptions import BackendError
-from momentlab.moment_algebra import MomentSequence, mb_compose_at
+from momentlab.moment_algebra import MomentSequence, _exact, mb_compose_at
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
-    _exact,
     _integer_scale,
     fekete_total_positivity,
     hankel_det,
