@@ -96,14 +96,16 @@ def _write(text: str, path: Optional[str] = None) -> None:
 
 def _emit_sequence(obj, args, generator: str, params: dict,
                    tolerance: Optional[str] = None) -> None:
-    if args.csv:
-        text = seqfile.csv_text(obj)
-    elif isinstance(obj, MomentSequence):
-        text = seqfile.doc_to_json(seqfile.moments_to_doc(
-            obj, generator=generator, params=params, tolerance=tolerance))
-    else:
+    """A pmf as JSON, the one form that carries its entry_error; moments as
+    CSV under --csv, else as JSON."""
+    if isinstance(obj, dist.DiscretePMF):
         text = seqfile.doc_to_json(seqfile.pmf_to_doc(obj, generator=generator,
                                                       params=params))
+    elif args.csv:
+        text = seqfile.csv_text(obj)
+    else:
+        text = seqfile.doc_to_json(seqfile.moments_to_doc(
+            obj, generator=generator, params=params, tolerance=tolerance))
     _write(text, args.output)
 
 
@@ -401,27 +403,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_m = sub.add_parser("moments", help="generate a sequence file")
     src = p_m.add_subparsers(dest="source", required=True)
 
-    def add_common(sp, upto=True, certified=True):
+    def add_common(sp, moments=True, certified=True):
         """The shared options, each only on the sources that read it: --upto
-        on those that give moments, --precision and --abs-tol on the
-        certified (mpmath) ones."""
-        if upto:
+        and --csv on those that give moments, --alpha, --sigma2, --precision
+        and --abs-tol on the certified (mpmath) ones."""
+        if moments:
             sp.add_argument("--upto", type=_nonnegative(int), default=6,
                             help="highest moment index")
+            sp.add_argument("--csv", action="store_true",
+                            help="emit CSV, not JSON; CSV carries moments only, and "
+                                 "only JSON carries a pmf's entry_error")
         if certified:
+            sp.add_argument("--alpha", type=float, default=0.0)
+            sp.add_argument("--sigma2", type=float, default=1.0)
             sp.add_argument("--precision", type=int, default=128,
                             help="working precision in bits")
             sp.add_argument("--abs-tol", default="1e-20",
-                            help="absolute error bound; lognormal, truncated, gap and "
-                                 "mixed-poisson exit 3 when they cannot certify it")
-        sp.add_argument("--csv", action="store_true", help="emit CSV, not JSON")
+                            help="absolute error bound; lognormal, truncated, gap, "
+                                 "leipnik and mixed-poisson exit 3 when they cannot "
+                                 "certify it")
         sp.add_argument("-o", "--output", help="write to file instead of stdout")
         sp.set_defaults(func=cmd_moments)
 
-    sp = src.add_parser("lognormal", help="plain lognormal moments")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
-    add_common(sp)
+    add_common(src.add_parser("lognormal", help="plain lognormal moments"))
 
     sp = src.add_parser("lattice", help="exact family r^n q^(n^2)")
     sp.add_argument("--q", type=_frac, required=True)
@@ -429,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, certified=False)
 
     sp = src.add_parser("truncated", help="left-truncated lognormal moments")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
     sp.add_argument("--logb", type=float, required=True,
                     help="log of the truncation point")
     sp.add_argument("--conditional", action="store_true",
@@ -438,25 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = src.add_parser("gap", help="gap-censored lognormal moments")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     add_common(sp)
 
-    sp = src.add_parser("leipnik", help="discrete lattice twin of the lognormal")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
-    add_common(sp)
+    add_common(src.add_parser("leipnik", help="discrete lattice twin of the lognormal"))
 
     sp = src.add_parser("mixed-poisson",
                         help="Poisson pmf with truncated-lognormal intensity")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--sigma2", type=float, default=1.0)
     sp.add_argument("--logb", type=float, required=True)
     sp.add_argument("--N", type=int, required=True, help="intensity scale")
     sp.add_argument("--kmax", type=int, default=16)
-    add_common(sp, upto=False)
+    add_common(sp, moments=False)
 
     # analyze
     p_a = sub.add_parser("analyze", help="Hankel and ratio diagnostics")

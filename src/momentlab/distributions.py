@@ -18,6 +18,11 @@ checks against abs_tol. Only the rest of the mixed-Poisson pmf is a
 quadrature; its entry error adds the quadrature error estimate, the tail
 bound and rounding. Right truncation is left out on purpose, since its law
 has bounded support and nothing downstream needs it.
+
+Leipnik's twin, weight e^{-n^2 sigma2/2} at e^{n sigma2} for n in Z, has
+the lognormal's moments exactly, because sum_n e^{-(n-k)^2 sigma2/2} does
+not depend on the integer k; so its moments are the lognormal closed form,
+and its lattice weights serve the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -240,6 +245,8 @@ def leipnik_weights(sigma2, upto: int, p: Precision = Precision()):
     weights a^{-n} e^{-n^2 sigma2/2} at the points a e^{n sigma2}, but its
     moments do not depend on a, so a = 1 here. Returns (points, weights,
     n_cut), n in -n_cut..n_cut, with the weights normalized to unit total.
+    They describe the law; the tests sum them as the oracle of
+    leipnik_discrete_moments.
     """
     with mpmath.workprec(p.bits + 20):
         s2 = mpmath.mpf(sigma2)
@@ -262,20 +269,14 @@ def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6,
                              p: Precision = Precision()) -> MomentSequence:
     """Moments of the discrete lattice twin, scaled to lognormal(alpha, sigma2).
 
-    The n-th moment of the lattice law equals e^{n^2 sigma2/2} exactly (in
-    the infinite-sum limit); the alpha shift rescales the k-th moment by
-    e^{k alpha}.
+    They are the lognormal's exactly: the k-th moment is
+    e^{k^2 sigma2/2} sum_n e^{-(n-k)^2 sigma2/2} / Z with
+    Z = sum_n e^{-n^2 sigma2/2}, and the sum over n in Z does not depend on
+    the integer k, so it equals e^{k^2 sigma2/2}; the alpha shift rescales
+    it by e^{k alpha}. Hence lognormal_moments, whose rounding bound is
+    checked against abs_tol.
     """
-    points, weights, _ = leipnik_weights(sigma2, upto, p)
-    with mpmath.workprec(p.bits + 20):
-        shift = mpmath.exp(mpmath.mpf(alpha))
-        vals = [mpmath.mpf(1)]
-        for k in range(1, upto + 1):
-            acc = mpmath.mpf(0)
-            for x, w in zip(points, weights):
-                acc += w * x ** k
-            vals.append(shift ** k * acc)
-    return MomentSequence.from_approx(vals, p.bits)
+    return lognormal_moments(LognormalSpec(alpha, sigma2), upto, p)
 
 
 def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,

@@ -81,7 +81,7 @@ def _katti_rates(p, kmax: int) -> list:
 
 
 def _katti_interval(pmf: DiscretePMF, kmax: int) -> KattiReport:
-    bits = pmf.precision_bits or 128
+    bits = pmf.precision_bits
     saved = iv.prec
     try:
         iv.prec = bits + 20

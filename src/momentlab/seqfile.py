@@ -7,7 +7,8 @@ written as decimals. Decimal values always travel with precision_bits and
 enough digits that reading them back at that precision is lossless. A
 plain CSV form (header row, index/value columns) is supported for
 spreadsheets; it carries no metadata, so the backend is inferred from the
-value strings.
+value strings, and it carries moments only: a decimal pmf needs its
+entry_error, which only JSON carries.
 """
 from __future__ import annotations
 
@@ -189,39 +190,24 @@ def dump_json(obj: Union[MomentSequence, DiscretePMF], path: str, **meta) -> Non
 # CSV convenience form
 
 
-def write_csv(obj: Union[MomentSequence, DiscretePMF], path_or_buf) -> None:
-    """Two columns, index and value, with a header row."""
-    values = obj.values if isinstance(obj, MomentSequence) else obj.masses
-    exact = obj.exact
-    bits = obj.precision_bits
-    strings = _value_strings(values, exact, bits)
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", newline="", encoding="utf-8") if own else path_or_buf
-    try:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, s in enumerate(strings):
-            w.writerow([i, s])
-    finally:
-        if own:
-            fh.close()
+def write_csv(m: MomentSequence, fh) -> None:
+    """Two columns, index and value, with a header row, to the open text
+    buffer fh."""
+    w = csv.writer(fh)
+    w.writerow(["index", "value"])
+    for i, s in enumerate(_value_strings(m.values, m.exact, m.precision_bits)):
+        w.writerow([i, s])
 
 
-def read_csv(path_or_buf, kind: str = "moments",
-             precision_bits: int = 128) -> Union[MomentSequence, DiscretePMF]:
-    """Read the CSV form back; the rows must be indexed 0, 1, 2, ... in order.
+def read_csv(fh, precision_bits: int = 128) -> MomentSequence:
+    """Read the CSV form of a moment sequence back from the open text buffer
+    fh; the rows must be indexed 0, 1, 2, ... in order.
 
     The backend is inferred: values all parseable as rationals mean exact,
     anything with a decimal point or exponent means decimal at
     `precision_bits`.
     """
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "r", newline="", encoding="utf-8") if own else path_or_buf
-    try:
-        rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
+    rows = list(csv.reader(fh))
     if not rows or [c.strip().lower() for c in rows[0]] != ["index", "value"]:
         raise SequenceFileError("CSV must start with an 'index,value' header")
     body = [r for r in rows[1:] if r]
@@ -237,14 +223,14 @@ def read_csv(path_or_buf, kind: str = "moments",
         strings.append(r[1].strip())
     plain = all(set(s) <= set("0123456789/-") for s in strings)
     backend = "exact" if plain else "decimal"
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "backend": backend,
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "moments", "backend": backend,
            "values": strings}
     if backend == "decimal":
         doc["precision_bits"] = precision_bits
     return sequence_from_doc(doc)
 
 
-def csv_text(obj: Union[MomentSequence, DiscretePMF]) -> str:
+def csv_text(m: MomentSequence) -> str:
     buf = io.StringIO()
-    write_csv(obj, buf)
+    write_csv(m, buf)
     return buf.getvalue()

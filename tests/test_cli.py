@@ -76,6 +76,12 @@ class TestMoments:
             assert captured.out == "" and "rounding bound" in captured.err
         assert main(["moments", "truncated", "--logb", "8", "--upto", "6"]) == 0
 
+    def test_leipnik_checks_its_rounding_bound(self, capsys):
+        # the lognormal's moments, so the lognormal's refusal: mu_7 = e^24.5
+        # rounds by 1.28e-28 at 128 bits
+        assert main(["moments", "leipnik", "--upto", "12", "--abs-tol", "1e-30"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rounding bound of entry 7" in captured.err
 
     def test_lattice_takes_rational_q_above_one(self, capsys):
         assert main(["moments", "lattice", "--q", "3/2", "--upto", "3"]) == 0
@@ -114,6 +120,20 @@ def test_moments_help_lists_exactly_the_options_read(source, capsys):
     listed = {opt[2:].replace("-", "_")
               for opt in re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)} - {"help"}
     assert listed == options_read(["moments", source, *SOURCES[source]])
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_every_listed_form_reads_back(source, tmp_path, capsys):
+    """Each form a source's help lists writes a file that the reader of its
+    kind loads: analyze for moments, katti for the pmf."""
+    with pytest.raises(SystemExit):
+        main(["moments", source, "--help"])
+    forms = [[]] + ([["--csv"]] if "--csv" in capsys.readouterr().out else [])
+    reader = ["katti"] if source == "mixed-poisson" else ["analyze", "--tolerance", "1e-10"]
+    for form in forms:
+        path = tmp_path / f"{source}{''.join(form)}"
+        assert main(["moments", source, *SOURCES[source], *form, "-o", str(path)]) == 0
+        assert main([reader[0], str(path), *reader[1:]]) == 0, form
 
 
 class TestCompose:
@@ -408,6 +428,7 @@ MALFORMED = [
     ["moments", "lattice", "--q", "2", "--precision", "5"],
     ["moments", "lattice", "--q", "2", "--abs-tol", "banana"],
     ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--upto", "99"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--csv"],
     ["katti", "{d}/pmf.json", "--precision", "128"],
     # working precisions outside 64 .. 2^16 bits, from a file or an option:
     # 10^8 bits once kept analyze busy past any timeout
@@ -474,8 +495,9 @@ class TestNonFiniteEntries:
 
     def test_csv(self, bad_dir, capsys):
         for name in ("nan.csv", "inf.csv"):
-            with pytest.raises(SequenceFileError, match="not finite"):
-                seqfile.read_csv(str(bad_dir / name))
+            with open(bad_dir / name, encoding="utf-8") as fh, \
+                    pytest.raises(SequenceFileError, match="not finite"):
+                seqfile.read_csv(fh)
             assert main(["analyze", str(bad_dir / name), "--stieltjes-depth", "1",
                          "--tolerance", "1e-10"]) == 2
             assert "not finite" in capsys.readouterr().err

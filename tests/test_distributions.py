@@ -249,23 +249,38 @@ class TestLeipnik:
 
     def test_matches_lognormal_moments(self):
         m = leipnik_discrete_moments(1.0, 0.0, 6, P128)
-        ln = lognormal_moments(LognormalSpec(0, 1), 6, P128)
-        for n in range(1, 7):
-            assert abs(m[n] / ln[n] - 1) < mpf("1e-15")
+        assert m.values == lognormal_moments(LognormalSpec(0, 1), 6, P128).values
 
     def test_alpha_shift(self):
         m = leipnik_discrete_moments(1.0, 0.5, 4, P128)
-        ln = lognormal_moments(LognormalSpec(0.5, 1), 4, P128)
-        for n in range(1, 5):
-            assert abs(m[n] / ln[n] - 1) < mpf("1e-15")
+        assert m.values == lognormal_moments(LognormalSpec(0.5, 1), 4, P128).values
+
+    @pytest.mark.parametrize("sigma2, alpha, upto, p", [
+        (1.0, 0.0, 6, P128),
+        (0.8, 0.5, 6, P128),
+        (2.0, -0.3, 4, P128),
+        # the k-th summand peaks near n = k, so the cut must grow with upto
+        (1.05, 0.07, 10, Precision(192, "1e-30")),
+    ])
+    def test_lattice_sum_is_the_oracle(self, sigma2, alpha, upto, p):
+        # e^{k alpha} sum_n w_n x_n^k over the cut lattice: the shift-invariance
+        # of sum_n e^{-(n-k)^2 sigma2/2} makes it the lognormal's k-th moment
+        m = leipnik_discrete_moments(sigma2, alpha, upto, p)
+        points, weights, _ = leipnik_weights(sigma2, upto, p)
+        with mpmath.workprec(p.bits + 20):
+            for k in range(upto + 1):
+                lattice = mpmath.exp(k * mpf(alpha)) * sum(w * x ** k
+                                                           for x, w in zip(points, weights))
+                assert abs(m[k] - lattice) <= p.tol, k
 
     def test_mu0_exactly_one(self):
         m = leipnik_discrete_moments(2.0, 0.0, 3, P128)
         assert m[0] == 1
 
     def test_high_orders_keep_their_digits(self):
-        # the k-th summand peaks near n = k, so the cut must grow with upto
-        m = leipnik_discrete_moments(1.05, 0.07, 10, P128)
+        # from entry 9 on, the rounding bound at 128 bits exceeds the default
+        # abs_tol 1e-20 and the checked path refuses it, so run at 192 bits
+        m = leipnik_discrete_moments(1.05, 0.07, 10, Precision(192))
         with mpmath.workprec(256):
             for k in range(1, 11):
                 closed = mpmath.exp(k * mpf(0.07) + k * k * mpf(1.05) / 2)
