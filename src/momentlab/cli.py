@@ -10,12 +10,17 @@ numerical failure.
 
 Each subcommand imports the layers it calls, and exact input never loads
 mpmath: this module imports only what every subcommand uses, and mpmath
-comes through moment_algebra's lazy binding.
+comes through moment_algebra's lazy binding. Strict JSON: a report or file
+that would hold nan or infinity is refused (exit 2), never printed.
+
+No module on the CLI's path imports the standard dataclass module, which
+would load inspect, ast, dis and tokenize into every start-up: every
+record derives from moment_algebra.Record, and _jsonable reads its field
+names from there.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import re
 import sys
@@ -26,8 +31,9 @@ from . import distributions as dist
 from . import seqfile
 from .exceptions import (BackendError, PrecisionError, QuadratureError,
                          SequenceFileError)
-from .moment_algebra import (MomentSequence, _is_mpf, boolean_power_t, classical_convolve,
-                             mb_compose_at, mb_compose_integer, mb_compose_t, mpmath)
+from .moment_algebra import (MomentSequence, Record, _is_mpf, boolean_power_t,
+                             classical_convolve, mb_compose_at, mb_compose_integer,
+                             mb_compose_t, mpmath)
 
 if TYPE_CHECKING:
     from .simulator import JumpSpec
@@ -73,9 +79,8 @@ def _jsonable(obj, bits: Optional[int] = None):
         return str(obj)
     if _is_mpf(obj):
         return seqfile._decimal_str(obj, bits or mpmath.mp.prec)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name), bits)
-                for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {name: _jsonable(getattr(obj, name), bits) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v, bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

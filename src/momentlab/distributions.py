@@ -26,20 +26,18 @@ and its lattice weights serve the tests as the oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .exceptions import QuadratureError
-from .moment_algebra import (CumulantSequence, MomentSequence, _as_fraction, _as_mpf,
-                             check_precision_bits, moments_from_cumulants, mpmath)
+from .moment_algebra import (CumulantSequence, MomentSequence, Record, _as_fraction,
+                             _as_mpf, check_precision_bits, moments_from_cumulants, mpmath)
 
 DEFAULT_BITS = 128
 DEFAULT_ABS_TOL = "1e-20"
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(Record):
     """Working precision in bits plus an absolute quadrature target."""
 
     bits: int = DEFAULT_BITS
@@ -54,8 +52,7 @@ class Precision:
             return mpmath.mpf(self.abs_tol)
 
 
-@dataclass(frozen=True)
-class LognormalSpec:
+class LognormalSpec(Record):
     """Parameters of the lognormal law e^G, G normal with mean alpha and
     variance sigma2."""
 
@@ -67,8 +64,7 @@ class LognormalSpec:
             raise ValueError("alpha must be finite, and sigma2 positive and finite")
 
 
-@dataclass(frozen=True)
-class DiscretePMF:
+class DiscretePMF(Record):
     """Masses (p_0, p_1, ...) on the non-negative integers.
 
     Exact pmfs carry Fractions and a zero entry error; they are allowed to
@@ -181,8 +177,7 @@ def poisson_moments(lam, upto: int) -> MomentSequence:
     return moments_from_cumulants(CumulantSequence((_as_fraction(lam),) * upto))
 
 
-@dataclass(frozen=True)
-class TruncatedMomentsResult:
+class TruncatedMomentsResult(Record):
     """Left-truncated lognormal moments, two normalizations.
 
     moments: m_n Phi_bar(z_n) with z_n = (log b - alpha - n sigma^2)/sigma,
@@ -228,7 +223,12 @@ def gap_censored_lognormal_moments(spec: LognormalSpec, a: float, b: float, upto
                                    p: Precision = Precision()) -> MomentSequence:
     """Moments after removing the lognormal mass on (a, b) to the origin:
     the window (ln a, ln b) of _censored_moments, logs taken at p.bits + 20.
+    A non-finite end is refused: b = inf is the right truncation that this
+    module leaves out.
     """
+    for name, end in (("a", a), ("b", b)):
+        if not mpmath.isfinite(end):
+            raise ValueError(f"{name} must be finite")
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
     with mpmath.workprec(p.bits + 20):

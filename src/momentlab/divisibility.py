@@ -21,7 +21,6 @@ infinitely divisible. Passing it certifies ID; failing says nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -30,11 +29,10 @@ from mpmath import iv, mpf
 
 from .distributions import DiscretePMF
 from .exceptions import PrecisionError
-from .moment_algebra import _exact
+from .moment_algebra import Record, _exact
 
 
-@dataclass(frozen=True)
-class KattiReport:
+class KattiReport(Record):
     """Recovered rates r_0..r_kmax with certified radii.
 
     error_bound is the largest radius; following the conservative reading,
@@ -128,8 +126,7 @@ def katti_r(pmf: DiscretePMF, kmax: Optional[int] = None) -> KattiReport:
     return KattiReport(r, (Fraction(0),) * len(r), Fraction(0), kmax, exact=True)
 
 
-@dataclass(frozen=True)
-class LogConvexVerdict:
+class LogConvexVerdict(Record):
     """kind: "log-convex" (ID certificate), "not-log-convex" (no
     conclusion), "inapplicable" (a zero or sign-uncertified mass in range),
     or "uncertified" (error bounds too wide to decide either way)."""

@@ -46,10 +46,10 @@ from __future__ import annotations
 import importlib.util
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import comb, factorial, gcd
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .exceptions import BackendError
@@ -131,8 +131,90 @@ def _at_own_precision(fn):
     return at_precision
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class Record:
+    """Base of the frozen records every layer reports in.
+
+    A subclass lists its fields as annotations, in order; a class attribute
+    of the same name is that field's default, and only trailing fields
+    have one. Instances bind the fields by position or by name, then run
+    the subclass's __post_init__, which may normalise a field through
+    object.__setattr__; after that they refuse assignment and deletion.
+    Equality holds between instances of one class with equal field values,
+    and the hash and repr follow the same values. These are the semantics
+    of a frozen dataclass, with the methods defined once here, so no code
+    is generated per class.
+    """
+
+    _fields = ()
+    _defaults = ()
+    _required = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        # defaults belong to the trailing fields, as in a dataclass
+        cls._defaults = tuple(cls.__dict__[name] for name in cls._fields
+                              if name in cls.__dict__)
+        cls._required = len(cls._fields) - len(cls._defaults)
+        if any(name in cls.__dict__ for name in cls._fields[:cls._required]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows "
+                            "one with a default")
+        # reads the field values in C: a tuple from two fields on, else the value
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not self._required <= len(args) <= len(self._fields):
+            args = self._bind(args, kwargs)
+        elif len(args) < len(self._fields):
+            args += self._defaults[len(args) - self._required:]
+        for key, value in zip(self._fields, args):
+            object.__setattr__(self, key, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, in order, from arguments given by position
+        or by name and from the defaults; TypeError for a missing, unknown
+        or repeated field."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        rest = []
+        for i in range(len(args), len(fields)):
+            if fields[i] in kwargs:
+                rest.append(kwargs.pop(fields[i]))
+            elif i >= cls._required:
+                rest.append(cls._defaults[i - cls._required])
+            else:
+                raise TypeError(f"{name} is missing field {fields[i]!r}")
+        for key in kwargs:
+            raise TypeError(f"{name} got field {key!r} twice" if key in fields
+                            else f"{name} has no field {key!r}")
+        return args + tuple(rest)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {key!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == self._field_values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class MomentSequence(Record):
     """Finite prefix (mu_0, ..., mu_N) of a moment sequence.
 
     values[0] must equal 1. `exact` selects the arithmetic backend: Fraction
@@ -181,8 +263,7 @@ class MomentSequence:
             raise BackendError("%s requires the exact backend" % what)
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(Record):
     """Cumulants (kappa_1, ..., kappa_N) paired with a backend tag.
 
     The same container holds Boolean cumulants (b_1, ..., b_N), which add

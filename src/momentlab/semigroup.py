@@ -14,18 +14,16 @@ theta = 1/q^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .distributions import lattice_lognormal_moments
-from .moment_algebra import MomentSequence, _composition_sum, _t_power_rows
+from .moment_algebra import MomentSequence, Record, _composition_sum, _t_power_rows
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
-@dataclass(frozen=True)
-class SemigroupIdentityReport:
+class SemigroupIdentityReport(Record):
     """Outcome of the semigroup law mu^(s) * mu^(t) = mu^(s+t) through the
     given depth; first_failure is the first n at which it breaks."""
 
@@ -98,8 +96,7 @@ def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityRep
 # alternating-term structure of a single composed moment
 
 
-@dataclass(frozen=True)
-class AlternationReport:
+class AlternationReport(Record):
     """Term-by-term structure of mu^(t)_n grouped by occupancy count j.
 
     terms[j-1] is C(t,j) * S_j(n) for j = 1..n, so the composed moment is
@@ -170,8 +167,7 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
 # two-sided envelope
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(Record):
     """Outcome of the bound t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n.
 
     kind is "holds", "violated" or "precondition-failed"; rows carries
@@ -247,8 +243,7 @@ def lattice_family(q: Fraction, upto: int) -> MomentSequence:
     return lattice_lognormal_moments(q, 1, upto)
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(Record):
     """Stieltjes outcome for one (theta, t) pair of the scan grid."""
 
     theta: Fraction
@@ -266,8 +261,7 @@ DEFAULT_T_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 REFERENCE_THRESHOLD = Fraction(1, 6)
 
 
-@dataclass(frozen=True)
-class ThresholdScanResult:
+class ThresholdScanResult(Record):
     """Pass/fail grid of the composed lattice families under the Stieltjes
     test, with the largest all-pass theta and the 1/6 reference line.
 
@@ -305,6 +299,8 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     composed prefix is a genuine Stieltjes moment sequence: no cell of this
     scan can fail, at any depth or theta.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     thetas = sorted(Fraction(x) for x in theta_grid)
     ts = tuple(Fraction(x) for x in t_grid)
     if any(not 0 < th < 1 for th in thetas):

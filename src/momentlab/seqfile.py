@@ -107,8 +107,10 @@ def pmf_to_doc(pmf: DiscretePMF, generator: Optional[str] = None,
 
 
 def doc_to_json(doc: dict) -> str:
-    """Deterministic serialization: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic serialization: sorted keys, two-space indent. Strict
+    JSON: a nan or infinite float raises ValueError instead of printing a
+    token that JSON parsers refuse."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_doc(text: Union[str, bytes, dict]) -> dict:

@@ -22,24 +22,23 @@ on a binomial probability (Clopper & Pearson, Biometrika 26, 1934): the
 solved for in mpmath at a fixed 128-bit working precision: the regularized
 incomplete beta I_x(a, b) comes from its continued fraction (DLMF 8.17.22)
 times a prefactor taken through loggamma, and the root of I_x = alpha from
-Newton steps kept inside a shrinking bisection bracket.
+Newton steps kept inside a shrinking bisection bracket. mpmath comes
+through moment_algebra's lazy binding, so this solve is the only part of
+the module that loads it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Sequence, Union
 
-import mpmath
 import numpy as np
-from mpmath import mpf
 
 from .exceptions import PrecisionError
+from .moment_algebra import Record, mpmath
 
 
-@dataclass(frozen=True)
-class AtomJumps:
+class AtomJumps(Record):
     """Finite jump law: atoms ((size, weight), ...); weights normalized."""
 
     atoms: tuple
@@ -65,8 +64,7 @@ class AtomJumps:
         return {"kind": "atoms", "atoms": [[x, w] for x, w in self.atoms]}
 
 
-@dataclass(frozen=True)
-class PoissonJumps:
+class PoissonJumps(Record):
     """Jumps distributed Poisson(lam) on the non-negative integers; a jump
     of size zero contributes nothing and is treated as discarded."""
 
@@ -93,8 +91,7 @@ class PoissonJumps:
         return {"kind": "poisson", "lam": self.lam}
 
 
-@dataclass(frozen=True)
-class LognormalJumps:
+class LognormalJumps(Record):
     """Lognormal jumps e^G, G ~ Normal(alpha, sigma2)."""
 
     alpha: float = 0.0
@@ -120,8 +117,7 @@ class LognormalJumps:
 JumpLaw = Union[AtomJumps, PoissonJumps, LognormalJumps]
 
 
-@dataclass(frozen=True)
-class JumpSpec:
+class JumpSpec(Record):
     """Compound-Poisson description: epoch rate, jump law, epsilon cutoff."""
 
     rate: float
@@ -137,6 +133,11 @@ class JumpSpec:
     def describe(self) -> dict:
         return {"rate": self.rate, "jump_law": self.jump_law.describe(),
                 "epsilon": self.epsilon}
+
+
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be >= 0 and finite")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -181,8 +182,8 @@ def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int) -> 
 
 def gap_censor_samples(samples: np.ndarray, a: float, b: float) -> np.ndarray:
     """Move empirical mass on the open interval (a, b) to 0."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
+    if not 0 < a < b < math.inf:
+        raise ValueError("the censor gap needs finite ends 0 < a < b")
     out = np.asarray(samples, dtype=float).copy()
     out[(out > a) & (out < b)] = 0.0
     return out
@@ -195,7 +196,7 @@ def _poisson_pmf_value(lam: float, m: int) -> float:
 _CP_PREC = 128  # working bits of the Clopper-Pearson solve
 
 
-def _betainc(x: mpf, a: int, b: int, log_beta: mpf) -> mpf:
+def _betainc(x: mpmath.mpf, a: int, b: int, log_beta: mpmath.mpf) -> mpmath.mpf:
     """Regularized incomplete beta I_x(a, b), log_beta = log B(a, b).
 
     Below (a + 1) / (a + b + 2) the continued fraction of DLMF 8.17.22
@@ -203,12 +204,12 @@ def _betainc(x: mpf, a: int, b: int, log_beta: mpf) -> mpf:
     I_x(a, b) = 1 - I_(1-x)(b, a). For an integer b the fraction is finite.
     (mpmath.betainc raises NoConvergence at a = 7817, b = 92184.)
     """
-    if x > mpf(a + 1) / (a + b + 2):
+    if x > mpmath.mpf(a + 1) / (a + b + 2):
         return 1 - _betainc(1 - x, b, a, log_beta)
-    eps = mpf(2) ** (8 - mpmath.mp.prec)
-    tiny = mpf(2) ** (-2 * mpmath.mp.prec)
+    eps = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
+    tiny = mpmath.mpf(2) ** (-2 * mpmath.mp.prec)
     # modified Lentz on 1/(1 + d_1/(1 + d_2/(1 + ...))), from its first term
-    f = d = mpf(1)
+    f = d = mpmath.mpf(1)
     c = 1 / tiny
     j = 1
     while True:
@@ -238,16 +239,16 @@ def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
     a, b = count, trials - count + 1
     with mpmath.workprec(_CP_PREC):
         log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
-        target = mpf(alpha)
+        target = mpmath.mpf(alpha)
         # x^a / (a B(a, b)) >= I_x(a, b), so its root undershoots the
         # quantile; the normal approximation is closer when it lies above it
         x_pow = mpmath.exp((mpmath.log(target) + mpmath.log(a) + log_beta) / a)
-        mean = mpf(a) / (a + b)
+        mean = mpmath.mpf(a) / (a + b)
         sd = mpmath.sqrt(mean * (1 - mean) / (a + b + 1))
         x_norm = mean - mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * target) * sd
         x = x_norm if x_pow < x_norm < 1 else x_pow
-        lo, hi = mpf(0), mpf(1)
-        tol = mpf(2) ** -80
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        tol = mpmath.mpf(2) ** -80
         for _ in range(400):
             g = _betainc(x, a, b, log_beta) - target
             if g == 0:
@@ -269,8 +270,7 @@ def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
         return float(x)
 
 
-@dataclass(frozen=True)
-class SpectrumTestResult:
+class SpectrumTestResult(Record):
     """Everything the spectrum consistency check measured.
 
     verdict is "consistent" unless the replication lower bound (under the
@@ -312,8 +312,12 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
     choosing (a, b) inside (A/2, A) with n = 2 then manufactures the
     contradiction that shows the censored law cannot be compound Poisson.
     """
+    for name, end in (("a", a), ("b", b)):
+        if not math.isfinite(end):
+            raise ValueError(f"{name} must be finite")
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
+    _check_time(t)
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 1:
@@ -376,8 +380,7 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
     )
 
 
-@dataclass(frozen=True)
-class DriftRow:
+class DriftRow(Record):
     epsilon: float
     p_hat: float
     count: int
@@ -386,8 +389,7 @@ class DriftRow:
     ci_high: float
 
 
-@dataclass(frozen=True)
-class DriftTable:
+class DriftTable(Record):
     """Estimates of P[|X - X_eps| > eta] across an epsilon grid.
 
     All rows come from one coupled sample of the full jump field, so the
@@ -415,8 +417,9 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
     X_eps discards jumps <= eps, so |X - X_eps| is the per-path sum of the
     small jumps; sharing one sample across the grid couples the estimates.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    _check_time(t)
     if not all(0 <= e < math.inf for e in eps_grid):
         raise ValueError("epsilon values must be >= 0 and finite")
     if trials < 1:

@@ -28,14 +28,13 @@ and never claim more than finite-depth evidence.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import (MomentSequence, _as_mpf, _exact, _is_mpf, _isobaric_ints,
-                             _working_precision)
+from .moment_algebra import (MomentSequence, Record, _as_mpf, _exact, _is_mpf,
+                             _isobaric_ints, _working_precision)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 # the share of its peak that the last ratio of an indeterminacy family keeps
@@ -43,8 +42,7 @@ DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 COLLAPSE_FACTOR = Fraction(1, 10)
 
 
-@dataclass(frozen=True)
-class HankelQuery:
+class HankelQuery(Record):
     """Address of the (size+1) x (size+1) Hankel matrix [a_{shift+i+j}].
 
     The matrix spans sequence indices shift .. shift + 2*size, so a size-0
@@ -272,8 +270,7 @@ def _depth_window(m, upto: int, tolerance) -> tuple:
     return vals[:2 * upto + 2], judge
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(Record):
     """Outcome of the two-shift Hankel positivity check.
 
     kind: "strictly-positive", "semi-definite" or "not-stieltjes".
@@ -330,8 +327,7 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     return PositivityVerdict("strictly-positive", upto)
 
 
-@dataclass(frozen=True)
-class TotalPositivityVerdict:
+class TotalPositivityVerdict(Record):
     """Outcome of the Fekete consecutive-minor enumeration.
 
     kind: "strictly-tp", "semi-definite" or "not-tp". The witness names the
@@ -397,8 +393,7 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
     return TotalPositivityVerdict("strictly-tp", q, checked)
 
 
-@dataclass(frozen=True)
-class IndeterminacyRatios:
+class IndeterminacyRatios(Record):
     """Determinant ratio diagnostics for the indeterminacy criterion.
 
     shift0[n-1] = det(shift 0, size n) / det(shift 2, size n-1) and
@@ -471,8 +466,7 @@ def indeterminacy_ratios(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     )
 
 
-@dataclass(frozen=True)
-class Mu1ThresholdReport:
+class Mu1ThresholdReport(Record):
     """Critical first-moment values from vanishing shift-1 determinants.
 
     values[d-1] is the number c such that replacing mu_1 by c makes the
@@ -516,8 +510,7 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     return mu1_thresholds(vals[1], _ratio_family(vals, judge, 1, upto)[0])
 
 
-@dataclass(frozen=True)
-class LogConvexityReport:
+class LogConvexityReport(Record):
     """theta_n = mu_n^2 / (mu_{n-1} mu_{n+1}) for n = 1..N-1, with the sup,
     a tail-sup over the last half of the indices (the finite-depth surrogate
     for the limiting critical ratio), and a verdict.
@@ -569,8 +562,7 @@ def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
     return LogConvexityReport(theta, sup, tail, tail_start + 1, verdict)
 
 
-@dataclass(frozen=True)
-class SplitBoundVerdict:
+class SplitBoundVerdict(Record):
     """Outcome of the split-product bound check.
 
     kind: "holds", "violated" or "precondition-failed". For a violation the

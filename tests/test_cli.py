@@ -464,6 +464,18 @@ MALFORMED = [
      "--seed", "1"],
     ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--eta", "-1",
      "--trials", "50", "--seed", "1"],
+    # non-finite parameters: these once printed the non-JSON token Infinity
+    # or ended in numpy's own messages
+    ["moments", "gap", "--a", "0.5", "--b", "inf"],
+    ["moments", "gap", "--a", "nan", "--b", "2"],
+    ["simulate", "spectrum", "--atoms", "1:1", "--a", "0.5", "--b", "inf", "--n", "2",
+     "--trials", "50", "--seed", "1"],
+    ["simulate", "spectrum", "--atoms", "1:1", "--censor-gap", "1", "inf", *SIM],
+    ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--eta", "inf",
+     "--trials", "50", "--seed", "1"],
+    *[["simulate", "spectrum", "--atoms", "1:1", "--t", t, *SIM] for t in ("-1", "nan", "inf")],
+    *[["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--t", t,
+       "--trials", "50", "--seed", "1"] for t in ("-1", "nan", "inf")],
 ]
 
 
@@ -507,6 +519,30 @@ class TestNonFiniteEntries:
             with pytest.raises(SequenceFileError, match="not finite"):
                 seqfile.load_json(str(bad_dir / name))
         assert seqfile.load_json(str(bad_dir / "pmf.json")).tail_mass == mpf("0.125")
+
+
+class TestParameterMessages:
+    """A refused parameter is named in the message; t = 0 is not refused."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "gap", "--a", "0.5", "--b", "inf"], "b must be finite"),
+        (["simulate", "spectrum", "--atoms", "1:1", *SIM, "--b", "inf"], "b must be finite"),
+        (["simulate", "spectrum", "--atoms", "1:1", *SIM, "--t", "nan"],
+         "t must be >= 0 and finite"),
+        (["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--t", "-1",
+          "--trials", "50", "--seed", "1"], "t must be >= 0 and finite"),
+        (["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--eta", "inf",
+          "--trials", "50", "--seed", "1"], "eta must be positive and finite"),
+        (["scan", "--depth", "-1"], "depth must be >= 0"),
+    ])
+    def test_message_names_the_field(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_time_is_a_report(self, capsys):
+        assert main(["simulate", "spectrum", "--atoms", "1:1", *SIM, "--t", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["t"] == 0 and report["count_ab"] == 0
 
 
 def fresh_python(*args, cwd=None):
@@ -585,12 +621,35 @@ class TestStartup:
     def test_decimal_and_simulate_load_no_other_layer(self, tmp_path):
         lognormal_file(tmp_path)
         for argv in (["moments", "lognormal", "--upto", "4"],
-                     ["compose", "lognormal.json", "--op", "boolean", "--k", "2"],
-                     ["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1",
-                      "--trials", "50", "--seed", "1"]):
+                     ["compose", "lognormal.json", "--op", "boolean", "--k", "2"]):
             names = loaded_after(tmp_path, argv)
             assert [n for n in names if n in LAYERS] == [], argv
             assert mpmath_submodules(names) != [], argv
+        # only the Clopper-Pearson solve of `simulate spectrum` runs mpmath
+        names = loaded_after(tmp_path, ["simulate", "epsilon", "--atoms", "1:1",
+                                        "--eps-grid", "0.1", "--trials", "50", "--seed", "1"])
+        assert [n for n in names if n in LAYERS] == []
+        assert mpmath_submodules(names) == []
+
+    def test_no_run_loads_dataclasses(self, tmp_path):
+        """Records derive from moment_algebra.Record, so no start-up pays for
+        the dataclass module and the inspect and ast it loads. simulate is
+        left out, since numpy itself imports inspect."""
+        out = fresh_python("-c", "import sys, momentlab.cli; print('\\n'.join(sys.modules))")
+        assert "dataclasses" not in out.stdout.split()
+        lattice_file(tmp_path)
+        lognormal_file(tmp_path)
+        for argv in (["moments", "lattice", "--q", "2", "--upto", "4"],
+                     ["moments", "lognormal", "--upto", "4"],
+                     ["analyze", "lattice.json", "--indeterminacy", "2", "--logconvex",
+                      "--fekete", "2"],
+                     ["analyze", "lognormal.json", "--tolerance", "1e-20", "--logconvex"],
+                     ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "6",
+                      "-o", "pmf.json"],
+                     ["katti", "pmf.json", "--logconvex"],
+                     ["compose", "lattice.json", "--op", "mb", "--symbolic"],
+                     ["scan", "--depth", "3"]):
+            assert "dataclasses" not in loaded_after(tmp_path, argv), argv
 
     def test_katti_loads_divisibility_and_no_other_layer(self, tmp_path):
         assert main(["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "6",

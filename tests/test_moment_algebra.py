@@ -11,6 +11,7 @@ from momentlab.moment_algebra import (
     BooleanCumulantSequence,
     CumulantSequence,
     MomentSequence,
+    Record,
     TPolynomial,
     _composition_sum,
     _is_mpf,
@@ -92,6 +93,67 @@ class TestMomentSequence:
         m = MomentSequence.from_approx([mpf(1), mpf(2)], 128)
         with pytest.raises(BackendError):
             m.require_exact("test")
+
+
+class Pair(Record):
+    first: int
+    second: str = "b"
+
+
+class Other(Record):
+    first: int
+    second: str = "b"
+
+
+class TestRecord:
+    """Record gives every layer's reports frozen-dataclass semantics."""
+
+    def test_binding(self):
+        assert (Pair(1, "x").first, Pair(1, "x").second) == (1, "x")
+        assert Pair(second="x", first=1) == Pair(1, "x")
+        assert Pair(1).second == "b" and Pair(first=1) == Pair(1, "b")
+        assert Pair._fields == ("first", "second")
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((), {}, "missing field 'first'"),
+        ((1,), {"third": 3}, "no field 'third'"),
+        ((1,), {"first": 2}, "field 'first' twice"),
+        ((1, "x", 3), {}, "takes 2 fields, got 3"),
+    ])
+    def test_bad_binding(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Pair(*args, **kwargs)
+
+    def test_defaults_trail(self):
+        with pytest.raises(TypeError, match="follows one with a default"):
+            class Bad(Record):
+                first: int = 0
+                second: int
+
+    def test_frozen(self):
+        rec = Pair(1)
+        for change in (lambda: setattr(rec, "first", 2), lambda: delattr(rec, "second"),
+                       lambda: setattr(rec, "new", 0)):
+            with pytest.raises(AttributeError, match="Pair is frozen"):
+                change()
+        assert rec == Pair(1, "b")
+
+    def test_equality_and_hash(self):
+        assert Pair(1) == Pair(1) and hash(Pair(1)) == hash(Pair(1))
+        assert Pair(1) != Pair(2)
+        assert Pair(1) != Other(1) and Other(1) != Pair(1)
+        assert len({Pair(1), Pair(1, "b"), Pair(2)}) == 2
+        assert seq(1, 2) == MomentSequence((F(1), F(2)))
+
+    def test_repr(self):
+        assert repr(Pair(1)) == "Pair(first=1, second='b')"
+        assert repr(seq(1, 2)) == ("MomentSequence(values=(Fraction(1, 1), Fraction(2, 1)), "
+                                   "exact=True, precision_bits=None)")
+
+    def test_post_init_normalises(self):
+        m = MomentSequence.from_exact([1, 2])
+        assert m.values == (F(1), F(2)) and all(type(v) is Fraction for v in m.values)
+        assert CumulantSequence([1, "1/2"]).values == (F(1), F(1, 2))
 
 
 class TestTPolynomial:

@@ -5,6 +5,7 @@ import io
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
@@ -95,3 +96,12 @@ def test_load_json_parses_once(tmp_path, monkeypatch):
     monkeypatch.setattr(seqfile, "parse_doc", lambda text: calls.append(text) or parse(text))
     assert seqfile.load_json(str(path)).values == (1, 2, 5)
     assert len(calls) == 1
+
+
+def test_documents_are_strict_json():
+    """doc_to_json refuses nan and infinity rather than print a token that
+    JSON parsers reject."""
+    assert seqfile.doc_to_json({"b": 2.5}) == '{\n  "b": 2.5\n}\n'
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            seqfile.doc_to_json({"b": value})
