@@ -179,6 +179,8 @@ def cmd_analyze(args) -> int:
         raise SequenceFileError("analyze expects a file of kind 'moments'")
     tol = args.tolerance
     bits = m.precision_bits
+    if args.fekete_shift is not None and args.fekete is None:
+        raise SequenceFileError("--fekete-shift needs --fekete")
     if not m.exact and tol is None:
         raise BackendError("decimal input needs --tolerance for Hankel verdicts")
 
@@ -196,7 +198,7 @@ def cmd_analyze(args) -> int:
     if depth is not None:
         report["stieltjes"] = _jsonable(stieltjes_verdict(m, depth, tol), bits)
     if args.fekete is not None:
-        q = HankelQuery(args.fekete_shift, args.fekete)
+        q = HankelQuery(args.fekete_shift or 0, args.fekete)
         report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol), bits)
     ratios = None
     if args.indeterminacy is not None:
@@ -258,7 +260,18 @@ def _fmt_number(x) -> str:
 # compose
 
 
+# the parameter options each --op reads; a run of boolean or mb takes exactly one
+COMPOSE_PARAMETERS = {"classical": (), "boolean": ("--t", "--k"),
+                      "mb": ("--t", "--k", "--symbolic")}
+
+
 def cmd_compose(args) -> int:
+    given = [name for name, on in (("--t", args.t is not None), ("--k", args.k is not None),
+                                   ("--symbolic", args.symbolic)) if on]
+    reads = COMPOSE_PARAMETERS[args.op]
+    if len(given) != bool(reads) or not set(given) <= set(reads):
+        wanted = "one of " + ", ".join(reads) if reads else "no parameter"
+        raise SequenceFileError(f"--op {args.op} takes {wanted}, got {', '.join(given) or 'none'}")
     m = _load_sequence(args.file, args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("compose expects a file of kind 'moments'")
@@ -273,11 +286,7 @@ def cmd_compose(args) -> int:
         return 0
 
     if args.op == "boolean":
-        t = args.t
-        if t is None and args.k is not None:
-            t = Fraction(args.k)
-        if t is None:
-            raise SequenceFileError("--op boolean needs --t or --k")
+        t = args.t if args.k is None else Fraction(args.k)
         params["t"] = str(t)
         out = boolean_power_t(m, t, upto)
         _emit_sequence(out, args, "compose", params)
@@ -296,11 +305,9 @@ def cmd_compose(args) -> int:
     if args.k is not None:
         out = mb_compose_integer(m, args.k, upto)
         params["k"] = args.k
-    elif args.t is not None:
+    else:
         out = mb_compose_at(m, args.t, upto)
         params["t"] = str(args.t)
-    else:
-        raise SequenceFileError("--op mb needs --t, --k, or --symbolic")
     _emit_sequence(out, args, "compose", params)
     return 0
 
@@ -464,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--stieltjes-depth", type=int)
     p_a.add_argument("--fekete", type=int, metavar="SIZE",
                      help="Fekete minor check of the size-SIZE Hankel matrix")
-    p_a.add_argument("--fekete-shift", type=int, default=0, choices=(0, 1))
+    p_a.add_argument("--fekete-shift", type=int, choices=(0, 1),
+                     help="shift of the --fekete matrix (default 0)")
     p_a.add_argument("--indeterminacy", type=int, metavar="DEPTH")
     p_a.add_argument("--mu1-threshold", type=int, metavar="DEPTH")
     p_a.add_argument("--logconvex", action="store_true")

@@ -10,11 +10,15 @@ Three composition laws act on finite moment prefixes (mu_0 = 1, mu_1, ..., mu_N)
 
 The t-composition is defined by its occupancy sum (see mb_compose_t), but it
 is the law at time t of the Levy process whose time-1 moments are mu, so its
-moments are moments_from_cumulants(t * kappa), built by the O(N^2)
-moment/cumulant recursion (P. J. Smith, Amer. Statist. 49, 1995). The
-coefficient of t^j in the n-th composed moment is the partial Bell
-polynomial B_{n,j}(kappa). The occupancy sum itself lives in the tests as
-the brute-force reference.
+moments are moments_from_cumulants(t * kappa). The coefficient of t^j in
+the n-th composed moment is the partial Bell polynomial B_{n,j}(kappa).
+The occupancy sum itself lives in the tests as the brute-force reference.
+
+Classical and Boolean cumulants obey one O(N^2) recursion,
+m_n = sum_{i=1..n} w(n,i) kappa_i m_{n-i}, with w(n,i) = C(n-1,i-1) for
+classical cumulants (P. J. Smith, Amer. Statist. 49, 1995) and 1 for
+Boolean ones: _kappas_from_moments inverts it, _moments_from_kappas runs
+it forward, and both take the weight.
 
 Exact values are Fractions at the interface. The symbolic t-power and the
 composition sums run on Python integers: every quantity they compute is
@@ -508,17 +512,19 @@ def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSeq
     return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), t)
 
 
-def _kappas_from_moments(ms: Sequence) -> list:
-    """kappa_1..kappa_N from ms = (1, m_1, ..., m_N); the inverse of
-    _moments_from_kappas. Runs on Fractions, mpfs or integers: on the
-    integers c^n m_n it gives the integers c^n kappa_n, since each
-    kappa_n is an integer polynomial in the m_k of weight n.
+def _kappas_from_moments(ms: Sequence, boolean: bool = False) -> list:
+    """kappa_1..kappa_N from ms = (1, m_1, ..., m_N), by inverting
+    m_n = sum_{i=1..n} w(n,i) kappa_i m_{n-i}, where w(n,i) is C(n-1,i-1),
+    or 1 for Boolean cumulants; the inverse of _moments_from_kappas. Runs
+    on Fractions, mpfs or integers: on the integers c^n m_n it gives the
+    integers c^n kappa_n, since each kappa_n is an integer polynomial in
+    the m_k of weight n.
     """
     kappas = []
     for n in range(1, len(ms)):
         acc = ms[n]
         for k in range(n - 1):
-            acc = acc - comb(n - 1, k) * kappas[k] * ms[n - 1 - k]
+            acc = acc - (1 if boolean else comb(n - 1, k)) * kappas[k] * ms[n - 1 - k]
         kappas.append(acc)
     return kappas
 
@@ -529,18 +535,13 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     return CumulantSequence(tuple(_kappas_from_moments(m.values)), m.exact, m.precision_bits)
 
 
-def _moments_from_kappas(kappas: Sequence, one) -> list:
-    """mu_0 = one, mu_n = sum_{j<n} C(n-1,j) kappa_{j+1} mu_{n-1-j}.
-
-    Runs on the Fractions or mpfs of a CumulantSequence.
-    """
+def _moments_from_kappas(kappas: Sequence, one, boolean: bool = False) -> list:
+    """mu_0 = one, mu_n = sum_{i=1..n} w(n,i) kappa_i mu_{n-i}, with w as in
+    _kappas_from_moments, on the Fractions or mpfs of a CumulantSequence."""
     out = [one]
     for n in range(1, len(kappas) + 1):
-        acc = None
-        for j in range(n):
-            term = comb(n - 1, j) * kappas[j] * out[n - 1 - j]
-            acc = term if acc is None else acc + term
-        out.append(acc)
+        out.append(sum((1 if boolean else comb(n - 1, j)) * kappas[j] * out[n - 1 - j]
+                       for j in range(n)))
     return out
 
 
@@ -566,30 +567,21 @@ def levy_moments_at_t(k: CumulantSequence, t) -> MomentSequence:
 
 @_at_own_precision
 def boolean_cumulants_from_moments(m: MomentSequence) -> BooleanCumulantSequence:
-    """Invert m_n = sum_{k=1}^{n} b_k m_{n-k} (m_0 = 1).
+    """Invert m_n = sum_{k=1}^{n} b_k m_{n-k} (m_0 = 1): the cumulant
+    recursion with weight 1.
 
     Unrolled: b_1 = m_1, b_2 = m_2 - m_1^2, b_3 = m_3 - 2 m_1 m_2 + m_1^3.
     """
-    bs = []
-    for n in range(1, m.degree + 1):
-        acc = m[n]
-        for k in range(1, n):
-            acc = acc - bs[k - 1] * m[n - k]
-        bs.append(acc)
-    return BooleanCumulantSequence(tuple(bs), m.exact, m.precision_bits)
+    return BooleanCumulantSequence(tuple(_kappas_from_moments(m.values, boolean=True)),
+                                   m.exact, m.precision_bits)
 
 
 @_at_own_precision
 def moments_from_boolean_cumulants(b: BooleanCumulantSequence) -> MomentSequence:
+    """Forward direction of the same recursion; exact inverse of the above."""
     one = Fraction(1) if b.exact else mpmath.mpf(1)
-    out = [one]
-    for n in range(1, len(b) + 1):
-        acc = None
-        for k in range(1, n + 1):
-            term = b[k] * out[n - k]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return MomentSequence(tuple(out), b.exact, b.precision_bits)
+    return MomentSequence(tuple(_moments_from_kappas(b.values, one, boolean=True)),
+                          b.exact, b.precision_bits)
 
 
 @_at_own_precision

@@ -2,10 +2,9 @@
 
 The composed moments mu^(t)_n are polynomials in t, and the semigroup law
 "compose at s, then convolve with the composition at t, and you get the
-composition at s+t" holds exactly when every cumulant of that polynomial
-family is c*t: the logarithm of the exponential generating function must be
-additive in t. This module checks the law that way, in exact arithmetic
-on the integer rows of the t-power (moment_algebra._t_power_rows),
+composition at s+t" holds exactly when the family equals its own t-power at
+1: the t-power (moment_algebra._t_power_rows) of its values at t = 1. This
+module checks the law that way, in exact arithmetic on integer rows,
 examines the alternating-term structure of a single composed moment, checks
 the two-sided envelope t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n for log-convex
 input, and runs the empirical theta-threshold scan on the canonical lattice
@@ -15,11 +14,13 @@ theta = 1/q^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import zip_longest
+from math import isqrt
 from typing import Optional, Sequence
 
 from .distributions import lattice_lognormal_moments
-from .moment_algebra import MomentSequence, Record, _composition_sum, _t_power_rows
+from .moment_algebra import (MomentSequence, Record, _bell_rows, _composition_sum,
+                             _kappas_from_moments, _t_power_rows)
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
@@ -39,29 +40,20 @@ def _semigroup_first_failure(rows: Sequence) -> Optional[int]:
     """First n at which sum_j C(n,j) P_j(s) P_{n-j}(t) = P_n(s+t) fails.
 
     rows[n] lists the coefficients of P_n in powers of t, for P_0..P_N.
-    With P_0 = 1 the law holds through n exactly when the cumulants
-    kappa_1(t)..kappa_n(t) of the family are all c*t, since a polynomial
-    with p(s+t) = p(s) + p(t) is c*t. The cumulant recursion
-    kappa_n = P_n - sum_k C(n-1,k) kappa_{k+1} P_{n-1-k} stops at the first
-    failure, so it only ever multiplies by the linear kappas before it.
-    P_0 != 1 is a failure at n = 0. None when the law holds through N.
-    Scaling each P_n by c^n scales kappa_n by c^n, so the integer rows of
-    _t_power_rows give the same answer as the rational polynomials.
+    The law holds exactly when the family is the t-power of its own value
+    at t = 1: the partial Bell rows of the cumulants kappa_n(1) of the
+    moments P_n(1) (moment_algebra._t_power_rows). This returns the first
+    n at which rows[n] differs from that row, trailing zeros ignored, or
+    None. Proof: when the rows agree through n-1, kappa_1(t)..kappa_{n-1}(t)
+    are kappa_k(1)*t, and row n differs from the expected row by
+    kappa_n(t) - kappa_n(1)*t; that is zero exactly when kappa_n(t) is c*t,
+    and a polynomial with p(s+t) = p(s) + p(t) is c*t. Scaling each P_n by
+    c^n scales both rows by c^n, so the integer rows of _t_power_rows give
+    the same answer as the rational polynomials.
     """
-    if any(rows[0][1:]) or rows[0][0] != 1:
-        return 0
-    width = max(len(r) for r in rows) + 1
-    slopes = []  # kappa_k = slopes[k-1] * t
-    for n in range(1, len(rows)):
-        kappa = list(rows[n]) + [0] * (width - len(rows[n]))
-        for k in range(n - 1):
-            w = comb(n - 1, k) * slopes[k]
-            for i, p in enumerate(rows[n - 1 - k]):
-                kappa[i + 1] -= w * p
-        if kappa[0] or any(kappa[2:]):
-            return n
-        slopes.append(kappa[1])
-    return None
+    expected = _bell_rows(_kappas_from_moments([sum(r) for r in rows]))
+    return next((n for n, (row, want) in enumerate(zip(rows, expected))
+                 if any(a != b for a, b in zip_longest(row, want, fillvalue=0))), None)
 
 
 def _composed_at(c: int, rows: Sequence, t: Fraction) -> list:
@@ -81,9 +73,7 @@ def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityRep
     """Verify sum_j C(n,j) mu^(s)_j mu^(t)_{n-j} = mu^(s+t)_n exactly, as
     polynomials in (s, t), for every n <= depth.
 
-    Checked through the cumulants of the composed polynomials, which must
-    all be linear in t with no constant term, on the integer rows of the
-    t-power.
+    Checked by _semigroup_first_failure on the integer rows of the t-power.
     """
     m.require_exact("mb_semigroup_identity")
     if depth > m.degree:

@@ -148,11 +148,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# the largest Poisson mean numpy samples; it refuses a larger one
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
 def _jump_field(spec: JumpSpec, t: float, rng: np.random.Generator, count: int):
     """Every jump of `count` independent paths on [0, t], before the epsilon
     cut, and the path each belongs to: the Poisson counts first, then all
-    jump sizes in one draw."""
-    n = rng.poisson(spec.rate * t, count)
+    jump sizes in one draw. ValueError when rate * t is past numpy's limit."""
+    lam = spec.rate * t
+    if not lam <= _POISSON_LAM_MAX:
+        raise ValueError(f"rate * t must be finite and at most {_POISSON_LAM_MAX:.4g}, "
+                         f"got {lam:g}")
+    n = rng.poisson(lam, count)
     total = int(n.sum())
     jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
     return jumps, np.repeat(np.arange(count), n)

@@ -8,15 +8,17 @@ case its dyadic float entries are converted to exact rationals and any
 determinant smaller than tolerance * (Hadamard bound) in absolute value is
 classified as numerically zero.
 
-Every exact report takes its minors from one kernel, _hankel_minors. With
-a * c^n * mu_n integral (a, c and the integers from moment_algebra's
-_isobaric_ints, or c = 1 and a common denominator a, whichever gives the
-shorter integers), the integer Hankel matrix of shift s is a * c^s times
-the rational one with row i and column j scaled by c^i and c^j, so each
-minor keeps its sign and divides back exactly. One fraction-free Bareiss pass per shift gives every leading
-minor; a pass stops at a zero pivot, and the sizes after it get one
-pivoting Bareiss determinant each. A sign is read off the integer minor,
-and a minor becomes a Fraction only where a report carries its value.
+Every exact report takes its minors from one kernel, _hankel_minors, and
+every minor from one integer scaling, _integer_scale: with a * c^n * mu_n
+integral (a, c and the integers from moment_algebra's _isobaric_ints, or
+c = 1 and a common denominator a, whichever gives the shorter integers),
+the integer Hankel matrix of shift s is a * c^s times the rational one
+with row i and column j scaled by c^i and c^j, so each minor keeps its
+sign and divides back exactly. One fraction-free Bareiss pass per shift
+gives every leading minor; a pass stops at a zero pivot, and the sizes
+after it get one pivoting Bareiss determinant each, of the same integers.
+A sign is read off the integer minor, and a minor becomes a Fraction only
+where a report carries its value.
 stieltjes_verdict runs shifts 0 and 1, indeterminacy_ratios and
 mu1_threshold_sequence shifts 0-3, and fekete_total_positivity one shift
 per anti-diagonal of its matrix, since each consecutive block is itself a
@@ -88,32 +90,16 @@ def hankel_matrix(values: Sequence, q: HankelQuery) -> list:
     return [[values[q.shift + i + j] for j in range(n)] for i in range(n)]
 
 
-def _det_bareiss(rows: list) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Denominators are cleared per row first so the elimination runs on
-    integers; the accumulated row multipliers divide out at the end.
-    """
-    n = len(rows)
-    denom_product = 1
-    m = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        common = lcm(*(v.denominator for v in row))
-        denom_product *= common
-        m.append([int(v * common) for v in row])
-
-    sign = 1
-    prev = 1
+def _det_bareiss(m: list) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss
+    elimination with row pivoting; m is overwritten."""
+    n = len(m)
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    swap = r
-                    break
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot = m[k][k]
@@ -121,9 +107,8 @@ def _det_bareiss(rows: list) -> Fraction:
             mik = m[i][k]
             for j in range(k + 1, n):
                 m[i][j] = (pivot * m[i][j] - mik * m[k][j]) // prev
-            m[i][k] = 0
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], denom_product)
+    return sign * m[n - 1][n - 1]
 
 
 def _leading_minors(m: list):
@@ -167,14 +152,15 @@ def _integer_scale(vals: list) -> tuple:
     return isobaric
 
 
-def _hankel_minors(vals: list, scaled: tuple, shift: int, size: int):
+def _hankel_minors(scaled: tuple, shift: int, size: int):
     """Yield (num, den), den > 0, with num / den the shift-`shift` Hankel
     minor of each size 0..size; num carries its sign.
 
-    scaled = _integer_scale(vals). One _leading_minors pass on its integers
-    gives the minors while the pivots are nonzero: the size-k minor of the
-    integer matrix is a^(k+1) c^((k+1)(shift+k)) times the rational one.
-    The sizes after a zero pivot get one pivoting _det_bareiss each.
+    scaled = _integer_scale(vals). The size-k minor of the integer matrix
+    is a^(k+1) c^((k+1)(shift+k)) times the rational one. One
+    _leading_minors pass gives the integer minors while the pivots are
+    nonzero; the sizes after a zero pivot get one pivoting _det_bareiss
+    each, of the same integers.
     """
     a, c, ints = scaled
     den, done = 1, 0
@@ -183,8 +169,8 @@ def _hankel_minors(vals: list, scaled: tuple, shift: int, size: int):
         yield minor, den
         done += 1
     for k in range(done, size + 1):
-        det = _det_bareiss(hankel_matrix(vals, HankelQuery(shift, k)))
-        yield det.numerator, det.denominator
+        den *= a * c ** (shift + 2 * k)
+        yield _det_bareiss(hankel_matrix(ints, HankelQuery(shift, k))), den
 
 
 def hankel_det(m, q: HankelQuery) -> Fraction:
@@ -197,7 +183,7 @@ def hankel_det(m, q: HankelQuery) -> Fraction:
     vals = _sequence_values(m)
     _require_window(vals, q)
     vals = vals[:q.max_index + 1]
-    *_, (num, den) = _hankel_minors(vals, _integer_scale(vals), q.shift, q.size)
+    *_, (num, den) = _hankel_minors(_integer_scale(vals), q.shift, q.size)
     return Fraction(num, den)
 
 
@@ -311,7 +297,7 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
         if judge.minor_sign(vals, idx, 0, v.numerator, v.denominator) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), v)
     scaled = _integer_scale(vals)
-    passes = [_hankel_minors(vals, scaled, shift, upto) for shift in (0, 1)]
+    passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):
         for shift, minors in enumerate(passes):
@@ -369,7 +355,7 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
     scaled = _integer_scale(vals)
     n = q.size + 1
     # a block on anti-diagonal d has order at most n - ceil(d/2)
-    passes = [_hankel_minors(vals, scaled, q.shift + d, n - 1 - (d + 1) // 2)
+    passes = [_hankel_minors(scaled, q.shift + d, n - 1 - (d + 1) // 2)
               for d in range(2 * n - 1)]
     checked = 0
     first_zero = None
@@ -422,9 +408,9 @@ def _ratio_family(vals, judge, base_shift: int, upto: int) -> tuple:
     if upto < 1:
         return [], False
     scaled = _integer_scale(vals)
-    nums = _hankel_minors(vals, scaled, base_shift, upto)
+    nums = _hankel_minors(scaled, base_shift, upto)
     next(nums)  # size 0 is no numerator
-    dens = _hankel_minors(vals, scaled, base_shift + 2, upto - 1)
+    dens = _hankel_minors(scaled, base_shift + 2, upto - 1)
     out = []
     for n, ((p, q), (r, t)) in enumerate(zip(nums, dens), start=1):
         zero = judge.minor_sign(vals, base_shift + 2, n - 1, r, t) == 0

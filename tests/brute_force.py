@@ -3,13 +3,16 @@
 The t-composition is defined by its occupancy sum over compositions of n;
 the surjection counts behind it come from the Stirling subset numbers and
 from finite differences, and the Stirling numbers also give the Touchard
-form of the Poisson moments. The semigroup law of the composition family
-is an identity between bivariate polynomials, and the Hankel reports
-(Stieltjes verdict, determinant ratios, mu_1 thresholds, Fekete minors)
-are runs of Hankel determinants, here one pivoting Bareiss determinant per
-size or block. The library computes each one way only; these are the other
-derivations, kept here so the tests can compare against them. Everything
-is exact and exponential in n: meant for n <= 10 or so.
+form of the Poisson moments. Boolean moments are sums over the interval
+partitions of {1..n}, which are compositions too. The semigroup law of the
+composition family is an identity between bivariate polynomials, and the
+Hankel reports (Stieltjes verdict, determinant ratios, mu_1 thresholds,
+Fekete minors) are runs of Hankel determinants, here one pivoting Bareiss
+determinant per size or block, on integers whose denominators
+rational_det clears row by row, not by the library's isobaric scaling.
+The library computes each one way only; these are the other derivations,
+kept here so the tests can compare against them. Everything is exact and
+exponential in n: meant for n <= 10 or so.
 """
 from __future__ import annotations
 
@@ -108,6 +111,17 @@ def composition_sum(mu: Sequence[Fraction], n: int, j: int) -> Fraction:
     return total
 
 
+def boolean_moment(bs: Sequence[Fraction], n: int) -> Fraction:
+    """m_n from the Boolean cumulants bs = (b_1, b_2, ...): the sum over the
+    interval partitions of {1..n}, that is over the compositions
+    (n_1..n_j) of n, of b_{n_1} ... b_{n_j}; m_0 = 1."""
+    total = Fraction(1) if n == 0 else Fraction(0)
+    for j in range(1, n + 1):
+        for parts in compositions(n, j):
+            total += math.prod((bs[p - 1] for p in parts), start=Fraction(1))
+    return total
+
+
 def binom_poly(j: int) -> list:
     """Coefficients of C(t, j) = t(t-1)...(t-j+1)/j! in powers of t."""
     coeffs = [Fraction(1)]
@@ -160,6 +174,19 @@ def semigroup_first_failure(polys: Sequence[Sequence[Fraction]]) -> Optional[int
     return None
 
 
+def rational_det(rows) -> Fraction:
+    """Exact determinant of a rational matrix: each row times the lcm of
+    its denominators, one pivoting Bareiss determinant of those integers,
+    and the row multipliers divided out."""
+    scale, ints = 1, []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        common = math.lcm(*(v.denominator for v in row))
+        scale *= common
+        ints.append([v.numerator * (common // v.denominator) for v in row])
+    return Fraction(_det_bareiss(ints), scale)
+
+
 def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdict:
     """The Stieltjes verdict with one pivoting Bareiss determinant per size
     and shift, in the library's order: entries first, then sizes 0..upto,
@@ -174,7 +201,7 @@ def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdic
         for shift in (0, 1):
             q = HankelQuery(shift, size)
             rows = hankel_matrix(vals, q)
-            det = _det_bareiss(rows)
+            det = rational_det(rows)
             s = judge.sign(det, rows)
             if s < 0:
                 return PositivityVerdict("not-stieltjes", upto, q, det)
@@ -187,7 +214,7 @@ def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdic
 
 def _det_and_sign(vals, judge, q: HankelQuery) -> tuple:
     rows = hankel_matrix(vals, q)
-    det = _det_bareiss(rows)
+    det = rational_det(rows)
     return det, judge.sign(det, rows)
 
 
@@ -201,7 +228,7 @@ def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> Indeterminacy
     for shift in (0, 1):
         out = []
         for n in range(1, upto + 1):
-            num = _det_bareiss(hankel_matrix(vals, HankelQuery(shift, n)))
+            num = rational_det(hankel_matrix(vals, HankelQuery(shift, n)))
             den, sign = _det_and_sign(vals, judge, HankelQuery(shift + 2, n - 1))
             out.append(None if sign == 0 else num / den)
             degenerate = degenerate or sign == 0
@@ -224,7 +251,7 @@ def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
         if sign == 0:
             out.append(None)
             continue
-        full = _det_bareiss(hankel_matrix(vals, HankelQuery(1, d)))
+        full = rational_det(hankel_matrix(vals, HankelQuery(1, d)))
         out.append(-(full - cof * mu1) / cof)
     defined = [v for v in out if v is not None]
     complete = bool(defined) and len(defined) == len(out)
@@ -246,7 +273,7 @@ def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdic
         for r0 in range(n - order + 1):
             for c0 in range(n - order + 1):
                 sub = [row[c0:c0 + order] for row in matrix[r0:r0 + order]]
-                det = _det_bareiss(sub)
+                det = rational_det(sub)
                 checked += 1
                 sign = judge.sign(det, sub)
                 if sign < 0:

@@ -222,9 +222,9 @@ class TestAnalyze:
         shifts = []
         minors = stieltjes._hankel_minors
 
-        def recording(vals, scaled, shift, size):
+        def recording(scaled, shift, size):
             shifts.append(shift)
-            return minors(vals, scaled, shift, size)
+            return minors(scaled, shift, size)
 
         monkeypatch.setattr(stieltjes, "_hankel_minors", recording)
         assert main(["analyze", str(path), "--indeterminacy", "4"]) == 0
@@ -430,6 +430,14 @@ MALFORMED = [
     ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--upto", "99"],
     ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--csv"],
     ["katti", "{d}/pmf.json", "--precision", "128"],
+    *[["compose", "{d}/lattice.json", "--op", "classical", *opt]
+      for opt in (["--t", "1/2"], ["--k", "2"], ["--symbolic"])],
+    ["compose", "{d}/lattice.json", "--op", "boolean", "--t", "1/2", "--symbolic"],
+    ["compose", "{d}/lattice.json", "--op", "boolean", "--t", "1/2", "--k", "2"],
+    *[["compose", "{d}/lattice.json", "--op", "mb", *opt]
+      for opt in (["--t", "1/2", "--k", "2"], ["--k", "2", "--symbolic"],
+                  ["--t", "1/2", "--symbolic"])],
+    ["analyze", "{d}/lattice.json", "--fekete-shift", "1"],
     # working precisions outside 64 .. 2^16 bits, from a file or an option:
     # 10^8 bits once kept analyze busy past any timeout
     ["analyze", "{d}/bits-huge.json", "--tolerance", "1e-10"],
@@ -476,6 +484,11 @@ MALFORMED = [
     *[["simulate", "spectrum", "--atoms", "1:1", "--t", t, *SIM] for t in ("-1", "nan", "inf")],
     *[["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--t", t,
        "--trials", "50", "--seed", "1"] for t in ("-1", "nan", "inf")],
+    # rate * t past numpy's Poisson limit, refused before any sampling
+    *[["simulate", "spectrum", "--atoms", "1:1", option, "1e300", *SIM]
+      for option in ("--t", "--rate")],
+    *[["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", option, "1e300",
+       "--trials", "50", "--seed", "1"] for option in ("--t", "--rate")],
 ]
 
 
@@ -534,9 +547,17 @@ class TestParameterMessages:
         (["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--eta", "inf",
           "--trials", "50", "--seed", "1"], "eta must be positive and finite"),
         (["scan", "--depth", "-1"], "depth must be >= 0"),
+        (["simulate", "spectrum", "--atoms", "1:1", *SIM, "--t", "1e300"],
+         "rate * t must be finite and at most 9.223e+18, got 1e+300"),
+        (["simulate", "epsilon", "--atoms", "1:1", "--eps-grid", "0.1", "--rate", "1e300",
+          "--trials", "50", "--seed", "1"],
+         "rate * t must be finite and at most 9.223e+18, got 1e+300"),
+        (["compose", "{d}/lattice.json", "--op", "boolean", "--t", "1/2", "--k", "2"],
+         "--op boolean takes one of --t, --k, got --t, --k"),
+        (["analyze", "{d}/lattice.json", "--fekete-shift", "0"], "--fekete-shift needs --fekete"),
     ])
-    def test_message_names_the_field(self, argv, message, capsys):
-        assert main(argv) == 2
+    def test_message_names_the_field(self, argv, message, bad_dir, capsys):
+        assert main([a.format(d=bad_dir) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_time_is_a_report(self, capsys):

@@ -8,6 +8,7 @@ PYTHONPATH (only after a change that is meant to alter output), run
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import difflib
 import json
 import subprocess
 import sys
@@ -90,13 +91,24 @@ def run_case(name, workdir):
     return proc.returncode, proc.stdout, output
 
 
+def unified_diff(expected, actual, label: str) -> str:
+    """The unified diff from the stored bytes to the actual ones, None
+    standing for a file that is not there."""
+    def lines(data):
+        return [] if data is None else data.decode("utf-8", "replace").splitlines(keepends=True)
+    return "\n" + "".join(difflib.unified_diff(lines(expected), lines(actual),
+                                               f"golden/{label}", f"actual/{label}"))
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_golden(name, tmp_path):
     code, stdout, output = run_case(name, tmp_path)
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
-    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    expected = (GOLDEN / f"{name}.stdout").read_bytes()
+    assert stdout == expected, unified_diff(expected, stdout, f"{name}.stdout")
     stored = GOLDEN / f"{name}.output"
-    assert output == (stored.read_bytes() if stored.exists() else None)
+    expected = stored.read_bytes() if stored.exists() else None
+    assert output == expected, unified_diff(expected, output, f"{name}.output")
 
 
 def regenerate():

@@ -322,6 +322,16 @@ class TestBoolean:
             assert b[2] == m2 - m1 ** 2
             assert b[3] == m3 - 2 * m1 * m2 + m1 ** 3
 
+    def test_matches_interval_partition_sum(self, rng):
+        """Both transforms against the sum over interval partitions, n <= 8."""
+        for _ in range(5):
+            bs = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(8)]
+            ms = [brute_force.boolean_moment(bs, n) for n in range(9)]
+            assert moments_from_boolean_cumulants(BooleanCumulantSequence(tuple(bs))).values \
+                == tuple(ms)
+            assert boolean_cumulants_from_moments(MomentSequence.from_exact(ms)).values \
+                == tuple(bs)
+
     def test_round_trip(self, rng):
         for _ in range(10):
             m = MomentSequence.from_exact(random_moment_prefix(rng, 6))

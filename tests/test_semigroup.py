@@ -6,6 +6,7 @@ import pytest
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     MomentSequence,
+    _t_power_rows,
     classical_convolve,
     mb_compose_at,
     mb_compose_t,
@@ -73,28 +74,35 @@ class TestSemigroupIdentity:
 
 
 class TestSemigroupFirstFailure:
-    """The cumulant test against the bivariate expansion of brute_force, on
-    composition families with one entry bumped to P_n + c t^d."""
+    """The t-power test against the bivariate expansion of brute_force, on
+    composition families with one entry bumped to P_n + c t^d: rational
+    rows from mb_compose_t, and the integer rows of _t_power_rows with
+    integer c, the form mb_semigroup_identity passes."""
 
     def test_matches_bivariate_oracle(self, rng):
         for _ in range(3):
-            rows = [list(p.coeffs) for p in
-                    mb_compose_t(MomentSequence.from_exact(random_moment_prefix(rng, 7)))]
-            assert _semigroup_first_failure(rows) is None
-            assert brute_force.semigroup_first_failure(rows) is None
-            for n in range(8):
-                for d in range(n + 2):
-                    c = F(rng.randint(1, 9), rng.randint(1, 9))
-                    bump = rows[n] + [F(0)] * (d + 1 - len(rows[n]))
-                    bump[d] += c
-                    bumped = rows[:n] + [bump] + rows[n + 1:]
-                    got = _semigroup_first_failure(bumped)
-                    assert got == brute_force.semigroup_first_failure(bumped), (n, d)
-                    if d == 1 and n >= 1:
-                        # kappa_n moves by c*t and stays linear; a later one breaks
-                        assert got is None or got > n, (n, d)
-                    else:
-                        assert got == n, (n, d)
+            m = MomentSequence.from_exact(random_moment_prefix(rng, 7))
+            self.check_bumps([list(p.coeffs) for p in mb_compose_t(m)],
+                             lambda: F(rng.randint(1, 9), rng.randint(1, 9)))
+            self.check_bumps(_t_power_rows(m.values)[1], lambda: rng.randint(1, 9))
+
+    @staticmethod
+    def check_bumps(rows, draw):
+        assert _semigroup_first_failure(rows) is None
+        assert brute_force.semigroup_first_failure(rows) is None
+        for n in range(len(rows)):
+            for d in range(n + 2):
+                c = draw()
+                bump = rows[n] + [0] * (d + 1 - len(rows[n]))
+                bump[d] += c
+                bumped = rows[:n] + [bump] + rows[n + 1:]
+                got = _semigroup_first_failure(bumped)
+                assert got == brute_force.semigroup_first_failure(bumped), (n, d)
+                if d == 1 and n >= 1:
+                    # kappa_n moves by c*t and stays linear; a later one breaks
+                    assert got is None or got > n, (n, d)
+                else:
+                    assert got == n, (n, d)
 
 
 class TestAlternation:
