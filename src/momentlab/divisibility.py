@@ -111,6 +111,8 @@ def katti_r(pmf: DiscretePMF, kmax: Optional[int] = None) -> KattiReport:
 
     kmax defaults to len(pmf) - 2, using the whole pmf.
     """
+    if len(pmf.masses) < 2:
+        raise ValueError("katti needs masses p_0 and p_1, got p_0 only")
     if kmax is None:
         kmax = len(pmf.masses) - 2
     if kmax < 0:

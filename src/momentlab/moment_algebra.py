@@ -20,12 +20,16 @@ classical cumulants (P. J. Smith, Amer. Statist. 49, 1995) and 1 for
 Boolean ones: _kappas_from_moments inverts it, _moments_from_kappas runs
 it forward, and both take the weight.
 
-Exact values are Fractions at the interface. The symbolic t-power and the
-composition sums run on Python integers: every quantity they compute is
-isobaric of weight n in the moments, so one scale c with every c^n mu_n an
-integer (_isobaric_scale) keeps the cumulants, the partial Bell rows
-(_bell_rows) and the t-power coefficients integral, and c^n divides out
-once at the end. A value at a single t runs the recursion on Fractions.
+Exact values are Fractions where a caller reads them: in sequences,
+polynomials and reports. The symbolic t-power and the composition sums run
+on Python integers: every quantity they compute is isobaric of weight n in
+the moments, so one scale c with every c^n mu_n an integer
+(_isobaric_scale) keeps the cumulants, the partial Bell rows (_bell_rows)
+and the t-power coefficients integral. mb_compose_t and _composition_sum
+divide c^n out once per entry; the rows of _t_power_rows stay integers,
+which semigroup evaluates at a rational t and hands to the Hankel check as
+they are. A value at a single t (mb_compose_at) runs the recursion on
+Fractions.
 Approximate sequences carry mpmath floats with a declared working
 precision from MIN_PRECISION_BITS to MAX_PRECISION_BITS
 (check_precision_bits), and every operation on them runs at that
@@ -503,7 +507,11 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     """
     m.require_exact("mb_compose_t")
     c, rows = _t_power_rows(_prefix(m, upto).values)
-    return [TPolynomial([Fraction(b, c ** n) for b in row]) for n, row in enumerate(rows)]
+    out, scale = [], 1
+    for row in rows:
+        out.append(TPolynomial([Fraction(b, scale) for b in row]))
+        scale *= c
+    return out
 
 
 def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSequence:

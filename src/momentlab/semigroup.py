@@ -10,18 +10,26 @@ the two-sided envelope t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n for log-convex
 input, and runs the empirical theta-threshold scan on the canonical lattice
 family mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
+
+The composed moments at a rational t stay integers over one scale
+(_composed_at) from the t-power rows on. The scan hands them to
+stieltjes_verdict as a ScaledSequence, so a scan cell builds a Fraction
+only for a witness; the envelope builds one for each row it reports, and
+the alternation check compares its terms as integer numerators over one
+denominator and builds each term's Fraction once, for the report.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt
+from math import factorial, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .distributions import lattice_lognormal_moments
 from .moment_algebra import (MomentSequence, Record, _bell_rows, _composition_sum,
                              _kappas_from_moments, _t_power_rows)
-from .stieltjes import PositivityVerdict, stieltjes_verdict
+from .stieltjes import PositivityVerdict, ScaledSequence, stieltjes_verdict
 
 
 class SemigroupIdentityReport(Record):
@@ -56,24 +64,31 @@ def _semigroup_first_failure(rows: Sequence) -> Optional[int]:
                  if any(a != b for a, b in zip_longest(row, want, fillvalue=0))), None)
 
 
-def _composed_at(c: int, rows: Sequence, t: Fraction) -> list:
-    """The composed moments sum_j rows[n][j] t^j / c^n at t = u/v, from the
-    integer rows of _t_power_rows: entry n is the integer
-    sum_j rows[n][j] u^j v^(n-j) over (c v)^n, one Fraction each."""
+def _composed_at(c: int, rows: Sequence, t: Fraction) -> tuple:
+    """(c v, xs): the composed moment sum_j rows[n][j] t^j / c^n at t = u/v,
+    from the integer rows of _t_power_rows, is xs[n] / (c v)^n with
+    xs[n] = sum_j rows[n][j] u^j v^(n-j). The xs are isobaric integers of
+    scale c v, as ScaledSequence takes them; no Fraction is built."""
     u, v = t.numerator, t.denominator
-    up, vp = [1], [1]
-    for _ in range(1, len(rows)):
-        up.append(up[-1] * u)
-        vp.append(vp[-1] * v)
-    return [Fraction(sum(b * up[j] * vp[n - j] for j, b in enumerate(r)), (c * v) ** n)
-            for n, r in enumerate(rows)]
+    xs, powers, u_n = [], [], 1  # powers[j] = u^j v^(n-j) for j = 0..n
+    for r in rows:
+        powers = [p * v for p in powers]
+        powers.append(u_n)
+        u_n *= u
+        xs.append(sum(map(mul, r, powers)))
+    return c * v, tuple(xs)
 
 
 def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityReport:
-    """Verify sum_j C(n,j) mu^(s)_j mu^(t)_{n-j} = mu^(s+t)_n exactly, as
-    polynomials in (s, t), for every n <= depth.
+    """Check sum_j C(n,j) mu^(s)_j mu^(t)_{n-j} = mu^(s+t)_n, for every
+    n <= depth, on the composed polynomials of m.
 
-    Checked by _semigroup_first_failure on the integer rows of the t-power.
+    Checked by _semigroup_first_failure on the integer rows of
+    _t_power_rows(m). Those rows are the t-power of their own value at
+    t = 1 by construction, so `holds` is true on every input: the report
+    confirms the t-power kernel, not a property of m. The paper's
+    semigroup claim is about where the composed classes stay positive (an
+    up-set of admissible t), which this report does not test.
     """
     m.require_exact("mb_semigroup_identity")
     if depth > m.degree:
@@ -112,42 +127,60 @@ class AlternationReport(Record):
                 and self.moduli_nonincreasing and self.tails_bounded)
 
 
+def _log_convexity_ratios(vals: Sequence) -> list:
+    """(a_k, b_k) with mu_k^2 / (mu_{k-1} mu_{k+1}) = a_k / b_k, for
+    k = 1..len(vals) - 2: a_k = p_k^2 q_{k-1} q_{k+1} and
+    b_k = p_{k-1} p_{k+1} q_k^2 for mu_k = p_k / q_k, so comparing the
+    ratio with 1 or with a positive rational needs no Fraction."""
+    pq = [(v.numerator, v.denominator) for v in vals]
+    return [(p * p * q0 * q2, p0 * p2 * q * q)
+            for (p0, q0), (p, q), (p2, q2) in zip(pq, pq[1:], pq[2:])]
+
+
 def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     """Group mu^(t)_n by occupancy count and test the alternating pattern.
 
     Checks that the j=1 term equals t*mu_n, that term signs alternate with
     j, that absolute values never increase, and that each tail sum is no
-    larger in modulus than the term just before it.
+    larger in modulus than the term just before it. The three comparisons
+    run on the integer numerators of the terms over one common
+    denominator; each term becomes a Fraction once, for the report.
     """
     m.require_exact("alternation_check")
     t = Fraction(t)
     if not 1 <= n <= m.degree:
         raise ValueError("need 1 <= n <= degree")
     vals = m.values
-    terms = []
-    binom = Fraction(1)  # C(t, j), built up one factor (t - j + 1) / j at a time
-    for j, s in enumerate(_composition_sum(vals, n), start=1):
-        binom = binom * (t - j + 1) / j
-        terms.append(binom * s)
-    terms = tuple(terms)
+    sums = _composition_sum(vals, n)
+    # C(t, j) = P_j / (j! v^j) at t = u/v, with P_j = u (u - v) ... (u - (j-1) v),
+    # so term j is nums[j-1] / den over the one denominator n! v^n lcm(den S_j)
+    u, v = t.numerator, t.denominator
+    common = lcm(*(s.denominator for s in sums))
+    rest, v_rest = factorial(n), v ** n  # n!/j! and v^(n-j), from j = 0
+    den = rest * v_rest * common
+    nums, p = [], 1
+    for j, s in enumerate(sums, start=1):
+        p *= u - (j - 1) * v
+        rest //= j
+        v_rest //= v
+        nums.append(p * s.numerator * (common // s.denominator) * rest * v_rest)
+    terms = tuple(Fraction(x, den) for x in nums)
 
     leading = t * vals[n]
-    signs_ok = all((-1) ** j * terms[j] > 0 if terms[j] else False
-                   for j in range(len(terms)))
-    moduli = [abs(x) for x in terms]
+    signs_ok = all(x > 0 if j % 2 == 0 else x < 0 for j, x in enumerate(nums))
+    moduli = [abs(x) for x in nums]
     moduli_ok = all(a >= b for a, b in zip(moduli, moduli[1:]))
     tails_ok = True
-    tail = Fraction(0)
-    for j in range(len(terms) - 1, 0, -1):
-        tail += terms[j]
+    tail = 0
+    for j in range(len(nums) - 1, 0, -1):
+        tail += nums[j]
         if abs(tail) > moduli[j - 1]:
             tails_ok = False
             break
 
     strict = None
     if n >= 2:
-        strict = all(vals[k] ** 2 < vals[k - 1] * vals[k + 1]
-                     for k in range(1, n))
+        strict = all(a < b for a, b in _log_convexity_ratios(vals[:n + 1]))
     pre = {"t_in_unit_interval": 0 < t < 1, "strictly_log_convex": strict}
     return AlternationReport(t, n, terms, leading, terms[0] == leading,
                              signs_ok, moduli_ok, tails_ok, pre)
@@ -182,7 +215,9 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
 
     Requires the examined prefix to be theta-log-convex (every ratio
     mu_n^2/(mu_{n-1} mu_{n+1}) at most theta) and t in (0, 1); when either
-    fails the report says so instead of judging the bounds.
+    fails the report says so instead of judging the bounds. The composed
+    moments come from _composed_at as integers, and each becomes a
+    Fraction only as its row is reported.
     """
     m.require_exact("envelope_bounds_check")
     theta = Fraction(theta)
@@ -195,16 +230,17 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
     if not 0 < t < 1:
         return EnvelopeReport("precondition-failed", theta, t, depth,
                               witness=("t outside (0,1)", t))
-    for k in range(1, depth):
-        ratio = vals[k] ** 2 / (vals[k - 1] * vals[k + 1])
-        if ratio > theta:
+    for k, (a, b) in enumerate(_log_convexity_ratios(vals[:depth + 1]), start=1):
+        if a * theta.denominator > theta.numerator * b:
             return EnvelopeReport("precondition-failed", theta, t, depth,
                                   witness=("log-convexity ratio exceeds theta",
-                                           k, ratio))
-    values = _composed_at(*_t_power_rows(vals[:depth + 1]), t)
+                                           k, Fraction(a, b)))
+    scale, xs = _composed_at(*_t_power_rows(vals[:depth + 1]), t)
     rows = []
+    power = 1
     for n in range(1, depth + 1):
-        value = values[n]
+        power *= scale
+        value = Fraction(xs[n], power)
         upper = t * vals[n]
         lower = (1 - theta) * upper
         rows.append((n, lower, value, upper))
@@ -279,9 +315,10 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     """Scan lattice families over a theta grid for Stieltjes survival.
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
-    composed at every t of the grid and the composed prefix, a plain list
-    of reduced Fractions, is run through stieltjes_verdict to `depth`, all
-    in exact arithmetic. The result is reproducible bit for bit.
+    composed at every t of the grid and the composed prefix, the integers
+    of _composed_at as a ScaledSequence, is run through stieltjes_verdict
+    to `depth`, all in exact arithmetic. The result is reproducible bit
+    for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -307,7 +344,8 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         power = _t_power_rows(lattice_family(q, 2 * depth + 1).values)
         row = []
         for t in ts:
-            row.append(ScanCell(theta, t, stieltjes_verdict(_composed_at(*power, t), depth)))
+            composed = ScaledSequence(*_composed_at(*power, t))
+            row.append(ScanCell(theta, t, stieltjes_verdict(composed, depth)))
         matrix.append(tuple(row))
 
     best = None

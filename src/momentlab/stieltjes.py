@@ -18,7 +18,9 @@ sign and divides back exactly. One fraction-free Bareiss pass per shift
 gives every leading minor; a pass stops at a zero pivot, and the sizes
 after it get one pivoting Bareiss determinant each, of the same integers.
 A sign is read off the integer minor, and a minor becomes a Fraction only
-where a report carries its value.
+where a report carries its value. A ScaledSequence comes with its integers
+already (a = 1): stieltjes_verdict reads its entry signs and minors from
+them, and builds a Fraction only for a witness.
 stieltjes_verdict runs shifts 0 and 1, indeterminacy_ratios and
 mu1_threshold_sequence shifts 0-3, and fekete_total_positivity one shift
 per anti-diagonal of its matrix, since each consecutive block is itself a
@@ -63,12 +65,29 @@ class HankelQuery(Record):
         return self.shift + 2 * self.size
 
 
+class ScaledSequence(Record):
+    """An exact prefix held as integers: entry n is ints[n] / c^n, c > 0.
+
+    (1, c, ints) is then an _integer_scale result, which stieltjes_verdict
+    takes as it is; `values`, the entries as reduced Fractions, is built on
+    demand for every other reader.
+    """
+
+    c: int
+    ints: tuple
+    exact = True
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(x, self.c ** n) for n, x in enumerate(self.ints))
+
+
 def _sequence_values(m) -> list:
-    """Entries of an exact MomentSequence or a plain sequence as Fractions,
-    each converted once; callers turn approximate MomentSequences away
-    first. A plain sequence with an mpf entry is approximate too, and is
-    refused with BackendError."""
-    if isinstance(m, MomentSequence):
+    """Entries of an exact MomentSequence, a ScaledSequence or a plain
+    sequence as Fractions, each converted once; callers turn approximate
+    MomentSequences away first. A plain sequence with an mpf entry is
+    approximate too, and is refused with BackendError."""
+    if isinstance(m, (MomentSequence, ScaledSequence)):
         return list(m.values)
     vals = list(m)
     if any(_is_mpf(v) for v in vals):
@@ -243,16 +262,24 @@ def _judge_for(m, tolerance) -> tuple:
     return _sequence_values(m), _SignJudge(None)
 
 
+def _check_depth(upto: int, entries: int) -> None:
+    """ValueError for upto < 0, or for fewer entries than the 2*upto + 2,
+    mu_0..mu_{2 upto + 1}, that a report to depth upto reads: never a
+    silently weaker report."""
+    if upto < 0:
+        raise ValueError("upto must be >= 0")
+    if entries < 2 * upto + 2:
+        raise ValueError("depth %d needs %d entries, got %d"
+                         % (upto, 2 * upto + 2, entries))
+
+
 def _depth_window(m, upto: int, tolerance) -> tuple:
-    """_judge_for of the 2*upto + 2 entries mu_0..mu_{2 upto + 1} that a
-    report to depth upto reads; ValueError for upto < 0 or a shorter
-    prefix, never a silently weaker report."""
+    """_judge_for of the entries a report to depth upto reads; a negative
+    depth is refused before the backend is."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
     vals, judge = _judge_for(m, tolerance)
-    if len(vals) < 2 * upto + 2:
-        raise ValueError("depth %d needs %d entries, got %d"
-                         % (upto, 2 * upto + 2, len(vals)))
+    _check_depth(upto, len(vals))
     return vals[:2 * upto + 2], judge
 
 
@@ -288,15 +315,26 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     (2*upto + 2 entries); a shorter prefix is an error, never a silently
     weaker certificate.
 
-    The minors come from _hankel_minors, one pass per shift, run only as
-    far as the verdict needs them; a later negative minor still wins over
-    an earlier zero one. Only the witness becomes a Fraction.
+    The entry signs and the minors come from the integers of
+    _integer_scale, or of a ScaledSequence as it is; the minors from
+    _hankel_minors, one pass per shift, run only as far as the verdict
+    needs them. A later negative minor still wins over an earlier zero
+    one. Only the witness becomes a Fraction.
     """
-    vals, judge = _depth_window(m, upto, tolerance)
-    for idx, v in enumerate(vals):
-        if judge.minor_sign(vals, idx, 0, v.numerator, v.denominator) < 0:
-            return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), v)
-    scaled = _integer_scale(vals)
+    if isinstance(m, ScaledSequence):
+        _check_depth(upto, len(m.ints))
+        vals, judge = None, _SignJudge(None)
+        scaled = (1, m.c, m.ints[:2 * upto + 2])
+    else:
+        vals, judge = _depth_window(m, upto, tolerance)
+        scaled = _integer_scale(vals)
+    a, c, ints = scaled
+    den = a
+    for idx, x in enumerate(ints):
+        if judge.minor_sign(vals, idx, 0, x, den) < 0:
+            return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
+                                     Fraction(x, den))
+        den *= c
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):

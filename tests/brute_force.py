@@ -4,7 +4,9 @@ The t-composition is defined by its occupancy sum over compositions of n;
 the surjection counts behind it come from the Stirling subset numbers and
 from finite differences, and the Stirling numbers also give the Touchard
 form of the Poisson moments. Boolean moments are sums over the interval
-partitions of {1..n}, which are compositions too. The semigroup law of the
+partitions of {1..n}, which are compositions too. The alternation and
+envelope reports are recomputed term by term in Fraction arithmetic from
+those occupancy sums. The semigroup law of the
 composition family is an identity between bivariate polynomials, and the
 Hankel reports (Stieltjes verdict, determinant ratios, mu_1 thresholds,
 Fekete minors) are runs of Hankel determinants, here one pivoting Bareiss
@@ -22,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+from momentlab.semigroup import AlternationReport, EnvelopeReport
 from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
                                  Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
                                  _bounded_away, _det_bareiss, _judge_for, hankel_matrix)
@@ -152,6 +155,61 @@ def composed_moment(mu: Sequence[Fraction], t, n: int) -> Fraction:
     """mu^(t)_n at a rational t."""
     t = Fraction(t)
     return sum(c * t ** d for d, c in enumerate(composed_polynomial(mu, n)))
+
+
+def alternation_report(mu: Sequence[Fraction], t, n: int) -> AlternationReport:
+    """The alternation report of mu^(t)_n in Fraction arithmetic: the terms
+    C(t, j) S_j(n) with C(t, j) built one factor (t - j + 1) / j at a time,
+    and every check a chain of Fraction comparisons and sums."""
+    t = Fraction(t)
+    terms = []
+    binom = Fraction(1)
+    for j in range(1, n + 1):
+        binom = binom * (t - j + 1) / j
+        terms.append(binom * composition_sum(mu, n, j))
+    terms = tuple(terms)
+    leading = t * mu[n]
+    signs_ok = all((-1) ** j * terms[j] > 0 if terms[j] else False
+                   for j in range(len(terms)))
+    moduli = [abs(x) for x in terms]
+    moduli_ok = all(a >= b for a, b in zip(moduli, moduli[1:]))
+    tails_ok = True
+    tail = Fraction(0)
+    for j in range(len(terms) - 1, 0, -1):
+        tail += terms[j]
+        if abs(tail) > moduli[j - 1]:
+            tails_ok = False
+            break
+    strict = None
+    if n >= 2:
+        strict = all(mu[k] ** 2 < mu[k - 1] * mu[k + 1] for k in range(1, n))
+    pre = {"t_in_unit_interval": 0 < t < 1, "strictly_log_convex": strict}
+    return AlternationReport(t, n, terms, leading, terms[0] == leading,
+                             signs_ok, moduli_ok, tails_ok, pre)
+
+
+def envelope_report(mu: Sequence[Fraction], theta, t, depth: int) -> EnvelopeReport:
+    """The envelope report in Fraction arithmetic, each composed moment
+    from the occupancy sum (composed_moment); mu must be positive."""
+    theta, t = Fraction(theta), Fraction(t)
+    if not 0 < t < 1:
+        return EnvelopeReport("precondition-failed", theta, t, depth,
+                              witness=("t outside (0,1)", t))
+    for k in range(1, depth):
+        ratio = mu[k] ** 2 / (mu[k - 1] * mu[k + 1])
+        if ratio > theta:
+            return EnvelopeReport("precondition-failed", theta, t, depth,
+                                  witness=("log-convexity ratio exceeds theta", k, ratio))
+    rows = []
+    for n in range(1, depth + 1):
+        value = composed_moment(mu, t, n)
+        upper = t * mu[n]
+        lower = (1 - theta) * upper
+        rows.append((n, lower, value, upper))
+        if not (lower < value <= upper):
+            return EnvelopeReport("violated", theta, t, depth, tuple(rows),
+                                  witness=(n, lower, value, upper))
+    return EnvelopeReport("holds", theta, t, depth, tuple(rows))
 
 
 def semigroup_first_failure(polys: Sequence[Sequence[Fraction]]) -> Optional[int]:

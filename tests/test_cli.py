@@ -344,6 +344,8 @@ BAD_FILES = {
     "pmf-error-null.json": _pmf(entry_error=None),
     "pmf-exact-zero.json": _doc(kind="pmf", values=["0", "0", "1"]),
     "pmf-exact-negative.json": _doc(kind="pmf", values=["-1", "1"]),
+    "pmf-one-mass.json": _pmf(values=["0.5"], tail_mass="0.5"),
+    "pmf-exact-one-mass.json": _doc(kind="pmf", values=["1"]),
     "bits-low.json": _doc(backend="decimal", precision_bits=63, values=["1", "2.5"]),
     "bits-huge.json": _doc(backend="decimal", precision_bits=10 ** 8,
                            values=["1", "1.5", "3.5", "10"]),
@@ -373,6 +375,8 @@ MALFORMED = [
     ["katti", "{d}/pmf-error-null.json"],
     ["katti", "{d}/pmf-exact-zero.json"],
     ["katti", "{d}/pmf-exact-negative.json"],
+    ["katti", "{d}/pmf-one-mass.json"],
+    ["katti", "{d}/pmf-exact-one-mass.json"],
     ["katti", "{d}/zero-den.json"],
     ["compose", "{d}/pmf.json", "--op", "classical"],
     ["compose", "{d}/schema.json", "--op", "classical"],
@@ -555,6 +559,9 @@ class TestParameterMessages:
         (["compose", "{d}/lattice.json", "--op", "boolean", "--t", "1/2", "--k", "2"],
          "--op boolean takes one of --t, --k, got --t, --k"),
         (["analyze", "{d}/lattice.json", "--fekete-shift", "0"], "--fekete-shift needs --fekete"),
+        (["katti", "{d}/pmf-one-mass.json"], "katti needs masses p_0 and p_1, got p_0 only"),
+        (["katti", "{d}/pmf-exact-one-mass.json", "--kmax", "0"],
+         "katti needs masses p_0 and p_1, got p_0 only"),
     ])
     def test_message_names_the_field(self, argv, message, bad_dir, capsys):
         assert main([a.format(d=bad_dir) for a in argv]) == 2

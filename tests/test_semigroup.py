@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
@@ -14,6 +15,7 @@ from momentlab.moment_algebra import (
 from momentlab.semigroup import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
+    _composed_at,
     _semigroup_first_failure,
     alternation_check,
     envelope_bounds_check,
@@ -21,6 +23,7 @@ from momentlab.semigroup import (
     mb_semigroup_identity,
     theta_threshold_scan,
 )
+from momentlab.stieltjes import ScaledSequence, stieltjes_verdict
 
 import brute_force
 from conftest import random_moment_prefix
@@ -103,6 +106,136 @@ class TestSemigroupFirstFailure:
                     assert got is None or got > n, (n, d)
                 else:
                     assert got == n, (n, d)
+
+
+def leipnik_twin(b: int, K: int, upto: int) -> list:
+    """Moments mu_0..mu_upto of the truncated Leipnik twin: atoms b^(2n)
+    with weights b^(-n^2) for |n| <= K. Finite support, so not infinitely
+    divisible: its t-powers for t in (0, 1) are refuted at small depth."""
+    weights = {n: F(1, b ** (n * n)) for n in range(-K, K + 1)}
+    total = sum(weights.values())
+    return [sum(w * F(b) ** (2 * n * k) for n, w in weights.items()) / total
+            for k in range(upto + 1)]
+
+
+signed_rationals = st.builds(F, st.integers(-50, 200), st.sampled_from([1, 2, 3, 5, 7, 12]))
+unit_ts = st.builds(F, st.integers(1, 59), st.just(60))
+
+
+class TestScaledScanPath:
+    """The scan's verdict on the integers of _composed_at, handed over as a
+    ScaledSequence, against stieltjes_verdict on the reduced Fractions of
+    the composed moments (mb_compose_at, which runs the cumulant recursion
+    on Fractions): the same kind, witness and witness value, so no witness
+    is ever reported on the scaled sequence."""
+
+    @staticmethod
+    def both(vals, t, depth):
+        seq = ScaledSequence(*_composed_at(*_t_power_rows(vals), t))
+        reduced = list(mb_compose_at(MomentSequence.from_exact(vals), t).values)
+        assert seq.values == tuple(reduced)
+        return stieltjes_verdict(seq, depth), stieltjes_verdict(reduced, depth)
+
+    def test_truncated_leipnik_twin(self):
+        kinds = set()
+        for K in (1, 2, 3):
+            for depth in (3, 4, 5, 6):
+                vals = leipnik_twin(2, K, 2 * depth + 1)
+                for t in [F(k, 20) for k in range(1, 20)] + [F(1), F(3, 2), F(2)]:
+                    scaled, reduced = self.both(vals, t, depth)
+                    # kind, witness and witness_value
+                    assert scaled == reduced, (K, depth, t)
+                    kinds.add((scaled.kind, scaled.witness is not None and scaled.witness.size > 0))
+        # refuted by an entry and by a minor, semi-definite, and positive
+        assert kinds == {("not-stieltjes", False), ("not-stieltjes", True),
+                         ("semi-definite", True), ("strictly-positive", False)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(signed_rationals, min_size=2 * d + 1, max_size=2 * d + 1))),
+        unit_ts)
+    def test_signed_prefixes(self, depth_and_tail, t):
+        depth, tail = depth_and_tail
+        scaled, reduced = self.both([F(1)] + tail, t, depth)
+        assert scaled == reduced
+
+    def test_short_prefix_and_negative_depth(self):
+        seq = ScaledSequence(*_composed_at(*_t_power_rows(leipnik_twin(2, 1, 5)), F(1, 2)))
+        with pytest.raises(ValueError, match="needs 8 entries, got 6"):
+            stieltjes_verdict(seq, 3)
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            stieltjes_verdict(seq, -1)
+
+
+# (prefix, t, n) -> the alternation flags that are false. Signs that
+# alternate with moduli that do not grow always bound their tails, so an
+# unbounded tail comes with one of the other two.
+ALTERNATION_OUTCOMES = [
+    ([1, 2, 30], F(1, 2), 2, set()),
+    ([1, 18, 27, 20, F(49, 4)], F(1), 4, {"signs_alternate"}),
+    ([1, 2, F(-11, 4), 18], F(4), 3, {"moduli_nonincreasing"}),
+    ([1, F(5, 3), F(-27, 8), 1, -5], F(3, 2), 4,
+     {"signs_alternate", "moduli_nonincreasing", "tails_bounded"}),
+]
+
+# (prefix, theta, t, depth) -> the envelope kind and the head of its witness
+ENVELOPE_OUTCOMES = [
+    ([1, 10, 10 ** 4, 10 ** 9], F(1, 100), F(1, 2), 3, "holds", None),
+    ([1, 4, 20, 125, F(15625, 16), F(9765625, 1024)], F(4, 5), F(1, 12), 5, "violated", 3),
+    ([1, 10, 10 ** 4, 10 ** 9], F(1, 100), F(3, 2), 3, "precondition-failed",
+     "t outside (0,1)"),
+    ([1, 1, 2, 5, 15], F(1, 100), F(1, 2), 4, "precondition-failed",
+     "log-convexity ratio exceeds theta"),
+]
+
+
+class TestAgainstFractionOracle:
+    """alternation_check and envelope_bounds_check against their Fraction
+    arithmetic in brute_force, on drawn inputs and on one input per
+    outcome."""
+
+    @pytest.mark.parametrize("vals, t, n, failing", ALTERNATION_OUTCOMES)
+    def test_alternation_outcomes(self, vals, t, n, failing):
+        rep = alternation_check(MomentSequence.from_exact(vals), t, n)
+        assert rep == brute_force.alternation_report([F(v) for v in vals], t, n)
+        flags = ("signs_alternate", "moduli_nonincreasing", "tails_bounded")
+        assert {f for f in flags if not getattr(rep, f)} == failing
+        assert rep.holds == (not failing)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(signed_rationals, min_size=n, max_size=n))),
+        st.builds(F, st.integers(1, 60), st.sampled_from([1, 4, 7, 20])))
+    def test_alternation_drawn(self, n_and_tail, t):
+        n, tail = n_and_tail
+        vals = [F(1)] + tail
+        assert (alternation_check(MomentSequence.from_exact(vals), t, n)
+                == brute_force.alternation_report(vals, t, n))
+
+    @pytest.mark.parametrize("vals, theta, t, depth, kind, head", ENVELOPE_OUTCOMES)
+    def test_envelope_outcomes(self, vals, theta, t, depth, kind, head):
+        rep = envelope_bounds_check(MomentSequence.from_exact(vals), theta, t, depth)
+        assert rep == brute_force.envelope_report([F(v) for v in vals], theta, t, depth)
+        assert rep.kind == kind
+        assert (rep.witness and rep.witness[0]) == head
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.builds(F, st.integers(1, 40), st.integers(1, 9)),
+           st.lists(st.integers(1, 40), min_size=6, max_size=6),
+           st.one_of(st.none(), st.builds(F, st.integers(1, 19), st.just(20))),
+           st.builds(F, st.integers(1, 29), st.just(20)))
+    def test_envelope_drawn(self, depth, ratio, growth, theta, t):
+        # mu_{n+1} / mu_n grows by 1 + g/20 at each step, so theta_n is
+        # 1 / (1 + g/20); theta None takes the largest theta_n, where the
+        # lower bound is tight enough to fail for small t
+        vals = [F(1)]
+        for g in growth[:depth]:
+            vals.append(vals[-1] * ratio)
+            ratio *= 1 + F(g, 20)
+        if theta is None:
+            theta = max(1 / (1 + F(g, 20)) for g in growth[:depth - 1])
+        assert (envelope_bounds_check(MomentSequence.from_exact(vals), theta, t, depth)
+                == brute_force.envelope_report(vals, theta, t, depth))
 
 
 class TestAlternation:

@@ -16,6 +16,7 @@ from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
+    ScaledSequence,
     _integer_scale,
     fekete_total_positivity,
     hankel_det,
@@ -288,6 +289,20 @@ class TestOnePassVerdict:
         a, c, ints = _integer_scale(vals)
         assert a >= 1 and c >= 1
         assert ints == [a * c ** n * v for n, v in enumerate(vals)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 40), ints=st.lists(st.integers(-10 ** 4, 10 ** 6),
+                                                 min_size=8, max_size=8))
+    def test_scaled_sequence_reads_as_its_values(self, c, ints):
+        """A ScaledSequence gives every exact report the answer its reduced
+        Fractions give, the verdict from its integers as they are."""
+        seq = ScaledSequence(c, tuple([1] + ints[1:]))
+        vals = [F(x, c ** n) for n, x in enumerate(seq.ints)]
+        assert seq.values == tuple(vals)
+        assert stieltjes_verdict(seq, 3) == brute_force.stieltjes_verdict_per_size(vals, 3)
+        assert stieltjes_verdict(seq, 2) == stieltjes_verdict(vals, 2)
+        assert indeterminacy_ratios(seq, 3) == indeterminacy_ratios(vals, 3)
+        assert hankel_det(seq, HankelQuery(1, 2)) == hankel_det(vals, HankelQuery(1, 2))
 
     def test_scan_cells_at_depth_8(self):
         # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
