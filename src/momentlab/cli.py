@@ -285,14 +285,6 @@ def cmd_compose(args) -> int:
         _emit_sequence(out, args, "compose", params)
         return 0
 
-    if args.op == "boolean":
-        t = args.t if args.k is None else Fraction(args.k)
-        params["t"] = str(t)
-        out = boolean_power_t(m, t, upto)
-        _emit_sequence(out, args, "compose", params)
-        return 0
-
-    # Maxwell-Boltzmann composition
     if args.symbolic:
         if args.csv:
             raise SequenceFileError("--symbolic writes a JSON report; --csv does not apply")
@@ -302,12 +294,14 @@ def cmd_compose(args) -> int:
                   "coefficients": [[str(c) for c in p.coeffs] for p in polys]}
         _write(seqfile.doc_to_json(report), args.output)
         return 0
-    if args.k is not None:
+    # the Boolean or Maxwell-Boltzmann power at one t
+    if args.op == "mb" and args.k is not None:
         out = mb_compose_integer(m, args.k, upto)
         params["k"] = args.k
     else:
-        out = mb_compose_at(m, args.t, upto)
-        params["t"] = str(args.t)
+        t = args.t if args.k is None else Fraction(args.k)
+        out = (boolean_power_t if args.op == "boolean" else mb_compose_at)(m, t, upto)
+        params["t"] = str(t)
     _emit_sequence(out, args, "compose", params)
     return 0
 

@@ -377,24 +377,6 @@ def geometric_pmf(rho, kmax: int) -> DiscretePMF:
     return DiscretePMF(masses=masses, exact=True, tail_mass=rho ** (kmax + 1))
 
 
-def poisson_weights(lam, kmax: int) -> DiscretePMF:
-    """Exact Poisson masses up to the irrational normalizer: lambda^k / k!.
-
-    The missing e^{-lambda} factor is a positive scale, which the
-    divisibility recursions ignore; tail_mass is left unset since the
-    weights are unnormalized.
-    """
-    lam = _as_fraction(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    masses = []
-    cur = Fraction(1)
-    for k in range(kmax + 1):
-        masses.append(cur)
-        cur = cur * lam / (k + 1)
-    return DiscretePMF(masses=tuple(masses), exact=True)
-
-
 def poisson_pmf(lam, kmax: int, p: Precision = Precision()) -> DiscretePMF:
     """Normalized Poisson pmf on the approximate backend, with a rounding
     error bound of a few ulp per entry."""

@@ -21,15 +21,13 @@ Boolean ones: _kappas_from_moments inverts it, _moments_from_kappas runs
 it forward, and both take the weight.
 
 Exact values are Fractions where a caller reads them: in sequences,
-polynomials and reports. The symbolic t-power and the composition sums run
-on Python integers: every quantity they compute is isobaric of weight n in
+polynomials and reports. The t-powers and the composition sums run on
+Python integers: every quantity they compute is isobaric of weight n in
 the moments, so one scale c with every c^n mu_n an integer
 (_isobaric_scale) keeps the cumulants, the partial Bell rows (_bell_rows)
-and the t-power coefficients integral. mb_compose_t and _composition_sum
-divide c^n out once per entry; the rows of _t_power_rows stay integers,
-which semigroup evaluates at a rational t and hands to the Hankel check as
-they are. A value at a single t (mb_compose_at) runs the recursion on
-Fractions.
+and the t-power coefficients integral. A t-power at one t, classical or
+Boolean, exact or decimal, has one evaluator, _power_at: at t = u/v entry
+n is an integer over (c v)^n, a ScaledSequence.
 Approximate sequences carry mpmath floats with a declared working
 precision from MIN_PRECISION_BITS to MAX_PRECISION_BITS
 (check_precision_bits), and every operation on them runs at that
@@ -295,12 +293,25 @@ class CumulantSequence(Record):
             raise IndexError("cumulant indices start at 1")
         return self.values[i - 1]
 
-    def scaled(self, t) -> "CumulantSequence":
-        t = _as_fraction(t) if self.exact else _as_mpf(t)
-        return CumulantSequence(tuple(t * v for v in self.values), self.exact, self.precision_bits)
-
 
 BooleanCumulantSequence = CumulantSequence
+
+
+class ScaledSequence(Record):
+    """An exact prefix held as integers: entry n is ints[n] / c^n, c > 0.
+
+    The exact form of _power_at's t-power. stieltjes_verdict reads its
+    signs and minors from the integers as they are; `values`, the entries
+    as reduced Fractions, is built on demand for every other reader.
+    """
+
+    c: int
+    ints: tuple
+    exact = True
+
+    @property
+    def values(self) -> tuple:
+        return tuple(Fraction(x, self.c ** n) for n, x in enumerate(self.ints))
 
 
 class TPolynomial:
@@ -450,8 +461,43 @@ def _t_power_rows(vals: Sequence) -> tuple:
     """(c, rows) with sum_j rows[n][j] t^j / c^n the n-th moment of the
     t-th composition power of vals = (1, mu_1, ..., mu_N), for n = 0..N:
     the partial Bell rows of the integer cumulants of the scaled moments."""
+    c, kappas = _power_base(vals)
+    return c, _bell_rows(kappas)
+
+
+def _power_base(vals: Sequence, boolean: bool = False) -> tuple:
+    """(c, kappas), what _power_at takes, for vals = (1, mu_1, ..., mu_N):
+    the cumulants, or the Boolean ones, of vals times c^n. Exact vals take
+    c from _isobaric_ints, so the kappas are integers; mpfs take c = 1."""
+    if _is_mpf(vals[0]):
+        return 1, _kappas_from_moments(vals, boolean)
     _, c, ints = _isobaric_ints(vals)
-    return c, _bell_rows(_kappas_from_moments(ints))
+    return c, _kappas_from_moments(ints, boolean)
+
+
+def _power_at(power: tuple, t, boolean: bool = False) -> tuple:
+    """(s, xs): entry n of the t-th power, classical or Boolean, is
+    xs[n] / s^n, for power = (c, kappas) with kappas[n-1] = c^n kappa_n.
+
+    The power has cumulants t kappa_n, so at t = u/v, kappa_i times
+    u v^(i-1) runs the forward recursion to entry n times (c v)^n: an
+    integer for integer kappas, and s = c v. On mpfs, t is an mpf and
+    c = v = 1.
+    """
+    c, kappas = power
+    u, v = (t, 1) if _is_mpf(t) else (t.numerator, t.denominator)
+    scaled, w = [], u
+    for k in kappas:
+        scaled.append(w * k)
+        w *= v
+    return c * v, _moments_from_kappas(scaled, boolean)
+
+
+def _power_sequence(seq, power: tuple, t, boolean: bool = False) -> MomentSequence:
+    """The t-th power of _power_at as a MomentSequence on seq's backend."""
+    if seq.exact:
+        return MomentSequence(ScaledSequence(*_power_at(power, _as_fraction(t), boolean)).values)
+    return _result_like(seq, _power_at(power, _as_mpf(t), boolean)[1])
 
 
 def _composition_sum(m, n: int) -> tuple:
@@ -473,13 +519,12 @@ def mb_compose_integer(m: MomentSequence, k: int, upto: Optional[int] = None) ->
     """k-th composition power: the occupancy sum sum_j C(k,j) S_j(n) at t = k.
 
     Agrees with the k-fold classical self-convolution, which the tests
-    verify. Computed as levy_moments_at_t at t = k, so decimal input is
-    served at its own precision. k = 0 gives the convolution identity
-    (1, 0, 0, ...).
+    verify. It is mb_compose_at at t = k, so decimal input is served at its
+    own precision. k = 0 gives the convolution identity (1, 0, 0, ...).
     """
     if k < 0:
         raise ValueError("mb_compose_integer needs k >= 0")
-    return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), k)
+    return mb_compose_at(m, k, upto)
 
 
 def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
@@ -507,17 +552,15 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     """
     m.require_exact("mb_compose_t")
     c, rows = _t_power_rows(_prefix(m, upto).values)
-    out, scale = [], 1
-    for row in rows:
-        out.append(TPolynomial([Fraction(b, scale) for b in row]))
-        scale *= c
-    return out
+    return [TPolynomial([Fraction(b, c ** n) for b in row]) for n, row in enumerate(rows)]
 
 
+@_at_own_precision
 def mb_compose_at(m: MomentSequence, t, upto: Optional[int] = None) -> MomentSequence:
-    """Evaluate the t-composition at a single rational t."""
-    m.require_exact("mb_compose_at")
-    return levy_moments_at_t(cumulants_from_moments(_prefix(m, upto)), t)
+    """The t-composition at a single t: _power_at on the cumulants of m,
+    exact at a rational t and at m's precision on decimal input."""
+    m = _prefix(m, upto)
+    return _power_sequence(m, _power_base(m.values), t)
 
 
 def _kappas_from_moments(ms: Sequence, boolean: bool = False) -> list:
@@ -543,10 +586,10 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     return CumulantSequence(tuple(_kappas_from_moments(m.values)), m.exact, m.precision_bits)
 
 
-def _moments_from_kappas(kappas: Sequence, one, boolean: bool = False) -> list:
-    """mu_0 = one, mu_n = sum_{i=1..n} w(n,i) kappa_i mu_{n-i}, with w as in
-    _kappas_from_moments, on the Fractions or mpfs of a CumulantSequence."""
-    out = [one]
+def _moments_from_kappas(kappas: Sequence, boolean: bool = False) -> list:
+    """mu_0 = 1, mu_n = sum_{i=1..n} w(n,i) kappa_i mu_{n-i}, with w as in
+    _kappas_from_moments, on integers, Fractions or mpfs."""
+    out = [1]
     for n in range(1, len(kappas) + 1):
         out.append(sum((1 if boolean else comb(n - 1, j)) * kappas[j] * out[n - 1 - j]
                        for j in range(n)))
@@ -556,21 +599,23 @@ def _moments_from_kappas(kappas: Sequence, one, boolean: bool = False) -> list:
 @_at_own_precision
 def moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     """Forward direction of the same recursion; exact inverse of the above."""
-    out = _moments_from_kappas(k.values, Fraction(1) if k.exact else mpmath.mpf(1))
-    return MomentSequence(tuple(out), k.exact, k.precision_bits)
+    return _result_like(k, _moments_from_kappas(k.values))
 
 
 @_at_own_precision
 def levy_moments_at_t(k: CumulantSequence, t) -> MomentSequence:
     """Moments at time t of the process whose cumulants at time 1 are k.
 
-    Cumulants are additive over independent increments, so this is just
+    Cumulants are additive over independent increments, so this is
     moments_from_cumulants(t * k). For the k derived from a moment prefix m
     it is the t-composition of m (the occupancy sum of mb_compose_t) at t,
-    entry by entry, for every rational t; mb_compose_at and
-    mb_compose_integer are computed this way.
+    entry by entry, for every rational t. It runs _power_at, as
+    mb_compose_at does, on exact k scaled to integers by _isobaric_ints.
     """
-    return moments_from_cumulants(k.scaled(t))
+    if k.exact:
+        _, c, ints = _isobaric_ints((1, *k.values))
+        return _power_sequence(k, (c, ints[1:]), t)
+    return _power_sequence(k, (1, k.values), t)
 
 
 @_at_own_precision
@@ -587,9 +632,7 @@ def boolean_cumulants_from_moments(m: MomentSequence) -> BooleanCumulantSequence
 @_at_own_precision
 def moments_from_boolean_cumulants(b: BooleanCumulantSequence) -> MomentSequence:
     """Forward direction of the same recursion; exact inverse of the above."""
-    one = Fraction(1) if b.exact else mpmath.mpf(1)
-    return MomentSequence(tuple(_moments_from_kappas(b.values, one, boolean=True)),
-                          b.exact, b.precision_bits)
+    return _result_like(b, _moments_from_kappas(b.values, boolean=True))
 
 
 @_at_own_precision
@@ -623,5 +666,5 @@ def boolean_power_t(m: MomentSequence, t, upto: Optional[int] = None) -> MomentS
     tq = _as_fraction(t) if m.exact else _as_mpf(t)
     if tq < 0:
         raise ValueError("boolean_power_t needs t >= 0")
-    bs = boolean_cumulants_from_moments(_prefix(m, upto))
-    return moments_from_boolean_cumulants(bs.scaled(tq))
+    m = _prefix(m, upto)
+    return _power_sequence(m, _power_base(m.values, boolean=True), tq, boolean=True)

@@ -11,25 +11,24 @@ input, and runs the empirical theta-threshold scan on the canonical lattice
 family mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
-The composed moments at a rational t stay integers over one scale
-(_composed_at) from the t-power rows on. The scan hands them to
+The composed moments at a rational t are integers over one scale, from
+moment_algebra's t-power evaluator _power_at. The scan hands them to
 stieltjes_verdict as a ScaledSequence, so a scan cell builds a Fraction
-only for a witness; the envelope builds one for each row it reports, and
-the alternation check compares its terms as integer numerators over one
-denominator and builds each term's Fraction once, for the report.
+only for a witness; the alternation check compares its terms as integer
+numerators over one denominator and builds each term's Fraction once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, isqrt, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .distributions import lattice_lognormal_moments
-from .moment_algebra import (MomentSequence, Record, _bell_rows, _composition_sum,
-                             _kappas_from_moments, _t_power_rows)
-from .stieltjes import PositivityVerdict, ScaledSequence, stieltjes_verdict
+from .moment_algebra import (MomentSequence, Record, ScaledSequence, _bell_rows,
+                             _composition_sum, _kappas_from_moments, _power_at, _power_base,
+                             _t_power_rows)
+from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
 class SemigroupIdentityReport(Record):
@@ -62,21 +61,6 @@ def _semigroup_first_failure(rows: Sequence) -> Optional[int]:
     expected = _bell_rows(_kappas_from_moments([sum(r) for r in rows]))
     return next((n for n, (row, want) in enumerate(zip(rows, expected))
                  if any(a != b for a, b in zip_longest(row, want, fillvalue=0))), None)
-
-
-def _composed_at(c: int, rows: Sequence, t: Fraction) -> tuple:
-    """(c v, xs): the composed moment sum_j rows[n][j] t^j / c^n at t = u/v,
-    from the integer rows of _t_power_rows, is xs[n] / (c v)^n with
-    xs[n] = sum_j rows[n][j] u^j v^(n-j). The xs are isobaric integers of
-    scale c v, as ScaledSequence takes them; no Fraction is built."""
-    u, v = t.numerator, t.denominator
-    xs, powers, u_n = [], [], 1  # powers[j] = u^j v^(n-j) for j = 0..n
-    for r in rows:
-        powers = [p * v for p in powers]
-        powers.append(u_n)
-        u_n *= u
-        xs.append(sum(map(mul, r, powers)))
-    return c * v, tuple(xs)
 
 
 def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityReport:
@@ -216,8 +200,7 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
     Requires the examined prefix to be theta-log-convex (every ratio
     mu_n^2/(mu_{n-1} mu_{n+1}) at most theta) and t in (0, 1); when either
     fails the report says so instead of judging the bounds. The composed
-    moments come from _composed_at as integers, and each becomes a
-    Fraction only as its row is reported.
+    moments come from _power_at.
     """
     m.require_exact("envelope_bounds_check")
     theta = Fraction(theta)
@@ -235,12 +218,10 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
             return EnvelopeReport("precondition-failed", theta, t, depth,
                                   witness=("log-convexity ratio exceeds theta",
                                            k, Fraction(a, b)))
-    scale, xs = _composed_at(*_t_power_rows(vals[:depth + 1]), t)
+    composed = ScaledSequence(*_power_at(_power_base(vals[:depth + 1]), t)).values
     rows = []
-    power = 1
     for n in range(1, depth + 1):
-        power *= scale
-        value = Fraction(xs[n], power)
+        value = composed[n]
         upper = t * vals[n]
         lower = (1 - theta) * upper
         rows.append((n, lower, value, upper))
@@ -316,9 +297,9 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
     composed at every t of the grid and the composed prefix, the integers
-    of _composed_at as a ScaledSequence, is run through stieltjes_verdict
-    to `depth`, all in exact arithmetic. The result is reproducible bit
-    for bit.
+    of _power_at as a ScaledSequence, is run through stieltjes_verdict to
+    `depth`, all in exact arithmetic. The result is reproducible bit for
+    bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -341,25 +322,17 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        power = _t_power_rows(lattice_family(q, 2 * depth + 1).values)
+        power = _power_base(lattice_family(q, 2 * depth + 1).values)
         row = []
         for t in ts:
-            composed = ScaledSequence(*_composed_at(*power, t))
+            composed = ScaledSequence(*_power_at(power, t))
             row.append(ScanCell(theta, t, stieltjes_verdict(composed, depth)))
         matrix.append(tuple(row))
 
-    best = None
-    for theta, row in zip(thetas, matrix):
-        if all(cell.passed for cell in row):
-            best = theta
-    monotone = True
-    for col in range(len(ts)):
-        seen_fail = False
-        for row in matrix:
-            if not row[col].passed:
-                seen_fail = True
-            elif seen_fail:
-                monotone = False
+    passes = [[cell.passed for cell in row] for row in matrix]
+    best = max((theta for theta, row in zip(thetas, passes) if all(row)), default=None)
+    # a column is downward closed when its passes, by rising theta, never rise
+    monotone = all(list(col) == sorted(col, reverse=True) for col in zip(*passes))
     ratios = tuple((theta, theta / (1 - theta) ** 2,
                     None if delta is None else theta / (1 - theta) ** 2 <= delta)
                    for theta in thetas)

@@ -18,9 +18,10 @@ sign and divides back exactly. One fraction-free Bareiss pass per shift
 gives every leading minor; a pass stops at a zero pivot, and the sizes
 after it get one pivoting Bareiss determinant each, of the same integers.
 A sign is read off the integer minor, and a minor becomes a Fraction only
-where a report carries its value. A ScaledSequence comes with its integers
-already (a = 1): stieltjes_verdict reads its entry signs and minors from
-them, and builds a Fraction only for a witness.
+where a report carries its value. A ScaledSequence, moment_algebra's exact
+form of a t-power, comes with its integers already (a = 1):
+stieltjes_verdict reads its entry signs and minors from them, and builds a
+Fraction only for a witness.
 stieltjes_verdict runs shifts 0 and 1, indeterminacy_ratios and
 mu1_threshold_sequence shifts 0-3, and fekete_total_positivity one shift
 per anti-diagonal of its matrix, since each consecutive block is itself a
@@ -37,8 +38,8 @@ from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import (MomentSequence, Record, _as_mpf, _exact, _is_mpf,
-                             _isobaric_ints, _working_precision)
+from .moment_algebra import (MomentSequence, Record, ScaledSequence, _as_mpf, _exact,
+                             _is_mpf, _isobaric_ints, _working_precision)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 # the share of its peak that the last ratio of an indeterminacy family keeps
@@ -63,23 +64,6 @@ class HankelQuery(Record):
     @property
     def max_index(self) -> int:
         return self.shift + 2 * self.size
-
-
-class ScaledSequence(Record):
-    """An exact prefix held as integers: entry n is ints[n] / c^n, c > 0.
-
-    (1, c, ints) is then an _integer_scale result, which stieltjes_verdict
-    takes as it is; `values`, the entries as reduced Fractions, is built on
-    demand for every other reader.
-    """
-
-    c: int
-    ints: tuple
-    exact = True
-
-    @property
-    def values(self) -> tuple:
-        return tuple(Fraction(x, self.c ** n) for n, x in enumerate(self.ints))
 
 
 def _sequence_values(m) -> list:
@@ -190,20 +174,6 @@ def _hankel_minors(scaled: tuple, shift: int, size: int):
     for k in range(done, size + 1):
         den *= a * c ** (shift + 2 * k)
         yield _det_bareiss(hankel_matrix(ints, HankelQuery(shift, k))), den
-
-
-def hankel_det(m, q: HankelQuery) -> Fraction:
-    """Exact Hankel determinant at the addressed window.
-
-    Accepts a MomentSequence (exact backend) or any sequence of rationals.
-    """
-    if isinstance(m, MomentSequence):
-        m.require_exact("hankel_det")
-    vals = _sequence_values(m)
-    _require_window(vals, q)
-    vals = vals[:q.max_index + 1]
-    *_, (num, den) = _hankel_minors(_integer_scale(vals), q.shift, q.size)
-    return Fraction(num, den)
 
 
 def _hadamard_bound(rows) -> Fraction:

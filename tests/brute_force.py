@@ -14,7 +14,8 @@ determinant per size or block, on integers whose denominators
 rational_det clears row by row, not by the library's isobaric scaling.
 The library computes each one way only; these are the other derivations,
 kept here so the tests can compare against them. Everything is exact and
-exponential in n: meant for n <= 10 or so.
+exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
+the exact one-rate input of the Katti tests.
 """
 from __future__ import annotations
 
@@ -24,10 +25,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+from momentlab.distributions import DiscretePMF
 from momentlab.semigroup import AlternationReport, EnvelopeReport
 from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
                                  Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
                                  _bounded_away, _det_bareiss, _judge_for, hankel_matrix)
+
+
+def poisson_weights(lam, kmax: int) -> DiscretePMF:
+    """Exact Poisson masses lam^k / k! for k = 0..kmax, lam > 0. The
+    missing e^(-lam) is a positive scale, which the divisibility
+    recursions ignore; tail_mass is unset, since the weights are
+    unnormalized."""
+    lam = Fraction(lam)
+    masses = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        masses.append(masses[-1] * lam / k)
+    return DiscretePMF(masses=tuple(masses), exact=True)
 
 
 @lru_cache(maxsize=None)

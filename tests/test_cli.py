@@ -165,6 +165,22 @@ class TestCompose:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--csv" in captured.err
 
+    def test_mb_t_serves_decimal_files(self, tmp_path, capsys):
+        """On a decimal file, --op mb --t 2 writes the values of --k 2 byte
+        for byte, and a fractional t is served too."""
+        path = tmp_path / "lognormal.json"
+        assert main(["moments", "lognormal", "--upto", "6", "-o", str(path)]) == 0
+        capsys.readouterr()
+        reports = []
+        for param in (["--k", "2"], ["--t", "2"]):
+            assert main(["compose", str(path), "--op", "mb", *param]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        by_k, by_t = reports
+        assert by_t["backend"] == "decimal"
+        assert by_t["params"].pop("t") == "2" and by_k["params"].pop("k") == 2
+        assert by_t == by_k
+        assert main(["compose", str(path), "--op", "mb", "--t", "1/3"]) == 0
+
     def test_mb_k_two_is_classical_self_convolution(self, tmp_path):
         path = lattice_file(tmp_path)
         out = tmp_path / "mbk.json"

@@ -19,7 +19,6 @@ from momentlab.distributions import (
     mixed_poisson_pmf,
     poisson_moments,
     poisson_pmf,
-    poisson_weights,
     truncated_lognormal_moments,
 )
 from momentlab.exceptions import QuadratureError
@@ -330,7 +329,7 @@ class TestSimplePmfs:
             geometric_pmf(F(3, 2), 5)
 
     def test_poisson_weights_unnormalized_exact(self):
-        w = poisson_weights(F(2), 4)
+        w = brute_force.poisson_weights(F(2), 4)
         assert w.exact
         assert w.masses == (1, 2, 2, F(4, 3), F(2, 3))
 

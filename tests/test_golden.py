@@ -64,10 +64,14 @@ CASES = {
                                   {"truncated.json": "moments-truncated.output"}),
     "compose-boolean": (["compose", "lattice.json", "--op", "boolean", "--t", "1/3",
                          "--csv"], {"lattice.json": "moments-lattice.output"}),
+    "compose-boolean-decimal": (["compose", "lognormal.json", "--op", "boolean", "--t", "1/3"],
+                                {"lognormal.json": "moments-lognormal.output"}),
     "compose-mb-t": (["compose", "lattice.json", "--op", "mb", "--t", "2/5", "--upto", "6",
                       "-o", "mb.json"], {"lattice.json": "moments-lattice.output"}),
     "compose-mb-k": (["compose", "lattice.json", "--op", "mb", "--k", "2"],
                      {"lattice.json": "moments-lattice.output"}),
+    "compose-mb-k-decimal": (["compose", "truncated.json", "--op", "mb", "--k", "3"],
+                             {"truncated.json": "moments-truncated.output"}),
     "compose-mb-symbolic": (["compose", "lattice.json", "--op", "mb", "--symbolic",
                              "--upto", "5"], {"lattice.json": "moments-lattice.output"}),
     "scan": (["scan"], {}),

@@ -399,6 +399,7 @@ class TestDecimalPrecision:
     def test_compositions_agree_with_exact(self):
         m, exact = self.decimal(), MomentSequence.from_exact(self.EXACT)
         self.assert_close(mb_compose_integer(m, 2), mb_compose_integer(exact, 2))
+        self.assert_close(mb_compose_at(m, F(1, 3)), mb_compose_at(exact, F(1, 3)))
         self.assert_close(classical_convolve(m, m), classical_convolve(exact, exact))
         self.assert_close(boolean_convolve(m, m), boolean_convolve(exact, exact))
         self.assert_close(boolean_power_t(m, F(1, 3)), boolean_power_t(exact, F(1, 3)))

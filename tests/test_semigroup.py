@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     MomentSequence,
+    ScaledSequence,
+    _power_at,
+    _power_base,
     _t_power_rows,
     classical_convolve,
     mb_compose_at,
@@ -15,7 +18,6 @@ from momentlab.moment_algebra import (
 from momentlab.semigroup import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
-    _composed_at,
     _semigroup_first_failure,
     alternation_check,
     envelope_bounds_check,
@@ -23,7 +25,7 @@ from momentlab.semigroup import (
     mb_semigroup_identity,
     theta_threshold_scan,
 )
-from momentlab.stieltjes import ScaledSequence, stieltjes_verdict
+from momentlab.stieltjes import stieltjes_verdict
 
 import brute_force
 from conftest import random_moment_prefix
@@ -123,17 +125,20 @@ unit_ts = st.builds(F, st.integers(1, 59), st.just(60))
 
 
 class TestScaledScanPath:
-    """The scan's verdict on the integers of _composed_at, handed over as a
+    """The scan's verdict on the integers of _power_at, handed over as a
     ScaledSequence, against stieltjes_verdict on the reduced Fractions of
-    the composed moments (mb_compose_at, which runs the cumulant recursion
-    on Fractions): the same kind, witness and witness value, so no witness
-    is ever reported on the scaled sequence."""
+    the composed moments: the same kind, witness and witness value, so no
+    witness is ever reported on the scaled sequence. The Fractions come
+    from a second derivation, the partial Bell rows of mb_compose_t at t,
+    and through n = 9 also from the occupancy sum over compositions."""
 
     @staticmethod
     def both(vals, t, depth):
-        seq = ScaledSequence(*_composed_at(*_t_power_rows(vals), t))
-        reduced = list(mb_compose_at(MomentSequence.from_exact(vals), t).values)
+        seq = ScaledSequence(*_power_at(_power_base(vals), t))
+        reduced = [p(t) for p in mb_compose_t(MomentSequence.from_exact(vals))]
         assert seq.values == tuple(reduced)
+        assert reduced[:10] == [brute_force.composed_moment(vals, t, n)
+                                for n in range(min(len(vals), 10))]
         return stieltjes_verdict(seq, depth), stieltjes_verdict(reduced, depth)
 
     def test_truncated_leipnik_twin(self):
@@ -160,7 +165,7 @@ class TestScaledScanPath:
         assert scaled == reduced
 
     def test_short_prefix_and_negative_depth(self):
-        seq = ScaledSequence(*_composed_at(*_t_power_rows(leipnik_twin(2, 1, 5)), F(1, 2)))
+        seq = ScaledSequence(*_power_at(_power_base(leipnik_twin(2, 1, 5)), F(1, 2)))
         with pytest.raises(ValueError, match="needs 8 entries, got 6"):
             stieltjes_verdict(seq, 3)
         with pytest.raises(ValueError, match="upto must be >= 0"):

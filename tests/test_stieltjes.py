@@ -11,15 +11,16 @@ from mpmath import mpf
 from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
                                      poisson_moments)
 from momentlab.exceptions import BackendError
-from momentlab.moment_algebra import MomentSequence, _exact, mb_compose_at
+from momentlab.moment_algebra import MomentSequence, ScaledSequence, _exact, mb_compose_t
+from momentlab import semigroup
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
-    ScaledSequence,
+    _hankel_minors,
     _integer_scale,
+    _sequence_values,
     fekete_total_positivity,
-    hankel_det,
     hankel_matrix,
     indeterminacy_ratios,
     log_convexity_report,
@@ -48,6 +49,14 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * F(rows[0][j]) * det_cofactor(minor)
     return total
+
+
+def hankel_det(m, q: HankelQuery) -> Fraction:
+    """The Hankel determinant at q: the last minor of the library's kernel,
+    _hankel_minors, on the entries of an exact sequence that q reads."""
+    vals = _sequence_values(m)[:q.max_index + 1]
+    *_, (num, den) = _hankel_minors(_integer_scale(vals), q.shift, q.size)
+    return F(num, den)
 
 
 def lattice(q, upto):
@@ -91,11 +100,16 @@ class TestHankelDeterminant:
         assert hankel_det(lattice(2, 2), HankelQuery(0, 0)) == 1
 
     def test_exact_only(self):
-        m = MomentSequence.from_approx([mpf(1), mpf(2), mpf(5)], 128)
-        with pytest.raises(BackendError):
-            hankel_det(m, HankelQuery(0, 1))
-        with pytest.raises(BackendError):
-            hankel_det([mpf(1), mpf(2), mpf(5)], HankelQuery(0, 1))
+        """Without a tolerance, the determinant reports refuse a decimal
+        sequence and a plain list of mpfs alike."""
+        m = MomentSequence.from_approx([mpf(1), mpf(2), mpf(5), mpf(15)], 128)
+        for vals in (m, list(m.values)):
+            with pytest.raises(BackendError):
+                stieltjes_verdict(vals, 1)
+            with pytest.raises(BackendError):
+                fekete_total_positivity(vals, HankelQuery(0, 1))
+            with pytest.raises(BackendError):
+                indeterminacy_ratios(vals, 1)
 
 
 class TestStieltjesVerdict:
@@ -304,15 +318,30 @@ class TestOnePassVerdict:
         assert indeterminacy_ratios(seq, 3) == indeterminacy_ratios(vals, 3)
         assert hankel_det(seq, HankelQuery(1, 2)) == hankel_det(vals, HankelQuery(1, 2))
 
-    def test_scan_cells_at_depth_8(self):
+    def test_scan_cells_at_depth_8(self, monkeypatch):
         # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
-        # cell recomposed through the rational cumulants of mb_compose_at
+        # cell's integers, as the scan hands them to the verdict, against
+        # the partial Bell rows of mb_compose_t at t, and through n = 9
+        # against the occupancy sum over compositions
+        handed = []
+
+        def recording(seq, upto):
+            handed.append(seq)
+            return stieltjes_verdict(seq, upto)
+
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", recording)
         res = theta_threshold_scan((F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8)
+        cells = iter(handed)
         for theta, row in zip(res.theta_grid, res.pass_matrix):
             q = F(isqrt(theta.denominator), isqrt(theta.numerator))
-            lattice_q = MomentSequence.from_exact([q ** (n * n) for n in range(18)])
+            vals = [q ** (n * n) for n in range(18)]
+            polys = mb_compose_t(MomentSequence.from_exact(vals))
             for cell in row:
-                composed = list(mb_compose_at(lattice_q, cell.t).values)
+                seq = next(cells)
+                composed = [p(cell.t) for p in polys]
+                assert isinstance(seq, ScaledSequence) and seq.values == tuple(composed)
+                assert composed[:10] == [brute_force.composed_moment(vals, cell.t, n)
+                                         for n in range(10)]
                 assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 8)
 
 
