@@ -15,9 +15,10 @@ window (-inf, ln b) and the gap (a, b) the window (ln a, ln b); the
 mixed-Poisson atom at 0 is the mass that left truncation sends there. The
 closed form runs at bits + 20 and carries only rounding error, which it
 checks against abs_tol. Only the rest of the mixed-Poisson pmf is a
-quadrature; its entry error adds the quadrature error estimate, the tail
-bound and rounding. Right truncation is left out on purpose, since its law
-has bounded support and nothing downstream needs it.
+quadrature, summed on integers; its entry error adds the quadrature error
+estimate, the tail bound, the truncation of the integer sums and rounding.
+Right truncation is left out on purpose, since its law has bounded support
+and nothing downstream needs it.
 
 Leipnik's twin, weight e^{-n^2 sigma2/2} at e^{n sigma2} for n in Z, has
 the lognormal's moments exactly, because sum_n e^{-(n-k)^2 sigma2/2} does
@@ -288,22 +289,36 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
     phi_{alpha,sigma}(x), and p_0 additionally receives the truncated
     Gaussian mass Phi((log b - alpha)/sigma): one minus the bracket that
     _censored_moments keeps at n = 0 for the window (-inf, log b).
-    tail_mass estimates the count mass beyond kmax. One tanh-sinh pass on mpmath's shared nodes gives
-    every mass: the window is split at log b, each peak ln(k/N) above it
-    and top = last peak + 30, past which the tail is bounded by the
-    log-slope k - N e^top; two exps per node and a running product give
-    every e^{k x} g(x). From degree 3, an interval stops refining once
-    mpmath's error estimate for every k is within abs_tol / (2 intervals
-    N^k/k!). Each mass's error, N^k/k! (interval errors + tail) + p_k
-    2^-bits, must be within abs_tol, the stated entry error, else
-    QuadratureError, raised at once if abs_tol < 2^-bits.
+    tail_mass estimates the count mass beyond kmax.
+
+    One tanh-sinh pass on mpmath's standard nodes gives every mass: the
+    window is split at log b, each peak ln(k/N) above it and top = last
+    peak + 30, past which the tail is bounded by the log-slope k - N e^top.
+    Each column (one node x with weight w) costs two exps at the working
+    precision, on mpmath's libmp values: e^x and v = w e^{-N e^x}
+    e^{-(x - alpha)^2 / (2 sigma2)}. Then the integer kernel adds
+    v e^{k x} = m_v m_e^k 2^(e_v + k e_e), an exact integer product, to an
+    integer accumulator acc[k] in units of 2^-scale_k, truncated once,
+    with scale_k = prec + 64 + mag(N^k / k! phi's normalizer); the sums
+    become mpfs once per interval and degree. From degree 3, an interval
+    stops refining once mpmath's error estimate for every k is within
+    abs_tol / (2 intervals N^k/k!); an interval that will refine anyway
+    stops estimating at its first k over that share. Each mass's error,
+    N^k/k! (interval errors + tail + columns 2^-scale_k) + p_k 2^-bits,
+    where the third term bounds the truncation of every column, must be
+    within abs_tol, the stated entry error, else QuadratureError, raised
+    at once if abs_tol < 2^-bits.
     """
+    from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pow_int,
+                              mpf_shift, mpf_sub, round_nearest as rnd)
+
     if N < 1 or kmax < 0:
         raise ValueError("need N >= 1 and kmax >= 0")
     # the window's rounding check of mu_0 = 1 refuses an abs_tol < 2^-bits
     kept = _censored_moments(spec, -mpmath.inf, log_b, 0, p)[1]
     rule = mpmath.mp._tanh_sinh
     prec = p.bits + 20
+    node_prec = prec + 20  # mpmath's get_nodes maps the standard nodes at prec + 20
     with mpmath.workprec(prec):
         a = _as_mpf(spec.alpha)
         s2 = _as_mpf(spec.sigma2)
@@ -316,47 +331,80 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
         fac = [1 / (s * mpmath.sqrt(2 * mpmath.pi))]  # phi's normalizer times N^k/k!
         for k in range(1, kmax + 1):
             fac.append(fac[-1] * nn / k)
+        scale = [prec + 64 + mpmath.mag(f) for f in fac]
         peaks = [mpmath.log(k / nn) for k in range(1, max(kmax, 1) + 1)]
         top = max(peaks[-1], logb) + 30
         points = [logb] + [x for x in peaks if x > logb] + [top]
+        neg_n, al, two_s2 = (-nn)._mpf_, a._mpf_, (2 * s2)._mpf_
 
         def add_column(acc, x, w):
-            """acc[k] += w e^{k x} g(x), for g without phi's normalizer."""
-            ex = mpmath.exp(x)
-            v = w * mpmath.exp(-nn * ex - (x - a) ** 2 / (2 * s2))
-            for k in range(kmax + 1):
-                acc[k] += v
-                v *= ex
+            """acc[k] += w e^{k x} g(x) in units of 2^-scale[k], for g without
+            phi's normalizer; x and w are libmp values, as are e^x and v,
+            rounded as mpmath.exp(x) and w * mpmath.exp(-nn * ex - (x - a) ** 2
+            / (2 * s2)) round them."""
+            ex = mpf_exp(x, prec, rnd)
+            z = mpf_div(mpf_pow_int(mpf_sub(x, al, prec, rnd), 2, prec, rnd), two_s2, prec, rnd)
+            v = mpf_mul(w, mpf_exp(mpf_sub(mpf_mul(neg_n, ex, prec, rnd), z, prec, rnd),
+                                   prec, rnd), prec, rnd)
+            _, m, e, _ = v
+            _, m_ex, e_ex, _ = ex
+            for k, sc in enumerate(scale):
+                shift = e + sc
+                acc[k] += m << shift if shift >= 0 else m >> -shift
+                m *= m_ex
+                e += e_ex
 
-        tails = [mpmath.mpf(0)] * (kmax + 1)
-        add_column(tails, top, 1)
-        tails = [v / (nn * mpmath.exp(top) - k) for k, v in enumerate(tails)]
+        def as_mpfs(acc):
+            return [mpmath.ldexp(v, -sc) for v, sc in zip(acc, scale)]
+
+        tails = [0] * (kmax + 1)
+        add_column(tails, top._mpf_, fone)
+        columns = 1
+        tails = [v / (nn * mpmath.exp(top) - k) for k, v in enumerate(as_mpfs(tails))]
         spans = list(zip(points, points[1:]))
         shares = [tol / (2 * f * len(spans)) for f in fac]
+        last = rule.guess_degree(prec)
         levels = [[] for _ in spans]  # per interval, the level sums of every k
         errors = [None] * len(spans)  # per interval, the error estimate of every k
         live = range(len(spans))
-        for degree in range(1, rule.guess_degree(prec) + 1):
+        for degree in range(1, last + 1):
             h = mpmath.mpf(2) ** -degree
+            standard = rule.get_nodes(-1, 1, degree, prec)
+            refine = []
             for i in live:
-                acc = [mpmath.mpf(0)] * (kmax + 1)
-                for x, w in rule.get_nodes(*spans[i], degree, prec):
-                    add_column(acc, x, w)
+                lo, hi = spans[i][0]._mpf_, spans[i][1]._mpf_
+                # transform_nodes' D + C x and C w at node_prec
+                c = mpf_shift(mpf_sub(hi, lo, node_prec, rnd), -1)
+                d = mpf_shift(mpf_add(hi, lo, node_prec, rnd), -1)
+                acc = [0] * (kmax + 1)
+                columns += len(standard)
+                for x, w in standard:
+                    add_column(acc, mpf_add(d, mpf_mul(c, x._mpf_, node_prec, rnd), node_prec, rnd),
+                               mpf_mul(c, w._mpf_, node_prec, rnd))
                 level = levels[i]
                 # as TanhSinh.sum_next: half of the nodes are the last degree's
-                level.append([(level[-1][k] / 2 if level else 0) + h * acc[k]
-                              for k in range(kmax + 1)])
-                if degree >= 3:
-                    errors[i] = [rule.estimate_error([row[k] for row in level[-3:]],
-                                                     prec, mpmath.eps) for k in range(kmax + 1)]
-            if degree >= 3:
-                live = [i for i in live if not all(e <= c for e, c in zip(errors[i], shares))]
-                if not live:
-                    break
+                level.append([(level[-1][k] / 2 if level else 0) + h * v
+                              for k, v in enumerate(as_mpfs(acc))])
+                if degree < 3:
+                    refine.append(i)
+                    continue
+                errors[i] = errs = []
+                for k, share in enumerate(shares):
+                    errs.append(rule.estimate_error([row[k] for row in level[-3:]],
+                                                    prec, mpmath.eps))
+                    # one k over its share refines the interval, unless this is
+                    # the last degree, whose every error the certificate sums
+                    if not errs[-1] <= share and degree < last:
+                        refine.append(i)
+                        break
+            live = refine
+            if not live:
+                break
         masses = [f * sum(level[-1][k] for level in levels) for k, f in enumerate(fac)]
         masses[0] += 1 - kept
-        _check_errors([f * (sum(err[k] for err in errors) + t) + mpmath.ldexp(abs(m), -p.bits)
-                       for k, (f, t, m) in enumerate(zip(fac, tails, masses))],
+        _check_errors([f * (sum(err[k] for err in errors) + t + mpmath.ldexp(columns, -sc))
+                       + mpmath.ldexp(abs(m), -p.bits)
+                       for k, (f, t, sc, m) in enumerate(zip(fac, tails, scale, masses))],
                       tol, "quadrature error")
         tail_mass = 1 - sum(masses)
     return DiscretePMF(

@@ -19,23 +19,25 @@ standard way to manufacture such a contradiction.
 The replication bound starts from the Clopper-Pearson lower confidence bound
 on a binomial probability (Clopper & Pearson, Biometrika 26, 1934): the
 (1 - level)-quantile of Beta(c, n - c + 1) for c hits in n trials. It is
-solved for in mpmath at a fixed 128-bit working precision: the regularized
-incomplete beta I_x(a, b) comes from its continued fraction (DLMF 8.17.22)
-times a prefactor taken through loggamma, and the root of I_x = alpha from
-Newton steps kept inside a shrinking bisection bracket. mpmath comes
-through moment_algebra's lazy binding, so this solve is the only part of
-the module that loads it.
+solved for on the standard library's decimal module at 40 digits (about
+133 bits): the regularized incomplete beta I_x(a, b) comes from its
+continued fraction (DLMF 8.17.22) times a prefactor whose log B(a, b) is
+taken from log Gamma (exact ln((n - 1)!) below 60, else Stirling's series),
+and the root of I_x = alpha from Newton steps kept inside a shrinking
+bisection bracket, started from statistics.NormalDist. Nothing in this
+module loads mpmath.
 """
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from statistics import NormalDist
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .exceptions import PrecisionError
-from .moment_algebra import Record, mpmath
+from .moment_algebra import Record
 
 
 class AtomJumps(Record):
@@ -201,23 +203,49 @@ def _poisson_pmf_value(lam: float, m: int) -> float:
     return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
 
 
-_CP_PREC = 128  # working bits of the Clopper-Pearson solve
+_CP_DIGITS = 40  # working digits of the Clopper-Pearson solve, about 133 bits
+
+# B_2, B_4, ..., B_30 as (numerator, denominator)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+              (8615841276005, 14322))
+_HALF_LOG_2PI = "0.918938533204672741780329736405617639861397473637783412817152"
 
 
-def _betainc(x: mpmath.mpf, a: int, b: int, log_beta: mpmath.mpf) -> mpmath.mpf:
-    """Regularized incomplete beta I_x(a, b), log_beta = log B(a, b).
+def _log_gamma(n: int) -> Decimal:
+    """ln Gamma(n) for an integer n >= 1 in the current decimal context:
+    ln((n - 1)!) below 60, else Stirling's series
+    (n - 1/2) ln n - n + ln(2 pi)/2 + sum_j B_2j / (2j (2j - 1) n^(2j - 1))
+    through B_30, whose remainder is below the first omitted term,
+    |B_32| / (32 31 60^31) < 2e-48."""
+    if n < 60:
+        return Decimal(math.factorial(n - 1)).ln()
+    x = Decimal(n)
+    out = (x - Decimal("0.5")) * x.ln() - x + Decimal(_HALF_LOG_2PI)
+    power, x2 = x, x * x
+    for j, (num, den) in enumerate(_BERNOULLI, 1):
+        out += num / (den * 2 * j * (2 * j - 1) * power)
+        power *= x2
+    return out
+
+
+def _betainc(x: Decimal, a: int, b: int, log_beta: Decimal) -> Decimal:
+    """Regularized incomplete beta I_x(a, b), log_beta = log B(a, b), in the
+    current decimal context.
 
     Below (a + 1) / (a + b + 2) the continued fraction of DLMF 8.17.22
     converges fast and is summed by the modified Lentz method; above it,
     I_x(a, b) = 1 - I_(1-x)(b, a). For an integer b the fraction is finite.
     (mpmath.betainc raises NoConvergence at a = 7817, b = 92184.)
     """
-    if x > mpmath.mpf(a + 1) / (a + b + 2):
+    if x > Decimal(a + 1) / (a + b + 2):
         return 1 - _betainc(1 - x, b, a, log_beta)
-    eps = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
-    tiny = mpmath.mpf(2) ** (-2 * mpmath.mp.prec)
+    prec = getcontext().prec
+    eps = Decimal(1).scaleb(3 - prec)
+    tiny = Decimal(1).scaleb(-2 * prec)
     # modified Lentz on 1/(1 + d_1/(1 + d_2/(1 + ...))), from its first term
-    f = d = mpmath.mpf(1)
+    f = d = Decimal(1)
     c = 1 / tiny
     j = 1
     while True:
@@ -232,7 +260,7 @@ def _betainc(x: mpmath.mpf, a: int, b: int, log_beta: mpmath.mpf) -> mpmath.mpf:
         if abs(delta - 1) <= eps:
             break
         j += 1
-    return mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - log_beta) * f
+    return (a * x.ln() + b * (1 - x).ln() - Decimal(a).ln() - log_beta).exp() * f
 
 
 def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
@@ -245,18 +273,19 @@ def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("level must lie in (0, 1)")
     a, b = count, trials - count + 1
-    with mpmath.workprec(_CP_PREC):
-        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
-        target = mpmath.mpf(alpha)
+    # an exponent range this wide keeps every exp here from underflowing
+    with localcontext(Context(prec=_CP_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        log_beta = _log_gamma(a) + _log_gamma(b) - _log_gamma(a + b)
+        target = Decimal(alpha)
         # x^a / (a B(a, b)) >= I_x(a, b), so its root undershoots the
         # quantile; the normal approximation is closer when it lies above it
-        x_pow = mpmath.exp((mpmath.log(target) + mpmath.log(a) + log_beta) / a)
-        mean = mpmath.mpf(a) / (a + b)
-        sd = mpmath.sqrt(mean * (1 - mean) / (a + b + 1))
-        x_norm = mean - mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * target) * sd
+        x_pow = ((target.ln() + Decimal(a).ln() + log_beta) / a).exp()
+        mean = Decimal(a) / (a + b)
+        sd = (mean * (1 - mean) / (a + b + 1)).sqrt()
+        x_norm = mean + Decimal(NormalDist().inv_cdf(alpha)) * sd
         x = x_norm if x_pow < x_norm < 1 else x_pow
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        tol = mpmath.mpf(2) ** -80
+        lo, hi = Decimal(0), Decimal(1)
+        tol = Decimal(2) ** -80
         for _ in range(400):
             g = _betainc(x, a, b, log_beta) - target
             if g == 0:
@@ -265,8 +294,9 @@ def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
                 lo = x
             else:
                 hi = x
-            slope = mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - log_beta)
-            new = x - g / slope
+            slope = ((a - 1) * x.ln() + (b - 1) * (1 - x).ln() - log_beta).exp()
+            # a slope that underflows even this range is 0: bisect
+            new = x - g / slope if slope else lo
             if not lo < new < hi:
                 new = (lo + hi) / 2
             done = abs(new - x) <= tol * x

@@ -15,7 +15,10 @@ rational_det clears row by row, not by the library's isobaric scaling.
 The library computes each one way only; these are the other derivations,
 kept here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
-the exact one-rate input of the Katti tests.
+the exact one-rate input of the Katti tests. Two numerical kernels the
+library replaced stay here as references in mpmath: the mixed-Poisson
+quadrature summed column by column in mpf arithmetic, and the 128-bit
+Clopper-Pearson solve.
 """
 from __future__ import annotations
 
@@ -355,3 +358,139 @@ def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdic
     if first_zero is not None:
         return TotalPositivityVerdict("semi-definite", q, checked, *first_zero)
     return TotalPositivityVerdict("strictly-tp", q, checked)
+
+
+def mixed_poisson_pmf_mpf(spec, log_b, N: int, kmax: int, p) -> DiscretePMF:
+    """distributions.mixed_poisson_pmf with every column summed in mpf
+    arithmetic: the same tanh-sinh nodes, spans, degrees and stopping rule,
+    but each acc[k] += v and v *= e^x rounded at the working precision, and
+    the error estimate of every k taken at every degree from 3 on. It has
+    no truncation term; the library's integer columns must agree with it
+    within p_k 2^-bits plus their truncation bound."""
+    import mpmath
+    from momentlab.distributions import _censored_moments, _check_errors
+    from momentlab.moment_algebra import _as_mpf
+
+    if N < 1 or kmax < 0:
+        raise ValueError("need N >= 1 and kmax >= 0")
+    kept = _censored_moments(spec, -mpmath.inf, log_b, 0, p)[1]
+    rule = mpmath.mp._tanh_sinh
+    prec = p.bits + 20
+    with mpmath.workprec(prec):
+        a = _as_mpf(spec.alpha)
+        s2 = _as_mpf(spec.sigma2)
+        s = mpmath.sqrt(s2)
+        logb = mpmath.mpf(log_b)
+        if not mpmath.isfinite(logb):
+            raise ValueError("log_b must be finite")
+        nn = mpmath.mpf(N)
+        tol = p.tol
+        fac = [1 / (s * mpmath.sqrt(2 * mpmath.pi))]
+        for k in range(1, kmax + 1):
+            fac.append(fac[-1] * nn / k)
+        peaks = [mpmath.log(k / nn) for k in range(1, max(kmax, 1) + 1)]
+        top = max(peaks[-1], logb) + 30
+        points = [logb] + [x for x in peaks if x > logb] + [top]
+
+        def add_column(acc, x, w):
+            ex = mpmath.exp(x)
+            v = w * mpmath.exp(-nn * ex - (x - a) ** 2 / (2 * s2))
+            for k in range(kmax + 1):
+                acc[k] += v
+                v *= ex
+
+        tails = [mpmath.mpf(0)] * (kmax + 1)
+        add_column(tails, top, 1)
+        tails = [v / (nn * mpmath.exp(top) - k) for k, v in enumerate(tails)]
+        spans = list(zip(points, points[1:]))
+        shares = [tol / (2 * f * len(spans)) for f in fac]
+        levels = [[] for _ in spans]
+        errors = [None] * len(spans)
+        live = range(len(spans))
+        for degree in range(1, rule.guess_degree(prec) + 1):
+            h = mpmath.mpf(2) ** -degree
+            for i in live:
+                acc = [mpmath.mpf(0)] * (kmax + 1)
+                for x, w in rule.get_nodes(*spans[i], degree, prec):
+                    add_column(acc, x, w)
+                level = levels[i]
+                level.append([(level[-1][k] / 2 if level else 0) + h * acc[k]
+                              for k in range(kmax + 1)])
+                if degree >= 3:
+                    errors[i] = [rule.estimate_error([row[k] for row in level[-3:]],
+                                                     prec, mpmath.eps) for k in range(kmax + 1)]
+            if degree >= 3:
+                live = [i for i in live if not all(e <= c for e, c in zip(errors[i], shares))]
+                if not live:
+                    break
+        masses = [f * sum(level[-1][k] for level in levels) for k, f in enumerate(fac)]
+        masses[0] += 1 - kept
+        _check_errors([f * (sum(err[k] for err in errors) + t) + mpmath.ldexp(abs(m), -p.bits)
+                       for k, (f, t, m) in enumerate(zip(fac, tails, masses))],
+                      tol, "quadrature error")
+        tail_mass = 1 - sum(masses)
+    return DiscretePMF(masses=tuple(masses), exact=False, precision_bits=p.bits,
+                       entry_error=tol, tail_mass=tail_mass)
+
+
+def clopper_pearson_lower_mpf(count: int, trials: int, level: float) -> float:
+    """The Clopper-Pearson lower bound by the library's algorithm in mpmath
+    at 128 bits: the continued fraction of DLMF 8.17.22 by modified Lentz,
+    the prefactor through mpmath.loggamma, the start from mpmath.erfinv,
+    and Newton steps inside a bisection bracket to a relative 2^-80."""
+    import mpmath
+
+    a, b = count, trials - count + 1
+    alpha = 1 - level
+
+    def betainc(x, a, b, log_beta):
+        if x > mpmath.mpf(a + 1) / (a + b + 2):
+            return 1 - betainc(1 - x, b, a, log_beta)
+        eps = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
+        tiny = mpmath.mpf(2) ** (-2 * mpmath.mp.prec)
+        f = d = mpmath.mpf(1)
+        c = 1 / tiny
+        j = 1
+        while True:
+            m, odd = divmod(j, 2)
+            num = (-(a + m) * (a + b + m) if odd else m * (b - m)) * x / ((a + j - 1) * (a + j))
+            d = 1 + num * d
+            d = 1 / (d if d != 0 else tiny)
+            c = 1 + num / c
+            c = c if c != 0 else tiny
+            delta = c * d
+            f *= delta
+            if abs(delta - 1) <= eps:
+                break
+            j += 1
+        return mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - log_beta) * f
+
+    with mpmath.workprec(128):
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        target = mpmath.mpf(alpha)
+        x_pow = mpmath.exp((mpmath.log(target) + mpmath.log(a) + log_beta) / a)
+        mean = mpmath.mpf(a) / (a + b)
+        sd = mpmath.sqrt(mean * (1 - mean) / (a + b + 1))
+        x_norm = mean - mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * target) * sd
+        x = x_norm if x_pow < x_norm < 1 else x_pow
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        tol = mpmath.mpf(2) ** -80
+        for _ in range(400):
+            g = betainc(x, a, b, log_beta) - target
+            if g == 0:
+                break
+            if g < 0:
+                lo = x
+            else:
+                hi = x
+            slope = mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - log_beta)
+            new = x - g / slope
+            if not lo < new < hi:
+                new = (lo + hi) / 2
+            done = abs(new - x) <= tol * x
+            x = new
+            if done:
+                break
+        else:
+            raise AssertionError("Clopper-Pearson quantile did not converge")
+        return float(x)

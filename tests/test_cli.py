@@ -647,6 +647,10 @@ class TestStartup:
         names = out.stdout.split()
         assert [n for n in names if n in LAYERS] == []
         assert mpmath_submodules(names) == []
+        # the quadrature imports mpmath's libmp only when a pmf is computed
+        out = fresh_python("-c", "import sys, momentlab.distributions; "
+                                 "print('\\n'.join(sys.modules))")
+        assert mpmath_submodules(out.stdout.split()) == []
 
     def test_exact_input_never_runs_mpmath(self, tmp_path):
         lattice_file(tmp_path)
@@ -669,11 +673,14 @@ class TestStartup:
             names = loaded_after(tmp_path, argv)
             assert [n for n in names if n in LAYERS] == [], argv
             assert mpmath_submodules(names) != [], argv
-        # only the Clopper-Pearson solve of `simulate spectrum` runs mpmath
-        names = loaded_after(tmp_path, ["simulate", "epsilon", "--atoms", "1:1",
-                                        "--eps-grid", "0.1", "--trials", "50", "--seed", "1"])
-        assert [n for n in names if n in LAYERS] == []
-        assert mpmath_submodules(names) == []
+        # neither simulation runs mpmath: the Clopper-Pearson solve of
+        # `simulate spectrum` runs on the decimal module
+        sim = ["--lognormal-jumps", "0:1", "--trials", "2000", "--seed", "3"]
+        for argv in (["simulate", "epsilon", "--eps-grid", "0.1", *sim],
+                     ["simulate", "spectrum", "--a", "0.5", "--b", "1", "--n", "2", *sim]):
+            names = loaded_after(tmp_path, argv)
+            assert [n for n in names if n in LAYERS] == [], argv
+            assert mpmath_submodules(names) == [], argv
 
     def test_no_run_loads_dataclasses(self, tmp_path):
         """Records derive from moment_algebra.Record, so no start-up pays for

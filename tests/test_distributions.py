@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from momentlab.distributions import (
@@ -314,6 +315,52 @@ class TestMixedPoissonPmf:
     def test_kmax_must_be_non_negative(self):
         with pytest.raises(ValueError, match="kmax"):
             mixed_poisson_pmf(LognormalSpec(0, 1), -1.4, 10, -1, P128)
+
+
+def column_truncation_bound(kmax: int, p: Precision):
+    """An upper bound on the integer columns' documented truncation term
+    columns fac_k 2^-scale_k: fac_k 2^-scale_k <= 2^-(prec + 64) with
+    prec = bits + 20, and there are at most kmax + 1 intervals, each taking
+    the standard nodes of every degree once, plus the tail's column."""
+    prec = p.bits + 20
+    rule = mpmath.mp._tanh_sinh
+    nodes = sum(len(rule.get_nodes(-1, 1, degree, prec))
+                for degree in range(1, rule.guess_degree(prec) + 1))
+    return mpmath.ldexp(1 + (kmax + 1) * nodes, -(prec + 64))
+
+
+class TestMixedPoissonIntegerColumns:
+    """The integer column kernel against the mpf one it replaced
+    (brute_force.mixed_poisson_pmf_mpf): every mass within its relative
+    rounding 2^-bits plus the truncation of the integer columns."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(alpha=st.sampled_from([-1, -0.25, 0, 0.3, 1]),
+           s2=st.sampled_from([0.25, 0.5, 1, 2]),
+           log_b=st.sampled_from([-3, -1, -0.5, 0.7, 2, 4]),
+           N=st.integers(1, 20), kmax=st.integers(0, 20),
+           p=st.sampled_from([P128, Precision(192, "1e-40")]))
+    # N = 20 at kmax = 20 puts fac_20 near 2^25, where one absolute
+    # scale for every k would show; log b = 4 at N = 1 gives masses
+    # near 1e-31, far below abs_tol, where only the truncation shows
+    @example(alpha=0, s2=1, log_b=-1, N=20, kmax=20, p=P128)
+    @example(alpha=0, s2=0.5, log_b=4, N=1, kmax=16, p=P128)
+    # too narrow a Gaussian for the last degree: both refuse the certificate
+    @example(alpha=0, s2=0.0001, log_b=-3, N=5, kmax=4, p=P128)
+    def test_matches_mpf_columns(self, alpha, s2, log_b, N, kmax, p):
+        spec = LognormalSpec(alpha, s2)
+        try:
+            old = brute_force.mixed_poisson_pmf_mpf(spec, log_b, N, kmax, p)
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                mixed_poisson_pmf(spec, log_b, N, kmax, p)
+            return
+        new = mixed_poisson_pmf(spec, log_b, N, kmax, p)
+        assert new.entry_error == old.entry_error
+        with mpmath.workprec(p.bits + 20):
+            trunc = column_truncation_bound(kmax, p)
+            for k, (a, b) in enumerate(zip(new.masses, old.masses)):
+                assert abs(a - b) <= mpmath.ldexp(abs(b), -p.bits) + trunc, k
 
 
 class TestSimplePmfs:

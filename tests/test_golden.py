@@ -80,6 +80,13 @@ CASES = {
     "simulate-spectrum": (["simulate", "spectrum", "--a", "0.5", "--b", "2", "--n", "2",
                            "--censor-gap", "0.9", "1.2", *SIM], {}),
     "simulate-epsilon": (["simulate", "epsilon", "--eps-grid", "0.05,0.1,0.2", *SIM], {}),
+    # the benchmark's pmf, and a Clopper-Pearson solve on a long continued fraction
+    "moments-mixed-poisson-kmax-12": (["moments", "mixed-poisson", "--alpha", "0",
+                                       "--sigma2", "1", "--logb", "-1", "--N", "5",
+                                       "--kmax", "12"], {}),
+    "simulate-spectrum-100k": (["simulate", "spectrum", "--a", "0.5", "--b", "1.0", "--n", "2",
+                                "--censor-gap", "0.9", "1.2", "--lognormal-jumps", "0:1",
+                                "--rate", "1.0", "--trials", "100000", "--seed", "19"], {}),
 }
 
 

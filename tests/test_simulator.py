@@ -1,5 +1,7 @@
 """The seeded compound-Poisson simulator and its Clopper-Pearson quantile."""
 import math
+import random
+from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
@@ -7,9 +9,12 @@ import pytest
 from mpmath import mpf
 
 from momentlab.cli import main
-from momentlab.simulator import (JumpSpec, LognormalJumps, PoissonJumps,
-                                 _clopper_pearson_lower, epsilon_truncation_drift,
-                                 make_rng, sample_compound_poisson, spectrum_gap_test)
+from momentlab.simulator import (_BERNOULLI, _HALF_LOG_2PI, JumpSpec, LognormalJumps,
+                                 PoissonJumps, _clopper_pearson_lower, _log_gamma,
+                                 epsilon_truncation_drift, make_rng, sample_compound_poisson,
+                                 spectrum_gap_test)
+
+import brute_force
 
 ALPHAS = (1e-6, 1e-3, 0.01, 0.05, 0.5)
 
@@ -63,6 +68,40 @@ class TestClopperPearson:
         for c, n, level in ((0, 10, 0.99), (11, 10, 0.99), (1, 10, 1.0), (1, 10, 0.0)):
             with pytest.raises(ValueError):
                 _clopper_pearson_lower(c, n, level)
+
+    def test_same_float_as_the_mpmath_solve(self):
+        """The decimal solve returns the float that the same algorithm gives
+        in mpmath at 128 bits (brute_force.clopper_pearson_lower_mpf)."""
+        rnd = random.Random(19)
+        draws = [(9353, 10 ** 5, 0.99), (7817, 10 ** 5, 0.99), (10 ** 5, 10 ** 5, 0.99),
+                 (1, 1, 0.5), (10 ** 6, 10 ** 6, 1 - 1e-12), (1, 10 ** 6, 0.999999)]
+        while len(draws) < 220:
+            n = rnd.choice((1, 2, 7, 60, 1000, 10 ** 5, rnd.randint(1, 10 ** 6)))
+            c = rnd.choice((1, 2, n - 1, n, rnd.randint(1, n)))
+            level = rnd.choice((0.5, 0.9, 0.99, 0.999, 1 - 1e-9, rnd.random()))
+            if 1 <= c <= n and 0 < 1 - level < 1:
+                draws.append((c, n, level))
+        for c, n, level in draws:
+            assert _clopper_pearson_lower(c, n, level) == \
+                brute_force.clopper_pearson_lower_mpf(c, n, level), (c, n, level)
+
+
+class TestLogGamma:
+    def test_constants(self):
+        for j, (num, den) in enumerate(_BERNOULLI, 1):
+            assert mpmath.bernfrac(2 * j) == (num, den), 2 * j
+        with mpmath.workdps(70):
+            assert abs(mpf(_HALF_LOG_2PI) - mpmath.log(2 * mpmath.pi) / 2) < mpf("1e-58")
+
+    def test_exact_and_stirling_branches(self):
+        # 59 is the last exact ln((n - 1)!), 60 the first Stirling series
+        for n in (1, 2, 3, 30, 59, 60, 61, 1000, 92184, 10 ** 6 + 1, 10 ** 9):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                got = _log_gamma(n)
+            with mpmath.workdps(60):
+                exact = mpmath.loggamma(n)
+                assert abs(mpf(str(got)) - exact) <= mpf("1e-38") * max(1, abs(exact)), n
 
 
 SPEC = JumpSpec(1.0, LognormalJumps(0.0, 1.0))
