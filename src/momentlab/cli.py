@@ -399,15 +399,33 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the names of each level of subcommands, in the order their help lists them
+COMMANDS = ("moments", "analyze", "katti", "compose", "simulate", "scan")
+SOURCES = ("lognormal", "lattice", "truncated", "gap", "leipnik", "mixed-poisson")
+MODES = ("spectrum", "epsilon")
+
+
+def _subcommands(parser, dest: str, names: tuple, word: Optional[str]) -> tuple:
+    """(the subparsers action of one level, the names to build there). When
+    word, the next word of the command line, is one of the names, only that
+    one is built, and the metavar still lists every name, so the usage in
+    any error the parent reports reads the same. Any other word (none, -h,
+    a typo) builds the level in full."""
+    if word in names:
+        return (parser.add_subparsers(dest=dest, required=True,
+                                      metavar="{%s}" % ",".join(names)), {word})
+    return parser.add_subparsers(dest=dest, required=True), set(names)
+
+
+def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+    """The command line parser; with argv, only the subparsers along the path
+    that argv names, which is all that parsing argv needs (see
+    _subcommands). With no argv, the full tree."""
+    first, second = (list(argv or ()) + [None, None])[:2]
     parser = _Parser(
         prog="momentlab",
         description="Exact and certified-precision moment sequence toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # moments
-    p_m = sub.add_parser("moments", help="generate a sequence file")
-    src = p_m.add_subparsers(dest="source", required=True)
+    sub, commands = _subcommands(parser, "command", COMMANDS, first)
 
     def add_common(sp, moments=True, certified=True):
         """The shared options, each only on the sources that read it: --upto
@@ -431,80 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output", help="write to file instead of stdout")
         sp.set_defaults(func=cmd_moments)
 
-    add_common(src.add_parser("lognormal", help="plain lognormal moments"))
-
-    sp = src.add_parser("lattice", help="exact family r^n q^(n^2)")
-    sp.add_argument("--q", type=_frac, required=True)
-    sp.add_argument("--r", type=_frac, default=Fraction(1))
-    add_common(sp, certified=False)
-
-    sp = src.add_parser("truncated", help="left-truncated lognormal moments")
-    sp.add_argument("--logb", type=float, required=True,
-                    help="log of the truncation point")
-    sp.add_argument("--conditional", action="store_true",
-                    help="normalize by the surviving mass")
-    add_common(sp)
-
-    sp = src.add_parser("gap", help="gap-censored lognormal moments")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    add_common(sp)
-
-    add_common(src.add_parser("leipnik", help="discrete lattice twin of the lognormal"))
-
-    sp = src.add_parser("mixed-poisson",
-                        help="Poisson pmf with truncated-lognormal intensity")
-    sp.add_argument("--logb", type=float, required=True)
-    sp.add_argument("--N", type=int, required=True, help="intensity scale")
-    sp.add_argument("--kmax", type=int, default=16)
-    add_common(sp, moments=False)
-
-    # analyze
-    p_a = sub.add_parser("analyze", help="Hankel and ratio diagnostics")
-    p_a.add_argument("file")
-    p_a.add_argument("--stieltjes-depth", type=int)
-    p_a.add_argument("--fekete", type=int, metavar="SIZE",
-                     help="Fekete minor check of the size-SIZE Hankel matrix")
-    p_a.add_argument("--fekete-shift", type=int, choices=(0, 1),
-                     help="shift of the --fekete matrix (default 0)")
-    p_a.add_argument("--indeterminacy", type=int, metavar="DEPTH")
-    p_a.add_argument("--mu1-threshold", type=int, metavar="DEPTH")
-    p_a.add_argument("--logconvex", action="store_true")
-    p_a.add_argument("--tolerance", type=_nonnegative(_frac),
-                     help="rational zero cutoff for decimal input")
-    p_a.add_argument("--precision", type=int, default=128,
-                     help="bits assumed for decimal CSV input")
-    p_a.set_defaults(func=cmd_analyze)
-
-    # katti
-    p_k = sub.add_parser("katti", help="infinite-divisibility recursion")
-    p_k.add_argument("file")
-    p_k.add_argument("--kmax", type=int)
-    p_k.add_argument("--logconvex", action="store_true",
-                     help="also run the log-convexity certificate")
-    p_k.add_argument("--table", action="store_true",
-                     help="aligned table on stderr next to the JSON")
-    p_k.set_defaults(func=cmd_katti)
-
-    # compose
-    p_c = sub.add_parser("compose", help="convolution compositions")
-    p_c.add_argument("file")
-    p_c.add_argument("--op", choices=("classical", "mb", "boolean"),
-                     required=True)
-    p_c.add_argument("--t", type=_frac, help="rational composition parameter")
-    p_c.add_argument("--k", type=int, help="integer composition parameter")
-    p_c.add_argument("--upto", type=_nonnegative(int))
-    p_c.add_argument("--symbolic", action="store_true",
-                     help="emit t-polynomial coefficients (mb only)")
-    p_c.add_argument("--precision", type=int, default=128)
-    p_c.add_argument("--csv", action="store_true")
-    p_c.add_argument("-o", "--output")
-    p_c.set_defaults(func=cmd_compose)
-
-    # simulate
-    p_s = sub.add_parser("simulate", help="seeded Monte-Carlo experiments")
-    sim = p_s.add_subparsers(dest="mode", required=True)
-
     def add_sim_common(sp):
         sp.add_argument("--rate", type=float, default=1.0)
         sp.add_argument("--atoms", help="jump atoms as size:weight[,size:weight...]")
@@ -518,35 +462,115 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--level", type=float, default=0.99)
         sp.set_defaults(func=cmd_simulate)
 
-    sp = sim.add_parser("spectrum", help="interval replication consistency")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--censor-gap", type=float, nargs=2, metavar=("A", "B"),
-                    help="zero out samples inside this open interval first")
-    add_sim_common(sp)
+    if "moments" in commands:
+        p_m = sub.add_parser("moments", help="generate a sequence file")
+        src, sources = _subcommands(p_m, "source", SOURCES,
+                                    second if first == "moments" else None)
+        if "lognormal" in sources:
+            add_common(src.add_parser("lognormal", help="plain lognormal moments"))
+        if "lattice" in sources:
+            sp = src.add_parser("lattice", help="exact family r^n q^(n^2)")
+            sp.add_argument("--q", type=_frac, required=True)
+            sp.add_argument("--r", type=_frac, default=Fraction(1))
+            add_common(sp, certified=False)
+        if "truncated" in sources:
+            sp = src.add_parser("truncated", help="left-truncated lognormal moments")
+            sp.add_argument("--logb", type=float, required=True,
+                            help="log of the truncation point")
+            sp.add_argument("--conditional", action="store_true",
+                            help="normalize by the surviving mass")
+            add_common(sp)
+        if "gap" in sources:
+            sp = src.add_parser("gap", help="gap-censored lognormal moments")
+            sp.add_argument("--a", type=float, required=True)
+            sp.add_argument("--b", type=float, required=True)
+            add_common(sp)
+        if "leipnik" in sources:
+            add_common(src.add_parser("leipnik", help="discrete lattice twin of the lognormal"))
+        if "mixed-poisson" in sources:
+            sp = src.add_parser("mixed-poisson",
+                                help="Poisson pmf with truncated-lognormal intensity")
+            sp.add_argument("--logb", type=float, required=True)
+            sp.add_argument("--N", type=int, required=True, help="intensity scale")
+            sp.add_argument("--kmax", type=int, default=16)
+            add_common(sp, moments=False)
 
-    sp = sim.add_parser("epsilon", help="small-jump truncation drift")
-    sp.add_argument("--eps-grid", type=_list_of(float), required=True)
-    sp.add_argument("--eta", type=float, default=0.1)
-    add_sim_common(sp)
+    if "analyze" in commands:
+        p_a = sub.add_parser("analyze", help="Hankel and ratio diagnostics")
+        p_a.add_argument("file")
+        p_a.add_argument("--stieltjes-depth", type=int)
+        p_a.add_argument("--fekete", type=int, metavar="SIZE",
+                         help="Fekete minor check of the size-SIZE Hankel matrix")
+        p_a.add_argument("--fekete-shift", type=int, choices=(0, 1),
+                         help="shift of the --fekete matrix (default 0)")
+        p_a.add_argument("--indeterminacy", type=int, metavar="DEPTH")
+        p_a.add_argument("--mu1-threshold", type=int, metavar="DEPTH")
+        p_a.add_argument("--logconvex", action="store_true")
+        p_a.add_argument("--tolerance", type=_nonnegative(_frac),
+                         help="rational zero cutoff for decimal input")
+        p_a.add_argument("--precision", type=int, default=128,
+                         help="bits assumed for decimal CSV input")
+        p_a.set_defaults(func=cmd_analyze)
 
-    # scan
-    p_t = sub.add_parser("scan", help="theta-threshold scan")
-    # None stands for semigroup's DEFAULT_THETA_GRID and DEFAULT_T_GRID
-    p_t.add_argument("--theta-grid", type=_list_of(_frac))
-    p_t.add_argument("--t-grid", type=_list_of(_frac))
-    p_t.add_argument("--depth", type=int, default=5)
-    p_t.add_argument("--delta", type=_frac,
-                     help="compare theta/(1-theta)^2 against this bound")
-    p_t.set_defaults(func=cmd_scan)
+    if "katti" in commands:
+        p_k = sub.add_parser("katti", help="infinite-divisibility recursion")
+        p_k.add_argument("file")
+        p_k.add_argument("--kmax", type=int)
+        p_k.add_argument("--logconvex", action="store_true",
+                         help="also run the log-convexity certificate")
+        p_k.add_argument("--table", action="store_true",
+                         help="aligned table on stderr next to the JSON")
+        p_k.set_defaults(func=cmd_katti)
+
+    if "compose" in commands:
+        p_c = sub.add_parser("compose", help="convolution compositions")
+        p_c.add_argument("file")
+        p_c.add_argument("--op", choices=("classical", "mb", "boolean"),
+                         required=True)
+        p_c.add_argument("--t", type=_frac, help="rational composition parameter")
+        p_c.add_argument("--k", type=int, help="integer composition parameter")
+        p_c.add_argument("--upto", type=_nonnegative(int))
+        p_c.add_argument("--symbolic", action="store_true",
+                         help="emit t-polynomial coefficients (mb only)")
+        p_c.add_argument("--precision", type=int, default=128)
+        p_c.add_argument("--csv", action="store_true")
+        p_c.add_argument("-o", "--output")
+        p_c.set_defaults(func=cmd_compose)
+
+    if "simulate" in commands:
+        p_s = sub.add_parser("simulate", help="seeded Monte-Carlo experiments")
+        sim, modes = _subcommands(p_s, "mode", MODES, second if first == "simulate" else None)
+        if "spectrum" in modes:
+            sp = sim.add_parser("spectrum", help="interval replication consistency")
+            sp.add_argument("--a", type=float, required=True)
+            sp.add_argument("--b", type=float, required=True)
+            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--censor-gap", type=float, nargs=2, metavar=("A", "B"),
+                            help="zero out samples inside this open interval first")
+            add_sim_common(sp)
+        if "epsilon" in modes:
+            sp = sim.add_parser("epsilon", help="small-jump truncation drift")
+            sp.add_argument("--eps-grid", type=_list_of(float), required=True)
+            sp.add_argument("--eta", type=float, default=0.1)
+            add_sim_common(sp)
+
+    if "scan" in commands:
+        p_t = sub.add_parser("scan", help="theta-threshold scan")
+        # None stands for semigroup's DEFAULT_THETA_GRID and DEFAULT_T_GRID
+        p_t.add_argument("--theta-grid", type=_list_of(_frac))
+        p_t.add_argument("--t-grid", type=_list_of(_frac))
+        p_t.add_argument("--depth", type=int, default=5)
+        p_t.add_argument("--delta", type=_frac,
+                         help="compare theta/(1-theta)^2 against this bound")
+        p_t.set_defaults(func=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (SequenceFileError, BackendError, ValueError, OSError) as exc:

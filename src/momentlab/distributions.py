@@ -28,6 +28,7 @@ and its lattice weights serve the tests as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log10
 from typing import Optional, Union
 
 from .exceptions import QuadratureError
@@ -280,6 +281,41 @@ def leipnik_discrete_moments(sigma2, alpha=0, upto: int = 6,
     return lognormal_moments(LognormalSpec(alpha, sigma2), upto, p)
 
 
+_LOG10_2 = log10(2)
+
+
+def _log10_abs(x: tuple) -> float:
+    """log10 |x| of a nonzero libmp value (sign, man, exp, bc), from the
+    integer exp + bc and the float man / 2^bc in [1/2, 1): both terms are
+    accurate to a relative 2^-52."""
+    _, man, exp, bc = x
+    return (exp + bc) * _LOG10_2 + log10(man / (1 << bc))
+
+
+def _tanh_sinh_error(rule, results, prec: int):
+    """rule.estimate_error(results, prec, mpmath.eps) for the last three
+    level sums, at the working precision, without its two log10s at prec.
+
+    mpmath returns 10^int(D4), D4 = min(0, max(D1^2/D2, 2 D1, -prec)),
+    with D1 and D2 the log10s of the last level's differences from the two
+    before it. Here D1 and D2 are floats, so v = max(D1^2/D2, 2 D1) is off
+    by a relative 2^-48 at most when |D1|, |D2| >= 1, far below 10^-6 for
+    |v| <= prec (2^16 + 20 at most). Then int(D4) is decided unless v lies
+    within 10^-6 of an integer (0 and -prec included), and the tie between
+    the two candidates cannot move it. A zero difference, |D1| or |D2|
+    below 1, or v that close to an integer goes to mpmath's own call.
+    """
+    *_, r1, r2, r3 = results
+    d1, d2 = r3 - r2, r3 - r1
+    if d1 and d2:
+        x1, x2 = _log10_abs(d1._mpf_), _log10_abs(d2._mpf_)
+        if abs(x1) >= 1 and abs(x2) >= 1:
+            v = max(x1 * x1 / x2, 2 * x1)
+            if abs(v - round(v)) > 1e-6:
+                return mpmath.mpf(10) ** int(min(0, max(v, -prec)))
+    return rule.estimate_error(results, prec, mpmath.eps)
+
+
 def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
                       p: Precision = Precision()) -> DiscretePMF:
     """pmf of a Poisson count whose intensity is N times a left-truncated
@@ -301,9 +337,10 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
     integer accumulator acc[k] in units of 2^-scale_k, truncated once,
     with scale_k = prec + 64 + mag(N^k / k! phi's normalizer); the sums
     become mpfs once per interval and degree. From degree 3, an interval
-    stops refining once mpmath's error estimate for every k is within
-    abs_tol / (2 intervals N^k/k!); an interval that will refine anyway
-    stops estimating at its first k over that share. Each mass's error,
+    stops refining once mpmath's error estimate (_tanh_sinh_error) for
+    every k is within abs_tol / (2 intervals N^k/k!); an interval that
+    will refine anyway stops estimating at its first k over that share.
+    Each mass's error,
     N^k/k! (interval errors + tail + columns 2^-scale_k) + p_k 2^-bits,
     where the third term bounds the truncation of every column, must be
     within abs_tol, the stated entry error, else QuadratureError, raised
@@ -390,8 +427,7 @@ def mixed_poisson_pmf(spec: LognormalSpec, log_b, N: int, kmax: int = 16,
                     continue
                 errors[i] = errs = []
                 for k, share in enumerate(shares):
-                    errs.append(rule.estimate_error([row[k] for row in level[-3:]],
-                                                    prec, mpmath.eps))
+                    errs.append(_tanh_sinh_error(rule, [row[k] for row in level[-3:]], prec))
                     # one k over its share refines the interval, unless this is
                     # the last degree, whose every error the certificate sums
                     if not errs[-1] <= share and degree < last:

@@ -27,6 +27,14 @@ mu1_threshold_sequence shifts 0-3, and fekete_total_positivity one shift
 per anti-diagonal of its matrix, since each consecutive block is itself a
 Hankel matrix.
 
+A strictly-positive verdict on exact input needs no minor at all: positive
+definiteness of each shift's integer Hankel matrix implies every leading
+minor is positive, and _certified_positive proves it with one float64
+Cholesky of the power-of-two scaled matrix, shifted by a bound on every
+rounding error. Where that proof fails (a zero or negative minor, or a
+matrix too ill-conditioned for float64), the exact minors decide, so every
+refutation, zero, witness and witness value comes from _hankel_minors.
+
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
 """
@@ -34,7 +42,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, ldexp, sqrt
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
@@ -176,6 +185,80 @@ def _hankel_minors(scaled: tuple, shift: int, size: int):
         yield _det_bareiss(hankel_matrix(ints, HankelQuery(shift, k))), den
 
 
+_U = 2.0 ** -53  # the unit roundoff of float64
+_PIVOT_FLOOR = 2.0 ** -1022  # the smallest normal float64
+
+
+def _certified_positive(ints: list, shift: int, size: int) -> bool:
+    """True only if the integer Hankel matrix H = [ints[shift+i+j]], n =
+    size + 1 rows, is proved positive definite, so that (Sylvester) every
+    leading minor of sizes 0..size is > 0. False proves nothing: the caller
+    then computes the minors exactly.
+
+    The proof is one float64 Cholesky (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Thm 10.5; Rump, BIT 46, 2006). With u =
+    2^-53, eta = 2^-1074 and gamma = (n+1)u / (1 - (n+1)u):
+
+    - Scaling: A = D H D, D = diag(2^-e_i), e_i = floor((bitlen h_ii - 1)
+      / 2), is an exact congruence with its diagonal in [1, 4). A
+      non-positive h_ii refuses.
+    - Conversion: each anti-diagonal integer is cut to its top 64 bits
+      (relative error below 2^-63), rounded to a float (2^-53) and moved by
+      ldexp, exact but in the subnormal range. So the converted A~ has
+      |a_ij - a~_ij| <= 2u |a_ij| + eta, and a~_ii <= 4. An overflow
+      refuses.
+    - Check: the Cholesky factor R of B = fl(A~ - c I) runs to completion
+      with every pivot >= 2^-1022; then R^T R = B + dB with |dB| <=
+      gamma |R^T| |R| in any order of the sums. Its diagonal gives
+      ||R||_F^2 <= tr B / (1 - gamma) <= tr A~ / (1 - gamma), so ||dB||_2
+      <= gamma / (1 - gamma) tr A~; Cauchy-Schwarz on the columns of R
+      gives |b_ij| <= 4 (1 + gamma) / (1 - gamma), hence |a_ij| < 5 and
+      ||A - A~||_2 <= 10 n u + n eta. Rounding the shifted diagonal moves
+      B from A~ - c I by at most 4u. Underflow adds at most eta / 2 to each
+      product and each quotient s / r_kk (r_kk <= 2, and the floor keeps
+      every square root and divisor normal): at most 2n(n + 2) eta in
+      norm.
+    - Bound: A = R^T R - dB + c I + (A~ - c I - B) + (A - A~) with R^T R
+      positive definite, so A is positive definite once c exceeds
+      gamma / (1 - gamma) tr A~ + 10 n u + 4u and the eta terms. c is
+      that sum times 1 + 2^-20, which covers the rounding of its few
+      operations and of tr A~ (n < 2^30), and the eta terms, below 2^-1000
+      against a sum of at least 2^-52.
+
+    A pivot that is not >= the floor (nan included) refuses, and an
+    overflow inside the factorization reaches a later pivot as inf or nan.
+    """
+    n = size + 1
+    window = ints[shift:shift + 2 * n - 1]
+    exps = []
+    for d in window[::2]:
+        if d <= 0:
+            return False
+        exps.append((d.bit_length() - 1) // 2)
+    heads, cuts = [], []
+    for x in window:
+        cut = x.bit_length() - 64
+        heads.append(float(x >> cut) if cut > 0 else float(x))
+        cuts.append(max(cut, 0))
+    gamma = (n + 1) * _U / (1 - (n + 1) * _U)
+    cols = [[] for _ in exps]  # cols[j]: r_0j .. r_(k-1)j before step k
+    try:
+        diag = [ldexp(h, cut - 2 * e) for h, cut, e in zip(heads[::2], cuts[::2], exps)]
+        c = (gamma / (1 - gamma) * sum(diag) + 10 * n * _U + 4 * _U) * (1 + 2.0 ** -20)
+        for k, (ek, ck) in enumerate(zip(exps, cols)):
+            pivot = (diag[k] - c) - sum(map(mul, ck, ck))
+            if not pivot >= _PIVOT_FLOOR:
+                return False
+            r = sqrt(pivot)
+            for j in range(k + 1, n):
+                cj = cols[j]
+                cj.append((ldexp(heads[k + j], cuts[k + j] - ek - exps[j])
+                           - sum(map(mul, ck, cj))) / r)
+    except OverflowError:
+        return False
+    return True
+
+
 def _hadamard_bound(rows) -> Fraction:
     """Upper bound on |det| by the product of row Euclidean norms.
 
@@ -285,11 +368,15 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     (2*upto + 2 entries); a shorter prefix is an error, never a silently
     weaker certificate.
 
-    The entry signs and the minors come from the integers of
-    _integer_scale, or of a ScaledSequence as it is; the minors from
-    _hankel_minors, one pass per shift, run only as far as the verdict
-    needs them. A later negative minor still wins over an earlier zero
-    one. Only the witness becomes a Fraction.
+    The entry signs come from the integers of _integer_scale, or of a
+    ScaledSequence as it is. On exact input, when _certified_positive
+    proves both shifts' integer Hankel matrices positive definite, the
+    verdict is strictly-positive with no minor computed. Otherwise, and
+    always under a tolerance (whose _SignJudge may call a tiny positive
+    minor zero), the signs come from _hankel_minors, one pass per shift,
+    run only as far as the verdict needs them. A later negative minor
+    still wins over an earlier zero one. Only the witness becomes a
+    Fraction.
     """
     if isinstance(m, ScaledSequence):
         _check_depth(upto, len(m.ints))
@@ -305,6 +392,9 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
                                      Fraction(x, den))
         den *= c
+    if judge.tolerance is None and all(_certified_positive(ints, shift, upto)
+                                       for shift in (0, 1)):
+        return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):

@@ -13,7 +13,7 @@ import pytest
 from mpmath import mpf
 
 from momentlab import distributions as dist
-from momentlab import seqfile, stieltjes
+from momentlab import cli, seqfile, stieltjes
 from momentlab.cli import build_parser, main
 from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
@@ -533,6 +533,49 @@ def test_malformed_input_exits_2_or_3(argv, bad_dir, capsys):
     assert captured.out == ""
     assert "error" in captured.err or "numerical failure" in captured.err
     assert "Traceback" not in captured.err
+
+
+# argv whose parse ends in argparse's help or its error, at every level
+PARSER_EXITS = [
+    *[[*path, "--help"] for path in ([], *[[c] for c in cli.COMMANDS],
+                                     *[["moments", s] for s in cli.SOURCES],
+                                     *[["simulate", m] for m in cli.MODES])],
+    [], ["bogus"], ["-x", "scan"], ["--", "scan"], ["scan", "extra"], ["scan", "--bogus"],
+    ["moments"], ["moments", "bogus"], ["moments", "--upto", "3", "lognormal"],
+    ["moments", "lognormal", "extra"], ["moments", "lattice"], ["simulate"],
+    ["simulate", "spectrum"], ["simulate", "epsilon", "--help", "extra"], ["compose"],
+    ["compose", "f.json"], ["compose", "f.json", "--op", "free"], ["analyze", "-h", "scan"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS + MALFORMED, ids=lambda argv: " ".join(argv))
+def test_per_path_parser_reads_as_the_full_one(argv, bad_dir, capsys, monkeypatch):
+    """main builds only the subparsers that argv names; its help, its
+    errors and every run's stderr and exit code are those of the full tree."""
+    argv = [a.format(d=bad_dir) for a in argv]
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    per_path = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert outcome() == per_path
+
+
+def test_per_path_parser_holds_only_the_named_path():
+    parser = build_parser(["moments", "gap", "--a", "1"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["scan"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["moments", "lattice", "--q", "2"])
+    assert parser.parse_args(["moments", "gap", "--a", "1", "--b", "2"]).b == 2.0
+    assert build_parser().parse_args(["scan"]).depth == 5
 
 
 class TestNonFiniteEntries:

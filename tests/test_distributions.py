@@ -9,6 +9,7 @@ from mpmath import mpf
 
 from momentlab.distributions import (
     DiscretePMF,
+    _tanh_sinh_error,
     LognormalSpec,
     Precision,
     gap_censored_lognormal_moments,
@@ -361,6 +362,67 @@ class TestMixedPoissonIntegerColumns:
             trunc = column_truncation_bound(kmax, p)
             for k, (a, b) in enumerate(zip(new.masses, old.masses)):
                 assert abs(a - b) <= mpmath.ldexp(abs(b), -p.bits) + trunc, k
+
+
+@st.composite
+def level_triples(draw):
+    """(prec, [I1, I2, I3]): three level sums whose differences are drawn
+    among zero, exact powers of ten, 10^-k at prec and drawn values."""
+    prec = draw(st.sampled_from([84, 148, 276, 532]))
+    with mpmath.workprec(prec):
+        def step():
+            kind = draw(st.sampled_from(["zero", "ten", "tenth", "drawn"]))
+            k = draw(st.integers(0, 60))
+            sign = draw(st.sampled_from([1, -1]))
+            if kind == "zero":
+                return mpf(0)
+            if kind == "ten":
+                return sign * mpf(10) ** min(k, 6)
+            if kind == "tenth":
+                return sign * mpf(10) ** -k
+            return sign * mpf(draw(st.floats(0.1, 10))) * mpf(10) ** -k
+        base = draw(st.sampled_from([mpf(0), mpf(1) / 3, mpf("0.75"), mpf(-12)]))
+        first = base + step()
+        return prec, [base, first, first + step()]
+
+
+class TestTanhSinhError:
+    """_tanh_sinh_error returns what mpmath's TanhSinh.estimate_error
+    returns, which the quadrature's refinement and certificate read; where
+    mpmath divides by a zero log10 (a difference of exactly 1), both raise."""
+
+    rule = mpmath.mp._tanh_sinh
+
+    def assert_same(self, results, prec):
+        def outcome(estimate, *args):
+            try:
+                return estimate(*args)
+            except ZeroDivisionError as exc:
+                return type(exc)
+        with mpmath.workprec(prec):
+            assert (outcome(_tanh_sinh_error, self.rule, results, prec)
+                    == outcome(self.rule.estimate_error, results, prec, mpmath.eps))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=level_triples())
+    def test_equals_estimate_error(self, case):
+        self.assert_same(case[1], case[0])
+
+    def test_equal_values_and_exact_powers_of_ten(self):
+        with mpmath.workprec(148):
+            cases = ([mpf(2)] * 3, [mpf(1), mpf(2), mpf(2)], [mpf(2), mpf(1), mpf(2)],
+                     [mpf(0), mpf(10), mpf(110)], [mpf(0), mpf(1000), mpf(1010)],
+                     [mpf(0), mpf(1), mpf(1)],
+                     [mpf(0), mpf(10) ** -20, mpf(10) ** -20 + mpf(10) ** -30])
+        for results in cases:
+            self.assert_same(results, 148)
+
+    def test_typical_triple_skips_the_logs(self, monkeypatch):
+        monkeypatch.setattr(self.rule, "estimate_error", None)
+        with mpmath.workprec(148):
+            results = [mpf("0.3125"), mpf("0.3125") + mpf("3.7e-9"),
+                       mpf("0.3125") + mpf("3.7e-9") + mpf("1.3e-17")]
+            assert _tanh_sinh_error(self.rule, results, 148) == mpf(10) ** -33
 
 
 class TestSimplePmfs:

@@ -87,6 +87,8 @@ CASES = {
     "simulate-spectrum-100k": (["simulate", "spectrum", "--a", "0.5", "--b", "1.0", "--n", "2",
                                 "--censor-gap", "0.9", "1.2", "--lognormal-jumps", "0:1",
                                 "--rate", "1.0", "--trials", "100000", "--seed", "19"], {}),
+    # the default grid at a depth where the exact minors run on integers of thousands of bits
+    "scan-depth-20": (["scan", "--depth", "20"], {}),
 }
 
 

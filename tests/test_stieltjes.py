@@ -1,7 +1,7 @@
 """Hankel determinants, Stieltjes verdicts, and the ratio diagnostics."""
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 import pytest
@@ -12,13 +12,15 @@ from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments
                                      poisson_moments)
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import MomentSequence, ScaledSequence, _exact, mb_compose_t
-from momentlab import semigroup
+from momentlab import semigroup, stieltjes
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     DEFAULT_TOLERANCE,
     HankelQuery,
+    _certified_positive,
     _hankel_minors,
     _integer_scale,
+    _leading_minors,
     _sequence_values,
     fekete_total_positivity,
     hankel_matrix,
@@ -343,6 +345,178 @@ class TestOnePassVerdict:
                 assert composed[:10] == [brute_force.composed_moment(vals, cell.t, n)
                                          for n in range(10)]
                 assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 8)
+
+
+def exactly_positive_definite(ints, shift, size) -> bool:
+    """Every leading minor of [ints[shift+i+j]], sizes 0..size, is > 0, by
+    the exact one-pass Bareiss minors (the pass stops at a zero pivot)."""
+    minors = list(_leading_minors(hankel_matrix(ints, HankelQuery(shift, size))))
+    return len(minors) == size + 1 and all(x > 0 for x in minors)
+
+
+def certified_soundly(ints, shift, size) -> bool:
+    """_certified_positive at (shift, size), asserting that a True is right."""
+    certified = _certified_positive(ints, shift, size)
+    if certified:
+        assert exactly_positive_definite(ints, shift, size), (ints, shift, size)
+    return certified
+
+
+def scaled_ints(vals) -> list:
+    return _integer_scale([F(v) for v in vals])[2]
+
+
+@st.composite
+def integer_prefixes(draw):
+    """(ints, size): the integers of an atom mixture, or signed integers of
+    up to 60 digits, with one entry moved by -1, 0 or +1."""
+    size = draw(st.integers(0, 9))
+    length = 2 * size + 2
+    if draw(st.booleans()):
+        atoms = draw(st.lists(small_fractions, min_size=1, max_size=8))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+        ints = scaled_ints(mixture_moments(atoms, weights, length))
+    else:
+        digits = draw(st.integers(1, 60))
+        ints = draw(st.lists(st.integers(-3, 10 ** digits), min_size=length, max_size=length))
+    ints[draw(st.integers(0, length - 1))] += draw(st.integers(-1, 1))
+    return ints, size
+
+
+class TestCertifiedPositive:
+    """A True from the float64 Cholesky certificate means every exact
+    leading minor is positive, on drawn prefixes and on families built to
+    sit at the edge of positive definiteness: Hilbert-type moments,
+    finite-atom laws at and past their atom count (exactly singular),
+    +-1 corner perturbations of those, and q^(n^2) with one entry dented
+    by a relative 10^-3 ... 10^-30; sizes up to 21. Each family is also
+    certified somewhere, so the check is not vacuous."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_prefixes())
+    def test_drawn_prefixes(self, case):
+        ints, size = case
+        for shift in (0, 1):
+            certified_soundly(ints, shift, size)
+
+    def test_hilbert_moments(self):
+        # mu_n = L / (n + 1): the Hilbert matrix, positive definite and
+        # ill-conditioned; the certificate gives up as the size grows
+        certified = []
+        for size in range(22):
+            common = lcm(*range(1, 2 * size + 3))
+            ints = [common // (n + 1) for n in range(2 * size + 2)]
+            for shift in (0, 1):
+                assert exactly_positive_definite(ints, shift, size)
+                certified.append(certified_soundly(ints, shift, size))
+        assert all(certified[:10]) and not certified[-1]
+
+    def test_finite_atoms_and_corner_perturbations(self):
+        rnd = random.Random(20)
+        certified = 0
+        for atoms in range(1, 9):
+            xs = [F(rnd.randint(1, 60), rnd.randint(1, 12)) for _ in range(atoms)]
+            ws = [rnd.randint(1, 20) for _ in range(atoms)]
+            for size in range(max(atoms - 2, 0), atoms + 3):
+                ints = scaled_ints(mixture_moments(xs, ws, 2 * size + 2))
+                for shift in (0, 1):
+                    # from size = atoms on the matrix is exactly singular
+                    got = certified_soundly(ints, shift, size)
+                    assert not (got and size >= atoms)
+                    certified += got
+                    for index in (shift, shift + 2 * size):
+                        for step in (-1, 1):
+                            moved = list(ints)
+                            moved[index] += step
+                            certified += certified_soundly(moved, shift, size)
+        assert certified > 0
+
+    def test_dented_lattice(self):
+        certified = refused = 0
+        for q, sizes in ((F(2), (1, 5, 13, 21)), (F(11, 10), (3, 6, 9)), (F(101, 100), (6, 9))):
+            for size in sizes:
+                vals = [q ** (n * n) for n in range(2 * size + 2)]
+                for index in (0, size, 2 * size + 1):
+                    for digits in (3, 10, 20, 30):
+                        for sign in (1, -1):
+                            dented = list(vals)
+                            dented[index] *= 1 - F(sign, 10 ** digits)
+                            ints = scaled_ints(dented)
+                            for shift in (0, 1):
+                                got = certified_soundly(ints, shift, size)
+                                certified += got
+                                refused += not got
+        assert certified > 0 and refused > 0
+
+    def test_refuses_non_positive_diagonal_and_overflow(self):
+        assert not _certified_positive([0, 1, 1], 0, 1)
+        assert not _certified_positive([1, 0, -1], 0, 1)
+        # an off-diagonal entry far past the diagonal overflows the scaling
+        assert not _certified_positive([1, 2 ** 3000, 1], 0, 1)
+        assert _certified_positive([1, 1, 2], 0, 1)
+
+
+def verdict_without_certificate(m, upto):
+    """stieltjes_verdict with the certificate refusing every matrix, so every
+    verdict comes from the exact minors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stieltjes, "_certified_positive", lambda ints, shift, size: False)
+        return stieltjes_verdict(m, upto)
+
+
+@st.composite
+def scaled_sequences(draw):
+    """(ScaledSequence, upto): integer atoms over a common c, so entry n is
+    an atom mixture's moment, or signed integers; one entry moved."""
+    upto = draw(st.integers(0, 5))
+    length = 2 * upto + 2
+    c = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        atoms = draw(st.lists(st.integers(1, 90), min_size=1, max_size=7))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+        ints = [sum(w * x ** n for x, w in zip(atoms, weights)) for n in range(length)]
+    else:
+        ints = draw(st.lists(st.integers(-10, 10 ** 8), min_size=length, max_size=length))
+    ints[draw(st.integers(0, length - 1))] += draw(st.integers(-2, 2))
+    return ScaledSequence(c, tuple(ints)), upto
+
+
+class TestVerdictWithoutCertificate:
+    """The certificate only takes a strictly-positive verdict early: with it
+    refusing everything, every verdict, witness and value is the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=hankel_inputs())
+    def test_exact_sequences(self, case):
+        vals, upto, _ = case
+        assert stieltjes_verdict(vals, upto) == verdict_without_certificate(vals, upto)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scaled_sequences())
+    def test_scaled_sequences(self, case):
+        seq, upto = case
+        assert stieltjes_verdict(seq, upto) == verdict_without_certificate(seq, upto)
+
+    def test_each_kind_is_reached(self):
+        positive = ScaledSequence(3, tuple(sum(x ** n for x in (1, 4, 9, 16, 25))
+                                           for n in range(8)))
+        cases = {
+            "strictly-positive": [mixture_moments([F(1, 3), F(2), F(7, 2), F(5)],
+                                                  [1, 2, 3, 4], 8), positive],
+            "semi-definite": [mixture_moments([F(1, 3), F(2)], [1, 2], 8),
+                              ScaledSequence(2, tuple(3 * 5 ** n for n in range(8)))],
+            "not-stieltjes": [[F(1), F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11),
+                               F(1, 13), F(1, 17)],
+                              ScaledSequence(1, (1, 2, 3, 4, 5, 6, 7, 8))],
+        }
+        for kind, inputs in cases.items():
+            for m in inputs:
+                v = stieltjes_verdict(m, 3)
+                assert v.kind == kind
+                assert v == verdict_without_certificate(m, 3)
+        # and the strictly-positive ones were taken by the certificate
+        ints = positive.ints
+        assert all(_certified_positive(ints, shift, 3) for shift in (0, 1))
 
 
 class TestFekete:
