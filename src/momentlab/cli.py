@@ -181,8 +181,6 @@ def cmd_analyze(args) -> int:
     bits = m.precision_bits
     if args.fekete_shift is not None and args.fekete is None:
         raise SequenceFileError("--fekete-shift needs --fekete")
-    if not m.exact and tol is None:
-        raise BackendError("decimal input needs --tolerance for Hankel verdicts")
 
     requested = any([args.stieltjes_depth is not None, args.fekete is not None,
                      args.indeterminacy is not None, args.logconvex,

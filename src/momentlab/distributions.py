@@ -40,13 +40,17 @@ DEFAULT_ABS_TOL = "1e-20"
 
 
 class Precision(Record):
-    """Working precision in bits plus an absolute quadrature target."""
+    """Working precision in bits plus an absolute quadrature target. The
+    target must be finite and non-negative as a float, a check that loads
+    no mpmath; 0 is valid, but no entry can meet it."""
 
     bits: int = DEFAULT_BITS
     abs_tol: Union[str, float] = DEFAULT_ABS_TOL
 
     def __post_init__(self):
         check_precision_bits(self.bits)
+        if not 0 <= float(self.abs_tol) < float("inf"):
+            raise ValueError("abs_tol must be finite and non-negative, got %s" % (self.abs_tol,))
 
     @property
     def tol(self) -> mpmath.mpf:

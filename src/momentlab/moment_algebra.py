@@ -220,6 +220,20 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _on_backend(seq) -> tuple:
+    """seq's values on the backend it names, stored back on seq: Fractions
+    with no precision_bits, or mpfs at a checked precision_bits."""
+    if seq.exact:
+        vals = tuple(_as_fraction(v) for v in seq.values)
+        if seq.precision_bits is not None:
+            raise ValueError("exact sequences carry no precision_bits")
+    else:
+        with mpmath.workprec(check_precision_bits(seq.precision_bits)):
+            vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in seq.values)
+    object.__setattr__(seq, "values", vals)
+    return vals
+
+
 class MomentSequence(Record):
     """Finite prefix (mu_0, ..., mu_N) of a moment sequence.
 
@@ -234,14 +248,7 @@ class MomentSequence(Record):
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("empty moment sequence")
-        if self.exact:
-            vals = tuple(_as_fraction(v) for v in self.values)
-            if self.precision_bits is not None:
-                raise ValueError("exact sequences carry no precision_bits")
-        else:
-            with mpmath.workprec(check_precision_bits(self.precision_bits)):
-                vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+        vals = _on_backend(self)
         if vals[0] != 1:
             raise ValueError("mu_0 must equal 1, got %s" % (vals[0],))
 
@@ -281,8 +288,7 @@ class CumulantSequence(Record):
     precision_bits: Optional[int] = None
 
     def __post_init__(self):
-        if self.exact:
-            object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
+        _on_backend(self)
 
     def __len__(self) -> int:
         return len(self.values)

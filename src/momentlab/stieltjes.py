@@ -1,12 +1,13 @@
 """Exact Hankel analysis of moment sequences.
 
 Determinants, Stieltjes positivity verdicts, Fekete total positivity,
-indeterminacy diagnostics and log-convexity reports. The exact paths work on
-Fractions and integers only; a sequence on the approximate backend may still
-obtain the verdict-style reports by supplying an explicit tolerance, in which
-case its dyadic float entries are converted to exact rationals and any
-determinant smaller than tolerance * (Hadamard bound) in absolute value is
-classified as numerically zero.
+indeterminacy diagnostics and log-convexity reports. Every Hankel report
+reads its input through one gate, _hankel_input, and judges every sign by
+one rule, _sign. The exact paths work on Fractions and integers only; a
+sequence on the approximate backend may still obtain the Hankel reports
+with an explicit tolerance: its dyadic float entries become exact
+rationals, and _sign calls a minor zero when its absolute value is at most
+tolerance * (Hadamard bound).
 
 Every exact report takes its minors from one kernel, _hankel_minors, and
 every minor from one integer scaling, _integer_scale: with a * c^n * mu_n
@@ -89,15 +90,12 @@ def _sequence_values(m) -> list:
     return [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
 
 
-def _require_window(values: Sequence, q: HankelQuery) -> None:
-    if q.max_index >= len(values):
-        raise ValueError(
-            "query (shift=%d, size=%d) needs index %d but sequence ends at %d"
-            % (q.shift, q.size, q.max_index, len(values) - 1))
+_SHORT_QUERY = "query (shift=%d, size=%d) needs index %d but sequence ends at %d"
 
 
 def hankel_matrix(values: Sequence, q: HankelQuery) -> list:
-    _require_window(values, q)
+    if q.max_index >= len(values):
+        raise ValueError(_SHORT_QUERY % (q.shift, q.size, q.max_index, len(values) - 1))
     n = q.size + 1
     return [[values[q.shift + i + j] for j in range(n)] for i in range(n)]
 
@@ -259,81 +257,59 @@ def _certified_positive(ints: list, shift: int, size: int) -> bool:
     return True
 
 
-def _hadamard_bound(rows) -> Fraction:
-    """Upper bound on |det| by the product of row Euclidean norms.
+def _sign(num: int, den: int, tol: Optional[Fraction], vals, shift: int, size: int) -> int:
+    """The sign every Hankel report gives the minor num / den (den > 0) at
+    (shift, size). Exact input (tol None) takes the sign of num. Under a
+    tolerance the minor is zero when it is at most tol times the Hadamard
+    bound of its rows in vals, the product of the row norms, each square
+    root sqrt(p / q) rounded up to (isqrt(p) + 1) / isqrt(q)."""
+    if tol is not None:
+        bound = tol * den
+        for row in hankel_matrix(vals, HankelQuery(shift, size)):
+            s = sum(v * v for v in row)
+            bound *= Fraction(isqrt(s.numerator) + 1, max(isqrt(s.denominator), 1)) if s else 0
+        if abs(num) <= bound:
+            return 0
+    return (num > 0) - (num < 0)
 
-    The square roots are replaced by cheap rational over-estimates, so the
-    returned value is a valid (slightly loose) bound.
+
+def _hankel_input(m, entries: int, tolerance, short) -> tuple:
+    """(vals, tol, scaled): entries 0..entries-1 of m, as every Hankel
+    report reads them.
+
+    An approximate MomentSequence needs a tolerance (else BackendError):
+    vals are its entries' exact dyadic values and tol the tolerance as a
+    Fraction. Exact input has tol None, whatever the tolerance. Fewer
+    entries raise ValueError(short(number of entries)). scaled is
+    _integer_scale(vals), or a ScaledSequence's own (1, c, ints), whose
+    vals are None, since only a tolerance reads them.
     """
-    bound = Fraction(1)
-    for row in rows:
-        s = sum(Fraction(v) ** 2 for v in row)
-        if s == 0:
-            return Fraction(0)
-        # ceil-ish rational sqrt upper bound
-        num = isqrt(s.numerator) + 1
-        den = isqrt(s.denominator)
-        bound *= Fraction(num, max(den, 1))
-    return bound
-
-
-class _SignJudge:
-    """Classify exact determinants, treating tiny ones as zero when a
-    tolerance is in force (approximate-backend inputs only)."""
-
-    def __init__(self, tolerance: Optional[Fraction]):
-        self.tolerance = tolerance
-
-    def sign(self, det: Fraction, rows) -> int:
-        if self.tolerance is not None:
-            cutoff = self.tolerance * _hadamard_bound(rows)
-            if abs(det) <= cutoff:
-                return 0
-        if det > 0:
-            return 1
-        if det < 0:
-            return -1
-        return 0
-
-    def minor_sign(self, vals, shift: int, size: int, num: int, den: int) -> int:
-        """sign() of the Hankel minor num / den (den > 0) at (shift, size).
-        Exact input takes the sign of num; only a tolerance needs the
-        Fraction, and the rows for the Hadamard bound."""
-        if self.tolerance is None:
-            return (num > 0) - (num < 0)
-        return self.sign(Fraction(num, den), hankel_matrix(vals, HankelQuery(shift, size)))
-
-
-def _judge_for(m, tolerance) -> tuple:
-    """(values, judge) for an input sequence, enforcing backend rules."""
+    tol = None
     if isinstance(m, MomentSequence) and not m.exact:
         if tolerance is None:
             raise BackendError(
                 "approximate sequences need an explicit tolerance for Hankel verdicts")
-        tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
-        return [_exact(v) for v in m.values], _SignJudge(tol)
-    return _sequence_values(m), _SignJudge(None)
+        vals, tol = [_exact(v) for v in m.values], Fraction(tolerance)
+    else:
+        vals = m.ints if isinstance(m, ScaledSequence) else _sequence_values(m)
+    if len(vals) < entries:
+        raise ValueError(short(len(vals)))
+    vals = vals[:entries]
+    if isinstance(m, ScaledSequence):
+        return None, None, (1, m.c, vals)
+    return vals, tol, _integer_scale(vals)
 
 
-def _check_depth(upto: int, entries: int) -> None:
-    """ValueError for upto < 0, or for fewer entries than the 2*upto + 2,
-    mu_0..mu_{2 upto + 1}, that a report to depth upto reads: never a
-    silently weaker report."""
+def _depth_input(m, upto: int, tolerance) -> tuple:
+    """_hankel_input of the 2*upto + 2 entries, mu_0..mu_{2 upto + 1}, that
+    a report to depth upto reads: a shorter prefix is an error, never a
+    silently weaker report, and a negative depth is refused before the
+    backend is."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    if entries < 2 * upto + 2:
-        raise ValueError("depth %d needs %d entries, got %d"
-                         % (upto, 2 * upto + 2, entries))
-
-
-def _depth_window(m, upto: int, tolerance) -> tuple:
-    """_judge_for of the entries a report to depth upto reads; a negative
-    depth is refused before the backend is."""
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    vals, judge = _judge_for(m, tolerance)
-    _check_depth(upto, len(vals))
-    return vals[:2 * upto + 2], judge
+    need = 2 * upto + 2
+    return _hankel_input(m, need, tolerance,
+                         lambda got: "depth %d needs %d entries, got %d" % (upto, need, got))
 
 
 class PositivityVerdict(Record):
@@ -368,39 +344,31 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     (2*upto + 2 entries); a shorter prefix is an error, never a silently
     weaker certificate.
 
-    The entry signs come from the integers of _integer_scale, or of a
-    ScaledSequence as it is. On exact input, when _certified_positive
+    The entry signs come from the integers of _hankel_input, a
+    ScaledSequence's as they are. On exact input, when _certified_positive
     proves both shifts' integer Hankel matrices positive definite, the
     verdict is strictly-positive with no minor computed. Otherwise, and
-    always under a tolerance (whose _SignJudge may call a tiny positive
-    minor zero), the signs come from _hankel_minors, one pass per shift,
-    run only as far as the verdict needs them. A later negative minor
-    still wins over an earlier zero one. Only the witness becomes a
-    Fraction.
+    always under a tolerance (whose _sign may call a tiny positive minor
+    zero), the signs come from _hankel_minors, one pass per shift, run
+    only as far as the verdict needs them. A later negative minor still
+    wins over an earlier zero one. Only the witness becomes a Fraction.
     """
-    if isinstance(m, ScaledSequence):
-        _check_depth(upto, len(m.ints))
-        vals, judge = None, _SignJudge(None)
-        scaled = (1, m.c, m.ints[:2 * upto + 2])
-    else:
-        vals, judge = _depth_window(m, upto, tolerance)
-        scaled = _integer_scale(vals)
+    vals, tol, scaled = _depth_input(m, upto, tolerance)
     a, c, ints = scaled
     den = a
     for idx, x in enumerate(ints):
-        if judge.minor_sign(vals, idx, 0, x, den) < 0:
+        if _sign(x, den, tol, vals, idx, 0) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
                                      Fraction(x, den))
         den *= c
-    if judge.tolerance is None and all(_certified_positive(ints, shift, upto)
-                                       for shift in (0, 1)):
+    if tol is None and all(_certified_positive(ints, shift, upto) for shift in (0, 1)):
         return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):
         for shift, minors in enumerate(passes):
             num, den = next(minors)
-            s = judge.minor_sign(vals, shift, size, num, den)
+            s = _sign(num, den, tol, vals, shift, size)
             if s < 0:
                 return PositivityVerdict("not-stieltjes", upto, HankelQuery(shift, size),
                                          Fraction(num, den))
@@ -447,10 +415,9 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
     order by order, rows before columns, and the first negative one (else
     the first zero one) is the witness.
     """
-    vals, judge = _judge_for(m, tolerance)
-    _require_window(vals, q)
-    vals = vals[:q.max_index + 1]
-    scaled = _integer_scale(vals)
+    vals, tol, scaled = _hankel_input(
+        m, q.max_index + 1, tolerance,
+        lambda got: _SHORT_QUERY % (q.shift, q.size, q.max_index, got - 1))
     n = q.size + 1
     # a block on anti-diagonal d has order at most n - ceil(d/2)
     passes = [_hankel_minors(scaled, q.shift + d, n - 1 - (d + 1) // 2)
@@ -466,7 +433,7 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
                     current.append(next(passes[d]))
                 num, den = current[d]
                 checked += 1
-                s = judge.minor_sign(vals, q.shift + d, order - 1, num, den)
+                s = _sign(num, den, tol, vals, q.shift + d, order - 1)
                 if s < 0:
                     return TotalPositivityVerdict("not-tp", q, checked,
                                                   (r0, c0, order), Fraction(num, den))
@@ -499,19 +466,20 @@ class IndeterminacyRatios(Record):
     shift1_bounded_away: Optional[bool]
 
 
-def _ratio_family(vals, judge, base_shift: int, upto: int) -> tuple:
+def _ratio_family(window: tuple, base_shift: int, upto: int) -> tuple:
     """det(base_shift, size n) / det(base_shift + 2, size n - 1) for
-    n = 1..upto, None where the denominator is judged zero, from one pass
-    per shift; and whether a None occurred."""
+    n = 1..upto, None where _sign calls the denominator zero, from one pass
+    per shift of window = _depth_input(m, upto, tolerance); and whether a
+    None occurred."""
     if upto < 1:
         return [], False
-    scaled = _integer_scale(vals)
+    vals, tol, scaled = window
     nums = _hankel_minors(scaled, base_shift, upto)
     next(nums)  # size 0 is no numerator
     dens = _hankel_minors(scaled, base_shift + 2, upto - 1)
     out = []
     for n, ((p, q), (r, t)) in enumerate(zip(nums, dens), start=1):
-        zero = judge.minor_sign(vals, base_shift + 2, n - 1, r, t) == 0
+        zero = _sign(r, t, tol, vals, base_shift + 2, n - 1) == 0
         out.append(None if zero else Fraction(p * t, q * r))
     return out, None in out
 
@@ -536,9 +504,9 @@ def indeterminacy_ratios(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     limits) from the Poisson-type (ratios collapsing to 0) behaviour at
     accessible depths. Needs 2*upto + 2 entries.
     """
-    vals, judge = _depth_window(m, upto, tolerance)
-    s0, d0 = _ratio_family(vals, judge, 0, upto)
-    s1, d1 = _ratio_family(vals, judge, 1, upto)
+    window = _depth_input(m, upto, tolerance)
+    s0, d0 = _ratio_family(window, 0, upto)
+    s1, d1 = _ratio_family(window, 1, upto)
     return IndeterminacyRatios(
         shift0=tuple(s0),
         shift1=tuple(s1),
@@ -590,8 +558,9 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     mu_1 minus the shift-1 ratio of indeterminacy_ratios, which
     mu1_thresholds takes. Needs 2*upto + 2 entries.
     """
-    vals, judge = _depth_window(m, upto, tolerance)
-    return mu1_thresholds(vals[1], _ratio_family(vals, judge, 1, upto)[0])
+    window = _depth_input(m, upto, tolerance)
+    a, c, ints = window[2]
+    return mu1_thresholds(Fraction(ints[1], a * c), _ratio_family(window, 1, upto)[0])
 
 
 class LogConvexityReport(Record):

@@ -11,7 +11,9 @@ composition family is an identity between bivariate polynomials, and the
 Hankel reports (Stieltjes verdict, determinant ratios, mu_1 thresholds,
 Fekete minors) are runs of Hankel determinants, here one pivoting Bareiss
 determinant per size or block, on integers whose denominators
-rational_det clears row by row, not by the library's isobaric scaling.
+rational_det clears row by row, not by the library's isobaric scaling,
+and each sign under a tolerance from this module's own copy of the
+Hadamard rule.
 The library computes each one way only; these are the other derivations,
 kept here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
@@ -29,10 +31,11 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from momentlab.distributions import DiscretePMF
+from momentlab.moment_algebra import MomentSequence, _exact
 from momentlab.semigroup import AlternationReport, EnvelopeReport
 from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
                                  Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
-                                 _bounded_away, _det_bareiss, _judge_for, hankel_matrix)
+                                 _bounded_away, _det_bareiss, hankel_matrix)
 
 
 def poisson_weights(lam, kmax: int) -> DiscretePMF:
@@ -262,14 +265,39 @@ def rational_det(rows) -> Fraction:
     return Fraction(_det_bareiss(ints), scale)
 
 
+def _judge(m, tolerance) -> tuple:
+    """(vals, sign): the entries of m as Fractions, an approximate
+    MomentSequence's at their exact dyadic values, and the sign the Hankel
+    reports give a determinant of the given rows. Under a tolerance, which
+    only an approximate sequence reads, |det| <= tolerance * H counts as
+    zero, with H Hadamard's bound, the product of the row norms, each
+    norm sqrt(p / q) rounded up to (isqrt(p) + 1) / isqrt(q)."""
+    approx = isinstance(m, MomentSequence) and not m.exact
+    if approx and tolerance is None:
+        raise ValueError("an approximate sequence needs a tolerance")
+    vals = [_exact(v) for v in getattr(m, "values", m)]
+    tol = Fraction(tolerance) if approx else None
+
+    def sign(det, rows):
+        if tol is not None:
+            norms = [sum(Fraction(v) ** 2 for v in row) for row in rows]
+            bound = math.prod(Fraction(math.isqrt(s.numerator) + 1,
+                                       max(math.isqrt(s.denominator), 1)) if s else 0
+                              for s in norms)
+            if abs(det) <= tol * bound:
+                return 0
+        return (det > 0) - (det < 0)
+
+    return vals, sign
+
+
 def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdict:
     """The Stieltjes verdict with one pivoting Bareiss determinant per size
     and shift, in the library's order: entries first, then sizes 0..upto,
     shift 0 before shift 1; the first negative wins, else the first zero."""
-    vals, judge = _judge_for(m, tolerance)
-    vals = [Fraction(v) for v in vals]
+    vals, sign = _judge(m, tolerance)
     for idx in range(2 * upto + 2):
-        if judge.sign(vals[idx], [[vals[idx]]]) < 0:
+        if sign(vals[idx], [[vals[idx]]]) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), vals[idx])
     first_zero = None
     for size in range(upto + 1):
@@ -277,7 +305,7 @@ def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdic
             q = HankelQuery(shift, size)
             rows = hankel_matrix(vals, q)
             det = rational_det(rows)
-            s = judge.sign(det, rows)
+            s = sign(det, rows)
             if s < 0:
                 return PositivityVerdict("not-stieltjes", upto, q, det)
             if s == 0 and first_zero is None:
@@ -287,16 +315,16 @@ def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdic
     return PositivityVerdict("strictly-positive", upto)
 
 
-def _det_and_sign(vals, judge, q: HankelQuery) -> tuple:
+def _det_and_sign(vals, sign, q: HankelQuery) -> tuple:
     rows = hankel_matrix(vals, q)
     det = rational_det(rows)
-    return det, judge.sign(det, rows)
+    return det, sign(det, rows)
 
 
 def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     """det(s, n) / det(s + 2, n - 1) for s = 0, 1 and n = 1..upto, two
     determinants per ratio; None where the denominator is judged zero."""
-    vals, judge = _judge_for(m, tolerance)
+    vals, sign = _judge(m, tolerance)
     if len(vals) < 2 * upto + 2:
         raise ValueError("short prefix")
     families, degenerate = [], False
@@ -304,9 +332,9 @@ def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> Indeterminacy
         out = []
         for n in range(1, upto + 1):
             num = rational_det(hankel_matrix(vals, HankelQuery(shift, n)))
-            den, sign = _det_and_sign(vals, judge, HankelQuery(shift + 2, n - 1))
-            out.append(None if sign == 0 else num / den)
-            degenerate = degenerate or sign == 0
+            den, s = _det_and_sign(vals, sign, HankelQuery(shift + 2, n - 1))
+            out.append(None if s == 0 else num / den)
+            degenerate = degenerate or s == 0
         families.append(out)
     s0, s1 = families
     return IndeterminacyRatios(tuple(s0), tuple(s1), upto, degenerate, COLLAPSE_FACTOR,
@@ -316,14 +344,14 @@ def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> Indeterminacy
 def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     """The mu_1 value that makes det(1, d) vanish, -D / C with det(1, d) =
     C mu_1 + D and C = det(3, d - 1), for d = 1..upto."""
-    vals, judge = _judge_for(m, tolerance)
+    vals, sign = _judge(m, tolerance)
     if len(vals) < 2 * upto + 2:
         raise ValueError("short prefix")
     mu1 = Fraction(vals[1])
     out = []
     for d in range(1, upto + 1):
-        cof, sign = _det_and_sign(vals, judge, HankelQuery(3, d - 1))
-        if sign == 0:
+        cof, s = _det_and_sign(vals, sign, HankelQuery(3, d - 1))
+        if s == 0:
             out.append(None)
             continue
         full = rational_det(hankel_matrix(vals, HankelQuery(1, d)))
@@ -339,7 +367,7 @@ def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
 def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdict:
     """Every consecutive block of the Hankel matrix at q cut out of it and
     given its own determinant, order by order, rows before columns."""
-    vals, judge = _judge_for(m, tolerance)
+    vals, sign = _judge(m, tolerance)
     matrix = hankel_matrix(vals, q)
     n = q.size + 1
     checked = 0
@@ -350,10 +378,10 @@ def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdic
                 sub = [row[c0:c0 + order] for row in matrix[r0:r0 + order]]
                 det = rational_det(sub)
                 checked += 1
-                sign = judge.sign(det, sub)
-                if sign < 0:
+                s = sign(det, sub)
+                if s < 0:
                     return TotalPositivityVerdict("not-tp", q, checked, (r0, c0, order), det)
-                if sign == 0 and first_zero is None:
+                if s == 0 and first_zero is None:
                     first_zero = ((r0, c0, order), det)
     if first_zero is not None:
         return TotalPositivityVerdict("semi-definite", q, checked, *first_zero)

@@ -66,6 +66,13 @@ class TestMoments:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("numerical failure: ")
 
+    def test_zero_abs_tol_exits_3(self, capsys):
+        # 0 is a target no entry can meet, not a malformed one
+        for source in (["lognormal"], ["mixed-poisson", "--logb", "-1", "--N", "5"]):
+            assert main(["moments", *source, "--abs-tol", "0"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("numerical failure: ")
+
     def test_rounding_bound_above_the_recorded_tolerance_exits_3(self, capsys):
         # mu_12 = e^72 and the conditional mu_6 behind a cut at log b = 8
         # round by more than the default 1e-20 at 128 bits
@@ -214,6 +221,28 @@ class TestAnalyze:
         assert rep["verdict"] == "strictly-log-convex"
         with mpmath.workprec(128):
             assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-29") for th in rep["theta"])
+
+    def test_decimal_logconvex_without_tolerance(self, tmp_path, capsys):
+        # log-convexity is no Hankel report: without --tolerance it runs at
+        # DEFAULT_TOLERANCE and prints the same bytes
+        path = lognormal_file(tmp_path)
+        assert stieltjes.DEFAULT_TOLERANCE == F(1, 1099511627776)
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--logconvex"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["analyze", str(path), "--logconvex", "--tolerance", "1/1099511627776"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["logconvex"]["verdict"] == "strictly-log-convex"
+
+    @pytest.mark.parametrize("reports", [[], ["--stieltjes-depth", "2"], ["--fekete", "2"],
+                                         ["--indeterminacy", "2"], ["--mu1-threshold", "2"],
+                                         ["--logconvex", "--fekete", "1"]])
+    def test_decimal_hankel_reports_need_tolerance(self, reports, tmp_path, capsys):
+        path = lognormal_file(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", str(path), *reports]) == 2
+        assert capsys.readouterr() == ("", "error: approximate sequences need an explicit "
+                                           "tolerance for Hankel verdicts\n")
 
     def test_decimal_report_keeps_the_file_digits(self, tmp_path, capsys):
         path = tmp_path / "lognormal256.json"
@@ -439,6 +468,9 @@ MALFORMED = [
     ["moments", "lognormal", "--precision", "10"],
     ["moments", "lognormal", "--abs-tol", "abc"],
     ["moments", "lognormal", "--abs-tol", "nan"],
+    ["moments", "lognormal", "--abs-tol=nan"],
+    ["moments", "lognormal", "--abs-tol=-1"],
+    ["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--abs-tol=inf"],
     ["moments", "truncated", "--logb", "inf"],
     ["moments", "gap", "--a", "2", "--b", "1"],
     ["moments", "leipnik", "--sigma2", "0"],
@@ -618,6 +650,10 @@ class TestParameterMessages:
         (["compose", "{d}/lattice.json", "--op", "boolean", "--t", "1/2", "--k", "2"],
          "--op boolean takes one of --t, --k, got --t, --k"),
         (["analyze", "{d}/lattice.json", "--fekete-shift", "0"], "--fekete-shift needs --fekete"),
+        *[(["moments", *source, f"--abs-tol={tol}"],
+           f"abs_tol must be finite and non-negative, got {tol}")
+          for source, tol in ((["lognormal"], "nan"), (["lognormal"], "-1"),
+                              (["mixed-poisson", "--logb", "-1", "--N", "5"], "inf"))],
         (["katti", "{d}/pmf-one-mass.json"], "katti needs masses p_0 and p_1, got p_0 only"),
         (["katti", "{d}/pmf-exact-one-mass.json", "--kmax", "0"],
          "katti needs masses p_0 and p_1, got p_0 only"),

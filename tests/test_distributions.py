@@ -513,6 +513,20 @@ class TestFailureContracts:
         with pytest.raises(QuadratureError, match="rounding bound"):
             mixed_poisson_pmf(spec, -1, 5, 12, p)
 
+    @pytest.mark.parametrize("abs_tol", ["nan", "-1", "-1e-30", "inf", "+inf", float("nan"),
+                                         -0.5, float("inf")])
+    def test_abs_tol_must_be_finite_and_non_negative(self, abs_tol):
+        with pytest.raises(ValueError, match="abs_tol must be finite and non-negative"):
+            Precision(128, abs_tol)
+
+    def test_zero_abs_tol_is_uncertifiable(self):
+        # a target of 0 is a valid request that no entry can meet
+        p = Precision(128, "0")
+        with pytest.raises(QuadratureError, match="above abs_tol"):
+            lognormal_moments(LognormalSpec(0, 1), 2, p)
+        with pytest.raises(QuadratureError):
+            mixed_poisson_pmf(LognormalSpec(0, 1), -1, 5, 3, p)
+
     def test_high_moments_need_more_bits(self):
         # mu_10 is about 5e21, so 128 bits leave it a rounding error of 1.5e-17
         spec, cut = LognormalSpec(0, 1), -1

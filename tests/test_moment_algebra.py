@@ -155,6 +155,19 @@ class TestRecord:
         assert m.values == (F(1), F(2)) and all(type(v) is Fraction for v in m.values)
         assert CumulantSequence([1, "1/2"]).values == (F(1), F(1, 2))
 
+    def test_cumulant_backend_checked_like_moments(self):
+        # a decimal sequence needs its working precision, and an exact one
+        # carries none, for cumulants as for moments
+        for cls in (CumulantSequence, MomentSequence):
+            for bits in (None, 63, "128"):
+                with pytest.raises(ValueError, match="precision_bits must be an integer"):
+                    cls((mpf(1), mpf(2)), exact=False, precision_bits=bits)
+            with pytest.raises(ValueError, match="exact sequences carry no precision_bits"):
+                cls((1, 2), exact=True, precision_bits=128)
+        k = CumulantSequence((1, "0.5"), exact=False, precision_bits=128)
+        assert k.values == (mpf(1), mpf("0.5"))
+        assert moments_from_cumulants(k).values == (1, 1, mpf("1.5"))
+
 
 class TestTPolynomial:
     def test_eval_matches_expansion(self):

@@ -114,6 +114,78 @@ class TestHankelDeterminant:
                 indeterminacy_ratios(vals, 1)
 
 
+# each Hankel report as report(m, n, tolerance), n its depth or Fekete size
+HANKEL_REPORTS = {
+    "stieltjes": stieltjes_verdict,
+    "fekete": lambda m, n, tol=None: fekete_total_positivity(m, HankelQuery(1, n), tol),
+    "indeterminacy": indeterminacy_ratios,
+    "mu1": mu1_threshold_sequence,
+}
+
+
+def decimal_prefix(length):
+    return MomentSequence.from_approx([mpf(2) ** (n * n) for n in range(length)], 128)
+
+
+def mpf_list(length):
+    return list(decimal_prefix(length).values)
+
+
+def scaled_prefix(length):
+    return ScaledSequence(3, tuple(2 ** (n * n) * 3 ** n for n in range(length)))
+
+
+class TestHankelInputGate:
+    """What every Hankel report reads and refuses, and in which order: a
+    negative depth, then the backend, then the window."""
+
+    @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
+    @pytest.mark.parametrize("make", [decimal_prefix, mpf_list], ids=["decimal", "mpf-list"])
+    def test_approximate_needs_tolerance(self, report, make):
+        for length in (8, 3):  # a short prefix is still a backend error
+            with pytest.raises(BackendError):
+                report(make(length), 3)
+        if make is decimal_prefix:
+            assert report(make(8), 3, F(1, 2 ** 200)) == report(lattice(2, 7), 3)
+        else:  # a plain list of mpfs has no precision, so no tolerance serves it
+            with pytest.raises(BackendError):
+                report(make(8), 3, F(1, 2 ** 200))
+
+    @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
+    @pytest.mark.parametrize("make", [lambda n: lattice(2, n - 1), scaled_prefix, decimal_prefix],
+                             ids=["exact", "scaled", "decimal"])
+    def test_short_window_message(self, report, make):
+        fekete = report is HANKEL_REPORTS["fekete"]
+        want = ("query (shift=1, size=4) needs index 9 but sequence ends at 8" if fekete
+                else "depth 4 needs 10 entries, got 9")
+        with pytest.raises(ValueError) as exc:
+            report(make(9), 4, DEFAULT_TOLERANCE)
+        assert str(exc.value) == want
+        report(make(10), 4, DEFAULT_TOLERANCE)  # one more entry is enough
+
+    @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
+    @pytest.mark.parametrize("make", [lambda n: lattice(2, n - 1), scaled_prefix, decimal_prefix],
+                             ids=["exact", "scaled", "decimal"])
+    def test_negative_depth_before_backend(self, report, make):
+        want = ("shift and size must be non-negative" if report is HANKEL_REPORTS["fekete"]
+                else "upto must be >= 0")
+        with pytest.raises(ValueError) as exc:
+            report(make(8), -1)  # no tolerance: the decimal prefix is refused later
+        assert str(exc.value) == want
+
+    def test_ratios_scale_their_entries_once(self, monkeypatch):
+        calls = []
+
+        def counting(vals):
+            calls.append(len(vals))
+            return _integer_scale(vals)
+
+        monkeypatch.setattr(stieltjes, "_integer_scale", counting)
+        want = brute_force.indeterminacy_ratios_per_size(lattice(2, 9), 4)
+        assert indeterminacy_ratios(lattice(2, 9), 4) == want
+        assert calls == [10]
+
+
 class TestStieltjesVerdict:
     def test_lattice_strictly_positive(self):
         v = stieltjes_verdict(lattice(2, 9), 4)
