@@ -21,7 +21,6 @@ names from there.
 from __future__ import annotations
 
 import argparse
-import io
 import re
 import sys
 from fractions import Fraction
@@ -70,10 +69,9 @@ def _list_of(parse):
 
 def _jsonable(obj, bits: Optional[int] = None):
     """Recursively convert report objects to JSON-ready structures; an mpf
-    gets the digits of `bits` (default mpmath's), as sequence files do."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    gets the digits of `bits` (default mpmath's), as sequence files do.
+    Strict, as doc_to_json is: any other type raises TypeError."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
@@ -85,9 +83,7 @@ def _jsonable(obj, bits: Optional[int] = None):
         return {str(k): _jsonable(v, bits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x, bits) for x in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item(), bits)
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def _write(text: str, path: Optional[str] = None) -> None:
@@ -99,29 +95,12 @@ def _write(text: str, path: Optional[str] = None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_sequence(obj, args, generator: str, params: dict,
-                   tolerance: Optional[str] = None) -> None:
-    """A pmf as JSON, the one form that carries its entry_error; moments as
-    CSV under --csv, else as JSON."""
-    if isinstance(obj, dist.DiscretePMF):
-        text = seqfile.doc_to_json(seqfile.pmf_to_doc(obj, generator=generator,
-                                                      params=params))
-    elif args.csv:
-        text = seqfile.csv_text(obj)
-    else:
-        text = seqfile.doc_to_json(seqfile.moments_to_doc(
-            obj, generator=generator, params=params, tolerance=tolerance))
-    _write(text, args.output)
-
-
-def _load_sequence(path: str, precision_bits: int):
-    """Read a sequence file once, as JSON when it opens with '{' and as CSV
-    otherwise; the name is not consulted, so pipes such as /dev/stdin work."""
+def _read(path: str) -> str:
+    """The one input path: the text of the file at path, whose format
+    seqfile.read_text decides from the text alone, so pipes such as
+    /dev/stdin work."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return seqfile.sequence_from_doc(text)
-    return seqfile.read_csv(io.StringIO(text), precision_bits=precision_bits)
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -129,40 +108,35 @@ def _load_sequence(path: str, precision_bits: int):
 
 
 def cmd_moments(args) -> int:
-    if args.source == "lattice":
+    source, tol = args.source, None
+    if source == "lattice":
         m = dist.lattice_lognormal_moments(args.q, args.r, args.upto)
-        _emit_sequence(m, args, "lattice", {"q": str(args.q), "r": str(args.r)})
-        return 0
-
-    p = dist.Precision(args.precision, args.abs_tol)
-    params = {"alpha": args.alpha, "sigma2": args.sigma2}
-    if args.source == "leipnik":
-        m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, args.upto, p)
-        _emit_sequence(m, args, "leipnik", params, args.abs_tol)
-        return 0
-
-    spec = dist.LognormalSpec(args.alpha, args.sigma2)
-    if args.source == "mixed-poisson":
-        pmf = dist.mixed_poisson_pmf(spec, args.logb, args.N, args.kmax, p)
-        _emit_sequence(pmf, args, "mixed-poisson",
-                       {**params, "logb": args.logb, "N": args.N, "kmax": args.kmax})
-        return 0
-
-    upto, tol = args.upto, args.abs_tol
-    if args.source == "lognormal":
-        m = dist.lognormal_moments(spec, upto, p)
-        _emit_sequence(m, args, "lognormal", params, tol)
-    elif args.source == "truncated":
-        res = dist.truncated_lognormal_moments(spec, args.logb, upto, p)
-        m = res.conditional_moments(p) if args.conditional else res.moments
-        _emit_sequence(m, args, "truncated",
-                       {**params, "logb": args.logb, "conditional": bool(args.conditional)},
-                       tol)
-    elif args.source == "gap":
-        m = dist.gap_censored_lognormal_moments(spec, args.a, args.b, upto, p)
-        _emit_sequence(m, args, "gap", {**params, "a": args.a, "b": args.b}, tol)
+        params = {"q": str(args.q), "r": str(args.r)}
     else:
-        raise SequenceFileError(f"unknown source {args.source!r}")
+        p = dist.Precision(args.precision, args.abs_tol)
+        spec = dist.LognormalSpec(args.alpha, args.sigma2)
+        params = {"alpha": args.alpha, "sigma2": args.sigma2}
+        if source == "mixed-poisson":
+            pmf = dist.mixed_poisson_pmf(spec, args.logb, args.N, args.kmax, p)
+            params.update(logb=args.logb, N=args.N, kmax=args.kmax)
+            _write(seqfile.write_text(pmf, generator=source, params=params), args.output)
+            return 0
+        tol = args.abs_tol
+        if source == "leipnik":
+            m = dist.leipnik_discrete_moments(args.sigma2, args.alpha, args.upto, p)
+        elif source == "lognormal":
+            m = dist.lognormal_moments(spec, args.upto, p)
+        elif source == "truncated":
+            res = dist.truncated_lognormal_moments(spec, args.logb, args.upto, p)
+            m = res.conditional_moments(p) if args.conditional else res.moments
+            params.update(logb=args.logb, conditional=bool(args.conditional))
+        elif source == "gap":
+            m = dist.gap_censored_lognormal_moments(spec, args.a, args.b, args.upto, p)
+            params.update(a=args.a, b=args.b)
+        else:
+            raise SequenceFileError(f"unknown source {source!r}")
+    _write(seqfile.write_text(m, args.csv, generator=source, params=params, tolerance=tol),
+           args.output)
     return 0
 
 
@@ -174,7 +148,7 @@ def cmd_analyze(args) -> int:
     from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
                             log_convexity_report, mu1_threshold_sequence,
                             mu1_thresholds, stieltjes_verdict)
-    m = _load_sequence(args.file, args.precision)
+    m = seqfile.read_text(_read(args.file), args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
     tol = args.tolerance
@@ -225,7 +199,7 @@ def cmd_analyze(args) -> int:
 def cmd_katti(args) -> int:
     from .divisibility import katti_r, logconvex_pmf_check
     # a CSV always loads as kind "moments", so its working precision is moot
-    pmf = _load_sequence(args.file, dist.DEFAULT_BITS)
+    pmf = seqfile.read_text(_read(args.file))
     if not isinstance(pmf, dist.DiscretePMF):
         raise SequenceFileError("katti expects a file of kind 'pmf'")
     rep = katti_r(pmf, args.kmax)
@@ -270,7 +244,7 @@ def cmd_compose(args) -> int:
     if len(given) != bool(reads) or not set(given) <= set(reads):
         wanted = "one of " + ", ".join(reads) if reads else "no parameter"
         raise SequenceFileError(f"--op {args.op} takes {wanted}, got {', '.join(given) or 'none'}")
-    m = _load_sequence(args.file, args.precision)
+    m = seqfile.read_text(_read(args.file), args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("compose expects a file of kind 'moments'")
     upto = args.upto if args.upto is not None else m.degree
@@ -280,10 +254,7 @@ def cmd_compose(args) -> int:
 
     if args.op == "classical":
         out = classical_convolve(m, m, upto)
-        _emit_sequence(out, args, "compose", params)
-        return 0
-
-    if args.symbolic:
+    elif args.symbolic:
         if args.csv:
             raise SequenceFileError("--symbolic writes a JSON report; --csv does not apply")
         polys = mb_compose_t(m, upto)
@@ -292,15 +263,14 @@ def cmd_compose(args) -> int:
                   "coefficients": [[str(c) for c in p.coeffs] for p in polys]}
         _write(seqfile.doc_to_json(report), args.output)
         return 0
-    # the Boolean or Maxwell-Boltzmann power at one t
-    if args.op == "mb" and args.k is not None:
+    elif args.op == "mb" and args.k is not None:
         out = mb_compose_integer(m, args.k, upto)
         params["k"] = args.k
-    else:
+    else:  # the Boolean or Maxwell-Boltzmann power at one t
         t = args.t if args.k is None else Fraction(args.k)
         out = (boolean_power_t if args.op == "boolean" else mb_compose_at)(m, t, upto)
         params["t"] = str(t)
-    _emit_sequence(out, args, "compose", params)
+    _write(seqfile.write_text(out, args.csv, generator="compose", params=params), args.output)
     return 0
 
 

@@ -33,7 +33,8 @@ from typing import Optional, Union
 
 from .exceptions import QuadratureError
 from .moment_algebra import (CumulantSequence, MomentSequence, Record, _as_fraction,
-                             _as_mpf, check_precision_bits, moments_from_cumulants, mpmath)
+                             _as_mpf, _is_mpf, _on_backend, check_precision_bits,
+                             moments_from_cumulants, mpmath)
 
 DEFAULT_BITS = 128
 DEFAULT_ABS_TOL = "1e-20"
@@ -76,8 +77,10 @@ class DiscretePMF(Record):
     Exact pmfs carry Fractions and a zero entry error; they are allowed to
     be unnormalized, since the divisibility recursions are scale invariant
     and an exact overall factor (like e^{-lambda}) may be irrational.
-    Approximate pmfs carry mpmath values, a certified per-entry absolute
-    error bound, and an estimate of the mass beyond the last index.
+    Approximate pmfs carry mpmath values at precision_bits, as a
+    MomentSequence does, a certified per-entry absolute error bound
+    (rounded up when it is not an mpf), and an estimate of the mass beyond
+    the last index.
     """
 
     masses: tuple
@@ -89,11 +92,16 @@ class DiscretePMF(Record):
     def __post_init__(self):
         if len(self.masses) == 0:
             raise ValueError("empty pmf")
+        _on_backend(self, "masses")
+        err = self.entry_error
         if self.exact:
-            object.__setattr__(self, "masses", tuple(_as_fraction(v) for v in self.masses))
-            object.__setattr__(self, "entry_error", _as_fraction(self.entry_error))
-        else:
-            check_precision_bits(self.precision_bits)
+            err = _as_fraction(err)
+        elif not _is_mpf(err):
+            # a bound, so an inexact one is rounded up
+            err = Fraction(err)
+            with mpmath.workprec(self.precision_bits):
+                err = mpmath.fdiv(err.numerator, err.denominator, rounding="u")
+        object.__setattr__(self, "entry_error", err)
 
     def __len__(self) -> int:
         return len(self.masses)

@@ -13,7 +13,8 @@ in rational arithmetic; on approximate pmfs every p_k is widened to an
 interval of its stated error and the recursion runs in outward-rounded
 interval arithmetic, so a sign claim survives any error assignment within
 the bounds. The recursion is scale invariant, so unnormalized exact weights
-are fine.
+are fine. mpmath comes through moment_algebra's lazy binding, so an exact
+pmf never runs it.
 
 The companion check is the classical sufficient condition: a pmf with
 everywhere-positive masses that is log-convex (p_k^2 <= p_{k-1} p_{k+1}) is
@@ -24,12 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-from mpmath import iv, mpf
-
 from .distributions import DiscretePMF
 from .exceptions import PrecisionError
-from .moment_algebra import Record, _exact
+from .moment_algebra import Record, _exact, mpmath
 
 
 class KattiReport(Record):
@@ -44,7 +42,7 @@ class KattiReport(Record):
 
     r: tuple
     radii: tuple
-    error_bound: Union[Fraction, mpf]
+    error_bound: Union[Fraction, mpmath.mpf]
     kmax: int
     exact: bool
 
@@ -80,6 +78,7 @@ def _katti_rates(p, kmax: int) -> list:
 
 def _katti_interval(pmf: DiscretePMF, kmax: int) -> KattiReport:
     bits = pmf.precision_bits
+    iv, mpf = mpmath.iv, mpmath.mpf
     saved = iv.prec
     try:
         iv.prec = bits + 20

@@ -220,17 +220,17 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
-def _on_backend(seq) -> tuple:
-    """seq's values on the backend it names, stored back on seq: Fractions
-    with no precision_bits, or mpfs at a checked precision_bits."""
+def _on_backend(seq, field: str = "values") -> tuple:
+    """seq's entries in `field` on the backend it names, stored back on seq:
+    Fractions with no precision_bits, or mpfs at a checked precision_bits."""
     if seq.exact:
-        vals = tuple(_as_fraction(v) for v in seq.values)
+        vals = tuple(_as_fraction(v) for v in getattr(seq, field))
         if seq.precision_bits is not None:
             raise ValueError("exact sequences carry no precision_bits")
     else:
         with mpmath.workprec(check_precision_bits(seq.precision_bits)):
-            vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in seq.values)
-    object.__setattr__(seq, "values", vals)
+            vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in getattr(seq, field))
+    object.__setattr__(seq, field, vals)
     return vals
 
 

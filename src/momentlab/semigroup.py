@@ -1,14 +1,15 @@
 """Structure checks for the t-indexed Maxwell-Boltzmann composition family.
 
-The composed moments mu^(t)_n are polynomials in t, and the semigroup law
+The composed moments mu^(t)_n are polynomials in t, built from the
+cumulants t*kappa (moment_algebra._t_power_rows), so the semigroup law
 "compose at s, then convolve with the composition at t, and you get the
-composition at s+t" holds exactly when the family equals its own t-power at
-1: the t-power (moment_algebra._t_power_rows) of its values at t = 1. This
-module checks the law that way, in exact arithmetic on integer rows,
-examines the alternating-term structure of a single composed moment, checks
-the two-sided envelope t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n for log-convex
-input, and runs the empirical theta-threshold scan on the canonical lattice
-family mu_n = q^(n^2), whose log-convexity ratio is the constant
+composition at s+t" holds by construction; mb_semigroup_identity reports
+it, and the tests check it against the bivariate expansion in brute_force.
+This module also examines the alternating-term structure of a single
+composed moment, checks the two-sided envelope
+t*mu_n >= mu^(t)_n > (1-theta)*t*mu_n for log-convex input, and runs the
+empirical theta-threshold scan on the canonical lattice family
+mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
@@ -20,20 +21,19 @@ numerators over one denominator and builds each term's Fraction once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import factorial, isqrt, lcm
 from typing import Optional, Sequence
 
 from .distributions import lattice_lognormal_moments
-from .moment_algebra import (MomentSequence, Record, ScaledSequence, _bell_rows,
-                             _composition_sum, _kappas_from_moments, _power_at, _power_base,
-                             _t_power_rows)
+from .moment_algebra import (MomentSequence, Record, ScaledSequence, _composition_sum,
+                             _power_at, _power_base)
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
 class SemigroupIdentityReport(Record):
     """Outcome of the semigroup law mu^(s) * mu^(t) = mu^(s+t) through the
-    given depth; first_failure is the first n at which it breaks."""
+    given depth; first_failure, the first n at which it breaks, is None,
+    since the law holds by construction (see mb_semigroup_identity)."""
 
     depth: int
     holds: bool
@@ -43,42 +43,20 @@ class SemigroupIdentityReport(Record):
         return self.holds
 
 
-def _semigroup_first_failure(rows: Sequence) -> Optional[int]:
-    """First n at which sum_j C(n,j) P_j(s) P_{n-j}(t) = P_n(s+t) fails.
-
-    rows[n] lists the coefficients of P_n in powers of t, for P_0..P_N.
-    The law holds exactly when the family is the t-power of its own value
-    at t = 1: the partial Bell rows of the cumulants kappa_n(1) of the
-    moments P_n(1) (moment_algebra._t_power_rows). This returns the first
-    n at which rows[n] differs from that row, trailing zeros ignored, or
-    None. Proof: when the rows agree through n-1, kappa_1(t)..kappa_{n-1}(t)
-    are kappa_k(1)*t, and row n differs from the expected row by
-    kappa_n(t) - kappa_n(1)*t; that is zero exactly when kappa_n(t) is c*t,
-    and a polynomial with p(s+t) = p(s) + p(t) is c*t. Scaling each P_n by
-    c^n scales both rows by c^n, so the integer rows of _t_power_rows give
-    the same answer as the rational polynomials.
-    """
-    expected = _bell_rows(_kappas_from_moments([sum(r) for r in rows]))
-    return next((n for n, (row, want) in enumerate(zip(rows, expected))
-                 if any(a != b for a, b in zip_longest(row, want, fillvalue=0))), None)
-
-
 def mb_semigroup_identity(m: MomentSequence, depth: int) -> SemigroupIdentityReport:
-    """Check sum_j C(n,j) mu^(s)_j mu^(t)_{n-j} = mu^(s+t)_n, for every
+    """Report sum_j C(n,j) mu^(s)_j mu^(t)_{n-j} = mu^(s+t)_n, for every
     n <= depth, on the composed polynomials of m.
 
-    Checked by _semigroup_first_failure on the integer rows of
-    _t_power_rows(m). Those rows are the t-power of their own value at
-    t = 1 by construction, so `holds` is true on every input: the report
-    confirms the t-power kernel, not a property of m. The paper's
-    semigroup claim is about where the composed classes stay positive (an
-    up-set of admissible t), which this report does not test.
+    It holds on every exact input, so `holds` is always true. Proof:
+    mu^(t) has cumulants t*kappa, cumulants add under convolution, and
+    s*kappa + t*kappa = (s+t)*kappa. The paper's semigroup claim is about
+    where the composed classes stay positive (an up-set of admissible t),
+    which this report does not test.
     """
     m.require_exact("mb_semigroup_identity")
     if depth > m.degree:
         raise ValueError(f"depth {depth} exceeds sequence degree {m.degree}")
-    n = _semigroup_first_failure(_t_power_rows(m.values[:depth + 1])[1])
-    return SemigroupIdentityReport(depth, n is None, n)
+    return SemigroupIdentityReport(depth, True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ JSON documents with a schema_version, a kind ("moments" or "pmf"), a
 backend ("exact" or "decimal"), and values as strings. Exact values are
 rationals serialized "num/den" (plain integers stay plain); they are never
 written as decimals. Decimal values always travel with precision_bits and
-enough digits that reading them back at that precision is lossless. A
-plain CSV form (header row, index/value columns) is supported for
+enough digits that reading them back at that precision is lossless. One
+codec per backend (_codec) writes and reads the values, a pmf's
+entry_error and its tail_mass alike, and one builder (_to_doc) writes
+every document.
+
+A plain CSV form (header row, index/value columns) is supported for
 spreadsheets; it carries no metadata, so the backend is inferred from the
 value strings, and it carries moments only: a decimal pmf needs its
-entry_error, which only JSON carries.
+entry_error, which only JSON carries. read_text and write_text make the
+JSON-or-CSV choice for every caller: a text that opens with '{' is read as
+JSON and any other as CSV, and only moments are written as CSV, on request.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from typing import Optional, Union
 
 from .distributions import DiscretePMF
 from .exceptions import SequenceFileError
-from .moment_algebra import MomentSequence, check_precision_bits, mpmath
+from .moment_algebra import MomentSequence, _as_mpf, check_precision_bits, mpmath
 
 SCHEMA_VERSION = 1
 
@@ -34,7 +40,7 @@ def _digits_for(bits: int) -> int:
 
 def _decimal_str(x, bits: int) -> str:
     with mpmath.workprec(bits):
-        return mpmath.nstr(mpmath.mpf(x), _digits_for(bits), strip_zeros=False)
+        return mpmath.nstr(_as_mpf(x), _digits_for(bits), strip_zeros=False)
 
 
 def _parse_decimal(s: str, bits: int):
@@ -55,55 +61,45 @@ def _parse_exact(s: str) -> Fraction:
         raise SequenceFileError(f"bad exact value {s!r}: {exc}") from None
 
 
-def _value_strings(values, exact: bool, bits: Optional[int]) -> list:
+def _codec(exact: bool, bits: Optional[int]) -> tuple:
+    """(encode, decode) between one number and its string on a backend:
+    "num/den" for exact, the digits of `bits` for decimal. Values,
+    entry_error and tail_mass all travel through it."""
     if exact:
-        return [str(Fraction(v)) for v in values]
-    return [_decimal_str(v, bits) for v in values]
+        return (lambda v: str(Fraction(v))), _parse_exact
+    return (lambda v: _decimal_str(v, bits)), (lambda s: _parse_decimal(s, bits))
+
+
+def _to_doc(kind: str, seq, values, numbers: dict, meta: dict) -> dict:
+    """The one document body: seq's backend, `values` and every number of
+    `numbers` that is not None in the backend's strings, then every meta
+    entry that is set."""
+    encode = _codec(seq.exact, seq.precision_bits)[0]
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
+           "backend": "exact" if seq.exact else "decimal",
+           "values": [encode(v) for v in values]}
+    if not seq.exact:
+        doc["precision_bits"] = seq.precision_bits
+    doc.update((key, encode(v)) for key, v in numbers.items() if v is not None)
+    doc.update((key, v) for key, v in meta.items() if v)
+    return doc
 
 
 def moments_to_doc(m: MomentSequence, generator: Optional[str] = None,
                    params: Optional[dict] = None,
                    tolerance: Optional[str] = None) -> dict:
     """Build the JSON document for a moment sequence, with provenance."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "moments",
-        "backend": "exact" if m.exact else "decimal",
-        "values": _value_strings(m.values, m.exact, m.precision_bits),
-    }
-    if not m.exact:
-        doc["precision_bits"] = m.precision_bits
-    if generator:
-        doc["generator"] = generator
-    if params:
-        doc["params"] = params
-    if tolerance:
-        doc["tolerance"] = tolerance
-    return doc
+    return _to_doc("moments", m, m.values, {},
+                   {"generator": generator, "params": params, "tolerance": tolerance})
 
 
 def pmf_to_doc(pmf: DiscretePMF, generator: Optional[str] = None,
                params: Optional[dict] = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pmf",
-        "backend": "exact" if pmf.exact else "decimal",
-        "values": _value_strings(pmf.masses, pmf.exact, pmf.precision_bits),
-    }
-    if pmf.exact:
-        if pmf.entry_error:
-            doc["entry_error"] = str(Fraction(pmf.entry_error))
-    else:
-        doc["precision_bits"] = pmf.precision_bits
-        doc["entry_error"] = _decimal_str(pmf.entry_error, pmf.precision_bits)
-    if pmf.tail_mass is not None:
-        doc["tail_mass"] = (str(Fraction(pmf.tail_mass)) if pmf.exact
-                            else _decimal_str(pmf.tail_mass, pmf.precision_bits))
-    if generator:
-        doc["generator"] = generator
-    if params:
-        doc["params"] = params
-    return doc
+    """Build the JSON document for a pmf; an exact pmf omits a zero
+    entry_error."""
+    error = pmf.entry_error if pmf.entry_error or not pmf.exact else None
+    return _to_doc("pmf", pmf, pmf.masses, {"entry_error": error, "tail_mass": pmf.tail_mass},
+                   {"generator": generator, "params": params})
 
 
 def doc_to_json(doc: dict) -> str:
@@ -151,27 +147,15 @@ def sequence_from_doc(text: Union[str, bytes, dict]) -> Union[MomentSequence, Di
     MomentSequence or DiscretePMF."""
     doc = parse_doc(text)
     exact = doc["backend"] == "exact"
-    bits = doc.get("precision_bits")
-    if exact:
-        values = [_parse_exact(s) for s in doc["values"]]
-    else:
-        values = [_parse_decimal(s, bits) for s in doc["values"]]
+    bits = None if exact else doc["precision_bits"]
+    decode = _codec(exact, bits)[1]
+    values = tuple(decode(s) for s in doc["values"])
     try:
         if doc["kind"] == "moments":
-            if exact:
-                return MomentSequence.from_exact(values)
-            return MomentSequence.from_approx(values, bits)
-        entry_error = doc.get("entry_error", "0")
+            return MomentSequence(values, exact, bits)
         tail_mass = doc.get("tail_mass")
-        if exact:
-            return DiscretePMF(tuple(values), exact=True,
-                               entry_error=_parse_exact(entry_error),
-                               tail_mass=None if tail_mass is None
-                               else _parse_exact(tail_mass))
-        return DiscretePMF(tuple(values), exact=False, precision_bits=bits,
-                           entry_error=_parse_decimal(entry_error, bits),
-                           tail_mass=None if tail_mass is None
-                           else _parse_decimal(tail_mass, bits))
+        return DiscretePMF(values, exact, bits, decode(doc.get("entry_error", "0")),
+                           None if tail_mass is None else decode(tail_mass))
     except ValueError as exc:
         raise SequenceFileError(str(exc)) from None
 
@@ -182,10 +166,8 @@ def load_json(path: str) -> Union[MomentSequence, DiscretePMF]:
 
 
 def dump_json(obj: Union[MomentSequence, DiscretePMF], path: str, **meta) -> None:
-    doc = (moments_to_doc(obj, **meta) if isinstance(obj, MomentSequence)
-           else pmf_to_doc(obj, **meta))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc_to_json(doc))
+        fh.write(write_text(obj, **meta))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +179,9 @@ def write_csv(m: MomentSequence, fh) -> None:
     buffer fh."""
     w = csv.writer(fh)
     w.writerow(["index", "value"])
-    for i, s in enumerate(_value_strings(m.values, m.exact, m.precision_bits)):
-        w.writerow([i, s])
+    encode = _codec(m.exact, m.precision_bits)[0]
+    for i, v in enumerate(m.values):
+        w.writerow([i, encode(v)])
 
 
 def read_csv(fh, precision_bits: int = 128) -> MomentSequence:
@@ -236,3 +219,24 @@ def csv_text(m: MomentSequence) -> str:
     buf = io.StringIO()
     write_csv(m, buf)
     return buf.getvalue()
+
+
+def read_text(text: str, precision_bits: int = 128) -> Union[MomentSequence, DiscretePMF]:
+    """The sequence in a file's text: JSON when the text opens with '{',
+    after any white space, else the CSV form, whose decimal values are read
+    at precision_bits. No file name is consulted, so a pipe reads as a file
+    does."""
+    if text.lstrip().startswith("{"):
+        return sequence_from_doc(text)
+    return read_csv(io.StringIO(text), precision_bits)
+
+
+def write_text(obj: Union[MomentSequence, DiscretePMF], as_csv: bool = False, **meta) -> str:
+    """The text of a sequence file: moments as CSV when as_csv, else as JSON
+    with meta as moments_to_doc takes it; a pmf always as JSON, the one
+    form that carries its entry_error, with meta as pmf_to_doc takes it."""
+    if isinstance(obj, DiscretePMF):
+        if as_csv:
+            raise SequenceFileError("CSV carries moments only; a pmf is written as JSON")
+        return doc_to_json(pmf_to_doc(obj, **meta))
+    return csv_text(obj) if as_csv else doc_to_json(moments_to_doc(obj, **meta))

@@ -9,12 +9,14 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mpf
 
 from momentlab import distributions as dist
 from momentlab import cli, seqfile, stieltjes
 from momentlab.cli import build_parser, main
+from momentlab.divisibility import pmf_from_rates
 from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import classical_convolve
 
@@ -610,6 +612,15 @@ def test_per_path_parser_holds_only_the_named_path():
     assert build_parser().parse_args(["scan"]).depth == 5
 
 
+def test_reports_are_strict_about_types():
+    """_jsonable converts the types reports hold and refuses any other, as
+    doc_to_json refuses nan, rather than print its str()."""
+    assert cli._jsonable({"a": (F(1, 3), 2.5, None, True)}) == {"a": ["1/3", 2.5, None, True]}
+    for value in (object(), {1, 2}, np.int64(3), np.bool_(True), 1j):
+        with pytest.raises(TypeError, match="no JSON form"):
+            cli._jsonable({"a": [value]})
+
+
 class TestNonFiniteEntries:
     """nan and inf are refused when a file is read, from CSV and JSON alike."""
 
@@ -733,7 +744,9 @@ class TestStartup:
 
     def test_exact_input_never_runs_mpmath(self, tmp_path):
         lattice_file(tmp_path)
+        seqfile.dump_json(pmf_from_rates([1, F(-1, 2)], 6), str(tmp_path / "pmf.json"))
         for argv in (["moments", "lattice", "--q", "3", "--upto", "5"],
+                     ["katti", "pmf.json", "--logconvex"],
                      ["compose", "lattice.json", "--op", "classical"],
                      ["compose", "lattice.json", "--op", "boolean", "--t", "1/3"],
                      ["compose", "lattice.json", "--op", "mb", "--t", "1/3"],

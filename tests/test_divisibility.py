@@ -11,6 +11,8 @@ from mpmath import iv, mpf
 from momentlab.distributions import (DiscretePMF, LognormalSpec, Precision, geometric_pmf,
                                      mixed_poisson_pmf, poisson_pmf)
 from momentlab.divisibility import katti_r, logconvex_pmf_check, pmf_from_rates
+from momentlab.moment_algebra import _exact
+from momentlab.seqfile import pmf_to_doc, sequence_from_doc
 
 import brute_force
 
@@ -78,6 +80,30 @@ class TestKattiInterval:
                 mid, rad = rep.r[k], rep.radii[k]
                 assert mid - rad <= lo and hi <= mid + rad, k
                 assert rad <= (hi - lo) / 2 + abs(mid) * mpf(2) ** (1 - pmf.precision_bits), k
+
+
+class TestPmfBackend:
+    """A pmf's masses go through the backend its `exact` names, as a
+    MomentSequence's values do."""
+
+    def test_exact_pmf_refuses_precision_bits(self):
+        with pytest.raises(ValueError, match="precision_bits"):
+            DiscretePMF((1, 2), exact=True, precision_bits=128)
+
+    def test_decimal_pmf_reads_fractions(self):
+        masses = tuple(Fraction(1, 3 ** k) for k in range(6))
+        pmf = DiscretePMF(masses, exact=False, precision_bits=128,
+                          entry_error=Fraction(1, 3 * 10 ** 30))
+        with mpmath.workprec(128):
+            assert pmf.masses == tuple(mpf(1) / 3 ** k for k in range(6))
+        # the error bound is rounded up, by less than one unit in its last place
+        error = _exact(pmf.entry_error)
+        assert Fraction(1, 3 * 10 ** 30) < error < Fraction(1, 3 * 10 ** 30) * (1 + Fraction(1, 2 ** 127))
+        rep = katti_r(pmf)
+        with mpmath.workprec(128):
+            assert abs(rep.r[0] - mpf(1) / 3) <= rep.radii[0]
+        back = sequence_from_doc(pmf_to_doc(pmf))
+        assert back.masses == pmf.masses and back.entry_error == pmf.entry_error
 
 
 class TestLogConvexCertificate:

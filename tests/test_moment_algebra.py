@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
+from momentlab.distributions import DiscretePMF, LognormalSpec, Precision, lognormal_moments
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     BooleanCumulantSequence,
@@ -59,8 +60,6 @@ class TestMomentSequence:
             MomentSequence.from_approx([mpf(1), mpf(2)], 32)
 
     def test_precision_bits_range(self):
-        from momentlab.distributions import DiscretePMF, Precision
-
         def containers(bits):
             yield lambda: MomentSequence.from_approx([1, 2], bits)
             yield lambda: DiscretePMF((mpf("0.5"), mpf("0.25")), exact=False,
@@ -323,6 +322,18 @@ class TestCumulants:
             k = cumulants_from_moments(MomentSequence.from_exact(vals))
             assert levy_moments_at_t(k, t).values == tuple(
                 brute_force.composed_moment(vals, t, n) for n in range(7))
+
+
+class TestLevyDecimal:
+    def test_levy_matches_composition_bit_for_bit(self):
+        """On decimal cumulants levy_moments_at_t runs the evaluator of
+        mb_compose_at on the same prefix, so the entries agree exactly."""
+        m = lognormal_moments(LognormalSpec(0, 1), 8, Precision(128))
+        k = cumulants_from_moments(m)
+        for t in (F(1, 3), F(5, 2), F(2)):
+            got, want = levy_moments_at_t(k, t), mb_compose_at(m, t)
+            assert not got.exact and got.precision_bits == want.precision_bits == 128
+            assert [x._mpf_ for x in got.values] == [x._mpf_ for x in want.values], t
 
 
 class TestBoolean:

@@ -1,7 +1,6 @@
 """Sequence files round-trip every value, exact or decimal: moments through
 JSON and CSV, pmfs through JSON, the one form that carries their
 entry_error. Decimal values come back bit for bit at their precision."""
-import io
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +10,7 @@ from mpmath import mpf
 
 from momentlab import seqfile
 from momentlab.distributions import DiscretePMF
+from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import MomentSequence
 
 exact_values = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 9)
@@ -32,13 +32,11 @@ def decimals(draw, bits, size):
 
 
 def through_json(obj):
-    doc = (seqfile.moments_to_doc(obj) if isinstance(obj, MomentSequence)
-           else seqfile.pmf_to_doc(obj))
-    return seqfile.sequence_from_doc(seqfile.parse_doc(seqfile.doc_to_json(doc)))
+    return seqfile.read_text(seqfile.write_text(obj))
 
 
 def through_csv(obj, **kw):
-    return seqfile.read_csv(io.StringIO(seqfile.csv_text(obj)), **kw)
+    return seqfile.read_text(seqfile.write_text(obj, True), **kw)
 
 
 class TestMoments:
@@ -105,3 +103,18 @@ def test_documents_are_strict_json():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             seqfile.doc_to_json({"b": value})
+
+
+def test_text_form_follows_the_first_character():
+    """read_text takes a text that opens with '{', after any white space, as
+    JSON and any other as CSV; write_text gives a pmf no CSV form."""
+    m = MomentSequence.from_exact([1, Fraction(1, 3), 5])
+    json_text, csv_text = seqfile.write_text(m), seqfile.write_text(m, True)
+    assert json_text.startswith("{") and csv_text.startswith("index,value")
+    assert seqfile.read_text("\n  " + json_text) == seqfile.read_text(csv_text) == m
+    with pytest.raises(SequenceFileError, match="index,value"):
+        seqfile.read_text(" [1, 2]")
+    pmf = DiscretePMF((Fraction(1, 2), Fraction(1, 4)))
+    assert seqfile.read_text(seqfile.write_text(pmf, generator="g")) == pmf
+    with pytest.raises(SequenceFileError, match="moments only"):
+        seqfile.write_text(pmf, True)

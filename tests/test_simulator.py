@@ -1,7 +1,8 @@
 """The seeded compound-Poisson simulator and its Clopper-Pearson quantile."""
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import localcontext
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -129,6 +130,49 @@ class TestDeterminism:
                                 20_000, 1, censor_gap=(1.5, 3.0))
         assert res.verdict == "violation" and res.count_nanb == 0
         assert res.replication_lower_bound > res.upper_bound_nanb
+
+
+class TestEpsilonCut:
+    """spectrum_gap_test at epsilon > 0: jumps at or below epsilon leave the
+    samples, and the compound rate is rate * P[jump > epsilon] from the jump
+    law's tail_prob."""
+
+    def test_tail_probs_match_closed_forms(self):
+        for lam, eps in ((2.0, 0.0), (2.0, 1.5), (0.5, 3.0)):
+            # P[Y > eps] = 1 - P[Y <= floor(eps)], a Poisson law on the integers
+            want = 1 - sum(math.exp(-lam) * lam ** i / math.factorial(i)
+                           for i in range(math.floor(eps) + 1))
+            assert PoissonJumps(lam).tail_prob(eps) == pytest.approx(want, rel=1e-12)
+        for alpha, sigma2, eps in ((0.0, 1.0, 0.5), (-1.0, 0.25, 2.0)):
+            want = 1 - NormalDist(alpha, math.sqrt(sigma2)).cdf(math.log(eps))
+            assert LognormalJumps(alpha, sigma2).tail_prob(eps) == pytest.approx(want, rel=1e-12)
+
+    # (law, epsilon, a, b): every path with a value in (a, b) has exactly one
+    # kept jump, so the modal count is 1 and its hit count is count_ab
+    CASES = ((PoissonJumps(2.0), 1.5, 1.5, 2.5), (LognormalJumps(0.0, 1.0), 0.5, 0.6, 1.0))
+
+    def test_samples_lose_the_small_jumps(self):
+        for law, eps, _, _ in self.CASES:
+            cut = sample_compound_poisson(JumpSpec(1.5, law, eps), 1.0, 3, 5000)
+            full = sample_compound_poisson(JumpSpec(1.5, law), 1.0, 3, 5000)
+            assert ((cut == 0) | (cut > eps)).all()
+            assert (cut <= full).all() and (cut < full).any()
+            if isinstance(law, PoissonJumps):
+                # the kept jumps are the integers from 2 on
+                assert (cut == np.round(cut)).all() and not ((cut > 0) & (cut < 2)).any()
+
+    def test_lower_bound_reads_the_effective_rate(self):
+        rate, trials, level = 1.5, 5000, 0.99
+        for law, eps, a, b in self.CASES:
+            res = spectrum_gap_test(JumpSpec(rate, law, eps), a, b, 2, trials, 3, level)
+            x = sample_compound_poisson(JumpSpec(rate, law, eps), 1.0, 3, trials)
+            assert res.count_ab == int(((x > a) & (x < b)).sum()) > 0
+            assert res.count_nanb == int(((x > 2 * a) & (x < 2 * b)).sum())
+            assert res.modal_jump_count == 1 and res.spec["epsilon"] == eps
+            lam = rate * law.tail_prob(eps)
+            pi1, pi2 = lam * math.exp(-lam), lam ** 2 / 2 * math.exp(-lam)
+            want = pi2 * min(_clopper_pearson_lower(res.count_ab, trials, level) / pi1, 1) ** 2
+            assert res.replication_lower_bound == pytest.approx(want, rel=1e-12)
 
 
 class TestEpsilonDrift:
