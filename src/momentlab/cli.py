@@ -17,10 +17,22 @@ No module on the CLI's path imports the standard dataclass module, which
 would load inspect, ast, dis and tokenize into every start-up: every
 record derives from moment_algebra.Record, and _jsonable reads its field
 names from there.
+
+The process entry, run(), serves `python -m momentlab.cli` and the
+`momentlab` script. It calls main(), flushes sys.stdout and sys.stderr
+(skipping one that is None, as when fd 1 was closed) and ends the process
+with os._exit, skipping the interpreter's teardown: every file a report
+goes to is closed before main() returns, and nothing on the CLI's path
+registers an atexit callback. When a flush raises OSError (a full disk, a
+closed pipe), run() raises SystemExit instead, so the interpreter reports
+the failure and sets the exit status as it always has. main() itself
+returns its code and never exits, so tests and library callers run it in
+process.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -538,8 +550,14 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    # exact entries outgrow Python's 4300-digit int-string limit (mu_120 =
+    # 2^14400 of the q = 2 lattice has 4335 digits), so a run lifts it and
+    # gives the caller's back; CPython before 3.10.7 has no limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except (SequenceFileError, BackendError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -547,7 +565,23 @@ def main(argv=None) -> int:
     except (QuadratureError, PrecisionError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def run() -> None:
+    """The process entry: main() on sys.argv, then exit without teardown
+    (see the module docstring)."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -33,8 +33,8 @@ from typing import Optional, Union
 
 from .exceptions import QuadratureError
 from .moment_algebra import (CumulantSequence, MomentSequence, Record, _as_fraction,
-                             _as_mpf, _is_mpf, _on_backend, check_precision_bits,
-                             moments_from_cumulants, mpmath)
+                             _as_mpf, _is_mpf, _on_backend, _to_backend,
+                             check_precision_bits, moments_from_cumulants, mpmath)
 
 DEFAULT_BITS = 128
 DEFAULT_ABS_TOL = "1e-20"
@@ -80,7 +80,7 @@ class DiscretePMF(Record):
     Approximate pmfs carry mpmath values at precision_bits, as a
     MomentSequence does, a certified per-entry absolute error bound
     (rounded up when it is not an mpf), and an estimate of the mass beyond
-    the last index.
+    the last index. That estimate, when given, is on the pmf's backend too.
     """
 
     masses: tuple
@@ -102,6 +102,8 @@ class DiscretePMF(Record):
             with mpmath.workprec(self.precision_bits):
                 err = mpmath.fdiv(err.numerator, err.denominator, rounding="u")
         object.__setattr__(self, "entry_error", err)
+        if self.tail_mass is not None:
+            object.__setattr__(self, "tail_mass", _to_backend(self, (self.tail_mass,))[0])
 
     def __len__(self) -> int:
         return len(self.masses)

@@ -220,16 +220,23 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _to_backend(seq, values) -> tuple:
+    """values on the backend seq names: Fractions, or mpfs at its
+    precision_bits (an mpf is kept as it is)."""
+    if seq.exact:
+        return tuple(_as_fraction(v) for v in values)
+    with mpmath.workprec(seq.precision_bits):
+        return tuple(v if _is_mpf(v) else _as_mpf(v) for v in values)
+
+
 def _on_backend(seq, field: str = "values") -> tuple:
     """seq's entries in `field` on the backend it names, stored back on seq:
     Fractions with no precision_bits, or mpfs at a checked precision_bits."""
-    if seq.exact:
-        vals = tuple(_as_fraction(v) for v in getattr(seq, field))
-        if seq.precision_bits is not None:
-            raise ValueError("exact sequences carry no precision_bits")
-    else:
-        with mpmath.workprec(check_precision_bits(seq.precision_bits)):
-            vals = tuple(v if _is_mpf(v) else _as_mpf(v) for v in getattr(seq, field))
+    if not seq.exact:
+        check_precision_bits(seq.precision_bits)
+    vals = _to_backend(seq, getattr(seq, field))
+    if seq.exact and seq.precision_bits is not None:
+        raise ValueError("exact sequences carry no precision_bits")
     object.__setattr__(seq, field, vals)
     return vals
 

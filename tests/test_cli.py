@@ -3,9 +3,11 @@ start-up in a fresh interpreter."""
 import argparse
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -53,6 +55,20 @@ class TestMoments:
             for n in range(1, 5):
                 assert abs(m[n] * res.surviving_mass / res.moments[n] - 1) < mpf("1e-35")
 
+
+    def test_exact_values_past_the_int_string_limit(self, tmp_path, capsys):
+        """mu_120 = 2^14400 of the q = 2 lattice has 4335 digits, past
+        Python's 4300-digit int-string limit: a run writes it and reads it
+        back, and the caller's limit holds again after each run."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        path = tmp_path / "deep.json"
+        assert main(["moments", "lattice", "--q", "2", "--upto", "120", "-o", str(path)]) == 0
+        assert main(["analyze", str(path), "--stieltjes-depth", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["stieltjes"]["kind"] == "strictly-positive"
+        assert main(["compose", str(path), "--op", "classical", "--upto", "4"]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        # Decimal reads a string of any length without the int conversion
+        assert Decimal(json.loads(path.read_text())["values"][120]) == 2 ** 14400
 
     def test_nan_logb_exits_2(self, capsys):
         for source in (["truncated"], ["mixed-poisson", "--N", "5", "--kmax", "4"]):
@@ -679,10 +695,83 @@ class TestParameterMessages:
         assert report["t"] == 0 and report["count_ab"] == 0
 
 
-def fresh_python(*args, cwd=None):
-    """Run a new interpreter that finds this checkout's momentlab first."""
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=fresh_env(),
-                          capture_output=True, text=True, timeout=120, check=True)
+def fresh_python(*args, cwd=None, buffered=False, check=True, **popen):
+    """Run a new interpreter that finds this checkout's momentlab first.
+    buffered drops PYTHONUNBUFFERED, so its stdout is block-buffered as in
+    a plain shell; popen (stdout, preexec_fn, ...) goes to subprocess.run,
+    which by default captures both streams."""
+    env = fresh_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True,
+                          timeout=120, check=check, **popen)
+
+
+CLI = ("-m", "momentlab.cli")
+SMALL_LATTICE = ("moments", "lattice", "--q", "2", "--upto", "4")
+
+
+class TestProcessEntry:
+    """A `python -m momentlab.cli` process ends in cli.run(): main(), a
+    flush of both streams, then os._exit, with no interpreter teardown.
+    The processes run with stdout block-buffered, as in a plain shell, so
+    the flush has the report to write."""
+
+    def test_run_exits_with_mains_code(self, monkeypatch, capsys):
+        exits = []
+        monkeypatch.setattr(cli.os, "_exit", exits.append)
+        for argv, code in ((SMALL_LATTICE, 0), (("moments", "lattice", "--q", "-1"), 2)):
+            monkeypatch.setattr(sys, "argv", ["momentlab", *argv])
+            cli.run()
+            assert exits.pop() == code
+        assert capsys.readouterr().out.startswith("{")
+
+    def test_failed_flush_leaves_the_exit_to_the_interpreter(self, monkeypatch):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("os._exit reached"))
+        monkeypatch.setattr(sys, "argv", ["momentlab", *SMALL_LATTICE])
+        monkeypatch.setattr(sys, "stdout", Full())
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+
+    def test_output_past_a_pipe_buffer_is_whole(self, capsys):
+        argv = ["moments", "lattice", "--q", "2", "--r", str(10 ** 40), "--upto", "66"]
+        assert main(argv) == 0
+        expect = capsys.readouterr().out
+        assert len(expect) > 100_000
+        out = fresh_python(*CLI, *argv, buffered=True)
+        assert out.stdout == expect and out.stderr == ""
+
+    def test_closed_stdout_with_an_output_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        out = fresh_python(*CLI, *SMALL_LATTICE, "-o", str(path), buffered=True,
+                           preexec_fn=lambda: os.close(1))
+        assert out.returncode == 0 and out.stderr == ""
+        assert seqfile.load_json(str(path)).values == tuple(2 ** (n * n) for n in range(5))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_reported_by_the_interpreter(self):
+        with open("/dev/full", "w") as full:
+            out = fresh_python(*CLI, *SMALL_LATTICE, buffered=True, check=False, stdout=full)
+        assert out.returncode == 120
+        assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in out.stderr
+        assert "No space left on device" in out.stderr
+
+    def test_usage_error_exits_2(self):
+        out = fresh_python(*CLI, "moments", "lattice", "--upto", "4", buffered=True, check=False)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("usage: momentlab moments lattice")
+        assert "the following arguments are required: --q" in out.stderr
+
+    def test_numerical_failure_exits_3(self):
+        out = fresh_python(*CLI, "moments", "truncated", "--logb", "-1", "--upto", "10",
+                           buffered=True, check=False)
+        assert out.returncode == 3 and out.stdout == ""
+        assert out.stderr.startswith("numerical failure: rounding bound of entry 10")
 
 
 def heavy(names):

@@ -451,6 +451,26 @@ class TestSimplePmfs:
         assert pmf.entry_error > 0
 
 
+class TestPmfTailMass:
+    """tail_mass is on the pmf's backend, as its masses and entry_error are."""
+
+    def test_exact_pmf_refuses_an_mpf_tail(self):
+        with pytest.raises(TypeError):
+            DiscretePMF((F(1, 2), F(1, 4)), exact=True, tail_mass=mpf("0.5"))
+        assert DiscretePMF((F(1, 2),), exact=True, tail_mass=1).tail_mass == F(1)
+
+    def test_decimal_pmf_tail_is_an_mpf_at_its_precision(self):
+        pmf = DiscretePMF((mpf("0.5"),), exact=False, precision_bits=64, tail_mass=F(1, 3))
+        assert isinstance(pmf.tail_mass, mpf)
+        with mpmath.workprec(64):
+            assert pmf.tail_mass == mpf(1) / 3
+        assert pmf.tail_mass != F(1, 3)
+
+    def test_no_tail_stays_none(self):
+        assert DiscretePMF((F(1, 2),)).tail_mass is None
+        assert DiscretePMF((mpf("0.5"),), exact=False, precision_bits=64).tail_mass is None
+
+
 P192 = Precision(192, "1e-40")
 
 

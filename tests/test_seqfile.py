@@ -81,6 +81,13 @@ class TestPmf:
         assert back.tail_mass == (tail if with_tail else None)
 
 
+    def test_decimal_with_a_rational_tail(self):
+        pmf = DiscretePMF((mpf("0.5"), mpf("0.25")), exact=False, precision_bits=96,
+                          entry_error=mpf("1e-20"), tail_mass=Fraction(1, 3))
+        back = seqfile.sequence_from_doc(seqfile.pmf_to_doc(pmf))
+        assert back == pmf and isinstance(back.tail_mass, mpf)
+
+
 def test_exact_values_are_never_decimals():
     m = MomentSequence.from_exact([1, Fraction(1, 3), Fraction(-7, 2), 5])
     assert seqfile.moments_to_doc(m)["values"] == ["1", "1/3", "-7/2", "5"]
