@@ -4,34 +4,35 @@ Subcommands: moments (generate a sequence file), analyze (Hankel and
 ratio diagnostics), katti (infinite-divisibility recursion), compose
 (convolution compositions), simulate (seeded Monte-Carlo experiments),
 scan (theta-threshold grid). Reports are JSON on standard output with a
-schema_version field; exact rationals are serialized as "num/den"
-strings, never decimals. Exit codes: 0 success, 2 input error, 3
-numerical failure.
+schema_version field, each encoded by seqfile.jsonable, the encoder of
+sequence files too: exact rationals are serialized as "num/den" strings,
+never decimals. Exit codes: 0 success, 2 input error, 3 numerical
+failure, 141 when the reader of standard output closed it early, the
+status a shell reports for a process that SIGPIPE ended.
 
 Each subcommand imports the layers it calls, and exact input never loads
 mpmath: this module imports only what every subcommand uses, and mpmath
 comes through moment_algebra's lazy binding. Strict JSON: a report or file
 that would hold nan or infinity is refused (exit 2), never printed.
 
-No module on the CLI's path imports the standard dataclass module, which
-would load inspect, ast, dis and tokenize into every start-up: every
-record derives from moment_algebra.Record, and _jsonable reads its field
-names from there.
-
 The process entry, run(), serves `python -m momentlab.cli` and the
 `momentlab` script. It calls main(), flushes sys.stdout and sys.stderr
 (skipping one that is None, as when fd 1 was closed) and ends the process
 with os._exit, skipping the interpreter's teardown: every file a report
 goes to is closed before main() returns, and nothing on the CLI's path
-registers an atexit callback. When a flush raises OSError (a full disk, a
-closed pipe), run() raises SystemExit instead, so the interpreter reports
-the failure and sets the exit status as it always has. main() itself
-returns its code and never exits, so tests and library callers run it in
+registers an atexit callback. A closed pipe, met by a write in main() or
+by the flush, ends the process with 141 and nothing on stderr; what is
+left unwritten is dropped. When a flush raises any other OSError (a full
+disk), run() raises SystemExit instead, so the interpreter reports the
+failure and sets the exit status as it always has. main() itself returns
+its code and never exits, so tests and library callers run it in
 process.
 """
 from __future__ import annotations
 
 import argparse
+import decimal
+import io
 import os
 import re
 import sys
@@ -42,14 +43,15 @@ from . import distributions as dist
 from . import seqfile
 from .exceptions import (BackendError, PrecisionError, QuadratureError,
                          SequenceFileError)
-from .moment_algebra import (MomentSequence, Record, _is_mpf, boolean_power_t,
-                             classical_convolve, mb_compose_at, mb_compose_integer,
-                             mb_compose_t, mpmath)
+from .moment_algebra import (MomentSequence, boolean_power_t, classical_convolve,
+                             mb_compose_at, mb_compose_integer, mb_compose_t, mpmath)
 
 if TYPE_CHECKING:
     from .simulator import JumpSpec
 
 SCHEMA_VERSION = seqfile.SCHEMA_VERSION
+# the status a shell reports for a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 def _frac(text: str) -> Fraction:
@@ -79,32 +81,30 @@ def _list_of(parse):
     return comma_list
 
 
-def _jsonable(obj, bits: Optional[int] = None):
-    """Recursively convert report objects to JSON-ready structures; an mpf
-    gets the digits of `bits` (default mpmath's), as sequence files do.
-    Strict, as doc_to_json is: any other type raises TypeError."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if _is_mpf(obj):
-        return seqfile._decimal_str(obj, bits or mpmath.mp.prec)
-    if isinstance(obj, Record):
-        return {name: _jsonable(getattr(obj, name), bits) for name in obj._fields}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v, bits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x, bits) for x in obj]
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+def _report(kind: str, fields: dict, bits: Optional[int] = None,
+            path: Optional[str] = None) -> None:
+    """The one report path: schema_version, kind and fields, encoded by
+    seqfile.jsonable with the digits of `bits`, as JSON to path or stdout."""
+    report = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+    _write(seqfile.doc_to_json(seqfile.jsonable(report, bits)), path)
 
 
 def _write(text: str, path: Optional[str] = None) -> None:
     """The one output path: text to the file at path, else to stdout."""
+    out = sys.stdout
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif not isinstance(getattr(out, "buffer", None), io.FileIO):
+        out.write(text)
     else:
-        sys.stdout.write(text)
+        # unbuffered stdout (python -u): its text layer drops the rest of a
+        # partial write, which a pipe whose reader has gone returns, so the
+        # bytes go to the file until all are written or a write meets the
+        # closed pipe
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[out.buffer.write(data):]
 
 
 def _read(path: str) -> str:
@@ -142,11 +142,9 @@ def cmd_moments(args) -> int:
             res = dist.truncated_lognormal_moments(spec, args.logb, args.upto, p)
             m = res.conditional_moments(p) if args.conditional else res.moments
             params.update(logb=args.logb, conditional=bool(args.conditional))
-        elif source == "gap":
+        else:  # gap
             m = dist.gap_censored_lognormal_moments(spec, args.a, args.b, args.upto, p)
             params.update(a=args.a, b=args.b)
-        else:
-            raise SequenceFileError(f"unknown source {source!r}")
     _write(seqfile.write_text(m, args.csv, generator=source, params=params, tolerance=tol),
            args.output)
     return 0
@@ -158,49 +156,36 @@ def cmd_moments(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .stieltjes import (HankelQuery, fekete_total_positivity, indeterminacy_ratios,
-                            log_convexity_report, mu1_threshold_sequence,
-                            mu1_thresholds, stieltjes_verdict)
+                            log_convexity_report, mu1_threshold_sequence, stieltjes_verdict)
     m = seqfile.read_text(_read(args.file), args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
     tol = args.tolerance
-    bits = m.precision_bits
     if args.fekete_shift is not None and args.fekete is None:
         raise SequenceFileError("--fekete-shift needs --fekete")
 
     requested = any([args.stieltjes_depth is not None, args.fekete is not None,
                      args.indeterminacy is not None, args.logconvex,
                      args.mu1_threshold is not None])
-    report = {"schema_version": SCHEMA_VERSION, "kind": "analysis",
-              "input": {"backend": "exact" if m.exact else "decimal",
-                        "length": len(m)}}
+    report = {"input": {"backend": "exact" if m.exact else "decimal", "length": len(m)}}
 
     depth = args.stieltjes_depth
     if depth is None and not requested:
         # deepest verdict the file length supports
         depth = max((len(m) - 2) // 2, 0)
     if depth is not None:
-        report["stieltjes"] = _jsonable(stieltjes_verdict(m, depth, tol), bits)
+        report["stieltjes"] = stieltjes_verdict(m, depth, tol)
     if args.fekete is not None:
         q = HankelQuery(args.fekete_shift or 0, args.fekete)
-        report["fekete"] = _jsonable(fekete_total_positivity(m, q, tol), bits)
-    ratios = None
+        report["fekete"] = fekete_total_positivity(m, q, tol)
     if args.indeterminacy is not None:
-        ratios = indeterminacy_ratios(m, args.indeterminacy, tol)
-        report["indeterminacy"] = _jsonable(ratios, bits)
-    # --mu1-threshold defaults to the --indeterminacy depth; the shift-1
-    # ratios do not depend on the depth they were computed to, so any depth
-    # up to that one reads them from the indeterminacy report
+        report["indeterminacy"] = indeterminacy_ratios(m, args.indeterminacy, tol)
     mu1_depth = args.mu1_threshold if args.mu1_threshold is not None else args.indeterminacy
     if mu1_depth is not None:
-        if ratios is not None and 0 <= mu1_depth <= ratios.upto:
-            mu1 = mu1_thresholds(m[1], ratios.shift1[:mu1_depth])
-        else:
-            mu1 = mu1_threshold_sequence(m, mu1_depth, tol)
-        report["mu1_threshold"] = _jsonable(mu1, bits)
+        report["mu1_threshold"] = mu1_threshold_sequence(m, mu1_depth, tol)
     if args.logconvex:
-        report["logconvex"] = _jsonable(log_convexity_report(m, tol), bits)
-    _write(seqfile.doc_to_json(report))
+        report["logconvex"] = log_convexity_report(m, tol)
+    _report("analysis", report, m.precision_bits)
     return 0
 
 
@@ -215,17 +200,12 @@ def cmd_katti(args) -> int:
     if not isinstance(pmf, dist.DiscretePMF):
         raise SequenceFileError("katti expects a file of kind 'pmf'")
     rep = katti_r(pmf, args.kmax)
-    bits = pmf.precision_bits
-    report = {"schema_version": SCHEMA_VERSION, "kind": "katti",
-              "verdict": rep.verdict,
-              "first_negative": rep.first_negative,
-              "certified_negative": list(rep.certified_negative),
-              "error_bound": _jsonable(rep.error_bound, bits),
-              "kmax": rep.kmax, "backend": "exact" if rep.exact else "decimal",
-              "r": _jsonable(list(rep.r), bits)}
+    report = {"verdict": rep.verdict, "first_negative": rep.first_negative,
+              "certified_negative": rep.certified_negative, "error_bound": rep.error_bound,
+              "kmax": rep.kmax, "backend": "exact" if rep.exact else "decimal", "r": rep.r}
     if args.logconvex:
-        report["logconvex"] = _jsonable(logconvex_pmf_check(pmf))
-    _write(seqfile.doc_to_json(report))
+        report["logconvex"] = logconvex_pmf_check(pmf)
+    _report("katti", report, pmf.precision_bits)
     if args.table:
         print("  k  r_k", file=sys.stderr)
         for k, value in enumerate(rep.r):
@@ -235,9 +215,19 @@ def cmd_katti(args) -> int:
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{float(x):+.12g} ({x})"
-    return mpmath.nstr(x, 12)
+    """A rate to 12 significant digits. A Fraction is rounded by decimal,
+    which has no float's range, written as float's "+.12g" writes it, and
+    followed by its exact text."""
+    if not isinstance(x, Fraction):
+        return mpmath.nstr(x, 12)
+    digits = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    approx = digits.divide(x.numerator, x.denominator)
+    e = approx.adjusted()
+    if -4 <= e < 12:
+        text = f"{float(approx):+.12g}"
+    else:  # the mantissa, in [1, 10), is in float's range at any exponent
+        text = f"{float(approx.scaleb(-e, digits)):+.12g}e{e:+03d}"
+    return f"{text} ({seqfile.jsonable(x)})"
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +260,8 @@ def cmd_compose(args) -> int:
         if args.csv:
             raise SequenceFileError("--symbolic writes a JSON report; --csv does not apply")
         polys = mb_compose_t(m, upto)
-        report = {"schema_version": SCHEMA_VERSION, "kind": "t-polynomials",
-                  "upto": upto,
-                  "coefficients": [[str(c) for c in p.coeffs] for p in polys]}
-        _write(seqfile.doc_to_json(report), args.output)
+        _report("t-polynomials", {"upto": upto, "coefficients": [p.coeffs for p in polys]},
+                path=args.output)
         return 0
     elif args.op == "mb" and args.k is not None:
         out = mb_compose_integer(m, args.k, upto)
@@ -324,9 +312,7 @@ def cmd_simulate(args) -> int:
     else:
         res = simulator.epsilon_truncation_drift(spec, args.eps_grid, args.trials,
                                                  args.seed, args.eta, args.t, args.level)
-    report = {"schema_version": SCHEMA_VERSION,
-              "kind": f"simulate-{args.mode}", "report": _jsonable(res)}
-    _write(seqfile.doc_to_json(report))
+    _report(f"simulate-{args.mode}", {"report": res})
     return 0
 
 
@@ -338,29 +324,16 @@ def cmd_scan(args) -> int:
     from .semigroup import DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan
     res = theta_threshold_scan(args.theta_grid or DEFAULT_THETA_GRID,
                                args.t_grid or DEFAULT_T_GRID, args.depth, args.delta)
-    matrix = []
-    for row in res.pass_matrix:
-        cells = []
-        for cell in row:
-            entry = {"theta": str(cell.theta), "t": str(cell.t)}
+    # the result's fields are the report's keys; a cell reports its verdict
+    # record only as the witness of a failure
+    report = seqfile.jsonable(res)
+    for entries, cells in zip(report["pass_matrix"], res.pass_matrix):
+        for entry, cell in zip(entries, cells):
             if cell.passed:
                 entry["verdict"] = "stieltjes-ok"
             else:
-                entry["verdict"] = "fail"
-                entry["witness"] = _jsonable(cell.verdict)
-            cells.append(entry)
-        matrix.append(cells)
-    report = {"schema_version": SCHEMA_VERSION, "kind": "theta-scan",
-              "theta_grid": [str(x) for x in res.theta_grid],
-              "t_grid": [str(x) for x in res.t_grid],
-              "depth": res.depth,
-              "pass_matrix": matrix,
-              "empirical_theta_max": _jsonable(res.empirical_theta_max),
-              "reference_threshold": str(res.reference_threshold),
-              "monotone_in_theta": res.monotone_in_theta,
-              "ratio_bounds": _jsonable(res.ratio_bounds),
-              "delta": _jsonable(res.delta)}
-    _write(seqfile.doc_to_json(report))
+                entry["witness"], entry["verdict"] = entry["verdict"], "fail"
+    _report("theta-scan", report)
     return 0
 
 
@@ -550,24 +523,20 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # exact entries outgrow Python's 4300-digit int-string limit (mu_120 =
-    # 2^14400 of the q = 2 lattice has 4335 digits), so a run lifts it and
-    # gives the caller's back; CPython before 3.10.7 has no limit
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        args = build_parser(argv).parse_args(argv)
-        return args.func(args)
-    except (SequenceFileError, BackendError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QuadratureError, PrecisionError, ZeroDivisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    # a run's exact entries, parameters included, may outgrow the digit limit
+    with seqfile.no_digit_limit():
+        try:
+            args = build_parser(argv).parse_args(argv)
+            return args.func(args)
+        except BrokenPipeError:
+            # the reader of stdout has gone, which is no fault of the input
+            return EXIT_BROKEN_PIPE
+        except (SequenceFileError, BackendError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (QuadratureError, PrecisionError, ZeroDivisionError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
 
 
 def run() -> None:
@@ -578,6 +547,9 @@ def run() -> None:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
+    except BrokenPipeError:
+        # os._exit flushes nothing, so what the buffer still holds is dropped
+        os._exit(EXIT_BROKEN_PIPE)
     except OSError:
         raise SystemExit(code)
     os._exit(code)

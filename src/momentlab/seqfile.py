@@ -4,10 +4,15 @@ JSON documents with a schema_version, a kind ("moments" or "pmf"), a
 backend ("exact" or "decimal"), and values as strings. Exact values are
 rationals serialized "num/den" (plain integers stay plain); they are never
 written as decimals. Decimal values always travel with precision_bits and
-enough digits that reading them back at that precision is lossless. One
-codec per backend (_codec) writes and reads the values, a pmf's
-entry_error and its tail_mass alike, and one builder (_to_doc) writes
-every document.
+enough digits that reading them back at that precision is lossless.
+
+jsonable is the one encoder, of files and reports alike: a number, a
+report record or a container of them becomes its JSON form. One builder
+(_to_doc) writes every document, and one reader (sequence_from_doc) reads
+every value back. Exact entries outgrow Python's 4300-digit int-string
+limit (mu_120 = 2^14400 of the q = 2 lattice has 4335 digits), so these
+two and write_csv run inside no_digit_limit, which lifts the limit for
+its block.
 
 A plain CSV form (header row, index/value columns) is supported for
 spreadsheets; it carries no metadata, so the backend is inferred from the
@@ -21,17 +26,36 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Union
 
 from .distributions import DiscretePMF
 from .exceptions import SequenceFileError
-from .moment_algebra import MomentSequence, _as_mpf, check_precision_bits, mpmath
+from .moment_algebra import (MomentSequence, Record, _as_mpf, _is_mpf, check_precision_bits,
+                             mpmath)
 
 SCHEMA_VERSION = 1
 
 _KINDS = ("moments", "pmf")
 _BACKENDS = ("exact", "decimal")
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift Python's int-string digit limit for the block and give the
+    caller's limit back on the way out, also when the block raises.
+    CPython before 3.10.7 has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _digits_for(bits: int) -> int:
@@ -61,26 +85,39 @@ def _parse_exact(s: str) -> Fraction:
         raise SequenceFileError(f"bad exact value {s!r}: {exc}") from None
 
 
-def _codec(exact: bool, bits: Optional[int]) -> tuple:
-    """(encode, decode) between one number and its string on a backend:
-    "num/den" for exact, the digits of `bits` for decimal. Values,
-    entry_error and tail_mass all travel through it."""
-    if exact:
-        return (lambda v: str(Fraction(v))), _parse_exact
-    return (lambda v: _decimal_str(v, bits)), (lambda s: _parse_decimal(s, bits))
+def jsonable(obj, bits: Optional[int] = None):
+    """The JSON form of obj, recursively: a Fraction as "num/den" (a plain
+    integer stays plain), an mpf with the digits of `bits` (default
+    mpmath's), a Record as the dict of its fields, a tuple as a list.
+    Strict, as doc_to_json is: any other type raises TypeError."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if _is_mpf(obj):
+        return _decimal_str(obj, bits or mpmath.mp.prec)
+    if isinstance(obj, Record):
+        return {name: jsonable(getattr(obj, name), bits) for name in obj._fields}
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v, bits) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x, bits) for x in obj]
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def _to_doc(kind: str, seq, values, numbers: dict, meta: dict) -> dict:
     """The one document body: seq's backend, `values` and every number of
-    `numbers` that is not None in the backend's strings, then every meta
+    `numbers` that is not None, encoded by jsonable at seq's precision (an
+    exact entry is a Fraction, so it reads "num/den"), then every meta
     entry that is set."""
-    encode = _codec(seq.exact, seq.precision_bits)[0]
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
-           "backend": "exact" if seq.exact else "decimal",
-           "values": [encode(v) for v in values]}
+    bits = seq.precision_bits
+    with no_digit_limit():
+        doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
+               "backend": "exact" if seq.exact else "decimal",
+               "values": jsonable(values, bits)}
+        doc.update((key, jsonable(v, bits)) for key, v in numbers.items() if v is not None)
     if not seq.exact:
-        doc["precision_bits"] = seq.precision_bits
-    doc.update((key, encode(v)) for key, v in numbers.items() if v is not None)
+        doc["precision_bits"] = bits
     doc.update((key, v) for key, v in meta.items() if v)
     return doc
 
@@ -148,16 +185,18 @@ def sequence_from_doc(text: Union[str, bytes, dict]) -> Union[MomentSequence, Di
     doc = parse_doc(text)
     exact = doc["backend"] == "exact"
     bits = None if exact else doc["precision_bits"]
-    decode = _codec(exact, bits)[1]
-    values = tuple(decode(s) for s in doc["values"])
-    try:
-        if doc["kind"] == "moments":
-            return MomentSequence(values, exact, bits)
-        tail_mass = doc.get("tail_mass")
-        return DiscretePMF(values, exact, bits, decode(doc.get("entry_error", "0")),
-                           None if tail_mass is None else decode(tail_mass))
-    except ValueError as exc:
-        raise SequenceFileError(str(exc)) from None
+    # one decoder per backend, for values, entry_error and tail_mass alike
+    decode = _parse_exact if exact else (lambda s: _parse_decimal(s, bits))
+    with no_digit_limit():
+        values = tuple(decode(s) for s in doc["values"])
+        try:
+            if doc["kind"] == "moments":
+                return MomentSequence(values, exact, bits)
+            tail_mass = doc.get("tail_mass")
+            return DiscretePMF(values, exact, bits, decode(doc.get("entry_error", "0")),
+                               None if tail_mass is None else decode(tail_mass))
+        except ValueError as exc:
+            raise SequenceFileError(str(exc)) from None
 
 
 def load_json(path: str) -> Union[MomentSequence, DiscretePMF]:
@@ -179,9 +218,8 @@ def write_csv(m: MomentSequence, fh) -> None:
     buffer fh."""
     w = csv.writer(fh)
     w.writerow(["index", "value"])
-    encode = _codec(m.exact, m.precision_bits)[0]
-    for i, v in enumerate(m.values):
-        w.writerow([i, encode(v)])
+    with no_digit_limit():
+        w.writerows(enumerate(jsonable(m.values, m.precision_bits)))
 
 
 def read_csv(fh, precision_bits: int = 128) -> MomentSequence:

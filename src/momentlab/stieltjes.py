@@ -535,32 +535,23 @@ class Mu1ThresholdReport(Record):
     all_below_mu1: Optional[bool]
 
 
-def mu1_thresholds(mu1, shift1) -> Mu1ThresholdReport:
-    """The report for first moment mu1 (an mpf taken at its exact dyadic
-    value) from the shift-1 ratios r_d of indeterminacy_ratios: the
-    threshold at depth d is mu1 - r_d, None where r_d is None."""
-    mu1 = _exact(mu1)
-    out = [None if r is None else mu1 - r for r in shift1]
-    defined = [v for v in out if v is not None]
-    non_dec = None
-    below = None
-    if defined and len(defined) == len(out):
-        non_dec = all(x <= y for x, y in zip(defined, defined[1:]))
-        below = all(v < mu1 for v in defined)
-    return Mu1ThresholdReport(tuple(out), mu1, non_dec, below)
-
-
 def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     """The singular first-moment value at each depth d = 1..upto.
 
     det(shift-1, size d) = C * mu_1 + D with mu_1 only in entry (0,0); C is
     the shift-3 size d-1 minor, so the root is -D/C whenever C is nonzero:
-    mu_1 minus the shift-1 ratio of indeterminacy_ratios, which
-    mu1_thresholds takes. Needs 2*upto + 2 entries.
+    mu_1 minus the shift-1 ratio r_d of indeterminacy_ratios, None where
+    r_d is None. Needs 2*upto + 2 entries.
     """
     window = _depth_input(m, upto, tolerance)
     a, c, ints = window[2]
-    return mu1_thresholds(Fraction(ints[1], a * c), _ratio_family(window, 1, upto)[0])
+    mu1 = Fraction(ints[1], a * c)
+    out = tuple(None if r is None else mu1 - r for r in _ratio_family(window, 1, upto)[0])
+    non_dec = below = None
+    if out and None not in out:
+        non_dec = all(x <= y for x, y in zip(out, out[1:]))
+        below = all(v < mu1 for v in out)
+    return Mu1ThresholdReport(out, mu1, non_dec, below)
 
 
 class LogConvexityReport(Record):

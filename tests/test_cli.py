@@ -277,21 +277,11 @@ class TestAnalyze:
         with mpmath.workprec(256):
             assert all(abs(mpf(th) - mpmath.exp(-1)) < mpf("1e-70") for th in theta)
 
-    def test_indeterminacy_runs_each_shift_once(self, tmp_path, capsys, monkeypatch):
-        # the mu1_threshold block reuses the shift-1 ratios of the
-        # indeterminacy block, so shifts 1 and 3 are not passed over again
+    def test_indeterminacy_depth_gives_the_mu1_threshold_sequence(self, tmp_path, capsys):
+        # --mu1-threshold defaults to the --indeterminacy depth
         path = lattice_file(tmp_path, upto=10)
         capsys.readouterr()
-        shifts = []
-        minors = stieltjes._hankel_minors
-
-        def recording(scaled, shift, size):
-            shifts.append(shift)
-            return minors(scaled, shift, size)
-
-        monkeypatch.setattr(stieltjes, "_hankel_minors", recording)
         assert main(["analyze", str(path), "--indeterminacy", "4"]) == 0
-        assert sorted(shifts) == [0, 1, 2, 3]
         rep = json.loads(capsys.readouterr().out)
         m = seqfile.load_json(str(path))
         assert rep["mu1_threshold"]["values"] == [
@@ -332,6 +322,61 @@ class TestAnalyze:
             path.write_text(text, encoding="utf-8")
             assert main(["analyze", str(path)]) == 2
             assert "index" in capsys.readouterr().err
+
+
+class TestKatti:
+    def test_table_of_rates_past_float_range(self, tmp_path, capsys):
+        """Exact rates beyond float range (r_0 = 10^400, r_1 = 2 - 10^800)
+        are tabled to 12 digits with their exact text, r_1 flagged."""
+        path = tmp_path / "pmf.json"
+        seqfile.dump_json(dist.DiscretePMF((1, 10 ** 400, 1)), str(path))
+        assert main(["katti", str(path), "--table"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["certified_negative"] == [1]
+        assert err.splitlines() == [
+            "  k  r_k",
+            f"  0  +1e+400 ({10 ** 400})",
+            f"  1  -1e+800 ({2 - 10 ** 800})  <-- certified negative"]
+
+
+class TestScan:
+    def test_failing_cells_report_their_verdict_as_witness(self, monkeypatch, capsys):
+        """A failing cell reads "fail" with its verdict record as witness;
+        the lattice family never fails, so two verdicts are planted."""
+        from momentlab import semigroup
+        planted = {3: stieltjes.PositivityVerdict("not-stieltjes", 3,
+                                                  stieltjes.HankelQuery(1, 2), F(-3, 7)),
+                   4: stieltjes.PositivityVerdict("semi-definite", 3,
+                                                  stieltjes.HankelQuery(0, 3), F(0))}
+        calls = []
+
+        def verdict(m, depth):
+            calls.append(depth)
+            return planted.get(len(calls) - 1) or stieltjes.stieltjes_verdict(m, depth)
+
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", verdict)
+        assert main(["scan", "--depth", "3", "--theta-grid", "1/4,1/9,1/16",
+                     "--t-grid", "1/3,2/3"]) == 0
+        assert calls == [3] * 6
+        rep = json.loads(capsys.readouterr().out)
+
+        def ok(theta, t):
+            return {"theta": theta, "t": t, "verdict": "stieltjes-ok"}
+
+        assert rep["pass_matrix"] == [
+            [ok("1/16", "1/3"), ok("1/16", "2/3")],
+            [ok("1/9", "1/3"),
+             {"theta": "1/9", "t": "2/3", "verdict": "fail",
+              "witness": {"kind": "not-stieltjes", "depth": 3,
+                          "witness": {"shift": 1, "size": 2}, "witness_value": "-3/7"}}],
+            [{"theta": "1/4", "t": "1/3", "verdict": "fail",
+              "witness": {"kind": "semi-definite", "depth": 3,
+                          "witness": {"shift": 0, "size": 3}, "witness_value": "0"}},
+             ok("1/4", "2/3")]]
+        assert rep["empirical_theta_max"] == "1/16"
+        # the t = 2/3 column fails at 1/9 and passes again at 1/4
+        assert rep["monotone_in_theta"] is False
+        assert rep["kind"] == "theta-scan" and rep["theta_grid"] == ["1/16", "1/9", "1/4"]
 
 
 class TestNegativeValues:
@@ -629,12 +674,12 @@ def test_per_path_parser_holds_only_the_named_path():
 
 
 def test_reports_are_strict_about_types():
-    """_jsonable converts the types reports hold and refuses any other, as
+    """jsonable converts the types reports hold and refuses any other, as
     doc_to_json refuses nan, rather than print its str()."""
-    assert cli._jsonable({"a": (F(1, 3), 2.5, None, True)}) == {"a": ["1/3", 2.5, None, True]}
+    assert seqfile.jsonable({"a": (F(1, 3), 2.5, None, True)}) == {"a": ["1/3", 2.5, None, True]}
     for value in (object(), {1, 2}, np.int64(3), np.bool_(True), 1j):
         with pytest.raises(TypeError, match="no JSON form"):
-            cli._jsonable({"a": [value]})
+            seqfile.jsonable({"a": [value]})
 
 
 class TestNonFiniteEntries:
@@ -753,6 +798,25 @@ class TestProcessEntry:
         assert out.returncode == 0 and out.stderr == ""
         assert seqfile.load_json(str(path)).values == tuple(2 ** (n * n) for n in range(5))
 
+    @pytest.mark.parametrize("unbuffered", (None, "1"))
+    def test_closed_pipe_exits_141_quietly(self, unbuffered):
+        """A reader that stops after 100 bytes of a ~117 kB report, more than
+        a 64 kB pipe holds, closes the pipe under a pending write: with
+        stdout block-buffered or not, the process ends as SIGPIPE would,
+        with 141 and nothing on stderr."""
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = ["moments", "lattice", "--q", "2", "--r", str(10 ** 40), "--upto", "66"]
+        with subprocess.Popen([sys.executable, *CLI, *argv], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(100).startswith(b"{")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == b""
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_reported_by_the_interpreter(self):
         with open("/dev/full", "w") as full:
@@ -836,6 +900,7 @@ class TestStartup:
         seqfile.dump_json(pmf_from_rates([1, F(-1, 2)], 6), str(tmp_path / "pmf.json"))
         for argv in (["moments", "lattice", "--q", "3", "--upto", "5"],
                      ["katti", "pmf.json", "--logconvex"],
+                     ["katti", "pmf.json", "--table"],
                      ["compose", "lattice.json", "--op", "classical"],
                      ["compose", "lattice.json", "--op", "boolean", "--t", "1/3"],
                      ["compose", "lattice.json", "--op", "mb", "--t", "1/3"],

@@ -1,6 +1,8 @@
 """Sequence files round-trip every value, exact or decimal: moments through
 JSON and CSV, pmfs through JSON, the one form that carries their
 entry_error. Decimal values come back bit for bit at their precision."""
+import json
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from momentlab import seqfile
+from momentlab.cli import main
 from momentlab.distributions import DiscretePMF
 from momentlab.exceptions import SequenceFileError
 from momentlab.moment_algebra import MomentSequence
@@ -125,3 +128,33 @@ def test_text_form_follows_the_first_character():
     assert seqfile.read_text(seqfile.write_text(pmf, generator="g")) == pmf
     with pytest.raises(SequenceFileError, match="moments only"):
         seqfile.write_text(pmf, True)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="CPython before 3.10.7 has no int-string digit limit")
+def test_files_past_the_digit_limit(tmp_path):
+    """Every read and write of a file lifts Python's 4300-digit int-string
+    limit for its own run and gives the caller's back: mu_120 = 2^14400 of
+    the q = 2 lattice has 4335 digits."""
+    assert sys.get_int_max_str_digits() == 4300
+    path = tmp_path / "deep.json"
+    assert main(["moments", "lattice", "--q", "2", "--upto", "120", "-o", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == 4300
+    m = seqfile.load_json(str(path))
+    assert sys.get_int_max_str_digits() == 4300
+    assert m[120] == 2 ** 14400
+    copy = tmp_path / "copy.json"
+    seqfile.dump_json(m, str(copy))
+    assert sys.get_int_max_str_digits() == 4300
+    assert seqfile.load_json(str(copy)) == m
+    for as_csv in (False, True):
+        text = seqfile.write_text(m, as_csv)
+        assert sys.get_int_max_str_digits() == 4300
+        assert seqfile.read_text(text) == m
+        assert sys.get_int_max_str_digits() == 4300
+    # the error comes after the entries past the limit are read
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["values"].append("x")
+    with pytest.raises(SequenceFileError, match="bad exact value 'x'"):
+        seqfile.sequence_from_doc(doc)
+    assert sys.get_int_max_str_digits() == 4300

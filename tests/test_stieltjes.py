@@ -27,7 +27,6 @@ from momentlab.stieltjes import (
     indeterminacy_ratios,
     log_convexity_report,
     mu1_threshold_sequence,
-    mu1_thresholds,
     split_bound_check,
     stieltjes_verdict,
 )
@@ -645,8 +644,9 @@ class TestIndeterminacyDiagnostics:
 
     def test_mu1_thresholds_from_the_shift1_ratios(self):
         for m in (poisson_moments(1, 12), lattice(2, 10)):
-            rep = mu1_thresholds(m[1], indeterminacy_ratios(m, 4).shift1)
-            assert rep == mu1_threshold_sequence(m, 4)
+            ratios = indeterminacy_ratios(m, 4).shift1
+            assert mu1_threshold_sequence(m, 4).values == tuple(
+                None if r is None else m[1] - r for r in ratios)
 
 
 class TestLogConvexity:
