@@ -6,7 +6,8 @@ ratio diagnostics), katti (infinite-divisibility recursion), compose
 scan (theta-threshold grid). Reports are JSON on standard output with a
 schema_version field, each encoded by seqfile.jsonable, the encoder of
 sequence files too: exact rationals are serialized as "num/den" strings,
-never decimals. Exit codes: 0 success, 2 input error, 3 numerical
+never decimals. Exit codes: 0 success, 2 input error (a closed fd 1 and
+a run asking for more memory than exists among them), 3 numerical
 failure, 141 when the reader of standard output closed it early, the
 status a shell reports for a process that SIGPIPE ended.
 
@@ -90,11 +91,14 @@ def _report(kind: str, fields: dict, bits: Optional[int] = None,
 
 
 def _write(text: str, path: Optional[str] = None) -> None:
-    """The one output path: text to the file at path, else to stdout."""
+    """The one output path: text to the file at path, else to stdout;
+    OSError when there is no stdout, as when fd 1 was closed."""
     out = sys.stdout
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif out is None:
+        raise OSError("standard output is closed")
     elif not isinstance(getattr(out, "buffer", None), io.FileIO):
         out.write(text)
     else:
@@ -531,7 +535,7 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             # the reader of stdout has gone, which is no fault of the input
             return EXIT_BROKEN_PIPE
-        except (SequenceFileError, BackendError, ValueError, OSError) as exc:
+        except (SequenceFileError, BackendError, ValueError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (QuadratureError, PrecisionError, ZeroDivisionError) as exc:

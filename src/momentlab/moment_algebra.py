@@ -56,11 +56,9 @@ from fractions import Fraction
 from functools import wraps
 from math import comb, factorial, gcd
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .exceptions import BackendError
-
-Rational = Union[Fraction, int]
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 2 ** 16
@@ -320,29 +318,26 @@ class ScaledSequence(Record):
 
     c: int
     ints: tuple
-    exact = True
 
     @property
     def values(self) -> tuple:
         return tuple(Fraction(x, self.c ** n) for n, x in enumerate(self.ints))
 
 
-class TPolynomial:
+class TPolynomial(Record):
     """Polynomial in the semigroup parameter t with exact rational coefficients.
 
     coeffs[i] multiplies t**i; trailing zeros are normalized away so equality
     is structural.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs: Sequence[Rational]):
-        cs = [_as_fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [_as_fraction(c) for c in self.coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs) or (Fraction(0),))
 
     @property
     def degree(self) -> int:
@@ -355,23 +350,18 @@ class TPolynomial:
             acc = acc * t + c
         return acc
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (Fraction(other),)
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "TPolynomial(%r)" % (self.coeffs,)
-
-
-def _same_backend(a: MomentSequence, b: MomentSequence, what: str) -> None:
+def _pair_upto(a: MomentSequence, b: MomentSequence, upto: Optional[int], what: str) -> int:
+    """upto, or the shorter degree when it is None, for a convolution of a
+    and b; BackendError when they mix backends, ValueError when upto
+    exceeds either."""
     if a.exact != b.exact:
         raise BackendError("%s refuses to mix exact and approximate sequences" % what)
+    if upto is None:
+        return min(a.degree, b.degree)
+    if upto > a.degree or upto > b.degree:
+        raise ValueError("upto=%d exceeds an input length" % upto)
+    return upto
 
 
 def _result_like(a: MomentSequence, values) -> MomentSequence:
@@ -390,16 +380,9 @@ def _prefix(m: MomentSequence, upto: Optional[int]) -> MomentSequence:
 @_at_own_precision
 def classical_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int] = None) -> MomentSequence:
     """Moments of X + Y for independent X, Y: sum_j C(n,j) a_j b_{n-j}."""
-    _same_backend(a, b, "classical_convolve")
-    if upto is None:
-        upto = min(a.degree, b.degree)
-    if upto > a.degree or upto > b.degree:
-        raise ValueError("upto=%d exceeds an input length" % upto)
-    out = []
-    for n in range(upto + 1):
-        acc = sum(comb(n, j) * a[j] * b[n - j] for j in range(n + 1))
-        out.append(acc)
-    return _result_like(a, out)
+    upto = _pair_upto(a, b, upto, "classical_convolve")
+    return _result_like(a, [sum(comb(n, j) * a[j] * b[n - j] for j in range(n + 1))
+                            for n in range(upto + 1)])
 
 
 def _iroot(x: int, n: int) -> int:
@@ -656,16 +639,10 @@ def boolean_convolve(a: MomentSequence, b: MomentSequence, upto: Optional[int] =
     m_3 + 2 m_2 n_1 + 2 n_2 m_1 + m_1^2 n_1 + n_1^2 m_1 + n_3 instead of the
     classical m_3 + 3 m_2 n_1 + 3 m_1 n_2 + n_3.
     """
-    _same_backend(a, b, "boolean_convolve")
-    if upto is None:
-        upto = min(a.degree, b.degree)
-    if upto > a.degree or upto > b.degree:
-        raise ValueError("upto exceeds an input length")
-    ba = boolean_cumulants_from_moments(a).values[:upto]
-    bb = boolean_cumulants_from_moments(b).values[:upto]
-    summed = tuple(x + y for x, y in zip(ba, bb))
-    return moments_from_boolean_cumulants(
-        BooleanCumulantSequence(summed, a.exact, a.precision_bits))
+    upto = _pair_upto(a, b, upto, "boolean_convolve")
+    ba = _kappas_from_moments(a.values[:upto + 1], boolean=True)
+    bb = _kappas_from_moments(b.values[:upto + 1], boolean=True)
+    return _result_like(a, _moments_from_kappas([x + y for x, y in zip(ba, bb)], boolean=True))
 
 
 @_at_own_precision

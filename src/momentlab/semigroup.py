@@ -214,9 +214,8 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """sqrt(x) when it is rational, else None; x >= 0."""
     num, den = x.numerator, x.denominator
-    if num < 0:
-        return None
     a, b = isqrt(num), isqrt(den)
     if a * a == num and b * b == den:
         return Fraction(a, b)

@@ -6,14 +6,14 @@ from finite differences, and the Stirling numbers also give the Touchard
 form of the Poisson moments. Boolean moments are sums over the interval
 partitions of {1..n}, which are compositions too. The alternation and
 envelope reports are recomputed term by term in Fraction arithmetic from
-those occupancy sums. The semigroup law of the
-composition family is an identity between bivariate polynomials, and the
-Hankel reports (Stieltjes verdict, determinant ratios, mu_1 thresholds,
-Fekete minors) are runs of Hankel determinants, here one pivoting Bareiss
-determinant per size or block, on integers whose denominators
-rational_det clears row by row, not by the library's isobaric scaling,
-and each sign under a tolerance from this module's own copy of the
-Hadamard rule.
+those occupancy sums, and the split-product bound pair by pair. The
+semigroup law of the composition family is an identity between
+bivariate polynomials, and the Hankel reports (Stieltjes verdict,
+determinant ratios, mu_1 thresholds, Fekete minors) are runs of Hankel
+determinants, here one pivoting Bareiss determinant per size or block,
+on integers whose denominators rational_det clears row by row, not by
+the library's isobaric scaling, and each sign under a tolerance from
+this module's own copy of the Hadamard rule.
 The library computes each one way only; these are the other derivations,
 kept here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
@@ -230,6 +230,20 @@ def envelope_report(mu: Sequence[Fraction], theta, t, depth: int) -> EnvelopeRep
             return EnvelopeReport("violated", theta, t, depth, tuple(rows),
                                   witness=(n, lower, value, upper))
     return EnvelopeReport("holds", theta, t, depth, tuple(rows))
+
+
+def split_bound_violation(vals: Sequence[Fraction], theta) -> Optional[tuple]:
+    """The first (k, n, lhs, rhs) with lhs = mu_k mu_{n-k} / mu_n above
+    rhs = theta^{k(n-k)}, for 1 <= k < n <= N, or None: the split-product
+    bound checked pair by pair, which split_bound_check proves instead."""
+    theta = Fraction(theta)
+    for n in range(2, len(vals)):
+        for k in range(1, n):
+            lhs = Fraction(vals[k]) * vals[n - k] / vals[n]
+            rhs = theta ** (k * (n - k))
+            if lhs > rhs:
+                return k, n, lhs, rhs
+    return None
 
 
 def semigroup_first_failure(polys: Sequence[Sequence[Fraction]]) -> Optional[int]:

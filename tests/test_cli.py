@@ -338,6 +338,31 @@ class TestKatti:
             f"  0  +1e+400 ({10 ** 400})",
             f"  1  -1e+800 ({2 - 10 ** 800})  <-- certified negative"]
 
+    def test_table_of_decimal_rates(self, tmp_path, capsys):
+        """Decimal rates are tabled by mpmath to 12 significant digits."""
+        path = tmp_path / "pmf.json"
+        assert main(["moments", "mixed-poisson", "--logb", "-1", "--N", "5", "--kmax", "8",
+                     "-o", str(path)]) == 0
+        assert main(["katti", str(path), "--table"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["backend"] == "decimal"
+        assert err.splitlines()[:4] == [
+            "  k  r_k", "  0  0.286104883344", "  1  0.766714367983", "  2  1.0728780287"]
+
+    def test_error_past_p0_is_a_numerical_failure(self, tmp_path, capsys):
+        """An entry error of 0.2 on p_0 = 0.1 leaves the recursion nothing
+        to divide by: exit 3 with one line."""
+        path = tmp_path / "pmf.json"
+        with mpmath.workprec(64):
+            pmf = dist.DiscretePMF(tuple(mpf(x) for x in ("0.1", "0.3", "0.2")), exact=False,
+                                   precision_bits=64, entry_error=F(1, 5))
+        seqfile.dump_json(pmf, str(path))
+        assert main(["katti", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: p_0 - error does not exceed 0; "
+                                "cannot run the recursion\n")
+
 
 class TestScan:
     def test_failing_cells_report_their_verdict_as_witness(self, monkeypatch, capsys):
@@ -630,6 +655,16 @@ def test_malformed_input_exits_2_or_3(argv, bad_dir, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_allocation_past_any_address_space_exits_2(capsys):
+    """10^15 trials ask numpy for 7 PiB at once, which it refuses before
+    touching memory: exit 2 with one line, never a MemoryError traceback."""
+    assert main(["simulate", "spectrum", "--a", "0.5", "--b", "1", "--n", "2", "--atoms", "1",
+                 "--trials", str(10 ** 15), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 # argv whose parse ends in argparse's help or its error, at every level
 PARSER_EXITS = [
     *[[*path, "--help"] for path in ([], *[[c] for c in cli.COMMANDS],
@@ -816,6 +851,14 @@ class TestProcessEntry:
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 141
         assert err == b""
+
+    def test_closed_stdout_without_an_output_file(self):
+        """With fd 1 closed sys.stdout is None: a report meant for it is an
+        input error, exit 2 with one line, not a traceback."""
+        out = fresh_python(*CLI, *SMALL_LATTICE, buffered=True, check=False,
+                           preexec_fn=lambda: os.close(1))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: standard output is closed"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_reported_by_the_interpreter(self):

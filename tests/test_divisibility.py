@@ -11,6 +11,7 @@ from mpmath import iv, mpf
 from momentlab.distributions import (DiscretePMF, LognormalSpec, Precision, geometric_pmf,
                                      mixed_poisson_pmf, poisson_pmf)
 from momentlab.divisibility import katti_r, logconvex_pmf_check, pmf_from_rates
+from momentlab.exceptions import PrecisionError
 from momentlab.moment_algebra import _exact
 from momentlab.seqfile import pmf_to_doc, sequence_from_doc
 
@@ -23,6 +24,13 @@ positive = st.fractions(min_value=Fraction(1, 30), max_value=5, max_denominator=
 @pytest.fixture(scope="module")
 def pmf():
     return mixed_poisson_pmf(LognormalSpec(0, 1), -1, 5, 16, Precision(128))
+
+
+def decimal_pmf(masses, error):
+    """A 64-bit decimal pmf of the given mass strings and entry error."""
+    with mpmath.workprec(64):
+        return DiscretePMF(tuple(mpf(m) for m in masses), exact=False, precision_bits=64,
+                           entry_error=Fraction(error))
 
 
 def point_rates(masses, kmax):
@@ -81,6 +89,16 @@ class TestKattiInterval:
                 assert mid - rad <= lo and hi <= mid + rad, k
                 assert rad <= (hi - lo) / 2 + abs(mid) * mpf(2) ** (1 - pmf.precision_bits), k
 
+    def test_error_swamping_every_rate_is_inconclusive(self):
+        # midpoints near 0.90 and -0.08, error bound near 2.7: no sign is certified
+        rep = katti_r(decimal_pmf(("0.5", "0.3", "0.2"), "0.2"))
+        assert all(abs(v) <= rep.error_bound for v in rep.r)
+        assert rep.certified_negative == () and rep.verdict == "inconclusive"
+
+    def test_error_past_p0_refuses_the_recursion(self):
+        with pytest.raises(PrecisionError, match="p_0 - error does not exceed 0"):
+            katti_r(decimal_pmf(("0.1", "0.3", "0.2"), "0.2"))
+
 
 class TestPmfBackend:
     """A pmf's masses go through the backend its `exact` names, as a
@@ -116,6 +134,12 @@ class TestLogConvexCertificate:
                               entry_error=mpf("1e-40"))
         verdict = logconvex_pmf_check(pmf)
         assert (verdict.kind, verdict.witness) == ("not-log-convex", 1)
+        assert not verdict.certifies_id
+
+    def test_error_wider_than_the_margin_is_uncertified(self):
+        # p_k^2 = p_{k-1} p_{k+1} at every k: the widened masses decide neither way
+        verdict = logconvex_pmf_check(decimal_pmf(("0.4", "0.2", "0.1", "0.05"), "1e-3"))
+        assert (verdict.kind, verdict.witness) == ("uncertified", 1)
         assert not verdict.certifies_id
 
     def test_mixed_poisson_verdict(self, pmf):

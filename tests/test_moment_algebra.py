@@ -178,6 +178,13 @@ class TestTPolynomial:
         assert TPolynomial((F(1), F(0), F(0))).coeffs == (F(1),)
         assert TPolynomial((F(1), F(0))) == TPolynomial((F(1),))
 
+    def test_frozen_and_hashed_by_coefficients(self):
+        p, q = TPolynomial((1, "1/2", 0)), TPolynomial([F(1), F(1, 2)])
+        assert p == q and hash(p) == hash(q) and p.coeffs == (F(1), F(1, 2))
+        assert TPolynomial(()).coeffs == (F(0),) and TPolynomial(()).degree == 0
+        with pytest.raises(AttributeError):
+            p.coeffs = (F(2),)
+
 
 class TestClassicalConvolve:
     def test_binomial_formula_small(self):

@@ -720,3 +720,28 @@ class TestSplitBound:
                 MomentSequence.from_exact(vals), theta)
         with pytest.raises(ValueError):
             split_bound_check([1, 2, 0, 5], 1)
+
+    def test_plain_list_needs_mu0_one(self):
+        # theta_1 = 2/3, yet mu_1^2 / mu_2 = 4/3 > theta: the proof needs mu_0 = 1
+        assert brute_force.split_bound_violation([2, 2, 3], F(2, 3)) == (1, 2, F(4, 3), F(2, 3))
+        with pytest.raises(ValueError, match="mu_0"):
+            split_bound_check([2, 2, 3], F(2, 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.builds(F, st.integers(1, 40), st.integers(1, 9)),
+           st.lists(st.integers(0, 40), min_size=7, max_size=7),
+           st.one_of(st.none(), st.builds(F, st.integers(1, 40), st.just(20))))
+    def test_holds_means_no_pair_fails(self, ratio, growth, theta):
+        # mu_{n+1} / mu_n grows by 1 + g/20 at each step, so theta_n is
+        # 1 / (1 + g/20); theta None takes the largest theta_n, where the
+        # bound is tightest
+        vals = [F(1)]
+        for g in growth:
+            vals.append(vals[-1] * ratio)
+            ratio *= 1 + F(g, 20)
+        if theta is None:
+            theta = max(1 / (1 + F(g, 20)) for g in growth[:-1])
+        v = split_bound_check(vals, theta)
+        assert v.kind in ("holds", "precondition-failed")
+        if v.ok:
+            assert brute_force.split_bound_violation(vals, theta) is None
