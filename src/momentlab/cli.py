@@ -164,7 +164,6 @@ def cmd_analyze(args) -> int:
     m = seqfile.read_text(_read(args.file), args.precision)
     if not isinstance(m, MomentSequence):
         raise SequenceFileError("analyze expects a file of kind 'moments'")
-    tol = args.tolerance
     if args.fekete_shift is not None and args.fekete is None:
         raise SequenceFileError("--fekete-shift needs --fekete")
 
@@ -178,17 +177,17 @@ def cmd_analyze(args) -> int:
         # deepest verdict the file length supports
         depth = max((len(m) - 2) // 2, 0)
     if depth is not None:
-        report["stieltjes"] = stieltjes_verdict(m, depth, tol)
+        report["stieltjes"] = stieltjes_verdict(m, depth)
     if args.fekete is not None:
         q = HankelQuery(args.fekete_shift or 0, args.fekete)
-        report["fekete"] = fekete_total_positivity(m, q, tol)
+        report["fekete"] = fekete_total_positivity(m, q)
     if args.indeterminacy is not None:
-        report["indeterminacy"] = indeterminacy_ratios(m, args.indeterminacy, tol)
+        report["indeterminacy"] = indeterminacy_ratios(m, args.indeterminacy)
     mu1_depth = args.mu1_threshold if args.mu1_threshold is not None else args.indeterminacy
     if mu1_depth is not None:
-        report["mu1_threshold"] = mu1_threshold_sequence(m, mu1_depth, tol)
+        report["mu1_threshold"] = mu1_threshold_sequence(m, mu1_depth)
     if args.logconvex:
-        report["logconvex"] = log_convexity_report(m, tol)
+        report["logconvex"] = log_convexity_report(m, args.tolerance)
     _report("analysis", report, m.precision_bits)
     return 0
 
@@ -464,9 +463,11 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
         p_a.add_argument("--mu1-threshold", type=int, metavar="DEPTH")
         p_a.add_argument("--logconvex", action="store_true")
         p_a.add_argument("--tolerance", type=_nonnegative(_frac),
-                         help="rational zero cutoff for decimal input")
+                         help="--logconvex margin around theta = 1 for decimal input "
+                              "(default 2^-40); it does not move Hankel verdicts")
         p_a.add_argument("--precision", type=int, default=128,
-                         help="bits assumed for decimal CSV input")
+                         help="bits assumed for decimal CSV input, and the accuracy "
+                              "its Hankel verdicts are certified to")
         p_a.set_defaults(func=cmd_analyze)
 
     if "katti" in commands:

@@ -8,9 +8,10 @@ class MomentlabError(Exception):
 class BackendError(MomentlabError):
     """An operation received a sequence with the wrong arithmetic backend.
 
-    Exact-only operations (symbolic composition, Hankel determinants without
-    a tolerance) raise this when handed approximate data, and vice versa for
-    operations that refuse to mix backends.
+    Exact-only operations (symbolic composition, and Hankel reports on a
+    plain list of mpfs, which carries no precision to judge its minors at)
+    raise this when handed approximate data, and vice versa for operations
+    that refuse to mix backends.
     """
 
 

@@ -4,10 +4,10 @@ Determinants, Stieltjes positivity verdicts, Fekete total positivity,
 indeterminacy diagnostics and log-convexity reports. Every Hankel report
 reads its input through one gate, _hankel_input, and judges every sign by
 one rule, _sign. The exact paths work on Fractions and integers only; a
-sequence on the approximate backend may still obtain the Hankel reports
-with an explicit tolerance: its dyadic float entries become exact
-rationals, and _sign calls a minor zero when its absolute value is at most
-tolerance * (Hadamard bound).
+decimal MomentSequence obtains the Hankel reports at its own precision:
+its dyadic float entries become exact rationals, each within a relative
+rel = 2^(1 - precision_bits) of the value it stands for, and _sign calls
+a minor zero when some matrix within rel of the entries may be singular.
 
 Every exact report takes its minors from one kernel, _hankel_minors, and
 every minor from one integer scaling, _integer_scale: with a * c^n * mu_n
@@ -78,15 +78,15 @@ class HankelQuery(Record):
 
 def _sequence_values(m) -> list:
     """Entries of an exact MomentSequence, a ScaledSequence or a plain
-    sequence as Fractions, each converted once; callers turn approximate
-    MomentSequences away first. A plain sequence with an mpf entry is
-    approximate too, and is refused with BackendError."""
+    sequence as Fractions, each converted once; callers take approximate
+    MomentSequences another way first. A plain sequence with an mpf entry
+    has no precision_bits, and is refused with BackendError."""
     if isinstance(m, (MomentSequence, ScaledSequence)):
         return list(m.values)
     vals = list(m)
     if any(_is_mpf(v) for v in vals):
         raise BackendError("mpf entries are approximate: give them as "
-                           "MomentSequence.from_approx with an explicit tolerance")
+                           "MomentSequence.from_approx with their precision_bits")
     return [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
 
 
@@ -257,14 +257,20 @@ def _certified_positive(ints: list, shift: int, size: int) -> bool:
     return True
 
 
-def _sign(num: int, den: int, tol: Optional[Fraction], vals, shift: int, size: int) -> int:
-    """The sign every Hankel report gives the minor num / den (den > 0) at
-    (shift, size). Exact input (tol None) takes the sign of num. Under a
-    tolerance the minor is zero when it is at most tol times the Hadamard
-    bound of its rows in vals, the product of the row norms, each square
-    root sqrt(p / q) rounded up to (isqrt(p) + 1) / isqrt(q)."""
-    if tol is not None:
-        bound = tol * den
+def _sign(num: int, den: int, rel: Optional[Fraction], vals, shift: int, size: int) -> int:
+    """The sign every Hankel report gives the minor num / den (den > 0) of
+    the n = size + 1 rows at (shift, size) in vals. Exact input (rel None)
+    takes the sign of num. On decimal input, each entry within a relative
+    rel of the value it stands for, the minor is zero when it is at most
+    2n rel' H, with rel' = rel / (1 - rel) and H the Hadamard bound, the
+    product of the row norms, each sqrt(p / q) rounded up to (isqrt(p) + 1)
+    / isqrt(q). Proof: |v - s| <= rel |v| gives |v - s| <= rel' |s|, and
+    the determinant is multilinear in the rows, so by Hadamard every matrix
+    V within rel of the stored S has |det V - det S| <= ((1 + rel')^n - 1) H
+    <= 2n rel' H, as n rel' <= 1 (precision_bits >= 64). So a nonzero sign
+    is the sign of every such V, and an entry is zero only if it is 0."""
+    if rel is not None:
+        bound = 2 * (size + 1) * rel / (1 - rel) * den
         for row in hankel_matrix(vals, HankelQuery(shift, size)):
             s = sum(v * v for v in row)
             bound *= Fraction(isqrt(s.numerator) + 1, max(isqrt(s.denominator), 1)) if s else 0
@@ -273,23 +279,23 @@ def _sign(num: int, den: int, tol: Optional[Fraction], vals, shift: int, size: i
     return (num > 0) - (num < 0)
 
 
-def _hankel_input(m, entries: int, tolerance, short) -> tuple:
-    """(vals, tol, scaled): entries 0..entries-1 of m, as every Hankel
+def _hankel_input(m, entries: int, short) -> tuple:
+    """(vals, rel, scaled): entries 0..entries-1 of m, as every Hankel
     report reads them.
 
-    An approximate MomentSequence needs a tolerance (else BackendError):
-    vals are its entries' exact dyadic values and tol the tolerance as a
-    Fraction. Exact input has tol None, whatever the tolerance. Fewer
-    entries raise ValueError(short(number of entries)). scaled is
-    _integer_scale(vals), or a ScaledSequence's own (1, c, ints), whose
-    vals are None, since only a tolerance reads them.
+    A decimal MomentSequence gives its entries' exact dyadic values and rel
+    = 2^(1 - precision_bits), a bound on each entry's relative error from
+    every writer: generators compute at precision_bits + 20, files carry
+    precision_bits log10(2) + 3 digits read back at precision_bits, and a
+    CSV value is rounded once at --precision. It does not cover error a
+    producer made before storing, such as cancellation in a decimal t-power.
+    Exact input has rel None. Fewer entries raise ValueError(short(number
+    of entries)). scaled is _integer_scale(vals), or a ScaledSequence's own
+    (1, c, ints), whose vals are None, since only rel reads them.
     """
-    tol = None
+    rel = None
     if isinstance(m, MomentSequence) and not m.exact:
-        if tolerance is None:
-            raise BackendError(
-                "approximate sequences need an explicit tolerance for Hankel verdicts")
-        vals, tol = [_exact(v) for v in m.values], Fraction(tolerance)
+        vals, rel = [_exact(v) for v in m.values], Fraction(2, 2 ** m.precision_bits)
     else:
         vals = m.ints if isinstance(m, ScaledSequence) else _sequence_values(m)
     if len(vals) < entries:
@@ -297,10 +303,10 @@ def _hankel_input(m, entries: int, tolerance, short) -> tuple:
     vals = vals[:entries]
     if isinstance(m, ScaledSequence):
         return None, None, (1, m.c, vals)
-    return vals, tol, _integer_scale(vals)
+    return vals, rel, _integer_scale(vals)
 
 
-def _depth_input(m, upto: int, tolerance) -> tuple:
+def _depth_input(m, upto: int) -> tuple:
     """_hankel_input of the 2*upto + 2 entries, mu_0..mu_{2 upto + 1}, that
     a report to depth upto reads: a shorter prefix is an error, never a
     silently weaker report, and a negative depth is refused before the
@@ -308,7 +314,7 @@ def _depth_input(m, upto: int, tolerance) -> tuple:
     if upto < 0:
         raise ValueError("upto must be >= 0")
     need = 2 * upto + 2
-    return _hankel_input(m, need, tolerance,
+    return _hankel_input(m, need,
                          lambda got: "depth %d needs %d entries, got %d" % (upto, need, got))
 
 
@@ -331,7 +337,7 @@ class PositivityVerdict(Record):
         return self.kind == "strictly-positive"
 
 
-def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
+def stieltjes_verdict(m, upto: int) -> PositivityVerdict:
     """Check the Stieltjes condition to finite depth.
 
     Evaluates the shift-0 and shift-1 Hankel determinants of all sizes up to
@@ -348,27 +354,28 @@ def stieltjes_verdict(m, upto: int, tolerance=None) -> PositivityVerdict:
     ScaledSequence's as they are. On exact input, when _certified_positive
     proves both shifts' integer Hankel matrices positive definite, the
     verdict is strictly-positive with no minor computed. Otherwise, and
-    always under a tolerance (whose _sign may call a tiny positive minor
-    zero), the signs come from _hankel_minors, one pass per shift, run
-    only as far as the verdict needs them. A later negative minor still
-    wins over an earlier zero one. Only the witness becomes a Fraction.
+    always on decimal input (whose _sign calls a minor zero when its
+    precision_bits cannot tell it from 0), the signs come from
+    _hankel_minors, one pass per shift, run only as far as the verdict
+    needs them. A later negative minor still wins over an earlier zero
+    one. Only the witness becomes a Fraction.
     """
-    vals, tol, scaled = _depth_input(m, upto, tolerance)
+    vals, rel, scaled = _depth_input(m, upto)
     a, c, ints = scaled
     den = a
     for idx, x in enumerate(ints):
-        if _sign(x, den, tol, vals, idx, 0) < 0:
+        if _sign(x, den, rel, vals, idx, 0) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
                                      Fraction(x, den))
         den *= c
-    if tol is None and all(_certified_positive(ints, shift, upto) for shift in (0, 1)):
+    if rel is None and all(_certified_positive(ints, shift, upto) for shift in (0, 1)):
         return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None
     for size in range(upto + 1):
         for shift, minors in enumerate(passes):
             num, den = next(minors)
-            s = _sign(num, den, tol, vals, shift, size)
+            s = _sign(num, den, rel, vals, shift, size)
             if s < 0:
                 return PositivityVerdict("not-stieltjes", upto, HankelQuery(shift, size),
                                          Fraction(num, den))
@@ -397,7 +404,7 @@ class TotalPositivityVerdict(Record):
         return self.kind == "strictly-tp"
 
 
-def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdict:
+def fekete_total_positivity(m, q: HankelQuery) -> TotalPositivityVerdict:
     """Strict total positivity of the addressed Hankel matrix.
 
     Fekete's criterion: if every minor on consecutive row and column index
@@ -415,9 +422,8 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
     order by order, rows before columns, and the first negative one (else
     the first zero one) is the witness.
     """
-    vals, tol, scaled = _hankel_input(
-        m, q.max_index + 1, tolerance,
-        lambda got: _SHORT_QUERY % (q.shift, q.size, q.max_index, got - 1))
+    vals, rel, scaled = _hankel_input(m, q.max_index + 1, lambda got: _SHORT_QUERY % (
+        q.shift, q.size, q.max_index, got - 1))
     n = q.size + 1
     # a block on anti-diagonal d has order at most n - ceil(d/2)
     passes = [_hankel_minors(scaled, q.shift + d, n - 1 - (d + 1) // 2)
@@ -433,7 +439,7 @@ def fekete_total_positivity(m, q: HankelQuery, tolerance=None) -> TotalPositivit
                     current.append(next(passes[d]))
                 num, den = current[d]
                 checked += 1
-                s = _sign(num, den, tol, vals, q.shift + d, order - 1)
+                s = _sign(num, den, rel, vals, q.shift + d, order - 1)
                 if s < 0:
                     return TotalPositivityVerdict("not-tp", q, checked,
                                                   (r0, c0, order), Fraction(num, den))
@@ -469,32 +475,28 @@ class IndeterminacyRatios(Record):
 def _ratio_family(window: tuple, base_shift: int, upto: int) -> tuple:
     """det(base_shift, size n) / det(base_shift + 2, size n - 1) for
     n = 1..upto, None where _sign calls the denominator zero, from one pass
-    per shift of window = _depth_input(m, upto, tolerance); and whether a
-    None occurred."""
+    per shift of window = _depth_input(m, upto)."""
     if upto < 1:
-        return [], False
-    vals, tol, scaled = window
+        return ()
+    vals, rel, scaled = window
     nums = _hankel_minors(scaled, base_shift, upto)
     next(nums)  # size 0 is no numerator
     dens = _hankel_minors(scaled, base_shift + 2, upto - 1)
     out = []
     for n, ((p, q), (r, t)) in enumerate(zip(nums, dens), start=1):
-        zero = _sign(r, t, tol, vals, base_shift + 2, n - 1) == 0
+        zero = _sign(r, t, rel, vals, base_shift + 2, n - 1) == 0
         out.append(None if zero else Fraction(p * t, q * r))
-    return out, None in out
+    return tuple(out)
 
 
 def _bounded_away(ratios) -> Optional[bool]:
-    defined = [r for r in ratios if r is not None]
-    if len(defined) < 2 or len(defined) != len(ratios):
+    if len(ratios) < 2 or None in ratios:
         return None
-    peak = max(abs(r) for r in defined)
-    if peak == 0:
-        return False
-    return abs(defined[-1]) >= COLLAPSE_FACTOR * peak
+    peak = max(map(abs, ratios))
+    return peak != 0 and abs(ratios[-1]) >= COLLAPSE_FACTOR * peak
 
 
-def indeterminacy_ratios(m, upto: int, tolerance=None) -> IndeterminacyRatios:
+def indeterminacy_ratios(m, upto: int) -> IndeterminacyRatios:
     """Compute the two determinant-ratio sequences used as an indeterminacy
     diagnostic, with a qualitative bounded-away-from-zero flag.
 
@@ -504,18 +506,10 @@ def indeterminacy_ratios(m, upto: int, tolerance=None) -> IndeterminacyRatios:
     limits) from the Poisson-type (ratios collapsing to 0) behaviour at
     accessible depths. Needs 2*upto + 2 entries.
     """
-    window = _depth_input(m, upto, tolerance)
-    s0, d0 = _ratio_family(window, 0, upto)
-    s1, d1 = _ratio_family(window, 1, upto)
-    return IndeterminacyRatios(
-        shift0=tuple(s0),
-        shift1=tuple(s1),
-        upto=upto,
-        degenerate=d0 or d1,
-        collapse_factor=COLLAPSE_FACTOR,
-        shift0_bounded_away=_bounded_away(s0),
-        shift1_bounded_away=_bounded_away(s1),
-    )
+    window = _depth_input(m, upto)
+    s0, s1 = (_ratio_family(window, shift, upto) for shift in (0, 1))
+    return IndeterminacyRatios(s0, s1, upto, None in s0 + s1, COLLAPSE_FACTOR,
+                               _bounded_away(s0), _bounded_away(s1))
 
 
 class Mu1ThresholdReport(Record):
@@ -535,7 +529,7 @@ class Mu1ThresholdReport(Record):
     all_below_mu1: Optional[bool]
 
 
-def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
+def mu1_threshold_sequence(m, upto: int) -> Mu1ThresholdReport:
     """The singular first-moment value at each depth d = 1..upto.
 
     det(shift-1, size d) = C * mu_1 + D with mu_1 only in entry (0,0); C is
@@ -543,10 +537,10 @@ def mu1_threshold_sequence(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
     mu_1 minus the shift-1 ratio r_d of indeterminacy_ratios, None where
     r_d is None. Needs 2*upto + 2 entries.
     """
-    window = _depth_input(m, upto, tolerance)
+    window = _depth_input(m, upto)
     a, c, ints = window[2]
     mu1 = Fraction(ints[1], a * c)
-    out = tuple(None if r is None else mu1 - r for r in _ratio_family(window, 1, upto)[0])
+    out = tuple(None if r is None else mu1 - r for r in _ratio_family(window, 1, upto))
     non_dec = below = None
     if out and None not in out:
         non_dec = all(x <= y for x, y in zip(out, out[1:]))
@@ -577,8 +571,13 @@ def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
     Works on both backends; exact sequences and plain lists (through
     _sequence_values) get exact Fractions, approximate sequences mpmath
     values computed at their precision_bits, with `tolerance` (a Fraction,
-    mpf, string or float; default 2^-40) around the theta <= 1 comparisons.
+    mpf, string or float; default 2^-40, else finite and >= 0, or
+    ValueError) around the theta <= 1 comparisons.
     """
+    if tolerance is not None:  # checked without loading mpmath for a rational
+        t = tolerance if isinstance(tolerance, (int, Fraction)) else _as_mpf(tolerance)
+        if not 0 <= t < float("inf"):
+            raise ValueError("tolerance must be finite and >= 0, got %s" % (tolerance,))
     exact = not isinstance(m, MomentSequence) or m.exact
     vals = _sequence_values(m) if exact else m.values
     for n, v in enumerate(vals):
@@ -589,11 +588,8 @@ def log_convexity_report(m, tolerance=None) -> LogConvexityReport:
     with nullcontext() if exact else _working_precision(m):
         theta = tuple(vals[n] ** 2 / (vals[n - 1] * vals[n + 1])
                       for n in range(1, len(vals) - 1))
-        if exact:
-            lo = hi = 1
-        else:
-            tol = _as_mpf(tolerance if tolerance is not None else DEFAULT_TOLERANCE)
-            lo, hi = 1 - tol, 1 + tol
+        tol = 0 if exact else _as_mpf(DEFAULT_TOLERANCE if tolerance is None else tolerance)
+        lo, hi = 1 - tol, 1 + tol
     sup = max(theta)
     tail_start = len(theta) // 2
     tail = max(theta[tail_start:])

@@ -12,8 +12,8 @@ bivariate polynomials, and the Hankel reports (Stieltjes verdict,
 determinant ratios, mu_1 thresholds, Fekete minors) are runs of Hankel
 determinants, here one pivoting Bareiss determinant per size or block,
 on integers whose denominators rational_det clears row by row, not by
-the library's isobaric scaling, and each sign under a tolerance from
-this module's own copy of the Hadamard rule.
+the library's isobaric scaling, and each sign of a decimal sequence from
+this module's own copy of the Hadamard rule at its precision_bits.
 The library computes each one way only; these are the other derivations,
 kept here so the tests can compare against them. Everything is exact and
 exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
@@ -279,37 +279,36 @@ def rational_det(rows) -> Fraction:
     return Fraction(_det_bareiss(ints), scale)
 
 
-def _judge(m, tolerance) -> tuple:
+def _judge(m) -> tuple:
     """(vals, sign): the entries of m as Fractions, an approximate
     MomentSequence's at their exact dyadic values, and the sign the Hankel
-    reports give a determinant of the given rows. Under a tolerance, which
-    only an approximate sequence reads, |det| <= tolerance * H counts as
-    zero, with H Hadamard's bound, the product of the row norms, each
-    norm sqrt(p / q) rounded up to (isqrt(p) + 1) / isqrt(q)."""
+    reports give a determinant of the given rows. An approximate sequence
+    is judged at rel = 2^(1 - precision_bits), the relative error of each
+    stored entry: |det| <= 2n rel / (1 - rel) * H counts as zero for a
+    determinant of n rows, with H Hadamard's bound, the product of the row
+    norms, each norm sqrt(p / q) rounded up to (isqrt(p) + 1) / isqrt(q)."""
     approx = isinstance(m, MomentSequence) and not m.exact
-    if approx and tolerance is None:
-        raise ValueError("an approximate sequence needs a tolerance")
     vals = [_exact(v) for v in getattr(m, "values", m)]
-    tol = Fraction(tolerance) if approx else None
+    rel = Fraction(2, 2 ** m.precision_bits) if approx else None
 
     def sign(det, rows):
-        if tol is not None:
+        if rel is not None:
             norms = [sum(Fraction(v) ** 2 for v in row) for row in rows]
             bound = math.prod(Fraction(math.isqrt(s.numerator) + 1,
                                        max(math.isqrt(s.denominator), 1)) if s else 0
                               for s in norms)
-            if abs(det) <= tol * bound:
+            if abs(det) <= 2 * len(rows) * rel / (1 - rel) * bound:
                 return 0
         return (det > 0) - (det < 0)
 
     return vals, sign
 
 
-def stieltjes_verdict_per_size(m, upto: int, tolerance=None) -> PositivityVerdict:
+def stieltjes_verdict_per_size(m, upto: int) -> PositivityVerdict:
     """The Stieltjes verdict with one pivoting Bareiss determinant per size
     and shift, in the library's order: entries first, then sizes 0..upto,
     shift 0 before shift 1; the first negative wins, else the first zero."""
-    vals, sign = _judge(m, tolerance)
+    vals, sign = _judge(m)
     for idx in range(2 * upto + 2):
         if sign(vals[idx], [[vals[idx]]]) < 0:
             return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0), vals[idx])
@@ -335,10 +334,10 @@ def _det_and_sign(vals, sign, q: HankelQuery) -> tuple:
     return det, sign(det, rows)
 
 
-def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> IndeterminacyRatios:
+def indeterminacy_ratios_per_size(m, upto: int) -> IndeterminacyRatios:
     """det(s, n) / det(s + 2, n - 1) for s = 0, 1 and n = 1..upto, two
     determinants per ratio; None where the denominator is judged zero."""
-    vals, sign = _judge(m, tolerance)
+    vals, sign = _judge(m)
     if len(vals) < 2 * upto + 2:
         raise ValueError("short prefix")
     families, degenerate = [], False
@@ -355,10 +354,10 @@ def indeterminacy_ratios_per_size(m, upto: int, tolerance=None) -> Indeterminacy
                                _bounded_away(s0), _bounded_away(s1))
 
 
-def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
+def mu1_threshold_per_size(m, upto: int) -> Mu1ThresholdReport:
     """The mu_1 value that makes det(1, d) vanish, -D / C with det(1, d) =
     C mu_1 + D and C = det(3, d - 1), for d = 1..upto."""
-    vals, sign = _judge(m, tolerance)
+    vals, sign = _judge(m)
     if len(vals) < 2 * upto + 2:
         raise ValueError("short prefix")
     mu1 = Fraction(vals[1])
@@ -378,10 +377,10 @@ def mu1_threshold_per_size(m, upto: int, tolerance=None) -> Mu1ThresholdReport:
         all(v < mu1 for v in defined) if complete else None)
 
 
-def fekete_per_block(m, q: HankelQuery, tolerance=None) -> TotalPositivityVerdict:
+def fekete_per_block(m, q: HankelQuery) -> TotalPositivityVerdict:
     """Every consecutive block of the Hankel matrix at q cut out of it and
     given its own determinant, order by order, rows before columns."""
-    vals, sign = _judge(m, tolerance)
+    vals, sign = _judge(m)
     matrix = hankel_matrix(vals, q)
     n = q.size + 1
     checked = 0

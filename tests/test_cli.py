@@ -255,12 +255,25 @@ class TestAnalyze:
     @pytest.mark.parametrize("reports", [[], ["--stieltjes-depth", "2"], ["--fekete", "2"],
                                          ["--indeterminacy", "2"], ["--mu1-threshold", "2"],
                                          ["--logconvex", "--fekete", "1"]])
-    def test_decimal_hankel_reports_need_tolerance(self, reports, tmp_path, capsys):
+    def test_decimal_hankel_reports_run_without_tolerance(self, reports, tmp_path, capsys):
+        """A decimal file's Hankel verdicts come from its precision_bits:
+        they run without --tolerance, and no --tolerance moves a byte of
+        them (it is the --logconvex margin only)."""
         path = lognormal_file(tmp_path)
         capsys.readouterr()
-        assert main(["analyze", str(path), *reports]) == 2
-        assert capsys.readouterr() == ("", "error: approximate sequences need an explicit "
-                                           "tolerance for Hankel verdicts\n")
+        assert main(["analyze", str(path), *reports]) == 0
+        def hankel(text):  # the margin may move only the logconvex report
+            if "--logconvex" not in reports:
+                return text
+            return {k: v for k, v in json.loads(text).items() if k != "logconvex"}
+
+        plain = capsys.readouterr().out
+        if not reports:  # the deepest verdict seven entries allow
+            assert json.loads(plain)["stieltjes"] == {
+                "depth": 2, "kind": "strictly-positive", "witness": None, "witness_value": None}
+        for tol in ("1e-20", "1/2", "0"):
+            assert main(["analyze", str(path), *reports, "--tolerance", tol]) == 0
+            assert hankel(capsys.readouterr().out) == hankel(plain), tol
 
     def test_decimal_report_keeps_the_file_digits(self, tmp_path, capsys):
         path = tmp_path / "lognormal256.json"
@@ -501,7 +514,7 @@ MALFORMED = [
         "garbage.json", "schema.json", "no-schema.json", "kind.json", "backend.json",
         "values-object.json", "values-numbers.json", "values-empty.json", "zero-den.json",
         "mu0.json", "no-bits.json", "bits-string.json", "top-list.json", "empty.csv",
-        "missing.json", "pmf.json", "decimal.json")],
+        "missing.json", "pmf.json")],
     ["analyze", "{d}"],
     ["katti", "{d}/lattice.json"],
     ["katti", "{d}/pmf-error-number.json"],

@@ -6,7 +6,10 @@ A case that reads a file gets it from another case's stored output, so every
 case runs on its own. To rewrite the goldens from the checkout on
 PYTHONPATH (only after a change that is meant to alter output), run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the named cases and their exit codes only, or every case
+when no name is given.
 """
 import difflib
 import json
@@ -126,20 +129,26 @@ def test_output_matches_golden(name, tmp_path):
     assert output == expected, unified_diff(expected, output, f"{name}.output")
 
 
-def regenerate():
+def regenerate(names=()):
+    """Rewrite the stored output and exit code of each named case, or of
+    every case when none is named; other cases keep theirs."""
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name in CASES:
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8")) if names else {}
+    for name in names or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, output = run_case(name, Path(tmp))
         codes[name] = code
         (GOLDEN / f"{name}.stdout").write_bytes(stdout)
         if output is not None:
             (GOLDEN / f"{name}.output").write_bytes(output)
+    codes = {name: codes[name] for name in CASES if name in codes}
     EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -15,7 +15,6 @@ from momentlab.moment_algebra import MomentSequence, ScaledSequence, _exact, mb_
 from momentlab import semigroup, stieltjes
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
-    DEFAULT_TOLERANCE,
     HankelQuery,
     _certified_positive,
     _hankel_minors,
@@ -100,30 +99,18 @@ class TestHankelDeterminant:
     def test_size_zero_is_one(self):
         assert hankel_det(lattice(2, 2), HankelQuery(0, 0)) == 1
 
-    def test_exact_only(self):
-        """Without a tolerance, the determinant reports refuse a decimal
-        sequence and a plain list of mpfs alike."""
-        m = MomentSequence.from_approx([mpf(1), mpf(2), mpf(5), mpf(15)], 128)
-        for vals in (m, list(m.values)):
-            with pytest.raises(BackendError):
-                stieltjes_verdict(vals, 1)
-            with pytest.raises(BackendError):
-                fekete_total_positivity(vals, HankelQuery(0, 1))
-            with pytest.raises(BackendError):
-                indeterminacy_ratios(vals, 1)
 
-
-# each Hankel report as report(m, n, tolerance), n its depth or Fekete size
+# each Hankel report as report(m, n), n its depth or Fekete size
 HANKEL_REPORTS = {
     "stieltjes": stieltjes_verdict,
-    "fekete": lambda m, n, tol=None: fekete_total_positivity(m, HankelQuery(1, n), tol),
+    "fekete": lambda m, n: fekete_total_positivity(m, HankelQuery(1, n)),
     "indeterminacy": indeterminacy_ratios,
     "mu1": mu1_threshold_sequence,
 }
 
 
-def decimal_prefix(length):
-    return MomentSequence.from_approx([mpf(2) ** (n * n) for n in range(length)], 128)
+def decimal_prefix(length, bits=128):
+    return MomentSequence.from_approx([mpf(2) ** (n * n) for n in range(length)], bits)
 
 
 def mpf_list(length):
@@ -139,16 +126,18 @@ class TestHankelInputGate:
     negative depth, then the backend, then the window."""
 
     @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
-    @pytest.mark.parametrize("make", [decimal_prefix, mpf_list], ids=["decimal", "mpf-list"])
-    def test_approximate_needs_tolerance(self, report, make):
-        for length in (8, 3):  # a short prefix is still a backend error
+    def test_decimal_needs_no_tolerance(self, report):
+        # 2^(n^2) is stored without rounding error, so at 64 bits as at 128
+        # the decimal prefix gets the exact input's report
+        for bits in (64, 128):
+            assert report(decimal_prefix(8, bits), 3) == report(lattice(2, 7), 3)
+
+    @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
+    def test_plain_mpf_list_is_refused(self, report):
+        # a plain list of mpfs has no precision_bits to judge its minors at
+        for length in (8, 3):  # a short list is still a backend error
             with pytest.raises(BackendError):
-                report(make(length), 3)
-        if make is decimal_prefix:
-            assert report(make(8), 3, F(1, 2 ** 200)) == report(lattice(2, 7), 3)
-        else:  # a plain list of mpfs has no precision, so no tolerance serves it
-            with pytest.raises(BackendError):
-                report(make(8), 3, F(1, 2 ** 200))
+                report(mpf_list(length), 3)
 
     @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
     @pytest.mark.parametrize("make", [lambda n: lattice(2, n - 1), scaled_prefix, decimal_prefix],
@@ -158,18 +147,18 @@ class TestHankelInputGate:
         want = ("query (shift=1, size=4) needs index 9 but sequence ends at 8" if fekete
                 else "depth 4 needs 10 entries, got 9")
         with pytest.raises(ValueError) as exc:
-            report(make(9), 4, DEFAULT_TOLERANCE)
+            report(make(9), 4)
         assert str(exc.value) == want
-        report(make(10), 4, DEFAULT_TOLERANCE)  # one more entry is enough
+        report(make(10), 4)  # one more entry is enough
 
     @pytest.mark.parametrize("report", HANKEL_REPORTS.values(), ids=HANKEL_REPORTS)
-    @pytest.mark.parametrize("make", [lambda n: lattice(2, n - 1), scaled_prefix, decimal_prefix],
-                             ids=["exact", "scaled", "decimal"])
+    @pytest.mark.parametrize("make", [lambda n: lattice(2, n - 1), scaled_prefix, decimal_prefix,
+                                      mpf_list], ids=["exact", "scaled", "decimal", "mpf-list"])
     def test_negative_depth_before_backend(self, report, make):
         want = ("shift and size must be non-negative" if report is HANKEL_REPORTS["fekete"]
                 else "upto must be >= 0")
         with pytest.raises(ValueError) as exc:
-            report(make(8), -1)  # no tolerance: the decimal prefix is refused later
+            report(make(8), -1)  # the mpf list is refused later
         assert str(exc.value) == want
 
     def test_ratios_scale_their_entries_once(self, monkeypatch):
@@ -214,12 +203,6 @@ class TestStieltjesVerdict:
         # the witness actually evaluates to that determinant
         assert hankel_det(m, v.witness) == v.witness_value
 
-    def test_approx_needs_tolerance(self):
-        m = MomentSequence.from_approx([mpf(1), mpf(2), mpf(16), mpf(512)], 128)
-        with pytest.raises(BackendError):
-            stieltjes_verdict(m, 1)
-        assert stieltjes_verdict(m, 1, DEFAULT_TOLERANCE).kind == "strictly-positive"
-
     def test_plain_mpf_list_is_approximate(self):
         # a bare list of mpfs has no precision to certify against either
         with pytest.raises(BackendError):
@@ -227,7 +210,7 @@ class TestStieltjesVerdict:
 
     def test_approx_zero_classified(self):
         m = MomentSequence.from_approx([mpf(1)] * 6, 128)
-        v = stieltjes_verdict(m, 2, F(1, 10 ** 20))
+        v = stieltjes_verdict(m, 2)
         assert v.kind == "semi-definite"
 
     def test_zero_minor_then_negative_minor(self):
@@ -266,7 +249,7 @@ class TestStieltjesVerdict:
                 _exact(mpf(special))
             m = MomentSequence.from_approx(["1", special, "3", "4"], 128)
             with pytest.raises(ValueError, match="no exact value"):
-                stieltjes_verdict(m, 1, F(1, 10 ** 10))
+                stieltjes_verdict(m, 1)
 
 
 def mixture_moments(atoms, weights, length):
@@ -301,17 +284,14 @@ def hankel_inputs(draw):
     return vals, upto, q
 
 
-def assert_reports_match(m, upto, q, tol=None):
-    """Each exact Hankel report equals its per-size oracle in brute_force;
-    the Fekete verdict on (kind, minors_checked, witness, witness_value)."""
-    assert stieltjes_verdict(m, upto, tol) == brute_force.stieltjes_verdict_per_size(
-        m, upto, tol)
-    assert indeterminacy_ratios(m, upto, tol) == brute_force.indeterminacy_ratios_per_size(
-        m, upto, tol)
-    assert mu1_threshold_sequence(m, upto, tol) == brute_force.mu1_threshold_per_size(
-        m, upto, tol)
-    got = fekete_total_positivity(m, q, tol)
-    want = brute_force.fekete_per_block(m, q, tol)
+def assert_reports_match(m, upto, q):
+    """Each Hankel report equals its per-size oracle in brute_force; the
+    Fekete verdict on (kind, minors_checked, witness, witness_value)."""
+    assert stieltjes_verdict(m, upto) == brute_force.stieltjes_verdict_per_size(m, upto)
+    assert indeterminacy_ratios(m, upto) == brute_force.indeterminacy_ratios_per_size(m, upto)
+    assert mu1_threshold_sequence(m, upto) == brute_force.mu1_threshold_per_size(m, upto)
+    got = fekete_total_positivity(m, q)
+    want = brute_force.fekete_per_block(m, q)
     assert ((got.kind, got.minors_checked, got.witness, got.witness_value)
             == (want.kind, want.minors_checked, want.witness, want.witness_value))
 
@@ -320,17 +300,16 @@ class TestOnePassVerdict:
     """Every exact Hankel report, taken from one leading-minor pass per
     shift, against a pivoting Bareiss determinant per size, shift or block
     (brute_force): same kind, witness and values on strictly-positive,
-    semi-definite and refuted inputs, exact and through the tolerance
-    path."""
+    semi-definite and refuted inputs, exact and decimal at 64 and 128
+    bits."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=hankel_inputs())
     def test_matches_per_size_determinants(self, case):
         vals, upto, q = case
         assert_reports_match(vals, upto, q)
-        approx = MomentSequence.from_approx(vals, 128)
-        for tol in (F(1, 2 ** 100), F(1, 1000)):
-            assert_reports_match(approx, upto, q, tol)
+        for bits in (64, 128):
+            assert_reports_match(MomentSequence.from_approx(vals, bits), upto, q)
 
     def test_each_kind_is_reached(self):
         cases = {
@@ -416,6 +395,79 @@ class TestOnePassVerdict:
                 assert composed[:10] == [brute_force.composed_moment(vals, cell.t, n)
                                          for n in range(10)]
                 assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 8)
+
+
+def steepest_factors(stored, q: HankelQuery, sign: int) -> list:
+    """Factors f_k in {-1, 0, 1} that move the minor at q against its sign
+    fastest to first order when entry k becomes s_k (1 + rel f_k): the
+    derivative of det in a_k is the sum of the cofactors on anti-diagonal
+    k - q.shift, so f_k = -sign * sign(s_k * that sum)."""
+    rows = hankel_matrix(stored, q)
+    grad = [F(0)] * len(stored)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+            cofactor = brute_force.rational_det(minor) if minor else 1
+            grad[q.shift + i + j] += (-1) ** (i + j) * cofactor
+    return [F(-sign * ((s * g > 0) - (s * g < 0))) for s, g in zip(stored, grad)]
+
+
+class TestDecimalCutoff:
+    """The zero cutoff of a decimal minor of n rows, 2n rel / (1 - rel)
+    times its Hadamard bound with rel = 2^(1 - precision_bits), is sound:
+    a sign it calls nonzero is the sign of every matrix within rel of the
+    stored entries. So a singular law is semi-definite at every precision,
+    never strictly-positive or refuted, and integers stored as decimals
+    without rounding error keep their exact verdict."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_two_atom_mixture_is_semi_definite(self, bits):
+        vals = mixture_moments([F(1, 3), F(2)], [1, 2], 10)
+        m = MomentSequence.from_approx(vals, bits)
+        assert stieltjes_verdict(m, 4).kind == "semi-definite"
+        for q in (HankelQuery(0, 4), HankelQuery(1, 3)):
+            assert fekete_total_positivity(m, q).kind == "semi-definite"
+        # from three rows on, every Hankel matrix of two atoms is singular:
+        # the ratios whose denominator has three or four rows are None
+        rep, exact = indeterminacy_ratios(m, 4), indeterminacy_ratios(vals, 4)
+        for family in (rep.shift0, rep.shift1, exact.shift0, exact.shift1):
+            assert [r is None for r in family] == [False, False, True, True]
+        assert rep.degenerate
+        assert [v is None for v in mu1_threshold_sequence(m, 4).values] == [
+            False, False, True, True]
+
+    def test_exact_integers_stored_as_decimals(self):
+        # 2^(n^2), n < 8, carry no rounding error at 128 bits; the fixed
+        # cutoff 2^-40 times the Hadamard bound called the shift-1 size-3
+        # minor (about 7.1e24) zero, a semi-definite verdict
+        v = stieltjes_verdict(decimal_prefix(8), 3)
+        assert v.kind == "strictly-positive"
+        assert v == stieltjes_verdict(lattice(2, 7), 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=hankel_inputs(), bits=st.sampled_from([64, 128]), data=st.data())
+    def test_nonzero_sign_survives_every_perturbation_within_rel(self, case, bits, data):
+        """Every entry s_k moved to s_k (1 + rel f_k), |f_k| <= 1, in exact
+        Fractions: drawn factors, and the first-order steepest descent of
+        |det| for each minor. No minor that _sign called nonzero changes
+        sign."""
+        vals = case[0]
+        stored, rel, scaled = stieltjes._hankel_input(
+            MomentSequence.from_approx(vals, bits), len(vals), str)
+        assert rel == F(2, 2 ** bits)
+        factor = st.one_of(st.sampled_from([F(-1), F(1)]), st.fractions(-1, 1, max_denominator=64))
+        drawn = data.draw(st.lists(factor, min_size=len(stored), max_size=len(stored)))
+        for shift in range(len(stored)):
+            for size, (num, den) in enumerate(
+                    _hankel_minors(scaled, shift, (len(stored) - 1 - shift) // 2)):
+                sign = stieltjes._sign(num, den, rel, stored, shift, size)
+                if sign == 0:
+                    continue
+                q = HankelQuery(shift, size)
+                for factors in (drawn, steepest_factors(stored, q, sign)):
+                    moved = [s * (1 + rel * f) for s, f in zip(stored, factors)]
+                    det = brute_force.rational_det(hankel_matrix(moved, q))
+                    assert (det > 0) - (det < 0) == sign, (q, factors)
 
 
 def exactly_positive_definite(ints, shift, size) -> bool:
@@ -687,6 +739,31 @@ class TestLogConvexity:
                 log_convexity_report(vals)
             with pytest.raises(BackendError):
                 split_bound_check(vals, 1)
+
+    @pytest.mark.parametrize("tol", [-1, F(-1, 10 ** 30), "-1e-20", mpf("-1e-20")],
+                             ids=["int", "fraction", "str", "mpf"])
+    def test_negative_tolerance_refused(self, tol):
+        # theta = (4/3, 9/8): a margin of -1 called [1, 2, 3, 4] strictly log-convex
+        m = MomentSequence.from_approx([1, 2, 3, 4], 128)
+        assert log_convexity_report(m, 0).verdict == "not-log-convex"
+        for seq in (m, MomentSequence.from_exact([1, 2, 3, 4])):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                log_convexity_report(seq, tol)
+
+    @pytest.mark.parametrize("tol", ["nan", float("nan"), mpf("nan")],
+                             ids=["str", "float", "mpf"])
+    def test_nan_tolerance_refused(self, tol):
+        for seq in (MomentSequence.from_approx([1, 2, 3, 4], 128), lattice(2, 3)):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                log_convexity_report(seq, tol)
+
+    @pytest.mark.parametrize("tol", ["inf", float("inf"), mpf("inf")],
+                             ids=["str", "float", "mpf"])
+    def test_infinite_tolerance_refused(self, tol):
+        # an infinite margin called [1, 2, 3, 4] log-convex
+        for seq in (MomentSequence.from_approx([1, 2, 3, 4], 128), lattice(2, 3)):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                log_convexity_report(seq, tol)
 
     def test_decimal_theta_at_sequence_precision(self):
         """Lognormal(0, 1) has theta_n = e^-1 for every n; on a 128-bit
