@@ -32,8 +32,8 @@ from math import log10
 from typing import Optional, Union
 
 from .exceptions import QuadratureError
-from .moment_algebra import (CumulantSequence, MomentSequence, Record, _as_fraction,
-                             _as_mpf, _is_mpf, _on_backend, _to_backend,
+from .moment_algebra import (CumulantSequence, MomentSequence, Record, ScaledSequence,
+                             _as_fraction, _as_mpf, _is_mpf, _on_backend, _to_backend,
                              check_precision_bits, moments_from_cumulants, mpmath)
 
 DEFAULT_BITS = 128
@@ -171,9 +171,24 @@ def lognormal_moments(spec: LognormalSpec, upto: int, p: Precision = Precision()
     return _censored_moments(spec, -mpmath.inf, -mpmath.inf, upto, p)[0]
 
 
+def _lattice_ints(q, r, upto: int) -> tuple:
+    """(c, ints) with ints[n] / c^n = r^n q^(n^2) exactly, n = 0..upto, for
+    rational q and r > 0.
+
+    With q = a/b and r = u/w in lowest terms, c = w b^upto and ints[n] =
+    u^n a^(n^2) b^(n (upto - n)): the b-exponent n upto - n^2 is never
+    negative, so every entry is an integer. For r = 1 this c is the scale
+    moment_algebra._isobaric_scale reads from the Fractions' denominators.
+    """
+    a, b = q.numerator, q.denominator
+    u, w = r.numerator, r.denominator
+    return w * b ** upto, [u ** n * a ** (n * n) * b ** (n * (upto - n))
+                           for n in range(upto + 1)]
+
+
 def lattice_lognormal_moments(q, r=1, upto: int = 6) -> MomentSequence:
     """Exact rational stand-in family mu_n = r^n q^{n^2}, for rational q > 1
-    and r > 0.
+    and r > 0: the entries of _lattice_ints, one Fraction each.
 
     Matches the shape of lognormal moments with sigma^2 = 2 ln q and
     alpha = ln r, but with exact arithmetic: theta_n = q^{-2} for every n,
@@ -184,7 +199,7 @@ def lattice_lognormal_moments(q, r=1, upto: int = 6) -> MomentSequence:
         raise ValueError("q must exceed 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    return MomentSequence.from_exact([r ** n * q ** (n * n) for n in range(upto + 1)])
+    return MomentSequence.from_exact(ScaledSequence(*_lattice_ints(q, r, upto)).values)
 
 
 def poisson_moments(lam, upto: int) -> MomentSequence:

@@ -321,7 +321,11 @@ class ScaledSequence(Record):
 
     @property
     def values(self) -> tuple:
-        return tuple(Fraction(x, self.c ** n) for n, x in enumerate(self.ints))
+        vals, scale = [], 1
+        for x in self.ints:
+            vals.append(Fraction(x, scale))
+            scale *= self.c
+        return tuple(vals)
 
 
 class TPolynomial(Record):
@@ -548,7 +552,11 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     """
     m.require_exact("mb_compose_t")
     c, rows = _t_power_rows(_prefix(m, upto).values)
-    return [TPolynomial([Fraction(b, c ** n) for b in row]) for n, row in enumerate(rows)]
+    polys, scale = [], 1
+    for row in rows:
+        polys.append(TPolynomial([Fraction(b, scale) for b in row]))
+        scale *= c
+    return polys
 
 
 @_at_own_precision

@@ -13,10 +13,15 @@ mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
-moment_algebra's t-power evaluator _power_at. The scan hands them to
+moment_algebra's t-power evaluator _power_at. The scan never builds the
+lattice family as Fractions: distributions._lattice_ints gives q^(n^2) as
+integers over c^n, with c = b^(2 depth + 1) for q = a/b, and their
+integer cumulants are _power_at's input. It hands the composed integers to
 stieltjes_verdict as a ScaledSequence, so a scan cell builds a Fraction
 only for a witness; the alternation check compares its terms as integer
 numerators over one denominator and builds each term's Fraction once.
+lattice_family, the same family as a MomentSequence, is for callers that
+want the Fractions.
 """
 from __future__ import annotations
 
@@ -24,9 +29,9 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm
 from typing import Optional, Sequence
 
-from .distributions import lattice_lognormal_moments
+from .distributions import _lattice_ints, lattice_lognormal_moments
 from .moment_algebra import (MomentSequence, Record, ScaledSequence, _composition_sum,
-                             _power_at, _power_base)
+                             _kappas_from_moments, _power_at, _power_base)
 from .stieltjes import PositivityVerdict, stieltjes_verdict
 
 
@@ -275,8 +280,11 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
     composed at every t of the grid and the composed prefix, the integers
     of _power_at as a ScaledSequence, is run through stieltjes_verdict to
-    `depth`, all in exact arithmetic. The result is reproducible bit for
-    bit.
+    `depth`, all in exact arithmetic. The family enters as the integers
+    of distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1)
+    for q = a/b, the scale _power_base would read from lattice_family's
+    Fractions, so their integer cumulants are the same. The result is
+    reproducible bit for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -299,7 +307,8 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        power = _power_base(lattice_family(q, 2 * depth + 1).values)
+        c, ints = _lattice_ints(q, 1, 2 * depth + 1)
+        power = (c, _kappas_from_moments(ints))
         row = []
         for t in ts:
             composed = ScaledSequence(*_power_at(power, t))

@@ -351,23 +351,24 @@ def stieltjes_verdict(m, upto: int) -> PositivityVerdict:
     weaker certificate.
 
     The entry signs come from the integers of _hankel_input, a
-    ScaledSequence's as they are. On exact input, when _certified_positive
-    proves both shifts' integer Hankel matrices positive definite, the
-    verdict is strictly-positive with no minor computed. Otherwise, and
-    always on decimal input (whose _sign calls a minor zero when its
-    precision_bits cannot tell it from 0), the signs come from
-    _hankel_minors, one pass per shift, run only as far as the verdict
-    needs them. A later negative minor still wins over an earlier zero
-    one. Only the witness becomes a Fraction.
+    ScaledSequence's as they are; only a negative integer goes to _sign,
+    which never calls a non-negative one negative. On exact input, when
+    _certified_positive proves both shifts' integer Hankel matrices
+    positive definite, the verdict is strictly-positive with no minor
+    computed. Otherwise, and always on decimal input (whose _sign calls a
+    minor zero when its precision_bits cannot tell it from 0), the signs
+    come from _hankel_minors, one pass per shift, run only as far as the
+    verdict needs them. A later negative minor still wins over an earlier
+    zero one. Only the witness becomes a Fraction.
     """
     vals, rel, scaled = _depth_input(m, upto)
     a, c, ints = scaled
-    den = a
     for idx, x in enumerate(ints):
-        if _sign(x, den, rel, vals, idx, 0) < 0:
-            return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
-                                     Fraction(x, den))
-        den *= c
+        if x < 0:
+            den = a * c ** idx
+            if _sign(x, den, rel, vals, idx, 0) < 0:
+                return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
+                                         Fraction(x, den))
     if rel is None and all(_certified_positive(ints, shift, upto) for shift in (0, 1)):
         return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]

@@ -279,6 +279,21 @@ def rational_det(rows) -> Fraction:
     return Fraction(_det_bareiss(ints), scale)
 
 
+def lattice_hankel_minor(q, shift: int, rows: int) -> Fraction:
+    """The Hankel minor of `rows` rows at `shift` of mu_n = q^(n^2), in
+    closed form. Entry (i, j) is q^((i+j+s)^2) = q^((i+s)^2) q^(j^2) x_i^j
+    with x_i = q^(2(i+s)), so the minor is prod_i q^((i+s)^2) q^(i^2)
+    times the Vandermonde prod_(i<j) (x_j - x_i): positive for every q > 1."""
+    q = Fraction(q)
+    nodes = [q ** (2 * (i + shift)) for i in range(rows)]
+    out = Fraction(1)
+    for i in range(rows):
+        out *= q ** ((i + shift) ** 2 + i * i)
+        for j in range(i + 1, rows):
+            out *= nodes[j] - nodes[i]
+    return out
+
+
 def _judge(m) -> tuple:
     """(vals, sign): the entries of m as Fractions, an approximate
     MomentSequence's at their exact dyadic values, and the sign the Hankel

@@ -9,6 +9,7 @@ from mpmath import mpf
 
 from momentlab.distributions import (
     DiscretePMF,
+    _lattice_ints,
     _tanh_sinh_error,
     LognormalSpec,
     Precision,
@@ -24,7 +25,7 @@ from momentlab.distributions import (
     truncated_lognormal_moments,
 )
 from momentlab.exceptions import QuadratureError
-from momentlab.moment_algebra import CumulantSequence, moments_from_cumulants
+from momentlab.moment_algebra import CumulantSequence, _isobaric_scale, moments_from_cumulants
 from momentlab.semigroup import lattice_family
 
 import brute_force
@@ -157,6 +158,27 @@ class TestLatticeAndPoisson:
             if r == 1:
                 with pytest.raises(ValueError):
                     lattice_family(q, 3)
+
+
+class TestLatticeInts:
+    """_lattice_ints against the Fractions r^n q^(n^2): integers over c^n,
+    with c = w b^upto for q = a/b and r = u/w, the isobaric scale of the
+    Fractions when r = 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+           st.integers(0, 20))
+    def test_integers_over_powers_of_c(self, b, step, u, w, upto):
+        q, r = F(b + step, b), F(u, w)
+        c, ints = _lattice_ints(q, r, upto)
+        assert c == r.denominator * q.denominator ** upto
+        assert len(ints) == upto + 1
+        assert all(type(x) is int for x in ints)
+        assert ints == [c ** n * r ** n * q ** (n * n) for n in range(upto + 1)]
+        assert lattice_lognormal_moments(q, r, upto).values == tuple(
+            r ** n * q ** (n * n) for n in range(upto + 1))
+        c1, _ = _lattice_ints(q, 1, upto)
+        assert c1 == _isobaric_scale([q ** (n * n) for n in range(upto + 1)])
 
 
 class TestTruncatedLognormal:

@@ -92,6 +92,11 @@ CASES = {
                                 "--rate", "1.0", "--trials", "100000", "--seed", "19"], {}),
     # the default grid at a depth where the exact minors run on integers of thousands of bits
     "scan-depth-20": (["scan", "--depth", "20"], {}),
+    # a q that is not an integer: the lattice family's integer scale c is b^upto, not 1
+    "moments-lattice-rational-q": (["moments", "lattice", "--q", "7/3", "--r", "2/5",
+                                    "--upto", "8"], {}),
+    "scan-rational-q": (["scan", "--theta-grid", "9/49,4/9", "--t-grid", "1/3,3/4",
+                         "--depth", "6"], {}),
 }
 
 

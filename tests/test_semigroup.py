@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentlab import semigroup
 from momentlab.exceptions import BackendError
 from momentlab.moment_algebra import (
     MomentSequence,
@@ -327,6 +328,29 @@ class TestThetaThresholdScan:
             for t, cell in zip(ts, row):
                 composed = [brute_force.composed_moment(vals, t, n) for n in range(8)]
                 assert cell.verdict == brute_force.stieltjes_verdict_per_size(composed, 3)
+
+    @pytest.mark.parametrize("q", [F(7, 3), F(3), F(11, 10), F(9, 8)])
+    def test_lattice_integers_are_the_fraction_path(self, q, monkeypatch):
+        # the scan reads q^(n^2) from distributions._lattice_ints; the power
+        # it hands _power_at, and every verdict, are those of the Fractions
+        # of lattice_family through _power_base
+        powers, power_at = [], semigroup._power_at
+
+        def recording(power, t):
+            powers.append(power)
+            return power_at(power, t)
+
+        monkeypatch.setattr(semigroup, "_power_at", recording)
+        ts = (F(1, 4), F(1, 2), F(10 ** 6, 10 ** 6 + 3))
+        for depth in (2, 4, 6):
+            powers.clear()
+            (row,) = theta_threshold_scan([1 / q ** 2], ts, depth).pass_matrix
+            old = _power_base(lattice_family(q, 2 * depth + 1).values)
+            assert powers == [old] * len(ts)
+            for cell in row:
+                seq = ScaledSequence(*power_at(old, cell.t))
+                assert cell.verdict == stieltjes_verdict(seq, depth)
+                assert cell.verdict == stieltjes_verdict(seq.values, depth)
 
     def test_irrational_sqrt_rejected(self):
         with pytest.raises(ValueError):

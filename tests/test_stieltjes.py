@@ -16,6 +16,7 @@ from momentlab import semigroup, stieltjes
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
     HankelQuery,
+    PositivityVerdict,
     _certified_positive,
     _hankel_minors,
     _integer_scale,
@@ -577,6 +578,30 @@ class TestCertifiedPositive:
         # an off-diagonal entry far past the diagonal overflows the scaling
         assert not _certified_positive([1, 2 ** 3000, 1], 0, 1)
         assert _certified_positive([1, 1, 2], 0, 1)
+
+
+class TestLatticeClosedForm:
+    """The Hankel minors of q^(n^2) have a Vandermonde closed form
+    (brute_force.lattice_hankel_minor), positive for every q > 1; it checks
+    the exact minors up to 12 rows, and the certificate at depths where no
+    determinant oracle is fast."""
+
+    @pytest.mark.parametrize("q", [F(2), F(3), F(11, 10)])
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_minors_match_vandermonde(self, q, shift):
+        vals = lattice(q, 23).values
+        minors = _hankel_minors(_integer_scale(list(vals)), shift, 11)
+        for size, (num, den) in enumerate(minors):
+            assert F(num, den) == brute_force.lattice_hankel_minor(q, shift, size + 1), size
+
+    @pytest.mark.parametrize("q, depth", [(F(2), 100), (F(11, 10), 60)])
+    def test_deep_verdict_by_certificate_alone(self, q, depth, monkeypatch):
+        def no_minors(*args):
+            raise AssertionError("the certificate should decide without exact minors")
+
+        monkeypatch.setattr(stieltjes, "_hankel_minors", no_minors)
+        v = stieltjes_verdict(lattice(q, 2 * depth + 1), depth)
+        assert v == PositivityVerdict("strictly-positive", depth)
 
 
 def verdict_without_certificate(m, upto):
