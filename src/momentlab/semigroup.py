@@ -16,9 +16,14 @@ The composed moments at a rational t are integers over one scale, from
 moment_algebra's t-power evaluator _power_at. The scan never builds the
 lattice family as Fractions: distributions._lattice_ints gives q^(n^2) as
 integers over c^n, with c = b^(2 depth + 1) for q = a/b, and their
-integer cumulants are _power_at's input. It hands the composed integers to
-stieltjes_verdict as a ScaledSequence, so a scan cell builds a Fraction
-only for a witness; the alternation check compares its terms as integer
+integer cumulants are the input of both its t-powers. Floats enter the
+scan at one place: a cell is first tried on the float t-power of
+moment_algebra._float_power_at, each entry with a proven relative bound,
+and reported strictly positive when stieltjes._certified_stieltjes proves
+both shifts positive definite from it. Every other cell takes the exact
+t-power of _power_at to stieltjes_verdict as a ScaledSequence, so every
+witness, zero and refutation is exact, and a cell builds a Fraction only
+for a witness. The alternation check compares its terms as integer
 numerators over one denominator and builds each term's Fraction once.
 lattice_family, the same family as a MomentSequence, is for callers that
 want the Fractions.
@@ -31,8 +36,9 @@ from typing import Optional, Sequence
 
 from .distributions import _lattice_ints, lattice_lognormal_moments
 from .moment_algebra import (MomentSequence, Record, ScaledSequence, _composition_sum,
-                             _kappas_from_moments, _power_at, _power_base)
-from .stieltjes import PositivityVerdict, stieltjes_verdict
+                             _float_power_at, _float_power_base, _kappas_from_moments,
+                             _power_at, _power_base)
+from .stieltjes import PositivityVerdict, _certified_stieltjes, stieltjes_verdict
 
 
 class SemigroupIdentityReport(Record):
@@ -278,13 +284,20 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     """Scan lattice families over a theta grid for Stieltjes survival.
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
-    composed at every t of the grid and the composed prefix, the integers
-    of _power_at as a ScaledSequence, is run through stieltjes_verdict to
-    `depth`, all in exact arithmetic. The family enters as the integers
-    of distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1)
-    for q = a/b, the scale _power_base would read from lattice_family's
-    Fractions, so their integer cumulants are the same. The result is
-    reproducible bit for bit.
+    composed at every t of the grid and the composed prefix is judged to
+    `depth`. The family enters as the integers of
+    distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1) for
+    q = a/b, the scale _power_base would read from lattice_family's
+    Fractions, so their integer cumulants are the same. Where floats
+    enter: when every cumulant is positive, the cell's t-power is first
+    computed in float64 by _float_power_at, and a strictly-positive
+    verdict is reported when _certified_stieltjes proves both shifts
+    positive definite within its proven bound. A cumulant <= 0, a t whose
+    float is not in [2^-1022, 1), a ratio below 2^-1022, or a refusal
+    sends the cell to the exact path: the integers of _power_at as a
+    ScaledSequence, run through stieltjes_verdict. Either path gives the
+    verdict the exact minors give, so the result is reproducible bit for
+    bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -303,16 +316,23 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     delta = Fraction(delta) if delta is not None else None
 
     matrix = []
+    certified = PositivityVerdict("strictly-positive", depth)
     for theta in thetas:
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
         c, ints = _lattice_ints(q, 1, 2 * depth + 1)
-        power = (c, _kappas_from_moments(ints))
+        kappas = _kappas_from_moments(ints)
+        base = _float_power_base(ints, kappas)
         row = []
         for t in ts:
-            composed = ScaledSequence(*_power_at(power, t))
-            row.append(ScanCell(theta, t, stieltjes_verdict(composed, depth)))
+            floats = base and _float_power_at(base, t)
+            # (heads, exps, rels): the last entry's bound is the largest
+            if floats and _certified_stieltjes(*floats[:2], floats[2][-1], depth):
+                verdict = certified
+            else:
+                verdict = stieltjes_verdict(ScaledSequence(*_power_at((c, kappas), t)), depth)
+            row.append(ScanCell(theta, t, verdict))
         matrix.append(tuple(row))
 
     passes = [[cell.passed for cell in row] for row in matrix]

@@ -29,12 +29,18 @@ per anti-diagonal of its matrix, since each consecutive block is itself a
 Hankel matrix.
 
 A strictly-positive verdict on exact input needs no minor at all: positive
-definiteness of each shift's integer Hankel matrix implies every leading
-minor is positive, and _certified_positive proves it with one float64
-Cholesky of the power-of-two scaled matrix, shifted by a bound on every
-rounding error. Where that proof fails (a zero or negative minor, or a
-matrix too ill-conditioned for float64), the exact minors decide, so every
-refutation, zero, witness and witness value comes from _hankel_minors.
+definiteness of each shift's Hankel matrix implies every leading minor is
+positive, and _certified_positive proves it with one float64 Cholesky of
+the power-of-two scaled matrix, shifted by a bound on every rounding
+error. It reads each entry as a float head and a power of two, together
+with a bound rel on the relative error of every entry, which enters its
+shift as 5 n rel. stieltjes_verdict hands it the top 64 bits of each
+integer (rel = 2u, u = 2^-53); the theta-scan hands it the float t-powers
+of moment_algebra._float_power_at with their proven bound, and builds no
+exact t-power for a cell it certifies. Where that proof fails (a zero or
+negative minor, or a matrix too ill-conditioned for float64), the exact
+minors decide, so every refutation, zero, witness and witness value comes
+from _hankel_minors.
 
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
@@ -43,13 +49,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import isqrt, lcm, ldexp, sqrt
+from math import frexp, isqrt, lcm, ldexp, sqrt
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
-from .moment_algebra import (MomentSequence, Record, ScaledSequence, _as_mpf, _exact,
-                             _is_mpf, _isobaric_ints, _working_precision)
+from .moment_algebra import (_NORMAL, _U, MomentSequence, Record, ScaledSequence, _as_mpf,
+                             _exact, _float_heads, _is_mpf, _isobaric_ints,
+                             _working_precision)
 
 DEFAULT_TOLERANCE = Fraction(1, 2 ** 40)
 # the share of its peak that the last ratio of an indeterminacy family keeps
@@ -183,42 +190,43 @@ def _hankel_minors(scaled: tuple, shift: int, size: int):
         yield _det_bareiss(hankel_matrix(ints, HankelQuery(shift, k))), den
 
 
-_U = 2.0 ** -53  # the unit roundoff of float64
-_PIVOT_FLOOR = 2.0 ** -1022  # the smallest normal float64
+_REL_CEILING = 2.0 ** -30  # the largest per-entry relative error the certificate takes
 
 
-def _certified_positive(ints: list, shift: int, size: int) -> bool:
-    """True only if the integer Hankel matrix H = [ints[shift+i+j]], n =
-    size + 1 rows, is proved positive definite, so that (Sylvester) every
-    leading minor of sizes 0..size is > 0. False proves nothing: the caller
-    then computes the minors exactly.
+def _certified_positive(heads: list, exps: list, rel: float, shift: int, size: int) -> bool:
+    """True only if the Hankel matrix H = [v_(shift+i+j)], n = size + 1
+    rows, is proved positive definite, so that (Sylvester) every leading
+    minor of sizes 0..size is > 0. Entry v_k arrives as a float head and a
+    power of two, heads[k] * 2^exps[k], within a relative rel of v_k: 2u
+    for an integer cut by moment_algebra._float_heads, the largest of the
+    window's rels for a t-power from moment_algebra._float_power_at. False
+    proves nothing: the caller then computes the minors exactly.
 
     The proof is one float64 Cholesky (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, Thm 10.5; Rump, BIT 46, 2006). With u =
     2^-53, eta = 2^-1074 and gamma = (n+1)u / (1 - (n+1)u):
 
-    - Scaling: A = D H D, D = diag(2^-e_i), e_i = floor((bitlen h_ii - 1)
-      / 2), is an exact congruence with its diagonal in [1, 4). A
-      non-positive h_ii refuses.
-    - Conversion: each anti-diagonal integer is cut to its top 64 bits
-      (relative error below 2^-63), rounded to a float (2^-53) and moved by
-      ldexp, exact but in the subnormal range. So the converted A~ has
-      |a_ij - a~_ij| <= 2u |a_ij| + eta, and a~_ii <= 4. An overflow
-      refuses.
+    - Scaling: A = D H D, D = diag(2^-e_i), is an exact congruence, with
+      e_i the integer part of half the binary exponent of the diagonal
+      entry's head, so the diagonal of the converted A~ lies in [1, 4). A
+      non-positive diagonal head refuses.
+    - Conversion: ldexp moves each head into A~, exact but in the
+      subnormal range, so |a_ij - a~_ij| <= rel |a_ij| + eta. A rel above
+      2^-30 refuses, and so does an overflow.
     - Check: the Cholesky factor R of B = fl(A~ - c I) runs to completion
       with every pivot >= 2^-1022; then R^T R = B + dB with |dB| <=
       gamma |R^T| |R| in any order of the sums. Its diagonal gives
       ||R||_F^2 <= tr B / (1 - gamma) <= tr A~ / (1 - gamma), so ||dB||_2
       <= gamma / (1 - gamma) tr A~; Cauchy-Schwarz on the columns of R
       gives |b_ij| <= 4 (1 + gamma) / (1 - gamma), hence |a_ij| < 5 and
-      ||A - A~||_2 <= 10 n u + n eta. Rounding the shifted diagonal moves
+      ||A - A~||_2 <= 5 n rel + n eta. Rounding the shifted diagonal moves
       B from A~ - c I by at most 4u. Underflow adds at most eta / 2 to each
       product and each quotient s / r_kk (r_kk <= 2, and the floor keeps
       every square root and divisor normal): at most 2n(n + 2) eta in
       norm.
     - Bound: A = R^T R - dB + c I + (A~ - c I - B) + (A - A~) with R^T R
       positive definite, so A is positive definite once c exceeds
-      gamma / (1 - gamma) tr A~ + 10 n u + 4u and the eta terms. c is
+      gamma / (1 - gamma) tr A~ + 5 n rel + 4u and the eta terms. c is
       that sum times 1 + 2^-20, which covers the rounding of its few
       operations and of tr A~ (n < 2^30), and the eta terms, below 2^-1000
       against a sum of at least 2^-52.
@@ -226,35 +234,40 @@ def _certified_positive(ints: list, shift: int, size: int) -> bool:
     A pivot that is not >= the floor (nan included) refuses, and an
     overflow inside the factorization reaches a later pivot as inf or nan.
     """
+    if not rel <= _REL_CEILING:
+        return False
     n = size + 1
-    window = ints[shift:shift + 2 * n - 1]
-    exps = []
-    for d in window[::2]:
-        if d <= 0:
+    hs, xs = heads[shift:shift + 2 * n - 1], exps[shift:shift + 2 * n - 1]
+    es = []
+    for h, x in zip(hs[::2], xs[::2]):
+        if not h > 0:
             return False
-        exps.append((d.bit_length() - 1) // 2)
-    heads, cuts = [], []
-    for x in window:
-        cut = x.bit_length() - 64
-        heads.append(float(x >> cut) if cut > 0 else float(x))
-        cuts.append(max(cut, 0))
+        es.append((frexp(h)[1] + x - 1) // 2)
     gamma = (n + 1) * _U / (1 - (n + 1) * _U)
-    cols = [[] for _ in exps]  # cols[j]: r_0j .. r_(k-1)j before step k
+    cols = [[] for _ in es]  # cols[j]: r_0j .. r_(k-1)j before step k
     try:
-        diag = [ldexp(h, cut - 2 * e) for h, cut, e in zip(heads[::2], cuts[::2], exps)]
-        c = (gamma / (1 - gamma) * sum(diag) + 10 * n * _U + 4 * _U) * (1 + 2.0 ** -20)
-        for k, (ek, ck) in enumerate(zip(exps, cols)):
+        diag = [ldexp(h, x - 2 * e) for h, x, e in zip(hs[::2], xs[::2], es)]
+        c = (gamma / (1 - gamma) * sum(diag) + 5 * n * rel + 4 * _U) * (1 + 2.0 ** -20)
+        for k, (ek, ck) in enumerate(zip(es, cols)):
             pivot = (diag[k] - c) - sum(map(mul, ck, ck))
-            if not pivot >= _PIVOT_FLOOR:
+            if not pivot >= _NORMAL:
                 return False
             r = sqrt(pivot)
             for j in range(k + 1, n):
                 cj = cols[j]
-                cj.append((ldexp(heads[k + j], cuts[k + j] - ek - exps[j])
+                cj.append((ldexp(hs[k + j], xs[k + j] - ek - es[j])
                            - sum(map(mul, ck, cj))) / r)
     except OverflowError:
         return False
     return True
+
+
+def _certified_stieltjes(heads: list, exps: list, rel: float, upto: int) -> bool:
+    """True only if _certified_positive proves the Hankel matrices of shifts
+    0 and 1 to size upto positive definite: then every minor and every
+    entry stieltjes_verdict reads is positive, as the entries v_0..v_(2
+    upto + 1) are the two matrices' diagonals."""
+    return all(_certified_positive(heads, exps, rel, shift, upto) for shift in (0, 1))
 
 
 def _sign(num: int, den: int, rel: Optional[Fraction], vals, shift: int, size: int) -> int:
@@ -369,7 +382,7 @@ def stieltjes_verdict(m, upto: int) -> PositivityVerdict:
             if _sign(x, den, rel, vals, idx, 0) < 0:
                 return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
                                          Fraction(x, den))
-    if rel is None and all(_certified_positive(ints, shift, upto) for shift in (0, 1)):
+    if rel is None and _certified_stieltjes(*_float_heads(ints), 2 * _U, upto):
         return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None

@@ -380,7 +380,9 @@ class TestKatti:
 class TestScan:
     def test_failing_cells_report_their_verdict_as_witness(self, monkeypatch, capsys):
         """A failing cell reads "fail" with its verdict record as witness;
-        the lattice family never fails, so two verdicts are planted."""
+        the lattice family never fails, so two verdicts are planted, on the
+        exact path that every cell takes once the float certificate
+        refuses."""
         from momentlab import semigroup
         planted = {3: stieltjes.PositivityVerdict("not-stieltjes", 3,
                                                   stieltjes.HankelQuery(1, 2), F(-3, 7)),
@@ -393,6 +395,7 @@ class TestScan:
             return planted.get(len(calls) - 1) or stieltjes.stieltjes_verdict(m, depth)
 
         monkeypatch.setattr(semigroup, "stieltjes_verdict", verdict)
+        monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert main(["scan", "--depth", "3", "--theta-grid", "1/4,1/9,1/16",
                      "--t-grid", "1/3,2/3"]) == 0
         assert calls == [3] * 6

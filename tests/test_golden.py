@@ -97,6 +97,8 @@ CASES = {
                                     "--upto", "8"], {}),
     "scan-rational-q": (["scan", "--theta-grid", "9/49,4/9", "--t-grid", "1/3,3/4",
                          "--depth", "6"], {}),
+    # the default grid where the t-powers' integers run to tens of thousands of bits
+    "scan-depth-60": (["scan", "--depth", "60"], {}),
 }
 
 

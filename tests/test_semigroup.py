@@ -2,13 +2,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from momentlab import semigroup
+from momentlab import semigroup, stieltjes
 from momentlab.exceptions import BackendError
+from momentlab.distributions import _lattice_ints
 from momentlab.moment_algebra import (
+    _U,
     MomentSequence,
     ScaledSequence,
+    _float_heads,
+    _float_power_at,
+    _float_power_base,
+    _kappas_from_moments,
     _power_at,
     _power_base,
     _t_power_rows,
@@ -26,7 +32,8 @@ from momentlab.semigroup import (
     mb_semigroup_identity,
     theta_threshold_scan,
 )
-from momentlab.stieltjes import stieltjes_verdict
+from momentlab.stieltjes import (_certified_positive, _certified_stieltjes, _hankel_minors,
+                                 stieltjes_verdict)
 
 import brute_force
 from conftest import random_moment_prefix
@@ -333,18 +340,24 @@ class TestThetaThresholdScan:
     def test_lattice_integers_are_the_fraction_path(self, q, monkeypatch):
         # the scan reads q^(n^2) from distributions._lattice_ints; the power
         # it hands _power_at, and every verdict, are those of the Fractions
-        # of lattice_family through _power_base
+        # of lattice_family through _power_base. The float certificate is
+        # made to refuse, so every cell takes _power_at; the scan's own run
+        # decides the same cells.
         powers, power_at = [], semigroup._power_at
 
         def recording(power, t):
             powers.append(power)
             return power_at(power, t)
 
-        monkeypatch.setattr(semigroup, "_power_at", recording)
         ts = (F(1, 4), F(1, 2), F(10 ** 6, 10 ** 6 + 3))
+        certified = {depth: theta_threshold_scan([1 / q ** 2], ts, depth) for depth in (2, 4, 6)}
+        monkeypatch.setattr(semigroup, "_power_at", recording)
+        monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         for depth in (2, 4, 6):
             powers.clear()
-            (row,) = theta_threshold_scan([1 / q ** 2], ts, depth).pass_matrix
+            res = theta_threshold_scan([1 / q ** 2], ts, depth)
+            assert res == certified[depth]
+            (row,) = res.pass_matrix
             old = _power_base(lattice_family(q, 2 * depth + 1).values)
             assert powers == [old] * len(ts)
             for cell in row:
@@ -374,3 +387,121 @@ class TestThetaThresholdScan:
             theta_threshold_scan(theta_grid=[F(2)], t_grid=[F(1, 2)], depth=2)
         with pytest.raises(ValueError):
             theta_threshold_scan(theta_grid=[F(1, 4)], t_grid=[F(2)], depth=2)
+
+
+# q > 1: close to 1, where the certificate refuses from small depths on,
+# huge, and drawn
+lattice_qs = st.one_of(st.sampled_from([F(10 ** 6 + 1, 10 ** 6), F(101, 100), F(11, 10),
+                                        F(9, 8), F(7, 3), F(10 ** 50)]),
+                       st.builds(lambda a, b: 1 + F(a, b), st.integers(1, 10 ** 6),
+                                 st.integers(1, 10 ** 6)))
+# t in (0, 1) with denominators up to 10^40
+fine_ts = st.integers(2, 10 ** 40).flatmap(
+    lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
+
+
+def float_and_exact(q, t, depth):
+    """(floats, exact): _float_power_at on the scan's integers for q at t,
+    and _power_at's (s, xs) on the same input, whose entry n times c^n is
+    xs[n] / v^n."""
+    c, ints = _lattice_ints(q, 1, 2 * depth + 1)
+    kappas = _kappas_from_moments(ints)
+    base = _float_power_base(ints, kappas)
+    assert base is not None  # the lattice family's cumulants are all positive
+    return _float_power_at(base, t), _power_at((c, kappas), t)
+
+
+class TestFloatPower:
+    """The scan's float t-power and the certificate on it: each entry lies
+    within its stated relative bound of the exact one, an accepted
+    certificate means every exact minor of both shifts is positive, a
+    singular Hankel matrix is refused at any accepted bound, and the scan
+    gives the exact path's result whenever it falls back to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=lattice_qs, t=fine_ts, depth=st.integers(0, 12))
+    @example(q=F(2), t=F(2 ** 54 - 1, 2 ** 54), depth=3)
+    def test_entries_within_bound_and_certificate_sound(self, q, t, depth):
+        floats, (s, xs) = float_and_exact(q, t, depth)
+        if floats is None:
+            # only a t that rounds out of [2^-1022, 1), here to 1.0, or a
+            # ratio at the bottom of the normal range refuses
+            ratio = min(F(x, s ** n) / q ** (n * n) for n, x in enumerate(xs))
+            assert not 2.0 ** -1022 <= float(t) < 1.0 or ratio < F(2.0 ** -1021)
+            return
+        heads, exps, rels = floats
+        v = s // _lattice_ints(q, 1, 2 * depth + 1)[0]
+        for n, (h, e, rel, x) in enumerate(zip(heads, exps, rels, xs)):
+            exact = F(x, v ** n)
+            assert abs(F(h) * F(2) ** e - exact) <= F(rel) * exact, n
+        if _certified_stieltjes(heads, exps, rels[-1], depth):
+            for shift in (0, 1):
+                assert all(num > 0 for num, _ in _hankel_minors((1, s, xs), shift, depth))
+
+    @settings(max_examples=60, deadline=None)
+    @given(atoms=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=2, unique=True),
+           weights=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=2),
+           size=st.integers(2, 8))
+    def test_two_atoms_refused(self, atoms, weights, size):
+        # the moments of a two-atom measure make Hankel matrices of rank 2
+        ints = [sum(w * x ** n for w, x in zip(weights, atoms)) for n in range(2 * size + 2)]
+        heads, exps = _float_heads(ints)
+        for rel in (2 * _U, 2.0 ** -40, 2.0 ** -30):
+            for shift in (0, 1):
+                assert not _certified_positive(heads, exps, rel, shift, size)
+
+    def test_bound_past_the_ceiling_refuses(self):
+        heads, exps = _float_heads([2 ** (n * n) for n in range(8)])
+        assert _certified_positive(heads, exps, 2.0 ** -30, 0, 3)
+        assert not _certified_positive(heads, exps, 2.0 ** -29, 0, 3)
+
+    def test_kernel_refuses(self):
+        c, ints = _lattice_ints(F(2), 1, 5)
+        kappas = _kappas_from_moments(ints)
+        assert _float_power_base(ints, [-1] + kappas[1:]) is None
+        base = _float_power_base(ints, kappas)
+        # t that rounds to 0.0 or below the normal range, and t not below 1
+        for t in (F(1, 10 ** 400), F(1, 2 ** 1023), F(1), F(3, 2)):
+            assert _float_power_at(base, t) is None
+        assert _float_power_at(base, F(1, 2 ** 1000)) is not None
+        # a normal t whose second ratio, about 2e-6 t, is subnormal
+        c, ints = _lattice_ints(F(10 ** 6 + 1, 10 ** 6), 1, 2)
+        base = _float_power_base(ints, _kappas_from_moments(ints))
+        assert _float_power_at(base, F(1, 2 ** 1000)) is not None
+        assert _float_power_at(base, F(1, 2 ** 1010)) is None
+
+    def test_tiny_t_takes_the_exact_path(self, capsys, monkeypatch):
+        # 1e-400 is 0.0 as a float, so every cell builds its exact t-power
+        from momentlab.cli import main
+        calls, power_at = [], semigroup._power_at
+
+        def counting(power, t):
+            calls.append(t)
+            return power_at(power, t)
+
+        monkeypatch.setattr(semigroup, "_power_at", counting)
+        assert main(["scan", "--t-grid", "1e-400"]) == 0
+        assert calls == [F(1, 10 ** 400)] * 5
+        out = capsys.readouterr().out
+        monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
+        assert main(["scan", "--t-grid", "1e-400"]) == 0
+        assert capsys.readouterr().out == out
+        assert '"verdict": "fail"' not in out
+
+    @pytest.mark.parametrize("grid", [
+        (DEFAULT_THETA_GRID, DEFAULT_T_GRID, 6),
+        ([1 / F(q) ** 2 for q in (F(7, 3), 3, 5, 7, 11)], [F(3, 13), F(6, 11), F(9, 13)], 6),
+        ([F(100, 121), F(64, 81)], [F(1, 10 ** 30), F(1, 3), F(10 ** 20 - 1, 10 ** 20)], 8)])
+    def test_refusing_certificate_gives_the_same_result(self, grid, monkeypatch):
+        certified = theta_threshold_scan(*grid)
+        monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
+        assert theta_threshold_scan(*grid) == certified
+
+    def test_depth_60_by_floats_alone(self, monkeypatch):
+        def no_exact_power(*args):
+            raise AssertionError("the float certificate should decide every cell")
+
+        monkeypatch.setattr(semigroup, "_power_at", no_exact_power)
+        res = theta_threshold_scan(depth=60)
+        assert all(cell.passed for row in res.pass_matrix for cell in row)
+        assert len(res.pass_matrix) * len(res.t_grid) == 15

@@ -11,7 +11,8 @@ from mpmath import mpf
 from momentlab.distributions import (LognormalSpec, Precision, lognormal_moments,
                                      poisson_moments)
 from momentlab.exceptions import BackendError
-from momentlab.moment_algebra import MomentSequence, ScaledSequence, _exact, mb_compose_t
+from momentlab.moment_algebra import (_U, MomentSequence, ScaledSequence, _exact,
+                                      _float_heads, mb_compose_t)
 from momentlab import semigroup, stieltjes
 from momentlab.semigroup import theta_threshold_scan
 from momentlab.stieltjes import (
@@ -375,15 +376,21 @@ class TestOnePassVerdict:
         # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
         # cell's integers, as the scan hands them to the verdict, against
         # the partial Bell rows of mb_compose_t at t, and through n = 9
-        # against the occupancy sum over compositions
+        # against the occupancy sum over compositions. With the certificate
+        # refusing every matrix the scan builds every cell's exact t-power
+        # and hands it over; its float path decides the same cells.
         handed = []
 
         def recording(seq, upto):
             handed.append(seq)
             return stieltjes_verdict(seq, upto)
 
+        grid = (F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8
+        certified = theta_threshold_scan(*grid)
         monkeypatch.setattr(semigroup, "stieltjes_verdict", recording)
-        res = theta_threshold_scan((F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8)
+        monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
+        res = theta_threshold_scan(*grid)
+        assert res == certified and len(handed) == 6
         cells = iter(handed)
         for theta, row in zip(res.theta_grid, res.pass_matrix):
             q = F(isqrt(theta.denominator), isqrt(theta.numerator))
@@ -478,9 +485,15 @@ def exactly_positive_definite(ints, shift, size) -> bool:
     return len(minors) == size + 1 and all(x > 0 for x in minors)
 
 
+def certified_ints(ints, shift, size) -> bool:
+    """_certified_positive at (shift, size) on integers, as stieltjes_verdict
+    hands them over: their float heads, each within a relative 2u."""
+    return _certified_positive(*_float_heads(ints), 2 * _U, shift, size)
+
+
 def certified_soundly(ints, shift, size) -> bool:
     """_certified_positive at (shift, size), asserting that a True is right."""
-    certified = _certified_positive(ints, shift, size)
+    certified = certified_ints(ints, shift, size)
     if certified:
         assert exactly_positive_definite(ints, shift, size), (ints, shift, size)
     return certified
@@ -573,11 +586,11 @@ class TestCertifiedPositive:
         assert certified > 0 and refused > 0
 
     def test_refuses_non_positive_diagonal_and_overflow(self):
-        assert not _certified_positive([0, 1, 1], 0, 1)
-        assert not _certified_positive([1, 0, -1], 0, 1)
+        assert not certified_ints([0, 1, 1], 0, 1)
+        assert not certified_ints([1, 0, -1], 0, 1)
         # an off-diagonal entry far past the diagonal overflows the scaling
-        assert not _certified_positive([1, 2 ** 3000, 1], 0, 1)
-        assert _certified_positive([1, 1, 2], 0, 1)
+        assert not certified_ints([1, 2 ** 3000, 1], 0, 1)
+        assert certified_ints([1, 1, 2], 0, 1)
 
 
 class TestLatticeClosedForm:
@@ -608,7 +621,7 @@ def verdict_without_certificate(m, upto):
     """stieltjes_verdict with the certificate refusing every matrix, so every
     verdict comes from the exact minors."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stieltjes, "_certified_positive", lambda ints, shift, size: False)
+        mp.setattr(stieltjes, "_certified_positive", lambda *args: False)
         return stieltjes_verdict(m, upto)
 
 
@@ -664,7 +677,7 @@ class TestVerdictWithoutCertificate:
                 assert v == verdict_without_certificate(m, 3)
         # and the strictly-positive ones were taken by the certificate
         ints = positive.ints
-        assert all(_certified_positive(ints, shift, 3) for shift in (0, 1))
+        assert all(certified_ints(ints, shift, 3) for shift in (0, 1))
 
 
 class TestFekete:

@@ -8,7 +8,7 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
-from momentlab import semigroup
+from momentlab import semigroup, stieltjes
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,7 +54,9 @@ def test_keyword_arguments_the_tracer_reads_exist():
 def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
     """The tracer charges the scan's verdicts to stieltjes.verdict_s by
     wrapping semigroup's binding of stieltjes_verdict, so the scan must call
-    it through that name, once per (theta, t) cell."""
+    it through that name, once per (theta, t) cell that the float
+    certificate leaves to the exact path: here every cell, as the
+    certificate is made to refuse. Where it certifies, no verdict runs."""
     calls = []
     verdict = semigroup.stieltjes_verdict
 
@@ -62,9 +64,12 @@ def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
         calls.append(args)
         return verdict(*args, **kwargs)
 
+    grid = (Fraction(1, 4), Fraction(1, 9)), (Fraction(1, 3), Fraction(2, 3)), 3
     monkeypatch.setattr(semigroup, "stieltjes_verdict", counting)
-    res = semigroup.theta_threshold_scan((Fraction(1, 4), Fraction(1, 9)),
-                                         (Fraction(1, 3), Fraction(2, 3)), 3)
-    assert len(calls) == 4
+    certified = semigroup.theta_threshold_scan(*grid)
+    assert calls == []
+    monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
+    res = semigroup.theta_threshold_scan(*grid)
+    assert len(calls) == 4 and res == certified
     assert [cell.verdict for row in res.pass_matrix for cell in row] == [
         verdict(*args) for args in calls]
