@@ -27,11 +27,11 @@ the moments, so one scale c with every c^n mu_n an integer
 (_isobaric_scale) keeps the cumulants, the partial Bell rows (_bell_rows)
 and the t-power coefficients integral. A t-power at one t, classical or
 Boolean, exact or decimal, has one evaluator, _power_at: at t = u/v entry
-n is an integer over (c v)^n, a ScaledSequence. Beside it,
-_float_power_at gives the classical t-power for 0 < t < 1 in float64, as
-heads and powers of two with a proven relative bound per entry, when every
-cumulant is positive; it serves the Hankel certificate, never a value a
-caller reads.
+n is an integer over (c v)^n, a ScaledSequence. The theta-scan's float
+t-power of the lattice family q^(n^2) is not built here: semigroup
+computes it from q without a big integer, and takes the exact cumulants
+of _kappas_from_moments and the exact t-power of _power_at only where
+those floats refuse.
 Approximate sequences carry mpmath floats with a declared working
 precision from MIN_PRECISION_BITS to MAX_PRECISION_BITS
 (check_precision_bits), and every operation on them runs at that
@@ -58,8 +58,8 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import wraps
-from math import comb, factorial, fsum, gcd, ldexp
-from operator import attrgetter, mul
+from math import comb, factorial, gcd
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .exceptions import BackendError
@@ -509,88 +509,6 @@ def _float_heads(ints: Sequence) -> tuple:
         heads.append(float(x >> cut) if cut > 0 else float(x))
         exps.append(max(cut, 0))
     return heads, exps
-
-
-def _float_power_base(ints: Sequence, kappas: Sequence) -> Optional[tuple]:
-    """What _float_power_at takes for the integers M_n = ints[n], M_0 = 1,
-    and their integer cumulants K_j = kappas[j-1] (one scale c for both, as
-    in _power_at's input): (rows, heads, exps, rels) with rows[n-1][j] the
-    float weight G[n][j] = C(n-1, j) K_(j+1) M_(n-1-j) / M_n, heads[n] *
-    2^exps[n] the M_n by _float_heads, and rels[n] = (2n^2 + 21n + 4) u
-    the relative bound _float_power_at proves for entry n. None unless
-    every M_n and K_j is > 0, or when a weight's float overflows."""
-    if any(x <= 0 for x in ints) or any(k <= 0 for k in kappas):
-        return None
-    mh, me = _float_heads(ints)
-    kh, ke = _float_heads(kappas)
-    rows = []
-    try:
-        for n in range(1, len(ints)):
-            inv, en = 1.0 / mh[n], me[n]
-            rows.append([ldexp(float(comb(n - 1, j)) * kh[j] * mh[n - 1 - j] * inv,
-                               ke[j] + me[n - 1 - j] - en) for j in range(n)])
-    except OverflowError:
-        return None
-    return rows, mh, me, [(2 * n * n + 21 * n + 4) * _U for n in range(len(ints))]
-
-
-def _float_power_at(base: tuple, t) -> Optional[tuple]:
-    """(heads, exps, rels): entry n of the t-th classical power, times c^n,
-    is within a relative rels[n] of heads[n] * 2^exps[n], for base =
-    _float_power_base(ints, kappas) and 0 < t < 1. None when float(t) is
-    not in [2^-1022, 1) or a ratio below leaves [2^-1022, 2); then the
-    exact _power_at decides.
-
-    The ratios r_n = mu^(t)_n / mu_n obey r_0 = 1 and r_n = t sum_(j<n)
-    G[n][j] r_(n-1-j): divide the t-power's forward recursion by M_n =
-    c^n mu_n. With every K_j > 0 each G[n][j] is in (0, 1] and each row
-    sums to 1 (the recursion of M_n itself), so r_n is t times a weighted
-    mean of r_0..r_(n-1) and lies in [t^n, t] at any depth, where the
-    moments themselves leave float range by depth 8 at q = 11. One float
-    pass computes the r_n; entry n is M_n's head times r_n, over 2^exps[n].
-
-    Proof of the bound (Higham 2002, ch. 2-3). u = 2^-53, eta = 2^-1074,
-    gamma_k = k u / (1 - k u), and each operation is exact times (1 + d),
-    |d| <= u, plus at most eta / 2 absolute where the result is subnormal;
-    products and quotients of m such factors are 1 + theta, |theta| <=
-    gamma_m, and (1 + gamma_j)(1 + gamma_k) <= 1 + gamma_(j+k).
-
-    - Weights: C(n-1, j) rounds once to float, the heads of K_(j+1),
-      M_(n-1-j) and M_n carry two factors each, 1 / M_n's head one more,
-      and three products three: 11 factors. The products lie in [2^-64,
-      2^(n+127)], normal (an overflow to inf fails the check on r~_n),
-      and ldexp is exact but in the subnormal range, so G~ = G (1 +
-      theta_11) + b, |b| <= eta / 2.
-    - Step n: t~ = float(t) is normal (checked), so t~ = t (1 + d). The
-      products p_j = fl(G~_j r~_(n-1-j)) take one factor and eta / 2; fsum
-      rounds their exact sum once; fl(t~ s) one more. Say r~_k = r_k (1 +
-      rho_k) with |rho_k| <= B_(n-1) for k < n. All terms are positive, so
-      r~_n = r_n (1 + psi) + E with |psi| <= (1 + gamma_15)(1 + B_(n-1)) -
-      1 =: Psi, and, as each r~_k < 2 (checked) and t < 1, |E| <= (2n + 2)
-      eta.
-    - Underflow as a relative error: r~_n >= 2^-1022 = 2^52 eta (checked)
-      gives r_n >= (2^52 - 2n - 2) eta / (1 + Psi), so |E| / r_n <=
-      gamma_(4n+4) (1 + Psi), and |rho_n| <= (1 + Psi)(1 + gamma_(4n+4)) -
-      1 <= (1 + gamma_(4n+19))(1 + B_(n-1)) - 1 =: B_n.
-    - Unrolled from B_0 = 0: 1 + B_n <= 1 + gamma_(m_n), m_n = sum_(k<=n)
-      (4k + 19) = 2n^2 + 21n. The entry fl(head(M_n) r~_n) adds three
-      factors (the head's two and the product's), normal as M_n >= 1, so
-      its relative error is at most gamma_(m_n + 3) <= (m_n + 4) u =
-      rels[n], as (m + 1) u >= gamma_m whenever m (m + 1) u <= 1, which
-      holds while rels[n] <= 2^-30, the only bounds _certified_positive
-      accepts.
-    """
-    rows, mh, me, rels = base
-    tf = float(t)
-    if not _NORMAL <= tf < 1.0:
-        return None
-    r = [1.0]
-    for row in rows:
-        x = tf * fsum(map(mul, row, reversed(r)))
-        if not _NORMAL <= x < 2.0:
-            return None
-        r.append(x)
-    return list(map(mul, mh, r)), me, rels
 
 
 def _power_sequence(seq, power: tuple, t, boolean: bool = False) -> MomentSequence:

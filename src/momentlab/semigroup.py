@@ -13,32 +13,41 @@ mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
-moment_algebra's t-power evaluator _power_at. The scan never builds the
-lattice family as Fractions: distributions._lattice_ints gives q^(n^2) as
-integers over c^n, with c = b^(2 depth + 1) for q = a/b, and their
-integer cumulants are the input of both its t-powers. Floats enter the
-scan at one place: a cell is first tried on the float t-power of
-moment_algebra._float_power_at, each entry with a proven relative bound,
-and reported strictly positive when stieltjes._certified_stieltjes proves
-both shifts positive definite from it. Every other cell takes the exact
-t-power of _power_at to stieltjes_verdict as a ScaledSequence, so every
-witness, zero and refutation is exact, and a cell builds a Fraction only
-for a witness. The alternation check compares its terms as integer
-numerators over one denominator and builds each term's Fraction once.
-lattice_family, the same family as a MomentSequence, is for callers that
-want the Fractions.
+moment_algebra's t-power evaluator _power_at. The scan first tries every
+cell in floats of order 1 computed straight from q, with no big integer:
+_lattice_base gives the cumulant ratios k_n = K_n / M_n and the weights of
+the t-power's ratio recursion, _lattice_ratios the ratios r_n = mu^(t)_n /
+mu_n, and _lattice_hankel the certificate matrix q^(-(i-j)^2) r_(s+i+j) /
+sqrt(r_(s+2i) r_(s+2j)), each with a proven bound; a cell is reported
+strictly positive when stieltjes._certified_stieltjes proves both shifts
+positive definite from it. The exact numbers run only where the floats
+refuse: where the k-recursion's bound refuses (q close to 1), the k_n come
+from the exact cumulants of distributions._lattice_ints (q^(n^2) as
+integers over c^n, c = b^(2 depth + 1) for q = a/b), and a cell whose
+floats or certificate refuse takes the exact t-power of _power_at on those
+cumulants to stieltjes_verdict as a ScaledSequence. So every witness, zero
+and refutation is exact, and a cell builds a Fraction only for a witness.
+The alternation check compares its terms as integer numerators over one
+denominator and builds each term's Fraction once. lattice_family, the same
+family as a MomentSequence, is for callers that want the Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
+from math import comb, factorial, frexp, fsum, isqrt, lcm, ldexp, sqrt
+from operator import mul, truediv
 from typing import Optional, Sequence
 
 from .distributions import _lattice_ints, lattice_lognormal_moments
-from .moment_algebra import (MomentSequence, Record, ScaledSequence, _composition_sum,
-                             _float_power_at, _float_power_base, _kappas_from_moments,
-                             _power_at, _power_base)
-from .stieltjes import PositivityVerdict, _certified_stieltjes, stieltjes_verdict
+from .moment_algebra import (_NORMAL, _U, MomentSequence, Record, ScaledSequence,
+                             _composition_sum, _kappas_from_moments, _power_at, _power_base)
+from .stieltjes import (PositivityVerdict, _certified_stieltjes, _upper_indices,
+                        stieltjes_verdict)
+
+_MARGIN = 1 + 2.0 ** -20  # covers a float bound's own rounding
+_K_CEILING = 2.0 ** -40  # the largest bound _lattice_base keeps a recursive k_n at
 
 
 class SemigroupIdentityReport(Record):
@@ -238,6 +247,255 @@ def lattice_family(q: Fraction, upto: int) -> MomentSequence:
     return lattice_lognormal_moments(q, 1, upto)
 
 
+@lru_cache(maxsize=8)
+def _lattice_rows(upto: int) -> tuple:
+    """The parts of _lattice_base's weights that do not depend on q, flat
+    over rows n = 2..upto and j = 0..n-2 (row n starts at (n-1)(n-2)/2):
+    (binomials, exponents, counts), the float C(n-1, j), the exponent m =
+    2 (j+1)(n-1-j) of 1/q in weight j, and (2m + 4) u. OverflowError once
+    a C(n-1, j) leaves float range."""
+    pairs = [(n, j) for n in range(2, upto + 1) for j in range(n - 1)]
+    ms = tuple(2 * (j + 1) * (n - 1 - j) for n, j in pairs)
+    return (tuple(float(comb(n - 1, j)) for n, j in pairs), ms,
+            tuple((2 * m + 4) * _U for m in ms))
+
+
+@lru_cache(maxsize=8)
+def _underflow_weights(top: int) -> tuple:
+    """(m + 4) 2^-1022 for m = 1..top: over r~_m and times u, the bound
+    (0.5m + 2) eta / r~_m on the underflow of _lattice_ratios' step m."""
+    return tuple((m + 4) * 2.0 ** -1022 for m in range(1, top + 1))
+
+
+def _inverse_powers(q: Fraction, count: int) -> tuple:
+    """(xs, es) for m = 0..count: xs[m] * 2^es[m] is (1/q)^m within a
+    relative gamma_(2m), for rational q > 1, or 0 where (1/q)^m < 2^-2200;
+    es is None when every exponent is 0.
+
+    1/q = h 2^f with h the rounded quotient of two integers (one factor);
+    for f > -100 the step is 1/q itself, h 2^f, and f = 0. Each step
+    multiplies xs by the step (one more factor). While the powers stay at
+    or above 2^-900 no exponent is needed; otherwise a step that leaves xs
+    below 2^-900 multiplies it by 2^900 exactly, so every xs[m] lies in
+    [2^-900, 1] and no product (at least 2^-1001) underflows. Past es[m] <
+    -2200 the power is stored as 0: whatever it scales in _lattice_base or
+    _lattice_hankel is then below 2^-1100, less than eta / 2.
+    """
+    a, b = q.numerator, q.denominator
+    lift = a.bit_length() - b.bit_length()
+    h, f = frexp((b << lift) / a)
+    f -= lift
+    if f > -100:
+        h, f = ldexp(h, f), 0
+        xs = list(accumulate(repeat(h, count), mul, initial=1.0))
+        if xs[-1] >= 2.0 ** -900:
+            return xs, None
+    xs, es = [1.0], [0]
+    x, e = 1.0, 0
+    for _ in range(count):
+        x *= h
+        e += f
+        if x < 2.0 ** -900:
+            x *= 2.0 ** 900
+            e -= 900
+        if e < -2200:
+            break
+        xs.append(x)
+        es.append(e)
+    pad = count + 1 - len(xs)
+    return xs + [0.0] * pad, es + [0] * pad
+
+
+class LatticeBase(Record):
+    """The theta-scan's float form of mu_n = q^(n^2), n <= upto, built by
+    _lattice_base for _lattice_ratios and _lattice_hankel.
+
+    weights[n-1] lists the float weights G~[n][j], j < n, the last being
+    the cumulant ratio k~_n; kbounds[n-1] = beta_n bounds the relative
+    error of k~_n; rbounds[n] is the part of _lattice_ratios' bound on
+    r~_n that does not depend on t; and squares[i] * 2^exps[i] is
+    (1/q)^(i^2) from _inverse_powers, exps None when every exponent is 0.
+    """
+
+    weights: list
+    kbounds: list
+    rbounds: list
+    squares: list
+    exps: Optional[list]
+
+
+def _lattice_base(q: Fraction, upto: int,
+                  ratios: Optional[Sequence] = None) -> Optional[LatticeBase]:
+    """The LatticeBase of mu_n = q^(n^2), n <= upto, rational q > 1, or
+    None when its cumulant ratios refuse.
+
+    The cumulant ratios k_n = K_n / M_n, with M_n = c^n mu_n and K_n = c^n
+    kappa_n, are free of c. The row sums of _power_at's recursion, M_n =
+    sum_(j<n) C(n-1, j) K_(j+1) M_(n-1-j), divided by M_n, read 1 =
+    sum_(j<n) G[n][j] with G[n][j] = C(n-1, j) k_(j+1) q^(-m_j), m_j = 2
+    (j+1)(n-1-j), since M_(j+1) M_(n-1-j) / M_n = q^(-m_j) on the lattice.
+    G[n][n-1] = k_n, so k_1 = 1 and k_n = 1 - S_n with S_n the sum of the
+    other weights of row n: every number is of order 1, and no big integer
+    is built. With ratios None, k_n comes from that recursion and is kept
+    while its bound beta_n <= 2^-40; past that, as 1 - S_n cancels for q
+    close to 1, the caller hands in ratios[n-1], the exact K_n / M_n
+    correctly rounded (beta_n = u). Every k~_n must be a normal float.
+
+    Proof of the bounds. u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k
+    u); each operation is exact times (1 + d), |d| <= u, plus at most eta /
+    2 where its result is subnormal (fsum rounds its exact sum once). M = 1
+    + 2^-20 covers each bound's own rounding and factors like 1 / (1 -
+    2^-29); while the bounds are at most 2^-30, (1 + beta)(1 + gamma_k) - 1
+    <= beta + (k + 1) u for every k here, as upto <= 1030 (C(n-1, j) is a
+    float).
+
+    - Weights: G~ = fl(k~_(j+1) ldexp(fl(C~ x_m), e_m)) takes one factor
+      for the float C~ of C(n-1, j), gamma_(2m) for the power, one for each
+      product, and beta_(j+1) for k~_(j+1) <= 1. C~ x_m >= 2^-900 is
+      normal; ldexp and the last product add at most eta / 2 each where
+      subnormal. So |G~ - G| <= rho_j G + eta, rho_j = beta_(j+1) + (2 m_j
+      + 4) u <= top + (n^2 + 4) u, top the largest beta so far.
+    - k_n: A_n = sum_j G~_j (2 m_j + 4) u + top S~ >= sum_j rho_j G~_j, as
+      S~ = fsum(G~) is within u of the exact sum. With G_j <= (G~_j + eta)
+      / (1 - rho_j), S~ and k~_n = fl(1 - S~), each within u of itself from
+      its exact value, give |k~_n - k_n| <= u S~ + u k~_n + (1 + 2^-28) A_n
+      + 2n eta. Dividing by k_n >= k~_n (1 - 2^-29) proves beta_n = ((A_n +
+      u S~ + 2n eta) / k~_n + u) M, and k_n > 0.
+    - Ratios: r_n = mu^(t)_n / mu_n = t sum_j G[n][j] r_(n-1-j) (see
+      _lattice_ratios), r_0 = 1 and 0 < r_i <= 1 + 2^-40 for i >= 1. The
+      weights' errors move the sum P_n >= G[n][n-1] r_0 = k_n by a relative
+      g_n: at most the largest rho_j and beta_n, as P_n is their weighted
+      mean, or beta_n + (1 + 2^-28) A_n / k_n, plus 1.01 n eta / k_n either
+      way; so g_n = (beta_n + min(A_n / k~_n, top + (n^2 + 4) u) + n eta /
+      k~_n) M. The products G~ r~ add one factor and eta / 2 each, the fsum
+      and t~ s one factor and eta / 2 each, and float(t) one factor: r~_n =
+      r_n (1 + psi) + E with 1 + psi <= (1 + gamma_4)(1 + g_n)(1 +
+      B'_(n-1)) and |E| <= (0.5n + 2) eta, where B'_i bounds |r~_i - r_i| /
+      r_i. r~_n >= 2^-1022 (checked) gives |E| / r_n <= (1 + psi) w_n, w_n
+      = (0.5n + 2)(1 + 2^-40) eta / r~_n, so B'_n <= (B'_(n-1) + g_n + 5u +
+      w_n)(1 + 2^-29). Unrolled, B'_n <= B_n + 2 sum_(m<=n) w_m (M^n <= 2),
+      with rbounds[n] = B_n = (B_(n-1) + g_n + 5u) M, B_0 = 0, free of t;
+      _lattice_ratios adds the w_m of one t.
+    """
+    try:
+        binomials, ms, counts = _lattice_rows(upto)
+    except OverflowError:
+        return None
+    xs, es = _inverse_powers(q, 2 * (upto // 2) * ((upto + 1) // 2))
+    scaled = map(mul, binomials, map(xs.__getitem__, ms))  # C(n-1, j) q^(-m), row by row
+    if es is not None:
+        scaled = map(ldexp, scaled, map(es.__getitem__, ms))
+    counts = iter(counts)
+    ks, betas, top = [1.0], [0.0], 0.0  # k_1 = K_1 / M_1 = 1; top, the largest beta
+    weights, bounds = [[1.0]], [0.0, 5 * _U * _MARGIN]
+    for n in range(2, upto + 1):
+        row = list(map(mul, ks, scaled))  # ks first: it stops the map, and takes n - 1
+        s = fsum(row)
+        a = sum(map(mul, row, counts)) + top * s
+        if ratios is None:
+            k = 1.0 - s
+            beta = ((a + _U * s + n * 2.0 ** -1073) / k + _U) * _MARGIN if k >= _NORMAL else 1.0
+            if not beta <= _K_CEILING:
+                return None
+        else:
+            k, beta = ratios[n - 1], _U
+            if not k >= _NORMAL:
+                return None
+        g = beta + min(a / k, top + (n * n + 4) * _U) + n * 2.0 ** -1074 / k
+        bounds.append((bounds[-1] + g * _MARGIN + 5 * _U) * _MARGIN)
+        row.append(k)
+        weights.append(row)
+        ks.append(k)
+        betas.append(beta)
+        top = max(top, beta)
+    side = range((upto + 1) // 2)
+    return LatticeBase(weights, betas, bounds, [xs[i * i] for i in side],
+                       None if es is None else [es[i * i] for i in side])
+
+
+def _lattice_ratios(base: LatticeBase, t) -> Optional[tuple]:
+    """(r, bound): r~_n, n = 0..upto, the float ratio mu^(t)_n / mu_n of
+    the t-th classical power of base's family, and a bound on every |r~_n -
+    r_n| / r_n, for 0 < t < 1, valid while it is at most 2^-30. None when
+    float(t) is below 2^-1022 or a ratio leaves [2^-1022, 2); then the
+    exact _power_at decides.
+
+    Dividing _power_at's forward recursion by M_n gives r_0 = 1 and r_n = t
+    sum_(j<n) G[n][j] r_(n-1-j). Each G[n][j] lies in (0, 1] and each row
+    sums to 1, so r_n is t times a weighted mean of r_0..r_(n-1): it lies in
+    [t^n, t] at any depth, where mu_n leaves float range by depth 8 at q =
+    11. A t whose float is 1.0 is at most 1 + u, so r_i <= (1 + u)^i < 1 +
+    2^-40, as _lattice_base's proof takes it. The bound is base.rbounds at
+    upto plus twice the underflow terms w_m of the steps, both proved there.
+    """
+    tf = float(t)
+    if not _NORMAL <= tf <= 1.0:
+        return None
+    r = [1.0]
+    for row in base.weights:
+        x = tf * fsum(map(mul, row, reversed(r)))
+        if not _NORMAL <= x < 2.0:
+            return None
+        r.append(x)
+    under = sum(map(truediv, _underflow_weights(len(base.weights)), r[1:]))
+    return r, (base.rbounds[-1] + 2 * _U * under) * _MARGIN
+
+
+def _lattice_hankel(base: LatticeBase, ratios: tuple, shift: int, size: int) -> tuple:
+    """(diag, upper, rel): the shift-`shift` Hankel matrix H = [v_(shift+i+
+    j)] of the t-power through size, v_n = M_n r_n, in a congruence A = D H
+    D, as stieltjes._certified_positive takes it, for ratios =
+    _lattice_ratios(base, t).
+
+    D = diag(g_i / sqrt(M_(shift+2i))) with g_i = fl(1 / fl(sqrt(r~_(shift
+    +2i)))), a positive float in (2^-1/2, 2^511]. On the lattice M_n = c^n
+    q^(n^2), so a_ij = g_i g_j q^(-(i-j)^2) r_(shift+i+j): both c^n and the
+    shift cancel, and a_ii = g_i^2 r_(shift+2i) is 1 up to the bounds, so
+    a~_ii = 1. Proof of |a~_ij - a_ij| <= rel |a_ij| + 2 eta, with B the
+    ratios' bound: off the diagonal r~ carries B, the power gamma_(2m), m
+    <= size^2, and the three products ((g_i g_j) r~) x three factors; on
+    it, a_ii = (r / r~)(1 + d2)^2 / (1 + d1)^2 is within B + 5u of 1
+    relative to itself. So rel = (B + (2 size^2 + 6) u) M. The product by
+    r~ and the two steps after it (x <= 1, then ldexp(., e <= 0)) each add
+    at most eta / 2 where subnormal and never scale an earlier one up; a
+    power stored as 0 leaves an entry below eta.
+    """
+    r, bound = ratios
+    rows, cols, sums, gaps = _upper_indices(shift, size)
+    g = list(map((1.0).__truediv__, map(sqrt, r[shift:shift + 2 * size + 1:2])))
+    upper = map(mul, map(mul, map(mul, map(g.__getitem__, rows), map(g.__getitem__, cols)),
+                         map(r.__getitem__, sums)), map(base.squares.__getitem__, gaps))
+    if base.exps is not None:
+        upper = map(ldexp, upper, map(base.exps.__getitem__, gaps))
+    return [1.0] * (size + 1), upper, (bound + (2 * size * size + 6) * _U) * _MARGIN
+
+
+def _lattice_power(q: Fraction, upto: int) -> tuple:
+    """(ints, (c, kappas)): the integers M_n = c^n q^(n^2), n <= upto, of
+    distributions._lattice_ints, and _power_at's input, their integer
+    cumulants K_n = c^n kappa_n. c = b^upto for q = a/b is the scale
+    _power_base reads from lattice_family's Fractions, so the cumulants are
+    the same."""
+    c, ints = _lattice_ints(q, 1, upto)
+    return ints, (c, _kappas_from_moments(ints))
+
+
+def _lattice_floats(q: Fraction, upto: int) -> tuple:
+    """(base, power): the LatticeBase the scan certifies q's
+    cells from, and _power_at's input when building the base took the exact
+    cumulants, else None. The cumulant ratios k_n = K_n / M_n come from the
+    float recursion of _lattice_base; where its bound refuses (q close to
+    1), from the exact K_n / M_n, correctly rounded. base is None when some
+    K_n <= 0 or a ratio is not a normal float."""
+    base = _lattice_base(q, upto)
+    if base is not None:
+        return base, None
+    ints, power = _lattice_power(q, upto)
+    if all(k > 0 for k in power[1]):  # then each K_n / M_n lies in (0, 1]
+        base = _lattice_base(q, upto, list(map(truediv, power[1], ints[1:])))
+    return base, power
+
+
 class ScanCell(Record):
     """Stieltjes outcome for one (theta, t) pair of the scan grid."""
 
@@ -285,19 +543,20 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
     composed at every t of the grid and the composed prefix is judged to
-    `depth`. The family enters as the integers of
-    distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1) for
-    q = a/b, the scale _power_base would read from lattice_family's
-    Fractions, so their integer cumulants are the same. Where floats
-    enter: when every cumulant is positive, the cell's t-power is first
-    computed in float64 by _float_power_at, and a strictly-positive
-    verdict is reported when _certified_stieltjes proves both shifts
-    positive definite within its proven bound. A cumulant <= 0, a t whose
-    float is not in [2^-1022, 1), a ratio below 2^-1022, or a refusal
-    sends the cell to the exact path: the integers of _power_at as a
-    ScaledSequence, run through stieltjes_verdict. Either path gives the
-    verdict the exact minors give, so the result is reproducible bit for
-    bit.
+    `depth`. Where floats enter: each cell is first tried from q alone, on
+    floats of order 1 with proven bounds (_lattice_floats, then
+    _lattice_ratios and _lattice_hankel), and reported strictly positive
+    when _certified_stieltjes proves both shifts positive definite. The
+    exact integers of distributions._lattice_ints, c^n q^(n^2) with c =
+    b^(2 depth + 1) for q = a/b, and their cumulants (the same as
+    _power_base reads from lattice_family's Fractions) are built only on a
+    fallback: for the cumulant ratios where their float recursion refuses
+    (q close to 1), and for a cell whose t is not a normal float, whose
+    ratios leave the normal range, whose bound exceeds 2^-30 or whose
+    certificate refuses. Such a cell takes the exact path: the integers of
+    _power_at as a ScaledSequence, run through stieltjes_verdict. Either
+    path gives the verdict the exact minors give, so the result is
+    reproducible bit for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -317,21 +576,20 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
 
     matrix = []
     certified = PositivityVerdict("strictly-positive", depth)
+    upto = 2 * depth + 1
     for theta in thetas:
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        c, ints = _lattice_ints(q, 1, 2 * depth + 1)
-        kappas = _kappas_from_moments(ints)
-        base = _float_power_base(ints, kappas)
+        base, power = _lattice_floats(q, upto)
         row = []
         for t in ts:
-            floats = base and _float_power_at(base, t)
-            # (heads, exps, rels): the last entry's bound is the largest
-            if floats and _certified_stieltjes(*floats[:2], floats[2][-1], depth):
+            ratios = base and _lattice_ratios(base, t)
+            if ratios and _certified_stieltjes(partial(_lattice_hankel, base, ratios), depth):
                 verdict = certified
             else:
-                verdict = stieltjes_verdict(ScaledSequence(*_power_at((c, kappas), t)), depth)
+                power = power or _lattice_power(q, upto)[1]
+                verdict = stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth)
             row.append(ScanCell(theta, t, verdict))
         matrix.append(tuple(row))
 

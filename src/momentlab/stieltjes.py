@@ -30,17 +30,19 @@ Hankel matrix.
 
 A strictly-positive verdict on exact input needs no minor at all: positive
 definiteness of each shift's Hankel matrix implies every leading minor is
-positive, and _certified_positive proves it with one float64 Cholesky of
-the power-of-two scaled matrix, shifted by a bound on every rounding
-error. It reads each entry as a float head and a power of two, together
-with a bound rel on the relative error of every entry, which enters its
-shift as 5 n rel. stieltjes_verdict hands it the top 64 bits of each
-integer (rel = 2u, u = 2^-53); the theta-scan hands it the float t-powers
-of moment_algebra._float_power_at with their proven bound, and builds no
-exact t-power for a cell it certifies. Where that proof fails (a zero or
-negative minor, or a matrix too ill-conditioned for float64), the exact
-minors decide, so every refutation, zero, witness and witness value comes
-from _hankel_minors.
+positive, and _certified_positive proves it for a diagonally scaled matrix,
+by strict diagonal dominance where that holds and else by one float64
+Cholesky shifted by a bound on every rounding error. It is the one core of
+two producers, each handing it a congruence of the Hankel matrix with
+diagonal in [1, 4) and a bound rel on the relative error of every entry,
+which enters its shift as n rel times the largest diagonal entry.
+stieltjes_verdict's _scaled_hankel scales the top 64 bits of each integer
+by powers of two (rel = 2u, u = 2^-53); the theta-scan's
+semigroup._lattice_hankel builds the unit-diagonal matrix of its float
+ratios with their proven bound, and builds no exact t-power or cumulant for
+a cell it certifies. Where that proof fails (a zero or negative minor, or a
+matrix too ill-conditioned for float64), the exact minors decide, so every
+refutation, zero, witness and witness value comes from _hankel_minors.
 
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
@@ -49,8 +51,9 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import frexp, isqrt, lcm, ldexp, sqrt
-from operator import mul
+from functools import lru_cache, partial
+from math import frexp, fsum, isqrt, lcm, ldexp, sqrt
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
 from .exceptions import BackendError
@@ -193,81 +196,143 @@ def _hankel_minors(scaled: tuple, shift: int, size: int):
 _REL_CEILING = 2.0 ** -30  # the largest per-entry relative error the certificate takes
 
 
-def _certified_positive(heads: list, exps: list, rel: float, shift: int, size: int) -> bool:
-    """True only if the Hankel matrix H = [v_(shift+i+j)], n = size + 1
-    rows, is proved positive definite, so that (Sylvester) every leading
-    minor of sizes 0..size is > 0. Entry v_k arrives as a float head and a
-    power of two, heads[k] * 2^exps[k], within a relative rel of v_k: 2u
-    for an integer cut by moment_algebra._float_heads, the largest of the
-    window's rels for a t-power from moment_algebra._float_power_at. False
+@lru_cache(maxsize=8)
+def _upper_indices(shift: int, size: int) -> tuple:
+    """(rows, cols, sums, gaps) over the entries (i, j), i < j <= size, of a
+    matrix in row-major order: i, j, shift + i + j and j - i."""
+    pairs = [(i, j) for i in range(size + 1) for j in range(i + 1, size + 1)]
+    return (tuple(i for i, _ in pairs), tuple(j for _, j in pairs),
+            tuple(shift + i + j for i, j in pairs), tuple(j - i for i, j in pairs))
+
+
+@lru_cache(maxsize=8)
+def _lines(n: int) -> tuple:
+    """For each row i of an n-row symmetric matrix, the positions of its
+    entries off the diagonal, (i, j) or (j, i), in the row-major order of
+    the entries above the diagonal that _certified_positive reads."""
+    lines = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(zip(*_upper_indices(0, n - 1)[:2])):
+        lines[i].append(k)
+        lines[j].append(k)
+    return tuple(map(tuple, lines))
+
+
+def _scaled_hankel(heads: list, exps: list, rel: float, shift: int, size: int) -> Optional[tuple]:
+    """(diag, upper, rel): the Hankel matrix H = [v_(shift+i+j)], n = size
+    + 1 rows, as _certified_positive takes it, or None. Entry v_k arrives
+    as a float head and a power of two, heads[k] * 2^exps[k], within a
+    relative rel of v_k: 2u for an integer cut by moment_algebra._float_heads.
+
+    A = D H D, D = diag(2^-e_i), is an exact congruence, with e_i the
+    integer part of half the binary exponent of the diagonal entry's head,
+    so the diagonal of the converted A~ lies in [1, 4). ldexp moves each
+    head into A~, exact but in the subnormal range, so |a_ij - a~_ij| <=
+    rel |a_ij| + eta; an entry off the diagonal that overflows raises
+    OverflowError as _certified_positive reads it. A non-positive diagonal
+    head, or an overflow on the diagonal, gives None.
+    """
+    es = []
+    for h, x in zip(heads[shift:shift + 2 * size + 1:2], exps[shift:shift + 2 * size + 1:2]):
+        if not h > 0:
+            return None
+        es.append((frexp(h)[1] + x - 1) // 2)
+    try:
+        diag = [ldexp(heads[shift + 2 * i], exps[shift + 2 * i] - 2 * e) for i, e in enumerate(es)]
+    except OverflowError:
+        return None
+    rows, cols, sums, _ = _upper_indices(shift, size)
+    upper = map(ldexp, map(heads.__getitem__, sums),
+                map(sub, map(exps.__getitem__, sums),
+                    map(add, map(es.__getitem__, rows), map(es.__getitem__, cols))))
+    return diag, upper, rel
+
+
+def _certified_positive(diag: list, upper, rel: float) -> bool:
+    """True only if a symmetric matrix A of n = len(diag) rows is proved
+    positive definite from floats a~_ij: diag[i] = a~_ii in [1, 4), and
+    upper yielding the n (n - 1) / 2 entries a~_ij, i < j, in row-major
+    order, with |a_ij - a~_ij| <= rel |a_ij| + 2 eta. Its two producers
+    hand over an exact congruence D H D of a Hankel matrix H, D a positive
+    diagonal, so (Sylvester) every leading minor of H of sizes 0..n-1 is
+    > 0: _scaled_hankel from the float heads of integers, and
+    semigroup._lattice_hankel from the theta-scan's float ratios. False
     proves nothing: the caller then computes the minors exactly.
 
-    The proof is one float64 Cholesky (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, Thm 10.5; Rump, BIT 46, 2006). With u =
-    2^-53, eta = 2^-1074 and gamma = (n+1)u / (1 - (n+1)u):
+    With u = 2^-53, eta = 2^-1074, gamma = (n+1)u / (1 - (n+1)u), d the
+    largest a~_ii and n < 2^21, one of two proofs:
 
-    - Scaling: A = D H D, D = diag(2^-e_i), is an exact congruence, with
-      e_i the integer part of half the binary exponent of the diagonal
-      entry's head, so the diagonal of the converted A~ lies in [1, 4). A
-      non-positive diagonal head refuses.
-    - Conversion: ldexp moves each head into A~, exact but in the
-      subnormal range, so |a_ij - a~_ij| <= rel |a_ij| + eta. A rel above
-      2^-30 refuses, and so does an overflow.
-    - Check: the Cholesky factor R of B = fl(A~ - c I) runs to completion
-      with every pivot >= 2^-1022; then R^T R = B + dB with |dB| <=
-      gamma |R^T| |R| in any order of the sums. Its diagonal gives
-      ||R||_F^2 <= tr B / (1 - gamma) <= tr A~ / (1 - gamma), so ||dB||_2
-      <= gamma / (1 - gamma) tr A~; Cauchy-Schwarz on the columns of R
-      gives |b_ij| <= 4 (1 + gamma) / (1 - gamma), hence |a_ij| < 5 and
-      ||A - A~||_2 <= 5 n rel + n eta. Rounding the shifted diagonal moves
-      B from A~ - c I by at most 4u. Underflow adds at most eta / 2 to each
-      product and each quotient s / r_kk (r_kk <= 2, and the floor keeps
-      every square root and divisor normal): at most 2n(n + 2) eta in
-      norm.
-    - Bound: A = R^T R - dB + c I + (A~ - c I - B) + (A - A~) with R^T R
-      positive definite, so A is positive definite once c exceeds
-      gamma / (1 - gamma) tr A~ + 5 n rel + 4u and the eta terms. c is
-      that sum times 1 + 2^-20, which covers the rounding of its few
-      operations and of tr A~ (n < 2^30), and the eta terms, below 2^-1000
-      against a sum of at least 2^-52.
+    - Dominance: a row passes when s~ (1 + 2^-19) + 2^-1000 < a~_ii (1 -
+      4 rel), s~ the fsum of its |a~_ij|, j != i, evaluated in floats (the
+      margins cover the check's own roundings and fsum's). Then the |a_ij|,
+      each at most (|a~_ij| + 2 eta) / (1 - rel), sum to less than (a~_ii -
+      2 eta) / (1 + rel) <= a_ii. When every row passes, A is strictly
+      diagonally dominant with a positive diagonal, hence (Gershgorin)
+      positive definite. A row that fails stops the test, so a matrix far
+      from dominance pays one row sum before the Cholesky.
+    - Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
+      2002, Thm 10.5; Rump, BIT 46, 2006): the factor R of B = fl(A~ - c
+      I) runs to completion with every pivot >= 2^-1022; then R^T R = B +
+      dB with |dB| <= gamma |R^T| |R| in any order of the sums. Its
+      diagonal gives ||R||_F^2 <= tr B / (1 - gamma) <= tr A~ / (1 -
+      gamma), so ||dB||_2 <= gamma / (1 - gamma) tr A~; Cauchy-Schwarz on
+      the columns of R gives |b_ij| <= d (1 + gamma) / (1 - gamma), hence
+      |a_ij| <= d (1 + 2^-28) and ||A - A~||_2 <= n d rel (1 + 2^-28) + 2n
+      eta. Rounding the shifted diagonal moves B from A~ - c I by at most
+      4u. Underflow adds at most eta / 2 to each product and each quotient
+      s / r_kk (r_kk <= 2, and the floor keeps every square root and
+      divisor normal): at most 2n(n + 2) eta in norm. So A = R^T R - dB +
+      c I + (A~ - c I - B) + (A - A~), with R^T R positive definite, is
+      positive definite once c exceeds gamma / (1 - gamma) tr A~ + n d rel
+      + 4u and the eta terms. c is that sum times 1 + 2^-20, which covers
+      the rounding of its few operations and of tr A~, the factor 1 +
+      2^-28, and the eta terms, below 2^-1000 against a sum of at least
+      2^-52. A pivot that is not >= the floor (nan included) refuses; an
+      inf or nan entry off the diagonal, or one made inside the
+      factorization, reaches a later pivot as -inf or nan.
 
-    A pivot that is not >= the floor (nan included) refuses, and an
-    overflow inside the factorization reaches a later pivot as inf or nan.
+    A rel above 2^-30, an entry that overflows as it is read, or a count
+    of entries other than n (n - 1) / 2 refuses.
     """
     if not rel <= _REL_CEILING:
         return False
-    n = size + 1
-    hs, xs = heads[shift:shift + 2 * n - 1], exps[shift:shift + 2 * n - 1]
-    es = []
-    for h, x in zip(hs[::2], xs[::2]):
-        if not h > 0:
-            return False
-        es.append((frexp(h)[1] + x - 1) // 2)
-    gamma = (n + 1) * _U / (1 - (n + 1) * _U)
-    cols = [[] for _ in es]  # cols[j]: r_0j .. r_(k-1)j before step k
+    n = len(diag)
     try:
-        diag = [ldexp(h, x - 2 * e) for h, x, e in zip(hs[::2], xs[::2], es)]
-        c = (gamma / (1 - gamma) * sum(diag) + 5 * n * rel + 4 * _U) * (1 + 2.0 ** -20)
-        for k, (ek, ck) in enumerate(zip(es, cols)):
-            pivot = (diag[k] - c) - sum(map(mul, ck, ck))
-            if not pivot >= _NORMAL:
-                return False
-            r = sqrt(pivot)
-            for j in range(k + 1, n):
-                cj = cols[j]
-                cj.append((ldexp(hs[k + j], xs[k + j] - ek - es[j])
-                           - sum(map(mul, ck, cj))) / r)
+        upper = list(upper)
     except OverflowError:
         return False
+    if len(upper) != n * (n - 1) // 2:
+        return False
+    try:
+        if all(fsum(map(abs, map(upper.__getitem__, line))) * (1 + 2.0 ** -19) + 2.0 ** -1000
+               < d * (1 - 4 * rel) for d, line in zip(diag, _lines(n))):
+            return True  # strictly diagonally dominant
+    except OverflowError:  # a row sum past float range: no dominance
+        pass
+    gamma = (n + 1) * _U / (1 - (n + 1) * _U)
+    c = (gamma / (1 - gamma) * sum(diag) + n * rel * max(diag) + 4 * _U) * (1 + 2.0 ** -20)
+    upper = iter(upper)
+    cols = [[] for _ in diag]  # cols[j]: r_0j .. r_(k-1)j before step k
+    for k, (d, ck) in enumerate(zip(diag, cols)):
+        pivot = (d - c) - sum(map(mul, ck, ck))
+        if not pivot >= _NORMAL:
+            return False
+        r = sqrt(pivot)
+        for cj, a in zip(cols[k + 1:], upper):
+            cj.append((a - sum(map(mul, ck, cj))) / r)
     return True
 
 
-def _certified_stieltjes(heads: list, exps: list, rel: float, upto: int) -> bool:
+def _certified_stieltjes(hankel, upto: int) -> bool:
     """True only if _certified_positive proves the Hankel matrices of shifts
-    0 and 1 to size upto positive definite: then every minor and every
-    entry stieltjes_verdict reads is positive, as the entries v_0..v_(2
-    upto + 1) are the two matrices' diagonals."""
-    return all(_certified_positive(heads, exps, rel, shift, upto) for shift in (0, 1))
+    0 and 1 to size upto positive definite, each as hankel(shift, upto)
+    gives it, (diag, upper, rel) or None for a producer's refusal: then
+    every minor and every entry stieltjes_verdict reads is positive, as the
+    entries v_0..v_(2 upto + 1) are the two matrices' diagonals."""
+    for shift in (0, 1):
+        built = hankel(shift, upto)
+        if built is None or not _certified_positive(*built):
+            return False
+    return True
 
 
 def _sign(num: int, den: int, rel: Optional[Fraction], vals, shift: int, size: int) -> int:
@@ -382,7 +447,8 @@ def stieltjes_verdict(m, upto: int) -> PositivityVerdict:
             if _sign(x, den, rel, vals, idx, 0) < 0:
                 return PositivityVerdict("not-stieltjes", upto, HankelQuery(idx, 0),
                                          Fraction(x, den))
-    if rel is None and _certified_stieltjes(*_float_heads(ints), 2 * _U, upto):
+    if rel is None and _certified_stieltjes(partial(_scaled_hankel, *_float_heads(ints), 2 * _U),
+                                            upto):
         return PositivityVerdict("strictly-positive", upto)
     passes = [_hankel_minors(scaled, shift, upto) for shift in (0, 1)]
     first_zero = None

@@ -99,6 +99,8 @@ CASES = {
                          "--depth", "6"], {}),
     # the default grid where the t-powers' integers run to tens of thousands of bits
     "scan-depth-60": (["scan", "--depth", "60"], {}),
+    # made by the exact path; the float certificate must reach the same verdicts at this depth
+    "scan-depth-100": (["scan", "--depth", "100"], {}),
 }
 
 

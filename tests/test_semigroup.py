@@ -1,20 +1,18 @@
 """Semigroup identity, alternation structure, envelope, threshold scan."""
 from fractions import Fraction
+from functools import partial
+from math import comb, sqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momentlab import semigroup, stieltjes
 from momentlab.exceptions import BackendError
-from momentlab.distributions import _lattice_ints
 from momentlab.moment_algebra import (
     _U,
     MomentSequence,
     ScaledSequence,
     _float_heads,
-    _float_power_at,
-    _float_power_base,
-    _kappas_from_moments,
     _power_at,
     _power_base,
     _t_power_rows,
@@ -26,6 +24,9 @@ from momentlab.semigroup import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
     SemigroupIdentityReport,
+    _lattice_base,
+    _lattice_hankel,
+    _lattice_ratios,
     alternation_check,
     envelope_bounds_check,
     lattice_family,
@@ -33,7 +34,7 @@ from momentlab.semigroup import (
     theta_threshold_scan,
 )
 from momentlab.stieltjes import (_certified_positive, _certified_stieltjes, _hankel_minors,
-                                 stieltjes_verdict)
+                                 _scaled_hankel, stieltjes_verdict)
 
 import brute_force
 from conftest import random_moment_prefix
@@ -389,8 +390,8 @@ class TestThetaThresholdScan:
             theta_threshold_scan(theta_grid=[F(1, 4)], t_grid=[F(2)], depth=2)
 
 
-# q > 1: close to 1, where the certificate refuses from small depths on,
-# huge, and drawn
+# q > 1: close to 1, where the float cumulant ratios refuse from small
+# depths on, huge, and drawn
 lattice_qs = st.one_of(st.sampled_from([F(10 ** 6 + 1, 10 ** 6), F(101, 100), F(11, 10),
                                         F(9, 8), F(7, 3), F(10 ** 50)]),
                        st.builds(lambda a, b: 1 + F(a, b), st.integers(1, 10 ** 6),
@@ -399,44 +400,115 @@ lattice_qs = st.one_of(st.sampled_from([F(10 ** 6 + 1, 10 ** 6), F(101, 100), F(
 fine_ts = st.integers(2, 10 ** 40).flatmap(
     lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
 
+ETA = F(1, 2 ** 1074)
 
-def float_and_exact(q, t, depth):
-    """(floats, exact): _float_power_at on the scan's integers for q at t,
-    and _power_at's (s, xs) on the same input, whose entry n times c^n is
-    xs[n] / v^n."""
-    c, ints = _lattice_ints(q, 1, 2 * depth + 1)
-    kappas = _kappas_from_moments(ints)
-    base = _float_power_base(ints, kappas)
-    assert base is not None  # the lattice family's cumulants are all positive
-    return _float_power_at(base, t), _power_at((c, kappas), t)
+
+def certified(heads, exps, rel, shift, size) -> bool:
+    """_certified_positive on _scaled_hankel's matrix of the heads."""
+    built = _scaled_hankel(heads, exps, rel, shift, size)
+    return built is not None and _certified_positive(*built)
+
+
+def exact_ratios(q, t, upto):
+    """(power, ks, rs): _power_at's (s, xs) on the scan's integers for q at
+    t, the exact cumulant ratios K_n / M_n, n = 1..upto, and the exact
+    ratios r_n = mu^(t)_n / mu_n = xs[n] / (v^n M_n), n = 0..upto, s = c v."""
+    ints, (c, kappas) = semigroup._lattice_power(q, upto)
+    s, xs = _power_at((c, kappas), t)
+    v = s // c
+    return (s, xs), [F(k, m) for k, m in zip(kappas, ints[1:])], [
+        F(x, v ** n * m) for n, (x, m) in enumerate(zip(xs, ints))]
 
 
 class TestFloatPower:
-    """The scan's float t-power and the certificate on it: each entry lies
-    within its stated relative bound of the exact one, an accepted
-    certificate means every exact minor of both shifts is positive, a
-    singular Hankel matrix is refused at any accepted bound, and the scan
-    gives the exact path's result whenever it falls back to it."""
+    """The scan's float path from q: every cumulant ratio k_n, weight,
+    ratio r_n and certificate entry a_ij lies within its stated bound of
+    the exact Fraction, an accepted certificate means every exact minor of
+    both shifts is positive, a singular Hankel matrix is refused at any
+    accepted bound, and the scan gives the exact path's result whenever it
+    falls back to it."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(q=lattice_qs, t=fine_ts, depth=st.integers(0, 12))
     @example(q=F(2), t=F(2 ** 54 - 1, 2 ** 54), depth=3)
+    @example(q=F(10 ** 6 + 1, 10 ** 6), t=F(1, 3), depth=2)
     def test_entries_within_bound_and_certificate_sound(self, q, t, depth):
-        floats, (s, xs) = float_and_exact(q, t, depth)
-        if floats is None:
-            # only a t that rounds out of [2^-1022, 1), here to 1.0, or a
-            # ratio at the bottom of the normal range refuses
-            ratio = min(F(x, s ** n) / q ** (n * n) for n, x in enumerate(xs))
-            assert not 2.0 ** -1022 <= float(t) < 1.0 or ratio < F(2.0 ** -1021)
+        upto = 2 * depth + 1
+        base, _ = semigroup._lattice_floats(q, upto)
+        assert base is not None  # the lattice family's cumulants are all positive
+        (s, xs), ks, rs = exact_ratios(q, t, upto)
+        for n, (row, beta) in enumerate(zip(base.weights, base.kbounds), start=1):
+            assert abs(F(row[-1]) - ks[n - 1]) <= F(beta) * ks[n - 1], n
+            for j, weight in enumerate(row[:-1]):
+                m = 2 * (j + 1) * (n - 1 - j)
+                exact = comb(n - 1, j) * ks[j] / q ** m
+                rho = F(base.kbounds[j]) + (2 * m + 4) * F(_U)
+                assert abs(F(weight) - exact) <= rho * exact + ETA, (n, j)
+        ratios = _lattice_ratios(base, t)
+        if ratios is None:
+            # only a t whose float is not normal, or a ratio at the bottom of
+            # the normal range, refuses
+            assert not 2.0 ** -1022 <= float(t) or min(rs) < F(2.0 ** -1021)
             return
-        heads, exps, rels = floats
-        v = s // _lattice_ints(q, 1, 2 * depth + 1)[0]
-        for n, (h, e, rel, x) in enumerate(zip(heads, exps, rels, xs)):
-            exact = F(x, v ** n)
-            assert abs(F(h) * F(2) ** e - exact) <= F(rel) * exact, n
-        if _certified_stieltjes(heads, exps, rels[-1], depth):
+        r, bound = ratios
+        if bound <= 2.0 ** -30:
+            for n, (got, exact) in enumerate(zip(r, rs)):
+                assert abs(F(got) - exact) <= F(bound) * exact, n
+        for shift in (0, 1):
+            diag, upper, rel = _lattice_hankel(base, ratios, shift, depth)
+            if rel > 2.0 ** -30:
+                continue
+            g = [F(1.0 / sqrt(r[shift + 2 * i])) for i in range(depth + 1)]
+            for i in range(depth + 1):  # a_ii = g_i^2 r_(shift+2i), stored as 1
+                exact = g[i] ** 2 * rs[shift + 2 * i]
+                assert diag[i] == 1.0 and abs(1 - exact) <= F(rel) * exact + 2 * ETA
+            for (i, j), got in zip(((i, j) for i in range(depth + 1)
+                                    for j in range(i + 1, depth + 1)), upper):
+                exact = g[i] * g[j] * rs[shift + i + j] / q ** ((i - j) ** 2)
+                assert abs(F(got) - exact) <= F(rel) * exact + 2 * ETA, (shift, i, j)
+        if _certified_stieltjes(partial(_lattice_hankel, base, ratios), depth):
             for shift in (0, 1):
                 assert all(num > 0 for num, _ in _hankel_minors((1, s, xs), shift, depth))
+
+    @pytest.mark.parametrize("q, shift", [(F(2), 0), (F(2), 1), (F(3), 0), (F(3), 1),
+                                          (F(11, 10), 0), (F(11, 10), 1)])
+    def test_certificate_matrix_at_t_one(self, q, shift):
+        # at t = 1 every r_n is 1, and the matrix is [q^(-(i-j)^2)]: its
+        # leading minors times prod v_(shift+2i), v_n = q^(n^2), are the
+        # closed-form minors of the lattice, so c and the shift cancel. The
+        # float matrix is that one within its bound.
+        depth = 5
+        size = depth + 1
+        exact = [[q ** -((i - j) ** 2) for j in range(size)] for i in range(size)]
+        scale = F(1)
+        for rows in range(1, size + 1):
+            scale *= q ** ((shift + 2 * (rows - 1)) ** 2)
+            minor = brute_force.rational_det([row[:rows] for row in exact[:rows]])
+            assert minor * scale == brute_force.lattice_hankel_minor(q, shift, rows)
+        base, _ = semigroup._lattice_floats(q, 2 * depth + 1)
+        ratios = _lattice_ratios(base, F(1))
+        diag, upper, rel = _lattice_hankel(base, ratios, shift, depth)
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        g = [F(1.0 / sqrt(ratios[0][shift + 2 * i])) for i in range(size)]
+        for (i, j), got in zip(pairs, upper, strict=True):
+            assert abs(F(got) - g[i] * g[j] * exact[i][j]) <= F(rel) * g[i] * g[j] * exact[i][j]
+        assert all(abs(1 - x * x) <= F(rel) for x in g) and diag == [1.0] * size
+
+    @pytest.mark.parametrize("q", [F(10), F(2), F(7, 3), F(11, 10), F(10 ** 50), F(2 ** 200 + 1)])
+    def test_inverse_powers_within_bound(self, q):
+        # past (1/q)^m < 2^-900 the table carries a power of two, and past
+        # 2^-2200 it stores 0; below that each power is within gamma_(2m)
+        count = 1200
+        xs, es = semigroup._inverse_powers(q, count)
+        power = F(1)
+        for m, (x, e) in enumerate(zip(xs, es or [0] * (count + 1))):
+            if x == 0:
+                assert power < F(1, 2 ** 2200), m
+            else:
+                gamma = 2 * m * F(_U) / (1 - 2 * m * F(_U))
+                assert abs(F(x) * F(2) ** e - power) <= gamma * power, m
+            power /= q
+        assert (es is None) == (q == F(11, 10))  # (10/11)^1200 is about 2^-165
 
     @settings(max_examples=60, deadline=None)
     @given(atoms=st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=2, unique=True),
@@ -448,27 +520,50 @@ class TestFloatPower:
         heads, exps = _float_heads(ints)
         for rel in (2 * _U, 2.0 ** -40, 2.0 ** -30):
             for shift in (0, 1):
-                assert not _certified_positive(heads, exps, rel, shift, size)
+                assert not certified(heads, exps, rel, shift, size)
 
     def test_bound_past_the_ceiling_refuses(self):
         heads, exps = _float_heads([2 ** (n * n) for n in range(8)])
-        assert _certified_positive(heads, exps, 2.0 ** -30, 0, 3)
-        assert not _certified_positive(heads, exps, 2.0 ** -29, 0, 3)
+        assert certified(heads, exps, 2.0 ** -30, 0, 3)
+        assert not certified(heads, exps, 2.0 ** -29, 0, 3)
 
     def test_kernel_refuses(self):
-        c, ints = _lattice_ints(F(2), 1, 5)
-        kappas = _kappas_from_moments(ints)
-        assert _float_power_base(ints, [-1] + kappas[1:]) is None
-        base = _float_power_base(ints, kappas)
-        # t that rounds to 0.0 or below the normal range, and t not below 1
-        for t in (F(1, 10 ** 400), F(1, 2 ** 1023), F(1), F(3, 2)):
-            assert _float_power_at(base, t) is None
-        assert _float_power_at(base, F(1, 2 ** 1000)) is not None
-        # a normal t whose second ratio, about 2e-6 t, is subnormal
-        c, ints = _lattice_ints(F(10 ** 6 + 1, 10 ** 6), 1, 2)
-        base = _float_power_base(ints, _kappas_from_moments(ints))
-        assert _float_power_at(base, F(1, 2 ** 1000)) is not None
-        assert _float_power_at(base, F(1, 2 ** 1010)) is None
+        base, power = semigroup._lattice_floats(F(2), 5)
+        assert power is None  # q = 2 keeps its float cumulant ratios
+        # t that rounds to 0.0 or below the normal range, and t past 1
+        for t in (F(1, 10 ** 400), F(1, 2 ** 1023), F(3, 2)):
+            assert _lattice_ratios(base, t) is None
+        assert _lattice_ratios(base, F(1, 2 ** 1000)) is not None
+        # close to 1 the ratios come from the exact cumulants; a normal t
+        # whose second ratio, about 2e-6 t, is subnormal
+        q = F(10 ** 6 + 1, 10 ** 6)
+        assert _lattice_base(q, 2) is None
+        base, power = semigroup._lattice_floats(q, 2)
+        assert power is not None
+        assert _lattice_ratios(base, F(1, 2 ** 1000)) is not None
+        assert _lattice_ratios(base, F(1, 2 ** 1010)) is None
+        # a cumulant ratio that is not a normal positive float
+        for bad in (0.0, -0.5, 2.0 ** -1030):
+            assert _lattice_base(F(2), 5, [1.0, bad, 0.5, 0.5, 0.5]) is None
+
+    @pytest.mark.parametrize("q, depth", [(F(10 ** 6 + 1, 10 ** 6), 2), (F(101, 100), 4),
+                                          (F(11, 10), 8), (F(9, 8), 8)])
+    def test_close_to_one_takes_the_exact_cumulants(self, q, depth, monkeypatch):
+        # the float cumulant ratios refuse, the scan reads them off the
+        # exact cumulants, and certifies every cell without an exact t-power
+        upto = 2 * depth + 1
+        assert _lattice_base(q, upto) is None
+        base, power = semigroup._lattice_floats(q, upto)
+        assert base is not None and power == semigroup._lattice_power(q, upto)[1]
+        calls, power_at = [], semigroup._power_at
+
+        def counting(power, t):
+            calls.append(t)
+            return power_at(power, t)
+
+        monkeypatch.setattr(semigroup, "_power_at", counting)
+        res = theta_threshold_scan([1 / q ** 2], [F(1, 3), F(1, 2), F(2, 3)], depth)
+        assert calls == [] and all(cell.passed for cell in res.pass_matrix[0])
 
     def test_tiny_t_takes_the_exact_path(self, capsys, monkeypatch):
         # 1e-400 is 0.0 as a float, so every cell builds its exact t-power
@@ -488,20 +583,33 @@ class TestFloatPower:
         assert capsys.readouterr().out == out
         assert '"verdict": "fail"' not in out
 
-    @pytest.mark.parametrize("grid", [
+    REFUSING_GRIDS = [
         (DEFAULT_THETA_GRID, DEFAULT_T_GRID, 6),
         ([1 / F(q) ** 2 for q in (F(7, 3), 3, 5, 7, 11)], [F(3, 13), F(6, 11), F(9, 13)], 6),
-        ([F(100, 121), F(64, 81)], [F(1, 10 ** 30), F(1, 3), F(10 ** 20 - 1, 10 ** 20)], 8)])
+        ([F(100, 121), F(64, 81)], [F(1, 10 ** 30), F(1, 3), F(10 ** 20 - 1, 10 ** 20)], 8)]
+
+    @pytest.mark.parametrize("grid", REFUSING_GRIDS)
     def test_refusing_certificate_gives_the_same_result(self, grid, monkeypatch):
         certified = theta_threshold_scan(*grid)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert theta_threshold_scan(*grid) == certified
 
-    def test_depth_60_by_floats_alone(self, monkeypatch):
+    @pytest.mark.parametrize("grid", REFUSING_GRIDS)
+    def test_grids_need_no_exact_power(self, grid, monkeypatch):
+        # t = 1 - 10^-20 rounds to the float 1.0, and q = 11/10 and 9/8 take
+        # the exact cumulant ratios: still no cell builds an exact t-power
         def no_exact_power(*args):
             raise AssertionError("the float certificate should decide every cell")
 
         monkeypatch.setattr(semigroup, "_power_at", no_exact_power)
-        res = theta_threshold_scan(depth=60)
+        res = theta_threshold_scan(*grid)
+        assert all(cell.passed for row in res.pass_matrix for cell in row)
+
+    def test_depth_100_by_floats_alone(self, monkeypatch):
+        def no_exact_power(*args):
+            raise AssertionError("the float certificate should decide every cell")
+
+        monkeypatch.setattr(semigroup, "_power_at", no_exact_power)
+        res = theta_threshold_scan(depth=100)
         assert all(cell.passed for row in res.pass_matrix for cell in row)
         assert len(res.pass_matrix) * len(res.t_grid) == 15

@@ -22,6 +22,7 @@ from momentlab.stieltjes import (
     _hankel_minors,
     _integer_scale,
     _leading_minors,
+    _scaled_hankel,
     _sequence_values,
     fekete_total_positivity,
     hankel_matrix,
@@ -487,8 +488,10 @@ def exactly_positive_definite(ints, shift, size) -> bool:
 
 def certified_ints(ints, shift, size) -> bool:
     """_certified_positive at (shift, size) on integers, as stieltjes_verdict
-    hands them over: their float heads, each within a relative 2u."""
-    return _certified_positive(*_float_heads(ints), 2 * _U, shift, size)
+    hands them over: _scaled_hankel of their float heads, each within a
+    relative 2u."""
+    built = _scaled_hankel(*_float_heads(ints), 2 * _U, shift, size)
+    return built is not None and _certified_positive(*built)
 
 
 def certified_soundly(ints, shift, size) -> bool:
@@ -588,8 +591,12 @@ class TestCertifiedPositive:
     def test_refuses_non_positive_diagonal_and_overflow(self):
         assert not certified_ints([0, 1, 1], 0, 1)
         assert not certified_ints([1, 0, -1], 0, 1)
-        # an off-diagonal entry far past the diagonal overflows the scaling
+        # an off-diagonal entry far past the diagonal overflows the scaling,
+        # and two finite ones overflow a row sum of the dominance test
         assert not certified_ints([1, 2 ** 3000, 1], 0, 1)
+        assert not certified_ints([1, 2 ** 1023, 1, 2 ** 1023, 1], 0, 2)
+        # [[1, 1], [1, 1]] is singular, its rows dominant up to equality
+        assert not certified_ints([1, 1, 1], 0, 1)
         assert certified_ints([1, 1, 2], 0, 1)
 
 
