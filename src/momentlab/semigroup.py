@@ -458,7 +458,8 @@ def _lattice_hankel(base: LatticeBase, ratios: tuple, shift: int, size: int) -> 
     relative to itself. So rel = (B + (2 size^2 + 6) u) M. The product by
     r~ and the two steps after it (x <= 1, then ldexp(., e <= 0)) each add
     at most eta / 2 where subnormal and never scale an earlier one up; a
-    power stored as 0 leaves an entry below eta.
+    power stored as 0 leaves an entry below eta. upper is a list, so the
+    certificate tries strict diagonal dominance before its Cholesky.
     """
     r, bound = ratios
     rows, cols, sums, gaps = _upper_indices(shift, size)
@@ -467,7 +468,7 @@ def _lattice_hankel(base: LatticeBase, ratios: tuple, shift: int, size: int) -> 
                          map(r.__getitem__, sums)), map(base.squares.__getitem__, gaps))
     if base.exps is not None:
         upper = map(ldexp, upper, map(base.exps.__getitem__, gaps))
-    return [1.0] * (size + 1), upper, (bound + (2 * size * size + 6) * _U) * _MARGIN
+    return [1.0] * (size + 1), list(upper), (bound + (2 * size * size + 6) * _U) * _MARGIN
 
 
 def _lattice_power(q: Fraction, upto: int) -> tuple:

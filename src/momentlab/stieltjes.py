@@ -30,19 +30,20 @@ Hankel matrix.
 
 A strictly-positive verdict on exact input needs no minor at all: positive
 definiteness of each shift's Hankel matrix implies every leading minor is
-positive, and _certified_positive proves it for a diagonally scaled matrix,
-by strict diagonal dominance where that holds and else by one float64
-Cholesky shifted by a bound on every rounding error. It is the one core of
-two producers, each handing it a congruence of the Hankel matrix with
-diagonal in [1, 4) and a bound rel on the relative error of every entry,
-which enters its shift as n rel times the largest diagonal entry.
-stieltjes_verdict's _scaled_hankel scales the top 64 bits of each integer
-by powers of two (rel = 2u, u = 2^-53); the theta-scan's
-semigroup._lattice_hankel builds the unit-diagonal matrix of its float
-ratios with their proven bound, and builds no exact t-power or cumulant for
-a cell it certifies. Where that proof fails (a zero or negative minor, or a
-matrix too ill-conditioned for float64), the exact minors decide, so every
-refutation, zero, witness and witness value comes from _hankel_minors.
+positive, and _certified_positive proves it for a diagonally scaled matrix
+with one float64 Cholesky shifted by a bound on every rounding error. It is
+the one core of two producers, each handing it a congruence of the Hankel
+matrix with diagonal in [1, 4) and a bound rel on the relative error of
+every entry, which enters its shift as n rel times the largest diagonal
+entry. stieltjes_verdict's _scaled_hankel scales the top 64 bits of each
+integer by powers of two (rel = 2u, u = 2^-53), as the Cholesky reads
+them; the theta-scan's semigroup._lattice_hankel builds the unit-diagonal
+matrix of its float ratios with their proven bound, as a list, which the
+core first tries for strict diagonal dominance, and builds no exact t-power
+or cumulant for a cell it certifies. Where that proof fails (a zero or
+negative minor, or a matrix too ill-conditioned for float64), the exact
+minors decide, so every refutation, zero, witness and witness value comes
+from _hankel_minors.
 
 All verdicts are depth-qualified: they speak about the examined window only
 and never claim more than finite-depth evidence.
@@ -247,78 +248,90 @@ def _scaled_hankel(heads: list, exps: list, rel: float, shift: int, size: int) -
     return diag, upper, rel
 
 
+def _dominant(diag: list, upper: list) -> bool:
+    """True only if the symmetric matrix A of _certified_positive's contract,
+    with rel <= 2^-30 and n < 2^21, is strictly diagonally dominant, hence
+    (Gershgorin, with its positive diagonal) positive definite: every row
+    has s~ (1 + 2^-19) < a~_ii, s~ the fsum of its |a~_ij|, j != i,
+    evaluated in floats. A row that fails stops the test, so a matrix far
+    from dominance pays one row sum.
+
+    Proof, with s the exact sum of the row's |a~_ij|: fsum rounds once and
+    so does the product, so s (1 + 2^-19)(1 - u)^2 < a~_ii. The true
+    entries have |a_ij| <= (|a~_ij| + 2 eta) / (1 - rel) and a_ii >= (a~_ii
+    - 2 eta) / (1 + rel), and (1 + rel) / (1 - rel) < 1 + 2^-28, so the row
+    is dominant once s (1 + 2^-28) + 2^-1000 < a~_ii. For s <= 1/2 the
+    left side is below 1 <= a~_ii; for s > 1/2 it is below s (1 + 2^-28 +
+    2^-999) < s (1 + 2^-19)(1 - u)^2. A row sum past float range raises
+    OverflowError, which refuses.
+    """
+    try:
+        return all(fsum(map(abs, map(upper.__getitem__, line))) * (1 + 2.0 ** -19) < d
+                   for d, line in zip(diag, _lines(len(diag))))
+    except OverflowError:
+        return False
+
+
 def _certified_positive(diag: list, upper, rel: float) -> bool:
     """True only if a symmetric matrix A of n = len(diag) rows is proved
     positive definite from floats a~_ij: diag[i] = a~_ii in [1, 4), and
-    upper yielding the n (n - 1) / 2 entries a~_ij, i < j, in row-major
-    order, with |a_ij - a~_ij| <= rel |a_ij| + 2 eta. Its two producers
-    hand over an exact congruence D H D of a Hankel matrix H, D a positive
-    diagonal, so (Sylvester) every leading minor of H of sizes 0..n-1 is
-    > 0: _scaled_hankel from the float heads of integers, and
+    upper the n (n - 1) / 2 entries a~_ij, i < j, in row-major order,
+    with |a_ij - a~_ij| <= rel |a_ij| + 2 eta. Its two producers hand over
+    an exact congruence D H D of a Hankel matrix H, D a positive diagonal,
+    so (Sylvester) every leading minor of H of sizes 0..n-1 is > 0:
+    _scaled_hankel from the float heads of integers, and
     semigroup._lattice_hankel from the theta-scan's float ratios. False
     proves nothing: the caller then computes the minors exactly.
 
-    With u = 2^-53, eta = 2^-1074, gamma = (n+1)u / (1 - (n+1)u), d the
-    largest a~_ii and n < 2^21, one of two proofs:
+    A producer that hands upper as a list has built every entry already,
+    and its matrix is first tried for strict diagonal dominance
+    (_dominant); the lattice's entries decay like q^(-(i-j)^2), so most of
+    its matrices pass there. An iterator (_scaled_hankel's) goes straight
+    to the Cholesky, which computes each entry as it reads it and stops at
+    the first failed pivot.
 
-    - Dominance: a row passes when s~ (1 + 2^-19) + 2^-1000 < a~_ii (1 -
-      4 rel), s~ the fsum of its |a~_ij|, j != i, evaluated in floats (the
-      margins cover the check's own roundings and fsum's). Then the |a_ij|,
-      each at most (|a~_ij| + 2 eta) / (1 - rel), sum to less than (a~_ii -
-      2 eta) / (1 + rel) <= a_ii. When every row passes, A is strictly
-      diagonally dominant with a positive diagonal, hence (Gershgorin)
-      positive definite. A row that fails stops the test, so a matrix far
-      from dominance pays one row sum before the Cholesky.
-    - Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
-      2002, Thm 10.5; Rump, BIT 46, 2006): the factor R of B = fl(A~ - c
-      I) runs to completion with every pivot >= 2^-1022; then R^T R = B +
-      dB with |dB| <= gamma |R^T| |R| in any order of the sums. Its
-      diagonal gives ||R||_F^2 <= tr B / (1 - gamma) <= tr A~ / (1 -
-      gamma), so ||dB||_2 <= gamma / (1 - gamma) tr A~; Cauchy-Schwarz on
-      the columns of R gives |b_ij| <= d (1 + gamma) / (1 - gamma), hence
-      |a_ij| <= d (1 + 2^-28) and ||A - A~||_2 <= n d rel (1 + 2^-28) + 2n
-      eta. Rounding the shifted diagonal moves B from A~ - c I by at most
-      4u. Underflow adds at most eta / 2 to each product and each quotient
-      s / r_kk (r_kk <= 2, and the floor keeps every square root and
-      divisor normal): at most 2n(n + 2) eta in norm. So A = R^T R - dB +
-      c I + (A~ - c I - B) + (A - A~), with R^T R positive definite, is
-      positive definite once c exceeds gamma / (1 - gamma) tr A~ + n d rel
-      + 4u and the eta terms. c is that sum times 1 + 2^-20, which covers
-      the rounding of its few operations and of tr A~, the factor 1 +
-      2^-28, and the eta terms, below 2^-1000 against a sum of at least
-      2^-52. A pivot that is not >= the floor (nan included) refuses; an
-      inf or nan entry off the diagonal, or one made inside the
-      factorization, reaches a later pivot as -inf or nan.
+    The Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, Thm 10.5; Rump, BIT 46, 2006), with u = 2^-53, eta = 2^-1074,
+    gamma = (n+1)u / (1 - (n+1)u), d the largest a~_ii and n < 2^21: the
+    factor R of B = fl(A~ - c I) runs to completion with every pivot >=
+    2^-1022; then R^T R = B + dB with |dB| <= gamma |R^T| |R| in any order
+    of the sums. Its diagonal gives ||R||_F^2 <= tr B / (1 - gamma) <= tr
+    A~ / (1 - gamma), so ||dB||_2 <= gamma / (1 - gamma) tr A~;
+    Cauchy-Schwarz on the columns of R gives |b_ij| <= d (1 + gamma) / (1
+    - gamma), hence |a_ij| <= d (1 + 2^-28) and ||A - A~||_2 <= n d rel (1
+    + 2^-28) + 2n eta. Rounding the shifted diagonal moves B from A~ - c I
+    by at most 4u. Underflow adds at most eta / 2 to each product and each
+    quotient s / r_kk (r_kk <= 2, and the floor keeps every square root
+    and divisor normal): at most 2n(n + 2) eta in norm. So A = R^T R - dB
+    + c I + (A~ - c I - B) + (A - A~), with R^T R positive definite, is
+    positive definite once c exceeds gamma / (1 - gamma) tr A~ + n d rel
+    + 4u and the eta terms. c is that sum times 1 + 2^-20, which covers
+    the rounding of its few operations and of tr A~, the factor 1 +
+    2^-28, and the eta terms, below 2^-1000 against a sum of at least
+    2^-52. A pivot that is not >= the floor (nan included) refuses; an
+    inf or nan entry, or one made inside the factorization, reaches a
+    later pivot as -inf or nan.
 
-    A rel above 2^-30, an entry that overflows as it is read, or a count
-    of entries other than n (n - 1) / 2 refuses.
+    A rel above 2^-30, or an entry that overflows as it is read, refuses.
     """
     if not rel <= _REL_CEILING:
         return False
-    n = len(diag)
-    try:
-        upper = list(upper)
-    except OverflowError:
-        return False
-    if len(upper) != n * (n - 1) // 2:
-        return False
-    try:
-        if all(fsum(map(abs, map(upper.__getitem__, line))) * (1 + 2.0 ** -19) + 2.0 ** -1000
-               < d * (1 - 4 * rel) for d, line in zip(diag, _lines(n))):
-            return True  # strictly diagonally dominant
-    except OverflowError:  # a row sum past float range: no dominance
-        pass
-    gamma = (n + 1) * _U / (1 - (n + 1) * _U)
-    c = (gamma / (1 - gamma) * sum(diag) + n * rel * max(diag) + 4 * _U) * (1 + 2.0 ** -20)
+    if isinstance(upper, list) and _dominant(diag, upper):
+        return True
+    gamma = (len(diag) + 1) * _U / (1 - (len(diag) + 1) * _U)
+    c = (gamma / (1 - gamma) * sum(diag) + len(diag) * rel * max(diag) + 4 * _U) * (1 + 2.0 ** -20)
     upper = iter(upper)
     cols = [[] for _ in diag]  # cols[j]: r_0j .. r_(k-1)j before step k
-    for k, (d, ck) in enumerate(zip(diag, cols)):
-        pivot = (d - c) - sum(map(mul, ck, ck))
-        if not pivot >= _NORMAL:
-            return False
-        r = sqrt(pivot)
-        for cj, a in zip(cols[k + 1:], upper):
-            cj.append((a - sum(map(mul, ck, cj))) / r)
+    try:
+        for k, (d, ck) in enumerate(zip(diag, cols)):
+            pivot = (d - c) - sum(map(mul, ck, ck))
+            if not pivot >= _NORMAL:
+                return False
+            r = sqrt(pivot)
+            for cj, a in zip(cols[k + 1:], upper):
+                cj.append((a - sum(map(mul, ck, cj))) / r)
+    except OverflowError:
+        return False
     return True
 
 

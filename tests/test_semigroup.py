@@ -428,7 +428,7 @@ class TestFloatPower:
     accepted bound, and the scan gives the exact path's result whenever it
     falls back to it."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(q=lattice_qs, t=fine_ts, depth=st.integers(0, 12))
     @example(q=F(2), t=F(2 ** 54 - 1, 2 ** 54), depth=3)
     @example(q=F(10 ** 6 + 1, 10 ** 6), t=F(1, 3), depth=2)
