@@ -58,7 +58,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import wraps
-from math import comb, factorial, gcd
+from math import comb, gcd
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -361,17 +361,24 @@ class TPolynomial(Record):
         return acc
 
 
-def _pair_upto(a: MomentSequence, b: MomentSequence, upto: Optional[int], what: str) -> int:
-    """upto, or the shorter degree when it is None, for a convolution of a
-    and b; BackendError when they mix backends, ValueError when upto
-    exceeds either."""
-    if a.exact != b.exact:
-        raise BackendError("%s refuses to mix exact and approximate sequences" % what)
+def _checked_upto(upto: Optional[int], degree: int) -> int:
+    """upto, or degree when it is None; ValueError when upto is negative,
+    which would slice entries off the end of a prefix, or exceeds degree."""
     if upto is None:
-        return min(a.degree, b.degree)
-    if upto > a.degree or upto > b.degree:
+        return degree
+    if upto < 0:
+        raise ValueError("upto must be >= 0, got %d" % upto)
+    if upto > degree:
         raise ValueError("upto=%d exceeds an input length" % upto)
     return upto
+
+
+def _pair_upto(a: MomentSequence, b: MomentSequence, upto: Optional[int], what: str) -> int:
+    """upto, or the shorter degree when it is None, for a convolution of a
+    and b, through _checked_upto; BackendError when they mix backends."""
+    if a.exact != b.exact:
+        raise BackendError("%s refuses to mix exact and approximate sequences" % what)
+    return _checked_upto(upto, min(a.degree, b.degree))
 
 
 def _result_like(a: MomentSequence, values) -> MomentSequence:
@@ -379,12 +386,11 @@ def _result_like(a: MomentSequence, values) -> MomentSequence:
 
 
 def _prefix(m: MomentSequence, upto: Optional[int]) -> MomentSequence:
-    """(mu_0, ..., mu_upto); the whole of m when upto is None."""
+    """(mu_0, ..., mu_upto) through _checked_upto; the whole of m when
+    upto is None."""
     if upto is None:
         return m
-    if upto > m.degree:
-        raise ValueError("upto exceeds input length")
-    return _result_like(m, m.values[:upto + 1])
+    return _result_like(m, m.values[:_checked_upto(upto, m.degree) + 1])
 
 
 @_at_own_precision
@@ -519,18 +525,17 @@ def _power_sequence(seq, power: tuple, t, boolean: bool = False) -> MomentSequen
 
 
 def _composition_sum(m, n: int) -> tuple:
-    """(S_1(n), ..., S_n(n)), where S_j(n) is the sum over compositions
-    (n_1..n_j) of n of multinomial * prod mu_{n_i}.
+    """(c, row) with S_j(n) = j! row[j] / c^n for j = 1..n, where S_j(n) is
+    the sum over compositions (n_1..n_j) of n of multinomial * prod
+    mu_{n_i}; row[0] is 0 for n >= 1.
 
     m is a MomentSequence or a plain list with m[0] = 1. Each composition
-    orders the blocks of a set partition, so S_j(n) = j! B_{n,j}(mu), one
-    row of the partial Bell table on the scaled integer moments.
+    orders the blocks of a set partition, so S_j(n) = j! B_{n,j}(mu), and
+    row is row n of the partial Bell table (_bell_rows) on the integers
+    c^k mu_k of _isobaric_ints: no Fraction is built.
     """
-    vals = [m[k] for k in range(n + 1)]
-    _, c, ints = _isobaric_ints(vals)
-    row = _bell_rows(ints[1:])[n]
-    scale = c ** n
-    return tuple(Fraction(factorial(j) * row[j], scale) for j in range(1, n + 1))
+    _, c, ints = _isobaric_ints([m[k] for k in range(n + 1)])
+    return c, _bell_rows(ints[1:])[n]
 
 
 def mb_compose_integer(m: MomentSequence, k: int, upto: Optional[int] = None) -> MomentSequence:
@@ -569,7 +574,7 @@ def mb_compose_t(m: MomentSequence, upto: Optional[int] = None) -> list:
     are easy to re-derive by hand.
     """
     m.require_exact("mb_compose_t")
-    c, rows = _t_power_rows(_prefix(m, upto).values)
+    c, rows = _t_power_rows(m.values[:_checked_upto(upto, m.degree) + 1])
     polys, scale = [], 1
     for row in rows:
         polys.append(TPolynomial([Fraction(b, scale) for b in row]))

@@ -27,16 +27,20 @@ integers over c^n, c = b^(2 depth + 1) for q = a/b), and a cell whose
 floats or certificate refuse takes the exact t-power of _power_at on those
 cumulants to stieltjes_verdict as a ScaledSequence. So every witness, zero
 and refutation is exact, and a cell builds a Fraction only for a witness.
-The alternation check compares its terms as integer numerators over one
-denominator and builds each term's Fraction once. lattice_family, the same
-family as a MomentSequence, is for callers that want the Fractions.
+The t-composition reports judge on integers: the alternation check
+compares its terms as integer numerators over one denominator, from the
+integer partial Bell row of _composition_sum, and the envelope check
+compares each row's x_n / s^n from _power_at with its bounds by
+cross-multiplication. Each reported Fraction is built once, and no two
+Fractions are compared. lattice_family, the same family as a
+MomentSequence, is for callers that want the Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
-from math import comb, factorial, frexp, fsum, isqrt, lcm, ldexp, sqrt
+from math import comb, frexp, fsum, isqrt, ldexp, sqrt
 from operator import mul, truediv
 from typing import Optional, Sequence
 
@@ -124,31 +128,32 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
 
     Checks that the j=1 term equals t*mu_n, that term signs alternate with
     j, that absolute values never increase, and that each tail sum is no
-    larger in modulus than the term just before it. The three comparisons
-    run on the integer numerators of the terms over one common
-    denominator; each term becomes a Fraction once, for the report.
+    larger in modulus than the term just before it. At t = u/v, C(t, j) =
+    P_j / (j! v^j) with P_j = u (u - v) ... (u - (j-1) v), and
+    _composition_sum gives S_j(n) = j! row[j] / c^n, so the j! cancels and
+    term j is P_j row[j] v^(n-j) over the one denominator (c v)^n. The
+    checks run on these integer numerators, and each term becomes a
+    Fraction once, for the report.
     """
     m.require_exact("alternation_check")
     t = Fraction(t)
     if not 1 <= n <= m.degree:
         raise ValueError("need 1 <= n <= degree")
     vals = m.values
-    sums = _composition_sum(vals, n)
-    # C(t, j) = P_j / (j! v^j) at t = u/v, with P_j = u (u - v) ... (u - (j-1) v),
-    # so term j is nums[j-1] / den over the one denominator n! v^n lcm(den S_j)
+    c, row = _composition_sum(vals, n)
     u, v = t.numerator, t.denominator
-    common = lcm(*(s.denominator for s in sums))
-    rest, v_rest = factorial(n), v ** n  # n!/j! and v^(n-j), from j = 0
-    den = rest * v_rest * common
-    nums, p = [], 1
-    for j, s in enumerate(sums, start=1):
+    den = (c * v) ** n
+    nums, p, v_rest = [], 1, v ** n  # v_rest = v^(n-j), from j = 0
+    for j in range(1, n + 1):
         p *= u - (j - 1) * v
-        rest //= j
         v_rest //= v
-        nums.append(p * s.numerator * (common // s.denominator) * rest * v_rest)
+        nums.append(p * row[j] * v_rest)
     terms = tuple(Fraction(x, den) for x in nums)
 
-    leading = t * vals[n]
+    mu_n = vals[n]
+    leading = t * mu_n
+    # terms[0] = nums[0] / den against t mu_n = u a / (v b), for mu_n = a / b
+    leading_ok = nums[0] * v * mu_n.denominator == u * mu_n.numerator * den
     signs_ok = all(x > 0 if j % 2 == 0 else x < 0 for j, x in enumerate(nums))
     moduli = [abs(x) for x in nums]
     moduli_ok = all(a >= b for a, b in zip(moduli, moduli[1:]))
@@ -164,7 +169,7 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     if n >= 2:
         strict = all(a < b for a, b in _log_convexity_ratios(vals[:n + 1]))
     pre = {"t_in_unit_interval": 0 < t < 1, "strictly_log_convex": strict}
-    return AlternationReport(t, n, terms, leading, terms[0] == leading,
+    return AlternationReport(t, n, terms, leading, leading_ok,
                              signs_ok, moduli_ok, tails_ok, pre)
 
 
@@ -198,7 +203,15 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
     Requires the examined prefix to be theta-log-convex (every ratio
     mu_n^2/(mu_{n-1} mu_{n+1}) at most theta) and t in (0, 1); when either
     fails the report says so instead of judging the bounds. The composed
-    moments come from _power_at.
+    moments come from _power_at as x_n / s^n.
+
+    Each row is judged on integers. With t = u/v, theta = th_n / th_d and
+    mu_n = a/b, upper = u a / (v b) and lower = (th_d - th_n) upper /
+    th_d, so value <= upper is x v b <= u a s^n, and lower < value is
+    (th_d - th_n) u a s^n < th_d x v b. Every denominator there (s^n, v, b,
+    th_d) is positive, so multiplying through keeps each inequality's
+    direction: the integer tests decide exactly what the Fraction
+    comparisons would. The row's three Fractions are built for the report.
     """
     m.require_exact("envelope_bounds_check")
     theta = Fraction(theta)
@@ -206,26 +219,30 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
     if not 1 <= depth <= m.degree:
         raise ValueError("need 1 <= depth <= degree")
     vals = m.values
-    if any(v <= 0 for v in vals[:depth + 1]):
+    if any(v.numerator <= 0 for v in vals[:depth + 1]):
         raise ValueError("envelope_bounds_check needs positive entries")
     if not 0 < t < 1:
         return EnvelopeReport("precondition-failed", theta, t, depth,
                               witness=("t outside (0,1)", t))
+    th_n, th_d = theta.numerator, theta.denominator
     for k, (a, b) in enumerate(_log_convexity_ratios(vals[:depth + 1]), start=1):
-        if a * theta.denominator > theta.numerator * b:
+        if a * th_d > th_n * b:
             return EnvelopeReport("precondition-failed", theta, t, depth,
                                   witness=("log-convexity ratio exceeds theta",
                                            k, Fraction(a, b)))
-    composed = ScaledSequence(*_power_at(_power_base(vals[:depth + 1]), t)).values
-    rows = []
+    s, xs = _power_at(_power_base(vals[:depth + 1]), t)
+    u, v = t.numerator, t.denominator
+    gap, below = th_d - th_n, 1 - theta
+    rows, scale = [], 1
     for n in range(1, depth + 1):
-        value = composed[n]
+        scale *= s
+        x, a, b = xs[n], vals[n].numerator, vals[n].denominator
+        xvb, uas = x * v * b, u * a * scale
         upper = t * vals[n]
-        lower = (1 - theta) * upper
-        rows.append((n, lower, value, upper))
-        if not (lower < value <= upper):
+        rows.append((n, below * upper, Fraction(x, scale), upper))
+        if not (gap * uas < th_d * xvb and xvb <= uas):
             return EnvelopeReport("violated", theta, t, depth, tuple(rows),
-                                  witness=(n, lower, value, upper))
+                                  witness=rows[-1])
     return EnvelopeReport("holds", theta, t, depth, tuple(rows))
 
 

@@ -97,6 +97,9 @@ CASES = {
                                     "--upto", "8"], {}),
     "scan-rational-q": (["scan", "--theta-grid", "9/49,4/9", "--t-grid", "1/3,3/4",
                          "--depth", "6"], {}),
+    # the t-power polynomials at a scale c > 1: every coefficient a reduced Fraction
+    "compose-mb-symbolic-rational-q": (["compose", "lattice.json", "--op", "mb", "--symbolic"],
+                                       {"lattice.json": "moments-lattice-rational-q.stdout"}),
     # the default grid where the t-powers' integers run to tens of thousands of bits
     "scan-depth-60": (["scan", "--depth", "60"], {}),
     # made by the exact path; the float certificate must reach the same verdicts at this depth

@@ -1,5 +1,6 @@
 """Moment containers, t-polynomials, and the convolution compositions."""
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -43,6 +44,39 @@ positive_rationals = st.fractions(min_value=F(1, 12), max_value=20,
 
 def seq(*vals):
     return MomentSequence.from_exact([F(v) for v in vals])
+
+
+def composition_sums(m, n: int) -> tuple:
+    """(S_1(n), ..., S_n(n)) as Fractions, read from _composition_sum's
+    integers (c, row): S_j(n) = j! row[j] / c^n."""
+    c, row = _composition_sum(m, n)
+    assert isinstance(c, int) and c >= 1
+    assert len(row) == n + 1 and all(isinstance(x, int) for x in row)
+    assert row[0] == (n == 0)
+    return tuple(F(factorial(j) * row[j], c ** n) for j in range(1, n + 1))
+
+
+# every entry point that cuts a prefix at upto, as f(m, upto)
+UPTO_GATED = {
+    "classical_convolve": lambda m, upto: classical_convolve(m, m, upto),
+    "boolean_convolve": lambda m, upto: boolean_convolve(m, m, upto),
+    "mb_compose_t": mb_compose_t,
+    "mb_compose_at": lambda m, upto: mb_compose_at(m, F(1, 3), upto),
+    "mb_compose_integer": lambda m, upto: mb_compose_integer(m, 2, upto),
+    "boolean_power_t": lambda m, upto: boolean_power_t(m, F(1, 3), upto),
+}
+
+
+@pytest.mark.parametrize("name", list(UPTO_GATED))
+@pytest.mark.parametrize("upto", [-1, -2, -4])
+def test_negative_upto_refused(name, upto):
+    """A negative upto is refused, not read as a slice that drops entries
+    from the end; upto = 0 still gives the one-entry prefix."""
+    m = seq(1, 2, 7, 30, 150)
+    with pytest.raises(ValueError, match="upto must be >= 0"):
+        UPTO_GATED[name](m, upto)
+    out = UPTO_GATED[name](m, 0)
+    assert len(out) == 1
 
 
 class TestMomentSequence:
@@ -259,7 +293,7 @@ class TestMaxwellBoltzmannComposition:
             for n in range(10):
                 assert polys[n].coeffs == brute_force.composed_polynomial(vals, n)
                 assert at_t[n] == brute_force.composed_moment(vals, t, n)
-                assert _composition_sum(m, n) == tuple(
+                assert composition_sums(m, n) == tuple(
                     brute_force.composition_sum(vals, n, j) for j in range(1, n + 1))
             for k in range(4):
                 assert mb_compose_integer(m, k).values == tuple(
@@ -274,6 +308,13 @@ class TestIntegerKernel:
     """The isobaric scale and the partial-Bell rows behind mb_compose_t,
     mb_compose_at and _composition_sum, against the composition enumeration
     of brute_force on signed entries with arbitrary denominators."""
+
+    def test_composition_sum_is_a_scaled_bell_row(self):
+        # mu = (1, 1/2, 1/3): c = 6 clears both, the scaled moments are
+        # (1, 3, 12), and row 2 of their Bell table is (0, 12, 3^2), so
+        # S_1(2) = 12/36 = mu_2 and S_2(2) = 2! 9/36 = 2 mu_1^2
+        assert _composition_sum(seq(1, F(1, 2), F(1, 3)), 2) == (6, [0, 12, 9])
+        assert _composition_sum([1, 5, 7], 0) == (1, [1])
 
     def test_scale_overshoots_on_non_powers(self):
         # d_2 = 8 is no square, so c takes all of it where 4 would do
@@ -296,7 +337,7 @@ class TestIntegerKernel:
         for n in range(len(vals)):
             assert polys[n].coeffs == brute_force.composed_polynomial(vals, n)
             assert at_t[n] == polys[n](t) == brute_force.composed_moment(vals, t, n)
-            assert _composition_sum(m, n) == tuple(
+            assert composition_sums(m, n) == tuple(
                 brute_force.composition_sum(vals, n, j) for j in range(1, n + 1))
 
 

@@ -188,16 +188,27 @@ ALTERNATION_OUTCOMES = [
     ([1, 2, F(-11, 4), 18], F(4), 3, {"moduli_nonincreasing"}),
     ([1, F(5, 3), F(-27, 8), 1, -5], F(3, 2), 4,
      {"signs_alternate", "moduli_nonincreasing", "tails_bounded"}),
+    # at benchmark size: near the log-convexity boundary |T_2| > T_1 ...
+    (lattice_family(F(9, 8), 10).values, F(1, 4), 10, {"moduli_nonincreasing"}),
+    # ... and C(3/2, 2) > 0, so T_2 has the sign of T_1
+    (lattice_family(10, 8).values, F(3, 2), 8, {"signs_alternate"}),
 ]
 
 # (prefix, theta, t, depth) -> the envelope kind and the head of its witness
 ENVELOPE_OUTCOMES = [
     ([1, 10, 10 ** 4, 10 ** 9], F(1, 100), F(1, 2), 3, "holds", None),
     ([1, 4, 20, 125, F(15625, 16), F(9765625, 1024)], F(4, 5), F(1, 12), 5, "violated", 3),
+    # mu_3 = (1 - t)(3 mu_1 mu_2 - (2 - t) mu_1^3) / theta puts the composed
+    # mu_3 exactly on the strict lower bound
+    ([1, 1, F(3, 2), F(351, 100)], F(2, 3), F(1, 10), 3, "violated", 3),
     ([1, 10, 10 ** 4, 10 ** 9], F(1, 100), F(3, 2), 3, "precondition-failed",
      "t outside (0,1)"),
     ([1, 1, 2, 5, 15], F(1, 100), F(1, 2), 4, "precondition-failed",
      "log-convexity ratio exceeds theta"),
+    # q = 21/20 grows slowly: with theta just above 1/q^2 the lower bound
+    # holds through n = 7 and breaks at n = 8
+    (lattice_family(F(21, 20), 13).values, F(400, 441) + F(1, 100), F(1, 2), 13,
+     "violated", 8),
 ]
 
 
@@ -248,6 +259,44 @@ class TestAgainstFractionOracle:
             theta = max(1 / (1 + F(g, 20)) for g in growth[:depth - 1])
         assert (envelope_bounds_check(MomentSequence.from_exact(vals), theta, t, depth)
                 == brute_force.envelope_report(vals, theta, t, depth))
+
+
+def compose_scan_family(family: str, p: int, d: int, growth=(17, 19, 23, 29, 31)) -> list:
+    """mu_0..mu_14 of one of the benchmark's three t-composition families,
+    drawn at p/d (d prime): r^k 2^(k^2) at r = p/d, the Touchard (Poisson)
+    moments at lambda = p/d, or the log-convex mu_k = c_0 ... c_(k-1) from
+    c_0 = p/d, each c multiplied by 1 + 1/g for the next g of `growth`."""
+    x = F(p, d)
+    if family == "lattice":
+        return [x ** k * F(2) ** (k * k) for k in range(15)]
+    if family == "touchard":
+        return [brute_force.touchard(x, k) for k in range(15)]
+    vals = [F(1)]
+    for k in range(14):
+        vals.append(vals[-1] * x)
+        x *= 1 + F(1, growth[k % len(growth)])
+    return vals
+
+
+class TestAtBenchmarkSize:
+    """alternation_check at n = 13 and envelope_bounds_check at depth 13,
+    the sizes the benchmark runs, against brute_force's Fraction reports:
+    the integer comparisons on numbers of hundreds of bits. The failure
+    branches at n >= 8 are among the outcome cases above."""
+
+    @pytest.mark.parametrize("family, p, d, t", [
+        ("lattice", 67, 53, F(5, 11)), ("lattice", 79, 61, F(9, 13)),
+        ("touchard", 71, 59, F(3, 11)), ("touchard", 73, 53, F(8, 13)),
+        ("log-convex", 73, 61, F(4, 13)), ("log-convex", 67, 59, F(7, 11)),
+    ])
+    def test_compose_scan_families(self, family, p, d, t):
+        vals = compose_scan_family(family, p, d)
+        m = MomentSequence.from_exact(vals)
+        theta = max(vals[k] ** 2 / (vals[k - 1] * vals[k + 1]) for k in range(1, 13))
+        assert alternation_check(m, t, 13) == brute_force.alternation_report(vals, t, 13)
+        rep = envelope_bounds_check(m, theta, t, 13)
+        assert rep == brute_force.envelope_report(vals, theta, t, 13)
+        assert rep.kind != "precondition-failed"  # theta is the largest ratio
 
 
 class TestAlternation:
