@@ -13,18 +13,19 @@ mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
-moment_algebra's t-power evaluator _power_at. The scan first tries every
-cell in floats of order 1 computed straight from q, with no big integer:
-_lattice_base gives the cumulant ratios k_n = K_n / M_n and the weights of
-the t-power's ratio recursion, _lattice_ratios the ratios r_n = mu^(t)_n /
-mu_n, and _lattice_hankel the certificate matrix q^(-(i-j)^2) r_(s+i+j) /
-sqrt(r_(s+2i) r_(s+2j)), each with a proven bound; a cell is reported
-strictly positive when stieltjes._certified_stieltjes proves both shifts
-positive definite from it. The exact numbers run only where the floats
-refuse: where the k-recursion's bound refuses (q close to 1), the k_n come
-from the exact cumulants of distributions._lattice_ints (q^(n^2) as
-integers over c^n, c = b^(2 depth + 1) for q = a/b), and a cell whose
-floats or certificate refuse takes the exact t-power of _power_at on those
+moment_algebra's t-power evaluator _power_at. The scan first tries each
+theta row at once, in floats of order 1 computed straight from q, with no
+big integer: _lattice_base gives the cumulant ratios k_n = K_n / M_n with
+proven bounds, and _lattice_hankel the congruence q^(-(i-j)^2)
+k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)) of the cumulant Hankel matrix
+[K_(1+s+i+j)]. When stieltjes._certified_stieltjes proves it positive
+definite at shifts 0 and 1, every t-power of the prefix is strictly
+positive (see theta_threshold_scan), so the row needs no t-power at all.
+The exact numbers run only where the floats refuse: where the
+k-recursion's bound refuses (q close to 1), the k_n come from the exact
+cumulants of distributions._lattice_ints (q^(n^2) as integers over c^n,
+c = b^(2 depth + 1) for q = a/b), and each cell of a row whose floats or
+certificate refuse takes the exact t-power of _power_at on those
 cumulants to stieltjes_verdict as a ScaledSequence. So every witness, zero
 and refutation is exact, and a cell builds a Fraction only for a witness.
 The t-composition reports judge on integers: the alternation check
@@ -38,7 +39,7 @@ MomentSequence, is for callers that want the Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, frexp, fsum, isqrt, ldexp, sqrt
 from operator import mul, truediv
@@ -277,13 +278,6 @@ def _lattice_rows(upto: int) -> tuple:
             tuple((2 * m + 4) * _U for m in ms))
 
 
-@lru_cache(maxsize=8)
-def _underflow_weights(top: int) -> tuple:
-    """(m + 4) 2^-1022 for m = 1..top: over r~_m and times u, the bound
-    (0.5m + 2) eta / r~_m on the underflow of _lattice_ratios' step m."""
-    return tuple((m + 4) * 2.0 ** -1022 for m in range(1, top + 1))
-
-
 def _inverse_powers(q: Fraction, count: int) -> tuple:
     """(xs, es) for m = 0..count: xs[m] * 2^es[m] is (1/q)^m within a
     relative gamma_(2m), for rational q > 1, or 0 where (1/q)^m < 2^-2200;
@@ -325,18 +319,16 @@ def _inverse_powers(q: Fraction, count: int) -> tuple:
 
 class LatticeBase(Record):
     """The theta-scan's float form of mu_n = q^(n^2), n <= upto, built by
-    _lattice_base for _lattice_ratios and _lattice_hankel.
+    _lattice_base for _lattice_hankel.
 
-    weights[n-1] lists the float weights G~[n][j], j < n, the last being
-    the cumulant ratio k~_n; kbounds[n-1] = beta_n bounds the relative
-    error of k~_n; rbounds[n] is the part of _lattice_ratios' bound on
-    r~_n that does not depend on t; and squares[i] * 2^exps[i] is
-    (1/q)^(i^2) from _inverse_powers, exps None when every exponent is 0.
+    ks[n-1] = k~_n, a float in [2^-1022, 1], is the cumulant ratio k_n =
+    K_n / M_n within a relative kbounds[n-1] = beta_n; squares[i] *
+    2^exps[i] is (1/q)^(i^2) from _inverse_powers, exps None when every
+    exponent is 0.
     """
 
-    weights: list
+    ks: list
     kbounds: list
-    rbounds: list
     squares: list
     exps: Optional[list]
 
@@ -355,8 +347,9 @@ def _lattice_base(q: Fraction, upto: int,
     other weights of row n: every number is of order 1, and no big integer
     is built. With ratios None, k_n comes from that recursion and is kept
     while its bound beta_n <= 2^-40; past that, as 1 - S_n cancels for q
-    close to 1, the caller hands in ratios[n-1], the exact K_n / M_n
-    correctly rounded (beta_n = u). Every k~_n must be a normal float.
+    close to 1, the caller hands in ratios, the exact K_n / M_n, n =
+    1..upto, each in (0, 1] and correctly rounded (beta_n = u). Every k~_n
+    must be a normal float.
 
     Proof of the bounds. u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k
     u); each operation is exact times (1 + d), |d| <= u, plus at most eta /
@@ -378,114 +371,67 @@ def _lattice_base(q: Fraction, upto: int,
       its exact value, give |k~_n - k_n| <= u S~ + u k~_n + (1 + 2^-28) A_n
       + 2n eta. Dividing by k_n >= k~_n (1 - 2^-29) proves beta_n = ((A_n +
       u S~ + 2n eta) / k~_n + u) M, and k_n > 0.
-    - Ratios: r_n = mu^(t)_n / mu_n = t sum_j G[n][j] r_(n-1-j) (see
-      _lattice_ratios), r_0 = 1 and 0 < r_i <= 1 + 2^-40 for i >= 1. The
-      weights' errors move the sum P_n >= G[n][n-1] r_0 = k_n by a relative
-      g_n: at most the largest rho_j and beta_n, as P_n is their weighted
-      mean, or beta_n + (1 + 2^-28) A_n / k_n, plus 1.01 n eta / k_n either
-      way; so g_n = (beta_n + min(A_n / k~_n, top + (n^2 + 4) u) + n eta /
-      k~_n) M. The products G~ r~ add one factor and eta / 2 each, the fsum
-      and t~ s one factor and eta / 2 each, and float(t) one factor: r~_n =
-      r_n (1 + psi) + E with 1 + psi <= (1 + gamma_4)(1 + g_n)(1 +
-      B'_(n-1)) and |E| <= (0.5n + 2) eta, where B'_i bounds |r~_i - r_i| /
-      r_i. r~_n >= 2^-1022 (checked) gives |E| / r_n <= (1 + psi) w_n, w_n
-      = (0.5n + 2)(1 + 2^-40) eta / r~_n, so B'_n <= (B'_(n-1) + g_n + 5u +
-      w_n)(1 + 2^-29). Unrolled, B'_n <= B_n + 2 sum_(m<=n) w_m (M^n <= 2),
-      with rbounds[n] = B_n = (B_(n-1) + g_n + 5u) M, B_0 = 0, free of t;
-      _lattice_ratios adds the w_m of one t.
     """
     try:
         binomials, ms, counts = _lattice_rows(upto)
     except OverflowError:
         return None
     xs, es = _inverse_powers(q, 2 * (upto // 2) * ((upto + 1) // 2))
-    scaled = map(mul, binomials, map(xs.__getitem__, ms))  # C(n-1, j) q^(-m), row by row
-    if es is not None:
-        scaled = map(ldexp, scaled, map(es.__getitem__, ms))
-    counts = iter(counts)
-    ks, betas, top = [1.0], [0.0], 0.0  # k_1 = K_1 / M_1 = 1; top, the largest beta
-    weights, bounds = [[1.0]], [0.0, 5 * _U * _MARGIN]
-    for n in range(2, upto + 1):
-        row = list(map(mul, ks, scaled))  # ks first: it stops the map, and takes n - 1
-        s = fsum(row)
-        a = sum(map(mul, row, counts)) + top * s
-        if ratios is None:
+    if ratios is not None:
+        if not all(_NORMAL <= k <= 1.0 for k in ratios):
+            return None
+        ks, betas = list(ratios), [_U] * upto
+    else:
+        scaled = map(mul, binomials, map(xs.__getitem__, ms))  # C(n-1, j) q^(-m), row by row
+        if es is not None:
+            scaled = map(ldexp, scaled, map(es.__getitem__, ms))
+        counts = iter(counts)
+        ks, betas, top = [1.0], [0.0], 0.0  # k_1 = K_1 / M_1 = 1; top, the largest beta
+        for n in range(2, upto + 1):
+            row = list(map(mul, ks, scaled))  # ks first: it stops the map, and takes n - 1
+            s = fsum(row)
+            a = sum(map(mul, row, counts)) + top * s
             k = 1.0 - s
             beta = ((a + _U * s + n * 2.0 ** -1073) / k + _U) * _MARGIN if k >= _NORMAL else 1.0
             if not beta <= _K_CEILING:
                 return None
-        else:
-            k, beta = ratios[n - 1], _U
-            if not k >= _NORMAL:
-                return None
-        g = beta + min(a / k, top + (n * n + 4) * _U) + n * 2.0 ** -1074 / k
-        bounds.append((bounds[-1] + g * _MARGIN + 5 * _U) * _MARGIN)
-        row.append(k)
-        weights.append(row)
-        ks.append(k)
-        betas.append(beta)
-        top = max(top, beta)
+            ks.append(k)
+            betas.append(beta)
+            top = max(top, beta)
     side = range((upto + 1) // 2)
-    return LatticeBase(weights, betas, bounds, [xs[i * i] for i in side],
+    return LatticeBase(ks, betas, [xs[i * i] for i in side],
                        None if es is None else [es[i * i] for i in side])
 
 
-def _lattice_ratios(base: LatticeBase, t) -> Optional[tuple]:
-    """(r, bound): r~_n, n = 0..upto, the float ratio mu^(t)_n / mu_n of
-    the t-th classical power of base's family, and a bound on every |r~_n -
-    r_n| / r_n, for 0 < t < 1, valid while it is at most 2^-30. None when
-    float(t) is below 2^-1022 or a ratio leaves [2^-1022, 2); then the
-    exact _power_at decides.
+def _lattice_hankel(base: LatticeBase, shift: int, size: int) -> tuple:
+    """(diag, upper, rel): the Hankel matrix H = [K_(1+shift+i+j)], i, j <=
+    size, of base's scaled cumulants, in a congruence A = D H D, as
+    stieltjes._certified_positive takes it; size -1 is the empty matrix.
 
-    Dividing _power_at's forward recursion by M_n gives r_0 = 1 and r_n = t
-    sum_(j<n) G[n][j] r_(n-1-j). Each G[n][j] lies in (0, 1] and each row
-    sums to 1, so r_n is t times a weighted mean of r_0..r_(n-1): it lies in
-    [t^n, t] at any depth, where mu_n leaves float range by depth 8 at q =
-    11. A t whose float is 1.0 is at most 1 + u, so r_i <= (1 + u)^i < 1 +
-    2^-40, as _lattice_base's proof takes it. The bound is base.rbounds at
-    upto plus twice the underflow terms w_m of the steps, both proved there.
+    D = diag(g_i / sqrt(M_(1+shift+2i))) with g_i = fl(1 / fl(sqrt(k~_(1+
+    shift+2i)))), a float in [1, 2^511] as k~ lies in [2^-1022, 1]. On the
+    lattice M_n = c^n q^(n^2), so a_ij = g_i g_j q^(-(i-j)^2)
+    k_(1+shift+i+j): both c^n and the shift cancel, and a_ii = g_i^2
+    k_(1+shift+2i) is 1 up to the bounds, so a~_ii = 1. Proof of |a~_ij -
+    a_ij| <= rel |a_ij| + 2 eta, with B the largest beta_n: off the
+    diagonal k~ carries B, the power gamma_(2m), m <= size^2, and the three
+    products ((g_i g_j) k~) x three factors; on it, a_ii = (k / k~)(1 +
+    d2)^2 / (1 + d1)^2 is within B + 5u of 1 relative to itself. So rel =
+    (B + (2 size^2 + 6) u) M. (g_i g_j) k~ >= 2^-1022 is normal; the two
+    steps after it (x <= 1, then ldexp(., e <= 0)) each add at most eta / 2
+    where subnormal and never scale an earlier one up, and a power stored
+    as 0 leaves an entry below eta. upper is a list, so the certificate
+    tries strict diagonal dominance before its Cholesky.
     """
-    tf = float(t)
-    if not _NORMAL <= tf <= 1.0:
-        return None
-    r = [1.0]
-    for row in base.weights:
-        x = tf * fsum(map(mul, row, reversed(r)))
-        if not _NORMAL <= x < 2.0:
-            return None
-        r.append(x)
-    under = sum(map(truediv, _underflow_weights(len(base.weights)), r[1:]))
-    return r, (base.rbounds[-1] + 2 * _U * under) * _MARGIN
-
-
-def _lattice_hankel(base: LatticeBase, ratios: tuple, shift: int, size: int) -> tuple:
-    """(diag, upper, rel): the shift-`shift` Hankel matrix H = [v_(shift+i+
-    j)] of the t-power through size, v_n = M_n r_n, in a congruence A = D H
-    D, as stieltjes._certified_positive takes it, for ratios =
-    _lattice_ratios(base, t).
-
-    D = diag(g_i / sqrt(M_(shift+2i))) with g_i = fl(1 / fl(sqrt(r~_(shift
-    +2i)))), a positive float in (2^-1/2, 2^511]. On the lattice M_n = c^n
-    q^(n^2), so a_ij = g_i g_j q^(-(i-j)^2) r_(shift+i+j): both c^n and the
-    shift cancel, and a_ii = g_i^2 r_(shift+2i) is 1 up to the bounds, so
-    a~_ii = 1. Proof of |a~_ij - a_ij| <= rel |a_ij| + 2 eta, with B the
-    ratios' bound: off the diagonal r~ carries B, the power gamma_(2m), m
-    <= size^2, and the three products ((g_i g_j) r~) x three factors; on
-    it, a_ii = (r / r~)(1 + d2)^2 / (1 + d1)^2 is within B + 5u of 1
-    relative to itself. So rel = (B + (2 size^2 + 6) u) M. The product by
-    r~ and the two steps after it (x <= 1, then ldexp(., e <= 0)) each add
-    at most eta / 2 where subnormal and never scale an earlier one up; a
-    power stored as 0 leaves an entry below eta. upper is a list, so the
-    certificate tries strict diagonal dominance before its Cholesky.
-    """
-    r, bound = ratios
+    k = base.ks
     rows, cols, sums, gaps = _upper_indices(shift, size)
-    g = list(map((1.0).__truediv__, map(sqrt, r[shift:shift + 2 * size + 1:2])))
+    g = list(map((1.0).__truediv__, map(sqrt, k[shift:shift + 2 * size + 1:2])))
     upper = map(mul, map(mul, map(mul, map(g.__getitem__, rows), map(g.__getitem__, cols)),
-                         map(r.__getitem__, sums)), map(base.squares.__getitem__, gaps))
+                         map(k.__getitem__, sums)), map(base.squares.__getitem__, gaps))
     if base.exps is not None:
         upper = map(ldexp, upper, map(base.exps.__getitem__, gaps))
-    return [1.0] * (size + 1), list(upper), (bound + (2 * size * size + 6) * _U) * _MARGIN
+    rel = (max(base.kbounds) + (2 * size * size + 6) * _U) * _MARGIN
+    return [1.0] * (size + 1), list(upper), rel
 
 
 def _lattice_power(q: Fraction, upto: int) -> tuple:
@@ -561,20 +507,40 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
     composed at every t of the grid and the composed prefix is judged to
-    `depth`. Where floats enter: each cell is first tried from q alone, on
-    floats of order 1 with proven bounds (_lattice_floats, then
-    _lattice_ratios and _lattice_hankel), and reported strictly positive
-    when _certified_stieltjes proves both shifts positive definite. The
-    exact integers of distributions._lattice_ints, c^n q^(n^2) with c =
-    b^(2 depth + 1) for q = a/b, and their cumulants (the same as
+    `depth`. A row is decided for every t at once by this theorem: if the
+    Hankel matrices [kappa_(1+i+j)], i, j <= depth, and [kappa_(2+i+j)], i,
+    j < depth, of a prefix's cumulants are positive definite, then every
+    t-power of the prefix, t > 0, is strictly positive at `depth`. Proof:
+    (1) positive definiteness puts kappa_1..kappa_(2 depth + 1) inside the
+    truncated Stieltjes moment cone, so an atomic measure rho on [0, inf)
+    has int x^m rho(dx) = kappa_(1+m), m <= 2 depth (Curto-Fialkow 1991;
+    Krein-Nudelman 1977); at depth 0 take rho = kappa_1 delta_1, and past
+    it rho has depth + 1 >= 2 atoms, so one lies in (0, inf). (2) The
+    drift b = rho({0}) and the finite Levy measure nu(dx) = rho(dx) / x on
+    (0, inf) make a compound-Poisson law plus a drift, whose cumulants are
+    kappa_1 = b + int x nu(dx) and kappa_n = int x^n nu(dx), n >= 2
+    (Levy-Khintchine for subordinators, Steutel-van Harn 2004, ch. III):
+    the given ones through n = 2 depth + 1, so its moments match
+    mu_0..mu_(2 depth + 1). (3) Its Levy process Y_t, with cumulants t
+    kappa_n, has the moments mu^(t)_0..mu^(t)_(2 depth + 1); Y_t lies in
+    [0, inf) with infinite support, as nu != 0, so both Hankel matrices of
+    its moments are positive definite at every size: the strictly-positive
+    verdict at `depth`.
+
+    Where floats enter: each row is first tried from q alone, on floats of
+    order 1 with proven bounds (_lattice_floats, then _lattice_hankel at
+    shift 0, size depth, and shift 1, size depth - 1, through
+    _certified_stieltjes); [K_(1+s+i+j)], K_n = c^n kappa_n, is a
+    congruence of [kappa_(1+s+i+j)] times c^(1+s), so the theorem applies
+    to it. The exact integers of distributions._lattice_ints, c^n q^(n^2)
+    with c = b^(2 depth + 1) for q = a/b, and their cumulants (the same as
     _power_base reads from lattice_family's Fractions) are built only on a
     fallback: for the cumulant ratios where their float recursion refuses
-    (q close to 1), and for a cell whose t is not a normal float, whose
-    ratios leave the normal range, whose bound exceeds 2^-30 or whose
-    certificate refuses. Such a cell takes the exact path: the integers of
-    _power_at as a ScaledSequence, run through stieltjes_verdict. Either
-    path gives the verdict the exact minors give, so the result is
-    reproducible bit for bit.
+    (q close to 1), and for every cell of a row whose base or certificate
+    refuses. Such a cell takes the exact path: the integers of _power_at
+    as a ScaledSequence, run through stieltjes_verdict. Either path gives
+    the verdict the exact minors give, so the result is reproducible bit
+    for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -600,16 +566,14 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
         base, power = _lattice_floats(q, upto)
-        row = []
-        for t in ts:
-            ratios = base and _lattice_ratios(base, t)
-            if ratios and _certified_stieltjes(partial(_lattice_hankel, base, ratios), depth):
-                verdict = certified
-            else:
-                power = power or _lattice_power(q, upto)[1]
-                verdict = stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth)
-            row.append(ScanCell(theta, t, verdict))
-        matrix.append(tuple(row))
+        if base and _certified_stieltjes(
+                lambda shift, size: _lattice_hankel(base, shift, size - shift), depth):
+            verdicts = [certified] * len(ts)
+        else:
+            power = power or _lattice_power(q, upto)[1]
+            verdicts = [stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth)
+                        for t in ts]
+        matrix.append(tuple(map(ScanCell, repeat(theta), ts, verdicts)))
 
     passes = [[cell.passed for cell in row] for row in matrix]
     best = max((theta for theta, row in zip(thetas, passes) if all(row)), default=None)

@@ -38,10 +38,11 @@ every entry, which enters its shift as n rel times the largest diagonal
 entry. stieltjes_verdict's _scaled_hankel scales the top 64 bits of each
 integer by powers of two (rel = 2u, u = 2^-53), as the Cholesky reads
 them; the theta-scan's semigroup._lattice_hankel builds the unit-diagonal
-matrix of its float ratios with their proven bound, as a list, which the
-core first tries for strict diagonal dominance, and builds no exact t-power
-or cumulant for a cell it certifies. Where that proof fails (a zero or
-negative minor, or a matrix too ill-conditioned for float64), the exact
+matrix of a lattice family's cumulants from their float ratios with a
+proven bound, as a list, which the core first tries for strict diagonal
+dominance. One such pair of matrices certifies a whole theta row, every t
+at once, with no exact t-power or cumulant. Where that proof fails (a zero
+or negative minor, or a matrix too ill-conditioned for float64), the exact
 minors decide, so every refutation, zero, witness and witness value comes
 from _hankel_minors.
 
@@ -280,8 +281,9 @@ def _certified_positive(diag: list, upper, rel: float) -> bool:
     an exact congruence D H D of a Hankel matrix H, D a positive diagonal,
     so (Sylvester) every leading minor of H of sizes 0..n-1 is > 0:
     _scaled_hankel from the float heads of integers, and
-    semigroup._lattice_hankel from the theta-scan's float ratios. False
-    proves nothing: the caller then computes the minors exactly.
+    semigroup._lattice_hankel from the float cumulant ratios of a theta
+    row of the scan. False proves nothing: the caller then computes the
+    minors exactly.
 
     A producer that hands upper as a list has built every entry already,
     and its matrix is first tried for strict diagonal dominance
@@ -336,11 +338,13 @@ def _certified_positive(diag: list, upper, rel: float) -> bool:
 
 
 def _certified_stieltjes(hankel, upto: int) -> bool:
-    """True only if _certified_positive proves the Hankel matrices of shifts
-    0 and 1 to size upto positive definite, each as hankel(shift, upto)
-    gives it, (diag, upper, rel) or None for a producer's refusal: then
-    every minor and every entry stieltjes_verdict reads is positive, as the
-    entries v_0..v_(2 upto + 1) are the two matrices' diagonals."""
+    """True only if _certified_positive proves both matrices that
+    hankel(shift, upto) gives for shifts 0 and 1, each (diag, upper, rel)
+    or None for a producer's refusal, positive definite. For the Hankel
+    matrices of v_n to size upto, every minor and every entry
+    stieltjes_verdict reads is then positive, as the entries v_0..v_(2 upto
+    + 1) are the two matrices' diagonals; the theta-scan hands its row's
+    cumulant matrices instead."""
     for shift in (0, 1):
         built = hankel(shift, upto)
         if built is None or not _certified_positive(*built):

@@ -104,6 +104,11 @@ CASES = {
     "scan-depth-60": (["scan", "--depth", "60"], {}),
     # made by the exact path; the float certificate must reach the same verdicts at this depth
     "scan-depth-100": (["scan", "--depth", "100"], {}),
+    # rows whose cumulant ratios take the exact path (q = 11/10, 9/8), a t whose
+    # float is 0 and a t whose float is 1.0
+    "scan-close-to-one": (["scan", "--theta-grid", "100/121,64/81,1/4", "--t-grid",
+                           "1e-400,1/3,99999999999999999999/100000000000000000000",
+                           "--depth", "8"], {}),
 }
 
 

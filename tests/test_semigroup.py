@@ -1,7 +1,6 @@
 """Semigroup identity, alternation structure, envelope, threshold scan."""
 from fractions import Fraction
-from functools import partial
-from math import comb, sqrt
+from math import sqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +25,6 @@ from momentlab.semigroup import (
     SemigroupIdentityReport,
     _lattice_base,
     _lattice_hankel,
-    _lattice_ratios,
     alternation_check,
     envelope_bounds_check,
     lattice_family,
@@ -458,24 +456,20 @@ def certified(heads, exps, rel, shift, size) -> bool:
     return built is not None and _certified_positive(*built)
 
 
-def exact_ratios(q, t, upto):
-    """(power, ks, rs): _power_at's (s, xs) on the scan's integers for q at
-    t, the exact cumulant ratios K_n / M_n, n = 1..upto, and the exact
-    ratios r_n = mu^(t)_n / mu_n = xs[n] / (v^n M_n), n = 0..upto, s = c v."""
-    ints, (c, kappas) = semigroup._lattice_power(q, upto)
-    s, xs = _power_at((c, kappas), t)
-    v = s // c
-    return (s, xs), [F(k, m) for k, m in zip(kappas, ints[1:])], [
-        F(x, v ** n * m) for n, (x, m) in enumerate(zip(xs, ints))]
+def row_certified(base, depth) -> bool:
+    """The scan's row certificate: base's cumulant Hankel matrices at
+    shift 0, size depth, and shift 1, size depth - 1."""
+    return _certified_stieltjes(lambda shift, size: _lattice_hankel(base, shift, size - shift),
+                                depth)
 
 
 class TestFloatPower:
-    """The scan's float path from q: every cumulant ratio k_n, weight,
-    ratio r_n and certificate entry a_ij lies within its stated bound of
-    the exact Fraction, an accepted certificate means every exact minor of
-    both shifts is positive, a singular Hankel matrix is refused at any
-    accepted bound, and the scan gives the exact path's result whenever it
-    falls back to it."""
+    """The scan's row certificate from q: every cumulant ratio k_n and
+    certificate entry a_ij lies within its stated bound of the exact
+    Fraction, an accepted row means every exact minor of both cumulant
+    Hankel matrices, and of the t-power at a drawn t, is positive, a
+    singular Hankel matrix is refused at any accepted bound, and the scan
+    gives the exact path's result whenever it falls back to it."""
 
     @settings(max_examples=150, deadline=None)
     @given(q=lattice_qs, t=fine_ts, depth=st.integers(0, 12))
@@ -485,63 +479,53 @@ class TestFloatPower:
         upto = 2 * depth + 1
         base, _ = semigroup._lattice_floats(q, upto)
         assert base is not None  # the lattice family's cumulants are all positive
-        (s, xs), ks, rs = exact_ratios(q, t, upto)
-        for n, (row, beta) in enumerate(zip(base.weights, base.kbounds), start=1):
-            assert abs(F(row[-1]) - ks[n - 1]) <= F(beta) * ks[n - 1], n
-            for j, weight in enumerate(row[:-1]):
-                m = 2 * (j + 1) * (n - 1 - j)
-                exact = comb(n - 1, j) * ks[j] / q ** m
-                rho = F(base.kbounds[j]) + (2 * m + 4) * F(_U)
-                assert abs(F(weight) - exact) <= rho * exact + ETA, (n, j)
-        ratios = _lattice_ratios(base, t)
-        if ratios is None:
-            # only a t whose float is not normal, or a ratio at the bottom of
-            # the normal range, refuses
-            assert not 2.0 ** -1022 <= float(t) or min(rs) < F(2.0 ** -1021)
-            return
-        r, bound = ratios
-        if bound <= 2.0 ** -30:
-            for n, (got, exact) in enumerate(zip(r, rs)):
-                assert abs(F(got) - exact) <= F(bound) * exact, n
-        for shift in (0, 1):
-            diag, upper, rel = _lattice_hankel(base, ratios, shift, depth)
-            if rel > 2.0 ** -30:
-                continue
-            g = [F(1.0 / sqrt(r[shift + 2 * i])) for i in range(depth + 1)]
-            for i in range(depth + 1):  # a_ii = g_i^2 r_(shift+2i), stored as 1
-                exact = g[i] ** 2 * rs[shift + 2 * i]
+        ints, (c, kappas) = semigroup._lattice_power(q, upto)
+        ks = [F(k, m) for k, m in zip(kappas, ints[1:])]  # K_n / M_n, n = 1..upto
+        for n, (got, beta, exact) in enumerate(zip(base.ks, base.kbounds, ks, strict=True),
+                                               start=1):
+            assert abs(F(got) - exact) <= F(beta) * exact, n
+        for shift, size in ((0, depth), (1, depth - 1)):
+            diag, upper, rel = _lattice_hankel(base, shift, size)
+            g = [F(1.0 / sqrt(base.ks[shift + 2 * i])) for i in range(size + 1)]
+            for i in range(size + 1):  # a_ii = g_i^2 k_(1+shift+2i), stored as 1
+                exact = g[i] ** 2 * ks[shift + 2 * i]
                 assert diag[i] == 1.0 and abs(1 - exact) <= F(rel) * exact + 2 * ETA
-            for (i, j), got in zip(((i, j) for i in range(depth + 1)
-                                    for j in range(i + 1, depth + 1)), upper):
-                exact = g[i] * g[j] * rs[shift + i + j] / q ** ((i - j) ** 2)
+            pairs = [(i, j) for i in range(size + 1) for j in range(i + 1, size + 1)]
+            for (i, j), got in zip(pairs, upper, strict=True):
+                exact = g[i] * g[j] * ks[shift + i + j] / q ** ((i - j) ** 2)
                 assert abs(F(got) - exact) <= F(rel) * exact + 2 * ETA, (shift, i, j)
-        if _certified_stieltjes(partial(_lattice_hankel, base, ratios), depth):
+        if row_certified(base, depth):
+            # the cumulant matrices [K_(1+s+i+j)]: K_(1+m) = c c^m kappa_(1+m)
+            for shift in range(min(2, depth + 1)):
+                assert all(num > 0 for num, _ in _hankel_minors((c, c, kappas), shift,
+                                                                depth - shift))
+            # the theorem: then the t-power at any t > 0 is strictly positive
+            s, xs = _power_at((c, kappas), t)
             for shift in (0, 1):
                 assert all(num > 0 for num, _ in _hankel_minors((1, s, xs), shift, depth))
 
     @pytest.mark.parametrize("q, shift", [(F(2), 0), (F(2), 1), (F(3), 0), (F(3), 1),
                                           (F(11, 10), 0), (F(11, 10), 1)])
-    def test_certificate_matrix_at_t_one(self, q, shift):
-        # at t = 1 every r_n is 1, and the matrix is [q^(-(i-j)^2)]: its
-        # leading minors times prod v_(shift+2i), v_n = q^(n^2), are the
-        # closed-form minors of the lattice, so c and the shift cancel. The
-        # float matrix is that one within its bound.
+    def test_certificate_matrix_at_unit_ratios(self, q, shift):
+        # with every cumulant ratio 1, K_n = M_n and the matrix is
+        # [q^(-(i-j)^2)]: its leading minors times prod M_(1+shift+2i), M_n =
+        # q^(n^2), are the closed-form lattice minors at shift 1 + shift, so
+        # c and the shift cancel. The float matrix is that one within its
+        # bound.
         depth = 5
         size = depth + 1
         exact = [[q ** -((i - j) ** 2) for j in range(size)] for i in range(size)]
         scale = F(1)
         for rows in range(1, size + 1):
-            scale *= q ** ((shift + 2 * (rows - 1)) ** 2)
+            scale *= q ** ((1 + shift + 2 * (rows - 1)) ** 2)
             minor = brute_force.rational_det([row[:rows] for row in exact[:rows]])
-            assert minor * scale == brute_force.lattice_hankel_minor(q, shift, rows)
-        base, _ = semigroup._lattice_floats(q, 2 * depth + 1)
-        ratios = _lattice_ratios(base, F(1))
-        diag, upper, rel = _lattice_hankel(base, ratios, shift, depth)
+            assert minor * scale == brute_force.lattice_hankel_minor(q, 1 + shift, rows)
+        base = _lattice_base(q, 2 * depth + 2, [1.0] * (2 * depth + 2))
+        diag, upper, rel = _lattice_hankel(base, shift, depth)
         pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-        g = [F(1.0 / sqrt(ratios[0][shift + 2 * i])) for i in range(size)]
         for (i, j), got in zip(pairs, upper, strict=True):
-            assert abs(F(got) - g[i] * g[j] * exact[i][j]) <= F(rel) * g[i] * g[j] * exact[i][j]
-        assert all(abs(1 - x * x) <= F(rel) for x in g) and diag == [1.0] * size
+            assert abs(F(got) - exact[i][j]) <= F(rel) * exact[i][j]
+        assert diag == [1.0] * size
 
     @pytest.mark.parametrize("q", [F(10), F(2), F(7, 3), F(11, 10), F(10 ** 50), F(2 ** 200 + 1)])
     def test_inverse_powers_within_bound(self, q):
@@ -578,21 +562,14 @@ class TestFloatPower:
 
     def test_kernel_refuses(self):
         base, power = semigroup._lattice_floats(F(2), 5)
-        assert power is None  # q = 2 keeps its float cumulant ratios
-        # t that rounds to 0.0 or below the normal range, and t past 1
-        for t in (F(1, 10 ** 400), F(1, 2 ** 1023), F(3, 2)):
-            assert _lattice_ratios(base, t) is None
-        assert _lattice_ratios(base, F(1, 2 ** 1000)) is not None
-        # close to 1 the ratios come from the exact cumulants; a normal t
-        # whose second ratio, about 2e-6 t, is subnormal
+        assert base is not None and power is None  # q = 2 keeps its float cumulant ratios
+        # close to 1 the ratios come from the exact cumulants
         q = F(10 ** 6 + 1, 10 ** 6)
         assert _lattice_base(q, 2) is None
         base, power = semigroup._lattice_floats(q, 2)
-        assert power is not None
-        assert _lattice_ratios(base, F(1, 2 ** 1000)) is not None
-        assert _lattice_ratios(base, F(1, 2 ** 1010)) is None
-        # a cumulant ratio that is not a normal positive float
-        for bad in (0.0, -0.5, 2.0 ** -1030):
+        assert base is not None and power is not None
+        # a cumulant ratio that is not a normal float in (0, 1]
+        for bad in (0.0, -0.5, 2.0 ** -1030, 1.5):
             assert _lattice_base(F(2), 5, [1.0, bad, 0.5, 0.5, 0.5]) is None
 
     @pytest.mark.parametrize("q, depth", [(F(10 ** 6 + 1, 10 ** 6), 2), (F(101, 100), 4),
@@ -614,8 +591,10 @@ class TestFloatPower:
         res = theta_threshold_scan([1 / q ** 2], [F(1, 3), F(1, 2), F(2, 3)], depth)
         assert calls == [] and all(cell.passed for cell in res.pass_matrix[0])
 
-    def test_tiny_t_takes_the_exact_path(self, capsys, monkeypatch):
-        # 1e-400 is 0.0 as a float, so every cell builds its exact t-power
+    def test_tiny_t_is_decided_by_its_row(self, capsys, monkeypatch):
+        # 1e-400 is 0.0 as a float, but the row certificate holds for every
+        # t > 0, so no cell builds an exact t-power; a refusing certificate
+        # sends every cell to the exact path, with the same report
         from momentlab.cli import main
         calls, power_at = [], semigroup._power_at
 
@@ -625,10 +604,11 @@ class TestFloatPower:
 
         monkeypatch.setattr(semigroup, "_power_at", counting)
         assert main(["scan", "--t-grid", "1e-400"]) == 0
-        assert calls == [F(1, 10 ** 400)] * 5
+        assert calls == []
         out = capsys.readouterr().out
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert main(["scan", "--t-grid", "1e-400"]) == 0
+        assert calls == [F(1, 10 ** 400)] * 5
         assert capsys.readouterr().out == out
         assert '"verdict": "fail"' not in out
 
