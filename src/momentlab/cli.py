@@ -537,10 +537,11 @@ def main(argv=None) -> int:
             # the reader of stdout has gone, which is no fault of the input
             return EXIT_BROKEN_PIPE
         except (SequenceFileError, BackendError, ValueError, OSError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # an empty message (MemoryError()) still names the error
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2
         except (QuadratureError, PrecisionError, ZeroDivisionError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
+            print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 3
 
 

@@ -13,15 +13,19 @@ mu_n = q^(n^2), whose log-convexity ratio is the constant
 theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
-moment_algebra's t-power evaluator _power_at. The scan first tries each
-theta row at once, in floats of order 1 computed straight from q, with no
-big integer: _lattice_base gives the cumulant ratios k_n = K_n / M_n with
-proven bounds, and _lattice_hankel the congruence q^(-(i-j)^2)
-k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)) of the cumulant Hankel matrix
-[K_(1+s+i+j)]. When stieltjes._certified_stieltjes proves it positive
-definite at shifts 0 and 1, every t-power of the prefix is strictly
-positive (see theta_threshold_scan), so the row needs no t-power at all.
-The exact numbers run only where the floats refuse: where the
+moment_algebra's t-power evaluator _power_at. The scan decides each theta
+row at once, in three steps. First the closed form: for q above q* ~
+2.5276 (theta below ~0.1565), _closed_form_row proves every cell of the
+row strictly positive at every depth from one integer inequality in q,
+with nothing else computed. Next, in floats of order 1 computed straight
+from q, with no big integer: _lattice_base gives the cumulant ratios k_n =
+K_n / M_n with proven bounds, and _lattice_hankel the congruence
+q^(-(i-j)^2) k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)) of the cumulant
+Hankel matrix [K_(1+s+i+j)]. When stieltjes._certified_stieltjes proves
+it positive definite at shifts 0 and 1, every t-power of the prefix is
+strictly positive (see theta_threshold_scan), so the row needs no t-power
+at all.
+Last, the exact numbers run only where the floats refuse: where the
 k-recursion's bound refuses (q close to 1), the k_n come from the exact
 cumulants of distributions._lattice_ints (q^(n^2) as integers over c^n,
 c = b^(2 depth + 1) for q = a/b), and each cell of a row whose floats or
@@ -444,6 +448,39 @@ def _lattice_power(q: Fraction, upto: int) -> tuple:
     return ints, (c, _kappas_from_moments(ints))
 
 
+def _closed_form_row(q: Fraction) -> bool:
+    """Whether q = a/b > 1 has 2 b a^4 < (a^2 - b^2)(a^3 - b^3), which is
+    2r < (1 - r^2)(1 - r^3) with r = 1/q; the right side less the left
+    falls as r rises, so that holds exactly when q > q* ~ 2.5276, theta <
+    ~0.1565. Then both
+    cumulant Hankel matrices of mu_n = q^(n^2), at shift 0 and shift 1, are
+    positive definite at every size, so theta_threshold_scan's theorem
+    makes every t-power strictly positive at every depth, and the row
+    needs no LatticeBase, no matrix, no float and no t-power.
+
+    Proof, with x = r^2 = 1/q^2 and k_n = K_n / M_n the cumulant ratios of
+    _lattice_base. The row-sum identity of _power_at's recursion reads k_n
+    = 1 - T_n, T_n = sum_(j <= n-2) C(n-1, j) k_(j+1) x^((j+1)(n-1-j)),
+    and (j+1)(n-1-j) >= n - 1 for j <= n - 2.
+    - 1 - x <= k_n <= 1 for every n once x <= 1/4 (q > q* > 2 gives it),
+      by induction on n: k_1 = 1; every k_(j+1) in T_n lies in (0, 1], so
+      T_n >= 0, T_2 = x, and for n >= 3, T_n <= x^(n-1) (2^(n-1) - 1) <
+      (2x)^(n-1) <= x, as 2^(n-1) x^(n-2) <= 2^(3-n) <= 1.
+    - The congruence of _lattice_hankel without its rounding, a_ij =
+      q^(-(i-j)^2) k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)), has a unit
+      diagonal and |a_ij| <= r^((i-j)^2) / (1 - x), so each row's
+      off-diagonal sum is at most 2 sum_(m >= 1) r^(m^2) / (1 - x).
+    - As m^2 >= 3m - 2 ((m - 1)(m - 2) >= 0), sum_(m >= 1) r^(m^2) <=
+      r / (1 - r^3), and the row sum is at most 2r / ((1 - r^3)(1 - r^2))
+      < 1 by the test.
+    - Gershgorin then puts every eigenvalue of each matrix, at each size
+      and either shift, above 0, and so are those of its congruent
+      [K_(1+s+i+j)].
+    """
+    a, b = q.numerator, q.denominator
+    return 2 * b * a ** 4 < (a * a - b * b) * (a ** 3 - b ** 3)
+
+
 def _lattice_floats(q: Fraction, upto: int) -> tuple:
     """(base, power): the LatticeBase the scan certifies q's
     cells from, and _power_at's input when building the base took the exact
@@ -458,6 +495,22 @@ def _lattice_floats(q: Fraction, upto: int) -> tuple:
     if all(k > 0 for k in power[1]):  # then each K_n / M_n lies in (0, 1]
         base = _lattice_base(q, upto, list(map(truediv, power[1], ints[1:])))
     return base, power
+
+
+def _row_verdicts(q: Fraction, ts: tuple, depth: int) -> list:
+    """The verdict at `depth` of mu_n = q^(n^2) composed at each t of ts,
+    decided in theta_threshold_scan's order: the closed form, then the
+    float certificate, then the exact path cell by cell."""
+    certified = [PositivityVerdict("strictly-positive", depth)] * len(ts)
+    if _closed_form_row(q):
+        return certified
+    upto = 2 * depth + 1
+    base, power = _lattice_floats(q, upto)
+    if base and _certified_stieltjes(
+            lambda shift, size: _lattice_hankel(base, shift, size - shift), depth):
+        return certified
+    power = power or _lattice_power(q, upto)[1]
+    return [stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth) for t in ts]
 
 
 class ScanCell(Record):
@@ -475,6 +528,10 @@ class ScanCell(Record):
 DEFAULT_THETA_GRID = (Fraction(1, 100), Fraction(1, 36), Fraction(1, 16),
                       Fraction(1, 9), Fraction(1, 4))
 DEFAULT_T_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# The reference line of the report. Below theta* ~ 0.1565 (q above q* ~
+# 2.5276) _closed_form_row proves every row strictly positive at every depth,
+# so that is the proved bound; 1/6 lies just above it and still has no source
+# in PAPER.md (ROADMAP item 21).
 REFERENCE_THRESHOLD = Fraction(1, 6)
 
 
@@ -527,20 +584,24 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     its moments are positive definite at every size: the strictly-positive
     verdict at `depth`.
 
-    Where floats enter: each row is first tried from q alone, on floats of
-    order 1 with proven bounds (_lattice_floats, then _lattice_hankel at
-    shift 0, size depth, and shift 1, size depth - 1, through
-    _certified_stieltjes); [K_(1+s+i+j)], K_n = c^n kappa_n, is a
-    congruence of [kappa_(1+s+i+j)] times c^(1+s), so the theorem applies
-    to it. The exact integers of distributions._lattice_ints, c^n q^(n^2)
-    with c = b^(2 depth + 1) for q = a/b, and their cumulants (the same as
-    _power_base reads from lattice_family's Fractions) are built only on a
-    fallback: for the cumulant ratios where their float recursion refuses
-    (q close to 1), and for every cell of a row whose base or certificate
-    refuses. Such a cell takes the exact path: the integers of _power_at
-    as a ScaledSequence, run through stieltjes_verdict. Either path gives
-    the verdict the exact minors give, so the result is reproducible bit
-    for bit.
+    Each row is decided in three steps, in this order. (a) The closed form:
+    when _closed_form_row(q) holds (q > q* ~ 2.5276), a bound on the
+    cumulant ratios proves both matrices positive definite at every size,
+    and every cell is certified with no float and no integer built
+    beyond the test's own. (b) The float certificate: the row is tried
+    from q alone, on floats of order 1 with proven bounds (_lattice_floats,
+    then _lattice_hankel at shift 0, size depth, and shift 1, size depth -
+    1, through _certified_stieltjes); [K_(1+s+i+j)], K_n = c^n kappa_n, is
+    a congruence of [kappa_(1+s+i+j)] times c^(1+s), so the theorem
+    applies to it. (c) The exact path: the exact integers of
+    distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1) for
+    q = a/b, and their cumulants (the same as _power_base reads from
+    lattice_family's Fractions) are built only on a fallback: for the
+    cumulant ratios where their float recursion refuses (q close to 1),
+    and for every cell of a row whose base or certificate refuses. Such a
+    cell takes the integers of _power_at as a ScaledSequence through
+    stieltjes_verdict. Every step gives the verdict the exact minors give,
+    so the result is reproducible bit for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition
@@ -559,21 +620,11 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     delta = Fraction(delta) if delta is not None else None
 
     matrix = []
-    certified = PositivityVerdict("strictly-positive", depth)
-    upto = 2 * depth + 1
     for theta in thetas:
         q = _rational_sqrt(1 / theta)
         if q is None:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        base, power = _lattice_floats(q, upto)
-        if base and _certified_stieltjes(
-                lambda shift, size: _lattice_hankel(base, shift, size - shift), depth):
-            verdicts = [certified] * len(ts)
-        else:
-            power = power or _lattice_power(q, upto)[1]
-            verdicts = [stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth)
-                        for t in ts]
-        matrix.append(tuple(map(ScanCell, repeat(theta), ts, verdicts)))
+        matrix.append(tuple(map(ScanCell, repeat(theta), ts, _row_verdicts(q, ts, depth))))
 
     passes = [[cell.passed for cell in row] for row in matrix]
     best = max((theta for theta, row in zip(thetas, passes) if all(row)), default=None)

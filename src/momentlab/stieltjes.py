@@ -288,9 +288,13 @@ def _certified_positive(diag: list, upper, rel: float) -> bool:
     A producer that hands upper as a list has built every entry already,
     and its matrix is first tried for strict diagonal dominance
     (_dominant); the lattice's entries decay like q^(-(i-j)^2), so most of
-    its matrices pass there. An iterator (_scaled_hankel's) goes straight
-    to the Cholesky, which computes each entry as it reads it and stops at
-    the first failed pivot.
+    its matrices pass there. Rows with q above q* ~ 2.53 never get here
+    (semigroup._closed_form_row proves them), but _dominant still serves
+    those from about q = 2.21 up to q*: without it, theta = 9/49 (q = 7/3)
+    at depth 200 takes the Cholesky and scans about 2.3 times slower
+    (0.13 s against 0.057 s on a 2-vCPU host). An iterator
+    (_scaled_hankel's) goes straight to the Cholesky, which computes each
+    entry as it reads it and stops at the first failed pivot.
 
     The Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, Thm 10.5; Rump, BIT 46, 2006), with u = 2^-53, eta = 2^-1074,

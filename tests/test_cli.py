@@ -381,8 +381,8 @@ class TestScan:
     def test_failing_cells_report_their_verdict_as_witness(self, monkeypatch, capsys):
         """A failing cell reads "fail" with its verdict record as witness;
         the lattice family never fails, so two verdicts are planted, on the
-        exact path that every cell takes once the float certificate
-        refuses."""
+        exact path that every cell takes once the closed form and the float
+        certificate refuse."""
         from momentlab import semigroup
         planted = {3: stieltjes.PositivityVerdict("not-stieltjes", 3,
                                                   stieltjes.HankelQuery(1, 2), F(-3, 7)),
@@ -395,6 +395,7 @@ class TestScan:
             return planted.get(len(calls) - 1) or stieltjes.stieltjes_verdict(m, depth)
 
         monkeypatch.setattr(semigroup, "stieltjes_verdict", verdict)
+        monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert main(["scan", "--depth", "3", "--theta-grid", "1/4,1/9,1/16",
                      "--t-grid", "1/3,2/3"]) == 0
@@ -679,6 +680,19 @@ def test_allocation_past_any_address_space_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_an_error_without_a_message_is_named(monkeypatch, capsys):
+    """MemoryError() has an empty message; stderr names its class rather
+    than end at a bare "error: "."""
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_scan", out_of_memory)
+    assert main(["scan", "--depth", "3000", "--theta-grid", "1/9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError\n"
 
 
 # argv whose parse ends in argparse's help or its error, at every level

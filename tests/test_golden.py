@@ -109,6 +109,10 @@ CASES = {
     "scan-close-to-one": (["scan", "--theta-grid", "100/121,64/81,1/4", "--t-grid",
                            "1e-400,1/3,99999999999999999999/100000000000000000000",
                            "--depth", "8"], {}),
+    # rows with q above 2.53, proved at every depth from q alone; made by the
+    # float certificate before that proof
+    "scan-closed-form-depth-300": (["scan", "--theta-grid", "1/9,1/25,1/100",
+                                    "--depth", "300"], {}),
 }
 
 

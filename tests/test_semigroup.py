@@ -388,9 +388,9 @@ class TestThetaThresholdScan:
     def test_lattice_integers_are_the_fraction_path(self, q, monkeypatch):
         # the scan reads q^(n^2) from distributions._lattice_ints; the power
         # it hands _power_at, and every verdict, are those of the Fractions
-        # of lattice_family through _power_base. The float certificate is
-        # made to refuse, so every cell takes _power_at; the scan's own run
-        # decides the same cells.
+        # of lattice_family through _power_base. The closed form and the
+        # float certificate are made to refuse, so every cell takes
+        # _power_at; the scan's own run decides the same cells.
         powers, power_at = [], semigroup._power_at
 
         def recording(power, t):
@@ -400,6 +400,7 @@ class TestThetaThresholdScan:
         ts = (F(1, 4), F(1, 2), F(10 ** 6, 10 ** 6 + 3))
         certified = {depth: theta_threshold_scan([1 / q ** 2], ts, depth) for depth in (2, 4, 6)}
         monkeypatch.setattr(semigroup, "_power_at", recording)
+        monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         for depth in (2, 4, 6):
             powers.clear()
@@ -593,8 +594,9 @@ class TestFloatPower:
 
     def test_tiny_t_is_decided_by_its_row(self, capsys, monkeypatch):
         # 1e-400 is 0.0 as a float, but the row certificate holds for every
-        # t > 0, so no cell builds an exact t-power; a refusing certificate
-        # sends every cell to the exact path, with the same report
+        # t > 0, so no cell builds an exact t-power; a refusing closed form
+        # and certificate send every cell to the exact path, with the same
+        # report
         from momentlab.cli import main
         calls, power_at = [], semigroup._power_at
 
@@ -606,6 +608,7 @@ class TestFloatPower:
         assert main(["scan", "--t-grid", "1e-400"]) == 0
         assert calls == []
         out = capsys.readouterr().out
+        monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert main(["scan", "--t-grid", "1e-400"]) == 0
         assert calls == [F(1, 10 ** 400)] * 5
@@ -620,6 +623,7 @@ class TestFloatPower:
     @pytest.mark.parametrize("grid", REFUSING_GRIDS)
     def test_refusing_certificate_gives_the_same_result(self, grid, monkeypatch):
         certified = theta_threshold_scan(*grid)
+        monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert theta_threshold_scan(*grid) == certified
 
@@ -642,3 +646,56 @@ class TestFloatPower:
         res = theta_threshold_scan(depth=100)
         assert all(cell.passed for row in res.pass_matrix for cell in row)
         assert len(res.pass_matrix) * len(res.t_grid) == 15
+
+
+# q = a/b above q* ~ 2.5276: pinned, huge, and drawn from 253/100 up
+closed_form_qs = st.one_of(st.sampled_from([F(3), F(253, 100), F(11, 4), F(10 ** 50),
+                                            F(2 ** 64 + 1, 2 ** 62)]),
+                           st.builds(lambda a, b: F(253, 100) + F(a, b),
+                                     st.integers(0, 10 ** 4), st.integers(1, 10 ** 4)))
+
+
+class TestClosedForm:
+    """The closed-form row test of the scan: for q above q*, every cumulant
+    ratio k_n lies in [1 - 1/q^2, 1], both cumulant Hankel matrices have
+    only positive minors, and the exact t-power is strictly positive, at
+    every depth drawn; such a row builds nothing else."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=closed_form_qs, t=fine_ts, depth=st.integers(0, 12))
+    @example(q=F(253, 100), t=F(1, 10 ** 40), depth=12)
+    def test_lemma_on_the_exact_numbers(self, q, t, depth):
+        assert semigroup._closed_form_row(q)
+        upto = 2 * depth + 1
+        ints, (c, kappas) = semigroup._lattice_power(q, upto)
+        for n, (k, m) in enumerate(zip(kappas, ints[1:], strict=True), start=1):
+            assert 1 - 1 / q ** 2 <= F(k, m) <= 1, n
+        for shift in range(min(2, depth + 1)):  # [K_(1+s+i+j)], K_(1+m) = c c^m kappa_(1+m)
+            assert all(num > 0 for num, _ in _hankel_minors((c, c, kappas), shift,
+                                                            depth - shift))
+        with pytest.MonkeyPatch.context() as mp:  # the verdict from its exact minors
+            mp.setattr(stieltjes, "_certified_positive", lambda *args: False)
+            verdict = stieltjes_verdict(ScaledSequence(*_power_at((c, kappas), t)), depth)
+        assert verdict == stieltjes.PositivityVerdict("strictly-positive", depth)
+
+    @pytest.mark.parametrize("q, accepted", [
+        (F(3), True), (F(253, 100), True), (F(11, 4), True),
+        (F(2527, 1000), False), (F(5, 2), False), (F(12, 5), False), (F(7, 3), False),
+        (F(2), False)])
+    def test_threshold_lies_between_2527_and_2530_thousandths(self, q, accepted):
+        assert semigroup._closed_form_row(q) is accepted
+
+    def test_closed_form_rows_build_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a closed-form row builds no base, matrix or t-power")
+
+        monkeypatch.setattr(semigroup, "_lattice_base", refuse)
+        monkeypatch.setattr(semigroup, "_power_at", refuse)
+        monkeypatch.setattr(stieltjes, "_certified_positive", refuse)
+        res = theta_threshold_scan([F(1, 9), F(1, 100)], depth=5000)
+        assert res.depth == 5000 and res.empirical_theta_max == F(1, 9)
+        certified = stieltjes.PositivityVerdict("strictly-positive", 5000)
+        assert [cell.verdict for row in res.pass_matrix for cell in row] == [certified] * 6
+        grid = [1 / F(q) ** 2 for q in (3, 5, 7, 11)], [F(3, 13), F(6, 11), F(9, 13)], 6
+        assert all(cell.passed for row in theta_threshold_scan(*grid).pass_matrix
+                   for cell in row)

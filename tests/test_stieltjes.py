@@ -378,9 +378,10 @@ class TestOnePassVerdict:
         # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
         # cell's integers, as the scan hands them to the verdict, against
         # the partial Bell rows of mb_compose_t at t, and through n = 9
-        # against the occupancy sum over compositions. With the certificate
-        # refusing every matrix the scan builds every cell's exact t-power
-        # and hands it over; its float path decides the same cells.
+        # against the occupancy sum over compositions. With the closed form
+        # refusing every row and the certificate every matrix, the scan
+        # builds every cell's exact t-power and hands it over; its own run
+        # decides the same cells.
         handed = []
 
         def recording(seq, upto):
@@ -390,6 +391,7 @@ class TestOnePassVerdict:
         grid = (F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8
         certified = theta_threshold_scan(*grid)
         monkeypatch.setattr(semigroup, "stieltjes_verdict", recording)
+        monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         res = theta_threshold_scan(*grid)
         assert res == certified and len(handed) == 6

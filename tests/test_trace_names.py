@@ -54,9 +54,10 @@ def test_keyword_arguments_the_tracer_reads_exist():
 def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
     """The tracer charges the scan's verdicts to stieltjes.verdict_s by
     wrapping semigroup's binding of stieltjes_verdict, so the scan must call
-    it through that name, once per (theta, t) cell that the float
-    certificate leaves to the exact path: here every cell, as the
-    certificate is made to refuse. Where it certifies, no verdict runs."""
+    it through that name, once per (theta, t) cell that the closed form and
+    the float certificate leave to the exact path: here every cell, as the closed
+    form and the certificate are made to refuse. Where either certifies, no
+    verdict runs."""
     calls = []
     verdict = semigroup.stieltjes_verdict
 
@@ -68,6 +69,7 @@ def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
     monkeypatch.setattr(semigroup, "stieltjes_verdict", counting)
     certified = semigroup.theta_threshold_scan(*grid)
     assert calls == []
+    monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
     monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
     res = semigroup.theta_threshold_scan(*grid)
     assert len(calls) == 4 and res == certified
