@@ -14,10 +14,12 @@ theta = 1/q^2.
 
 The composed moments at a rational t are integers over one scale, from
 moment_algebra's t-power evaluator _power_at. The scan decides each theta
-row at once, in three steps. First the closed form: for q above q* ~
-2.5276 (theta below ~0.1565), _closed_form_row proves every cell of the
-row strictly positive at every depth from one integer inequality in q,
-with nothing else computed. Next, in floats of order 1 computed straight
+row at once, in three steps. First the closed form: for q above q** ~
+2.209 (theta below ~0.2049), _closed_form_row proves every cell of the
+row strictly positive at every depth, by Gershgorin on bounds of the
+cumulant ratios: above q* ~ 2.5276 from one integer inequality in q, and
+below it from the first six exact ratios, with no matrix and no t-power.
+Next, the float certificate, in floats of order 1 computed straight
 from q, with no big integer: _lattice_base gives the cumulant ratios k_n =
 K_n / M_n with proven bounds, and _lattice_hankel the congruence
 q^(-(i-j)^2) k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)) of the cumulant
@@ -255,15 +257,6 @@ def envelope_bounds_check(m: MomentSequence, theta, t, depth: int) -> EnvelopeRe
 # theta-threshold scan
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """sqrt(x) when it is rational, else None; x >= 0."""
-    num, den = x.numerator, x.denominator
-    a, b = isqrt(num), isqrt(den)
-    if a * a == num and b * b == den:
-        return Fraction(a, b)
-    return None
-
-
 def lattice_family(q: Fraction, upto: int) -> MomentSequence:
     """The canonical constant-ratio log-convex family mu_n = q^(n^2), rational q > 1."""
     return lattice_lognormal_moments(q, 1, upto)
@@ -424,8 +417,7 @@ def _lattice_hankel(base: LatticeBase, shift: int, size: int) -> tuple:
     (B + (2 size^2 + 6) u) M. (g_i g_j) k~ >= 2^-1022 is normal; the two
     steps after it (x <= 1, then ldexp(., e <= 0)) each add at most eta / 2
     where subnormal and never scale an earlier one up, and a power stored
-    as 0 leaves an entry below eta. upper is a list, so the certificate
-    tries strict diagonal dominance before its Cholesky.
+    as 0 leaves an entry below eta.
     """
     k = base.ks
     rows, cols, sums, gaps = _upper_indices(shift, size)
@@ -435,7 +427,7 @@ def _lattice_hankel(base: LatticeBase, shift: int, size: int) -> tuple:
     if base.exps is not None:
         upper = map(ldexp, upper, map(base.exps.__getitem__, gaps))
     rel = (max(base.kbounds) + (2 * size * size + 6) * _U) * _MARGIN
-    return [1.0] * (size + 1), list(upper), rel
+    return [1.0] * (size + 1), upper, rel
 
 
 def _lattice_power(q: Fraction, upto: int) -> tuple:
@@ -448,37 +440,81 @@ def _lattice_power(q: Fraction, upto: int) -> tuple:
     return ints, (c, _kappas_from_moments(ints))
 
 
-def _closed_form_row(q: Fraction) -> bool:
-    """Whether q = a/b > 1 has 2 b a^4 < (a^2 - b^2)(a^3 - b^3), which is
-    2r < (1 - r^2)(1 - r^3) with r = 1/q; the right side less the left
-    falls as r rises, so that holds exactly when q > q* ~ 2.5276, theta <
-    ~0.1565. Then both
-    cumulant Hankel matrices of mu_n = q^(n^2), at shift 0 and shift 1, are
-    positive definite at every size, so theta_threshold_scan's theorem
-    makes every t-power strictly positive at every depth, and the row
-    needs no LatticeBase, no matrix, no float and no t-power.
+# The rows i < 4 at shifts s = 0, 1 that _closed_form_row sums entry by
+# entry: the list position s + 2i of the diagonal's bound and, for each j <=
+# i + 2, j != i, the power (i-j)^2 of r = 1/q and the positions s + i + j
+# and s + 2j
+_NEAR_ROWS = tuple((s + 2 * i, tuple(((i - j) ** 2, s + i + j, s + 2 * j)
+                                     for j in range(i + 3) if j != i))
+                   for s in (0, 1) for i in range(4))
 
-    Proof, with x = r^2 = 1/q^2 and k_n = K_n / M_n the cumulant ratios of
-    _lattice_base. The row-sum identity of _power_at's recursion reads k_n
-    = 1 - T_n, T_n = sum_(j <= n-2) C(n-1, j) k_(j+1) x^((j+1)(n-1-j)),
-    and (j+1)(n-1-j) >= n - 1 for j <= n - 2.
-    - 1 - x <= k_n <= 1 for every n once x <= 1/4 (q > q* > 2 gives it),
-      by induction on n: k_1 = 1; every k_(j+1) in T_n lies in (0, 1], so
-      T_n >= 0, T_2 = x, and for n >= 3, T_n <= x^(n-1) (2^(n-1) - 1) <
-      (2x)^(n-1) <= x, as 2^(n-1) x^(n-2) <= 2^(3-n) <= 1.
+
+def _closed_form_row(q: Fraction) -> bool:
+    """Whether a bound on the cumulant ratios of mu_n = q^(n^2), rational q
+    > 1, proves both cumulant Hankel matrices, at shift 0 and shift 1,
+    positive definite at every size; true for q > q** ~ 2.209 (theta <
+    ~0.2049). Then theta_threshold_scan's theorem makes every t-power
+    strictly positive at every depth, and the row needs no LatticeBase, no
+    matrix and no t-power.
+
+    Notation: q = a/b, r = 1/q, x = r^2, and k_n = K_n / M_n the cumulant
+    ratios of _lattice_base. The row-sum identity of _power_at's recursion
+    reads k_n = 1 - T_n, T_n = sum_(j <= n-2) C(n-1, j) k_(j+1)
+    x^((j+1)(n-1-j)), and (j+1)(n-1-j) >= n - 1 for j <= n - 2.
+
+    - Lemma: once x <= 1/4, k_1 = 1 and 1 - (2x)^(n-1) < k_n <= 1 for n
+      >= 2. By induction on n: every k_(j+1) in T_n lies in (0, 1], so 0
+      <= T_n <= x^(n-1) (2^(n-1) - 1) < (2x)^(n-1) <= 1/2.
     - The congruence of _lattice_hankel without its rounding, a_ij =
-      q^(-(i-j)^2) k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)), has a unit
-      diagonal and |a_ij| <= r^((i-j)^2) / (1 - x), so each row's
-      off-diagonal sum is at most 2 sum_(m >= 1) r^(m^2) / (1 - x).
-    - As m^2 >= 3m - 2 ((m - 1)(m - 2) >= 0), sum_(m >= 1) r^(m^2) <=
-      r / (1 - r^3), and the row sum is at most 2r / ((1 - r^3)(1 - r^2))
-      < 1 by the test.
-    - Gershgorin then puts every eigenvalue of each matrix, at each size
-      and either shift, above 0, and so are those of its congruent
-      [K_(1+s+i+j)].
+      r^((i-j)^2) k_(1+s+i+j) / sqrt(k_(1+s+2i) k_(1+s+2j)), has a unit
+      diagonal and positive entries. The matrix of each depth is a leading
+      block of the infinite one, so its off-diagonal row sums are partial
+      sums of the infinite rows. Once every infinite row sums below 1, at
+      s = 0 and s = 1, every such matrix is strictly diagonally dominant,
+      and Gershgorin puts its eigenvalues, and those of the congruent
+      [K_(1+s+i+j)], above 0.
+    - First test, 2 b a^4 < (a^2 - b^2)(a^3 - b^3), that is 2r < (1 -
+      r^2)(1 - r^3). Its right side less its left falls as r rises, so it
+      holds exactly when q > q* ~ 2.5276. By the lemma k_n >= 1 - x, so a
+      row sums to at most 2 sum_(m >= 1) r^(m^2) / (1 - x). As m^2 >= 3m -
+      2, that is at most 2r / ((1 - r^3)(1 - r^2)), which is < 1.
+    - Second test, for 2 <= q <= q*. Take lo_n = hi_n = k_n exactly for n
+      <= 6, from _lattice_power(q, 6), and for n >= 7, by the lemma, lo_n
+      = l = 1 - (2x)^6 and hi_n = 1: lo_n <= k_n <= hi_n. Let w = r^9 / (1
+      - r^7), which is >= sum_(m >= 3) r^(m^2), as r^((m+1)^2 - m^2) <=
+      r^7. Row i < 4 of shift s sums to at most the sum over j <= i + 2, j
+      != i, of r^((i-j)^2) hi_(1+s+i+j) / sqrt(lo_(1+s+2i) lo_(1+s+2j)),
+      plus w / sqrt(lo_(1+s+2i) l) for the j >= i + 3, whose indices are
+      >= 7. A row i >= 4 has its diagonal index >= 9, and the neighbours j
+      = i +- m have indices >= 9 - 2m. So it sums to at most 2 / sqrt(l)
+      times r / sqrt(l) + r^4 / sqrt(min(lo_5, lo_6, l)) + w / sqrt(min_n
+      lo_n).
+    - The floats: b / a, 2 b^2 / a^2 and each K_n / M_n are correctly
+      rounded. Every bound is then built by at most 64 operations that
+      each round once: products, quotients, square roots, sums of positive
+      terms, minima, and 1 - y for y <= 1/2, which keeps y's relative
+      error. So each float bound s~ is within a relative 64 u / (1 - 64 u)
+      < 2^-40 of its exact value s, u = 2^-53, and fl(s~ (1 + 2^-20)) < 1
+      gives s < s~ (1 + 2^-40) < 1.
     """
     a, b = q.numerator, q.denominator
-    return 2 * b * a ** 4 < (a * a - b * b) * (a ** 3 - b ** 3)
+    if 2 * b * a ** 4 < (a * a - b * b) * (a ** 3 - b ** 3):
+        return True
+    if a < 2 * b:
+        return False
+    ints, (_, kappas) = _lattice_power(q, 6)
+    r = b / a
+    rs = list(accumulate(repeat(r, 9), mul, initial=1.0))  # r^0..r^9
+    y = 2 * b * b / (a * a)
+    y *= y * y
+    k = list(map(truediv, kappas, ints[1:]))
+    lo, hi = k + [1 - y * y] * 8, k + [1.0] * 8  # n = 1..14, as lo[n-1] and hi[n-1]
+    g = [1 / sqrt(v) for v in lo]
+    w = rs[9] / (1 - rs[7])
+    bounds = [g[d] * (sum([rs[m] * hi[n] * g[e] for m, n, e in row]) + w * g[6])
+              for d, row in _NEAR_ROWS]
+    bounds.append(2 * g[6] * (r * g[6] + rs[4] / sqrt(min(lo[4:])) + w / sqrt(min(lo))))
+    return max(bounds) * (1 + 2.0 ** -20) < 1
 
 
 def _lattice_floats(q: Fraction, upto: int) -> tuple:
@@ -528,10 +564,10 @@ class ScanCell(Record):
 DEFAULT_THETA_GRID = (Fraction(1, 100), Fraction(1, 36), Fraction(1, 16),
                       Fraction(1, 9), Fraction(1, 4))
 DEFAULT_T_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-# The reference line of the report. Below theta* ~ 0.1565 (q above q* ~
-# 2.5276) _closed_form_row proves every row strictly positive at every depth,
-# so that is the proved bound; 1/6 lies just above it and still has no source
-# in PAPER.md (ROADMAP item 21).
+# The reference line of the report. Below theta** ~ 0.2049 (q above q** ~
+# 2.209) _closed_form_row proves every row strictly positive at every depth,
+# so that is the proved bound; the 1/6 line now lies below it and still has
+# no source in PAPER.md (ROADMAP item 21).
 REFERENCE_THRESHOLD = Fraction(1, 6)
 
 
@@ -585,15 +621,16 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     verdict at `depth`.
 
     Each row is decided in three steps, in this order. (a) The closed form:
-    when _closed_form_row(q) holds (q > q* ~ 2.5276), a bound on the
-    cumulant ratios proves both matrices positive definite at every size,
-    and every cell is certified with no float and no integer built
-    beyond the test's own. (b) The float certificate: the row is tried
-    from q alone, on floats of order 1 with proven bounds (_lattice_floats,
-    then _lattice_hankel at shift 0, size depth, and shift 1, size depth -
-    1, through _certified_stieltjes); [K_(1+s+i+j)], K_n = c^n kappa_n, is
-    a congruence of [kappa_(1+s+i+j)] times c^(1+s), so the theorem
-    applies to it. (c) The exact path: the exact integers of
+    when _closed_form_row(q) holds (q > q** ~ 2.209), bounds on the
+    cumulant ratios prove both matrices positive definite at every size,
+    and every cell is certified with no matrix and no t-power; above q* ~
+    2.5276 one integer comparison decides, below it the first six exact
+    cumulant ratios and a few floats with a proven margin. (b) The float
+    certificate: the row is tried from q alone, on floats of order 1 with
+    proven bounds (_lattice_floats, then _lattice_hankel at shift 0, size
+    depth, and shift 1, size depth - 1, through _certified_stieltjes);
+    [K_(1+s+i+j)], K_n = c^n kappa_n, is a congruence of [kappa_(1+s+i+j)]
+    times c^(1+s), so the theorem applies to it. (c) The exact path: the exact integers of
     distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1) for
     q = a/b, and their cumulants (the same as _power_base reads from
     lattice_family's Fractions) are built only on a fallback: for the
@@ -613,25 +650,27 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         raise ValueError("depth must be >= 0")
     thetas = sorted(Fraction(x) for x in theta_grid)
     ts = tuple(Fraction(x) for x in t_grid)
-    if any(not 0 < th < 1 for th in thetas):
+    if any(not 0 < th.numerator < th.denominator for th in thetas):
         raise ValueError("theta values must lie in (0,1)")
-    if any(not 0 < t < 1 for t in ts):
+    if any(not 0 < t.numerator < t.denominator for t in ts):
         raise ValueError("t values must lie in (0,1)")
     delta = Fraction(delta) if delta is not None else None
 
-    matrix = []
+    matrix, ratios = [], []
     for theta in thetas:
-        q = _rational_sqrt(1 / theta)
-        if q is None:
+        n, d = theta.numerator, theta.denominator
+        a, b = isqrt(d), isqrt(n)  # q = a/b, in lowest terms as n/d is
+        if a * a != d or b * b != n:
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
-        matrix.append(tuple(map(ScanCell, repeat(theta), ts, _row_verdicts(q, ts, depth))))
+        matrix.append(tuple(map(ScanCell, repeat(theta), ts,
+                                _row_verdicts(Fraction(a, b), ts, depth))))
+        nd, gap = n * d, (d - n) ** 2  # theta / (1 - theta)^2 = n d / (d - n)^2
+        ratios.append((theta, Fraction(nd, gap), None if delta is None
+                       else nd * delta.denominator <= delta.numerator * gap))
 
     passes = [[cell.passed for cell in row] for row in matrix]
     best = max((theta for theta, row in zip(thetas, passes) if all(row)), default=None)
     # a column is downward closed when its passes, by rising theta, never rise
     monotone = all(list(col) == sorted(col, reverse=True) for col in zip(*passes))
-    ratios = tuple((theta, theta / (1 - theta) ** 2,
-                    None if delta is None else theta / (1 - theta) ** 2 <= delta)
-                   for theta in thetas)
     return ThresholdScanResult(tuple(thetas), ts, depth, tuple(matrix), best,
-                               REFERENCE_THRESHOLD, monotone, ratios, delta)
+                               REFERENCE_THRESHOLD, monotone, tuple(ratios), delta)

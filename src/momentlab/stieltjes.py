@@ -39,8 +39,7 @@ entry. stieltjes_verdict's _scaled_hankel scales the top 64 bits of each
 integer by powers of two (rel = 2u, u = 2^-53), as the Cholesky reads
 them; the theta-scan's semigroup._lattice_hankel builds the unit-diagonal
 matrix of a lattice family's cumulants from their float ratios with a
-proven bound, as a list, which the core first tries for strict diagonal
-dominance. One such pair of matrices certifies a whole theta row, every t
+proven bound. One such pair of matrices certifies a whole theta row, every t
 at once, with no exact t-power or cumulant. Where that proof fails (a zero
 or negative minor, or a matrix too ill-conditioned for float64), the exact
 minors decide, so every refutation, zero, witness and witness value comes
@@ -54,7 +53,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import frexp, fsum, isqrt, lcm, ldexp, sqrt
+from math import frexp, isqrt, lcm, ldexp, sqrt
 from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
@@ -207,18 +206,6 @@ def _upper_indices(shift: int, size: int) -> tuple:
             tuple(shift + i + j for i, j in pairs), tuple(j - i for i, j in pairs))
 
 
-@lru_cache(maxsize=8)
-def _lines(n: int) -> tuple:
-    """For each row i of an n-row symmetric matrix, the positions of its
-    entries off the diagonal, (i, j) or (j, i), in the row-major order of
-    the entries above the diagonal that _certified_positive reads."""
-    lines = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(zip(*_upper_indices(0, n - 1)[:2])):
-        lines[i].append(k)
-        lines[j].append(k)
-    return tuple(map(tuple, lines))
-
-
 def _scaled_hankel(heads: list, exps: list, rel: float, shift: int, size: int) -> Optional[tuple]:
     """(diag, upper, rel): the Hankel matrix H = [v_(shift+i+j)], n = size
     + 1 rows, as _certified_positive takes it, or None. Entry v_k arrives
@@ -249,30 +236,6 @@ def _scaled_hankel(heads: list, exps: list, rel: float, shift: int, size: int) -
     return diag, upper, rel
 
 
-def _dominant(diag: list, upper: list) -> bool:
-    """True only if the symmetric matrix A of _certified_positive's contract,
-    with rel <= 2^-30 and n < 2^21, is strictly diagonally dominant, hence
-    (Gershgorin, with its positive diagonal) positive definite: every row
-    has s~ (1 + 2^-19) < a~_ii, s~ the fsum of its |a~_ij|, j != i,
-    evaluated in floats. A row that fails stops the test, so a matrix far
-    from dominance pays one row sum.
-
-    Proof, with s the exact sum of the row's |a~_ij|: fsum rounds once and
-    so does the product, so s (1 + 2^-19)(1 - u)^2 < a~_ii. The true
-    entries have |a_ij| <= (|a~_ij| + 2 eta) / (1 - rel) and a_ii >= (a~_ii
-    - 2 eta) / (1 + rel), and (1 + rel) / (1 - rel) < 1 + 2^-28, so the row
-    is dominant once s (1 + 2^-28) + 2^-1000 < a~_ii. For s <= 1/2 the
-    left side is below 1 <= a~_ii; for s > 1/2 it is below s (1 + 2^-28 +
-    2^-999) < s (1 + 2^-19)(1 - u)^2. A row sum past float range raises
-    OverflowError, which refuses.
-    """
-    try:
-        return all(fsum(map(abs, map(upper.__getitem__, line))) * (1 + 2.0 ** -19) < d
-                   for d, line in zip(diag, _lines(len(diag))))
-    except OverflowError:
-        return False
-
-
 def _certified_positive(diag: list, upper, rel: float) -> bool:
     """True only if a symmetric matrix A of n = len(diag) rows is proved
     positive definite from floats a~_ij: diag[i] = a~_ii in [1, 4), and
@@ -285,16 +248,9 @@ def _certified_positive(diag: list, upper, rel: float) -> bool:
     row of the scan. False proves nothing: the caller then computes the
     minors exactly.
 
-    A producer that hands upper as a list has built every entry already,
-    and its matrix is first tried for strict diagonal dominance
-    (_dominant); the lattice's entries decay like q^(-(i-j)^2), so most of
-    its matrices pass there. Rows with q above q* ~ 2.53 never get here
-    (semigroup._closed_form_row proves them), but _dominant still serves
-    those from about q = 2.21 up to q*: without it, theta = 9/49 (q = 7/3)
-    at depth 200 takes the Cholesky and scans about 2.3 times slower
-    (0.13 s against 0.057 s on a 2-vCPU host). An iterator
-    (_scaled_hankel's) goes straight to the Cholesky, which computes each
-    entry as it reads it and stops at the first failed pivot.
+    upper may be an iterator: the Cholesky computes each entry as it reads
+    it and stops at the first failed pivot. A matrix of no rows is
+    accepted.
 
     The Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, Thm 10.5; Rump, BIT 46, 2006), with u = 2^-53, eta = 2^-1074,
@@ -322,7 +278,7 @@ def _certified_positive(diag: list, upper, rel: float) -> bool:
     """
     if not rel <= _REL_CEILING:
         return False
-    if isinstance(upper, list) and _dominant(diag, upper):
+    if not diag:  # no rows: the shift-1 matrix of a depth-0 theta row
         return True
     gamma = (len(diag) + 1) * _U / (1 - (len(diag) + 1) * _U)
     c = (gamma / (1 - gamma) * sum(diag) + len(diag) * rel * max(diag) + 4 * _U) * (1 + 2.0 ** -20)

@@ -113,6 +113,10 @@ CASES = {
     # float certificate before that proof
     "scan-closed-form-depth-300": (["scan", "--theta-grid", "1/9,1/25,1/100",
                                     "--depth", "300"], {}),
+    # rows with q from 20/9 to 12/5, below 2.53, proved at every depth from q
+    # and six exact cumulant ratios; made by the float certificate before that proof
+    "scan-closed-form-band-depth-200": (["scan", "--theta-grid", "81/400,16/81,9/49,25/144",
+                                         "--depth", "200"], {}),
 }
 
 

@@ -615,10 +615,17 @@ class TestFloatPower:
         assert capsys.readouterr().out == out
         assert '"verdict": "fail"' not in out
 
+    # rows below q** ~ 2.209, which the closed form refuses: each reaches the
+    # float certificate; 9/8 and 11/10 take the exact cumulant ratios
+    FLOAT_QS = (F(2), F(15, 8), F(7, 4), F(3, 2), F(6, 5), F(9, 8), F(11, 10))
+    FLOAT_GRIDS = [([1 / q ** 2 for q in FLOAT_QS], [F(3, 13), F(6, 11), F(9, 13)], 6),
+                   ([1 / q ** 2 for q in FLOAT_QS], [F(3, 13), F(6, 11), F(9, 13)], 40),
+                   ([F(1, 4)], DEFAULT_T_GRID, 100)]
     REFUSING_GRIDS = [
         (DEFAULT_THETA_GRID, DEFAULT_T_GRID, 6),
         ([1 / F(q) ** 2 for q in (F(7, 3), 3, 5, 7, 11)], [F(3, 13), F(6, 11), F(9, 13)], 6),
-        ([F(100, 121), F(64, 81)], [F(1, 10 ** 30), F(1, 3), F(10 ** 20 - 1, 10 ** 20)], 8)]
+        ([F(100, 121), F(64, 81)], [F(1, 10 ** 30), F(1, 3), F(10 ** 20 - 1, 10 ** 20)], 8),
+        FLOAT_GRIDS[0]]
 
     @pytest.mark.parametrize("grid", REFUSING_GRIDS)
     def test_refusing_certificate_gives_the_same_result(self, grid, monkeypatch):
@@ -638,6 +645,27 @@ class TestFloatPower:
         res = theta_threshold_scan(*grid)
         assert all(cell.passed for row in res.pass_matrix for cell in row)
 
+    @pytest.mark.parametrize("grid", FLOAT_GRIDS)
+    def test_float_rows_are_certified_from_their_base(self, grid, monkeypatch):
+        # one base per row from the float recursion, and one more from the
+        # exact cumulant ratios where that recursion refuses; no t-power
+        def no_exact_power(*args):
+            raise AssertionError("the float certificate should decide every cell")
+
+        calls, lattice_base = [], semigroup._lattice_base
+
+        def counting(q, upto, ratios=None):
+            calls.append((q, ratios is None))
+            return lattice_base(q, upto, ratios)
+
+        monkeypatch.setattr(semigroup, "_power_at", no_exact_power)
+        monkeypatch.setattr(semigroup, "_lattice_base", counting)
+        res = theta_threshold_scan(*grid)
+        assert all(cell.passed for row in res.pass_matrix for cell in row)
+        qs = [q for q in self.FLOAT_QS if 1 / q ** 2 in grid[0]]  # rows by rising theta
+        assert calls == [(q, by_recursion) for q in qs
+                         for by_recursion in ((True, False) if q < F(6, 5) else (True,))]
+
     def test_depth_100_by_floats_alone(self, monkeypatch):
         def no_exact_power(*args):
             raise AssertionError("the float certificate should decide every cell")
@@ -648,28 +676,37 @@ class TestFloatPower:
         assert len(res.pass_matrix) * len(res.t_grid) == 15
 
 
-# q = a/b above q* ~ 2.5276: pinned, huge, and drawn from 253/100 up
-closed_form_qs = st.one_of(st.sampled_from([F(3), F(253, 100), F(11, 4), F(10 ** 50),
-                                            F(2 ** 64 + 1, 2 ** 62)]),
-                           st.builds(lambda a, b: F(253, 100) + F(a, b),
-                                     st.integers(0, 10 ** 4), st.integers(1, 10 ** 4)))
+# q = a/b above q** ~ 2.209: pinned, huge, drawn from 253/100 up (above q* ~
+# 2.5276, where one integer comparison decides), and drawn from 20/9 to
+# 2527/1000, 2 <= b <= 10^4 (where the six exact cumulant ratios decide)
+closed_form_qs = st.one_of(
+    st.sampled_from([F(3), F(253, 100), F(11, 4), F(10 ** 50), F(2 ** 64 + 1, 2 ** 62),
+                     F(20, 9), F(9, 4), F(7, 3), F(12, 5), F(5, 2), F(2527, 1000)]),
+    st.builds(lambda a, b: F(253, 100) + F(a, b), st.integers(0, 10 ** 4),
+              st.integers(1, 10 ** 4)),
+    st.integers(2, 10 ** 4).flatmap(
+        lambda b: st.builds(F, st.integers(-(-20 * b // 9), 2527 * b // 1000), st.just(b))))
 
 
 class TestClosedForm:
-    """The closed-form row test of the scan: for q above q*, every cumulant
-    ratio k_n lies in [1 - 1/q^2, 1], both cumulant Hankel matrices have
-    only positive minors, and the exact t-power is strictly positive, at
-    every depth drawn; such a row builds nothing else."""
+    """The closed-form row test of the scan: for q above q**, every cumulant
+    ratio k_n lies within the lemma's bounds, both cumulant Hankel matrices
+    have only positive minors, and the exact t-power is strictly positive,
+    at every depth drawn; such a row builds nothing else."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(q=closed_form_qs, t=fine_ts, depth=st.integers(0, 12))
     @example(q=F(253, 100), t=F(1, 10 ** 40), depth=12)
+    @example(q=F(20, 9), t=F(1, 10 ** 40), depth=12)
     def test_lemma_on_the_exact_numbers(self, q, t, depth):
         assert semigroup._closed_form_row(q)
         upto = 2 * depth + 1
         ints, (c, kappas) = semigroup._lattice_power(q, upto)
-        for n, (k, m) in enumerate(zip(kappas, ints[1:], strict=True), start=1):
-            assert 1 - 1 / q ** 2 <= F(k, m) <= 1, n
+        x = 1 / q ** 2
+        ks = [F(k, m) for k, m in zip(kappas, ints[1:], strict=True)]  # k_1..k_upto
+        assert ks[0] == 1
+        for n, k in enumerate(ks[1:], start=2):
+            assert 1 - (2 * x) ** (n - 1) < k <= 1 and 1 - x <= k, n
         for shift in range(min(2, depth + 1)):  # [K_(1+s+i+j)], K_(1+m) = c c^m kappa_(1+m)
             assert all(num > 0 for num, _ in _hankel_minors((c, c, kappas), shift,
                                                             depth - shift))
@@ -679,10 +716,11 @@ class TestClosedForm:
         assert verdict == stieltjes.PositivityVerdict("strictly-positive", depth)
 
     @pytest.mark.parametrize("q, accepted", [
-        (F(3), True), (F(253, 100), True), (F(11, 4), True),
-        (F(2527, 1000), False), (F(5, 2), False), (F(12, 5), False), (F(7, 3), False),
-        (F(2), False)])
-    def test_threshold_lies_between_2527_and_2530_thousandths(self, q, accepted):
+        (F(3), True), (F(253, 100), True), (F(11, 4), True), (F(2527, 1000), True),
+        (F(5, 2), True), (F(12, 5), True), (F(7, 3), True), (F(9, 4), True), (F(20, 9), True),
+        (F(221, 100), True), (F(2209, 1000), False), (F(11, 5), False), (F(21, 10), False),
+        (F(2), False), (F(3, 2), False)])
+    def test_threshold_lies_between_2209_and_2210_thousandths(self, q, accepted):
         assert semigroup._closed_form_row(q) is accepted
 
     def test_closed_form_rows_build_nothing(self, monkeypatch):
@@ -696,6 +734,9 @@ class TestClosedForm:
         assert res.depth == 5000 and res.empirical_theta_max == F(1, 9)
         certified = stieltjes.PositivityVerdict("strictly-positive", 5000)
         assert [cell.verdict for row in res.pass_matrix for cell in row] == [certified] * 6
-        grid = [1 / F(q) ** 2 for q in (3, 5, 7, 11)], [F(3, 13), F(6, 11), F(9, 13)], 6
-        assert all(cell.passed for row in theta_threshold_scan(*grid).pass_matrix
-                   for cell in row)
+        # the benchmark's scan grid, and rows from 20/9 to 12/5, below q*
+        for grid in (([1 / F(q) ** 2 for q in (F(7, 3), 3, 5, 7, 11)],
+                      [F(3, 13), F(6, 11), F(9, 13)], 6),
+                     ([F(81, 400), F(16, 81), F(9, 49), F(25, 144)], DEFAULT_T_GRID, 5000)):
+            assert all(cell.passed for row in theta_threshold_scan(*grid).pass_matrix
+                       for cell in row)

@@ -19,7 +19,6 @@ from momentlab.stieltjes import (
     HankelQuery,
     PositivityVerdict,
     _certified_positive,
-    _dominant,
     _hankel_minors,
     _integer_scale,
     _leading_minors,
@@ -601,29 +600,25 @@ class TestCertifiedPositive:
         assert not certified_ints([1, 1, 1], 0, 1)  # [[1, 1], [1, 1]] is singular
         assert certified_ints([1, 1, 2], 0, 1)
 
-    def test_dominance_keeps_its_margin(self):
-        # a list of entries is tried for diagonal dominance first; each
-        # [[1, a], [a, 1]] accepted at rel = 2^-30 stays positive definite
-        # for the worst matrix the bound allows: a diagonal smaller by 1 +
-        # rel, and an a larger by 1 / (1 - rel)
+    def test_cholesky_keeps_its_margin(self):
+        # each [[1, a], [a, 1]] accepted at rel = 2^-30 stays positive
+        # definite for the worst matrix the bound allows: a diagonal smaller
+        # by 1 + rel, and an a larger by 1 / (1 - rel)
         rel = 2.0 ** -30
         accepted = 0
         for k in range(1, 60):
             for a in (1 - 2.0 ** -k, 1 - 3 * 2.0 ** -k):
-                if _dominant([1.0, 1.0], [a]):
+                if _certified_positive([1.0, 1.0], [a], rel):
                     accepted += 1
-                    assert _certified_positive([1.0, 1.0], [a], rel)
                     worst = F(1) / (1 + F(rel)), F(a) / (1 - F(rel))
                     assert worst[0] ** 2 > worst[1] ** 2, k
         assert accepted > 0
-        # rows dominant up to their margin: refused by both proofs
-        assert not _dominant([1.0, 1.0], [1 - 2.0 ** -32])
+        # positive definite up to the margin, singular, or past float range:
+        # refused, not raised
         assert not _certified_positive([1.0, 1.0], [1 - 2.0 ** -32], rel)
-        assert not _certified_positive([1.0, 1.0], [1.0], 2 * _U)  # singular
-        # a row sum past float range refuses; it does not raise
-        assert not _dominant([1.0] * 3, [1e308, 1e308, 0.0])
+        assert not _certified_positive([1.0, 1.0], [1.0], 2 * _U)
         assert not _certified_positive([1.0] * 3, [1e308, 1e308, 0.0], 2 * _U)
-        assert _dominant([1.0] * 3, [0.4, -0.5, 0.4])
+        assert _certified_positive([], iter(()), 2 * _U)  # no rows
 
 
 class TestLatticeClosedForm:
