@@ -413,7 +413,9 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
         sp.add_argument("--epsilon", type=float, default=0.0,
                         help="discard jumps at or below this size")
         sp.add_argument("--t", type=float, default=1.0, help="time horizon")
-        sp.add_argument("--trials", type=int, required=True)
+        sp.add_argument("--trials", type=int, required=True,
+                        help="sample paths, drawn in blocks: memory is 8 bytes "
+                             "per trial plus one block")
         sp.add_argument("--seed", type=int, required=True)
         sp.add_argument("--level", type=float, default=0.99)
         sp.set_defaults(func=cmd_simulate)

@@ -4,7 +4,11 @@ X(t) = sum of N(t) jumps, N a Poisson process of the given rate, jumps drawn
 independently from the jump law; jumps of size <= epsilon are discarded at
 the source. Sampling is vectorized and fully deterministic given the seed:
 the generator is counter-based (Philox), keyed by the two 64-bit words
-(seed, 0).
+(seed, 0). It runs over blocks of paths: every path's Poisson count is drawn
+first, then the jump sizes one block of _BLOCK paths at a time, and each
+report keeps per block only the counts it reports. numpy's streams do not
+depend on how a draw is split, so the jumps are those of one draw of them
+all. Memory is 8 bytes per trial (the counts) plus one block's jumps.
 
 The spectrum check targets the replication property of compound laws: mass
 in (a, b) forces mass in (na, nb), because n independent clusters of jumps
@@ -154,48 +158,67 @@ def make_rng(seed: int) -> np.random.Generator:
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _jump_field(spec: JumpSpec, t: float, rng: np.random.Generator, count: int):
-    """Every jump of `count` independent paths on [0, t], before the epsilon
-    cut, and the path each belongs to: the Poisson counts first, then all
-    jump sizes in one draw. ValueError when rate * t is past numpy's limit."""
+# paths per block of the jump field: any size gives the same reports; at
+# one jump per path a block's arrays are 64 KiB each
+_BLOCK = 8192
+
+
+def _path_blocks(spec: JumpSpec, t: float, rng: np.random.Generator, count: int):
+    """The jump field of `count` independent paths on [0, t], before the
+    epsilon cut, in blocks of _BLOCK paths: every Poisson count first, then
+    each block's jump sizes in one draw. Yields (counts, jumps, owner),
+    owner the path of each jump within its block. ValueError when rate * t
+    is past numpy's limit."""
     lam = spec.rate * t
     if not lam <= _POISSON_LAM_MAX:
         raise ValueError(f"rate * t must be finite and at most {_POISSON_LAM_MAX:.4g}, "
                          f"got {lam:g}")
     n = rng.poisson(lam, count)
-    total = int(n.sum())
-    jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
-    return jumps, np.repeat(np.arange(count), n)
+    for start in range(0, count, _BLOCK):
+        counts = n[start:start + _BLOCK]
+        total = int(counts.sum())
+        jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
+        yield counts, jumps, np.repeat(np.arange(len(counts)), counts)
 
 
-def _sample_with_counts(spec: JumpSpec, t: float, rng: np.random.Generator,
-                        count: int):
-    """Draw `count` values of X(t) plus the per-sample kept-jump counts."""
-    jumps, owner = _jump_field(spec, t, rng, count)
+def _kept_sums(spec: JumpSpec, counts: np.ndarray, jumps: np.ndarray, owner: np.ndarray):
+    """Per path of a block: the sum of its kept jumps, those above epsilon
+    (a Poisson jump of size 0 is never kept), and how many there are."""
     if spec.epsilon > 0 or isinstance(spec.jump_law, PoissonJumps):
         keep = jumps > spec.epsilon
         jumps = jumps[keep]
         owner = owner[keep]
-    x = np.bincount(owner, weights=jumps, minlength=count)
-    kept = np.bincount(owner, minlength=count)
-    return x, kept
+        counts = np.bincount(owner, minlength=len(counts))
+    return np.bincount(owner, weights=jumps, minlength=len(counts)), counts
 
 
 def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int) -> np.ndarray:
     """`count` independent draws of X(t); deterministic given the seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = make_rng(seed)
-    x, _ = _sample_with_counts(spec, t, rng, count)
-    return x
+    out = np.empty(count)
+    start = 0
+    for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), count):
+        out[start:start + len(counts)], _ = _kept_sums(spec, counts, jumps, owner)
+        start += len(counts)
+    return out
+
+
+def _inside(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Which entries of x lie in the open interval (a, b)."""
+    return (x > a) & (x < b)
+
+
+def _check_gap(a: float, b: float) -> None:
+    if not 0 < a < b < math.inf:
+        raise ValueError("the censor gap needs finite ends 0 < a < b")
 
 
 def gap_censor_samples(samples: np.ndarray, a: float, b: float) -> np.ndarray:
     """Move empirical mass on the open interval (a, b) to 0."""
-    if not 0 < a < b < math.inf:
-        raise ValueError("the censor gap needs finite ends 0 < a < b")
+    _check_gap(a, b)
     out = np.asarray(samples, dtype=float).copy()
-    out[(out > a) & (out < b)] = 0.0
+    out[_inside(out, a, b)] = 0.0
     return out
 
 
@@ -362,15 +385,21 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
         raise ValueError("trials must be >= 1")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    rng = make_rng(seed)
-    x, kept = _sample_with_counts(spec, t, rng, trials)
     if censor_gap is not None:
-        x = gap_censor_samples(x, *censor_gap)
-
-    in_ab = (x > a) & (x < b)
-    in_rep = (x > n * a) & (x < n * b)
-    count_ab = int(in_ab.sum())
-    count_rep = int(in_rep.sum())
+        _check_gap(*censor_gap)
+    # the (a, b) and (na, nb) hits, and how many (a, b) hits have m kept jumps
+    count_ab = count_rep = 0
+    hist = np.zeros(0, dtype=np.int64)
+    for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
+        x, kept = _kept_sums(spec, counts, jumps, owner)
+        if censor_gap is not None:
+            x[_inside(x, *censor_gap)] = 0.0
+        in_ab = _inside(x, a, b)
+        count_ab += int(np.count_nonzero(in_ab))
+        count_rep += int(np.count_nonzero(_inside(x, n * a, n * b)))
+        block = np.bincount(kept[in_ab], minlength=len(hist))
+        block[:len(hist)] += hist
+        hist = block
     p_ab = count_ab / trials
     p_rep = count_rep / trials
     se_ab = math.sqrt(max(p_ab * (1 - p_ab), 0.0) / trials)
@@ -378,25 +407,20 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
 
     lam_eff = spec.rate * t * spec.jump_law.tail_prob(spec.epsilon)
 
-    # modal kept-jump count among (a,b)-hits; its hit probability q_m has a
-    # Clopper-Pearson lower bound, and under the compound hypothesis
-    # P[X in (na,nb)] >= pi_{n m} (q_m / pi_m)^n
+    # modal kept-jump count m >= 1 among (a,b)-hits, the smallest on a tie;
+    # its hit probability q_m has a Clopper-Pearson lower bound, and under
+    # the compound hypothesis P[X in (na,nb)] >= pi_{n m} (q_m / pi_m)^n
     modal_m = 0
     lower = 0.0
-    if count_ab > 0:
-        ms, cs = np.unique(kept[in_ab], return_counts=True)
-        pos = ms > 0
-        ms, cs = ms[pos], cs[pos]
-        if len(ms):
-            best = int(np.argmax(cs))
-            modal_m = int(ms[best])
-            c_m = int(cs[best])
-            q_lcb = _clopper_pearson_lower(c_m, trials, level)
-            pi_m = _poisson_pmf_value(lam_eff, modal_m)
-            pi_nm = _poisson_pmf_value(lam_eff, n * modal_m)
-            if pi_m > 0:
-                s_lcb = min(q_lcb / pi_m, 1.0)
-                lower = pi_nm * s_lcb ** n
+    if hist[1:].any():
+        modal_m = 1 + int(np.argmax(hist[1:]))
+        c_m = int(hist[modal_m])
+        q_lcb = _clopper_pearson_lower(c_m, trials, level)
+        pi_m = _poisson_pmf_value(lam_eff, modal_m)
+        pi_nm = _poisson_pmf_value(lam_eff, n * modal_m)
+        if pi_m > 0:
+            s_lcb = min(q_lcb / pi_m, 1.0)
+            lower = pi_nm * s_lcb ** n
 
     upper = 1.0 - (1.0 - level) ** (1.0 / trials) if count_rep == 0 else 1.0
 
@@ -464,14 +488,17 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
         raise ValueError("trials must be >= 1")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    jumps, owner = _jump_field(spec, t, make_rng(seed), trials)
+    # per epsilon, the paths whose jumps at or below it sum past eta
+    overflow = [0] * len(eps_grid)
+    for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
+        for i, eps in enumerate(eps_grid):
+            small = jumps <= eps
+            discarded = np.bincount(owner[small], weights=jumps[small], minlength=len(counts))
+            overflow[i] += int(np.count_nonzero(discarded > eta))
 
     z = NormalDist().inv_cdf((1 + level) / 2)
     rows = []
-    for eps in eps_grid:
-        small = jumps <= eps
-        discarded = np.bincount(owner[small], weights=jumps[small], minlength=trials)
-        count = int((discarded > eta).sum())
+    for eps, count in zip(eps_grid, overflow):
         p = count / trials
         se = math.sqrt(max(p * (1 - p), 0.0) / trials)
         rows.append(DriftRow(float(eps), p, count, se,

@@ -20,7 +20,9 @@ exponential in n: meant for n <= 10 or so. poisson_weights is a fixture,
 the exact one-rate input of the Katti tests. Two numerical kernels the
 library replaced stay here as references in mpmath: the mixed-Poisson
 quadrature summed column by column in mpf arithmetic, and the 128-bit
-Clopper-Pearson solve.
+Clopper-Pearson solve. The simulator's sampler and its two reports are
+computed here from the whole jump field in one draw, with statistics over
+whole arrays, where the library streams the field in blocks of paths.
 """
 from __future__ import annotations
 
@@ -28,11 +30,16 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from momentlab.distributions import DiscretePMF
 from momentlab.moment_algebra import MomentSequence, _exact
 from momentlab.semigroup import AlternationReport, EnvelopeReport
+from momentlab.simulator import (DriftRow, DriftTable, PoissonJumps, SpectrumTestResult,
+                                 _clopper_pearson_lower, _poisson_pmf_value, make_rng)
 from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
                                  Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
                                  _bounded_away, _det_bareiss, hankel_matrix)
@@ -550,3 +557,92 @@ def clopper_pearson_lower_mpf(count: int, trials: int, level: float) -> float:
         else:
             raise AssertionError("Clopper-Pearson quantile did not converge")
         return float(x)
+
+
+def jump_field(spec, t: float, rng, count: int):
+    """Every jump of `count` paths on [0, t] and the path each belongs to:
+    the Poisson counts first, then all jump sizes in one draw."""
+    n = rng.poisson(spec.rate * t, count)
+    total = int(n.sum())
+    jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
+    return jumps, np.repeat(np.arange(count), n)
+
+
+def sample_with_counts(spec, t: float, rng, count: int):
+    """`count` values of X(t) and each path's number of kept jumps."""
+    jumps, owner = jump_field(spec, t, rng, count)
+    if spec.epsilon > 0 or isinstance(spec.jump_law, PoissonJumps):
+        keep = jumps > spec.epsilon
+        jumps = jumps[keep]
+        owner = owner[keep]
+    x = np.bincount(owner, weights=jumps, minlength=count)
+    kept = np.bincount(owner, minlength=count)
+    return x, kept
+
+
+def sample_compound_poisson(spec, t: float, seed: int, count: int):
+    x, _ = sample_with_counts(spec, t, make_rng(seed), count)
+    return x
+
+
+def spectrum_gap_test(spec, a: float, b: float, n: int, trials: int, seed: int,
+                      level: float = 0.99, t: float = 1.0,
+                      censor_gap: Optional[tuple] = None) -> SpectrumTestResult:
+    """The spectrum report from the whole sample at once: the modal kept-jump
+    count by np.unique and argmax over the (a, b) hits."""
+    x, kept = sample_with_counts(spec, t, make_rng(seed), trials)
+    if censor_gap is not None:
+        x = x.copy()
+        x[(x > censor_gap[0]) & (x < censor_gap[1])] = 0.0
+    in_ab = (x > a) & (x < b)
+    in_rep = (x > n * a) & (x < n * b)
+    count_ab = int(in_ab.sum())
+    count_rep = int(in_rep.sum())
+    p_ab = count_ab / trials
+    p_rep = count_rep / trials
+    lam_eff = spec.rate * t * spec.jump_law.tail_prob(spec.epsilon)
+    modal_m = 0
+    lower = 0.0
+    if count_ab > 0:
+        ms, cs = np.unique(kept[in_ab], return_counts=True)
+        pos = ms > 0
+        ms, cs = ms[pos], cs[pos]
+        if len(ms):
+            best = int(np.argmax(cs))
+            modal_m = int(ms[best])
+            q_lcb = _clopper_pearson_lower(int(cs[best]), trials, level)
+            pi_m = _poisson_pmf_value(lam_eff, modal_m)
+            if pi_m > 0:
+                lower = _poisson_pmf_value(lam_eff, n * modal_m) * min(q_lcb / pi_m, 1.0) ** n
+    upper = 1.0 - (1.0 - level) ** (1.0 / trials) if count_rep == 0 else 1.0
+    violation = count_ab > 0 and count_rep == 0 and lower > upper
+    return SpectrumTestResult(
+        interval=(a, b), n=n, trials=trials, level=level,
+        p_hat_ab=p_ab, p_hat_nanb=p_rep, count_ab=count_ab, count_nanb=count_rep,
+        se_ab=math.sqrt(max(p_ab * (1 - p_ab), 0.0) / trials),
+        se_nanb=math.sqrt(max(p_rep * (1 - p_rep), 0.0) / trials),
+        modal_jump_count=modal_m, replication_lower_bound=lower, upper_bound_nanb=upper,
+        verdict="violation" if violation else "consistent",
+        z_score=math.sqrt(trials * lower) if violation else None,
+        seed=seed, t=t, censor_gap=censor_gap, spec=spec.describe())
+
+
+def epsilon_truncation_drift(spec, eps_grid: Sequence[float], trials: int, seed: int,
+                             eta: float = 0.1, t: float = 1.0, level: float = 0.99) -> DriftTable:
+    """The drift table from the whole jump field at once: one bincount of
+    the small jumps over all paths per epsilon."""
+    jumps, owner = jump_field(spec, t, make_rng(seed), trials)
+    z = NormalDist().inv_cdf((1 + level) / 2)
+    rows = []
+    for eps in eps_grid:
+        small = jumps <= eps
+        discarded = np.bincount(owner[small], weights=jumps[small], minlength=trials)
+        count = int((discarded > eta).sum())
+        p = count / trials
+        se = math.sqrt(max(p * (1 - p), 0.0) / trials)
+        rows.append(DriftRow(float(eps), p, count, se,
+                             max(p - z * se, 0.0), min(p + z * se, 1.0)))
+    by_eps = sorted(rows, key=lambda r: r.epsilon)
+    monotone = all(x.p_hat <= y.p_hat for x, y in zip(by_eps, by_eps[1:]))
+    return DriftTable(eta=eta, t=t, trials=trials, seed=seed, rows=tuple(rows),
+                      monotone_nondecreasing=monotone, level=level, spec=spec.describe())

@@ -1,6 +1,7 @@
 """The seeded compound-Poisson simulator and its Clopper-Pearson quantile."""
 import math
 import random
+import tracemalloc
 from decimal import localcontext
 from statistics import NormalDist
 
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
+from momentlab import simulator
 from momentlab.cli import main
-from momentlab.simulator import (_BERNOULLI, _HALF_LOG_2PI, JumpSpec, LognormalJumps,
-                                 PoissonJumps, _clopper_pearson_lower, _log_gamma,
-                                 epsilon_truncation_drift, make_rng, sample_compound_poisson,
-                                 spectrum_gap_test)
+from momentlab.simulator import (_BERNOULLI, _HALF_LOG_2PI, AtomJumps, JumpSpec,
+                                 LognormalJumps, PoissonJumps, _clopper_pearson_lower,
+                                 _log_gamma, epsilon_truncation_drift, make_rng,
+                                 sample_compound_poisson, spectrum_gap_test)
 
 import brute_force
 
@@ -132,6 +134,62 @@ class TestDeterminism:
         assert res.replication_lower_bound > res.upper_bound_nanb
 
 
+class TestBlocks:
+    """The reports and the sampler stream the jump field in blocks of paths;
+    the one-shot references in brute_force draw it whole. Every field and
+    every byte agrees at any block size, with trial counts that are not a
+    multiple of it."""
+
+    # (spec, a, b, censor gap): atoms; Poisson jumps below lam = 10 and at
+    # it or above, where numpy switches to its rejection sampler; lognormal
+    # jumps; each at epsilon 0 and above it
+    CASES = (
+        (JumpSpec(1.5, AtomJumps(((1.0, 1.0), (2.5, 2.0)))), 0.5, 3.0, (2.2, 2.8)),
+        (JumpSpec(1.5, AtomJumps(((1.0, 1.0), (2.5, 2.0))), 1.0), 2.0, 3.0, (4.0, 5.5)),
+        (JumpSpec(2.0, PoissonJumps(2.0)), 1.5, 4.5, (2.5, 3.5)),
+        (JumpSpec(2.0, PoissonJumps(2.0), 1.5), 1.5, 4.5, (2.5, 3.5)),
+        (JumpSpec(1.0, PoissonJumps(13.5)), 10.0, 16.0, (30.0, 40.0)),
+        (JumpSpec(1.0, PoissonJumps(13.5), 12.0), 10.0, 16.0, (30.0, 40.0)),
+        (JumpSpec(1.0, LognormalJumps(0.0, 1.0)), 0.5, 2.0, (0.9, 1.2)),
+        (JumpSpec(1.0, LognormalJumps(0.0, 1.0), 0.3), 0.5, 2.0, (0.9, 1.2)),
+    )
+
+    @pytest.mark.parametrize("block, trials", [(1, 37), (7, 1000), (64, 1000), (8192, 20_001)])
+    def test_same_reports_and_samples_as_one_draw(self, monkeypatch, block, trials):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        seen_modal = set()
+        for spec, a, b, gap in self.CASES:
+            for censor_gap in (None, gap):
+                args = (spec, a, b, 2, trials, 5, 0.9, 1.5, censor_gap)
+                got, want = spectrum_gap_test(*args), brute_force.spectrum_gap_test(*args)
+                assert got == want and repr(got) == repr(want), (spec, censor_gap)
+                seen_modal.add(got.modal_jump_count)
+            args = (spec, [0.0, 0.5, 1.0, 2.0, 12.0], trials, 5, 1.5, 1.5, 0.9)
+            got = epsilon_truncation_drift(*args)
+            want = brute_force.epsilon_truncation_drift(*args)
+            assert got == want and repr(got) == repr(want), spec
+            assert sample_compound_poisson(spec, 1.5, 5, trials).tobytes() == \
+                brute_force.sample_compound_poisson(spec, 1.5, 5, trials).tobytes(), spec
+        # the modal count is read from the histogram, not always the first bin
+        assert len(seen_modal - {0}) >= 2
+
+    @pytest.mark.parametrize("law", [LognormalJumps(0.0, 1.0), PoissonJumps(2.0),
+                                     AtomJumps(((0.05, 1.0), (1.0, 1.0)))])
+    def test_traced_peak_below_12_mb_at_a_million_trials(self, law):
+        # the Poisson counts take 8 MB; the rest is one block's jumps
+        spec = JumpSpec(1.0, law, 0.1)
+        runs = (lambda: spectrum_gap_test(spec, 0.5, 2.0, 2, 10 ** 6, 3, censor_gap=(0.9, 1.2)),
+                lambda: epsilon_truncation_drift(spec, [0.05, 0.1, 0.2], 10 ** 6, 3))
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2 ** 20, (law, peak)
+
+
 class TestEpsilonCut:
     """spectrum_gap_test at epsilon > 0: jumps at or below epsilon leave the
     samples, and the compound rate is rate * P[jump > epsilon] from the jump
@@ -212,6 +270,19 @@ class TestInputErrors:
             epsilon_truncation_drift(SPEC, [0.1], 0, 1)
         with pytest.raises(ValueError):
             epsilon_truncation_drift(SPEC, [0.1], 100, 1, level=1.0)
+
+    def test_censor_gap_refused_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(seed):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(simulator, "make_rng", no_sampling)
+        for gap in ((2.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="censor gap"):
+                spectrum_gap_test(SPEC, 0.5, 1.0, 2, 10 ** 7, 1, censor_gap=gap)
+        argv = ["simulate", "spectrum", "--lognormal-jumps", "0:1", "--a", "0.5", "--b", "1",
+                "--n", "2", "--censor-gap", "2", "1", "--trials", "10000000", "--seed", "1"]
+        assert main(argv) == 2
+        assert "censor gap" in capsys.readouterr().err
 
     def test_cli_exits_2(self, capsys):
         common = ["--lognormal-jumps", "0:1"]
