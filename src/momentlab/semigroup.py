@@ -27,13 +27,15 @@ Hankel matrix [K_(1+s+i+j)]. When stieltjes._certified_stieltjes proves
 it positive definite at shifts 0 and 1, every t-power of the prefix is
 strictly positive (see theta_threshold_scan), so the row needs no t-power
 at all.
-Last, the exact numbers run only where the floats refuse: where the
-k-recursion's bound refuses (q close to 1), the k_n come from the exact
-cumulants of distributions._lattice_ints (q^(n^2) as integers over c^n,
-c = b^(2 depth + 1) for q = a/b), and each cell of a row whose floats or
-certificate refuse takes the exact t-power of _power_at on those
-cumulants to stieltjes_verdict as a ScaledSequence. So every witness, zero
-and refutation is exact, and a cell builds a Fraction only for a witness.
+Last, where either refuses (q close to 1, where the k-recursion's bound
+refuses, or a matrix the floats cannot prove), the row's exact cumulants,
+from distributions._lattice_ints (q^(n^2) as integers over c^n, c = b^(2
+depth + 2) for q = a/b), go to stieltjes_verdict once, as the
+ScaledSequence whose entry n is c kappa_(1+n); strictly positive proves
+the row by the same theorem. Only a row whose verdict is not takes the
+exact t-power of _power_at on those cumulants to stieltjes_verdict cell by
+cell. So every witness, zero and refutation is exact, and a cell builds a
+Fraction only for a witness.
 The t-composition reports judge on integers: the alternation check
 compares its terms as integer numerators over one denominator, from the
 integer partial Bell row of _composition_sum, and the envelope check
@@ -330,8 +332,7 @@ class LatticeBase(Record):
     exps: Optional[list]
 
 
-def _lattice_base(q: Fraction, upto: int,
-                  ratios: Optional[Sequence] = None) -> Optional[LatticeBase]:
+def _lattice_base(q: Fraction, upto: int) -> Optional[LatticeBase]:
     """The LatticeBase of mu_n = q^(n^2), n <= upto, rational q > 1, or
     None when its cumulant ratios refuse.
 
@@ -342,11 +343,9 @@ def _lattice_base(q: Fraction, upto: int,
     (j+1)(n-1-j), since M_(j+1) M_(n-1-j) / M_n = q^(-m_j) on the lattice.
     G[n][n-1] = k_n, so k_1 = 1 and k_n = 1 - S_n with S_n the sum of the
     other weights of row n: every number is of order 1, and no big integer
-    is built. With ratios None, k_n comes from that recursion and is kept
-    while its bound beta_n <= 2^-40; past that, as 1 - S_n cancels for q
-    close to 1, the caller hands in ratios, the exact K_n / M_n, n =
-    1..upto, each in (0, 1] and correctly rounded (beta_n = u). Every k~_n
-    must be a normal float.
+    is built. k_n is kept while its bound beta_n <= 2^-40; past that, as 1 -
+    S_n cancels for q close to 1, the base is None and the scan judges the
+    row on its exact cumulants. Every k~_n must be a normal float.
 
     Proof of the bounds. u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k
     u); each operation is exact times (1 + d), |d| <= u, plus at most eta /
@@ -374,27 +373,22 @@ def _lattice_base(q: Fraction, upto: int,
     except OverflowError:
         return None
     xs, es = _inverse_powers(q, 2 * (upto // 2) * ((upto + 1) // 2))
-    if ratios is not None:
-        if not all(_NORMAL <= k <= 1.0 for k in ratios):
+    scaled = map(mul, binomials, map(xs.__getitem__, ms))  # C(n-1, j) q^(-m), row by row
+    if es is not None:
+        scaled = map(ldexp, scaled, map(es.__getitem__, ms))
+    counts = iter(counts)
+    ks, betas, top = [1.0], [0.0], 0.0  # k_1 = K_1 / M_1 = 1; top, the largest beta
+    for n in range(2, upto + 1):
+        row = list(map(mul, ks, scaled))  # ks first: it stops the map, and takes n - 1
+        s = fsum(row)
+        a = sum(map(mul, row, counts)) + top * s
+        k = 1.0 - s
+        beta = ((a + _U * s + n * 2.0 ** -1073) / k + _U) * _MARGIN if k >= _NORMAL else 1.0
+        if not beta <= _K_CEILING:
             return None
-        ks, betas = list(ratios), [_U] * upto
-    else:
-        scaled = map(mul, binomials, map(xs.__getitem__, ms))  # C(n-1, j) q^(-m), row by row
-        if es is not None:
-            scaled = map(ldexp, scaled, map(es.__getitem__, ms))
-        counts = iter(counts)
-        ks, betas, top = [1.0], [0.0], 0.0  # k_1 = K_1 / M_1 = 1; top, the largest beta
-        for n in range(2, upto + 1):
-            row = list(map(mul, ks, scaled))  # ks first: it stops the map, and takes n - 1
-            s = fsum(row)
-            a = sum(map(mul, row, counts)) + top * s
-            k = 1.0 - s
-            beta = ((a + _U * s + n * 2.0 ** -1073) / k + _U) * _MARGIN if k >= _NORMAL else 1.0
-            if not beta <= _K_CEILING:
-                return None
-            ks.append(k)
-            betas.append(beta)
-            top = max(top, beta)
+        ks.append(k)
+        betas.append(beta)
+        top = max(top, beta)
     side = range((upto + 1) // 2)
     return LatticeBase(ks, betas, [xs[i * i] for i in side],
                        None if es is None else [es[i * i] for i in side])
@@ -517,36 +511,22 @@ def _closed_form_row(q: Fraction) -> bool:
     return max(bounds) * (1 + 2.0 ** -20) < 1
 
 
-def _lattice_floats(q: Fraction, upto: int) -> tuple:
-    """(base, power): the LatticeBase the scan certifies q's
-    cells from, and _power_at's input when building the base took the exact
-    cumulants, else None. The cumulant ratios k_n = K_n / M_n come from the
-    float recursion of _lattice_base; where its bound refuses (q close to
-    1), from the exact K_n / M_n, correctly rounded. base is None when some
-    K_n <= 0 or a ratio is not a normal float."""
-    base = _lattice_base(q, upto)
-    if base is not None:
-        return base, None
-    ints, power = _lattice_power(q, upto)
-    if all(k > 0 for k in power[1]):  # then each K_n / M_n lies in (0, 1]
-        base = _lattice_base(q, upto, list(map(truediv, power[1], ints[1:])))
-    return base, power
-
-
 def _row_verdicts(q: Fraction, ts: tuple, depth: int) -> list:
     """The verdict at `depth` of mu_n = q^(n^2) composed at each t of ts,
     decided in theta_threshold_scan's order: the closed form, then the
-    float certificate, then the exact path cell by cell."""
+    float certificate, then one exact verdict on the row's cumulants, and
+    only where that is not strictly positive, one per cell."""
     certified = [PositivityVerdict("strictly-positive", depth)] * len(ts)
     if _closed_form_row(q):
         return certified
-    upto = 2 * depth + 1
-    base, power = _lattice_floats(q, upto)
+    base = _lattice_base(q, 2 * depth + 1)
     if base and _certified_stieltjes(
             lambda shift, size: _lattice_hankel(base, shift, size - shift), depth):
         return certified
-    power = power or _lattice_power(q, upto)[1]
-    return [stieltjes_verdict(ScaledSequence(*_power_at(power, t)), depth) for t in ts]
+    _, (c, kappas) = _lattice_power(q, 2 * depth + 2)
+    if stieltjes_verdict(ScaledSequence(c, tuple(kappas)), depth).ok:
+        return certified
+    return [stieltjes_verdict(ScaledSequence(*_power_at((c, kappas), t)), depth) for t in ts]
 
 
 class ScanCell(Record):
@@ -627,18 +607,22 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
     2.5276 one integer comparison decides, below it the first six exact
     cumulant ratios and a few floats with a proven margin. (b) The float
     certificate: the row is tried from q alone, on floats of order 1 with
-    proven bounds (_lattice_floats, then _lattice_hankel at shift 0, size
+    proven bounds (_lattice_base, then _lattice_hankel at shift 0, size
     depth, and shift 1, size depth - 1, through _certified_stieltjes);
     [K_(1+s+i+j)], K_n = c^n kappa_n, is a congruence of [kappa_(1+s+i+j)]
-    times c^(1+s), so the theorem applies to it. (c) The exact path: the exact integers of
-    distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 1) for
-    q = a/b, and their cumulants (the same as _power_base reads from
-    lattice_family's Fractions) are built only on a fallback: for the
-    cumulant ratios where their float recursion refuses (q close to 1),
-    and for every cell of a row whose base or certificate refuses. Such a
-    cell takes the integers of _power_at as a ScaledSequence through
-    stieltjes_verdict. Every step gives the verdict the exact minors give,
-    so the result is reproducible bit for bit.
+    times c^(1+s), so the theorem applies to it. (c) The exact row verdict:
+    where (a) and (b) refuse, the exact integers of
+    distributions._lattice_ints, c^n q^(n^2) with c = b^(2 depth + 2) for
+    q = a/b, give the integer cumulants K_n (the same as _power_base reads
+    from lattice_family's Fractions), and stieltjes_verdict judges the
+    ScaledSequence of entries K_(1+n) / c^n = c kappa_(1+n), n <= 2 depth
+    + 1, once. It is a positive multiple of the cumulant sequence, so each
+    of its minors has the sign of the cumulant Hankel minor, and strictly
+    positive proves every cell (the shift-1 matrix is checked to size
+    depth, one more than the theorem needs). Only a row whose verdict is
+    not strictly positive takes each cell's exact t-power of _power_at
+    through stieltjes_verdict. Every step gives the verdict the exact
+    minors give, so the result is reproducible bit for bit.
 
     q^(n^2) is exactly the lognormal moment sequence with sigma^2 = 2 ln q.
     The lognormal is infinitely divisible (Thorin 1977), so its composition

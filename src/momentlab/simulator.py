@@ -84,14 +84,28 @@ class PoissonJumps(Record):
         return rng.poisson(self.lam, size).astype(float)
 
     def tail_prob(self, eps: float) -> float:
-        k = math.floor(max(eps, 0.0))
-        # P[Y > eps] = P[Y >= k+1]
-        term = math.exp(-self.lam)
-        cdf = 0.0
-        for i in range(k + 1):
-            cdf += term
-            term *= self.lam / (i + 1)
-        return max(1.0 - cdf, 0.0)
+        """P[Y > eps] = P[Y >= k + 1], k = floor(eps), summed on the side of
+        k that holds less mass: up from k + 1 when k + 1 > lam, else down
+        from k, as 1 - P[Y <= k]. The terms fall away from the mode on
+        either side, so the sum stops once a term is below 2^-60 of it,
+        after O(sqrt(lam)) terms. The first term is _poisson_pmf_start's;
+        each next one is the last times lam / (m + 1), going up, or m / lam,
+        going down."""
+        lam, k = self.lam, math.floor(max(eps, 0.0))
+        up = k + 1 > lam
+        m = k + 1 if up else k
+        term, total = _poisson_pmf_start(lam, m), 0.0
+        while term > total * 2.0 ** -60:
+            total += term
+            if up:
+                m += 1
+                term *= lam / m
+            elif m == 0:
+                break
+            else:
+                term *= m / lam
+                m -= 1
+        return total if up else 1.0 - total
 
     def describe(self) -> dict:
         return {"kind": "poisson", "lam": self.lam}
@@ -251,6 +265,16 @@ def _log_gamma(n: int) -> Decimal:
         out += num / (den * 2 * j * (2 * j - 1) * power)
         power *= x2
     return out
+
+
+def _poisson_pmf_start(lam: float, m: int) -> float:
+    """The Poisson(lam) pmf at m, lam > 0, from its log at _CP_DIGITS
+    digits: 0 where it underflows, else within an ulp or two. The float
+    log-pmf of _poisson_pmf_value cancels terms of size m ln m, so it is off
+    by about u m ln m relative (7.7e-13 at lam = 1000, m = 2001)."""
+    with localcontext(Context(prec=_CP_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        x = Decimal(lam)
+        return float((m * x.ln() - x - _log_gamma(m + 1)).exp())
 
 
 def _betainc(x: Decimal, a: int, b: int, log_beta: Decimal) -> Decimal:

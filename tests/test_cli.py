@@ -380,14 +380,19 @@ class TestKatti:
 class TestScan:
     def test_failing_cells_report_their_verdict_as_witness(self, monkeypatch, capsys):
         """A failing cell reads "fail" with its verdict record as witness;
-        the lattice family never fails, so two verdicts are planted, on the
-        exact path that every cell takes once the closed form and the float
-        certificate refuse."""
+        the lattice family never fails, so verdicts are planted. Once the
+        closed form and the float certificate refuse, each row takes one
+        exact verdict on its cumulants; a planted refusal of that verdict,
+        on the rows 1/9 and 1/4, sends their cells to the exact path, where
+        two cell verdicts are planted."""
         from momentlab import semigroup
-        planted = {3: stieltjes.PositivityVerdict("not-stieltjes", 3,
+        refused = stieltjes.PositivityVerdict("semi-definite", 3, stieltjes.HankelQuery(0, 3),
+                                              F(0))
+        # calls in order: row 1/16; row 1/9, its cells; row 1/4, its cells
+        planted = {1: refused,
+                   3: stieltjes.PositivityVerdict("not-stieltjes", 3,
                                                   stieltjes.HankelQuery(1, 2), F(-3, 7)),
-                   4: stieltjes.PositivityVerdict("semi-definite", 3,
-                                                  stieltjes.HankelQuery(0, 3), F(0))}
+                   4: refused, 5: refused}
         calls = []
 
         def verdict(m, depth):
@@ -399,7 +404,7 @@ class TestScan:
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         assert main(["scan", "--depth", "3", "--theta-grid", "1/4,1/9,1/16",
                      "--t-grid", "1/3,2/3"]) == 0
-        assert calls == [3] * 6
+        assert calls == [3] * 7
         rep = json.loads(capsys.readouterr().out)
 
         def ok(theta, t):

@@ -117,6 +117,10 @@ CASES = {
     # and six exact cumulant ratios; made by the float certificate before that proof
     "scan-closed-form-band-depth-200": (["scan", "--theta-grid", "81/400,16/81,9/49,25/144",
                                          "--depth", "200"], {}),
+    # a row close to 1 (q = 11/10) at a depth where the float cumulant ratios
+    # refuse; made by the per-cell exact path before one exact row verdict
+    "scan-close-to-one-depth-74": (["scan", "--theta-grid", "100/121", "--t-grid", "1/2",
+                                    "--depth", "74"], {}),
 }
 
 

@@ -16,6 +16,7 @@ from momentlab.moment_algebra import (
     _power_base,
     _t_power_rows,
     classical_convolve,
+    cumulants_from_moments,
     mb_compose_at,
     mb_compose_t,
 )
@@ -386,16 +387,24 @@ class TestThetaThresholdScan:
 
     @pytest.mark.parametrize("q", [F(7, 3), F(3), F(11, 10), F(9, 8)])
     def test_lattice_integers_are_the_fraction_path(self, q, monkeypatch):
-        # the scan reads q^(n^2) from distributions._lattice_ints; the power
-        # it hands _power_at, and every verdict, are those of the Fractions
-        # of lattice_family through _power_base. The closed form and the
-        # float certificate are made to refuse, so every cell takes
-        # _power_at; the scan's own run decides the same cells.
-        powers, power_at = [], semigroup._power_at
+        # the scan reads q^(n^2) from distributions._lattice_ints; the
+        # cumulants it hands the row verdict, the power it hands _power_at,
+        # and every verdict, are those of the Fractions of lattice_family
+        # through _power_base. The closed form and the float certificate
+        # are made to refuse, so every row takes its exact verdict; then a
+        # planted refusal of that verdict sends every cell to _power_at. The
+        # scan's own run decides the same cells.
+        powers, power_at, rows, verdict = [], semigroup._power_at, [], stieltjes_verdict
 
         def recording(power, t):
             powers.append(power)
             return power_at(power, t)
+
+        def refusing_rows(seq, upto):
+            if seq.ints[0] == 1:  # a cell's t-power; the row's K_1 = c q is above 1
+                return verdict(seq, upto)
+            rows.append((seq, verdict(seq, upto)))
+            return stieltjes.PositivityVerdict("semi-definite", upto)
 
         ts = (F(1, 4), F(1, 2), F(10 ** 6, 10 ** 6 + 3))
         certified = {depth: theta_threshold_scan([1 / q ** 2], ts, depth) for depth in (2, 4, 6)}
@@ -403,16 +412,21 @@ class TestThetaThresholdScan:
         monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         for depth in (2, 4, 6):
+            old = _power_base(lattice_family(q, 2 * depth + 2).values)
+            monkeypatch.setattr(semigroup, "stieltjes_verdict", refusing_rows)
             powers.clear()
+            rows.clear()
             res = theta_threshold_scan([1 / q ** 2], ts, depth)
             assert res == certified[depth]
-            (row,) = res.pass_matrix
-            old = _power_base(lattice_family(q, 2 * depth + 1).values)
+            passed = stieltjes.PositivityVerdict("strictly-positive", depth)
+            assert rows == [(ScaledSequence(old[0], tuple(old[1])), passed)]
             assert powers == [old] * len(ts)
-            for cell in row:
+            for cell in res.pass_matrix[0]:
                 seq = ScaledSequence(*power_at(old, cell.t))
-                assert cell.verdict == stieltjes_verdict(seq, depth)
-                assert cell.verdict == stieltjes_verdict(seq.values, depth)
+                assert cell.verdict == verdict(seq, depth) == verdict(seq.values, depth)
+            monkeypatch.setattr(semigroup, "stieltjes_verdict", verdict)
+            assert theta_threshold_scan([1 / q ** 2], ts, depth) == certified[depth]
+            assert powers == [old] * len(ts)  # the row's own verdict builds no t-power
 
     def test_irrational_sqrt_rejected(self):
         with pytest.raises(ValueError):
@@ -478,8 +492,9 @@ class TestFloatPower:
     @example(q=F(10 ** 6 + 1, 10 ** 6), t=F(1, 3), depth=2)
     def test_entries_within_bound_and_certificate_sound(self, q, t, depth):
         upto = 2 * depth + 1
-        base, _ = semigroup._lattice_floats(q, upto)
-        assert base is not None  # the lattice family's cumulants are all positive
+        base = _lattice_base(q, upto)
+        if base is None:  # q close to 1: the row takes its exact verdict
+            return
         ints, (c, kappas) = semigroup._lattice_power(q, upto)
         ks = [F(k, m) for k, m in zip(kappas, ints[1:])]  # K_n / M_n, n = 1..upto
         for n, (got, beta, exact) in enumerate(zip(base.ks, base.kbounds, ks, strict=True),
@@ -521,7 +536,10 @@ class TestFloatPower:
             scale *= q ** ((1 + shift + 2 * (rows - 1)) ** 2)
             minor = brute_force.rational_det([row[:rows] for row in exact[:rows]])
             assert minor * scale == brute_force.lattice_hankel_minor(q, 1 + shift, rows)
-        base = _lattice_base(q, 2 * depth + 2, [1.0] * (2 * depth + 2))
+        xs, es = semigroup._inverse_powers(q, size * size)
+        base = semigroup.LatticeBase([1.0] * (2 * depth + 2), [_U] * (2 * depth + 2),
+                                     [xs[i * i] for i in range(size)],
+                                     None if es is None else [es[i * i] for i in range(size)])
         diag, upper, rel = _lattice_hankel(base, shift, depth)
         pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
         for (i, j), got in zip(pairs, upper, strict=True):
@@ -562,61 +580,66 @@ class TestFloatPower:
         assert not certified(heads, exps, 2.0 ** -29, 0, 3)
 
     def test_kernel_refuses(self):
-        base, power = semigroup._lattice_floats(F(2), 5)
-        assert base is not None and power is None  # q = 2 keeps its float cumulant ratios
-        # close to 1 the ratios come from the exact cumulants
-        q = F(10 ** 6 + 1, 10 ** 6)
-        assert _lattice_base(q, 2) is None
-        base, power = semigroup._lattice_floats(q, 2)
-        assert base is not None and power is not None
-        # a cumulant ratio that is not a normal float in (0, 1]
-        for bad in (0.0, -0.5, 2.0 ** -1030, 1.5):
-            assert _lattice_base(F(2), 5, [1.0, bad, 0.5, 0.5, 0.5]) is None
+        assert _lattice_base(F(2), 5) is not None  # q = 2 keeps its float cumulant ratios
+        # close to 1, 1 - S_n cancels and the recursion's bound refuses
+        assert _lattice_base(F(10 ** 6 + 1, 10 ** 6), 2) is None
 
     @pytest.mark.parametrize("q, depth", [(F(10 ** 6 + 1, 10 ** 6), 2), (F(101, 100), 4),
                                           (F(11, 10), 8), (F(9, 8), 8)])
     def test_close_to_one_takes_the_exact_cumulants(self, q, depth, monkeypatch):
-        # the float cumulant ratios refuse, the scan reads them off the
-        # exact cumulants, and certifies every cell without an exact t-power
-        upto = 2 * depth + 1
-        assert _lattice_base(q, upto) is None
-        base, power = semigroup._lattice_floats(q, upto)
-        assert base is not None and power == semigroup._lattice_power(q, upto)[1]
-        calls, power_at = [], semigroup._power_at
+        # the float cumulant ratios refuse, and the scan decides the row by
+        # one verdict on the exact cumulants, with no exact t-power
+        assert _lattice_base(q, 2 * depth + 1) is None
+        _, (c, kappas) = semigroup._lattice_power(q, 2 * depth + 2)
+        calls, verdicts, verdict = [], [], stieltjes_verdict
 
         def counting(power, t):
             calls.append(t)
-            return power_at(power, t)
+
+        def recording(seq, upto):
+            verdicts.append((seq, upto))
+            return verdict(seq, upto)
 
         monkeypatch.setattr(semigroup, "_power_at", counting)
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", recording)
         res = theta_threshold_scan([1 / q ** 2], [F(1, 3), F(1, 2), F(2, 3)], depth)
         assert calls == [] and all(cell.passed for cell in res.pass_matrix[0])
+        assert verdicts == [(ScaledSequence(c, tuple(kappas)), depth)]
 
     def test_tiny_t_is_decided_by_its_row(self, capsys, monkeypatch):
         # 1e-400 is 0.0 as a float, but the row certificate holds for every
-        # t > 0, so no cell builds an exact t-power; a refusing closed form
-        # and certificate send every cell to the exact path, with the same
-        # report
+        # t > 0, so no cell builds an exact t-power. A refusing closed form
+        # and certificate leave every row to its exact verdict, still with
+        # no t-power; a planted refusal of that verdict sends every cell to
+        # the exact path. The report stays the same.
         from momentlab.cli import main
-        calls, power_at = [], semigroup._power_at
+        calls, power_at, verdict = [], semigroup._power_at, stieltjes_verdict
 
         def counting(power, t):
             calls.append(t)
             return power_at(power, t)
 
+        def refusing_rows(seq, upto):
+            if seq.ints[0] == 1:  # a cell's t-power; the row's K_1 = c q is above 1
+                return verdict(seq, upto)
+            return stieltjes.PositivityVerdict("semi-definite", upto)
+
         monkeypatch.setattr(semigroup, "_power_at", counting)
         assert main(["scan", "--t-grid", "1e-400"]) == 0
-        assert calls == []
         out = capsys.readouterr().out
         monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
+        assert main(["scan", "--t-grid", "1e-400"]) == 0
+        assert calls == [] and capsys.readouterr().out == out
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", refusing_rows)
         assert main(["scan", "--t-grid", "1e-400"]) == 0
         assert calls == [F(1, 10 ** 400)] * 5
         assert capsys.readouterr().out == out
         assert '"verdict": "fail"' not in out
 
     # rows below q** ~ 2.209, which the closed form refuses: each reaches the
-    # float certificate; 9/8 and 11/10 take the exact cumulant ratios
+    # float certificate; at 9/8 and 11/10 its ratios refuse, and the row
+    # takes its exact verdict
     FLOAT_QS = (F(2), F(15, 8), F(7, 4), F(3, 2), F(6, 5), F(9, 8), F(11, 10))
     FLOAT_GRIDS = [([1 / q ** 2 for q in FLOAT_QS], [F(3, 13), F(6, 11), F(9, 13)], 6),
                    ([1 / q ** 2 for q in FLOAT_QS], [F(3, 13), F(6, 11), F(9, 13)], 40),
@@ -637,7 +660,7 @@ class TestFloatPower:
     @pytest.mark.parametrize("grid", REFUSING_GRIDS)
     def test_grids_need_no_exact_power(self, grid, monkeypatch):
         # t = 1 - 10^-20 rounds to the float 1.0, and q = 11/10 and 9/8 take
-        # the exact cumulant ratios: still no cell builds an exact t-power
+        # the exact row verdict: still no cell builds an exact t-power
         def no_exact_power(*args):
             raise AssertionError("the float certificate should decide every cell")
 
@@ -647,24 +670,61 @@ class TestFloatPower:
 
     @pytest.mark.parametrize("grid", FLOAT_GRIDS)
     def test_float_rows_are_certified_from_their_base(self, grid, monkeypatch):
-        # one base per row from the float recursion, and one more from the
-        # exact cumulant ratios where that recursion refuses; no t-power
+        # one base per row from the float recursion, and one exact row
+        # verdict where that recursion refuses; no t-power
         def no_exact_power(*args):
-            raise AssertionError("the float certificate should decide every cell")
+            raise AssertionError("the row certificates should decide every cell")
 
-        calls, lattice_base = [], semigroup._lattice_base
+        bases, verdicts = [], []
+        lattice_base, verdict = semigroup._lattice_base, stieltjes_verdict
 
-        def counting(q, upto, ratios=None):
-            calls.append((q, ratios is None))
-            return lattice_base(q, upto, ratios)
+        def counting_bases(q, upto):
+            bases.append(q)
+            return lattice_base(q, upto)
+
+        def counting_verdicts(seq, upto):
+            verdicts.append(seq.c)
+            return verdict(seq, upto)
 
         monkeypatch.setattr(semigroup, "_power_at", no_exact_power)
-        monkeypatch.setattr(semigroup, "_lattice_base", counting)
+        monkeypatch.setattr(semigroup, "_lattice_base", counting_bases)
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", counting_verdicts)
         res = theta_threshold_scan(*grid)
         assert all(cell.passed for row in res.pass_matrix for cell in row)
         qs = [q for q in self.FLOAT_QS if 1 / q ** 2 in grid[0]]  # rows by rising theta
-        assert calls == [(q, by_recursion) for q in qs
-                         for by_recursion in ((True, False) if q < F(6, 5) else (True,))]
+        assert bases == qs
+        # the row verdict's scale is c = b^(2 depth + 2) for q = a/b
+        assert verdicts == [q.denominator ** (2 * grid[2] + 2) for q in qs if q < F(6, 5)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 10 ** 6), b=st.integers(1, 10 ** 6), t=fine_ts,
+           depth=st.integers(0, 12))
+    @example(a=1, b=10 ** 6, t=F(1, 10 ** 40), depth=12)
+    @example(a=1, b=10, t=F(1, 3), depth=0)
+    def test_row_verdict_is_the_cumulant_verdict(self, a, b, t, depth):
+        # with the closed form and the float certificate refusing, the row's
+        # one verdict is that of the Fractions kappa_1..kappa_(2 depth + 2)
+        # of lattice_family; and every cell, however the scan decides it, is
+        # the verdict of the exact minors of its t-power
+        q = 1 + F(a, b)
+        res = theta_threshold_scan([1 / q ** 2], [t], depth)
+        kappas = cumulants_from_moments(lattice_family(q, 2 * depth + 2)).values
+        handed, verdict = [], stieltjes_verdict
+
+        def recording(seq, upto):
+            handed.append(verdict(seq, upto))
+            return handed[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semigroup, "stieltjes_verdict", recording)
+            mp.setattr(semigroup, "_closed_form_row", lambda q: False)
+            mp.setattr(semigroup, "_lattice_base", lambda q, upto: None)
+            assert theta_threshold_scan([1 / q ** 2], [t], depth) == res
+            mp.setattr(stieltjes, "_certified_positive", lambda *args: False)
+            power = _power_base(lattice_family(q, 2 * depth + 1).values)
+            exact = verdict(ScaledSequence(*_power_at(power, t)), depth)
+        assert handed == [verdict(list(kappas), depth)]
+        assert res.pass_matrix[0][0].verdict == exact
 
     def test_depth_100_by_floats_alone(self, monkeypatch):
         def no_exact_power(*args):

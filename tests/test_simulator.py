@@ -1,6 +1,9 @@
 """The seeded compound-Poisson simulator and its Clopper-Pearson quantile."""
+import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from decimal import localcontext
 from statistics import NormalDist
@@ -18,6 +21,7 @@ from momentlab.simulator import (_BERNOULLI, _HALF_LOG_2PI, AtomJumps, JumpSpec,
                                  sample_compound_poisson, spectrum_gap_test)
 
 import brute_force
+from conftest import fresh_env
 
 ALPHAS = (1e-6, 1e-3, 0.01, 0.05, 0.5)
 
@@ -205,6 +209,43 @@ class TestEpsilonCut:
             want = 1 - NormalDist(alpha, math.sqrt(sigma2)).cdf(math.log(eps))
             assert LognormalJumps(alpha, sigma2).tail_prob(eps) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("lam, eps", [(1000.0, 2000.0), (800.0, 1200.0), (800.0, 400.0),
+                                          (10.0 ** 4, 1.1e4), (1e6, 1e6 + 3000), (30.0, 29.5)])
+    def test_poisson_tails_past_exp_underflow(self, lam, eps):
+        # exp(-lam) underflows from lam ~ 745 on; the tail summed in mpmath
+        # on the side of floor(eps) with less mass, to a 2^-150 cut
+        k = math.floor(eps)
+        with mpmath.workprec(200):
+            lam_ = mpf(lam)
+
+            def pmf(m):
+                return mpmath.exp(m * mpmath.log(lam_) - lam_ - mpmath.loggamma(m + 1))
+
+            side = range(k + 1, 10 ** 9) if k + 1 > lam else range(k, -1, -1)
+            total = mpf(0)
+            for m in side:
+                total += pmf(m)
+                if pmf(m) < total * mpf(2) ** -150:
+                    break
+            want = total if k + 1 > lam else 1 - total
+        assert PoissonJumps(lam).tail_prob(eps) == pytest.approx(float(want), rel=1e-12)
+
+    def test_poisson_tails_at_the_ends(self):
+        assert PoissonJumps(1000.0).tail_prob(2000.0) == pytest.approx(1.5275715025500e-170,
+                                                                      rel=1e-12)
+        assert PoissonJumps(2.0).tail_prob(1e12) == 0.0
+        assert PoissonJumps(1e6).tail_prob(1e5) == 1.0
+        assert PoissonJumps(1e-300).tail_prob(0.0) == pytest.approx(1e-300, rel=1e-12)
+
+    def test_far_epsilon_runs_quickly(self):
+        # the sum starts at floor(eps) + 1, so a cut at 10^12 costs one term
+        proc = subprocess.run([sys.executable, "-m", "momentlab.cli", "simulate", "spectrum",
+                               "--poisson-jumps", "2", "--epsilon", "1e12", "--a", "0.5",
+                               "--b", "1", "--n", "2", "--trials", "10", "--seed", "1"],
+                              env=fresh_env(), capture_output=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["report"]["count_ab"] == 0
+
     # (law, epsilon, a, b): every path with a value in (a, b) has exactly one
     # kept jump, so the modal count is 1 and its hit count is count_ab
     CASES = ((PoissonJumps(2.0), 1.5, 1.5, 2.5), (LognormalJumps(0.0, 1.0), 0.5, 0.6, 1.0))
@@ -231,6 +272,38 @@ class TestEpsilonCut:
             pi1, pi2 = lam * math.exp(-lam), lam ** 2 / 2 * math.exp(-lam)
             want = pi2 * min(_clopper_pearson_lower(res.count_ab, trials, level) / pi1, 1) ** 2
             assert res.replication_lower_bound == pytest.approx(want, rel=1e-12)
+
+
+class TestGapCensor:
+    """gap_censor_samples moves the samples strictly inside (a, b) to 0,
+    leaves its input as it was, refuses a gap that is not 0 < a < b < inf,
+    and is the censoring spectrum_gap_test applies."""
+
+    def test_only_the_open_gap_moves(self):
+        xs = np.array([0.0, 0.5, 0.9, 0.9000001, 1.0, 1.1999999, 1.2, 1.5, 3.0])
+        before = xs.copy()
+        out = simulator.gap_censor_samples(xs, 0.9, 1.2)
+        assert out.tolist() == [0.0, 0.5, 0.9, 0.0, 0.0, 0.0, 1.2, 1.5, 3.0]
+        assert np.array_equal(xs, before) and out is not xs
+
+    @pytest.mark.parametrize("gap", [(1.2, 0.9), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                     (0.5, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                                     (0.5, math.nan)])
+    def test_bad_gaps_refused(self, gap):
+        with pytest.raises(ValueError):
+            simulator.gap_censor_samples(np.array([1.0]), *gap)
+        with pytest.raises(ValueError):
+            spectrum_gap_test(JumpSpec(1.0, LognormalJumps()), 0.5, 1.0, 2, 10, 1,
+                              censor_gap=gap)
+
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_is_the_censoring_of_the_spectrum_test(self, seed):
+        spec, gap, trials = JumpSpec(1.0, LognormalJumps(0.0, 1.0)), (0.9, 1.2), 5000
+        res = spectrum_gap_test(spec, 0.5, 1.0, 2, trials, seed, censor_gap=gap)
+        xs = simulator.gap_censor_samples(sample_compound_poisson(spec, 1.0, seed, trials), *gap)
+        assert res.count_ab == np.count_nonzero((xs > 0.5) & (xs < 1.0)) > 0
+        assert res.count_nanb == np.count_nonzero((xs > 1.0) & (xs < 2.0))
+        assert not np.any((xs > 0.9) & (xs < 1.2))
 
 
 class TestEpsilonDrift:

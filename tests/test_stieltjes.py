@@ -374,33 +374,41 @@ class TestOnePassVerdict:
         assert hankel_det(seq, HankelQuery(1, 2)) == hankel_det(vals, HankelQuery(1, 2))
 
     def test_scan_cells_at_depth_8(self, monkeypatch):
-        # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid; each
-        # cell's integers, as the scan hands them to the verdict, against
-        # the partial Bell rows of mb_compose_t at t, and through n = 9
-        # against the occupancy sum over compositions. With the closed form
-        # refusing every row and the certificate every matrix, the scan
-        # builds every cell's exact t-power and hands it over; its own run
-        # decides the same cells.
+        # theta = 1/q^2 for q = 3/2, 7/2, 8/3, t off the default grid. With
+        # the closed form refusing every row and the certificate every
+        # matrix, each row hands the verdict its exact cumulants once: entry
+        # n is c kappa_(1+n), with kappa_n the coefficient of t in
+        # mb_compose_t's polynomial n. A planted refusal of that verdict
+        # sends every cell to the exact path: each cell's integers, as the
+        # scan hands them over, against the partial Bell rows of
+        # mb_compose_t at t, and through n = 9 against the occupancy sum
+        # over compositions. The scan's own run decides the same cells.
         handed = []
 
-        def recording(seq, upto):
+        def refusing_rows(seq, upto):
             handed.append(seq)
-            return stieltjes_verdict(seq, upto)
+            if seq.ints[0] == 1:  # a cell's t-power; the row's K_1 = c q is above 1
+                return stieltjes_verdict(seq, upto)
+            assert stieltjes_verdict(seq, upto).ok
+            return PositivityVerdict("semi-definite", upto)
 
         grid = (F(4, 9), F(4, 49), F(9, 64)), (F(1, 7), F(5, 9)), 8
         certified = theta_threshold_scan(*grid)
-        monkeypatch.setattr(semigroup, "stieltjes_verdict", recording)
+        monkeypatch.setattr(semigroup, "stieltjes_verdict", refusing_rows)
         monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
         monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
         res = theta_threshold_scan(*grid)
-        assert res == certified and len(handed) == 6
-        cells = iter(handed)
+        assert res == certified and len(handed) == 9
+        seqs = iter(handed)
         for theta, row in zip(res.theta_grid, res.pass_matrix):
             q = F(isqrt(theta.denominator), isqrt(theta.numerator))
-            vals = [q ** (n * n) for n in range(18)]
+            vals = [q ** (n * n) for n in range(19)]
             polys = mb_compose_t(MomentSequence.from_exact(vals))
+            seq = next(seqs)
+            assert isinstance(seq, ScaledSequence)
+            assert seq.values == tuple(seq.c * p.coeffs[1] for p in polys[1:])
             for cell in row:
-                seq = next(cells)
+                seq = next(seqs)
                 composed = [p(cell.t) for p in polys]
                 assert isinstance(seq, ScaledSequence) and seq.values == tuple(composed)
                 assert composed[:10] == [brute_force.composed_moment(vals, cell.t, n)

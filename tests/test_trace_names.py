@@ -51,13 +51,14 @@ def test_keyword_arguments_the_tracer_reads_exist():
         assert not missing, f"momentlab.{modname}.{name} lacks {missing}"
 
 
-def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
+def test_scan_calls_the_verdict_once_per_refused_row(monkeypatch):
     """The tracer charges the scan's verdicts to stieltjes.verdict_s by
     wrapping semigroup's binding of stieltjes_verdict, so the scan must call
-    it through that name, once per (theta, t) cell that the closed form and
-    the float certificate leave to the exact path: here every cell, as the closed
-    form and the certificate are made to refuse. Where either certifies, no
-    verdict runs."""
+    it through that name, once per theta row that the closed form and the
+    float certificate leave to the exact row verdict: here every row, as the
+    closed form and the certificate are made to refuse. That verdict holds
+    on the lattice family, so no cell takes one of its own. Where either
+    certifies, no verdict runs."""
     calls = []
     verdict = semigroup.stieltjes_verdict
 
@@ -72,6 +73,6 @@ def test_scan_calls_the_verdict_once_per_cell(monkeypatch):
     monkeypatch.setattr(semigroup, "_closed_form_row", lambda q: False)
     monkeypatch.setattr(stieltjes, "_certified_positive", lambda *args: False)
     res = semigroup.theta_threshold_scan(*grid)
-    assert len(calls) == 4 and res == certified
+    assert len(calls) == 2 and res == certified
     assert [cell.verdict for row in res.pass_matrix for cell in row] == [
-        verdict(*args) for args in calls]
+        verdict(*args) for args in calls for _ in res.t_grid]
