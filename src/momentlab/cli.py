@@ -326,7 +326,7 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     from .semigroup import DEFAULT_T_GRID, DEFAULT_THETA_GRID, theta_threshold_scan
     res = theta_threshold_scan(args.theta_grid or DEFAULT_THETA_GRID,
-                               args.t_grid or DEFAULT_T_GRID, args.depth, args.delta)
+                               args.t_grid or DEFAULT_T_GRID, args.depth)
     # the result's fields are the report's keys; a cell reports its verdict
     # record only as the witness of a failure
     report = seqfile.jsonable(res)
@@ -520,8 +520,6 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
         p_t.add_argument("--theta-grid", type=_list_of(_frac))
         p_t.add_argument("--t-grid", type=_list_of(_frac))
         p_t.add_argument("--depth", type=int, default=5)
-        p_t.add_argument("--delta", type=_frac,
-                         help="compare theta/(1-theta)^2 against this bound")
         p_t.set_defaults(func=cmd_scan)
 
     return parser

@@ -18,7 +18,10 @@ pmf never runs it.
 
 The companion check is the classical sufficient condition: a pmf with
 everywhere-positive masses that is log-convex (p_k^2 <= p_{k-1} p_{k+1}) is
-infinitely divisible. Passing it certifies ID; failing says nothing.
+infinitely divisible. Failing it says nothing. It reads the masses through
+kmax, so on a prefix a pass certifies ID only for a law that stays
+log-convex past kmax; a whole law (no mass past kmax) has a zero mass at
+kmax + 1, and the condition does not apply to it.
 """
 from __future__ import annotations
 
@@ -128,9 +131,10 @@ def katti_r(pmf: DiscretePMF, kmax: Optional[int] = None) -> KattiReport:
 
 
 class LogConvexVerdict(Record):
-    """kind: "log-convex" (ID certificate), "not-log-convex" (no
-    conclusion), "inapplicable" (a zero or sign-uncertified mass in range),
-    or "uncertified" (error bounds too wide to decide either way)."""
+    """kind: "log-convex" (ID certificate for a law that stays log-convex
+    past kmax), "not-log-convex" (no conclusion), "inapplicable" (a zero
+    or sign-uncertified mass in range, or a whole law), or "uncertified"
+    (error bounds too wide to decide either way)."""
 
     kind: str
     witness: Optional[int] = None
@@ -144,15 +148,24 @@ def logconvex_pmf_check(pmf: DiscretePMF) -> LogConvexVerdict:
     """Check p_k^2 <= p_{k-1} p_{k+1} on every mass of the pmf.
 
     All comparisons are certified against the pmf's entry error: each mass
-    is widened by it and compared in exact rational arithmetic. A pass is
-    an infinite-divisibility certificate (scale invariant, so unnormalized
-    exact weights work too).
+    is widened by it and compared in exact rational arithmetic. The check
+    needs every mass positive, so a mass not certified positive is
+    "inapplicable" at its index. So is a whole law, kmax + 1 as witness:
+    one whose tail_mass is 0, or exact with no tail_mass and masses summing
+    to 1, has p_(kmax+1) = 0. On a prefix, "log-convex" reads k <= kmax
+    only, and is an infinite-divisibility certificate for a law that stays
+    log-convex past kmax (scale invariant, so unnormalized exact weights
+    work too).
     """
     err = Fraction(0) if pmf.exact else _exact(pmf.entry_error)
     p = [_exact(v) for v in pmf.masses]
     for k, v in enumerate(p):
         if not v - err > 0:
             return LogConvexVerdict("inapplicable", k)
+    tail = pmf.tail_mass
+    whole = tail == 0 if tail is not None else pmf.exact and sum(p) == 1
+    if whole:
+        return LogConvexVerdict("inapplicable", pmf.kmax + 1)
     uncertified = None
     for k in range(1, pmf.kmax):
         holds = (p[k] + err) ** 2 <= (p[k - 1] - err) * (p[k + 1] - err)

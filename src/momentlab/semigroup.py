@@ -100,8 +100,9 @@ class AlternationReport(Record):
     """Term-by-term structure of mu^(t)_n grouped by occupancy count j.
 
     terms[j-1] is C(t,j) * S_j(n) for j = 1..n, so the composed moment is
-    their plain sum. The four checks are reported independently; `holds`
-    is their conjunction. Preconditions (t inside (0,1), strict
+    their plain sum. The four checks are reported independently;
+    `leading_matches` holds by construction (see alternation_check), and
+    `holds` is their conjunction. Preconditions (t inside (0,1), strict
     log-convexity of the examined prefix) are reported, never enforced:
     a failure outside the precondition region is informative, not an error.
     """
@@ -135,14 +136,17 @@ def _log_convexity_ratios(vals: Sequence) -> list:
 def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     """Group mu^(t)_n by occupancy count and test the alternating pattern.
 
-    Checks that the j=1 term equals t*mu_n, that term signs alternate with
-    j, that absolute values never increase, and that each tail sum is no
-    larger in modulus than the term just before it. At t = u/v, C(t, j) =
-    P_j / (j! v^j) with P_j = u (u - v) ... (u - (j-1) v), and
-    _composition_sum gives S_j(n) = j! row[j] / c^n, so the j! cancels and
-    term j is P_j row[j] v^(n-j) over the one denominator (c v)^n. The
-    checks run on these integer numerators, and each term becomes a
-    Fraction once, for the report.
+    Checks that term signs alternate with j, that absolute values never
+    increase, and that each tail sum is no larger in modulus than the term
+    just before it. At t = u/v, C(t, j) = P_j / (j! v^j) with P_j = u (u -
+    v) ... (u - (j-1) v), and _composition_sum gives S_j(n) = j! row[j] /
+    c^n, so the j! cancels and term j is P_j row[j] v^(n-j) over the one
+    denominator (c v)^n. The checks run on these integer numerators, and
+    each term becomes a Fraction once, for the report.
+
+    `leading_matches`, that the j = 1 term equals t*mu_n, holds on every
+    input, so it is always true. Proof: term 1 is C(t, 1) S_1(n), C(t, 1)
+    = t, and the one composition of n into one part gives S_1(n) = mu_n.
     """
     m.require_exact("alternation_check")
     t = Fraction(t)
@@ -159,10 +163,6 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
         nums.append(p * row[j] * v_rest)
     terms = tuple(Fraction(x, den) for x in nums)
 
-    mu_n = vals[n]
-    leading = t * mu_n
-    # terms[0] = nums[0] / den against t mu_n = u a / (v b), for mu_n = a / b
-    leading_ok = nums[0] * v * mu_n.denominator == u * mu_n.numerator * den
     signs_ok = all(x > 0 if j % 2 == 0 else x < 0 for j, x in enumerate(nums))
     moduli = [abs(x) for x in nums]
     moduli_ok = all(a >= b for a, b in zip(moduli, moduli[1:]))
@@ -178,7 +178,7 @@ def alternation_check(m: MomentSequence, t, n: int) -> AlternationReport:
     if n >= 2:
         strict = all(a < b for a, b in _log_convexity_ratios(vals[:n + 1]))
     pre = {"t_in_unit_interval": 0 < t < 1, "strictly_log_convex": strict}
-    return AlternationReport(t, n, terms, leading, leading_ok,
+    return AlternationReport(t, n, terms, t * vals[n], True,
                              signs_ok, moduli_ok, tails_ok, pre)
 
 
@@ -544,21 +544,13 @@ class ScanCell(Record):
 DEFAULT_THETA_GRID = (Fraction(1, 100), Fraction(1, 36), Fraction(1, 16),
                       Fraction(1, 9), Fraction(1, 4))
 DEFAULT_T_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-# The reference line of the report. Below theta** ~ 0.2049 (q above q** ~
-# 2.209) _closed_form_row proves every row strictly positive at every depth,
-# so that is the proved bound; the 1/6 line now lies below it and still has
-# no source in PAPER.md (ROADMAP item 21).
-REFERENCE_THRESHOLD = Fraction(1, 6)
 
 
 class ThresholdScanResult(Record):
     """Pass/fail grid of the composed lattice families under the Stieltjes
-    test, with the largest all-pass theta and the 1/6 reference line.
-
-    monotone_in_theta records whether each t-column is downward closed
-    (failures only above some theta); it is observed from the grid, never
-    assumed. ratio_bounds carries theta/(1-theta)^2 per theta, with a
-    verdict against `delta` when one was supplied.
+    test: pass_matrix has one row of ScanCells per theta, by rising theta,
+    and empirical_theta_max is the largest theta whose row passes at every
+    t, or None. ratio_bounds pairs each theta with theta/(1-theta)^2.
     """
 
     theta_grid: tuple
@@ -566,16 +558,12 @@ class ThresholdScanResult(Record):
     depth: int
     pass_matrix: tuple
     empirical_theta_max: Optional[Fraction]
-    reference_threshold: Fraction
-    monotone_in_theta: bool
     ratio_bounds: tuple
-    delta: Optional[Fraction] = None
 
 
 def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
                          t_grid: Sequence = DEFAULT_T_GRID,
-                         depth: int = 5,
-                         delta=None) -> ThresholdScanResult:
+                         depth: int = 5) -> ThresholdScanResult:
     """Scan lattice families over a theta grid for Stieltjes survival.
 
     Each theta must be 1/q^2 for rational q; the family mu_n = q^(n^2) is
@@ -638,7 +626,6 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
         raise ValueError("theta values must lie in (0,1)")
     if any(not 0 < t.numerator < t.denominator for t in ts):
         raise ValueError("t values must lie in (0,1)")
-    delta = Fraction(delta) if delta is not None else None
 
     matrix, ratios = [], []
     for theta in thetas:
@@ -648,13 +635,8 @@ def theta_threshold_scan(theta_grid: Sequence = DEFAULT_THETA_GRID,
             raise ValueError(f"theta={theta} is not 1/q^2 for rational q")
         matrix.append(tuple(map(ScanCell, repeat(theta), ts,
                                 _row_verdicts(Fraction(a, b), ts, depth))))
-        nd, gap = n * d, (d - n) ** 2  # theta / (1 - theta)^2 = n d / (d - n)^2
-        ratios.append((theta, Fraction(nd, gap), None if delta is None
-                       else nd * delta.denominator <= delta.numerator * gap))
+        ratios.append((theta, Fraction(n * d, (d - n) ** 2)))  # theta / (1 - theta)^2
 
-    passes = [[cell.passed for cell in row] for row in matrix]
-    best = max((theta for theta, row in zip(thetas, passes) if all(row)), default=None)
-    # a column is downward closed when its passes, by rising theta, never rise
-    monotone = all(list(col) == sorted(col, reverse=True) for col in zip(*passes))
-    return ThresholdScanResult(tuple(thetas), ts, depth, tuple(matrix), best,
-                               REFERENCE_THRESHOLD, monotone, tuple(ratios), delta)
+    best = max((theta for theta, row in zip(thetas, matrix)
+                if all(cell.passed for cell in row)), default=None)
+    return ThresholdScanResult(tuple(thetas), ts, depth, tuple(matrix), best, tuple(ratios))

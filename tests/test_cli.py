@@ -421,8 +421,6 @@ class TestScan:
                           "witness": {"shift": 0, "size": 3}, "witness_value": "0"}},
              ok("1/4", "2/3")]]
         assert rep["empirical_theta_max"] == "1/16"
-        # the t = 2/3 column fails at 1/9 and passes again at 1/4
-        assert rep["monotone_in_theta"] is False
         assert rep["kind"] == "theta-scan" and rep["theta_grid"] == ["1/16", "1/9", "1/4"]
 
 
@@ -541,7 +539,7 @@ MALFORMED = [
     ["compose", "{d}/lattice.json", "--op", "mb", "--t", "1/0"],
     ["moments", "lattice", "--q", "1/0"],
     ["scan", "--theta-grid", "1/0"],
-    ["scan", "--delta", "1/0"],
+    ["scan", "--delta", "1/0"],  # no such option: exit 2 as well
     # negative sizes and depths
     ["analyze", "{d}/lattice.json", "--indeterminacy", "-1"],
     ["analyze", "{d}/lattice.json", "--mu1-threshold", "-2"],

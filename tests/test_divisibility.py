@@ -146,6 +146,18 @@ class TestLogConvexCertificate:
         verdict = logconvex_pmf_check(pmf)
         assert (verdict.kind, verdict.witness) == ("not-log-convex", 2)
 
+    @pytest.mark.parametrize("masses, witness", [
+        ((Fraction(1, 2),) * 2, 2),  # Bernoulli(1/2)
+        ((Fraction(1, 3),) * 3, 3),  # uniform on {0, 1, 2}
+    ])
+    def test_whole_finite_law_is_inapplicable(self, masses, witness):
+        # exact masses that sum to 1 are the whole law, so p_(kmax+1) = 0;
+        # a stated tail mass of 0 says the same. Bounded support, so not ID
+        for pmf in (DiscretePMF(masses), DiscretePMF(masses, tail_mass=0)):
+            verdict = logconvex_pmf_check(pmf)
+            assert (verdict.kind, verdict.witness) == ("inapplicable", witness)
+            assert not verdict.certifies_id
+
 
 class TestRoundTrips:
     @settings(max_examples=40, deadline=None)

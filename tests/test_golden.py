@@ -79,7 +79,7 @@ CASES = {
                              "--upto", "5"], {"lattice.json": "moments-lattice.output"}),
     "scan": (["scan"], {}),
     "scan-depth-8": (["scan", "--depth", "8", "--theta-grid", "1/4,1/9,1/25",
-                      "--t-grid", "1/3,2/3", "--delta", "1/2"], {}),
+                      "--t-grid", "1/3,2/3"], {}),
     "simulate-spectrum": (["simulate", "spectrum", "--a", "0.5", "--b", "2", "--n", "2",
                            "--censor-gap", "0.9", "1.2", *SIM], {}),
     "simulate-epsilon": (["simulate", "epsilon", "--eps-grid", "0.05,0.1,0.2", *SIM], {}),

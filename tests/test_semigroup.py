@@ -24,6 +24,7 @@ from momentlab.semigroup import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
     SemigroupIdentityReport,
+    ThresholdScanResult,
     _lattice_base,
     _lattice_hankel,
     alternation_check,
@@ -363,8 +364,6 @@ class TestThetaThresholdScan:
         assert res.t_grid == DEFAULT_T_GRID
         assert all(cell.passed for row in res.pass_matrix for cell in row)
         assert res.empirical_theta_max == F(1, 4)
-        assert res.reference_threshold == F(1, 6)
-        assert res.monotone_in_theta
 
     def test_reproducible(self):
         a = theta_threshold_scan(theta_grid=[F(1, 16), F(1, 4)],
@@ -432,18 +431,21 @@ class TestThetaThresholdScan:
         with pytest.raises(ValueError):
             theta_threshold_scan(theta_grid=[F(1, 3)], t_grid=[F(1, 2)], depth=2)
 
-    def test_delta_flags(self):
-        res = theta_threshold_scan(depth=3, delta=F(1, 5))
-        flags = {th: ok for th, _, ok in res.ratio_bounds}
-        assert flags[F(1, 9)] is True
-        assert flags[F(1, 4)] is False
-
     def test_ratio_bound_values(self):
         res = theta_threshold_scan(theta_grid=[F(1, 4)], t_grid=[F(1, 2)],
                                    depth=2)
-        (_, ratio, flag), = res.ratio_bounds
-        assert ratio == F(4, 9)
-        assert flag is None
+        (theta, ratio), = res.ratio_bounds
+        assert (theta, ratio) == (F(1, 4), F(4, 9))
+
+    def test_report_states_only_what_is_proved(self):
+        # no reference line, monotonicity flag or delta comparison: none
+        # has a source, and by Thorin no lattice cell can fail
+        assert ThresholdScanResult._fields == ("theta_grid", "t_grid", "depth", "pass_matrix",
+                                               "empirical_theta_max", "ratio_bounds")
+        res = theta_threshold_scan(depth=3)
+        assert [len(entry) for entry in res.ratio_bounds] == [2] * len(DEFAULT_THETA_GRID)
+        with pytest.raises(TypeError):
+            theta_threshold_scan(depth=3, delta=F(1, 5))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
