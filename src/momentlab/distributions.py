@@ -492,7 +492,9 @@ def geometric_pmf(rho, kmax: int) -> DiscretePMF:
 
 def poisson_pmf(lam, kmax: int, p: Precision = Precision()) -> DiscretePMF:
     """Normalized Poisson pmf on the approximate backend, with a rounding
-    error bound of a few ulp per entry."""
+    error bound of a few ulp per entry. tail_mass = P[Y > kmax] is the
+    regularized lower incomplete gamma P(kmax + 1, lam), which stays
+    accurate where 1 - sum(masses) cancels."""
     with mpmath.workprec(p.bits + 20):
         la = mpmath.mpf(lam)
         if la <= 0:
@@ -504,6 +506,6 @@ def poisson_pmf(lam, kmax: int, p: Precision = Precision()) -> DiscretePMF:
             masses.append(cur)
             cur = cur * la / (k + 1)
         entry_error = max(masses) * mpmath.mpf(2) ** (-(p.bits + 4)) * (kmax + 4)
-        tail_mass = 1 - sum(masses)
+        tail_mass = mpmath.gammainc(kmax + 1, 0, la, regularized=True)
     return DiscretePMF(masses=tuple(masses), exact=False, precision_bits=p.bits,
                        entry_error=entry_error, tail_mass=tail_mass)

@@ -88,13 +88,13 @@ class PoissonJumps(Record):
         k that holds less mass: up from k + 1 when k + 1 > lam, else down
         from k, as 1 - P[Y <= k]. The terms fall away from the mode on
         either side, so the sum stops once a term is below 2^-60 of it,
-        after O(sqrt(lam)) terms. The first term is _poisson_pmf_start's;
+        after O(sqrt(lam)) terms. The first term is _poisson_pmf's;
         each next one is the last times lam / (m + 1), going up, or m / lam,
         going down."""
         lam, k = self.lam, math.floor(max(eps, 0.0))
         up = k + 1 > lam
         m = k + 1 if up else k
-        term, total = _poisson_pmf_start(lam, m), 0.0
+        term, total = _poisson_pmf(lam, m), 0.0
         while term > total * 2.0 ** -60:
             total += term
             if up:
@@ -155,9 +155,13 @@ class JumpSpec(Record):
                 "epsilon": self.epsilon}
 
 
-def _check_time(t: float) -> None:
+def _check_run(t: float, trials: int, level: float) -> None:
     if not 0 <= t < math.inf:
         raise ValueError("t must be >= 0 and finite")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -236,11 +240,8 @@ def gap_censor_samples(samples: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def _poisson_pmf_value(lam: float, m: int) -> float:
-    return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
-
-
-_CP_DIGITS = 40  # working digits of the Clopper-Pearson solve, about 133 bits
+_CP_DIGITS = 40  # working digits of every decimal evaluation here, about 133 bits
+_WIDE = Context(prec=_CP_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)  # no exp here underflows
 
 # B_2, B_4, ..., B_30 as (numerator, denominator)
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
@@ -267,14 +268,27 @@ def _log_gamma(n: int) -> Decimal:
     return out
 
 
-def _poisson_pmf_start(lam: float, m: int) -> float:
-    """The Poisson(lam) pmf at m, lam > 0, from its log at _CP_DIGITS
-    digits: 0 where it underflows, else within an ulp or two. The float
-    log-pmf of _poisson_pmf_value cancels terms of size m ln m, so it is off
-    by about u m ln m relative (7.7e-13 at lam = 1000, m = 2001)."""
-    with localcontext(Context(prec=_CP_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)):
-        x = Decimal(lam)
-        return float((m * x.ln() - x - _log_gamma(m + 1)).exp())
+def _poisson_log_pmf(lam: float, m: int) -> Decimal:
+    """ln of the Poisson(lam) pmf at m in the current decimal context,
+    -Infinity at lam = 0 for m >= 1."""
+    x = Decimal(lam)
+    return m * x.ln() - x - _log_gamma(m + 1)
+
+
+def _poisson_pmf(lam: float, m: int) -> float:
+    """The Poisson(lam) pmf at m from its log at _CP_DIGITS digits, within
+    an ulp (a float log-pmf cancels terms of size m ln m: 7.7e-13 relative
+    at lam = 1000, m = 2001); 0 where it underflows or lam = 0 < m."""
+    with localcontext(_WIDE):
+        return float(_poisson_log_pmf(lam, m).exp())
+
+
+def _replication_lower(lam: float, m: int, n: int, q: float) -> float:
+    """pi_nm min(q / pi_m, 1)^n, pi the Poisson(lam) pmf, from the log-pmfs
+    at _CP_DIGITS digits, so the float is rounded once; 0 at lam = 0."""
+    with localcontext(_WIDE):
+        log_s = min(Decimal(q).ln() - _poisson_log_pmf(lam, m), 0)
+        return float((_poisson_log_pmf(lam, n * m) + n * log_s).exp())
 
 
 def _betainc(x: Decimal, a: int, b: int, log_beta: Decimal) -> Decimal:
@@ -320,8 +334,7 @@ def _clopper_pearson_lower(count: int, trials: int, level: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("level must lie in (0, 1)")
     a, b = count, trials - count + 1
-    # an exponent range this wide keeps every exp here from underflowing
-    with localcontext(Context(prec=_CP_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+    with localcontext(_WIDE):
         log_beta = _log_gamma(a) + _log_gamma(b) - _log_gamma(a + b)
         target = Decimal(alpha)
         # x^a / (a B(a, b)) >= I_x(a, b), so its root undershoots the
@@ -402,13 +415,9 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
             raise ValueError(f"{name} must be finite")
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    _check_time(t)
+    _check_run(t, trials, level)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
     if censor_gap is not None:
         _check_gap(*censor_gap)
     # the (a, b) and (na, nb) hits, and how many (a, b) hits have m kept jumps
@@ -438,13 +447,8 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
     lower = 0.0
     if hist[1:].any():
         modal_m = 1 + int(np.argmax(hist[1:]))
-        c_m = int(hist[modal_m])
-        q_lcb = _clopper_pearson_lower(c_m, trials, level)
-        pi_m = _poisson_pmf_value(lam_eff, modal_m)
-        pi_nm = _poisson_pmf_value(lam_eff, n * modal_m)
-        if pi_m > 0:
-            s_lcb = min(q_lcb / pi_m, 1.0)
-            lower = pi_nm * s_lcb ** n
+        q_lcb = _clopper_pearson_lower(int(hist[modal_m]), trials, level)
+        lower = _replication_lower(lam_eff, modal_m, n, q_lcb)
 
     upper = 1.0 - (1.0 - level) ** (1.0 / trials) if count_rep == 0 else 1.0
 
@@ -478,10 +482,11 @@ class DriftRow(Record):
 class DriftTable(Record):
     """Estimates of P[|X - X_eps| > eta] across an epsilon grid.
 
-    All rows come from one coupled sample of the full jump field, so the
-    estimates are pathwise monotone in epsilon by construction, not just
-    within noise: monotone_nondecreasing records that p_hat never falls as
-    epsilon grows. Each row's band is p_hat -/+ z se, z the two-sided
+    All rows count paths of one coupled sample of the full jump field, so
+    no p_hat falls as epsilon grows, by construction and not just within
+    noise: a larger epsilon adds non-negative jumps to each path's discarded
+    sum, bincount adds them in array order, and float addition is monotone
+    in each argument. Each row's band is p_hat -/+ z se, z the two-sided
     normal quantile at `level`, clipped to [0, 1].
     """
 
@@ -490,7 +495,6 @@ class DriftTable(Record):
     trials: int
     seed: int
     rows: tuple
-    monotone_nondecreasing: bool
     level: float
     spec: dict
 
@@ -505,13 +509,9 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
     """
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    _check_time(t)
+    _check_run(t, trials, level)
     if not all(0 <= e < math.inf for e in eps_grid):
         raise ValueError("epsilon values must be >= 0 and finite")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
     # per epsilon, the paths whose jumps at or below it sum past eta
     overflow = [0] * len(eps_grid)
     for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
@@ -527,8 +527,5 @@ def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: 
         se = math.sqrt(max(p * (1 - p), 0.0) / trials)
         rows.append(DriftRow(float(eps), p, count, se,
                              max(p - z * se, 0.0), min(p + z * se, 1.0)))
-    by_eps = sorted(rows, key=lambda r: r.epsilon)
-    monotone = all(x.p_hat <= y.p_hat for x, y in zip(by_eps, by_eps[1:]))
     return DriftTable(eta=eta, t=t, trials=trials, seed=seed, rows=tuple(rows),
-                      monotone_nondecreasing=monotone, level=level,
-                      spec=spec.describe())
+                      level=level, spec=spec.describe())

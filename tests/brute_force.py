@@ -39,7 +39,7 @@ from momentlab.distributions import DiscretePMF
 from momentlab.moment_algebra import MomentSequence, _exact
 from momentlab.semigroup import AlternationReport, EnvelopeReport
 from momentlab.simulator import (DriftRow, DriftTable, PoissonJumps, SpectrumTestResult,
-                                 _clopper_pearson_lower, _poisson_pmf_value, make_rng)
+                                 _clopper_pearson_lower, _replication_lower, make_rng)
 from momentlab.stieltjes import (COLLAPSE_FACTOR, HankelQuery, IndeterminacyRatios,
                                  Mu1ThresholdReport, PositivityVerdict, TotalPositivityVerdict,
                                  _bounded_away, _det_bareiss, hankel_matrix)
@@ -611,9 +611,7 @@ def spectrum_gap_test(spec, a: float, b: float, n: int, trials: int, seed: int,
             best = int(np.argmax(cs))
             modal_m = int(ms[best])
             q_lcb = _clopper_pearson_lower(int(cs[best]), trials, level)
-            pi_m = _poisson_pmf_value(lam_eff, modal_m)
-            if pi_m > 0:
-                lower = _poisson_pmf_value(lam_eff, n * modal_m) * min(q_lcb / pi_m, 1.0) ** n
+            lower = _replication_lower(lam_eff, modal_m, n, q_lcb)
     upper = 1.0 - (1.0 - level) ** (1.0 / trials) if count_rep == 0 else 1.0
     violation = count_ab > 0 and count_rep == 0 and lower > upper
     return SpectrumTestResult(
@@ -642,7 +640,5 @@ def epsilon_truncation_drift(spec, eps_grid: Sequence[float], trials: int, seed:
         se = math.sqrt(max(p * (1 - p), 0.0) / trials)
         rows.append(DriftRow(float(eps), p, count, se,
                              max(p - z * se, 0.0), min(p + z * se, 1.0)))
-    by_eps = sorted(rows, key=lambda r: r.epsilon)
-    monotone = all(x.p_hat <= y.p_hat for x, y in zip(by_eps, by_eps[1:]))
     return DriftTable(eta=eta, t=t, trials=trials, seed=seed, rows=tuple(rows),
-                      monotone_nondecreasing=monotone, level=level, spec=spec.describe())
+                      level=level, spec=spec.describe())

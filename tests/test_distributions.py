@@ -472,6 +472,18 @@ class TestSimplePmfs:
             assert abs(pmf[1] - expect) < mpf("1e-30")
         assert pmf.entry_error > 0
 
+    @pytest.mark.parametrize("lam, kmax", [(0.05, 12), (0.5, 40), (20, 5)])
+    def test_poisson_tail_mass(self, lam, kmax):
+        # at 64 bits 1 - sum(masses) gives -1.03e-25 at (0.05, 12), where the
+        # tail is 1.87e-27, and exactly 0 at (0.5, 40), which
+        # logconvex_pmf_check would read as a whole law
+        tail = poisson_pmf(lam, kmax, Precision(64)).tail_mass
+        with mpmath.workprec(200):
+            lam_ = mpf(lam)
+            want = sum(mpmath.exp(m * mpmath.log(lam_) - lam_ - mpmath.loggamma(m + 1))
+                       for m in range(kmax + 1, kmax + 300))
+            assert tail > 0 and abs(tail - want) <= want * mpf(2) ** -40, (tail, want)
+
 
 class TestPmfTailMass:
     """tail_mass is on the pmf's backend, as its masses and entry_error are."""

@@ -17,8 +17,9 @@ from momentlab import simulator
 from momentlab.cli import main
 from momentlab.simulator import (_BERNOULLI, _HALF_LOG_2PI, AtomJumps, JumpSpec,
                                  LognormalJumps, PoissonJumps, _clopper_pearson_lower,
-                                 _log_gamma, epsilon_truncation_drift, make_rng,
-                                 sample_compound_poisson, spectrum_gap_test)
+                                 _log_gamma, _poisson_pmf, _replication_lower,
+                                 epsilon_truncation_drift, make_rng, sample_compound_poisson,
+                                 spectrum_gap_test)
 
 import brute_force
 from conftest import fresh_env
@@ -109,6 +110,56 @@ class TestLogGamma:
             with mpmath.workdps(60):
                 exact = mpmath.loggamma(n)
                 assert abs(mpf(str(got)) - exact) <= mpf("1e-38") * max(1, abs(exact)), n
+
+
+def poisson_pmf_mpf(lam, m):
+    """The Poisson(lam) pmf at m in mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        lam_ = mpf(lam)
+        return mpmath.exp(m * mpmath.log(lam_) - lam_ - mpmath.loggamma(m + 1))
+
+
+def within_an_ulp(got, want):
+    """A float within one ulp of the mpf want, or within the smallest
+    subnormal of it."""
+    with mpmath.workprec(200):
+        return abs(mpf(got) - want) <= want * mpf(2) ** -52 + mpf(2) ** -1074
+
+
+class TestPoissonPmf:
+    """_poisson_pmf, the pmf PoissonJumps.tail_prob starts from, and
+    _replication_lower, the spectrum check's bound on the same log-pmf,
+    against a 200-bit mpmath evaluation."""
+
+    # m far below lam, at and about the mode and far above it, with lam from
+    # tiny to past exp(-lam) underflow
+    GRID = [(lam, m) for lam in (1e-300, 1e-3, 0.5, 1.5, 30.0, 1000.0, 1e6)
+            for m in (1, 2, 7, 30, 100, 999, 1000, 2001,
+                      10 ** 6 - 5000, 10 ** 6, 10 ** 6 + 3000)]
+
+    @pytest.mark.parametrize("lam, m", GRID)
+    def test_grid(self, lam, m):
+        want = poisson_pmf_mpf(lam, m)
+        got = _poisson_pmf(lam, m)
+        assert within_an_ulp(got, want), (lam, m, got, want)
+
+    def test_underflow_and_zero_rate(self):
+        assert 0 < poisson_pmf_mpf(1.0, 10 ** 5) and _poisson_pmf(1.0, 10 ** 5) == 0.0
+        assert _poisson_pmf(1e6, 1) == 0.0
+        for m in (1, 2, 50):
+            assert _poisson_pmf(0.0, m) == 0.0
+            assert _replication_lower(0.0, m, 2, 0.5) == 0.0
+
+    @pytest.mark.parametrize("lam, m, n, q", [
+        (1.5, 1, 2, 0.2), (1.0, 1, 2, 0.171), (7.0, 3, 3, 1e-4), (1000.0, 1000, 2, 1e-3),
+        (0.01, 1, 4, 0.009),
+        # pi_m underflows a float; q / pi_m > 1 caps at 1
+        (2000.0, 500, 4, 1e-3)])
+    def test_replication_lower(self, lam, m, n, q):
+        pi_m, pi_nm = poisson_pmf_mpf(lam, m), poisson_pmf_mpf(lam, n * m)
+        with mpmath.workprec(200):
+            want = pi_nm * min(mpf(q) / pi_m, 1) ** n
+        assert want > 0 and within_an_ulp(_replication_lower(lam, m, n, q), want)
 
 
 SPEC = JumpSpec(1.0, LognormalJumps(0.0, 1.0))
@@ -216,16 +267,11 @@ class TestEpsilonCut:
         # on the side of floor(eps) with less mass, to a 2^-150 cut
         k = math.floor(eps)
         with mpmath.workprec(200):
-            lam_ = mpf(lam)
-
-            def pmf(m):
-                return mpmath.exp(m * mpmath.log(lam_) - lam_ - mpmath.loggamma(m + 1))
-
             side = range(k + 1, 10 ** 9) if k + 1 > lam else range(k, -1, -1)
             total = mpf(0)
             for m in side:
-                total += pmf(m)
-                if pmf(m) < total * mpf(2) ** -150:
+                total += poisson_pmf_mpf(lam, m)
+                if poisson_pmf_mpf(lam, m) < total * mpf(2) ** -150:
                     break
             want = total if k + 1 > lam else 1 - total
         assert PoissonJumps(lam).tail_prob(eps) == pytest.approx(float(want), rel=1e-12)
@@ -307,15 +353,28 @@ class TestGapCensor:
 
 
 class TestEpsilonDrift:
-    def test_pathwise_monotone(self):
-        spec = JumpSpec(5.0, LognormalJumps(-2.0, 1.0))
-        grid_ = [0.3, 0.01, 0.1, 0.05, 0.2, 0.0]
-        table = epsilon_truncation_drift(spec, grid_, 20_000, 7, eta=0.05)
-        counts = [r.count for r in sorted(table.rows, key=lambda r: r.epsilon)]
-        assert counts == sorted(counts) and counts[0] == 0 and counts[-1] > 0
-        assert table.monotone_nondecreasing
+    @pytest.mark.parametrize("spec, grid_, eta", [
+        (JumpSpec(5.0, LognormalJumps(-2.0, 1.0)), [0.3, 0.01, 0.1, 0.05, 0.2, 0.0], 0.05),
+        # a Poisson jump of size 0 adds weight 0 to the discarded sum
+        (JumpSpec(3.0, PoissonJumps(0.7)), [2.0, 0.0, 1.0, 0.5, 1.0, 3.0], 1.5),
+        # a spec with an epsilon cut of its own
+        (JumpSpec(5.0, LognormalJumps(-2.0, 1.0), 0.05), [0.2, 0.1, 0.02, 0.1, 0.3], 0.05),
+    ])
+    def test_pathwise_monotone(self, spec, grid_, eta):
+        """A larger epsilon adds non-negative jumps to every path's discarded
+        sum, so no count falls as epsilon grows, and a repeated epsilon
+        repeats its row; a grid is reported in its own order."""
+        table = epsilon_truncation_drift(spec, grid_, 20_000, 7, eta=eta)
+        assert [r.epsilon for r in table.rows] == grid_
+        by_eps = sorted(table.rows, key=lambda r: r.epsilon)
+        for x, y in zip(by_eps, by_eps[1:]):
+            assert x.count <= y.count
+            assert x.epsilon < y.epsilon or x == y
+        assert by_eps[-1].count > 0
+        if by_eps[0].epsilon == 0:
+            assert by_eps[0].count == 0
         # one coupled sample: a row does not depend on the rest of the grid
-        alone = epsilon_truncation_drift(spec, [0.1], 20_000, 7, eta=0.05)
+        alone = epsilon_truncation_drift(spec, [grid_[2]], 20_000, 7, eta=eta)
         assert alone.rows[0] == table.rows[2]
 
     def test_bands_follow_level(self):
