@@ -411,7 +411,8 @@ def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
         sp.add_argument("--poisson-jumps", type=float, metavar="LAM")
         sp.add_argument("--lognormal-jumps", metavar="ALPHA:SIGMA2")
         sp.add_argument("--epsilon", type=float, default=0.0,
-                        help="discard jumps at or below this size")
+                        help="discard jumps at or below this size; both modes "
+                             "sample this cut law")
         sp.add_argument("--t", type=float, default=1.0, help="time horizon")
         sp.add_argument("--trials", type=int, required=True,
                         help="sample paths, drawn in blocks: memory is 8 bytes "

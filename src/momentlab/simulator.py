@@ -5,10 +5,11 @@ independently from the jump law; jumps of size <= epsilon are discarded at
 the source. Sampling is vectorized and fully deterministic given the seed:
 the generator is counter-based (Philox), keyed by the two 64-bit words
 (seed, 0). It runs over blocks of paths: every path's Poisson count is drawn
-first, then the jump sizes one block of _BLOCK paths at a time, and each
-report keeps per block only the counts it reports. numpy's streams do not
-depend on how a draw is split, so the jumps are those of one draw of them
-all. Memory is 8 bytes per trial (the counts) plus one block's jumps.
+first, then the jump sizes one block of _BLOCK paths at a time, cut at
+epsilon as drawn. Every report reads that kept field, the drift table too,
+so each measures the spec's own cut law. numpy's streams do not depend on
+how a draw is split, so the jumps are those of one draw of them all. Memory
+is 8 bytes per trial (the counts) plus one block's jumps.
 
 The spectrum check targets the replication property of compound laws: mass
 in (a, b) forces mass in (na, nb), because n independent clusters of jumps
@@ -47,6 +48,7 @@ from .moment_algebra import Record
 class AtomJumps(Record):
     """Finite jump law: atoms ((size, weight), ...); weights normalized."""
 
+    kind = "atoms"
     atoms: tuple
 
     def __post_init__(self):
@@ -66,14 +68,12 @@ class AtomJumps(Record):
     def tail_prob(self, eps: float) -> float:
         return sum(w for x, w in self.atoms if x > eps)
 
-    def describe(self) -> dict:
-        return {"kind": "atoms", "atoms": [[x, w] for x, w in self.atoms]}
-
 
 class PoissonJumps(Record):
     """Jumps distributed Poisson(lam) on the non-negative integers; a jump
-    of size zero contributes nothing and is treated as discarded."""
+    of size zero is at or below every epsilon, so the cut discards it."""
 
+    kind = "poisson"
     lam: float
 
     def __post_init__(self):
@@ -107,13 +107,11 @@ class PoissonJumps(Record):
                 m -= 1
         return total if up else 1.0 - total
 
-    def describe(self) -> dict:
-        return {"kind": "poisson", "lam": self.lam}
-
 
 class LognormalJumps(Record):
     """Lognormal jumps e^G, G ~ Normal(alpha, sigma2)."""
 
+    kind = "lognormal"
     alpha: float = 0.0
     sigma2: float = 1.0
 
@@ -129,9 +127,6 @@ class LognormalJumps(Record):
             return 1.0
         z = (math.log(eps) - self.alpha) / math.sqrt(self.sigma2)
         return math.erfc(z / math.sqrt(2)) / 2
-
-    def describe(self) -> dict:
-        return {"kind": "lognormal", "alpha": self.alpha, "sigma2": self.sigma2}
 
 
 JumpLaw = Union[AtomJumps, PoissonJumps, LognormalJumps]
@@ -151,7 +146,9 @@ class JumpSpec(Record):
             raise ValueError("epsilon must be >= 0 and finite")
 
     def describe(self) -> dict:
-        return {"rate": self.rate, "jump_law": self.jump_law.describe(),
+        law = self.jump_law
+        fields = {name: getattr(law, name) for name in law._fields}
+        return {"rate": self.rate, "jump_law": {"kind": law.kind, **fields},
                 "epsilon": self.epsilon}
 
 
@@ -182,11 +179,13 @@ _BLOCK = 8192
 
 
 def _path_blocks(spec: JumpSpec, t: float, rng: np.random.Generator, count: int):
-    """The jump field of `count` independent paths on [0, t], before the
-    epsilon cut, in blocks of _BLOCK paths: every Poisson count first, then
-    each block's jump sizes in one draw. Yields (counts, jumps, owner),
-    owner the path of each jump within its block. ValueError when rate * t
-    is past numpy's limit."""
+    """The kept jump field, which every report reads, of `count` independent
+    paths on [0, t] in blocks of _BLOCK paths: every Poisson count first,
+    then each block's jump sizes in one draw, less those <= spec.epsilon.
+    Yields (counts, jumps, owner): per path its number of kept jumps, the
+    kept jumps, and the path of each within its block; a block that loses
+    no jump yields its Poisson counts as drawn. ValueError when rate * t is
+    past numpy's limit."""
     lam = spec.rate * t
     if not lam <= _POISSON_LAM_MAX:
         raise ValueError(f"rate * t must be finite and at most {_POISSON_LAM_MAX:.4g}, "
@@ -196,18 +195,12 @@ def _path_blocks(spec: JumpSpec, t: float, rng: np.random.Generator, count: int)
         counts = n[start:start + _BLOCK]
         total = int(counts.sum())
         jumps = spec.jump_law.sample(rng, total) if total else np.empty(0)
-        yield counts, jumps, np.repeat(np.arange(len(counts)), counts)
-
-
-def _kept_sums(spec: JumpSpec, counts: np.ndarray, jumps: np.ndarray, owner: np.ndarray):
-    """Per path of a block: the sum of its kept jumps, those above epsilon
-    (a Poisson jump of size 0 is never kept), and how many there are."""
-    if spec.epsilon > 0 or isinstance(spec.jump_law, PoissonJumps):
+        owner = np.repeat(np.arange(len(counts)), counts)
         keep = jumps > spec.epsilon
-        jumps = jumps[keep]
-        owner = owner[keep]
-        counts = np.bincount(owner, minlength=len(counts))
-    return np.bincount(owner, weights=jumps, minlength=len(counts)), counts
+        if not keep.all():
+            jumps, owner = jumps[keep], owner[keep]
+            counts = np.bincount(owner, minlength=len(counts))
+        yield counts, jumps, owner
 
 
 def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int) -> np.ndarray:
@@ -217,7 +210,8 @@ def sample_compound_poisson(spec: JumpSpec, t: float, seed: int, count: int) -> 
     out = np.empty(count)
     start = 0
     for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), count):
-        out[start:start + len(counts)], _ = _kept_sums(spec, counts, jumps, owner)
+        out[start:start + len(counts)] = np.bincount(owner, weights=jumps,
+                                                     minlength=len(counts))
         start += len(counts)
     return out
 
@@ -270,9 +264,9 @@ def _log_gamma(n: int) -> Decimal:
 
 def _poisson_log_pmf(lam: float, m: int) -> Decimal:
     """ln of the Poisson(lam) pmf at m in the current decimal context,
-    -Infinity at lam = 0 for m >= 1."""
+    -Infinity at lam = 0 for m >= 1; the m ln(lam) term is 0 at m = 0."""
     x = Decimal(lam)
-    return m * x.ln() - x - _log_gamma(m + 1)
+    return (m * x.ln() if m else 0) - x - _log_gamma(m + 1)
 
 
 def _poisson_pmf(lam: float, m: int) -> float:
@@ -423,8 +417,8 @@ def spectrum_gap_test(spec: JumpSpec, a: float, b: float, n: int, trials: int,
     # the (a, b) and (na, nb) hits, and how many (a, b) hits have m kept jumps
     count_ab = count_rep = 0
     hist = np.zeros(0, dtype=np.int64)
-    for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
-        x, kept = _kept_sums(spec, counts, jumps, owner)
+    for kept, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
+        x = np.bincount(owner, weights=jumps, minlength=len(kept))
         if censor_gap is not None:
             x[_inside(x, *censor_gap)] = 0.0
         in_ab = _inside(x, a, b)
@@ -480,14 +474,15 @@ class DriftRow(Record):
 
 
 class DriftTable(Record):
-    """Estimates of P[|X - X_eps| > eta] across an epsilon grid.
+    """Estimates of P[|X_eps0 - X_eps| > eta] across an epsilon grid, X_eps0
+    the spec's own cut law (eps0 its epsilon): a row at eps <= eps0 reads 0.
 
-    All rows count paths of one coupled sample of the full jump field, so
-    no p_hat falls as epsilon grows, by construction and not just within
-    noise: a larger epsilon adds non-negative jumps to each path's discarded
-    sum, bincount adds them in array order, and float addition is monotone
-    in each argument. Each row's band is p_hat -/+ z se, z the two-sided
-    normal quantile at `level`, clipped to [0, 1].
+    All rows count paths of one coupled sample, the kept jump field every
+    report reads, so no p_hat falls as epsilon grows, by construction and
+    not just within noise: a larger epsilon adds non-negative jumps to each
+    path's discarded sum, bincount adds them in array order, and float
+    addition is monotone in each argument. Each row's band is p_hat -/+ z se,
+    z the two-sided normal quantile at `level`, clipped to [0, 1].
     """
 
     eta: float
@@ -502,17 +497,15 @@ class DriftTable(Record):
 def epsilon_truncation_drift(spec: JumpSpec, eps_grid: Sequence[float], trials: int,
                              seed: int, eta: float = 0.1, t: float = 1.0,
                              level: float = 0.99) -> DriftTable:
-    """Estimate the discarded-mass overflow P[|X - X_eps| > eta] on a grid.
-
-    X_eps discards jumps <= eps, so |X - X_eps| is the per-path sum of the
-    small jumps; sharing one sample across the grid couples the estimates.
-    """
+    """Estimate the discarded-mass overflow P[|X_eps0 - X_eps| > eta] on a
+    grid, eps0 the spec's own cut: |X_eps0 - X_eps| is the per-path sum of
+    the kept jumps in (eps0, eps]. One sample couples the estimates."""
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     _check_run(t, trials, level)
     if not all(0 <= e < math.inf for e in eps_grid):
         raise ValueError("epsilon values must be >= 0 and finite")
-    # per epsilon, the paths whose jumps at or below it sum past eta
+    # per epsilon, the paths whose kept jumps at or below it sum past eta
     overflow = [0] * len(eps_grid)
     for counts, jumps, owner in _path_blocks(spec, t, make_rng(seed), trials):
         for i, eps in enumerate(eps_grid):

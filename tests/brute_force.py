@@ -627,9 +627,12 @@ def spectrum_gap_test(spec, a: float, b: float, n: int, trials: int, seed: int,
 
 def epsilon_truncation_drift(spec, eps_grid: Sequence[float], trials: int, seed: int,
                              eta: float = 0.1, t: float = 1.0, level: float = 0.99) -> DriftTable:
-    """The drift table from the whole jump field at once: one bincount of
-    the small jumps over all paths per epsilon."""
+    """The drift table from the whole jump field at once, less the jumps at
+    or below the spec's own epsilon: one bincount of the small kept jumps
+    over all paths per epsilon."""
     jumps, owner = jump_field(spec, t, make_rng(seed), trials)
+    keep = jumps > spec.epsilon
+    jumps, owner = jumps[keep], owner[keep]
     z = NormalDist().inv_cdf((1 + level) / 2)
     rows = []
     for eps in eps_grid:

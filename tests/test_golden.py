@@ -83,6 +83,9 @@ CASES = {
     "simulate-spectrum": (["simulate", "spectrum", "--a", "0.5", "--b", "2", "--n", "2",
                            "--censor-gap", "0.9", "1.2", *SIM], {}),
     "simulate-epsilon": (["simulate", "epsilon", "--eps-grid", "0.05,0.1,0.2", *SIM], {}),
+    # drift rows on the spec's own cut law: the rows at or below 0.5 read 0
+    "simulate-epsilon-cut": (["simulate", "epsilon", "--eps-grid", "0.2,0.6,1.0",
+                              "--epsilon", "0.5", *SIM], {}),
     # the benchmark's pmf, and a Clopper-Pearson solve on a long continued fraction
     "moments-mixed-poisson-kmax-12": (["moments", "mixed-poisson", "--alpha", "0",
                                        "--sigma2", "1", "--logb", "-1", "--N", "5",

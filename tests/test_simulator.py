@@ -146,6 +146,8 @@ class TestPoissonPmf:
     def test_underflow_and_zero_rate(self):
         assert 0 < poisson_pmf_mpf(1.0, 10 ** 5) and _poisson_pmf(1.0, 10 ** 5) == 0.0
         assert _poisson_pmf(1e6, 1) == 0.0
+        # the m ln(lam) term is dropped at m = 0, where it would be 0 * -Infinity
+        assert _poisson_pmf(0.0, 0) == 1.0
         for m in (1, 2, 50):
             assert _poisson_pmf(0.0, m) == 0.0
             assert _replication_lower(0.0, m, 2, 0.5) == 0.0
@@ -318,6 +320,59 @@ class TestEpsilonCut:
             pi1, pi2 = lam * math.exp(-lam), lam ** 2 / 2 * math.exp(-lam)
             want = pi2 * min(_clopper_pearson_lower(res.count_ab, trials, level) / pi1, 1) ** 2
             assert res.replication_lower_bound == pytest.approx(want, rel=1e-12)
+
+
+class TestOneCut:
+    """_path_blocks applies the spec's epsilon cut as it draws, and every
+    report reads that kept field: the drift table too, whose rows measure
+    what a larger cut discards from the spec's own cut law."""
+
+    @pytest.mark.parametrize("spec", [
+        JumpSpec(1.5, LognormalJumps(0.0, 1.0)), JumpSpec(1.5, LognormalJumps(0.0, 1.0), 0.5),
+        JumpSpec(1.5, AtomJumps(((0.5, 1.0), (0.7, 1.0), (1.2, 1.0))), 0.5),
+        JumpSpec(2.0, PoissonJumps(0.7)), JumpSpec(2.0, PoissonJumps(2.0), 1.5)])
+    @pytest.mark.parametrize("block", [7, 8192])
+    def test_blocks_hold_no_jump_at_or_below_epsilon(self, monkeypatch, spec, block):
+        # a Poisson jump of size 0 is at or below epsilon = 0, so it is cut too
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        paths = 0
+        for counts, jumps, owner in simulator._path_blocks(spec, 1.0, make_rng(5), 1000):
+            assert (jumps > spec.epsilon).all()
+            assert np.array_equal(counts, np.bincount(owner, minlength=len(counts)))
+            assert len(owner) == len(jumps) == counts.sum()
+            paths += len(counts)
+        assert paths == 1000
+
+    @pytest.mark.parametrize("law", [LognormalJumps(0.0, 1.0),
+                                     AtomJumps(((0.3, 1.0), (0.5, 1.0), (0.7, 2.0), (1.2, 1.0)))])
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_drift_on_a_cut_law(self, law, seed):
+        eps0, eta, trials = 0.5, 0.6, 5000
+        spec = JumpSpec(1.5, law, eps0)
+        grid_ = [0.0, 0.3, 0.5, 0.6, 0.8, 1.0, 2.0]
+        table = epsilon_truncation_drift(spec, grid_, trials, seed, eta=eta)
+        jumps, owner = brute_force.jump_field(spec, 1.0, make_rng(seed), trials)
+        for row in table.rows:
+            if row.epsilon <= eps0:
+                assert row.count == 0, row
+                continue
+            # the paths whose jumps in (eps0, eps] sum past eta
+            mid = (jumps > eps0) & (jumps <= row.epsilon)
+            sums = np.bincount(owner[mid], weights=jumps[mid], minlength=trials)
+            assert row.count == np.count_nonzero(sums > eta), row
+        assert table.rows[-1].count > 0
+
+    def test_cli_drift_reads_the_epsilon_option(self, capsys):
+        argv = ["simulate", "epsilon", "--eps-grid", "0.05,0.1,0.2", "--lognormal-jumps", "0:1",
+                "--rate", "1.5", "--trials", "300", "--seed", "7"]
+        counts = {}
+        for eps in ("0", "0.5"):
+            assert main([*argv, "--epsilon", eps]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert report["spec"]["epsilon"] == float(eps)
+            counts[eps] = [row["count"] for row in report["rows"]]
+        # every epsilon of the grid is at or below 0.5, so that cut leaves none to discard
+        assert counts == {"0": [0, 0, 19], "0.5": [0, 0, 0]}
 
 
 class TestGapCensor:
